@@ -27,12 +27,15 @@ from pathlib import Path
 from repro.core.pipeline import ClassificationPipeline
 from repro.core.serialize import save_pipeline
 from repro.datagen.generator import CorpusGenerator
-from repro.durability import SimConfig, reconcile, resume_simulation
-from repro.durability.recovery import _build_stage
+from repro.durability import (
+    SimConfig,
+    build_cluster,
+    reconcile,
+    resume_simulation,
+)
 from repro.experiments.common import format_table
 from repro.ml import ComplementNB
 from repro.obs import MetricsRegistry, use_registry
-from repro.stream.tivan import TivanCluster
 
 from conftest import BENCH_SEED, emit
 
@@ -58,17 +61,12 @@ def _train_model(directory: Path) -> None:
     save_pipeline(pipe, directory)
 
 
-def _run_plain(model_dir: Path) -> tuple[float, int]:
+def _run_volatile(model_dir: Path) -> tuple[float, int]:
     config = _config(model_dir)
     events = config.events()
     with use_registry(MetricsRegistry()):
-        cluster = TivanCluster(
-            flush_interval_s=config.flush_interval_s,
-            batch_size=config.forward_batch,
-            buffer_limit=config.buffer_limit,
-        )
+        cluster = build_cluster(config)
         cluster.load_events(events)
-        cluster.attach_classifier(_build_stage(config, None))
         t0 = time.perf_counter()
         report = cluster.run(DURATION_S + 30.0)
         elapsed = time.perf_counter() - t0
@@ -97,14 +95,14 @@ def test_wal_overhead(benchmark, tmp_path):
     _train_model(model_dir)
 
     # warm both paths (imports, trace generation, registry setup)
-    _run_plain(model_dir)
+    _run_volatile(model_dir)
     _run_durable(model_dir)
 
     plain_times: list[float] = []
     durable_times: list[float] = []
     produced = 0
     for _ in range(N_ROUNDS):
-        t, produced = _run_plain(model_dir)
+        t, produced = _run_volatile(model_dir)
         plain_times.append(t)
         t, produced_d = _run_durable(model_dir)
         durable_times.append(t)

@@ -61,6 +61,14 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _fraction(value: str) -> float:
+    """Argparse type for options that must lie in 0..1."""
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be within 0..1, got {x}")
+    return x
+
+
 def _add_cache_flags(p) -> None:
     """The template-dedup cache knobs (classify + simulate + listen)."""
     p.add_argument("--template-cache", action="store_true",
@@ -78,7 +86,7 @@ def _add_telemetry_flags(p) -> None:
                    help="serve /metrics, /health, and /trace/<id> on this "
                         "port for the duration of the run (0 = ephemeral; "
                         "the bound port is printed to stderr)")
-    p.add_argument("--trace-sample", type=float, default=0.0,
+    p.add_argument("--trace-sample", type=_fraction, default=0.0,
                    help="fraction of accepted messages carrying a cross-hop "
                         "trace context, 0..1 (default 0 = tracing off)")
     p.add_argument("--trace-seed", type=int, default=0,
@@ -110,13 +118,13 @@ def _control_policy(args, *, listen: bool = False):
         load_policy_file,
     )
 
-    path = getattr(args, "control_policy", None)
+    path = args.control_policy
     if path is not None:
         try:
             return load_policy_file(path)
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise SystemExit(f"{path}: bad control policy: {e}")
-    if getattr(args, "control", False):
+    if args.control:
         return default_listen_policy() if listen else default_policy()
     return None
 
@@ -466,7 +474,7 @@ def _emit_result(result, *, jsonl: bool) -> None:
 
 def _attach_cache(pipe, args) -> None:
     """Attach a :class:`TemplateCache` when ``--template-cache`` is set."""
-    if getattr(args, "template_cache", False):
+    if args.template_cache:
         from repro.core.template_cache import TemplateCache
 
         pipe.template_cache = TemplateCache(max_entries=args.cache_size)
@@ -665,12 +673,12 @@ def _cmd_tables(args) -> int:
 
 def _start_ops(args):
     """Started :class:`OpsServer` from ``--metrics-port``, or None."""
-    port = getattr(args, "metrics_port", None)
+    port = args.metrics_port
     if port is None:
         return None
     from repro.obs import OpsServer, SloTracker, default_slos, load_slo_file
 
-    slo_path = getattr(args, "slo_file", None)
+    slo_path = args.slo_file
     try:
         targets = load_slo_file(slo_path) if slo_path else default_slos()
     except (OSError, ValueError, KeyError) as e:
@@ -683,11 +691,10 @@ def _start_ops(args):
     return server
 
 
-def _build_injector(args):
-    """FaultInjector from ``--fault-plan``, or None."""
+def _build_injector(plan_path):
+    """FaultInjector from a ``--fault-plan`` file, or None."""
     from repro.faults import FaultInjector, FaultPlan
 
-    plan_path = getattr(args, "fault_plan", None)
     if plan_path is None:
         return None
     try:
@@ -697,138 +704,69 @@ def _build_injector(args):
     return FaultInjector(plan)
 
 
-def _run_simulation(args):
-    """Shared stream-simulation setup for simulate/assist.
+def _run_simulation(config, *, wal_dir=None, injector=None):
+    """Build and run the simulation ``config`` describes (simulate/assist).
 
-    Returns ``(cluster, report, injector)``; the injector is ``None``
-    unless ``--fault-plan`` armed one.  With ``--wal-dir`` the run is
+    Returns ``(cluster, report)``.  With ``wal_dir`` the run is
     durable: state goes through :mod:`repro.durability` and a killed
     run can be resumed with ``repro-syslog recover``.
     """
-    from repro.core.serialize import load_pipeline
-    from repro.core.taxonomy import Category
-    from repro.datagen.workload import (
-        offered_load_events,
-        standard_simulation_events,
-    )
-    from repro.stream.tivan import ClassifierStage, TivanCluster
+    from repro.durability import build_cluster, resume_simulation
 
-    injector = _build_injector(args)
-    duration = getattr(args, "duration", 600.0)
-    rate = getattr(args, "rate", 5.0)
-    incident = bool(getattr(args, "incident", True))
-    control_policy = _control_policy(args)
-    load_profile = getattr(args, "load_profile", "standard")
-
-    wal_dir = getattr(args, "wal_dir", None)
-    if wal_dir is not None:
-        from repro.durability import SimConfig, resume_simulation
-
-        if (wal_dir / "meta.json").exists():
-            raise SystemExit(
-                f"{wal_dir}: already holds a durable run — resume it "
-                f"with `repro-syslog recover --wal-dir {wal_dir}`"
-            )
-        if getattr(args, "broker_partitions", None) is not None:
-            raise SystemExit(
-                "--broker-partitions is incompatible with --wal-dir: "
-                "durable broker runs need the per-host partition layout"
-            )
-        SimConfig(
-            duration_s=duration, rate=rate, seed=args.seed,
-            incident=incident, fsync=args.fsync,
-            checkpoint_every_s=args.checkpoint_every,
-            overflow=getattr(args, "overflow", "block"),
-            flush_retry_limit=getattr(args, "flush_retries", None),
-            degrade_backlog=getattr(args, "degrade_backlog", None),
-            model_dir=str(args.model_dir),
-            store_nodes=getattr(args, "store_nodes", None),
-            store_replicas=getattr(args, "replicas", 1),
-            write_quorum=getattr(args, "write_quorum", None),
-            read_quorum=getattr(args, "read_quorum", None),
-            via_broker=bool(getattr(args, "via_broker", False)),
-            n_consumers=getattr(args, "consumers", 1),
-            trace_sample=getattr(args, "trace_sample", 0.0),
-            trace_seed=getattr(args, "trace_seed", 0),
-            template_cache=(
-                getattr(args, "cache_size", 4096)
-                if getattr(args, "template_cache", False)
-                else None
-            ),
-            load_profile=load_profile,
-            load_swing=getattr(args, "load_swing", 10.0),
-            # the policy rides meta.json; every resume rebinds it and
-            # restores the journaled controller state (WAL "control"
-            # records), so crashed control runs keep their setpoints
-            control=(
-                control_policy.to_dict()
-                if control_policy is not None else None
-            ),
-        ).save(wal_dir)
-        cluster, config, journal = resume_simulation(wal_dir, injector=injector)
-        report = cluster.run(duration + 30.0)
-        journal.wal.close()
-        return cluster, report, injector
-
-    pipe = load_pipeline(args.model_dir)
-    _attach_cache(pipe, args)
-    if injector is not None:
-        pipe.fault_injector = injector
-    if load_profile == "standard":
-        events = standard_simulation_events(
-            duration_s=duration, background_rate=rate,
-            seed=args.seed, incident=incident,
+    if wal_dir is not None and (wal_dir / "meta.json").exists():
+        raise SystemExit(
+            f"{wal_dir}: already holds a durable run — resume it "
+            f"with `repro-syslog recover --wal-dir {wal_dir}`"
         )
-    else:
-        events = offered_load_events(
-            profile=load_profile, duration_s=duration, base_rate=rate,
-            swing=getattr(args, "load_swing", 10.0), seed=args.seed,
-        )
-    cluster = TivanCluster(
-        overflow=getattr(args, "overflow", "block"),
-        flush_retry_limit=getattr(args, "flush_retries", None),
-        degrade_backlog=getattr(args, "degrade_backlog", None),
-        fault_injector=injector,
-        store_nodes=getattr(args, "store_nodes", None),
-        store_replicas=getattr(args, "replicas", 1),
-        write_quorum=getattr(args, "write_quorum", None),
-        read_quorum=getattr(args, "read_quorum", None),
-        via_broker=bool(getattr(args, "via_broker", False)),
-        broker_partitions=getattr(args, "broker_partitions", None),
-        n_consumers=getattr(args, "consumers", 1),
-        trace_sample=getattr(args, "trace_sample", 0.0),
-        trace_seed=getattr(args, "trace_seed", 0),
-    )
-    cluster.load_events(events)
-
-    def cheap_batch(texts):
-        # degraded path: no model inference — everything fails closed
-        # to UNIMPORTANT so the queue keeps draining
-        return [Category.UNIMPORTANT for _ in texts]
-
-    cluster.attach_classifier(ClassifierStage(
-        service_time_s=max(pipe.mean_service_time, 1e-4),
-        classify_batch=lambda texts: [
-            r.category for r in pipe.classify_batch(texts)
-        ],
-        batch_size=64,
-        cheap_classify_batch=cheap_batch,
-    ))
-    if control_policy is not None:
-        try:
-            cluster.attach_controller(control_policy)
-        except ValueError as e:
-            raise SystemExit(f"control policy not bindable: {e}")
-    report = cluster.run(duration + 30.0)
-    return cluster, report, injector
+    try:
+        if wal_dir is None:
+            cluster = build_cluster(config, injector=injector)
+            cluster.load_events(config.events())
+        else:
+            # meta.json is written only once the build accepted the
+            # config: a refused combination leaves nothing to resume
+            cluster, _config, _journal = resume_simulation(
+                wal_dir, injector=injector, config=config
+            )
+    except ValueError as e:
+        raise SystemExit(str(e))
+    report = cluster.run(config.duration_s + 30.0)
+    if cluster.journal is not None:
+        cluster.journal.wal.close()
+    return cluster, report
 
 
 def _cmd_simulate(args) -> int:
+    from repro.durability import SimConfig
     from repro.monitor.dashboard import render_overview
 
+    policy = _control_policy(args)
+    config = SimConfig(
+        duration_s=args.duration, rate=args.rate, seed=args.seed,
+        incident=args.incident, fsync=args.fsync,
+        checkpoint_every_s=args.checkpoint_every,
+        overflow=args.overflow, flush_retry_limit=args.flush_retries,
+        degrade_backlog=args.degrade_backlog,
+        model_dir=str(args.model_dir),
+        store_nodes=args.store_nodes, store_replicas=args.replicas,
+        write_quorum=args.write_quorum, read_quorum=args.read_quorum,
+        via_broker=args.via_broker,
+        broker_partitions=args.broker_partitions,
+        n_consumers=args.consumers,
+        trace_sample=args.trace_sample, trace_seed=args.trace_seed,
+        template_cache=args.cache_size if args.template_cache else None,
+        load_profile=args.load_profile, load_swing=args.load_swing,
+        # the policy rides meta.json; every resume rebinds it and
+        # restores the journaled controller state (WAL "control"
+        # records), so crashed control runs keep their setpoints
+        control=policy.to_dict() if policy is not None else None,
+    )
+    injector = _build_injector(args.fault_plan)
     server = _start_ops(args)
     try:
-        cluster, report, injector = _run_simulation(args)
+        cluster, report = _run_simulation(
+            config, wal_dir=args.wal_dir, injector=injector
+        )
     finally:
         # the ops thread exists to be scraped *during* the run; stop it
         # before printing so a crash mid-simulation also tears it down
@@ -863,7 +801,7 @@ def _cmd_simulate(args) -> int:
             f"brownout_changes={report.brownout_changes} "
             f"shed={report.shed_messages}"
         )
-    if getattr(args, "template_cache", False):
+    if args.template_cache:
         import os
 
         from repro.obs import wellknown
@@ -907,11 +845,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_assist(args) -> int:
+    from repro.durability import SimConfig
     from repro.llm.assistant import AdminAssistant
     from repro.llm.models import model_spec
 
-    args.duration, args.rate, args.incident = 600.0, 5.0, True
-    cluster, _report, _injector = _run_simulation(args)
+    cluster, _report = _run_simulation(SimConfig(
+        duration_s=600.0, rate=5.0, seed=args.seed, incident=True,
+        model_dir=str(args.model_dir),
+    ))
     assistant = AdminAssistant(spec=model_spec(args.llm))
     if args.task == "summary":
         reply = assistant.summarize_status(cluster.store)
@@ -926,24 +867,27 @@ def _cmd_assist(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from dataclasses import replace
+
     from repro.durability import SimConfig, reconcile, resume_simulation
 
     overrides = {
-        "store_nodes": getattr(args, "store_nodes", None),
-        "store_replicas": getattr(args, "replicas", None),
-        "write_quorum": getattr(args, "write_quorum", None),
-        "read_quorum": getattr(args, "read_quorum", None),
+        "store_nodes": args.store_nodes,
+        "store_replicas": args.replicas,
+        "write_quorum": args.write_quorum,
+        "read_quorum": args.read_quorum,
     }
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
-        if any(v is not None for v in overrides.values()):
-            # persist the new topology so later resumes agree with it
-            config = SimConfig.load(args.wal_dir)
-            for name, value in overrides.items():
-                if value is not None:
-                    setattr(config, name, value)
-            config.save(args.wal_dir)
-        cluster, config, journal = resume_simulation(args.wal_dir)
-    except FileNotFoundError as e:
+        config = None
+        if overrides:
+            # the new topology is persisted (so later resumes agree
+            # with it) only once the rebuild accepted it
+            config = replace(SimConfig.load(args.wal_dir), **overrides)
+        cluster, config, journal = resume_simulation(
+            args.wal_dir, config=config
+        )
+    except (FileNotFoundError, ValueError) as e:
         raise SystemExit(str(e))
     report = cluster.run(max(config.duration_s + 30.0, cluster.engine.now))
     conservation = reconcile(journal.state, report.produced)
@@ -964,30 +908,31 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_listen(args) -> int:
-    """Real-socket intake: listener → broker → consumer → store.
+    """Real-socket intake: listener → broker → forwarder → store.
 
     Binds the asyncio listener on loopback (or ``--host``), publishes
-    accepted messages into a :class:`LogBroker`, and drains a consumer
-    loop into an in-process :class:`LogStore`.  Stops on ``--duration``
-    seconds, after ``--max-messages`` received lines, or Ctrl-C; then
-    prints the full accounting.
+    accepted messages into a :class:`LogBroker`, and drains it through
+    a pull-mode :class:`FluentdForwarder` into an in-process
+    :class:`LogStore` — the assembly ``benchmarks/spine`` measures.
+    Stops on ``--duration`` seconds, after ``--max-messages`` received
+    lines, or Ctrl-C; then prints the full accounting.
     """
     import asyncio
-    import json
+    import time
 
     from repro.ingest import LogBroker, SyslogListener
+    from repro.stream.events import EventEngine
+    from repro.stream.fluentd import FluentdForwarder
     from repro.stream.opensearch import LogStore
 
     if args.udp_port < 0 and args.tcp_port < 0:
         raise SystemExit("at least one of --udp-port/--tcp-port must be enabled")
 
     sampler = None
-    m_e2e = None
     if args.trace_sample > 0.0:
-        from repro.obs import TraceSampler, wellknown
+        from repro.obs import TraceSampler
 
         sampler = TraceSampler(args.trace_sample, seed=args.trace_seed)
-        m_e2e = wellknown.e2e_latency_seconds().labels()
 
     pipe = None
     if args.model_dir is not None:
@@ -998,7 +943,7 @@ def _cmd_listen(args) -> int:
 
     tenant_quota = None
     rate_limit = args.rate_limit
-    if getattr(args, "per_tenant", False):
+    if args.per_tenant:
         if args.rate_limit is None:
             raise SystemExit(
                 "--per-tenant needs --rate-limit for the aggregate "
@@ -1013,6 +958,26 @@ def _cmd_listen(args) -> int:
 
     broker = LogBroker(n_partitions=args.partitions)
     store = LogStore()
+
+    def sink(batch) -> bool:
+        first_id = len(store)
+        store.bulk_index(batch)
+        if pipe is not None:
+            results = pipe.classify_batch([m.text for m in batch])
+            for doc_id, result in enumerate(results, first_id):
+                store.set_category(doc_id, result.category)
+        return True
+
+    forwarder = FluentdForwarder(
+        engine=EventEngine(), sink=sink, broker=broker,
+        consumer_group="cli", consumer_member="cli-0", clock=time.time,
+    )
+
+    def consume() -> int:
+        polled = forwarder.poll_broker()
+        forwarder.drain()
+        return polled
+
     listener = SyslogListener(
         broker,
         host=args.host,
@@ -1063,32 +1028,6 @@ def _cmd_listen(args) -> int:
         deadline = (
             loop.time() + args.duration if args.duration is not None else None
         )
-        def consume() -> None:
-            import time
-
-            from repro.obs import record_hop
-
-            records = broker.poll("cli", "cli-0", max_records=1 << 20)
-            high: dict[str, int] = {}
-            doc_ids: list[int] = []
-            for record in records:
-                doc_ids.append(store.index(record.message))
-                if record.ctx is not None:
-                    # no forwarder on this path — the consumer loop
-                    # itself is the poll and index hops
-                    now = time.time()
-                    hop = record_hop(record.ctx, "broker.poll", now,
-                                     group="cli")
-                    record_hop(hop, "store.index", now, docs=1)
-                    m_e2e.observe(now - record.ctx.origin_s)
-                high[record.partition] = record.offset + 1
-            if pipe is not None and records:
-                texts = [record.message.text for record in records]
-                for doc_id, result in zip(doc_ids, pipe.classify_batch(texts)):
-                    store.set_category(doc_id, result.category)
-            for partition, next_offset in high.items():
-                broker.commit("cli", partition, next_offset)
-
         # batched listener counters flush on a timer too, so /metrics
         # scrapes see trickle traffic, not just every-1024th-line syncs
         next_sync = loop.time() + 1.0
@@ -1121,9 +1060,10 @@ def _cmd_listen(args) -> int:
             pass
         finally:
             await listener.stop()
-            consume()
+            # settle: a poll takes at most the buffer's free room
+            while consume():
+                pass
 
-    broker.subscribe("cli", "cli-0")
     try:
         asyncio.run(serve())
     except KeyboardInterrupt:

@@ -12,7 +12,8 @@ effectively-exactly-once guarantee:
   snapshots that bound WAL replay,
 - :mod:`repro.durability.recovery` — the :class:`StreamJournal` that
   logs every forwarder buffer transition write-ahead, checkpoint
-  payloads, :func:`resume_simulation`, and the :func:`reconcile`
+  payloads, :class:`SimConfig` → :func:`build_cluster` (the one cluster
+  assembly), :func:`resume_simulation`, and the :func:`reconcile`
   conservation check,
 - :mod:`repro.durability.harness` — subprocess SIGKILL scenarios
   proving no message is ever lost or duplicated across crashes.
@@ -35,6 +36,7 @@ from repro.durability.recovery import (
     SimConfig,
     StreamJournal,
     build_checkpoint_payload,
+    build_cluster,
     checkpoint_cluster,
     reconcile,
     recover_state,
@@ -63,6 +65,7 @@ __all__ = [
     "SimConfig",
     "StreamJournal",
     "build_checkpoint_payload",
+    "build_cluster",
     "checkpoint_cluster",
     "reconcile",
     "recover_state",

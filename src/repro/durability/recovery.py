@@ -39,13 +39,15 @@ zero (lost) and never two (duplicated).
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.durability.checkpoint import load_latest_checkpoint, write_checkpoint
-from repro.durability.wal import WalRecord, WriteAheadLog
+from repro.durability.wal import WalRecord, WriteAheadLog, replay_wal
 from repro.faults.plan import SITE_CRASH
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "SimConfig",
     "StreamJournal",
     "build_checkpoint_payload",
+    "build_cluster",
     "checkpoint_cluster",
     "reconcile",
     "recover_state",
@@ -389,7 +392,7 @@ class StreamJournal:
 
 @dataclass
 class SimConfig:
-    """Everything needed to rebuild a simulation from its WAL directory.
+    """Everything :func:`build_cluster` needs; ``meta.json`` on durable runs.
 
     The trace is regenerated from ``(duration_s, rate, seed,
     incident)`` — determinism is what makes trace positions durable
@@ -425,6 +428,7 @@ class SimConfig:
     #: broker-spine ingest (relay → LogBroker → consumer-group forwarder);
     #: durable broker runs require the host partitioner and one consumer
     via_broker: bool = False
+    broker_partitions: int | None = None
     n_consumers: int = 1
     #: cross-hop trace sampling (0.0 disables); the seed keys the
     #: deterministic per-event decision, so a resumed process re-traces
@@ -464,8 +468,6 @@ class SimConfig:
 
     def save(self, directory: str | Path) -> Path:
         """Write ``meta.json`` into ``directory`` (created if missing)."""
-        import json
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / META_FILENAME
@@ -474,8 +476,6 @@ class SimConfig:
 
     @classmethod
     def load(cls, directory: str | Path) -> "SimConfig":
-        import json
-
         path = Path(directory) / META_FILENAME
         if not path.exists():
             raise FileNotFoundError(
@@ -580,11 +580,7 @@ def recover_state(wal_dir: str | Path, *, wal: WriteAheadLog | None = None) -> R
         state = JournalState.from_payload(payload["journal"])
     else:
         state = JournalState()
-    records = wal.records() if wal is not None else None
-    if records is None:
-        from repro.durability.wal import replay_wal
-
-        records, _info = replay_wal(wal_dir)
+    records = wal.records() if wal is not None else replay_wal(wal_dir)[0]
     replayed = 0
     for record in records:
         if record.seq > state.applied_seq:
@@ -597,83 +593,19 @@ def recover_state(wal_dir: str | Path, *, wal: WriteAheadLog | None = None) -> R
     )
 
 
-def _build_stage(config: SimConfig, injector):
-    """Rebuild the classifier stage a durable run's config describes."""
-    from repro.core.taxonomy import Category
-    from repro.stream.tivan import ClassifierStage
+def build_cluster(config: SimConfig, *, injector=None, journal=None):
+    """Assemble the cluster ``config`` describes — the one assembly.
 
-    def cheap_batch(texts):
-        # degraded path: no model inference — everything fails closed
-        # to UNIMPORTANT so the queue keeps draining
-        return [Category.UNIMPORTANT for _ in texts]
-
-    if config.model_dir is not None:
-        from repro.core.serialize import load_pipeline
-
-        pipe = load_pipeline(config.model_dir)
-        if config.template_cache is not None:
-            from repro.core.template_cache import TemplateCache
-
-            pipe.template_cache = TemplateCache(
-                max_entries=config.template_cache
-            )
-        if injector is not None:
-            pipe.fault_injector = injector
-        return ClassifierStage(
-            service_time_s=max(pipe.mean_service_time, 1e-4),
-            classify_batch=lambda texts: [
-                r.category for r in pipe.classify_batch(texts)
-            ],
-            batch_size=config.batch_size,
-            cheap_classify_batch=cheap_batch,
-        )
-    return ClassifierStage(
-        service_time_s=config.service_time_s,
-        batch_size=config.batch_size,
-        cheap_classify_batch=cheap_batch,
-    )
-
-
-def resume_simulation(wal_dir: str | Path, *, injector=None):
-    """Build a durable :class:`~repro.stream.tivan.TivanCluster` from disk.
-
-    This is the *only* way durable runs start: a fresh run is a resume
-    from a directory holding nothing but ``meta.json``.  Returns
-    ``(cluster, config, journal)`` ready for ``cluster.run(...)``.
-
-    Restore order matters: the WAL opens first (repairing any torn
-    tail), the journal state is rebuilt (checkpoint + replay), the
-    store/forwarder/stats are reconstructed *from the journal* — the
-    journal is the single source of truth for message dispositions;
-    checkpoint counters only seed the cosmetic fields replay cannot
-    see (batch counts, peak buffer) — and finally the trace is
-    regenerated and re-offered minus the identities already seen.
+    Constructs the :class:`~repro.stream.tivan.TivanCluster`, attaches
+    the classifier stage (the ``model_dir`` pipeline with its template
+    cache and the injector, else pure queueing at ``service_time_s``)
+    and binds the controller if the config carries a policy.  Loading
+    the trace is the caller's (``load_events(config.events())``, or
+    :func:`resume_simulation`); refused combinations raise ValueError.
     """
-    from repro.core.message import SyslogMessage
     from repro.core.taxonomy import Category
-    from repro.faults.dlq import DeadLetter, entry_from_dict
-    from repro.obs import default_tracer, restore_snapshot
-    from repro.stream.fluentd import ABANDON_SITE, OVERFLOW_SITE
-    from repro.stream.tivan import TivanCluster
+    from repro.stream.tivan import ClassifierStage, TivanCluster
 
-    wal_dir = Path(wal_dir)
-    config = SimConfig.load(wal_dir)
-    events = config.events()
-    wal = WriteAheadLog(
-        wal_dir, fsync=config.fsync, segment_bytes=config.segment_bytes,
-    )
-    recovered = recover_state(wal_dir, wal=wal)
-    state = recovered.state
-    checkpoint = recovered.checkpoint
-
-    def materialize(event: int, msg) -> SyslogMessage:
-        # trace events journal only their index; the body comes from
-        # the regenerated trace (same config, same seed, same message)
-        if msg is not None:
-            return SyslogMessage.from_dict(msg)
-        return events[event].message
-
-    journal = StreamJournal(wal, injector=injector, state=state)
     cluster = TivanCluster(
         flush_interval_s=config.flush_interval_s,
         batch_size=config.forward_batch,
@@ -689,23 +621,102 @@ def resume_simulation(wal_dir: str | Path, *, injector=None):
         write_quorum=config.write_quorum,
         read_quorum=config.read_quorum,
         via_broker=config.via_broker,
+        broker_partitions=config.broker_partitions,
         n_consumers=config.n_consumers,
         trace_sample=config.trace_sample,
         trace_seed=config.trace_seed,
     )
-    stage = _build_stage(config, injector)
-    cluster.attach_classifier(stage)
+    service_time_s, classify_batch = config.service_time_s, None
+    if config.model_dir is not None:
+        from repro.core.serialize import load_pipeline
 
-    # -- restore from the checkpoint (cosmetics + clock + metrics) --------
-    n_prior_dead = 0
+        pipe = load_pipeline(config.model_dir)
+        if config.template_cache is not None:
+            from repro.core.template_cache import TemplateCache
+
+            pipe.template_cache = TemplateCache(max_entries=config.template_cache)
+        if injector is not None:
+            pipe.fault_injector = injector
+        service_time_s = max(pipe.mean_service_time, 1e-4)
+
+        def classify_batch(texts):
+            return [r.category for r in pipe.classify_batch(texts)]
+
+    cluster.attach_classifier(ClassifierStage(
+        service_time_s=service_time_s,
+        classify_batch=classify_batch,
+        batch_size=config.batch_size,
+        # degraded path: no model inference — everything fails closed
+        # to UNIMPORTANT so the queue keeps draining
+        cheap_classify_batch=lambda texts: [
+            Category.UNIMPORTANT for _ in texts
+        ],
+    ))
+    if config.control is not None:
+        from repro.control import ControlPolicy
+
+        cluster.attach_controller(ControlPolicy.from_dict(config.control))
+    return cluster
+
+
+def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
+    """Build a durable :class:`~repro.stream.tivan.TivanCluster` from disk.
+
+    This is the *only* way durable runs start: a fresh run is a resume
+    from a directory holding nothing but ``meta.json``.  ``config``
+    replaces it, saved only once this build accepted it.  Returns
+    ``(cluster, config, journal)`` ready for ``cluster.run(...)``.
+
+    Restore order matters: the WAL opens first (repairing any torn
+    tail), the journal state is rebuilt (checkpoint + replay), the
+    checkpoint's metrics and spans are restored *before*
+    :func:`build_cluster` binds the controller (so its setpoint/ladder
+    gauges are not clobbered), the store/forwarder/stats are
+    reconstructed *from the journal* — the single source of truth for
+    dispositions; checkpoint counters only seed the cosmetic fields
+    replay cannot see (batch counts, peak buffer) — and finally the
+    trace is regenerated and re-offered minus the identities seen.
+    """
+    from repro.core.message import SyslogMessage
+    from repro.core.taxonomy import Category
+    from repro.faults.dlq import DeadLetter, entry_from_dict
+    from repro.obs import default_tracer, restore_snapshot
+    from repro.stream.fluentd import ABANDON_SITE, OVERFLOW_SITE
+
+    wal_dir = Path(wal_dir)
+    saved = config is None
+    if saved:
+        config = SimConfig.load(wal_dir)
+    events = config.events()
+    wal = WriteAheadLog(
+        wal_dir, fsync=config.fsync, segment_bytes=config.segment_bytes,
+    )
+    recovered = recover_state(wal_dir, wal=wal)
+    state, checkpoint = recovered.state, recovered.checkpoint
+
+    def materialize(event: int, msg) -> SyslogMessage:
+        # trace events journal only their index; the body comes from
+        # the regenerated trace (same config, same seed, same message)
+        if msg is not None:
+            return SyslogMessage.from_dict(msg)
+        return events[event].message
+
     if checkpoint is not None:
-        cluster.engine.now = float(checkpoint["sim_time"])
         restore_snapshot(checkpoint["metrics"])
         # re-adopt the previous generations' hop spans so this
         # process's tracer holds the full cross-crash traces
         default_tracer().adopt(checkpoint.get("spans") or [])
+    journal = StreamJournal(wal, injector=injector, state=state)
+    cluster = build_cluster(config, injector=injector, journal=journal)
+    if not saved:
+        config.save(wal_dir)
+    stage, stats = cluster._stage, cluster.forwarder.stats
+
+    # -- restore from the checkpoint (cosmetics + clock) ------------------
+    n_prior_dead = 0
+    if checkpoint is not None:
+        cluster.engine.now = float(checkpoint["sim_time"])
         cl = checkpoint["cluster"]
-        stats = cluster.forwarder.stats
         for name, value in cl["stats"].items():
             setattr(stats, name, int(value))
         st = cl["stage"]
@@ -758,7 +769,6 @@ def resume_simulation(wal_dir: str | Path, *, injector=None):
     # replay may have moved messages since the snapshot was taken
     dead_overflow = sum(1 for d in state.dead if d["site"] == OVERFLOW_SITE)
     dead_abandoned = sum(1 for d in state.dead if d["site"] == ABANDON_SITE)
-    stats = cluster.forwarder.stats
     stats.accepted = (
         len(state.indexed) + len(state.buffer) + len(state.evicted)
         + dead_abandoned
@@ -773,16 +783,8 @@ def resume_simulation(wal_dir: str | Path, *, injector=None):
     cluster.relay.n_forwarded = stats.accepted
     cluster.relay.n_dropped = stats.rejected + dead_overflow
 
-    # -- rebind + restore the controller (after the metrics restore, so
-    # the journaled setpoint/ladder gauges are not clobbered) ------------
-    if config.control is not None:
-        from repro.control import ControlPolicy
-
-        controller = cluster.attach_controller(
-            ControlPolicy.from_dict(config.control)
-        )
-        if state.control is not None:
-            controller.restore_state(state.control)
+    if cluster.controller is not None and state.control is not None:
+        cluster.controller.restore_state(state.control)
 
     cluster.load_events(events, skip=state.seen)
     return cluster, config, journal
@@ -829,8 +831,6 @@ class ConservationReport:
 
 def reconcile(state: JournalState, produced: int) -> ConservationReport:
     """Check the conservation invariant over a journal's final state."""
-    from collections import Counter
-
     counts: Counter = Counter()
     for e, _m in state.indexed:
         counts[e] += 1

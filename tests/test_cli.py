@@ -203,54 +203,90 @@ class TestSimulate:
         assert "lag=0" in out
         assert "keeping_up=True" in out
 
-    def test_broker_partitions_refused_with_wal_dir(self, model_dir, tmp_path):
-        with pytest.raises(SystemExit, match="incompatible"):
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--via-broker", "--broker-partitions", "4",
+                      "--wal-dir", "{wal}"],
+                     "incompatible", id="partitions-with-wal-dir"),
+        pytest.param(["--consumers", "2"], "requires via_broker",
+                     id="consumers-without-broker"),
+    ])
+    def test_broker_partitions_refused_with_wal_dir(
+        self, model_dir, tmp_path, flags, message
+    ):
+        """Refused combinations exit on the constructor's message (no
+        traceback) and leave no durable directory behind."""
+        flags = [flag.format(wal=tmp_path / "wal") for flag in flags]
+        with pytest.raises(SystemExit, match=message):
             main(["simulate", "--model-dir", str(model_dir),
-                  "--duration", "60", "--rate", "2",
-                  "--via-broker", "--broker-partitions", "4",
-                  "--wal-dir", str(tmp_path / "wal")])
+                  "--duration", "60", "--rate", "2", *flags])
+        assert not (tmp_path / "wal" / "meta.json").exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.2"])
+    def test_trace_sample_outside_unit_interval_rejected(
+        self, model_dir, value, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--model-dir", str(model_dir),
+                  "--trace-sample", value])
+        assert "must be within 0..1" in capsys.readouterr().err
+
+
+def _listen(tmp_path, argv, send):
+    """Run `listen` on a thread, hand the bound ports to ``send``, and
+    return the exit code once the command stopped on its own."""
+    import threading
+    import time
+
+    port_file = tmp_path / "ports.json"
+    result = {}
+
+    def run():
+        result["code"] = main([
+            "listen", "--max-messages", "120", "--duration", "30",
+            "--port-file", str(port_file), *argv,
+        ])
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    deadline = time.monotonic() + 10
+    while not port_file.exists():
+        assert time.monotonic() < deadline, "listener never bound"
+        time.sleep(0.02)
+    time.sleep(0.1)
+    send(json.loads(port_file.read_text()))
+    thread.join(timeout=40)
+    assert not thread.is_alive(), "listen command did not exit"
+    return result["code"]
+
+
+def _wire_lines():
+    from repro.datagen.sender import wire_lines
+    from repro.datagen.workload import standard_simulation_events
+
+    events = standard_simulation_events(
+        duration_s=10, background_rate=20, seed=4
+    )
+    return wire_lines([e.message for e in events[:120]])
 
 
 class TestListen:
     def test_loopback_smoke(self, tmp_path, capsys):
         """`repro-syslog listen` on loopback: real sockets, real lines,
         full accounting in the summary."""
-        import threading
-        import time
+        from repro.datagen.sender import send_tcp, send_udp
 
-        from repro.datagen.sender import send_tcp, send_udp, wire_lines
-        from repro.datagen.workload import standard_simulation_events
+        lines = _wire_lines()
 
-        port_file = tmp_path / "ports.json"
-        result = {}
+        def send(ports):
+            send_udp(("127.0.0.1", ports["udp"]), lines[:60])
+            send_tcp(("127.0.0.1", ports["tcp"]), lines[60:120])
 
-        def run():
-            result["code"] = main([
-                "listen", "--max-messages", "120", "--duration", "30",
-                "--port-file", str(port_file),
-            ])
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        deadline = time.monotonic() + 10
-        while not port_file.exists():
-            assert time.monotonic() < deadline, "listener never bound"
-            time.sleep(0.02)
-        time.sleep(0.1)
-        ports = json.loads(port_file.read_text())
-        events = standard_simulation_events(
-            duration_s=10, background_rate=20, seed=4
-        )
-        lines = wire_lines([e.message for e in events[:120]])
-        send_udp(("127.0.0.1", ports["udp"]), lines[:60])
-        send_tcp(("127.0.0.1", ports["tcp"]), lines[60:120])
-        thread.join(timeout=40)
-        assert not thread.is_alive(), "listen command did not exit"
-        assert result["code"] == 0
+        assert _listen(tmp_path, [], send) == 0
         out = capsys.readouterr().out
         assert "received=120" in out
         assert "accounted=True" in out
         assert "lag=0" in out
+        assert "indexed=120" in out
 
     def test_classify_at_ingest_with_template_cache(
         self, model_dir, tmp_path, capsys
@@ -259,45 +295,50 @@ class TestListen:
         records (regression: records carry SyslogMessage, the pipeline
         needs `.text`) and reports cache accounting."""
         import re
-        import threading
-        import time
 
-        from repro.datagen.sender import send_tcp, wire_lines
-        from repro.datagen.workload import standard_simulation_events
+        from repro.datagen.sender import send_tcp
 
-        port_file = tmp_path / "ports.json"
-        result = {}
-
-        def run():
-            result["code"] = main([
-                "listen", "--udp-port", "-1", "--max-messages", "120",
-                "--duration", "30", "--port-file", str(port_file),
-                "--model-dir", str(model_dir),
-                "--template-cache", "--cache-size", "64",
-            ])
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        deadline = time.monotonic() + 10
-        while not port_file.exists():
-            assert time.monotonic() < deadline, "listener never bound"
-            time.sleep(0.02)
-        time.sleep(0.1)
-        ports = json.loads(port_file.read_text())
-        events = standard_simulation_events(
-            duration_s=10, background_rate=20, seed=4
-        )
-        lines = wire_lines([e.message for e in events[:120]])
-        send_tcp(("127.0.0.1", ports["tcp"]), lines)
-        thread.join(timeout=40)
-        assert not thread.is_alive(), "listen command did not exit"
-        assert result["code"] == 0
+        lines = _wire_lines()
+        argv = ["--udp-port", "-1", "--model-dir", str(model_dir),
+                "--template-cache", "--cache-size", "64"]
+        assert _listen(
+            tmp_path, argv,
+            lambda ports: send_tcp(("127.0.0.1", ports["tcp"]), lines),
+        ) == 0
         out = capsys.readouterr().out
         assert "received=120" in out
         assert "classified=120" in out
         m = re.search(r"cache_hits=(\d+) cache_misses=(\d+)", out)
         assert m, out
         assert int(m.group(1)) + int(m.group(2)) == 120
+
+    def test_traces_cover_every_spine_hop(self, tmp_path, capsys):
+        """`listen --trace-sample 1.0` consumes through the forwarder,
+        so every trace carries the `fluentd.flush` hop between
+        `broker.poll` and the store."""
+        from repro.datagen.sender import send_tcp
+        from repro.obs import (
+            Tracer,
+            set_default_tracer,
+            trace_is_complete,
+        )
+
+        lines = _wire_lines()
+        tracer = Tracer()
+        previous = set_default_tracer(tracer)
+        try:
+            assert _listen(
+                tmp_path, ["--udp-port", "-1", "--trace-sample", "1.0"],
+                lambda ports: send_tcp(("127.0.0.1", ports["tcp"]), lines),
+            ) == 0
+        finally:
+            set_default_tracer(previous)
+        capsys.readouterr()
+        traces = tracer.traces()
+        assert len(traces) == 120
+        for spans in traces.values():
+            names = [s.name for s in spans]
+            assert trace_is_complete(names, journal=False), names
 
     def test_rejects_no_transports(self):
         with pytest.raises(SystemExit, match="at least one"):

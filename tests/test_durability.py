@@ -23,6 +23,7 @@ from repro.durability import (
     StreamJournal,
     WalRecord,
     WriteAheadLog,
+    build_cluster,
     crash_recovery_scenario,
     load_checkpoint,
     load_latest_checkpoint,
@@ -454,6 +455,74 @@ class TestResume:
     def test_meta_required(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="meta.json"):
             resume_simulation(tmp_path)
+
+    def test_volatile_equals_durable(self, tmp_path):
+        """One SimConfig, both doors of the one assembly: the journal
+        and the checkpoints change nothing a run reports or stores."""
+        from repro.core.pipeline import ClassificationPipeline
+        from repro.core.serialize import save_pipeline
+        from repro.datagen.generator import CorpusGenerator
+        from repro.ml import ComplementNB
+
+        corpus = CorpusGenerator(scale=0.005, seed=1).generate()
+        pipe = ClassificationPipeline(classifier=ComplementNB())
+        pipe.fit(corpus.texts, corpus.labels)
+        save_pipeline(pipe, tmp_path / "model")
+        config = _quick_config(
+            model_dir=str(tmp_path / "model"), incident=True,
+            template_cache=64, degrade_backlog=8, via_broker=True,
+        )
+
+        volatile = build_cluster(config)
+        volatile.load_events(config.events())
+        durable, _config, journal = resume_simulation(
+            tmp_path / "wal", config=config
+        )
+        # the accepted config became the directory's meta.json
+        assert SimConfig.load(tmp_path / "wal") == config
+        reports = [
+            cluster.run(config.duration_s + 30.0)
+            for cluster in (volatile, durable)
+        ]
+        journal.wal.close()
+        counts = [
+            (r.produced, r.relay_received, r.relay_dropped, r.indexed,
+             r.classified, r.final_backlog, r.drained,
+             r.classified_degraded, r.broker_published, r.broker_polled)
+            for r in reports
+        ]
+        assert counts[0] == counts[1]
+        # both classify paths ran: the model and the fail-closed cheap one
+        assert 0 < reports[0].classified_degraded < reports[0].classified
+        categories = [
+            [doc.category for doc in cluster.store.iter_documents()]
+            for cluster in (volatile, durable)
+        ]
+        assert categories[0] == categories[1]
+        assert len(set(categories[0])) > 1
+
+    def test_rejected_recover_override_changes_nothing(self, tmp_path, capsys):
+        """`recover --replicas 9` on a 3-node run is refused *before*
+        the override is persisted: meta.json stays byte-identical and
+        a plain recover still resumes the directory."""
+        from repro.cli import main
+
+        _quick_config(store_nodes=3).save(tmp_path)
+        cluster, config, journal = resume_simulation(tmp_path)
+        cluster.run(config.duration_s + 30.0)
+        journal.wal.close()
+        meta = (tmp_path / "meta.json").read_bytes()
+
+        with pytest.raises(SystemExit, match="n_replicas"):
+            main(["recover", "--wal-dir", str(tmp_path), "--replicas", "9"])
+        assert (tmp_path / "meta.json").read_bytes() == meta
+        assert main(["recover", "--wal-dir", str(tmp_path)]) == 0
+        assert "conservation OK" in capsys.readouterr().out
+
+        # an accepted override is persisted for later resumes
+        assert main(["recover", "--wal-dir", str(tmp_path),
+                     "--replicas", "2"]) == 0
+        assert SimConfig.load(tmp_path).store_replicas == 2
 
 
 # ---------------------------------------------------------------------------

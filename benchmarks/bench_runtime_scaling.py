@@ -9,15 +9,18 @@ same ≥50k-message corpus and prints the per-stage breakdown for the
 serial batch path.
 
 The template-dedup matrix (``test_template_cache_matrix``) measures
-the memoized fast path across target hit rates and asserts the ≥5×
-end-to-end speedup at 95% the ROADMAP asks for.
+the memoized fast path across target hit rates, writes the rows to
+``BENCH_template_cache_matrix.json`` (CI publishes it as a job
+artifact) and holds the 95% row to two same-process bars: the cached
+cost, in units of the regex-chain oracle's cost over the same lines,
+may not exceed what it was before the masker itself was memoized, and
+the cache must still win ≥3.5× over the — now much cheaper — uncached
+path.
 
 Environment knobs: ``REPRO_BENCH_SCALING_N`` (corpus size, default
-50000), ``REPRO_BENCH_SCALING_WORKERS`` (shard count, default 4),
-``REPRO_BENCH_MATRIX_OUT`` (also write the hit-rate matrix to this
-file — CI publishes it as a job artifact).  The sharded ≥2× speedup
-assertion needs real cores and is skipped on machines with fewer
-than 4.
+50000), ``REPRO_BENCH_SCALING_WORKERS`` (shard count, default 4).  The
+sharded ≥2× speedup assertion needs real cores and is skipped on
+machines with fewer than 4.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import random
 import string
 import time
 
-from conftest import BENCH_SEED, emit
+from conftest import BENCH_SEED, emit, write_artifact
 
 from repro.core.pipeline import ClassificationPipeline
 from repro.core.template_cache import TemplateCache
@@ -35,6 +38,7 @@ from repro.datagen.generator import CorpusGenerator
 from repro.experiments.common import format_table
 from repro.ml import ComplementNB
 from repro.runtime import MessageBatch, ShardedExecutor
+from repro.textproc import MaskingNormalizer
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_SCALING_N", "50000"))
 N_WORKERS = int(os.environ.get("REPRO_BENCH_SCALING_WORKERS", "4"))
@@ -43,6 +47,14 @@ N_WORKERS = int(os.environ.get("REPRO_BENCH_SCALING_WORKERS", "4"))
 PER_MESSAGE_PROBE = 2000
 # messages per hit-rate row of the template-cache matrix
 MATRIX_N = int(os.environ.get("REPRO_BENCH_MATRIX_N", "20000"))
+# the speed-up of the uncached side lowers the cached/uncached ratio,
+# so the cached side is also held to its own old cost.  The yardstick
+# is ``normalize_reference`` timed over the same lines in the same
+# process (frozen oracle code, so it scales with the runner and not
+# with this repo): before ``normalize`` was token-wise (PR 13) the
+# cached path cost 9.5 µs/msg against 36 for the chain, 0.26; now ~0.15
+CACHED_VS_REFERENCE_MAX_AT_95 = 0.25
+SPEEDUP_FLOOR_AT_95 = 3.5
 
 
 def test_runtime_scaling(benchmark):
@@ -151,16 +163,19 @@ def test_template_cache_matrix(benchmark):
     Each row builds a workload whose steady-state cache hit rate is
     pinned near a target (pool draws hit, fresh unique messages miss),
     then times the same pipeline with the cache off and with a warmed
-    ``TemplateCache``.  The ROADMAP bar: ≥5× end-to-end at 95%.
+    ``TemplateCache``.  The bars at 95%: cached cost ≤
+    ``CACHED_VS_REFERENCE_MAX_AT_95`` × the regex chain's over the same
+    lines, speedup ≥ ``SPEEDUP_FLOOR_AT_95``.
     """
     corpus = CorpusGenerator(scale=0.01, seed=BENCH_SEED).generate()
     pipe = ClassificationPipeline(classifier=ComplementNB())
     pipe.fit(corpus.texts, corpus.labels)
     pool = corpus.texts[:400]
+    reference = MaskingNormalizer().normalize_reference
 
     targets = [0.50, 0.90, 0.95, 0.99]
     rows = []
-    speedup_at: dict[float, float] = {}
+    measured: dict[float, dict[str, float]] = {}
     for target in targets:
         # warm workload fills the pool templates; the timed workload
         # reuses the pool but carries *fresh* uniques so misses stay
@@ -201,7 +216,19 @@ def test_template_cache_matrix(benchmark):
         misses = after["misses"] - mark["misses"]
         observed = hits / max(1, hits + misses)
         speedup = uncached_s / cached_s
-        speedup_at[target] = speedup
+        measured[target] = {
+            "observed_hit_rate": observed,
+            "uncached_us_per_msg": uncached_s * 1e6,
+            "cached_us_per_msg": cached_s * 1e6,
+            "speedup": speedup,
+        }
+        if target == 0.95:
+            t0 = time.perf_counter()
+            for text in timed:
+                reference(text)
+            reference_s = (time.perf_counter() - t0) / len(timed)
+            measured[target]["reference_us_per_msg"] = reference_s * 1e6
+            measured[target]["cached_vs_reference"] = cached_s / reference_s
         rows.append([
             f"{target:.0%}", f"{observed:.1%}",
             f"{uncached_s * 1e6:.1f}", f"{cached_s * 1e6:.1f}",
@@ -214,14 +241,23 @@ def test_template_cache_matrix(benchmark):
         rows,
     )
     emit(f"Template-cache matrix — {MATRIX_N:,} messages/row", table)
-    out_path = os.environ.get("REPRO_BENCH_MATRIX_OUT")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(f"template-cache matrix ({MATRIX_N:,} messages/row)\n")
-            fh.write(table + "\n")
+    write_artifact("template_cache_matrix", {
+        "messages_per_row": MATRIX_N,
+        "rows": {f"{target:.2f}": row for target, row in measured.items()},
+        "bars_at_95": {
+            "cached_vs_reference_max": CACHED_VS_REFERENCE_MAX_AT_95,
+            "speedup_min": SPEEDUP_FLOOR_AT_95,
+        },
+    })
 
-    # acceptance bar: ≥5× end-to-end at the 95% hit-rate row
-    assert speedup_at[0.95] >= 5.0, (
-        f"expected >=5x speedup at 95% hit rate, got "
-        f"{speedup_at[0.95]:.2f}x\n{table}"
+    at_95 = measured[0.95]
+    assert at_95["cached_vs_reference"] <= CACHED_VS_REFERENCE_MAX_AT_95, (
+        f"cached path at 95% hits costs {at_95['cached_us_per_msg']:.1f} "
+        f"us/msg, {at_95['cached_vs_reference']:.2f}x the regex chain's "
+        f"{at_95['reference_us_per_msg']:.1f} (bar "
+        f"{CACHED_VS_REFERENCE_MAX_AT_95})\n{table}"
+    )
+    assert at_95["speedup"] >= SPEEDUP_FLOOR_AT_95, (
+        f"expected >={SPEEDUP_FLOOR_AT_95}x speedup at 95% hit rate, got "
+        f"{at_95['speedup']:.2f}x\n{table}"
     )

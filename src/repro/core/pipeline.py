@@ -278,11 +278,17 @@ class ClassificationPipeline:
             return set()
         return {j for j in range(n) if inj.should_fire(SITE_POISON)}
 
-    def _model_stage(self, model_texts):
-        """The columnar normalize → vectorize → predict path."""
+    def _model_stage(self, model_texts, keys=None):
+        """The columnar normalize → vectorize → predict path; ``keys``
+        (the texts' template-cache keys) are their already-masked form,
+        used when the vectorizer offers ``analyze_masked``."""
         n = len(model_texts)
+        analyze_masked = getattr(self.vectorizer, "analyze_masked", None)
         with self.timer.stage("normalize", n):
-            docs = self.vectorizer.analyze_batch(model_texts)
+            if keys is None or analyze_masked is None:
+                docs = self.vectorizer.analyze_batch(model_texts)
+            else:
+                docs = analyze_masked(keys)
         with self.timer.stage("vectorize", n):
             X = self.vectorizer.transform_analyzed(docs)
         with self.timer.stage("predict", n):
@@ -341,7 +347,9 @@ class ClassificationPipeline:
                 )
             else:
                 try:
-                    m_cats, m_confs = self._model_stage(miss_texts)
+                    m_cats, m_confs = self._model_stage(
+                        miss_texts, [keys[j] for j in miss_j]
+                    )
                     m_condemned = {}
                 except Exception:
                     m_cats, m_confs, m_condemned = self._model_salvage(

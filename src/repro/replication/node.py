@@ -23,6 +23,7 @@ a remote store would produce timeouts.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.taxonomy import Category
@@ -103,7 +104,7 @@ class StoreNode:
         category: Category | None,
         version: int,
         *,
-        tokens: list[str] | None = None,
+        tokens: Sequence[str] | None = None,
     ) -> bool:
         """Store (or refresh) one document copy; False when stale.
 

@@ -50,7 +50,12 @@ from repro.replication.health import (
 )
 from repro.replication.node import StoreNode
 from repro.replication.placement import ShardPlacement
-from repro.stream.opensearch import DateHistogramBucket, LogDocument, QueryResult
+from repro.stream.opensearch import (
+    DateHistogramBucket,
+    LogDocument,
+    QueryResult,
+    _analyze,
+)
 
 __all__ = ["QuorumError", "ReplicatedLogStore"]
 
@@ -169,15 +174,6 @@ class ReplicatedLogStore:
         self._rotation = 0  # deterministic victim choice for fault sites
         self._primary: dict[int, int | None] = {}
         self._last_live: frozenset[int] = frozenset()
-        # analyzer lives on the coordinator: one analysis per document,
-        # shared by every owner copy (the acting primary indexes with
-        # the precomputed tokens, replicas store the document only)
-        from repro.textproc.normalize import MaskingNormalizer
-        from repro.textproc.tokenize import Tokenizer
-
-        self._tokenizer = Tokenizer()
-        self._normalizer = MaskingNormalizer()
-
         from repro.obs import wellknown
 
         self._m_node_up = wellknown.store_node_up(registry)
@@ -355,9 +351,6 @@ class ReplicatedLogStore:
 
     # -- writes ------------------------------------------------------------
 
-    def _analyze(self, text: str) -> list[str]:
-        return self._tokenizer.tokenize(self._normalizer.normalize(text))
-
     def bulk_index(self, messages: Sequence[SyslogMessage]) -> bool:
         """Quorum-write a batch (the Fluentd sink contract).
 
@@ -381,7 +374,9 @@ class ReplicatedLogStore:
             if n_live < self.write_quorum:
                 self._m_quorum_failures.inc(op="write")
                 raise QuorumError("write", shard, self.write_quorum, n_live)
-        analyzed = [self._analyze(m.text) for m in messages]
+        # one analysis per document, on the coordinator: the acting
+        # primary indexes with these tokens, replicas store the document
+        analyzed = [_analyze(m.text) for m in messages]
         for message, tokens in zip(messages, analyzed):
             doc_id = len(self._versions)
             self._versions.append(1)

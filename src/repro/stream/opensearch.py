@@ -26,10 +26,29 @@ from dataclasses import dataclass, field
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
-from repro.textproc.normalize import MaskingNormalizer
-from repro.textproc.tokenize import Tokenizer
+from repro.textproc.normalize import normalize_message
+from repro.textproc.tokenize import tokenize
 
 __all__ = ["LogDocument", "LogStore", "QueryResult", "DateHistogramBucket"]
+
+#: masked text → index tokens, cleared when full: lines of a template
+#: the process has seen cost one mask and one lookup, not a tokenize
+ANALYSIS_MEMO_MAX_ENTRIES = 1 << 11
+_ANALYSIS_MEMO: dict[str, tuple[str, ...]] = {}
+
+
+def _analyze(text: str) -> tuple[str, ...]:
+    """Index-time analysis for :class:`LogStore` and
+    :class:`~repro.replication.ReplicatedLogStore`: mask, then tokenize;
+    equal to ``tokenize(normalize_reference(text))`` on every input."""
+    masked = normalize_message(text)
+    tokens = _ANALYSIS_MEMO.get(masked)
+    if tokens is None:
+        tokens = tuple(tokenize(masked))
+        if len(_ANALYSIS_MEMO) >= ANALYSIS_MEMO_MAX_ENTRIES:
+            _ANALYSIS_MEMO.clear()
+        _ANALYSIS_MEMO[masked] = tokens
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -81,8 +100,6 @@ class LogStore:
         self._time_order: list[int] = []  # doc ids sorted by timestamp
         self._time_sorted: list[float] = []
         self._time_dirty = False
-        self._tokenizer = Tokenizer()
-        self._normalizer = MaskingNormalizer()
 
     # -- indexing -------------------------------------------------------
 
@@ -91,7 +108,7 @@ class LogStore:
         message: SyslogMessage,
         category: Category | None = None,
         *,
-        _tokens: list[str] | None = None,
+        _tokens: Sequence[str] | None = None,
     ) -> int:
         """Index one message; returns its doc id.
 
@@ -104,7 +121,7 @@ class LogStore:
         self._docs.append(doc)
         self._shard_counts[doc_id % self.n_shards] += 1
         seen: set[str] = set()
-        tokens = _tokens if _tokens is not None else self._analyze(message.text)
+        tokens = _tokens if _tokens is not None else _analyze(message.text)
         for tok in tokens:
             if tok not in seen:
                 seen.add(tok)
@@ -146,7 +163,7 @@ class LogStore:
 
         ctxs, clock = carried()
         wall_t0 = time.perf_counter() if ctxs else 0.0
-        analyzed = [self._analyze(m.text) for m in messages]
+        analyzed = [_analyze(m.text) for m in messages]
         for m, toks in zip(messages, analyzed):
             self.index(m, _tokens=toks)
         if ctxs:
@@ -165,9 +182,6 @@ class LogStore:
         self._docs[doc_id] = LogDocument(
             doc_id=doc.doc_id, message=doc.message, category=category
         )
-
-    def _analyze(self, text: str) -> list[str]:
-        return self._tokenizer.tokenize(self._normalizer.normalize(text))
 
     # -- queries ----------------------------------------------------------
 
@@ -230,14 +244,14 @@ class LogStore:
     ) -> QueryResult:
         """AND-query on the phrase's tokens, verified by substring match
         on the masked text (like a match_phrase over a keyword subfield)."""
-        tokens = self._analyze(phrase)
+        tokens = _analyze(phrase)
         if not tokens:
             raise ValueError(f"phrase {phrase!r} yields no tokens")
         cand = self.all_terms_query(tokens, t0=t0, t1=t1)
         needle = " ".join(tokens)
         hits = [
             d for d in cand.docs
-            if needle in " ".join(self._analyze(d.message.text))
+            if needle in " ".join(_analyze(d.message.text))
         ]
         if limit is not None:
             hits = hits[:limit]

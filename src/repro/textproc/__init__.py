@@ -14,8 +14,8 @@ described in §4.3 of the paper:
 - :mod:`repro.textproc.tfidf` — a sparse TF-IDF vectorizer plus the
   per-category top-token extraction used for Table 1 and for LLM prompt
   construction, and a vocabulary-free hashing variant,
-- :mod:`repro.textproc.fingerprint` — one-pass masked-template
-  fingerprinting (the template-dedup cache key),
+- :mod:`repro.textproc.fingerprint` — the template-dedup cache key
+  (the masked text) and its stable digest,
 - :mod:`repro.textproc.distance` — Levenshtein / Hamming / token edit
   distances, including the thresholded variant used by the legacy
   bucketing classifier (§3).

@@ -13,71 +13,38 @@ text, so the load-bearing invariant is::
     mask(x) == mask(y)  ⟹  MaskingNormalizer.normalize(x) == normalize(y)
 
 :class:`TemplateFingerprinter` achieves that the strong way: its
-:meth:`~TemplateFingerprinter.mask` returns *exactly*
-``MaskingNormalizer.normalize(text)`` — not an approximation — but
-computes it token-wise with a memo, so the hot path is a dict lookup
-per whitespace token instead of thirteen regex passes over the line
-(~10× cheaper on skewed workloads; see ``tests/test_template_cache.py``
-for the hypothesis property that pins the equality).
-
-Token-wise masking is exact because none of the masking rules can match
-across whitespace — with one family of exceptions: the ``<temp>`` and
-``<size>`` rules allow a single whitespace between the number and its
-unit (``"45 C"``, ``"3 MB"``).  Messages where a unit-leading token
-follows a digit-final token are detected up front and routed through
-the real normalizer, so the fast path never has to reason about them.
+:meth:`~TemplateFingerprinter.mask` *is*
+``MaskingNormalizer.normalize(text)``, so the store, the vectorizer and
+the cache key share one masker and one memo.  What this module adds is
+the identity key for pipelines that run without masking, and stable
+BLAKE2b digests of the masked form (safe to log, shard on, or compare
+between workers).
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from collections.abc import Sequence
 
-from repro.textproc.normalize import _ALNUM_ID, _RULES, MaskingNormalizer
+from repro.textproc.normalize import MaskingNormalizer
 
 __all__ = ["TemplateFingerprinter", "fingerprint", "mask_template"]
 
-#: tokens that can *begin* a cross-whitespace ``<temp>``/``<size>``
-#: match when the previous token ends with a digit ("45 C", "3 MB").
-#: ``(?:$|\W)`` mirrors the rules' trailing ``\b``: a unit glued to a
-#: word character ("45 Cat") does not match the real rule either.
-_UNIT_LEAD = re.compile(r"(?:degC|celsius|C|[kKMGT]i?B|kB|bytes)(?:$|\W)")
-#: first characters of the unit alternatives — a one-set-lookup screen
-#: before the regex runs
-_UNIT_FIRST = frozenset("CdckKMGTb")
-
-#: bound the per-token memo so adversarial streams (unbounded distinct
-#: slot values) cannot grow it without limit
-_MEMO_MAX_ENTRIES = 1 << 16
-_MEMO_MAX_TOKEN_LEN = 256
-
 
 class TemplateFingerprinter:
-    """Masked-template keys, computed token-wise with a memo.
+    """Masked-template keys and their stable digests.
 
     Parameters
     ----------
     normalizer:
         The :class:`~repro.textproc.normalize.MaskingNormalizer` whose
-        output :meth:`mask` must reproduce.  ``None`` means the pipeline
-        runs without masking (``TfidfVectorizer(normalize=False)``); the
-        raw text is then the only sound key, and :meth:`mask` returns it
-        unchanged.
-
-    Notes
-    -----
-    A normalizer configured with ``collapse_whitespace=False`` defeats
-    the split/join decomposition, so such configurations fall back to
-    calling the normalizer directly — still exact, just not accelerated.
+        output is the key.  ``None`` means the pipeline runs without
+        masking (``TfidfVectorizer(normalize=False)``); the raw text is
+        then the only sound key, and :meth:`mask` returns it unchanged.
     """
 
     def __init__(self, normalizer: MaskingNormalizer | None = None) -> None:
         self.normalizer = normalizer
-        self._memo: dict[str, str] = {}
-        self._identity = normalizer is None
-        self._exact_only = normalizer is not None and not normalizer.collapse_whitespace
-        self._alnum_ids = normalizer is not None and normalizer.mask_alnum_ids
 
     @classmethod
     def for_vectorizer(cls, vectorizer) -> "TemplateFingerprinter":
@@ -85,43 +52,11 @@ class TemplateFingerprinter:
         return cls(getattr(vectorizer, "_normalizer", None))
 
     def mask(self, text: str) -> str:
-        """The template key: exactly ``normalizer.normalize(text)``.
-
-        Never raises on hostile input — any ``str`` (NULs, lone
-        surrogates, megabyte lines) masks to a ``str``.
-        """
-        if self._identity:
+        """The template key: ``normalizer.normalize(text)``, or ``text``
+        itself without a normalizer.  Never raises on hostile input."""
+        if self.normalizer is None:
             return text
-        if self._exact_only:
-            return self.normalizer.normalize(text)
-        tokens = text.split()
-        # screen for the one cross-whitespace case the rules allow: a
-        # digit-final token followed by a unit-leading token ("45 C")
-        prev_digit = False
-        for t in tokens:
-            if prev_digit and t[0] in _UNIT_FIRST and _UNIT_LEAD.match(t):
-                return self.normalizer.normalize(text)
-            prev_digit = t[-1].isdigit()
-        memo = self._memo
-        alnum_ids = self._alnum_ids
-        out: list[str] = []
-        for t in tokens:
-            v = memo.get(t)
-            if v is None:
-                if t.isascii() and t.isdigit():
-                    # the only rules a pure-digit token can match are
-                    # <hexid> (8+ hex chars) and <num>
-                    v = "<hexid>" if len(t) >= 8 else "<num>"
-                else:
-                    v = t
-                    for placeholder, pat in _RULES:
-                        v = pat.sub(placeholder, v)
-                    if alnum_ids:
-                        v = _ALNUM_ID.sub(lambda m: m.group(1) + "<num>", v)
-                if len(t) <= _MEMO_MAX_TOKEN_LEN and len(memo) < _MEMO_MAX_ENTRIES:
-                    memo[t] = v
-            out.append(v)
-        return " ".join(out)
+        return self.normalizer.normalize(text)
 
     def mask_many(self, texts: Sequence[str]) -> list[str]:
         """Mask a whole column of messages (the batch hot path)."""

@@ -91,6 +91,10 @@ _RULES: list[tuple[str, str, bool]] = [
 
 _VOWELS = set("aeiou")
 
+#: cap on a lemmatizer's token → lemma cache; a full cache is cleared, so
+#: a stream of never-seen words cannot grow it for the life of a process
+CACHE_MAX_ENTRIES = 1 << 14
+
 
 def _plausible(stem: str) -> bool:
     """A stem is plausible when it is ≥3 chars and contains a vowel."""
@@ -133,6 +137,8 @@ class Lemmatizer:
         if hit is not None:
             return hit
         lemma = self._lemmatize_uncached(token)
+        if len(self._cache) >= CACHE_MAX_ENTRIES:
+            self._cache.clear()
         self._cache[token] = lemma
         return lemma
 

@@ -95,7 +95,13 @@ class TfidfVectorizer:
         texts = list(messages)
         if self._normalizer is not None:
             texts = self._normalizer.normalize_many(texts)
-        docs = self._tokenizer.tokenize_many(texts)
+        return self.analyze_masked(texts)
+
+    def analyze_masked(self, masked: Sequence[str]) -> list[list[str]]:
+        """The chain after masking — tokenize, lemmatize, n-grams — for a
+        caller that holds the masked texts (the template cache's keys;
+        with ``normalize=False`` those are the raw texts)."""
+        docs = self._tokenizer.tokenize_many(masked)
         if self._lemmatizer is not None:
             docs = self._lemmatizer.lemmatize_docs(docs)
         lo, hi = self.ngram_range

@@ -1,7 +1,9 @@
 """Property-based fuzzing across module boundaries."""
 
+import os
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
@@ -341,6 +343,28 @@ class TestVectorizerClassifierProperty:
         assert X.shape[0] == len(texts)
 
 
+#: the CI template-cache job shifts this for the seed matrix
+SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+
+# what the masking rules and the split/join decomposition can disagree
+# on: number + unit across whitespace, every rule's fragment glued to
+# punctuation, and every separator ``str.split()`` treats as whitespace
+_hostile_line = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "45 C", "3 MB", "degC,", "45", "C", "MB", "kB;", "bytes", "Cat",
+            "4.5e3", "12345678", "1234", "aa:bb:cc:dd:ee:ff", "10.0.0.1:22",
+            "fe80:0:0:1:2:3", "0xdeadbeef", "deadbeefcafe", "/var/log/x.log",
+            "1.2.3", "12:34:56", "2023-01-02", "cn042", "cpu7", "x=3",
+            " ", "  ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+            "\xa0", "\x00", "\udc80",
+        ]),
+        st.text(max_size=6),
+    ),
+    max_size=14,
+).map("".join)
+
+
 class TestFingerprintProperties:
     """Hostile-input totality + determinism of the template fingerprint."""
 
@@ -404,11 +428,18 @@ class TestFingerprintProperties:
         ).stdout.strip()
         assert out == fingerprint(msg)
 
-    @given(st.text(min_size=0, max_size=120))
-    @settings(max_examples=200, deadline=None)
+    @seed(SEED_SHIFT)
+    @given(_hostile_line)
+    @settings(max_examples=400, deadline=None)
     def test_mask_equals_normalizer_on_hostile_text(self, text):
-        """The soundness identity holds on arbitrary unicode too."""
-        from repro.textproc.fingerprint import mask_template
+        """The token-wise memoized masker is the regex chain, exactly:
+        ``normalize == normalize_reference`` on hostile text, for every
+        normalizer configuration, warm memo or cold."""
         from repro.textproc.normalize import MaskingNormalizer
 
-        assert mask_template(text) == MaskingNormalizer().normalize(text)
+        for alnum_ids in (True, False):
+            for collapse in (True, False):
+                norm = MaskingNormalizer(alnum_ids, collapse)
+                expected = norm.normalize_reference(text)
+                assert norm.normalize(text) == expected
+                assert norm.normalize(text) == expected  # recent-lines hit

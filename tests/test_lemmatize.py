@@ -96,6 +96,19 @@ class TestSafety:
         lem = Lemmatizer()
         assert lem.lemmatize("failing") == lem.lemmatize("failing")
 
+    def test_cache_is_bounded_and_lemmas_survive_eviction(self, monkeypatch):
+        from repro.textproc import lemmatize as mod
+
+        monkeypatch.setattr(mod, "CACHE_MAX_ENTRIES", 16)
+        lem = Lemmatizer()
+        words = ["failing", "throttled", "devices", "registered", "errors"]
+        before = [lem.lemmatize(w) for w in words]
+        for i in range(100):  # never-seen words, as cold traffic brings
+            lem.lemmatize("zq" + "abcdefghij"[i % 10] * (i // 10 + 1))
+            assert len(lem._cache) <= 16
+        assert not set(words) & set(lem._cache)  # evicted since
+        assert [lem.lemmatize(w) for w in words] == before
+
 
 class TestProperties:
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20))

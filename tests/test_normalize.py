@@ -86,6 +86,64 @@ class TestConfiguration:
         assert n("x 5 y") == "x <num> y"
 
 
+class TestMemos:
+    """The memos behind ``normalize`` evict; they never stop admitting."""
+
+    def test_token_memo_evicts_and_keeps_admitting(self, monkeypatch):
+        from repro.textproc import normalize as mod
+
+        monkeypatch.setattr(mod, "TOKEN_MEMO_MAX_ENTRIES", 64)
+        memo = mod._TOKEN_MEMOS[True]
+        memo.clear()
+        norm = MaskingNormalizer()
+        for i in range(40):  # 400 distinct tokens: six caps' worth
+            line = " ".join(f"garbage{i}x{j}y" for j in range(10))
+            assert norm.normalize(line) == norm.normalize_reference(line)
+            assert len(memo) <= 64
+        norm.normalize("the node cn042 reported for duty again")
+        assert memo["cn042"] == "cn<num>"
+        assert len(memo) <= 64
+
+    def test_pure_digit_tokens_are_not_memoized(self):
+        from repro.textproc import normalize as mod
+
+        memo = mod._TOKEN_MEMOS[True]
+        assert normalize_message("pid 4242 of 123456789") == "pid <num> of <hexid>"
+        assert "4242" not in memo and "123456789" not in memo
+
+    def test_line_memo_is_bounded_and_exact(self, monkeypatch):
+        from repro.textproc import normalize as mod
+
+        monkeypatch.setattr(mod, "LINE_MEMO_MAX_ENTRIES", 8)
+        lines = mod._LINE_MEMOS[True]
+        lines.clear()
+        norm = MaskingNormalizer()
+        for i in range(50):
+            line = f"job {i} finished on cn{i:03d} in {i} s"
+            assert norm.normalize(line) == norm.normalize_reference(line)
+            assert len(lines) <= 8
+        long_line = "x " * 400
+        norm.normalize(long_line)
+        assert long_line not in lines
+
+    def test_memos_are_not_instance_state(self):
+        import pickle
+
+        norm = MaskingNormalizer()
+        norm.normalize("node cn042 down")
+        assert norm == MaskingNormalizer()
+        assert repr(norm) == repr(MaskingNormalizer())
+        assert pickle.loads(pickle.dumps(norm)) == norm
+        assert vars(norm) == {"mask_alnum_ids": True, "collapse_whitespace": True}
+
+    def test_settings_do_not_share_answers(self):
+        keep = MaskingNormalizer(mask_alnum_ids=False)
+        mask = MaskingNormalizer()
+        for _ in range(2):
+            assert mask.normalize("node cn042 down") == "node cn<num> down"
+            assert keep.normalize("node cn042 down") == "node cn042 down"
+
+
 class TestProperties:
     @given(st.text(max_size=300))
     def test_never_raises(self, text):

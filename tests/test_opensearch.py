@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
+from repro.replication import ReplicatedLogStore
+from repro.stream import opensearch as store_mod
 from repro.stream.opensearch import LogStore
+from repro.textproc.normalize import MaskingNormalizer
+from repro.textproc.tokenize import tokenize
 
 
 def msg(t, host="cn001", app="kernel", text="x"):
@@ -165,3 +169,107 @@ class TestSeverityFeatures:
     def test_severity_histogram_time_bounded(self, sev_store):
         hist = sev_store.severity_histogram(t0=5.0, t1=25.0)
         assert sum(hist.values()) == 2
+
+
+# -- the shared, memoized analysis -----------------------------------------
+
+
+def _reference_analyze(text):
+    return tuple(tokenize(MaskingNormalizer().normalize_reference(text)))
+
+
+def _replicated():
+    return ReplicatedLogStore(n_nodes=3, n_shards=6, n_replicas=2)
+
+
+def _assert_same_index(store, control):
+    """Equal ``index_stats`` and equal ``term_query`` hits, every token."""
+    assert store.index_stats() == control.index_stats()
+    terms = {"cn001", "kernel"}
+    for doc in control.iter_documents():
+        terms.update(_reference_analyze(doc.message.text))
+    for term in sorted(terms):
+        assert (
+            [d.doc_id for d in store.term_query(term).docs]
+            == [d.doc_id for d in control.term_query(term).docs]
+        ), term
+
+
+@pytest.mark.parametrize("make", [LogStore, _replicated])
+class TestSharedAnalysis:
+    def _texts(self, corpus):
+        return corpus.texts[:240] + [
+            "temp is 45 C now", "wrote 3 MB to disk", "at 45 degC, rising",
+            "link aa:bb:cc:dd:ee:ff up", "peer 10.0.0.1:22 fe80:0:0:1:2:3",
+            "NUL\x00inside \udc80 lone", "split\x1con\x85odd\xa0spaces",
+        ]
+
+    def _build(self, make, texts, monkeypatch, *, reference):
+        """Index ``texts`` in batches, with a node kill/restart on the
+        replicated store (its promote path re-indexes from documents)."""
+        import repro.replication.store as repl_mod
+
+        with monkeypatch.context() as mp:
+            if reference:
+                mp.setattr(store_mod, "_analyze", _reference_analyze)
+                mp.setattr(repl_mod, "_analyze", _reference_analyze)
+            store = make()
+            msgs = [msg(i, text=t) for i, t in enumerate(texts)]
+            half = len(msgs) // 2
+            store.bulk_index(msgs[:half])
+            if hasattr(store, "kill_node"):
+                store.kill_node(0)
+            for m in msgs[half:-20]:
+                store.index(m)
+            if hasattr(store, "restart_node"):
+                store.restart_node(0)
+            store.bulk_index(msgs[-20:])
+            return store
+
+    def test_memoized_equals_reference_across_evictions(
+        self, make, corpus, monkeypatch
+    ):
+        texts = self._texts(corpus)
+        control = self._build(make, texts, monkeypatch, reference=True)
+        monkeypatch.setattr(store_mod, "ANALYSIS_MEMO_MAX_ENTRIES", 8)
+        store_mod._ANALYSIS_MEMO.clear()
+        store = self._build(make, texts, monkeypatch, reference=False)
+        assert 0 < len(store_mod._ANALYSIS_MEMO) <= 8
+        _assert_same_index(store, control)
+
+    def test_poison_message_leaves_store_unchanged_and_memo_exact(
+        self, make, monkeypatch
+    ):
+        """All-or-nothing with the memo in place.  The messages analyzed
+        before the poison may already be memoized when the batch fails;
+        what holds is that the store is untouched and every memo entry
+        is the reference analysis of its key, so the retry indexes as if
+        the failed attempt never ran."""
+        def poisoned(text):
+            if "POISON" in text:
+                raise ValueError("tokenizer crash")
+            return tokenize(text)
+
+        store_mod._ANALYSIS_MEMO.clear()
+        store, control = make(), make()
+        warm = [msg(i, text=f"job {i} started on cn{i:03d}") for i in range(5)]
+        store.bulk_index(warm)
+        control.bulk_index(warm)
+        batch = [msg(10 + i, text=f"job {70 + i} started on cn{i:03d}") for i in range(8)]
+        batch[2] = msg(12, text="novel template ahead of the pill 12")
+        batch[5] = msg(15, text="POISON pill 15")
+        batch[7] = msg(17, text="never analyzed before 17")
+        memo_before = dict(store_mod._ANALYSIS_MEMO)
+        stats_before = store.index_stats()
+        monkeypatch.setattr(store_mod, "tokenize", poisoned)
+        with pytest.raises(ValueError, match="tokenizer crash"):
+            store.bulk_index(batch)
+        assert store.index_stats() == stats_before and len(store) == 5
+        added = store_mod._ANALYSIS_MEMO.keys() - memo_before.keys()
+        assert added == {MaskingNormalizer().normalize_reference(batch[2].text)}
+        for masked, tokens in store_mod._ANALYSIS_MEMO.items():
+            assert tokens == tuple(tokenize(masked))
+        monkeypatch.setattr(store_mod, "tokenize", tokenize)
+        assert store.bulk_index(batch)
+        control.bulk_index(batch)
+        _assert_same_index(store, control)

@@ -81,6 +81,61 @@ class TestScalingSmoke:
         assert counter[0] == 50_000
 
 
+def _zipf_draw(corpus, n: int = 15_000) -> list[str]:
+    """Zipf-skewed draw over the corpus templates: a few shapes
+    dominate, like production syslog."""
+    rng = np.random.default_rng(0)
+    ranks = np.minimum(rng.zipf(1.3, size=n) - 1, len(corpus) - 1)
+    return [corpus.texts[r] for r in ranks]
+
+
+def _masker_cost_ratio(lines, rounds: int = 9) -> float:
+    """``normalize`` / ``normalize_reference`` cost over ``lines``.
+
+    Every pass starts from empty memos.  The passes alternate so a slow
+    spell of the host falls on both sides, and each side's best pass
+    stands for the undisturbed machine.
+    """
+    from repro.textproc import normalize as mod
+
+    norm = mod.MaskingNormalizer()
+
+    def cold_pass(fn) -> float:
+        for memo in (*mod._TOKEN_MEMOS.values(), *mod._LINE_MEMOS.values()):
+            memo.clear()
+        t0 = time.perf_counter()
+        for line in lines:
+            fn(line)
+        return time.perf_counter() - t0
+
+    passes = [
+        (cold_pass(norm.normalize), cold_pass(norm.normalize_reference))
+        for _ in range(rounds)
+    ]
+    return min(p[0] for p in passes) / min(p[1] for p in passes)
+
+
+class TestMaskerFloors:
+    """Relative, same-process floors on the token-wise masker against
+    the regex chain it must equal."""
+
+    def test_normalize_twice_as_fast_as_chain_on_zipf(self, corpus):
+        ratio = _masker_cost_ratio(_zipf_draw(corpus, 5_000))
+        assert ratio <= 0.5, f"normalize costs {ratio:.2f}x the chain"
+
+    def test_all_unique_tokens_cost_at_most_a_quarter_more(self):
+        """No input may cost materially more than the chain: lines of
+        never-seen tokens take the whole-line route."""
+        rng = np.random.default_rng(0)
+        alphabet = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789"))
+        lines = [
+            " ".join("".join(alphabet[rng.integers(0, 36, size=8)]) for _ in range(12))
+            for _ in range(2_000)
+        ]
+        ratio = _masker_cost_ratio(lines)
+        assert ratio <= 1.25, f"normalize costs {ratio:.2f}x the chain"
+
+
 class TestTemplateCacheSpeedup:
     def test_cached_beats_uncached_on_zipf_batch(self, corpus):
         """The dedup fast path must win ≥3× on a skewed workload.
@@ -98,11 +153,7 @@ class TestTemplateCacheSpeedup:
         pipe = ClassificationPipeline(classifier=ComplementNB())
         pipe.fit(corpus.texts, corpus.labels)
 
-        # Zipf-skewed draw over the corpus templates: a few shapes
-        # dominate, like production syslog
-        rng = np.random.default_rng(0)
-        ranks = np.minimum(rng.zipf(1.3, size=15_000) - 1, len(corpus) - 1)
-        msgs = [corpus.texts[r] for r in ranks]
+        msgs = _zipf_draw(corpus)
 
         base = pipe.classify_batch(msgs)  # warm interpreter/allocator
         t0 = time.perf_counter()

@@ -6,7 +6,9 @@ import pytest
 from repro.buckets.blacklist import BlacklistFilter
 from repro.core.pipeline import ClassificationPipeline
 from repro.core.taxonomy import Category
+from repro.core.template_cache import TemplateCache
 from repro.ml import ComplementNB, LogisticRegression
+from repro.textproc.tfidf import HashingVectorizer, TfidfVectorizer
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +125,56 @@ class TestWithBlacklist:
         )
         with pytest.raises(ValueError, match="blacklist_coverage"):
             pipe.fit(corpus.texts, corpus.labels)
+
+
+class TestModelStageFedKeys:
+    """A cache miss hands the model stage its key instead of the raw
+    text; the key is the masked text (the raw text without masking), so
+    both feeds must predict identically."""
+
+    @pytest.mark.parametrize("make_vectorizer", [
+        lambda: TfidfVectorizer(normalize=False),
+        lambda: HashingVectorizer(),
+        lambda: TfidfVectorizer(ngram_range=(1, 2)),
+    ], ids=["unnormalized", "hashing", "bigrams"])
+    def test_keys_equal_raw_texts(self, corpus, make_vectorizer):
+        pipe = ClassificationPipeline(
+            vectorizer=make_vectorizer(), classifier=ComplementNB()
+        )
+        pipe.fit(corpus.texts, corpus.labels)
+        texts = corpus.texts[:150] + [
+            "temp is 45 C now", "wrote 3 MB to  disk", "cn042   eth0 0xdeadbeef",
+        ]
+        from_raw = pipe._model_stage(texts)
+        from_keys = pipe._model_stage(texts, pipe._template_keys(texts))
+        np.testing.assert_array_equal(from_keys[0], from_raw[0])
+        np.testing.assert_array_equal(from_keys[1], from_raw[1])
+
+    def test_vectorizer_without_analyze_masked_keeps_columnar_path(
+        self, fitted, corpus, monkeypatch
+    ):
+        """``analyze_masked`` is optional: a wrapper that only speaks
+        ``analyze_batch``/``transform_analyzed`` is fed the raw texts,
+        not dropped to per-row salvage."""
+        class BatchOnly:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def analyze_batch(self, texts):
+                return self.inner.analyze_batch(texts)
+
+            def transform_analyzed(self, docs):
+                return self.inner.transform_analyzed(docs)
+
+        texts = corpus.texts[:80]
+        expected = [r.category for r in fitted.classify_batch(texts)]
+        pipe = ClassificationPipeline(
+            classifier=fitted.classifier, template_cache=TemplateCache()
+        )
+        pipe.vectorizer = BatchOnly(fitted.vectorizer)
+        pipe._fitted = True
+        monkeypatch.setattr(
+            pipe, "_model_salvage",
+            lambda *a, **k: pytest.fail("fell to per-row salvage"),
+        )
+        assert [r.category for r in pipe.classify_batch(texts)] == expected

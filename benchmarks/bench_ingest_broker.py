@@ -1,7 +1,8 @@
-"""INGEST — listener throughput over real loopback sockets, and the
-broker's overhead versus direct forwarding.
+"""INGEST — listener throughput over real loopback sockets, the
+broker's overhead versus direct forwarding, and what a poll costs a
+consumer that has caught up.
 
-Two questions, two lanes:
+Three questions, three lanes:
 
 1. **Accepted messages/second** through the asyncio listener, measured
    separately over UDP datagrams and a newline-framed TCP stream on
@@ -18,6 +19,18 @@ Two questions, two lanes:
    stays under ``OVERHEAD_CEILING`` (default 6×) of the direct path —
    a ceiling, not a target, since the direct path does almost nothing.
 
+3. **Trickle**: the regime the test-bed actually lives in (a dozen
+   lines a second, one consumer polling every millisecond).  A
+   caught-up consumer over ``TRICKLE_HOSTS`` host partitions, with
+   0 / 250 / 1,000 / 4,000 records already consumed on each: µs per
+   *empty* poll and per 3-record poll plus its commits, under a live
+   registry so the lag gauges are computed.  A poll must cost what it
+   returns, so the empty poll has to stay flat as history grows; lane 2
+   publishes everything and drains in 4,096-record polls and cannot
+   see this.
+
+All three land in ``BENCH_ingest_broker.json``.
+
 Environment knobs: ``REPRO_BENCH_INGEST_MESSAGES`` (lines per lane,
 default 60000), ``REPRO_BENCH_INGEST_ROUNDS`` (default 3),
 ``REPRO_BENCH_INGEST_OVERHEAD_CEILING`` (default 6.0).
@@ -26,6 +39,7 @@ default 60000), ``REPRO_BENCH_INGEST_ROUNDS`` (default 3),
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import threading
 import time
@@ -38,7 +52,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
 
-from conftest import BENCH_SEED, emit
+from conftest import BENCH_SEED, emit, write_artifact
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_INGEST_MESSAGES", "60000"))
 N_ROUNDS = int(os.environ.get("REPRO_BENCH_INGEST_ROUNDS", "3"))
@@ -46,6 +60,12 @@ OVERHEAD_CEILING = float(
     os.environ.get("REPRO_BENCH_INGEST_OVERHEAD_CEILING", "6.0")
 )
 RATE_FLOOR = 50_000.0
+TRICKLE_HOSTS = 200
+TRICKLE_DEPTHS = (0, 250, 1_000, 4_000)
+
+#: both tests add their section and rewrite the one artifact, so either
+#: can run alone
+_ARTIFACT: dict = {}
 
 
 def _lines() -> list[bytes]:
@@ -127,6 +147,73 @@ def _broker_rate(messages) -> float:
     return len(messages) / elapsed
 
 
+def _trickle_costs(message, depth: int, *, reps: int = 2000) -> dict:
+    """µs per empty poll and per 3-record poll+commit, caught up at ``depth``."""
+    broker = LogBroker(registry=MetricsRegistry())
+    hosts = [f"cn{i:04d}" for i in range(TRICKLE_HOSTS)]
+    for _ in range(depth):
+        for host in hosts:
+            broker.publish(message, key=host)
+    while records := broker.poll("bench", max_records=4096):
+        for r in records:
+            broker.commit("bench", r.partition, r.offset + 1)
+    assert broker.lag("bench") == 0
+
+    # a full collection over the retained records (800k at the deepest
+    # point) costs tens of ms whoever triggers it: heap size, not broker
+    # work, so the timed loops run with the collector paused
+    gc.collect()
+    gc.disable()
+    try:
+        empty_s = float("inf")
+        for _ in range(N_ROUNDS):
+            start = time.perf_counter()
+            for _ in range(reps):
+                broker.poll("bench")
+            empty_s = min(empty_s, time.perf_counter() - start)
+
+        busy_s = 0.0
+        for i in range(reps):
+            for k in range(3):
+                broker.publish(message, key=hosts[(7 * i + k) % TRICKLE_HOSTS])
+            start = time.perf_counter()
+            records = broker.poll("bench")
+            for r in records:
+                broker.commit("bench", r.partition, r.offset + 1)
+            busy_s += time.perf_counter() - start
+            assert len(records) == 3
+    finally:
+        gc.enable()
+    return {
+        "depth": depth,
+        "empty_poll_us": 1e6 * empty_s / reps,
+        "poll3_commit_us": 1e6 * busy_s / reps,
+    }
+
+
+def test_trickle_poll_cost_is_flat():
+    message = standard_simulation_events(
+        duration_s=1, background_rate=5, seed=BENCH_SEED
+    )[0].message
+    rows = [_trickle_costs(message, depth) for depth in TRICKLE_DEPTHS]
+    emit(
+        f"Trickle: caught-up consumer over {TRICKLE_HOSTS} host partitions",
+        format_table(
+            ["records/partition", "µs per empty poll", "µs per 3-record poll+commit"],
+            [[f"{r['depth']:,}", f"{r['empty_poll_us']:.1f}",
+              f"{r['poll3_commit_us']:.1f}"] for r in rows],
+        ),
+    )
+    _ARTIFACT["trickle"] = {"hosts": TRICKLE_HOSTS, "rows": rows}
+    write_artifact("ingest_broker", _ARTIFACT)
+    # depth 0 has no partition at all; flatness is judged where there
+    # is history to (not) walk
+    shallow, deep = rows[1], rows[-1]
+    for column in ("empty_poll_us", "poll3_commit_us"):
+        assert deep[column] <= 2.0 * shallow[column], (column, rows)
+    assert rows[0]["empty_poll_us"] <= 2.0 * shallow["empty_poll_us"], rows
+
+
 def test_ingest_broker_throughput():
     with use_registry(MetricsRegistry()):
         lines = _lines()
@@ -154,6 +241,15 @@ def test_ingest_broker_throughput():
             + f"\nbroker overhead: {overhead:.2f}× the direct path "
             f"(ceiling {OVERHEAD_CEILING:.1f}×)\n",
         )
+        _ARTIFACT["throughput"] = {
+            "messages": N_MESSAGES,
+            "listener_udp_msgs_per_s": udp_rate,
+            "listener_tcp_msgs_per_s": tcp_rate,
+            "direct_msgs_per_s": direct,
+            "broker_msgs_per_s": brokered,
+            "broker_over_direct": overhead,
+        }
+        write_artifact("ingest_broker", _ARTIFACT)
         assert max(udp_rate, tcp_rate) >= RATE_FLOOR, (
             f"listener below the {RATE_FLOOR:,.0f} msgs/s floor: "
             f"udp={udp_rate:,.0f} tcp={tcp_rate:,.0f}"
@@ -165,4 +261,5 @@ def test_ingest_broker_throughput():
 
 
 if __name__ == "__main__":
+    test_trickle_poll_cost_is_flat()
     test_ingest_broker_throughput()

@@ -35,6 +35,24 @@ Design
   life.  Consumers tolerate gaps; a committed offset means "everything
   below this is settled", never "this many records exist".
 
+Cost
+----
+A poll costs what it returns, not what the log retains.  Each group
+keeps a *ready* set (partitions a poll still has something to do on),
+an *uncommitted* set and a running lag, all maintained under the one
+lock by the operations that change them:
+
+- ``publish`` is O(groups): it marks the partition ready and bumps the
+  lag of every group.
+- ``poll`` is O(ready partitions of the group + records returned): a
+  caught-up consumer touches no partition, and a read finds its cursor
+  by bisection (records are offset-ordered), never by walking the
+  segment.  Delivery order is the round-robin scan over the member's
+  sorted assignment — the ready set only skips the visits that would
+  have read nothing.
+- ``lag`` is O(1); ``lag_age`` is O(partitions with uncommitted
+  records), one bisection each.
+
 Fault sites (armed via :class:`repro.faults.FaultPlan`):
 
 - ``broker.partition_stall`` — the target partition refuses appends
@@ -50,8 +68,10 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.message import SyslogMessage
 from repro.faults.plan import (
@@ -100,6 +120,13 @@ class BrokerRecord:
     pub_s: float | None = None
 
 
+_record_offset = attrgetter("offset")
+
+
+def _segment_end(segment: tuple[BrokerRecord, ...]) -> int:
+    return segment[-1].offset
+
+
 class Partition:
     """An append-only sequence of records, stored in sealed segments."""
 
@@ -128,22 +155,22 @@ class Partition:
             self._active.clear()
 
     def read_from(self, offset: int, max_records: int) -> list[BrokerRecord]:
-        """Records with ``offset >= offset``, oldest first, up to the cap."""
+        """Records with ``offset >= offset``, oldest first, up to the cap.
+
+        Records are offset-ordered (``append`` enforces it), so the
+        cursor is found by bisection: first the sealed segment that
+        holds it, then the record inside.  A cap of zero or less reads
+        nothing.
+        """
+        if max_records <= 0 or offset >= self.next_offset:
+            return []
         out: list[BrokerRecord] = []
-        for segment in self._sealed:
-            # segments are offset-ordered; skip ones entirely below the cursor
-            if segment[-1].offset < offset:
-                continue
-            for rec in segment:
-                if rec.offset >= offset:
-                    out.append(rec)
-                    if len(out) >= max_records:
-                        return out
-        for rec in self._active:
-            if rec.offset >= offset:
-                out.append(rec)
-                if len(out) >= max_records:
-                    break
+        first = bisect_left(self._sealed, offset, key=_segment_end)
+        for segment in (*self._sealed[first:], self._active):
+            start = bisect_left(segment, offset, key=_record_offset)
+            out.extend(segment[start:start + max_records - len(out)])
+            if len(out) >= max_records:
+                break
         return out
 
     def __len__(self) -> int:
@@ -156,7 +183,11 @@ class Partition:
 
 @dataclass
 class ConsumerGroup:
-    """Progress of one named group: committed offsets plus live cursors."""
+    """Progress of one named group: committed offsets plus live cursors.
+
+    ``ready``, ``uncommitted`` and ``lag`` are derived state the broker
+    keeps current so that polls and lag reads never scan partitions.
+    """
 
     name: str
     members: list[str] = field(default_factory=list)
@@ -164,6 +195,18 @@ class ConsumerGroup:
     positions: dict[str, int] = field(default_factory=dict)
     #: round-robin cursor so poll spreads fairly over assigned partitions
     rr_cursor: int = 0
+    #: partitions a poll still has work on: no live cursor yet (the
+    #: next visit seeds it from ``committed``) or records past it
+    ready: set[str] = field(init=False, default_factory=set)
+    #: partitions whose ``next_offset`` is past the committed offset
+    uncommitted: set[str] = field(init=False, default_factory=set)
+    #: sum over partitions of ``max(0, next_offset - committed)``
+    lag: int = field(init=False, default=0)
+    # the group's metric children, bound once by the broker
+    m_polled: object = field(init=False, default=None, repr=False)
+    m_commits: object = field(init=False, default=None, repr=False)
+    m_lag: object = field(init=False, default=None, repr=False)
+    m_lag_age: object = field(init=False, default=None, repr=False)
 
 
 @dataclass
@@ -225,6 +268,10 @@ class LogBroker:
         self.segment_records = segment_records
         self.injector = fault_injector
         self.partitions: dict[str, Partition] = {}
+        #: partition keys in sorted order and each key's index in that
+        #: order — the round-robin assignment is arithmetic on the rank
+        self._keys: list[str] = []
+        self._rank: dict[str, int] = {}
         self.groups: dict[str, ConsumerGroup] = {}
         self.stats = BrokerStats()
         self._stalled: str | None = None
@@ -286,6 +333,11 @@ class LogBroker:
                 part = self.partitions[key] = Partition(
                     key, segment_records=self.segment_records
                 )
+                keys = self._keys
+                born = bisect_left(keys, key)
+                keys.insert(born, key)
+                for i in range(born, len(keys)):
+                    self._rank[keys[i]] = i
                 self._m_partitions.set(len(self.partitions))
             pub_s = self._clock()
             if ctx is not None:
@@ -300,7 +352,16 @@ class LogBroker:
                 ctx=ctx,
                 pub_s=pub_s,
             )
+            end = part.next_offset
             part.append(record)
+            grown = part.next_offset - end
+            for g in self.groups.values():
+                g.ready.add(key)
+                # lag grows by what lands past the committed offset
+                ahead = g.committed.get(key, 0) - end
+                if ahead < grown:
+                    g.lag += grown - ahead if ahead > 0 else grown
+                    g.uncommitted.add(key)
             self.stats.published += 1
             self._pub_unsynced += 1
             if self._pub_unsynced >= _PUBLISH_SYNC_EVERY:
@@ -314,7 +375,35 @@ class LogBroker:
         group = self.groups.get(name)
         if group is None:
             group = self.groups[name] = ConsumerGroup(name=name)
+            # nothing committed, no cursor anywhere: every partition is
+            # ready and everything it holds is lag
+            group.ready.update(self._keys)
+            for key, part in self.partitions.items():
+                if part.next_offset > 0:
+                    group.lag += part.next_offset
+                    group.uncommitted.add(key)
+            group.m_polled = self._m_polled.labels(group=name)
+            group.m_commits = self._m_commits.labels(group=name)
+            group.m_lag = self._m_lag.labels(group=name)
+            group.m_lag_age = self._m_lag_age.labels(group=name)
         return group
+
+    def _advance_committed(self, g: ConsumerGroup, key: str, offset: int) -> None:
+        """Max-wins commit that keeps ``lag`` and ``uncommitted`` exact.
+
+        ``offset`` may lie past the partition's end (offsets restored
+        before a sparse replay): the partition's lag clamps at zero.
+        """
+        old = g.committed.get(key, 0)
+        if offset <= old:
+            return
+        g.committed[key] = offset
+        part = self.partitions.get(key)
+        end = part.next_offset if part is not None else 0
+        if end > old:
+            g.lag -= min(end, offset) - old
+            if offset >= end:
+                g.uncommitted.discard(key)
 
     def subscribe(self, group: str, member: str) -> None:
         """Add ``member`` to ``group`` (idempotent)."""
@@ -337,13 +426,7 @@ class LogBroker:
         g = self._group(group)
         if member not in g.members:
             raise ValueError(f"member {member!r} is not subscribed to {group!r}")
-        rank = g.members.index(member)
-        n = len(g.members)
-        return [
-            key
-            for i, key in enumerate(sorted(self.partitions))
-            if i % n == rank
-        ]
+        return self._keys[g.members.index(member)::len(g.members)]
 
     def poll(
         self, group: str, member: str = "member-0", *, max_records: int = 256
@@ -352,7 +435,8 @@ class LogBroker:
 
         Starts each partition at the group's live position (initially
         the committed offset) and advances it past what is returned.
-        Stalled partitions are skipped — their lag simply grows.
+        Stalled partitions are skipped — their lag simply grows.  A
+        budget of zero or less returns nothing and moves no cursor.
         """
         with self._lock:
             g = self._group(group)
@@ -362,28 +446,41 @@ class LogBroker:
             if self._pub_unsynced:
                 self._m_published.inc(self._pub_unsynced)
                 self._pub_unsynced = 0
-            assigned = self._assignment(group, member)
-            if not assigned:
+            if max_records <= 0:
+                return []
+            n_members = len(g.members)
+            slot = g.members.index(member)
+            n_assigned = len(range(slot, len(self._keys), n_members))
+            if not n_assigned:
                 return []
             out: list[BrokerRecord] = []
-            n = len(assigned)
-            for i in range(n):
-                key = assigned[(g.rr_cursor + i) % n]
-                if key == self._stalled:
-                    continue
-                pos = g.positions.get(key)
-                if pos is None:
-                    pos = g.positions[key] = g.committed.get(key, 0)
-                recs = self.partitions[key].read_from(pos, max_records - len(out))
-                if recs:
-                    out.extend(recs)
-                    g.positions[key] = recs[-1].offset + 1
-                if len(out) >= max_records:
-                    break
-            g.rr_cursor = (g.rr_cursor + 1) % max(n, 1)
+            if g.ready:
+                # the scan order of the full assignment (rank // n_members
+                # is a key's index in it), restricted to the ready keys
+                rank, cursor = self._rank, g.rr_cursor
+                mine = sorted(
+                    (key for key in g.ready if rank[key] % n_members == slot),
+                    key=lambda key: (rank[key] // n_members - cursor) % n_assigned,
+                )
+                for key in mine:
+                    if key == self._stalled:
+                        continue
+                    part = self.partitions[key]
+                    pos = g.positions.get(key)
+                    if pos is None:
+                        pos = g.positions[key] = g.committed.get(key, 0)
+                    recs = part.read_from(pos, max_records - len(out))
+                    if recs:
+                        out.extend(recs)
+                        pos = g.positions[key] = recs[-1].offset + 1
+                    if pos >= part.next_offset:
+                        g.ready.discard(key)
+                    if len(out) >= max_records:
+                        break
+            g.rr_cursor = (g.rr_cursor + 1) % n_assigned
             if out:
                 self.stats.polled += len(out)
-                self._m_polled.inc(len(out), group=group)
+                g.m_polled.inc(len(out))
                 # queue-age dwell: sampled (traced) records only, so the
                 # histogram costs nothing on the untraced hot path
                 now: float | None = None
@@ -392,12 +489,12 @@ class LogBroker:
                         if now is None:
                             now = self._clock()
                         self._m_queue_age.observe(now - rec.pub_s)
-            # the lag gauges scan every partition, so they refresh once
-            # per poll — not on each per-partition commit — and only
-            # when a live registry will actually keep the value
-            if self._m_lag.live:
-                self._m_lag.set(self._lag(g), group=group)
-                self._m_lag_age.set(self._lag_age(g), group=group)
+            # the lag gauges refresh once per poll — not on each
+            # per-partition commit — and only when a live registry
+            # will actually keep the value
+            if g.m_lag.live:
+                g.m_lag.set(g.lag)
+                g.m_lag_age.set(self._lag_age(g))
             return out
 
     def commit(self, group: str, partition: str, offset: int) -> bool:
@@ -417,10 +514,9 @@ class LogBroker:
                 self._m_commits_lost.inc()
                 return False
             g = self._group(group)
-            if offset > g.committed.get(partition, 0):
-                g.committed[partition] = offset
+            self._advance_committed(g, partition, offset)
             self.stats.commits += 1
-            self._m_commits.inc(group=group)
+            g.m_commits.inc()
             return True
 
     def committed(self, group: str, partition: str) -> int:
@@ -438,22 +534,19 @@ class LogBroker:
         with self._lock:
             g = self._group(group)
             for partition, offset in offsets.items():
-                if offset > g.committed.get(partition, 0):
-                    g.committed[partition] = offset
+                self._advance_committed(g, partition, offset)
                 g.positions.pop(partition, None)
+                if partition in self.partitions:
+                    g.ready.add(partition)
 
     def reset_to_committed(self, group: str) -> None:
         """Drop live cursors; the next poll re-reads from committed."""
         with self._lock:
-            self._group(group).positions.clear()
+            g = self._group(group)
+            g.positions.clear()
+            g.ready.update(self._keys)
 
     # -- introspection -------------------------------------------------
-
-    def _lag(self, g: ConsumerGroup) -> int:
-        return sum(
-            max(0, p.next_offset - g.committed.get(key, 0))
-            for key, p in self.partitions.items()
-        )
 
     def _lag_age(self, g: ConsumerGroup) -> float:
         """Age of the group's oldest uncommitted record, in clock seconds.
@@ -464,11 +557,8 @@ class LogBroker:
         """
         now = self._clock()
         oldest: float | None = None
-        for key, p in self.partitions.items():
-            committed = g.committed.get(key, 0)
-            if p.next_offset <= committed:
-                continue
-            head = p.read_from(committed, 1)
+        for key in g.uncommitted:
+            head = self.partitions[key].read_from(g.committed.get(key, 0), 1)
             if head and head[0].pub_s is not None:
                 if oldest is None or head[0].pub_s < oldest:
                     oldest = head[0].pub_s
@@ -486,7 +576,7 @@ class LogBroker:
         already-settled events) do not inflate it.
         """
         with self._lock:
-            return self._lag(self._group(group))
+            return self._group(group).lag
 
     def total_records(self) -> int:
         """Records currently held across every partition."""
@@ -509,7 +599,7 @@ class LogBroker:
                 "groups": {
                     name: {"members": list(g.members),
                            "committed": dict(sorted(g.committed.items())),
-                           "lag": self._lag(g)}
+                           "lag": g.lag}
                     for name, g in sorted(self.groups.items())
                 },
                 "stats": vars(self.stats).copy(),

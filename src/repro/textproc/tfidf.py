@@ -205,7 +205,9 @@ class TfidfVectorizer:
 
 
 #: bound the token→column memo so adversarial streams (unbounded
-#: distinct slot values) cannot grow it without limit
+#: distinct slot values) cannot grow it without limit; a full memo is
+#: cleared, never closed to new entries, so a vocabulary shift cannot
+#: leave it permanently cold
 _HASH_MEMO_MAX_ENTRIES = 1 << 16
 _HASH_MEMO_MAX_TOKEN_LEN = 256
 
@@ -257,10 +259,9 @@ class HashingVectorizer(TfidfVectorizer):
                 col = memo.get(t)
                 if col is None:
                     col = zlib.crc32(t.encode("utf-8", "surrogatepass")) % n_features
-                    if (
-                        len(t) <= _HASH_MEMO_MAX_TOKEN_LEN
-                        and len(memo) < _HASH_MEMO_MAX_ENTRIES
-                    ):
+                    if len(t) <= _HASH_MEMO_MAX_TOKEN_LEN:
+                        if len(memo) >= _HASH_MEMO_MAX_ENTRIES:
+                            memo.clear()
                         memo[t] = col
                 row[col] += 1
             indices.extend(row.keys())

@@ -12,7 +12,14 @@ import os
 import socket
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.message import Facility, Severity, SyslogMessage
 from repro.datagen.sender import send_tcp, send_udp, wire_lines
@@ -26,8 +33,10 @@ from repro.ingest import (
     TokenBucket,
     hash_partitioner,
 )
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry, wellknown
 from repro.stream import rfc
+from repro.stream.events import EventEngine
+from repro.stream.fluentd import FluentdForwarder
 from repro.stream.syslogd import SyslogDaemon, SyslogRelay
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
@@ -258,6 +267,252 @@ class TestLogBroker:
         assert snap["partitions"]["a"]["records"] == 1
         assert snap["groups"]["g"]["members"] == ["m0"]
         assert snap["stats"]["published"] == 1
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_zero_budget_poll_consumes_nothing(self, budget):
+        broker = LogBroker()
+        for i in range(3):
+            broker.publish(_msg(i, host="a"))
+        assert broker.partitions["a"].read_from(0, budget) == []
+        taken = []
+        fwd = FluentdForwarder(
+            engine=EventEngine(), sink=lambda batch: taken.extend(batch) or True,
+            broker=broker, consumer_group="g",
+        )
+        assert fwd.poll_broker(max_records=budget) == 0
+        assert broker.groups["g"].positions == {}
+        assert broker.stats.polled == 0
+        # nothing was skipped: the next real poll starts at offset 0
+        assert fwd.poll_broker() == 3
+        fwd.drain()
+        assert [m.timestamp for m in taken] == [100.0, 101.0, 102.0]
+        assert broker.lag("g") == 0
+
+
+# ---------------------------------------------------------------------------
+# differential: the ready-set broker against the scan-everything one
+
+
+class ScanAllBroker(LogBroker):
+    """The brute-force oracle: every poll walks every assigned partition
+    record by record, and lag is recomputed from scratch on each read.
+
+    These are the bodies ``LogBroker`` had before it kept a ready set;
+    none of them reads ``ready``, ``uncommitted`` or the running ``lag``.
+    """
+
+    @staticmethod
+    def _scan(part, offset, max_records):
+        out = []
+        if max_records <= 0:
+            return out
+        for segment in (*part._sealed, part._active):
+            for rec in segment:
+                if rec.offset >= offset:
+                    out.append(rec)
+                    if len(out) >= max_records:
+                        return out
+        return out
+
+    def _assignment(self, group, member):
+        g = self._group(group)
+        rank, n = g.members.index(member), len(g.members)
+        return [k for i, k in enumerate(sorted(self.partitions)) if i % n == rank]
+
+    def poll(self, group, member="member-0", *, max_records=256):
+        with self._lock:
+            g = self._group(group)
+            if member not in g.members:
+                g.members.append(member)
+                g.members.sort()
+            if max_records <= 0:
+                return []
+            assigned = self._assignment(group, member)
+            if not assigned:
+                return []
+            out = []
+            n = len(assigned)
+            for i in range(n):
+                key = assigned[(g.rr_cursor + i) % n]
+                if key == self._stalled:
+                    continue
+                pos = g.positions.get(key)
+                if pos is None:
+                    pos = g.positions[key] = g.committed.get(key, 0)
+                recs = self._scan(self.partitions[key], pos, max_records - len(out))
+                if recs:
+                    out.extend(recs)
+                    g.positions[key] = recs[-1].offset + 1
+                if len(out) >= max_records:
+                    break
+            g.rr_cursor = (g.rr_cursor + 1) % max(n, 1)
+            self.stats.polled += len(out)
+            g.m_polled.inc(len(out))
+            g.m_lag.set(self._lag(g))
+            g.m_lag_age.set(self._lag_age(g))
+            return out
+
+    def _lag(self, g):
+        return sum(
+            max(0, p.next_offset - g.committed.get(key, 0))
+            for key, p in self.partitions.items()
+        )
+
+    def _lag_age(self, g):
+        now = self._clock()
+        oldest = None
+        for key, p in self.partitions.items():
+            committed = g.committed.get(key, 0)
+            if p.next_offset <= committed:
+                continue
+            head = self._scan(p, committed, 1)
+            if head and (oldest is None or head[0].pub_s < oldest):
+                oldest = head[0].pub_s
+        return 0.0 if oldest is None else max(0.0, now - oldest)
+
+    def lag(self, group):
+        return self._lag(self._group(group))
+
+    def describe(self):
+        snap = super().describe()
+        for name, g in self.groups.items():
+            snap["groups"][name]["lag"] = self._lag(g)
+        return snap
+
+
+_HOSTS = ["cn01", "cn02", "cn03", "cn04", "cn05", "gpu1", "gpu2"]
+_hosts = st.sampled_from(_HOSTS)
+_groups = st.sampled_from(["early", "late"])  # see BrokerEquivalence.group
+_members = st.sampled_from(["m0", "m1", "m2"])
+
+
+@seed(SEED_SHIFT)
+class BrokerEquivalence(RuleBasedStateMachine):
+    """Drive both brokers with one operation stream; they must agree on
+    everything a caller can see, after every step."""
+
+    @initialize(
+        plan_seed=st.integers(0, 3),
+        stall_p=st.sampled_from([0.0, 0.1, 0.3]),
+        lost_p=st.sampled_from([0.0, 0.2]),
+        late_after=st.integers(0, 10),
+    )
+    def build(self, plan_seed, stall_p, lost_p, late_after):
+        self.now = 1000.0
+        self.late_after = late_after
+        plan = {"seed": SEED_SHIFT + plan_seed, "sites": {
+            "broker.partition_stall": {"probability": stall_p},
+            "broker.commit_lost": {"probability": lost_p},
+        }}
+        self.registries = [MetricsRegistry(), MetricsRegistry()]
+        self.real, self.oracle = (
+            cls(
+                segment_records=4,  # reads cross sealed segments early
+                fault_injector=FaultInjector(FaultPlan.from_dict(plan)),
+                registry=registry, clock=lambda: self.now,
+            )
+            for cls, registry in zip((LogBroker, ScanAllBroker), self.registries)
+        )
+        self.both(lambda b: b.subscribe("early", "m0"))
+        self.n = 0
+
+    def group(self, name):
+        """"early" exists before any partition does; "late" is held back
+        until ``late_after`` publishes, then created by whichever rule
+        names it first — it must seed itself from what is already there."""
+        return name if self.n >= self.late_after else "early"
+
+    def both(self, call):
+        got, want = call(self.real), call(self.oracle)
+        assert got == want
+        return got
+
+    @rule(host=_hosts, gap=st.sampled_from([None, None, None, 0, 1, 5]))
+    def publish(self, host, gap):
+        """Dense (``None``) or explicit, possibly sparse, offsets."""
+        self.n += 1
+        part = self.real.partitions.get(host)
+        offset = None if gap is None else gap + (part.next_offset if part else 0)
+
+        def call(broker):
+            rec = broker.publish(_msg(self.n, host=host), offset=offset)
+            return rec and (rec.partition, rec.offset, rec.pub_s)
+
+        self.both(call)
+
+    @rule(group=_groups, member=_members, budget=st.sampled_from([0, 1, 3, 256]))
+    def poll(self, group, member, budget):
+        group = self.group(group)
+        self.both(lambda b: [
+            (r.partition, r.offset, r.message.timestamp)
+            for r in b.poll(group, member, max_records=budget)
+        ])
+
+    @rule(group=_groups, host=_hosts, offset=st.integers(0, 30))
+    def commit(self, group, host, offset):
+        """Anything from stale to far past the partition's end."""
+        group = self.group(group)
+        self.both(lambda b: b.commit(group, host, offset))
+
+    @rule(group=_groups)
+    def commit_polled(self, group):
+        """What a consumer does: commit every live cursor."""
+        group = self.group(group)
+        g = self.real.groups.get(group)
+        for host, position in sorted(g.positions.items()) if g else ():
+            self.both(lambda b: b.commit(group, host, position))
+
+    @rule(group=_groups, offsets=st.dictionaries(_hosts, st.integers(0, 30), max_size=4))
+    def restore_offsets(self, group, offsets):
+        group = self.group(group)
+        self.both(lambda b: b.restore_offsets(group, offsets))
+
+    @rule(group=_groups)
+    def reset_to_committed(self, group):
+        group = self.group(group)
+        self.both(lambda b: b.reset_to_committed(group))
+
+    @rule(dt=st.sampled_from([0.0, 0.25, 3.0]))
+    def tick(self, dt):
+        self.now += dt
+
+    @invariant()
+    def indistinguishable(self):
+        real, oracle = self.real, self.oracle
+        assert real.describe() == oracle.describe()
+        assert real.stalled_partition == oracle.stalled_partition
+        assert list(real.groups) == list(oracle.groups)
+        for name, g in real.groups.items():
+            o = oracle.groups[name]
+            assert (g.positions, g.committed, g.members, g.rr_cursor) == (
+                o.positions, o.committed, o.members, o.rr_cursor)
+            assert real.lag(name) == oracle.lag(name)
+            # the derived sets themselves: exact, and never missing work
+            parts = real.partitions
+            assert g.uncommitted == {
+                k for k, p in parts.items() if p.next_offset > g.committed.get(k, 0)
+            }
+            assert g.ready >= {
+                k for k, p in parts.items()
+                if p.next_offset > g.positions.get(k, -1)
+            }
+            assert real.lag_age(name) == oracle.lag_age(name)
+            for member in g.members:
+                assert real.assignment(name, member) == oracle.assignment(name, member)
+            for family in (
+                wellknown.broker_lag, wellknown.broker_lag_age_seconds,
+                wellknown.broker_polled, wellknown.broker_commits,
+            ):
+                mine, theirs = (family(r).value(group=name) for r in self.registries)
+                assert mine == theirs, family.__name__
+
+
+class TestBrokerEquivalence:
+    def test_matches_scan_all_oracle(self):
+        run_state_machine_as_test(
+            BrokerEquivalence,
+            settings=settings(max_examples=150, stateful_step_count=60),
+        )
 
 
 # ---------------------------------------------------------------------------

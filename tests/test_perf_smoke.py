@@ -12,6 +12,8 @@ import time
 import numpy as np
 
 from repro.core.message import Severity, SyslogMessage
+from repro.ingest import LogBroker
+from repro.obs import MetricsRegistry
 from repro.stream.opensearch import LogStore
 from repro.textproc.drain import DrainTemplateMiner
 from repro.textproc.tfidf import TfidfVectorizer
@@ -134,6 +136,70 @@ class TestMaskerFloors:
         ]
         ratio = _masker_cost_ratio(lines)
         assert ratio <= 1.25, f"normalize costs {ratio:.2f}x the chain"
+
+
+def _caught_up_broker(n_partitions: int, depth: int):
+    """A broker (live registry, so the lag gauges are computed) whose
+    one consumer has polled and committed ``depth`` records on each of
+    ``n_partitions`` host partitions."""
+    broker = LogBroker(registry=MetricsRegistry())
+    hosts = [f"cn{i:04d}" for i in range(n_partitions)]
+    msg = SyslogMessage(timestamp=0.0, hostname="cn", app="kernel", text="link up")
+    for _ in range(depth):
+        for host in hosts:
+            broker.publish(msg, key=host)
+    while records := broker.poll("g", max_records=4096):
+        for rec in records:
+            broker.commit("g", rec.partition, rec.offset + 1)
+    assert broker.lag("g") == 0
+    return broker, hosts, msg
+
+
+def _poll_cost_ratio(big, small, cycle, rounds: int = 7, reps: int = 200) -> float:
+    """Cost of ``cycle`` on the ``big`` broker over the ``small`` one:
+    alternating rounds, best round of each side."""
+
+    def one_round(setup) -> float:
+        total = 0.0
+        for i in range(reps):
+            total += cycle(*setup, i)
+        return total
+
+    passes = [(one_round(big), one_round(small)) for _ in range(rounds)]
+    return min(p[0] for p in passes) / min(p[1] for p in passes)
+
+
+class TestBrokerPollFloors:
+    """A poll costs what it returns — not what the partitions retain,
+    and not how many of them there are.  Ratios only."""
+
+    def test_empty_poll_is_blind_to_retained_history(self):
+        def empty_poll(broker, _hosts, _msg, _i) -> float:
+            t0 = time.perf_counter()
+            assert broker.poll("g") == []
+            return time.perf_counter() - t0
+
+        ratio = _poll_cost_ratio(
+            _caught_up_broker(200, 2_000), _caught_up_broker(200, 20), empty_poll
+        )
+        assert ratio <= 3.0, f"an empty poll over deep partitions costs {ratio:.1f}x"
+
+    def test_small_poll_is_blind_to_partition_count(self):
+        def three_record_poll(broker, hosts, msg, i) -> float:
+            for k in range(3):
+                broker.publish(msg, key=hosts[(7 * i + k) % len(hosts)])
+            t0 = time.perf_counter()
+            records = broker.poll("g")
+            for rec in records:
+                broker.commit("g", rec.partition, rec.offset + 1)
+            dt = time.perf_counter() - t0
+            assert len(records) == 3
+            return dt
+
+        ratio = _poll_cost_ratio(
+            _caught_up_broker(1_000, 5), _caught_up_broker(50, 5), three_record_poll
+        )
+        assert ratio <= 3.0, f"a 3-record poll over 1,000 partitions costs {ratio:.1f}x"
 
 
 class TestTemplateCacheSpeedup:

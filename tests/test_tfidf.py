@@ -6,7 +6,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.core.taxonomy import Category
-from repro.textproc.tfidf import TfidfVectorizer, category_top_tokens
+from repro.textproc.tfidf import (
+    HashingVectorizer,
+    TfidfVectorizer,
+    category_top_tokens,
+)
 
 DOCS = [
     "cpu temperature above threshold cpu clock throttled",
@@ -82,6 +86,25 @@ class TestVectorizer:
         v2.fit(DOCS)
         X2 = v2.transform(DOCS)
         assert np.allclose(X1.toarray(), X2.toarray())
+
+
+class TestHashingMemo:
+    def test_hash_memo_evicts_and_keeps_admitting(self, monkeypatch):
+        from repro.textproc import tfidf as mod
+
+        monkeypatch.setattr(mod, "_HASH_MEMO_MAX_ENTRIES", 64)
+        vec = HashingVectorizer(n_features=1 << 10)
+        memo = vec._hash_memo
+        for i in range(40):  # 400 distinct tokens: six caps' worth
+            doc = [f"garbage{i}x{j}y" for j in range(10)]
+            got = vec.transform_analyzed([doc])
+            want = HashingVectorizer(n_features=1 << 10).transform_analyzed([doc])
+            assert (got != want).nnz == 0
+            assert len(memo) <= 64
+        # a vocabulary that arrives after the cap was hit is still memoized
+        vec.transform_analyzed([["thermal", "throttle"]])
+        assert "thermal" in memo and "throttle" in memo
+        assert len(memo) <= 64
 
 
 class TestCategoryTopTokens:

@@ -373,19 +373,10 @@ class ClassificationPipeline:
         """Mirror one batch's cache counter deltas into the registry."""
         from repro.obs import wellknown
 
-        registry = self.timer.registry
-        worker = str(os.getpid())
         after = cache.counters()
-        for name, family in (
-            ("hits", wellknown.template_cache_hits),
-            ("misses", wellknown.template_cache_misses),
-            ("evictions", wellknown.template_cache_evictions),
-            ("invalidations", wellknown.template_cache_invalidations),
-        ):
-            delta = after[name] - before[name]
-            if delta:
-                family(registry).inc(delta, worker=worker)
-        wellknown.template_cache_size(registry).set(len(cache), worker=worker)
+        stats = {name: after[name] - before[name] for name in after}
+        stats["size"] = len(cache)
+        wellknown.mirror_template_cache(stats, os.getpid(), self.timer.registry)
 
     def _model_salvage(self, model_texts, poisoned: set[int]):
         """Per-message fallback when the columnar path cannot run.

@@ -117,27 +117,6 @@ def _fmt_labels(labels: dict) -> str:
     return "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
 
 
-#: panel section -> wellknown family-name prefixes, in display order
-_PANEL_SECTIONS = (
-    ("pipeline", ("repro_pipeline_", "repro_shard_")),
-    ("stream", ("repro_stream_",)),
-    ("ingest", ("repro_ingest_",)),
-    ("broker", ("repro_broker_",)),
-    ("store", ("repro_store_",)),
-    ("durability", ("repro_wal_", "repro_checkpoint_")),
-    ("control", ("repro_control_",)),
-    ("faults", ("repro_faults_",)),
-    ("e2e + slo", ("repro_e2e_", "repro_trace_", "repro_slo_")),
-)
-
-
-def _panel_section(name: str) -> str:
-    for section, prefixes in _PANEL_SECTIONS:
-        if name.startswith(prefixes):
-            return section
-    return "other"
-
-
 def render_metrics_panel(source, *, title: str = "metrics") -> str:
     """Live registry state as a terminal panel (the Grafana stand-in).
 
@@ -148,14 +127,16 @@ def render_metrics_panel(source, *, title: str = "metrics") -> str:
     histograms render a sparkline over their log-scale buckets with
     count/mean and interpolated p50/p95/p99.
 
-    Families are grouped into subsystem sections (pipeline, stream,
-    ingest, broker, store, durability, control, faults, e2e + slo) by
-    their
-    wellknown name prefix; names outside the scheme land in ``other``.
-    Section headers are omitted when everything is unprefixed, so
-    ad-hoc registries render as a flat panel.
+    Families are grouped into the subsystem sections the metric
+    catalogue (:mod:`repro.obs.wellknown`) files them under, in
+    ``wellknown.SECTIONS`` order; names the catalogue does not declare
+    land in ``other``.  Section headers are omitted when nothing is
+    declared, so ad-hoc registries render as a flat panel.
     """
+    from repro.obs import wellknown
     from repro.obs.metrics import histogram_quantile
+
+    sections = {family.name: family.section for family in wellknown.CATALOGUE}
 
     snapshot = source.snapshot() if hasattr(source, "snapshot") else source
     uptime = snapshot.get("uptime_seconds")
@@ -166,7 +147,7 @@ def render_metrics_panel(source, *, title: str = "metrics") -> str:
     name_rows: list[tuple[str, str, str]] = []
     for metric in snapshot["metrics"]:
         kind = metric["type"]
-        section = _panel_section(metric["name"])
+        section = sections.get(metric["name"], "other")
         for sample in metric["samples"]:
             label = f"{metric['name']}{_fmt_labels(sample.get('labels', {}))}"
             if kind == "histogram":
@@ -205,7 +186,7 @@ def render_metrics_panel(source, *, title: str = "metrics") -> str:
     if not name_rows:
         return header + "\n(no metrics)"
     name_w = max(len(n) for _s, n, _ in name_rows)
-    order = [s for s, _p in _PANEL_SECTIONS] + ["other"]
+    order = [*wellknown.SECTIONS, "other"]
     grouped = {s: [r for r in name_rows if r[0] == s] for s in order}
     flat = all(s == "other" for s, _n, _b in name_rows)
     for section in order:

@@ -13,8 +13,9 @@ writes into:
 - :mod:`repro.obs.trace` — :class:`Span` / :class:`Tracer` with
   parent links and cross-process propagation (the sharded executor
   stitches worker spans into one trace),
-- :mod:`repro.obs.wellknown` — the single home of every metric family
-  the pipeline, executor, and Tivan stream layer emit,
+- :mod:`repro.obs.wellknown` — the metric catalogue: every family the
+  repo emits is one statement there, and the accessors, ``declare_all``,
+  the dashboard sections and the ``docs/API.md`` reference derive from it,
 - :mod:`repro.obs.propagation` — cross-hop trace contexts: seedable
   head sampling at listener accept, hop spans chained through broker /
   forwarder / store / WAL, surviving SIGKILL+resume,

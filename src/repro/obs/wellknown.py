@@ -1,15 +1,42 @@
-"""The repo's well-known metric families, defined once.
+"""The repo's metric catalogue: every well-known family, stated once.
 
-Instrumented modules (pipeline, executor, stream layer) resolve their
-families through these helpers so names, help strings, and label sets
-cannot drift between the writer and the exposition.  Every helper is
-get-or-create against the given registry (default: the process-wide
-one), and :func:`declare_all` registers the full schema at once so a
-snapshot carries zero-valued samples for subsystems that have not run
-yet — a scrape of a freshly started process already shows every panel.
+Each family is one module-level statement::
+
+    broker_lag = _gauge("broker", "repro_broker_lag", "Records published but …", ("group",))
+
+The assignment target is the accessor instrumented modules call
+(``wellknown.broker_lag(registry).set(n, group=g)``); the arguments are
+the dashboard section, the metric name, the help text and the label
+names.  Every other listing of the families is derived from these
+statements: ``__all__``, :func:`declare_all`, the accessor docstrings,
+the section grouping of ``render_metrics_panel`` and the "Metric
+reference" table in ``docs/API.md`` (:func:`render_reference`) — so
+names, help strings and label sets cannot drift between the writer,
+the exposition and the documentation.
+
+An accessor is get-or-create against the given registry (default: the
+process-wide one) through the registry's public ``counter`` / ``gauge``
+/ ``histogram`` methods, so a :class:`~repro.obs.metrics.NullRegistry`
+still hands back its shared no-op metric.  :func:`declare_all`
+registers the full schema at once so a snapshot carries zero-valued
+samples for subsystems that have not run yet — a scrape of a freshly
+started process already shows every panel.
+
+To add a family, add one statement where its samples belong in the
+exposition (statement order is registration order), then replace the
+block between the ``metric-reference`` markers in ``docs/API.md`` with
+the output of::
+
+    PYTHONPATH=src python -c "from repro.obs import wellknown; print(wellknown.render_reference())"
+
+``tests/test_wellknown.py`` fails while the committed block differs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Mapping
+from functools import partial
+from typing import NamedTuple
 
 from repro.obs.metrics import (
     Counter,
@@ -19,956 +46,350 @@ from repro.obs.metrics import (
     default_registry,
 )
 
-__all__ = [
-    "stage_seconds",
-    "stage_items",
-    "pipeline_batches",
-    "pipeline_messages",
-    "pipeline_filtered",
-    "pipeline_batch_seconds",
-    "shard_dispatch_seconds",
-    "shard_queue_wait_seconds",
-    "shard_messages",
-    "shard_chunks",
-    "template_cache_hits",
-    "template_cache_misses",
-    "template_cache_evictions",
-    "template_cache_invalidations",
-    "template_cache_size",
-    "fluentd_buffer_depth",
-    "fluentd_flush_size",
-    "fluentd_flushed_messages",
-    "relay_received",
-    "relay_dropped",
-    "classifier_backlog",
-    "fluentd_dropped",
-    "degraded_mode",
-    "degraded_transitions",
-    "degraded_messages",
-    "faults_injected",
-    "faults_dead_letters",
-    "faults_dlq_evicted",
-    "faults_quarantined",
-    "faults_worker_respawns",
-    "faults_chunk_retries",
-    "faults_serial_fallbacks",
-    "wal_appends",
-    "wal_bytes",
-    "wal_fsyncs",
-    "wal_rotations",
-    "wal_last_seq",
-    "wal_truncated_bytes",
-    "wal_replayed_records",
-    "checkpoint_writes",
-    "checkpoint_last_bytes",
-    "checkpoint_last_wal_seq",
-    "store_node_up",
-    "store_quorum_write_seconds",
-    "store_quorum_read_seconds",
-    "store_quorum_failures",
-    "store_hints_queued",
-    "store_hints_replayed",
-    "store_hints_dropped",
-    "store_read_repairs",
-    "store_repair_docs",
-    "store_breaker_transitions",
-    "store_node_timeouts",
-    "ingest_received",
-    "ingest_accepted",
-    "ingest_shed",
-    "ingest_accept_dropped",
-    "ingest_parse_errors",
-    "ingest_oversize",
-    "ingest_publish_refused",
-    "ingest_tenant_received",
-    "ingest_tenant_accepted",
-    "ingest_tenant_shed",
-    "ingest_tenants_active",
-    "broker_published",
-    "broker_publish_refused",
-    "broker_polled",
-    "broker_commits",
-    "broker_commits_lost",
-    "broker_lag",
-    "broker_partitions",
-    "broker_partition_stalls",
-    "trace_sampled",
-    "e2e_latency_seconds",
-    "broker_queue_age_seconds",
-    "broker_lag_age_seconds",
-    "poll_to_flush_seconds",
-    "wal_fsync_seconds",
-    "slo_value",
-    "slo_target",
-    "slo_compliant",
-    "slo_budget_remaining",
-    "control_ticks",
-    "control_actuations",
-    "control_setpoint",
-    "control_flips",
-    "control_brownout_level",
-    "control_shed",
-    "control_feedforward_rate",
-    "control_feedforward_moves",
-    "executor_workers",
-    "executor_resizes",
-    "executor_respawns",
-    "executor_serial_fallbacks",
-    "store_breaker_state",
-    "declare_all",
-]
+
+class Family(NamedTuple):
+    """One catalogue row: everything the repo states about a metric family."""
+
+    kind: str  #: ``counter`` | ``gauge`` | ``histogram`` — the registry method that creates it
+    section: str  #: the ``render_metrics_panel`` section it renders under, one of SECTIONS
+    name: str
+    help: str
+    labels: tuple[str, ...]
+    accessor: Callable[..., Counter | Gauge | Histogram]  #: ``accessor(registry=None)``
 
 
-def _reg(registry: MetricsRegistry | None) -> MetricsRegistry:
-    return registry if registry is not None else default_registry()
+#: dashboard panel sections, in display order
+SECTIONS = ("pipeline", "stream", "ingest", "broker", "store", "durability", "control",
+            "faults", "e2e + slo")
+
+#: every declared family, in registration (= exposition) order
+CATALOGUE: list[Family] = []
 
 
-# -- classification pipeline ------------------------------------------
+def _family(kind: str, section: str, name: str, help: str, labels: tuple[str, ...] = ()):
+    """Append one family to the catalogue; returns its accessor."""
+    if section not in SECTIONS:
+        raise ValueError(f"{name}: unknown panel section {section!r}")
+
+    def accessor(registry: MetricsRegistry | None = None):
+        if registry is None:
+            registry = default_registry()
+        return getattr(registry, kind)(name, help, labels)
+
+    labelled = f", labelled by {', '.join(labels)}" if labels else ""
+    accessor.__doc__ = f"{kind.capitalize()} ``{name}``{labelled}: {help}."
+    CATALOGUE.append(Family(kind, section, name, help, labels, accessor))
+    return accessor
 
 
-def stage_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: wall-clock seconds per pipeline stage per batch."""
-    return _reg(registry).histogram(
-        "repro_pipeline_stage_seconds",
-        "Wall-clock seconds per pipeline stage per batch",
-        labels=("stage",),
-    )
+_counter: Callable[..., Callable[..., Counter]] = partial(_family, "counter")
+_gauge: Callable[..., Callable[..., Gauge]] = partial(_family, "gauge")
+_histogram: Callable[..., Callable[..., Histogram]] = partial(_family, "histogram")
 
-
-def stage_items(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages processed per pipeline stage."""
-    return _reg(registry).counter(
-        "repro_pipeline_stage_items_total",
-        "Messages processed per pipeline stage",
-        labels=("stage",),
-    )
-
-
-def pipeline_batches(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: batches classified."""
-    return _reg(registry).counter(
-        "repro_pipeline_batches_total", "Batches classified"
-    )
-
-
-def pipeline_messages(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages classified."""
-    return _reg(registry).counter(
-        "repro_pipeline_messages_total", "Messages classified"
-    )
-
-
-def pipeline_filtered(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages short-circuited by the blacklist pre-filter."""
-    return _reg(registry).counter(
-        "repro_pipeline_filtered_total",
-        "Messages short-circuited by the blacklist pre-filter",
-    )
-
-
-def pipeline_batch_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: end-to-end classify_batch wall-clock seconds."""
-    return _reg(registry).histogram(
-        "repro_pipeline_batch_seconds",
-        "End-to-end classify_batch wall-clock seconds",
-    )
-
+# -- classification pipeline -------------------------------------------
+stage_seconds = _histogram(
+    "pipeline", "repro_pipeline_stage_seconds",
+    "Wall-clock seconds per pipeline stage per batch", ("stage",))
+stage_items = _counter(
+    "pipeline", "repro_pipeline_stage_items_total",
+    "Messages processed per pipeline stage", ("stage",))
+pipeline_batches = _counter("pipeline", "repro_pipeline_batches_total", "Batches classified")
+pipeline_messages = _counter("pipeline", "repro_pipeline_messages_total", "Messages classified")
+pipeline_filtered = _counter(
+    "pipeline", "repro_pipeline_filtered_total",
+    "Messages short-circuited by the blacklist pre-filter")
+pipeline_batch_seconds = _histogram(
+    "pipeline", "repro_pipeline_batch_seconds", "End-to-end classify_batch wall-clock seconds")
 
 # -- sharded executor --------------------------------------------------
-
-
-def shard_dispatch_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: submit-to-result round-trip per scattered chunk."""
-    return _reg(registry).histogram(
-        "repro_shard_dispatch_seconds",
-        "Submit-to-result round-trip seconds per scattered chunk",
-    )
-
-
-def shard_queue_wait_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: chunk round-trip minus worker busy time."""
-    return _reg(registry).histogram(
-        "repro_shard_queue_wait_seconds",
-        "Round-trip minus worker busy time per chunk (queueing + pickling)",
-    )
-
-
-def shard_messages(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages classified, labelled by worker process."""
-    return _reg(registry).counter(
-        "repro_shard_messages_total",
-        "Messages classified per worker process",
-        labels=("worker",),
-    )
-
-
-def shard_chunks(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: chunks scattered, labelled by worker process."""
-    return _reg(registry).counter(
-        "repro_shard_chunks_total",
-        "Chunks scattered per worker process",
-        labels=("worker",),
-    )
-
+shard_dispatch_seconds = _histogram(
+    "pipeline", "repro_shard_dispatch_seconds",
+    "Submit-to-result round-trip seconds per scattered chunk")
+shard_queue_wait_seconds = _histogram(
+    "pipeline", "repro_shard_queue_wait_seconds",
+    "Round-trip minus worker busy time per chunk (queueing + pickling)")
+shard_messages = _counter(
+    "pipeline", "repro_shard_messages_total", "Messages classified per worker process", ("worker",))
+shard_chunks = _counter(
+    "pipeline", "repro_shard_chunks_total", "Chunks scattered per worker process", ("worker",))
 
 # -- template-dedup cache ----------------------------------------------
+template_cache_hits = _counter(
+    "pipeline", "repro_template_cache_hits_total",
+    "Classify lookups served from the template-dedup cache per worker process", ("worker",))
+template_cache_misses = _counter(
+    "pipeline", "repro_template_cache_misses_total",
+    "Template-cache lookups that fell through to the model stage per worker process", ("worker",))
+template_cache_evictions = _counter(
+    "pipeline", "repro_template_cache_evictions_total",
+    "LRU entries evicted from the template-dedup cache per worker process", ("worker",))
+template_cache_invalidations = _counter(
+    "pipeline", "repro_template_cache_invalidations_total",
+    "Template-cache clears caused by a pipeline refit bumping the generation stamp, "
+    "per worker process", ("worker",))
+template_cache_size = _gauge(
+    "pipeline", "repro_template_cache_size",
+    "Entries currently held by the template-dedup cache per worker process", ("worker",))
 
-
-def template_cache_hits(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: classify lookups served from the template cache."""
-    return _reg(registry).counter(
-        "repro_template_cache_hits_total",
-        "Classify lookups served from the template-dedup cache per "
-        "worker process",
-        labels=("worker",),
-    )
-
-
-def template_cache_misses(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: template-cache lookups that ran the model stage."""
-    return _reg(registry).counter(
-        "repro_template_cache_misses_total",
-        "Template-cache lookups that fell through to the model stage "
-        "per worker process",
-        labels=("worker",),
-    )
-
-
-def template_cache_evictions(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: LRU entries evicted from the template cache."""
-    return _reg(registry).counter(
-        "repro_template_cache_evictions_total",
-        "LRU entries evicted from the template-dedup cache per worker "
-        "process",
-        labels=("worker",),
-    )
-
-
-def template_cache_invalidations(
-    registry: MetricsRegistry | None = None,
-) -> Counter:
-    """Counter: generation-change clears of the template cache."""
-    return _reg(registry).counter(
-        "repro_template_cache_invalidations_total",
-        "Template-cache clears caused by a pipeline refit bumping the "
-        "generation stamp, per worker process",
-        labels=("worker",),
-    )
-
-
-def template_cache_size(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: entries currently held by the template cache."""
-    return _reg(registry).gauge(
-        "repro_template_cache_size",
-        "Entries currently held by the template-dedup cache per worker "
-        "process",
-        labels=("worker",),
-    )
-
-
-# -- stream layer (Tivan) ---------------------------------------------
-
-
-def fluentd_buffer_depth(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: messages buffered in the Fluentd forwarder."""
-    return _reg(registry).gauge(
-        "repro_stream_fluentd_buffer_depth",
-        "Messages buffered in the Fluentd forwarder",
-    )
-
-
-def fluentd_flush_size(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: messages written by the most recent flush."""
-    return _reg(registry).gauge(
-        "repro_stream_fluentd_flush_size",
-        "Messages written by the most recent flush",
-    )
-
-
-def fluentd_flushed_messages(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages flushed to the store."""
-    return _reg(registry).counter(
-        "repro_stream_fluentd_flushed_total",
-        "Messages flushed to the store by the forwarder",
-    )
-
-
-def relay_received(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages received by the primary syslog relay."""
-    return _reg(registry).counter(
-        "repro_stream_relay_received_total",
-        "Messages received by the primary syslog relay",
-    )
-
-
-def relay_dropped(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: relay drops under downstream backpressure."""
-    return _reg(registry).counter(
-        "repro_stream_relay_dropped_total",
-        "Messages dropped by the relay under downstream backpressure",
-    )
-
-
-def classifier_backlog(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: indexed documents awaiting classification."""
-    return _reg(registry).gauge(
-        "repro_stream_classifier_backlog",
-        "Indexed documents awaiting classification (engine-clock sampled)",
-    )
-
-
-def fluentd_dropped(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: buffered messages evicted under the drop-oldest policy."""
-    return _reg(registry).counter(
-        "repro_stream_fluentd_dropped_total",
-        "Buffered messages evicted by the drop-oldest overflow policy",
-    )
-
-
-def degraded_mode(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: 1 while the cluster is shedding load, else 0."""
-    return _reg(registry).gauge(
-        "repro_stream_degraded_mode",
-        "1 while the classifier stage is degraded to the cheap path",
-    )
-
-
-def degraded_transitions(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: degraded-mode transitions, labelled enter/exit."""
-    return _reg(registry).counter(
-        "repro_stream_degraded_transitions_total",
-        "Degraded-mode transitions (direction=enter|exit)",
-        labels=("direction",),
-    )
-
-
-def degraded_messages(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages classified by the cheap degraded path."""
-    return _reg(registry).counter(
-        "repro_stream_degraded_messages_total",
-        "Messages classified by the cheap blacklist/bucketing path "
-        "while degraded",
-    )
-
+# -- stream layer (Tivan) ----------------------------------------------
+fluentd_buffer_depth = _gauge(
+    "stream", "repro_stream_fluentd_buffer_depth", "Messages buffered in the Fluentd forwarder")
+fluentd_flush_size = _gauge(
+    "stream", "repro_stream_fluentd_flush_size", "Messages written by the most recent flush")
+fluentd_flushed_messages = _counter(
+    "stream", "repro_stream_fluentd_flushed_total",
+    "Messages flushed to the store by the forwarder")
+relay_received = _counter(
+    "stream", "repro_stream_relay_received_total", "Messages received by the primary syslog relay")
+relay_dropped = _counter(
+    "stream", "repro_stream_relay_dropped_total",
+    "Messages dropped by the relay under downstream backpressure")
+classifier_backlog = _gauge(
+    "stream", "repro_stream_classifier_backlog",
+    "Indexed documents awaiting classification (engine-clock sampled)")
+fluentd_dropped = _counter(
+    "stream", "repro_stream_fluentd_dropped_total",
+    "Buffered messages evicted by the drop-oldest overflow policy")
+degraded_mode = _gauge(
+    "stream", "repro_stream_degraded_mode",
+    "1 while the classifier stage is degraded to the cheap path")
+degraded_transitions = _counter(
+    "stream", "repro_stream_degraded_transitions_total",
+    "Degraded-mode transitions (direction=enter|exit)", ("direction",))
+degraded_messages = _counter(
+    "stream", "repro_stream_degraded_messages_total",
+    "Messages classified by the cheap blacklist/bucketing path while degraded")
 
 # -- fault injection & resilience --------------------------------------
-
-
-def faults_injected(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: injector fires, labelled by fault site."""
-    return _reg(registry).counter(
-        "repro_faults_injected_total",
-        "Faults fired by the injector per site",
-        labels=("site",),
-    )
-
-
-def faults_dead_letters(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages captured into a dead-letter queue, per site."""
-    return _reg(registry).counter(
-        "repro_faults_dead_letters_total",
-        "Messages captured into a dead-letter queue per site",
-        labels=("site",),
-    )
-
-
-def faults_dlq_evicted(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: oldest dead letters evicted by a bounded DLQ's cap."""
-    return _reg(registry).counter(
-        "repro_faults_dlq_evicted_total",
-        "Oldest dead letters evicted by a bounded dead-letter queue",
-    )
-
-
-def faults_quarantined(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages quarantined by per-message classify salvage."""
-    return _reg(registry).counter(
-        "repro_faults_quarantined_total",
-        "Messages quarantined by classify_batch instead of aborting "
-        "the batch",
-    )
-
-
-def faults_worker_respawns(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: shard worker pools respawned after a worker death."""
-    return _reg(registry).counter(
-        "repro_faults_worker_respawns_total",
-        "Shard worker pools respawned after a dead worker was detected",
-    )
-
-
-def faults_chunk_retries(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: chunks re-dispatched after a crash/timeout/error."""
-    return _reg(registry).counter(
-        "repro_faults_chunk_retries_total",
-        "Chunks re-dispatched to the pool after a failed attempt",
-    )
-
-
-def faults_serial_fallbacks(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: chunks routed through the serial path post-retry-budget."""
-    return _reg(registry).counter(
-        "repro_faults_serial_fallbacks_total",
-        "Chunks classified serially after the retry budget was exhausted",
-    )
-
+faults_injected = _counter(
+    "faults", "repro_faults_injected_total", "Faults fired by the injector per site", ("site",))
+faults_dead_letters = _counter(
+    "faults", "repro_faults_dead_letters_total",
+    "Messages captured into a dead-letter queue per site", ("site",))
+faults_quarantined = _counter(
+    "faults", "repro_faults_quarantined_total",
+    "Messages quarantined by classify_batch instead of aborting the batch")
+faults_worker_respawns = _counter(
+    "faults", "repro_faults_worker_respawns_total",
+    "Shard worker pools respawned after a dead worker was detected")
+faults_chunk_retries = _counter(
+    "faults", "repro_faults_chunk_retries_total",
+    "Chunks re-dispatched to the pool after a failed attempt")
+faults_serial_fallbacks = _counter(
+    "faults", "repro_faults_serial_fallbacks_total",
+    "Chunks classified serially after the retry budget was exhausted")
+faults_dlq_evicted = _counter(
+    "faults", "repro_faults_dlq_evicted_total",
+    "Oldest dead letters evicted by a bounded dead-letter queue")
 
 # -- durability (WAL + checkpoints) ------------------------------------
-
-
-def wal_appends(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: records appended to the write-ahead log, per kind."""
-    return _reg(registry).counter(
-        "repro_wal_appends_total",
-        "Records appended to the write-ahead log per record kind",
-        labels=("kind",),
-    )
-
-
-def wal_bytes(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: bytes appended to the write-ahead log."""
-    return _reg(registry).counter(
-        "repro_wal_bytes_total", "Bytes appended to the write-ahead log"
-    )
-
-
-def wal_fsyncs(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: fsync calls issued by the write-ahead log."""
-    return _reg(registry).counter(
-        "repro_wal_fsyncs_total", "fsync calls issued by the write-ahead log"
-    )
-
-
-def wal_rotations(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: WAL segment rotations (size limit reached)."""
-    return _reg(registry).counter(
-        "repro_wal_rotations_total",
-        "WAL segments rotated after reaching the size limit",
-    )
-
-
-def wal_last_seq(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: highest sequence number appended to the WAL."""
-    return _reg(registry).gauge(
-        "repro_wal_last_seq", "Highest sequence number appended to the WAL"
-    )
-
-
-def wal_truncated_bytes(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: torn-tail bytes discarded during WAL recovery."""
-    return _reg(registry).counter(
-        "repro_wal_truncated_bytes_total",
-        "Torn-tail bytes discarded during WAL recovery",
-    )
-
-
-def wal_replayed_records(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: WAL records replayed past the checkpoint on recovery."""
-    return _reg(registry).counter(
-        "repro_wal_replayed_records_total",
-        "WAL records replayed past the newest checkpoint on recovery",
-    )
-
-
-def checkpoint_writes(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: checkpoints written (atomic temp-then-rename)."""
-    return _reg(registry).counter(
-        "repro_checkpoint_writes_total",
-        "Checkpoints written (atomic temp-then-rename)",
-    )
-
-
-def checkpoint_last_bytes(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: size of the most recent checkpoint file."""
-    return _reg(registry).gauge(
-        "repro_checkpoint_last_bytes",
-        "Size in bytes of the most recently written checkpoint",
-    )
-
-
-def checkpoint_last_wal_seq(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: WAL sequence the most recent checkpoint covers."""
-    return _reg(registry).gauge(
-        "repro_checkpoint_last_wal_seq",
-        "Last WAL sequence number applied by the most recent checkpoint",
-    )
-
-
-# -- replicated store ---------------------------------------------------
-
-
-def store_node_up(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: 1 while the coordinator can reach the node, else 0."""
-    return _reg(registry).gauge(
-        "repro_store_node_up",
-        "1 while the replicated-store coordinator can reach the node",
-        labels=("node",),
-    )
-
-
-def store_quorum_write_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: coordinator wall-clock seconds per quorum bulk write."""
-    return _reg(registry).histogram(
-        "repro_store_quorum_write_seconds",
-        "Coordinator wall-clock seconds per quorum bulk write",
-    )
-
-
-def store_quorum_read_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: coordinator wall-clock seconds per quorum read."""
-    return _reg(registry).histogram(
-        "repro_store_quorum_read_seconds",
-        "Coordinator wall-clock seconds per quorum read",
-    )
-
-
-def store_quorum_failures(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: operations refused for lack of quorum, per op kind."""
-    return _reg(registry).counter(
-        "repro_store_quorum_failures_total",
-        "Operations refused because too few owner nodes were reachable",
-        labels=("op",),
-    )
-
-
-def store_hints_queued(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: hinted-handoff entries queued for unreachable owners."""
-    return _reg(registry).counter(
-        "repro_store_hints_queued_total",
-        "Hinted-handoff entries queued for unreachable owner nodes",
-    )
-
-
-def store_hints_replayed(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: hinted-handoff entries replayed to rejoined nodes."""
-    return _reg(registry).counter(
-        "repro_store_hints_replayed_total",
-        "Hinted-handoff entries replayed to rejoined owner nodes",
-    )
-
-
-def store_hints_dropped(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: oldest hints evicted by the per-node hint buffer cap."""
-    return _reg(registry).counter(
-        "repro_store_hints_dropped_total",
-        "Oldest hints evicted by the bounded per-node hint buffer",
-    )
-
-
-def store_read_repairs(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: stale/missing copies repaired by quorum reads."""
-    return _reg(registry).counter(
-        "repro_store_read_repairs_total",
-        "Stale or missing replica copies repaired during quorum reads",
-    )
-
-
-def store_repair_docs(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: document copies pushed by anti-entropy sync."""
-    return _reg(registry).counter(
-        "repro_store_repair_docs_total",
-        "Document copies pushed between nodes by anti-entropy sync",
-    )
-
-
-def store_breaker_transitions(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: node circuit-breaker transitions, by entered state."""
-    return _reg(registry).counter(
-        "repro_store_breaker_transitions_total",
-        "Per-node circuit breaker transitions by entered state",
-        labels=("state",),
-    )
-
-
-def store_node_timeouts(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: simulated node timeouts (store.node_slow), per node."""
-    return _reg(registry).counter(
-        "repro_store_node_timeouts_total",
-        "Simulated store-node timeouts per node",
-        labels=("node",),
-    )
-
-
-# -- ingest listener & log broker ---------------------------------------
-
-
-def ingest_received(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: wire lines received by the listener, per transport."""
-    return _reg(registry).counter(
-        "repro_ingest_received_total",
-        "Wire lines received by the syslog listener per transport",
-        labels=("proto",),
-    )
-
-
-def ingest_accepted(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lines parsed and accepted by the listener."""
-    return _reg(registry).counter(
-        "repro_ingest_accepted_total",
-        "Wire lines parsed into messages and accepted by the listener",
-    )
-
-
-def ingest_shed(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lines shed by accept-time rate limiting."""
-    return _reg(registry).counter(
-        "repro_ingest_shed_total",
-        "Wire lines shed by the listener's accept-time rate limiter",
-    )
-
-
-def ingest_accept_dropped(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lines dropped by the ingest.accept_drop fault site."""
-    return _reg(registry).counter(
-        "repro_ingest_accept_dropped_total",
-        "Wire lines dropped at accept time by the ingest.accept_drop "
-        "fault site (simulated NIC queue overflow)",
-    )
-
-
-def ingest_parse_errors(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lines neither RFC matched, quarantined to the DLQ."""
-    return _reg(registry).counter(
-        "repro_ingest_parse_errors_total",
-        "Wire lines that matched neither RFC 3164 nor RFC 5424 and were "
-        "quarantined to the dead-letter queue",
-    )
-
-
-def ingest_oversize(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lines over the size cap, quarantined to the DLQ."""
-    return _reg(registry).counter(
-        "repro_ingest_oversize_total",
-        "Wire lines over the listener's size cap, quarantined to the "
-        "dead-letter queue",
-    )
-
-
-def ingest_publish_refused(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: accepted messages the broker refused (stalled partition)."""
-    return _reg(registry).counter(
-        "repro_ingest_publish_refused_total",
-        "Accepted messages refused by the broker (stalled partition), "
-        "quarantined to the dead-letter queue",
-    )
-
-
-def ingest_tenant_received(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: parsed lines per tenant (host/app admission key)."""
-    return _reg(registry).counter(
-        "repro_ingest_tenant_received_total",
-        "Parsed wire lines per tenant (host/app admission key)",
-        labels=("tenant",),
-    )
-
-
-def ingest_tenant_accepted(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lines admitted through the per-tenant fair-share quota."""
-    return _reg(registry).counter(
-        "repro_ingest_tenant_accepted_total",
-        "Wire lines admitted through the per-tenant fair-share quota",
-        labels=("tenant",),
-    )
-
-
-def ingest_tenant_shed(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: per-tenant quota drops, labelled by reason."""
-    return _reg(registry).counter(
-        "repro_ingest_tenant_shed_total",
-        "Wire lines shed by the per-tenant admission quota",
-        labels=("tenant", "reason"),
-    )
-
-
-def ingest_tenants_active(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: tenants currently tracked by the admission quota."""
-    return _reg(registry).gauge(
-        "repro_ingest_tenants_active",
-        "Tenants currently tracked by the deficit-round-robin quota",
-    )
-
-
-def broker_published(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: records appended to broker partitions."""
-    return _reg(registry).counter(
-        "repro_broker_published_total",
-        "Records appended to log-broker partitions",
-    )
-
-
-def broker_publish_refused(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: publishes refused by a stalled partition."""
-    return _reg(registry).counter(
-        "repro_broker_publish_refused_total",
-        "Publishes refused because the target partition was stalled",
-    )
-
-
-def broker_polled(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: records delivered to consumers, per group."""
-    return _reg(registry).counter(
-        "repro_broker_polled_total",
-        "Records delivered to consumer-group members by poll",
-        labels=("group",),
-    )
-
-
-def broker_commits(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: offset commits applied, per group."""
-    return _reg(registry).counter(
-        "repro_broker_commits_total",
-        "Consumer-group offset commits applied by the broker",
-        labels=("group",),
-    )
-
-
-def broker_commits_lost(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: offset commits dropped by the broker.commit_lost site."""
-    return _reg(registry).counter(
-        "repro_broker_commits_lost_total",
-        "Consumer-group offset commits dropped in flight by the "
-        "broker.commit_lost fault site",
-    )
-
-
-def broker_lag(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: uncommitted records across partitions, per group."""
-    return _reg(registry).gauge(
-        "repro_broker_lag",
-        "Records published but not yet committed by the consumer group",
-        labels=("group",),
-    )
-
-
-def broker_partitions(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: partitions the broker currently holds."""
-    return _reg(registry).gauge(
-        "repro_broker_partitions", "Partitions the log broker currently holds"
-    )
-
-
-def broker_partition_stalls(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: partition stall events (broker.partition_stall fires)."""
-    return _reg(registry).counter(
-        "repro_broker_partition_stalls_total",
-        "Partition stall events fired by the broker.partition_stall site",
-    )
-
-
-# -- end-to-end telemetry (tracing, latency, SLOs) ----------------------
-
-
-def trace_sampled(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages head-sampled into a cross-hop trace."""
-    return _reg(registry).counter(
-        "repro_trace_sampled_total",
-        "Messages head-sampled into a cross-hop trace at accept time",
-    )
-
-
-def e2e_latency_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: accept-to-indexed seconds for sampled messages."""
-    return _reg(registry).histogram(
-        "repro_e2e_latency_seconds",
-        "Listener-accept to store-indexed seconds for sampled messages",
-    )
-
-
-def broker_queue_age_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: publish-to-poll dwell of sampled records in the broker."""
-    return _reg(registry).histogram(
-        "repro_broker_queue_age_seconds",
-        "Publish-to-poll dwell seconds of sampled records in broker "
-        "partitions",
-    )
-
-
-def broker_lag_age_seconds(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: age of the oldest uncommitted record, per consumer group."""
-    return _reg(registry).gauge(
-        "repro_broker_lag_age_seconds",
-        "Age in seconds of the oldest record published but not yet "
-        "committed by the consumer group",
-        labels=("group",),
-    )
-
-
-def poll_to_flush_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: forwarder-buffer dwell (poll/offer to flushed)."""
-    return _reg(registry).histogram(
-        "repro_stream_poll_to_flush_seconds",
-        "Seconds a sampled message dwelt in the forwarder buffer between "
-        "poll/offer and a successful flush",
-    )
-
-
-def wal_fsync_seconds(registry: MetricsRegistry | None = None) -> Histogram:
-    """Histogram: wall-clock seconds per WAL fsync call."""
-    return _reg(registry).histogram(
-        "repro_wal_fsync_seconds",
-        "Wall-clock seconds per write-ahead-log fsync call",
-    )
-
-
-def slo_value(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: current observed value of each declared SLO."""
-    return _reg(registry).gauge(
-        "repro_slo_value",
-        "Current observed value of the declared SLO",
-        labels=("slo",),
-    )
-
-
-def slo_target(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: declared target (threshold) of each SLO."""
-    return _reg(registry).gauge(
-        "repro_slo_target",
-        "Declared threshold the SLO's observed value must stay under",
-        labels=("slo",),
-    )
-
-
-def slo_compliant(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: 1 while the SLO meets its target, else 0."""
-    return _reg(registry).gauge(
-        "repro_slo_compliant",
-        "1 while the SLO's observed value meets its target, else 0",
-        labels=("slo",),
-    )
-
-
-def slo_budget_remaining(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: fraction of the SLO's error budget still unburned."""
-    return _reg(registry).gauge(
-        "repro_slo_error_budget_remaining",
-        "Fraction of the SLO's error budget still unburned "
-        "(1 - value/target, clamped to [-1, 1])",
-        labels=("slo",),
-    )
-
-
-# -- control plane (closed-loop autoscaling / brownout) -----------------
-
-
-def control_ticks(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: control-loop ticks executed."""
-    return _reg(registry).counter(
-        "repro_control_ticks_total", "Control-loop ticks executed"
-    )
-
-
-def control_actuations(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: lever moves, labelled by lever and direction."""
-    return _reg(registry).counter(
-        "repro_control_actuations_total",
-        "Lever moves applied by the controller",
-        labels=("lever", "direction"),
-    )
-
-
-def control_setpoint(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: current controller setpoint per lever."""
-    return _reg(registry).gauge(
-        "repro_control_setpoint",
-        "Current value the controller holds each lever at",
-        labels=("lever",),
-    )
-
-
-def control_flips(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: direction reversals per lever (the oscillation metric)."""
-    return _reg(registry).counter(
-        "repro_control_flips_total",
-        "Actuations whose direction reversed the lever's previous move",
-        labels=("lever",),
-    )
-
-
-def control_brownout_level(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: current brownout ladder level (0 = normal … 3 = shedding)."""
-    return _reg(registry).gauge(
-        "repro_control_brownout_level",
-        "Current brownout ladder level "
-        "(0 normal, 1 shrink batches, 2 cheap classify, 3 shed at accept)",
-    )
-
-
-def control_shed(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: messages shed by brownout L3, labelled by reason."""
-    return _reg(registry).counter(
-        "repro_control_shed_total",
-        "Messages dropped at accept by the brownout ladder",
-        labels=("reason",),
-    )
-
-
-def control_feedforward_rate(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: feedforward-predicted offered load at the horizon."""
-    return _reg(registry).gauge(
-        "repro_control_feedforward_rate",
-        "Offered-load rate the feedforward term predicts at its horizon "
-        "(msgs/s; tracks the current rate while the window warms up)",
-    )
-
-
-def control_feedforward_moves(
-    registry: MetricsRegistry | None = None,
-) -> Counter:
-    """Counter: up-moves taken on the feedforward prediction alone."""
-    return _reg(registry).counter(
-        "repro_control_feedforward_moves_total",
-        "Capacity up-moves taken on the feedforward surge prediction "
-        "before the reactive signal crossed its high watermark",
-        labels=("lever",),
-    )
-
-
-# -- executor lifecycle -------------------------------------------------
-
-
-def executor_workers(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: configured worker-process count of the sharded executor."""
-    return _reg(registry).gauge(
-        "repro_executor_workers",
-        "Configured worker-process count of the sharded executor",
-    )
-
-
-def executor_resizes(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: executor pool resizes, labelled by direction."""
-    return _reg(registry).counter(
-        "repro_executor_resizes_total",
-        "Sharded-executor pool resizes",
-        labels=("direction",),
-    )
-
-
-def executor_respawns(registry: MetricsRegistry | None = None) -> Counter:
-    """Counter: executor pool respawns after worker loss."""
-    return _reg(registry).counter(
-        "repro_executor_respawns_total",
-        "Sharded-executor pool respawns after a broken worker pool",
-    )
-
-
-def executor_serial_fallbacks(
-    registry: MetricsRegistry | None = None,
-) -> Counter:
-    """Counter: chunks degraded to in-process serial execution."""
-    return _reg(registry).counter(
-        "repro_executor_serial_fallbacks_total",
-        "Chunks executed serially in-process after pool retries failed",
-    )
-
-
-def store_breaker_state(registry: MetricsRegistry | None = None) -> Gauge:
-    """Gauge: per-node circuit-breaker state (0 closed, 1 half-open, 2 open)."""
-    return _reg(registry).gauge(
-        "repro_store_breaker_state",
-        "Circuit-breaker state per store node "
-        "(0 closed, 1 half-open, 2 open)",
-        labels=("node",),
-    )
+wal_appends = _counter(
+    "durability", "repro_wal_appends_total",
+    "Records appended to the write-ahead log per record kind", ("kind",))
+wal_bytes = _counter("durability", "repro_wal_bytes_total", "Bytes appended to the write-ahead log")
+wal_fsyncs = _counter(
+    "durability", "repro_wal_fsyncs_total", "fsync calls issued by the write-ahead log")
+wal_rotations = _counter(
+    "durability", "repro_wal_rotations_total", "WAL segments rotated after reaching the size limit")
+wal_last_seq = _gauge(
+    "durability", "repro_wal_last_seq", "Highest sequence number appended to the WAL")
+wal_truncated_bytes = _counter(
+    "durability", "repro_wal_truncated_bytes_total",
+    "Torn-tail bytes discarded during WAL recovery")
+wal_replayed_records = _counter(
+    "durability", "repro_wal_replayed_records_total",
+    "WAL records replayed past the newest checkpoint on recovery")
+checkpoint_writes = _counter(
+    "durability", "repro_checkpoint_writes_total", "Checkpoints written (atomic temp-then-rename)")
+checkpoint_last_bytes = _gauge(
+    "durability", "repro_checkpoint_last_bytes",
+    "Size in bytes of the most recently written checkpoint")
+checkpoint_last_wal_seq = _gauge(
+    "durability", "repro_checkpoint_last_wal_seq",
+    "Last WAL sequence number applied by the most recent checkpoint")
+
+# -- replicated store --------------------------------------------------
+store_node_up = _gauge(
+    "store", "repro_store_node_up",
+    "1 while the replicated-store coordinator can reach the node", ("node",))
+store_quorum_write_seconds = _histogram(
+    "store", "repro_store_quorum_write_seconds",
+    "Coordinator wall-clock seconds per quorum bulk write")
+store_quorum_read_seconds = _histogram(
+    "store", "repro_store_quorum_read_seconds", "Coordinator wall-clock seconds per quorum read")
+store_quorum_failures = _counter(
+    "store", "repro_store_quorum_failures_total",
+    "Operations refused because too few owner nodes were reachable", ("op",))
+store_hints_queued = _counter(
+    "store", "repro_store_hints_queued_total",
+    "Hinted-handoff entries queued for unreachable owner nodes")
+store_hints_replayed = _counter(
+    "store", "repro_store_hints_replayed_total",
+    "Hinted-handoff entries replayed to rejoined owner nodes")
+store_hints_dropped = _counter(
+    "store", "repro_store_hints_dropped_total",
+    "Oldest hints evicted by the bounded per-node hint buffer")
+store_read_repairs = _counter(
+    "store", "repro_store_read_repairs_total",
+    "Stale or missing replica copies repaired during quorum reads")
+store_repair_docs = _counter(
+    "store", "repro_store_repair_docs_total",
+    "Document copies pushed between nodes by anti-entropy sync")
+store_breaker_transitions = _counter(
+    "store", "repro_store_breaker_transitions_total",
+    "Per-node circuit breaker transitions by entered state", ("state",))
+store_node_timeouts = _counter(
+    "store", "repro_store_node_timeouts_total", "Simulated store-node timeouts per node", ("node",))
+
+# -- ingest listener & log broker --------------------------------------
+ingest_received = _counter(
+    "ingest", "repro_ingest_received_total",
+    "Wire lines received by the syslog listener per transport", ("proto",))
+ingest_accepted = _counter(
+    "ingest", "repro_ingest_accepted_total",
+    "Wire lines parsed into messages and accepted by the listener")
+ingest_shed = _counter(
+    "ingest", "repro_ingest_shed_total",
+    "Wire lines shed by the listener's accept-time rate limiter")
+ingest_accept_dropped = _counter(
+    "ingest", "repro_ingest_accept_dropped_total",
+    "Wire lines dropped at accept time by the ingest.accept_drop fault site "
+    "(simulated NIC queue overflow)")
+ingest_parse_errors = _counter(
+    "ingest", "repro_ingest_parse_errors_total",
+    "Wire lines that matched neither RFC 3164 nor RFC 5424 and were quarantined to "
+    "the dead-letter queue")
+ingest_oversize = _counter(
+    "ingest", "repro_ingest_oversize_total",
+    "Wire lines over the listener's size cap, quarantined to the dead-letter queue")
+ingest_publish_refused = _counter(
+    "ingest", "repro_ingest_publish_refused_total",
+    "Accepted messages refused by the broker (stalled partition), quarantined to "
+    "the dead-letter queue")
+ingest_tenant_received = _counter(
+    "ingest", "repro_ingest_tenant_received_total",
+    "Parsed wire lines per tenant (host/app admission key)", ("tenant",))
+ingest_tenant_accepted = _counter(
+    "ingest", "repro_ingest_tenant_accepted_total",
+    "Wire lines admitted through the per-tenant fair-share quota", ("tenant",))
+ingest_tenant_shed = _counter(
+    "ingest", "repro_ingest_tenant_shed_total",
+    "Wire lines shed by the per-tenant admission quota", ("tenant", "reason"))
+ingest_tenants_active = _gauge(
+    "ingest", "repro_ingest_tenants_active",
+    "Tenants currently tracked by the deficit-round-robin quota")
+broker_published = _counter(
+    "broker", "repro_broker_published_total", "Records appended to log-broker partitions")
+broker_publish_refused = _counter(
+    "broker", "repro_broker_publish_refused_total",
+    "Publishes refused because the target partition was stalled")
+broker_polled = _counter(
+    "broker", "repro_broker_polled_total",
+    "Records delivered to consumer-group members by poll", ("group",))
+broker_commits = _counter(
+    "broker", "repro_broker_commits_total",
+    "Consumer-group offset commits applied by the broker", ("group",))
+broker_commits_lost = _counter(
+    "broker", "repro_broker_commits_lost_total",
+    "Consumer-group offset commits dropped in flight by the broker.commit_lost fault site")
+broker_lag = _gauge(
+    "broker", "repro_broker_lag",
+    "Records published but not yet committed by the consumer group", ("group",))
+broker_partitions = _gauge(
+    "broker", "repro_broker_partitions", "Partitions the log broker currently holds")
+broker_partition_stalls = _counter(
+    "broker", "repro_broker_partition_stalls_total",
+    "Partition stall events fired by the broker.partition_stall site")
+
+# -- end-to-end telemetry (tracing, latency, SLOs) ---------------------
+trace_sampled = _counter(
+    "e2e + slo", "repro_trace_sampled_total",
+    "Messages head-sampled into a cross-hop trace at accept time")
+e2e_latency_seconds = _histogram(
+    "e2e + slo", "repro_e2e_latency_seconds",
+    "Listener-accept to store-indexed seconds for sampled messages")
+broker_queue_age_seconds = _histogram(
+    "broker", "repro_broker_queue_age_seconds",
+    "Publish-to-poll dwell seconds of sampled records in broker partitions")
+broker_lag_age_seconds = _gauge(
+    "broker", "repro_broker_lag_age_seconds",
+    "Age in seconds of the oldest record published but not yet committed by the "
+    "consumer group", ("group",))
+poll_to_flush_seconds = _histogram(
+    "stream", "repro_stream_poll_to_flush_seconds",
+    "Seconds a sampled message dwelt in the forwarder buffer between poll/offer and "
+    "a successful flush")
+wal_fsync_seconds = _histogram(
+    "durability", "repro_wal_fsync_seconds", "Wall-clock seconds per write-ahead-log fsync call")
+slo_value = _gauge(
+    "e2e + slo", "repro_slo_value", "Current observed value of the declared SLO", ("slo",))
+slo_target = _gauge(
+    "e2e + slo", "repro_slo_target",
+    "Declared threshold the SLO's observed value must stay under", ("slo",))
+slo_compliant = _gauge(
+    "e2e + slo", "repro_slo_compliant",
+    "1 while the SLO's observed value meets its target, else 0", ("slo",))
+slo_budget_remaining = _gauge(
+    "e2e + slo", "repro_slo_error_budget_remaining",
+    "Fraction of the SLO's error budget still unburned (1 - value/target, clamped "
+    "to [-1, 1])", ("slo",))
+
+# -- control plane (closed-loop autoscaling / brownout) ----------------
+control_ticks = _counter("control", "repro_control_ticks_total", "Control-loop ticks executed")
+control_actuations = _counter(
+    "control", "repro_control_actuations_total",
+    "Lever moves applied by the controller", ("lever", "direction"))
+control_setpoint = _gauge(
+    "control", "repro_control_setpoint",
+    "Current value the controller holds each lever at", ("lever",))
+control_flips = _counter(
+    "control", "repro_control_flips_total",
+    "Actuations whose direction reversed the lever's previous move", ("lever",))
+control_brownout_level = _gauge(
+    "control", "repro_control_brownout_level",
+    "Current brownout ladder level (0 normal, 1 shrink batches, 2 cheap classify, 3 "
+    "shed at accept)")
+control_shed = _counter(
+    "control", "repro_control_shed_total",
+    "Messages dropped at accept by the brownout ladder", ("reason",))
+control_feedforward_rate = _gauge(
+    "control", "repro_control_feedforward_rate",
+    "Offered-load rate the feedforward term predicts at its horizon (msgs/s; tracks "
+    "the current rate while the window warms up)")
+control_feedforward_moves = _counter(
+    "control", "repro_control_feedforward_moves_total",
+    "Capacity up-moves taken on the feedforward surge prediction before the "
+    "reactive signal crossed its high watermark", ("lever",))
+
+# -- executor lifecycle ------------------------------------------------
+executor_workers = _gauge(
+    "pipeline", "repro_executor_workers", "Configured worker-process count of the sharded executor")
+executor_resizes = _counter(
+    "pipeline", "repro_executor_resizes_total", "Sharded-executor pool resizes", ("direction",))
+executor_respawns = _counter(
+    "pipeline", "repro_executor_respawns_total",
+    "Sharded-executor pool respawns after a broken worker pool")
+executor_serial_fallbacks = _counter(
+    "pipeline", "repro_executor_serial_fallbacks_total",
+    "Chunks executed serially in-process after pool retries failed")
+store_breaker_state = _gauge(
+    "store", "repro_store_breaker_state",
+    "Circuit-breaker state per store node (0 closed, 1 half-open, 2 open)", ("node",))
+
+
+def _named_accessors(namespace: dict) -> list[str]:
+    """Name each accessor after the module-level name it is bound to."""
+    bound = {id(obj): name for name, obj in namespace.items() if not name.startswith("_")}
+    for family in CATALOGUE:
+        name = bound[id(family.accessor)]  # KeyError: declared but not bound to a public name
+        family.accessor.__name__ = family.accessor.__qualname__ = name
+    return [family.accessor.__name__ for family in CATALOGUE]
+
+
+__all__ = [
+    *_named_accessors(globals()),
+    "CATALOGUE", "Family", "SECTIONS", "declare_all", "mirror_template_cache", "render_reference",
+]
 
 
 def declare_all(registry: MetricsRegistry | None = None) -> MetricsRegistry:
@@ -978,40 +399,45 @@ def declare_all(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     the full schema — unlabeled gauges/counters show a zero sample even
     when their subsystem never ran in this process.
     """
-    registry = _reg(registry)
-    for factory in (
-        stage_seconds, stage_items, pipeline_batches, pipeline_messages,
-        pipeline_filtered, pipeline_batch_seconds, shard_dispatch_seconds,
-        shard_queue_wait_seconds, shard_messages, shard_chunks,
-        template_cache_hits, template_cache_misses, template_cache_evictions,
-        template_cache_invalidations, template_cache_size,
-        fluentd_buffer_depth, fluentd_flush_size, fluentd_flushed_messages,
-        relay_received, relay_dropped, classifier_backlog,
-        fluentd_dropped, degraded_mode, degraded_transitions,
-        degraded_messages, faults_injected, faults_dead_letters,
-        faults_quarantined, faults_worker_respawns, faults_chunk_retries,
-        faults_serial_fallbacks, faults_dlq_evicted, wal_appends, wal_bytes,
-        wal_fsyncs, wal_rotations, wal_last_seq, wal_truncated_bytes,
-        wal_replayed_records, checkpoint_writes, checkpoint_last_bytes,
-        checkpoint_last_wal_seq, store_node_up, store_quorum_write_seconds,
-        store_quorum_read_seconds, store_quorum_failures, store_hints_queued,
-        store_hints_replayed, store_hints_dropped, store_read_repairs,
-        store_repair_docs, store_breaker_transitions, store_node_timeouts,
-        ingest_received, ingest_accepted, ingest_shed, ingest_accept_dropped,
-        ingest_parse_errors, ingest_oversize, ingest_publish_refused,
-        ingest_tenant_received, ingest_tenant_accepted, ingest_tenant_shed,
-        ingest_tenants_active,
-        broker_published, broker_publish_refused, broker_polled,
-        broker_commits, broker_commits_lost, broker_lag, broker_partitions,
-        broker_partition_stalls, trace_sampled, e2e_latency_seconds,
-        broker_queue_age_seconds, broker_lag_age_seconds,
-        poll_to_flush_seconds, wal_fsync_seconds, slo_value, slo_target,
-        slo_compliant, slo_budget_remaining, control_ticks,
-        control_actuations, control_setpoint, control_flips,
-        control_brownout_level, control_shed, control_feedforward_rate,
-        control_feedforward_moves, executor_workers,
-        executor_resizes, executor_respawns, executor_serial_fallbacks,
-        store_breaker_state,
-    ):
-        factory(registry)
+    registry = registry if registry is not None else default_registry()
+    for family in CATALOGUE:
+        family.accessor(registry)
     return registry
+
+
+def mirror_template_cache(
+    stats: Mapping[str, int], worker: int | str, registry: MetricsRegistry | None = None
+) -> None:
+    """Publish one process's template-cache counter deltas and size.
+
+    ``stats`` holds the ``TemplateCache.counters()`` deltas since the
+    last report plus the current ``size``.  The serial pipeline reports
+    its own cache under its pid; sharded workers' registries are
+    invisible to the parent, so chunk results carry ``stats`` by value
+    and the parent republishes them under the worker's pid — one
+    implementation, so both paths emit the same families.
+    """
+    worker = str(worker)
+    for stat, counter in (
+        ("hits", template_cache_hits),
+        ("misses", template_cache_misses),
+        ("evictions", template_cache_evictions),
+        ("invalidations", template_cache_invalidations),
+    ):
+        if delta := stats.get(stat, 0):
+            counter(registry).inc(delta, worker=worker)
+    template_cache_size(registry).set(stats.get("size", 0), worker=worker)
+
+
+def render_reference() -> str:
+    """The generated ``docs/API.md`` block: one table of families per panel section."""
+    lines = ["<!-- metric-reference:begin (generated by wellknown.render_reference) -->"]
+    for section in SECTIONS:
+        lines += ["", f"**{section}**", ""]
+        lines += ["| family | kind | labels | help |", "|---|---|---|---|"]
+        for family in CATALOGUE:
+            if family.section == section:
+                labels = ", ".join(f"`{label}`" for label in family.labels) or "—"
+                help = family.help.replace("|", "\\|")  # a bare pipe would end the table cell
+                lines.append(f"| `{family.name}` | {family.kind} | {labels} | {help} |")
+    return "\n".join([*lines, "", "<!-- metric-reference:end -->"])

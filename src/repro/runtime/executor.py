@@ -382,30 +382,6 @@ class ShardedExecutor:
             results.extend(chunk_results)
         return results
 
-    def _mirror_cache_stats(self, cache_stats, pid, registry) -> None:
-        """Adopt one worker's template-cache counter deltas.
-
-        Worker-process registries are invisible here, so the chunk
-        result carries the deltas by value and the parent republishes
-        them under the worker's pid label — the same families the
-        serial path emits.
-        """
-        from repro.obs import wellknown
-
-        worker = str(pid)
-        for name, family in (
-            ("hits", wellknown.template_cache_hits),
-            ("misses", wellknown.template_cache_misses),
-            ("evictions", wellknown.template_cache_evictions),
-            ("invalidations", wellknown.template_cache_invalidations),
-        ):
-            delta = cache_stats.get(name, 0)
-            if delta:
-                family(registry).inc(delta, worker=worker)
-        wellknown.template_cache_size(registry).set(
-            cache_stats.get("size", 0), worker=worker
-        )
-
     def _gather_resilient(self, chunks, ctx, registry, tracer):
         """Dispatch every chunk until classified; never loses a chunk.
 
@@ -478,7 +454,9 @@ class ShardedExecutor:
                     pipe.dead_letters.extend(dlq_entries)
                     wellknown.faults_quarantined(registry).inc(len(dlq_entries))
                 if cache_stats is not None:
-                    self._mirror_cache_stats(cache_stats, pid, registry)
+                    # the worker's registry is invisible here: republish
+                    # its deltas under its pid, as the serial path does
+                    wellknown.mirror_template_cache(cache_stats, pid, registry)
                 by_chunk[idx] = chunk_results
             if pool_broken:
                 self._respawn_pool(registry)

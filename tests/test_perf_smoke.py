@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.message import Severity, SyslogMessage
 from repro.ingest import LogBroker
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, NullRegistry, wellknown
 from repro.stream.opensearch import LogStore
 from repro.textproc.drain import DrainTemplateMiner
 from repro.textproc.tfidf import TfidfVectorizer
@@ -200,6 +200,48 @@ class TestBrokerPollFloors:
             _caught_up_broker(1_000, 5), _caught_up_broker(50, 5), three_record_poll
         )
         assert ratio <= 3.0, f"a 3-record poll over 1,000 partitions costs {ratio:.1f}x"
+
+
+class TestWellknownAccessorFloor:
+    """A catalogue accessor is a thin get-or-create: hot paths call a
+    dozen of them per classified batch."""
+
+    def test_accessor_costs_at_most_half_more_than_direct_get_or_create(self):
+        registry = MetricsRegistry()
+        family = next(f for f in wellknown.CATALOGUE if f.accessor is wellknown.broker_polled)
+        name, help_text, labels = family.name, family.help, family.labels
+
+        def accessor_round() -> float:
+            accessor = wellknown.broker_polled
+            t0 = time.perf_counter()
+            for _ in range(2_000):
+                accessor(registry)
+            return time.perf_counter() - t0
+
+        def direct_round() -> float:
+            counter = registry.counter
+            t0 = time.perf_counter()
+            for _ in range(2_000):
+                counter(name, help_text, labels)
+            return time.perf_counter() - t0
+
+        assert wellknown.broker_polled(registry) is registry.counter(name, help_text, labels)
+        passes = [(accessor_round(), direct_round()) for _ in range(25)]
+        ratio = min(p[0] for p in passes) / min(p[1] for p in passes)
+        assert ratio <= 1.5, f"an accessor costs {ratio:.2f}x a direct get-or-create"
+
+    def test_null_registry_gets_the_shared_null_metric(self):
+        null = NullRegistry()
+        assert wellknown.broker_lag(null) is null.gauge("anything")
+        assert not wellknown.stage_seconds(null).live
+
+    def test_accessors_say_what_they_are(self):
+        assert wellknown.broker_lag.__name__ == "broker_lag"
+        assert wellknown.broker_lag.__qualname__ == "broker_lag"
+        for family in wellknown.CATALOGUE:
+            doc = family.accessor.__doc__
+            assert doc.startswith(family.kind.capitalize()), family.name
+            assert family.name in doc and family.help in doc
 
 
 class TestTemplateCacheSpeedup:

@@ -290,23 +290,22 @@ class SyslogListener:
                 chunk = await reader.read(1 << 16)
                 if not chunk:
                     break
-                buf += chunk
-                while True:
-                    nl = buf.find(b"\n")
-                    if nl < 0:
-                        if skipping:
-                            buf = b""
-                        elif len(buf) > self.max_line_bytes:
-                            self._handle_line(buf, udp=False)  # counted oversize
-                            buf = b""
-                            skipping = True
-                        break
-                    line, buf = buf[:nl], buf[nl + 1:]
+                # one split per chunk: slicing the buffer once per line
+                # would copy its remainder once per line
+                lines = chunk.split(b"\n")
+                lines[0] = buf + lines[0]
+                buf = lines.pop()  # unterminated tail, b"" after a newline
+                for line in lines:
                     if skipping:
-                        skipping = False
-                        continue
-                    if line:
+                        skipping = False  # the oversize line's newline
+                    elif line:
                         self._handle_line(line, udp=False)
+                if skipping:
+                    buf = b""
+                elif len(buf) > self.max_line_bytes:
+                    self._handle_line(buf, udp=False)  # counted oversize
+                    buf = b""
+                    skipping = True
             if buf and not skipping:
                 self._handle_line(buf, udp=False)
         except (asyncio.CancelledError, ConnectionError):

@@ -97,20 +97,52 @@ class StoreNode:
 
     # -- writes ------------------------------------------------------------
 
+    def put_many(
+        self,
+        doc_ids: Sequence[int],
+        messages: Sequence[SyslogMessage],
+        tokens: Sequence[tuple[str, ...]],
+    ) -> None:
+        """Store this node's run of one freshly written batch.
+
+        The quorum write's one call per owner: three parallel columns,
+        the documents of the batch that route to this node's shards, in
+        doc-id order and new to the node.  They land at version 1 with
+        no category — one liveness check, one pass over the run for the
+        replica map and the per-shard id sets, and one
+        :meth:`LogStore.index_many` for the rows of shards the node is
+        acting primary for.  Refreshing a copy the node may already hold
+        is :meth:`put`'s job.
+        """
+        self.ping()
+        docs, n_shards, shard_ids = self._docs, self.n_shards, self._shard_ids
+        primary = self.primary_shards
+        to_index = []
+        for row in zip(doc_ids, messages, tokens):
+            doc_id, message, _ = row
+            docs[doc_id] = VersionedDoc(message, None, 1)
+            shard = doc_id % n_shards
+            try:
+                shard_ids[shard].add(doc_id)
+            except KeyError:
+                shard_ids[shard] = {doc_id}
+            if shard in primary:
+                to_index.append(row)
+        if to_index:
+            self._index_rows(*zip(*to_index))
+
     def put(
         self,
         doc_id: int,
         message: SyslogMessage,
         category: Category | None,
         version: int,
-        *,
-        tokens: Sequence[str] | None = None,
     ) -> bool:
         """Store (or refresh) one document copy; False when stale.
 
         Idempotent and monotone: a copy at ``version`` or newer is left
-        untouched, so hint replay and anti-entropy can push the same
-        document any number of times.
+        untouched, so read repair, hint replay and anti-entropy can push
+        the same document any number of times.
         """
         self.ping()
         shard = doc_id % self.n_shards
@@ -123,7 +155,11 @@ class StoreNode:
             message=message, category=category, version=version
         )
         if shard in self.primary_shards:
-            self._index_doc(doc_id, message, category, tokens)
+            local = self._local_of.get(doc_id)
+            if local is None:
+                self._index_rows([doc_id], [message], None, [category])
+            elif category is not None:
+                self.search_index.set_category(local, category)
         return True
 
     def apply_category(self, doc_id: int, category: Category, version: int) -> bool:
@@ -139,15 +175,12 @@ class StoreNode:
             self.search_index.set_category(local, category)
         return True
 
-    def _index_doc(self, doc_id, message, category, tokens) -> None:
-        local = self._local_of.get(doc_id)
-        if local is not None:
-            if category is not None:
-                self.search_index.set_category(local, category)
-            return
-        local = self.search_index.index(message, category, _tokens=tokens)
-        self._local_gids.append(doc_id)
-        self._local_of[doc_id] = local
+    def _index_rows(self, doc_ids, messages, tokens, categories=None) -> None:
+        """Add not-yet-indexed documents to the search index, keeping
+        the local <-> global id maps in step."""
+        local_ids = self.search_index.index_many(messages, tokens, categories)
+        self._local_gids.extend(doc_ids)
+        self._local_of.update(zip(doc_ids, local_ids))
 
     # -- reads -------------------------------------------------------------
 
@@ -187,13 +220,16 @@ class StoreNode:
         """
         self.ping()
         self.primary_shards.add(shard)
-        n = 0
-        for doc_id in sorted(self._shard_ids.get(shard, ())):
-            if doc_id not in self._local_of:
-                doc = self._docs[doc_id]
-                self._index_doc(doc_id, doc.message, doc.category, None)
-                n += 1
-        return n
+        missing = [
+            doc_id
+            for doc_id in sorted(self._shard_ids.get(shard, ()))
+            if doc_id not in self._local_of
+        ]
+        docs = [self._docs[doc_id] for doc_id in missing]
+        self._index_rows(
+            missing, [d.message for d in docs], None, [d.category for d in docs]
+        )
+        return len(missing)
 
     def demote(self, shard: int) -> None:
         """Stop acting as primary for ``shard``.

@@ -18,7 +18,7 @@ the chaos suite to assert exact outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["ShardPlacement"]
 
@@ -41,6 +41,11 @@ class ShardPlacement:
     n_nodes: int
     n_shards: int = 6
     n_replicas: int = 1
+    #: ``owner_table[shard]`` is the shard's preference list; placement
+    #: is static, so it is laid out once and every lookup is an index
+    owner_table: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -52,6 +57,10 @@ class ShardPlacement:
                 f"n_replicas must be in [0, n_nodes), got "
                 f"{self.n_replicas} with n_nodes={self.n_nodes}"
             )
+        object.__setattr__(self, "owner_table", tuple(
+            tuple((shard + i) % self.n_nodes for i in range(self.copies))
+            for shard in range(self.n_shards)
+        ))
 
     @property
     def copies(self) -> int:
@@ -68,12 +77,12 @@ class ShardPlacement:
             raise ValueError(
                 f"shard must be in [0, {self.n_shards}), got {shard}"
             )
-        return tuple((shard + i) % self.n_nodes for i in range(self.copies))
+        return self.owner_table[shard]
 
     def shards_owned_by(self, node_id: int) -> tuple[int, ...]:
         """Every shard whose preference list contains ``node_id``."""
         return tuple(
-            s for s in range(self.n_shards) if node_id in self.owners(s)
+            s for s, owners in enumerate(self.owner_table) if node_id in owners
         )
 
     def primary_of(self, shard: int) -> int:

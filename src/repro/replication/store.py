@@ -37,6 +37,7 @@ import time
 from collections import Counter as _Counter
 from collections.abc import Sequence
 from functools import partial
+from itertools import compress, cycle, repeat
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
@@ -363,30 +364,37 @@ class ReplicatedLogStore:
         self._ops += 1
         slow = self._check_fault_sites()
         live = self._available_nodes(slow=slow)
-        # settle write availability per shard before touching any node
-        batch_shards = {
-            (len(self._versions) + i) % self.n_shards
-            for i in range(len(messages))
-        }
-        for shard in sorted(batch_shards):
-            owners = self.placement.owners(shard)
-            n_live = sum(1 for o in owners if o in live)
+        # settle write availability per shard before touching any node;
+        # documents route by doc_id % n_shards, so the shards of the
+        # first n_shards rows are the batch's, and they repeat in order
+        n, first, n_shards = len(messages), len(self._versions), self.n_shards
+        row_shards = [(first + i) % n_shards for i in range(min(n, n_shards))]
+        owners = {s: self.placement.owners(s) for s in sorted(row_shards)}
+        for shard, nodes in owners.items():
+            n_live = len(live.intersection(nodes))
             if n_live < self.write_quorum:
                 self._m_quorum_failures.inc(op="write")
                 raise QuorumError("write", shard, self.write_quorum, n_live)
         # one analysis per document, on the coordinator: the acting
         # primary indexes with these tokens, replicas store the document
         analyzed = [_analyze(m.text) for m in messages]
-        for message, tokens in zip(messages, analyzed):
-            doc_id = len(self._versions)
-            self._versions.append(1)
-            shard = doc_id % self.n_shards
-            for owner in self.placement.owners(shard):
-                if owner in live:
-                    self.nodes[owner].put(
-                        doc_id, message, None, 1, tokens=tokens
-                    )
-                else:
+        # one int object per document, shared by every owner's maps
+        doc_ids = list(range(first, first + n))
+        self._versions.extend(repeat(1, n))
+        for owner, node in enumerate(self.nodes):
+            keep = [owner in owners[shard] for shard in row_shards]
+            if not any(keep):
+                continue  # owns no shard of this batch
+            # an owner of every shard of the batch is handed the batch's
+            # own columns: cutting copies there costs a 3-document batch
+            # 10% (TestStoreWriteFloors times both sides of this branch)
+            run = (doc_ids, messages, analyzed)
+            if not all(keep):
+                run = [list(compress(column, cycle(keep))) for column in run]
+            if owner in live:
+                node.put_many(*run)
+            else:
+                for doc_id in run[0]:
                     self._hint(owner, doc_id)
         wall = time.perf_counter() - t0
         self._m_write_seconds.observe(wall)
@@ -414,11 +422,17 @@ class ReplicatedLogStore:
 
         Unreachable owners are hinted; a rejoined owner converges via
         hint replay (which re-reads the latest copy) or anti-entropy.
+
+        Raises
+        ------
+        IndexError
+            Unknown doc id (matching :meth:`get`); nothing is touched.
         """
+        if not 0 <= doc_id < len(self._versions):
+            raise IndexError(f"doc id {doc_id} out of range")
         version = self._versions[doc_id] + 1
         self._versions[doc_id] = version
-        shard = doc_id % self.n_shards
-        for owner in self.placement.owners(shard):
+        for owner in self.placement.owner_table[doc_id % self.n_shards]:
             node = self.nodes[owner]
             if not self._reachable(owner):
                 self._hint(owner, doc_id)

@@ -22,7 +22,8 @@ import bisect
 import time
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
@@ -35,6 +36,7 @@ __all__ = ["LogDocument", "LogStore", "QueryResult", "DateHistogramBucket"]
 #: the process has seen cost one mask and one lookup, not a tokenize
 ANALYSIS_MEMO_MAX_ENTRIES = 1 << 11
 _ANALYSIS_MEMO: dict[str, tuple[str, ...]] = {}
+_NO_TIME = float("-inf")  # earlier than any timestamp
 
 
 def _analyze(text: str) -> tuple[str, ...]:
@@ -92,6 +94,9 @@ class LogStore:
         self._docs: list[LogDocument] = []
         self._shard_counts = [0] * n_shards
         self._postings: dict[str, list[int]] = defaultdict(list)
+        # token tuple -> () on first sight, then (distinct tokens, the
+        # bound ``append`` of each one's posting list); see index_many
+        self._plans: dict[tuple[str, ...], tuple] = {}
         self._times: list[float] = []  # per doc_id, indexing order
         # Time index, sorted lazily: streams arrive mostly in time
         # order (append-only), while bulk loads may be shuffled — an
@@ -104,39 +109,84 @@ class LogStore:
     # -- indexing -------------------------------------------------------
 
     def index(
-        self,
-        message: SyslogMessage,
-        category: Category | None = None,
-        *,
-        _tokens: Sequence[str] | None = None,
+        self, message: SyslogMessage, category: Category | None = None
     ) -> int:
-        """Index one message; returns its doc id.
+        """Index one message; returns its doc id."""
+        return self.index_many([message], categories=[category])[0]
 
-        ``_tokens`` lets :meth:`bulk_index` pass pre-computed analysis
-        so a batch can be analyzed in full *before* any document
-        mutates the store (all-or-nothing bulk semantics).
+    def index_many(
+        self,
+        messages: Sequence[SyslogMessage],
+        tokens: Sequence[tuple[str, ...]] | None = None,
+        categories: Sequence[Category | None] | None = None,
+    ) -> list[int]:
+        """Index a run of messages; returns their doc ids, ascending.
+
+        The one postings-maintenance routine.  ``tokens`` is the
+        per-message analysis when the caller already has it (the
+        replicated store analyzes a batch once for all its owners);
+        otherwise every message is analyzed here *before* the first
+        document lands, so a poison message fails the run with the
+        store unchanged — as does a ``tokens`` or ``categories`` column
+        of another length than ``messages`` (:class:`ValueError`).
+
+        A template's tokens are deduplicated and bound to their posting
+        lists once, in a *plan* keyed by the token tuple the analysis
+        memo shares between lines of one template: every later line of
+        that template costs one append per distinct token.  A template
+        earns its plan on second sight — for text that never repeats a
+        plan is pure overhead, so the first sight costs one lookup.
         """
-        doc_id = len(self._docs)
-        doc = LogDocument(doc_id=doc_id, message=message, category=category)
-        self._docs.append(doc)
-        self._shard_counts[doc_id % self.n_shards] += 1
-        seen: set[str] = set()
-        tokens = _tokens if _tokens is not None else _analyze(message.text)
-        for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                self._postings[tok].append(doc_id)
-        for extra in (message.hostname, message.app):
-            key = extra.lower()
-            if key not in seen:
-                seen.add(key)
-                self._postings[key].append(doc_id)
-        if self._time_sorted and message.timestamp < self._time_sorted[-1]:
-            self._time_dirty = True
-        self._time_sorted.append(message.timestamp)
-        self._time_order.append(doc_id)
-        self._times.append(message.timestamp)
-        return doc_id
+        if tokens is None:
+            tokens = [_analyze(m.text) for m in messages]
+        elif len(tokens) != len(messages):
+            raise ValueError(f"{len(tokens)} token rows for {len(messages)} messages")
+        if categories is not None and len(categories) != len(messages):
+            raise ValueError(f"{len(categories)} categories for {len(messages)} messages")
+        first = len(self._docs)
+        # one int object per document, shared by every structure below
+        # (and by the caller's own id maps)
+        ids = list(range(first, first + len(messages)))
+        docs, postings, plans = self._docs, self._postings, self._plans
+        n_shards, shard_counts = self.n_shards, self._shard_counts
+        times, time_sorted = self._times, self._time_sorted
+        last = time_sorted[-1] if time_sorted else _NO_TIME
+        for doc_id, message, toks, category in zip(
+            ids, messages, tokens, categories or repeat(None)
+        ):
+            docs.append(LogDocument(doc_id, message, category))
+            shard_counts[doc_id % n_shards] += 1
+            plan = plans.get(toks)
+            if plan is None:  # first sight: remember it, index it longhand
+                if len(plans) >= ANALYSIS_MEMO_MAX_ENTRIES:
+                    plans.clear()
+                plans[toks] = ()
+                seen = dict.fromkeys(toks)
+                for tok in seen:
+                    postings[tok].append(doc_id)
+            else:
+                if not plan:  # second sight: the template repeats
+                    seen = dict.fromkeys(toks)
+                    plan = plans[toks] = (
+                        seen, [postings[tok].append for tok in seen]
+                    )
+                seen, appends = plan
+                for append in appends:
+                    append(doc_id)
+            host = message.hostname.lower()
+            if host not in seen:
+                postings[host].append(doc_id)
+            app = message.app.lower()
+            if app not in seen and app != host:
+                postings[app].append(doc_id)
+            ts = message.timestamp
+            if ts < last:
+                self._time_dirty = True
+            last = ts
+            time_sorted.append(ts)
+            times.append(ts)
+        self._time_order.extend(ids)
+        return ids
 
     def _ensure_time_index(self) -> None:
         if self._time_dirty:
@@ -163,9 +213,7 @@ class LogStore:
 
         ctxs, clock = carried()
         wall_t0 = time.perf_counter() if ctxs else 0.0
-        analyzed = [_analyze(m.text) for m in messages]
-        for m, toks in zip(messages, analyzed):
-            self.index(m, _tokens=toks)
+        self.index_many(messages)
         if ctxs:
             now = clock()
             wall_ms = (time.perf_counter() - wall_t0) * 1e3
@@ -177,10 +225,18 @@ class LogStore:
         return True
 
     def set_category(self, doc_id: int, category: Category) -> None:
-        """Attach a classifier verdict to an already-indexed document."""
-        doc = self._docs[doc_id]
+        """Attach a classifier verdict to an already-indexed document.
+
+        Raises
+        ------
+        IndexError
+            ``doc_id`` outside ``[0, len(store))`` — a negative id is
+            not a position counted from the end.
+        """
+        if not 0 <= doc_id < len(self._docs):
+            raise IndexError(f"doc id {doc_id} out of range")
         self._docs[doc_id] = LogDocument(
-            doc_id=doc.doc_id, message=doc.message, category=category
+            doc_id, self._docs[doc_id].message, category
         )
 
     # -- queries ----------------------------------------------------------

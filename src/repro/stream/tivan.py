@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.core.taxonomy import Category
 from repro.datagen.workload import StreamEvent
-from repro.replication.store import QuorumError
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
 from repro.stream.opensearch import LogStore
@@ -694,6 +693,10 @@ class TivanCluster:
             wellknown.degraded_transitions().inc(direction="exit")
 
     def _classifier_tick(self) -> None:
+        # imported here: repro.replication imports repro.stream.opensearch,
+        # whose package imports this module
+        from repro.replication.store import QuorumError
+
         stage = self._stage
         assert stage is not None
         pending = len(self.store) - stage.n_done

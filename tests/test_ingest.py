@@ -660,6 +660,118 @@ class TestSyslogListener:
 
 
 # ---------------------------------------------------------------------------
+# differential: one split per chunk against the slice-per-line framing
+
+
+class SlicePerLineListener(SyslogListener):
+    """``_serve_tcp`` as it was: the buffer re-sliced once per line."""
+
+    async def _serve_tcp(self, reader, writer):
+        buf = b""
+        skipping = False
+        try:
+            while True:
+                chunk = await reader.read(1 << 16)
+                if not chunk:
+                    break
+                buf += chunk
+                while True:
+                    nl = buf.find(b"\n")
+                    if nl < 0:
+                        if skipping:
+                            buf = b""
+                        elif len(buf) > self.max_line_bytes:
+                            self._handle_line(buf, udp=False)  # counted oversize
+                            buf = b""
+                            skipping = True
+                        break
+                    line, buf = buf[:nl], buf[nl + 1:]
+                    if skipping:
+                        skipping = False
+                        continue
+                    if line:
+                        self._handle_line(line, udp=False)
+            if buf and not skipping:
+                self._handle_line(buf, udp=False)
+        except (asyncio.CancelledError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+
+class _ChunkedReader:
+    """``StreamReader.read`` that hands out ``size`` bytes at a time."""
+
+    def __init__(self, data: bytes, size: int) -> None:
+        self.data, self.size, self.pos = data, size, 0
+
+    async def read(self, _n):
+        chunk = self.data[self.pos:self.pos + self.size]
+        self.pos += len(chunk)
+        return chunk
+
+
+class _NullWriter:
+    def close(self):
+        pass
+
+
+def _framing_stream(cap: int, *, unterminated: bool) -> bytes:
+    """Valid, blank and oversize lines; one oversize line that a reader
+    sees grow past the cap long before its newline; an oversize line
+    directly after another; and (optionally) no final newline."""
+    valid = [_msg(i, host=f"cn{i % 5:02d}").to_rfc5424().encode() for i in range(40)]
+    parts = valid[:10] + [b"", b""] + [b"x" * (cap + 1)] + valid[10:20]
+    parts += [b"<13>" + b"y" * (5 * cap)] + [b"z" * (cap + 7)] + [b""]
+    parts += valid[20:30] + [b"not a syslog line", b"w" * cap] + valid[30:]
+    stream = b"\n".join(parts)
+    return stream if unterminated else stream + b"\n"
+
+
+class TestTcpFraming:
+    CAP = 300
+
+    def _serve(self, cls, stream: bytes, chunk: int):
+        broker = LogBroker(registry=MetricsRegistry())
+        listener = cls(broker, udp_port=None, tcp_port=None, max_line_bytes=self.CAP)
+        _run(listener._serve_tcp(_ChunkedReader(stream, chunk), _NullWriter()))
+        broker.subscribe("g", "m0")
+        published = [
+            (r.partition, r.offset, r.message)
+            for r in broker.poll("g", "m0", max_records=1000)
+        ]
+        dead = [(d.site, d.payload, d.error) for d in listener.dead_letters]
+        return listener.stats, dead, published
+
+    @pytest.mark.parametrize("unterminated", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 65536])
+    def test_split_per_chunk_equals_slice_per_line(self, chunk, unterminated):
+        stream = _framing_stream(self.CAP, unterminated=unterminated)
+        stats, dead, published = self._serve(SyslogListener, stream, chunk)
+        want_stats, want_dead, want_published = self._serve(
+            SlicePerLineListener, stream, chunk
+        )
+        assert stats == want_stats and stats.accounted()
+        assert dead == want_dead
+        assert published == want_published
+        # and the stream did exercise every branch
+        assert stats.accepted == 40 and stats.parse_errors == 2
+        assert stats.oversize == 3
+
+    def test_oversize_reason_depends_on_when_the_cap_is_crossed(self):
+        """The reference's own behaviour, pinned so the equality above
+        is not vacuous: a byte-at-a-time reader quarantines an oversize
+        line the moment it outgrows the cap, a whole-stream reader only
+        at its newline — the same count, a different length on record."""
+        stream = _framing_stream(self.CAP, unterminated=False)
+        by_byte = self._serve(SyslogListener, stream, 1)[1]
+        at_once = self._serve(SyslogListener, stream, 65536)[1]
+        assert len(by_byte) == len(at_once)
+        assert f"oversize: {self.CAP + 1} bytes" in by_byte[1][2]
+        assert f"oversize: {5 * self.CAP + 4} bytes" in at_once[1][2]
+
+
+# ---------------------------------------------------------------------------
 # the broker-spine simulation
 
 

@@ -202,6 +202,108 @@ class TestBrokerPollFloors:
         assert ratio <= 3.0, f"a 3-record poll over 1,000 partitions costs {ratio:.1f}x"
 
 
+def _write_lines(n: int, *, repeated: bool) -> list[SyslogMessage]:
+    """``n`` messages of eight templates that mask to the same text on
+    every line, or ``n`` that each carry a word no other line has."""
+    templates = [
+        "usb {i}-1: new high-speed USB device number {i} using xhci_hcd",
+        "Accepted publickey for user{i} from 10.0.{i}.9 port 4{i}",
+        "launch task {i}.0 request from UID {i}",
+        "[Hardware Error]: Machine check events logged on CPU {i}",
+        "thermal_zone{i}: critical temperature reached ({i} C)",
+        "job {i} started on partition batch with {i} tasks",
+        "link eth{i} is up at {i} Mbps full duplex",
+        "mounted filesystem with ordered data mode on nvme{i}",
+    ]
+    rng = np.random.default_rng(0)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    out = []
+    for i in range(n):
+        text = templates[i % len(templates)].format(i=i % 97)
+        if not repeated:
+            text += " " + "".join(letters[rng.integers(0, 26, size=9)])
+        out.append(SyslogMessage(
+            timestamp=float(i), hostname=f"cn{i % 24:03d}", app="kernel", text=text,
+        ))
+    return out
+
+
+#: the spine benchmark's placement: every node owns every shard, so an
+#: owner's run is the batch itself
+_EVERY_NODE_OWNS_ALL = dict(n_nodes=3, n_shards=6, n_replicas=2)
+#: the paper's shape: a node owns a third of the shards, so its run is
+#: cut out of the batch's columns
+_A_NODE_OWNS_A_THIRD = dict(n_nodes=6, n_shards=6, n_replicas=1, write_quorum=1)
+
+
+def _write_cost_ratio(
+    messages, batch: int, rounds: int = 7, placement=_EVERY_NODE_OWNS_ALL
+) -> float:
+    """Cost of ``ReplicatedLogStore.bulk_index`` over the per-document
+    write it replaced (``perdoc_store.PerDocStore``) at one placement:
+    alternating rounds on fresh stores, best round of each side."""
+    from perdoc_store import PerDocStore
+    from repro.replication import ReplicatedLogStore
+
+    batches = [messages[i:i + batch] for i in range(0, len(messages), batch)]
+
+    def one_round(cls) -> float:
+        store = cls(registry=MetricsRegistry(), **placement)
+        t0 = time.perf_counter()
+        for b in batches:
+            store.bulk_index(b)
+        dt = time.perf_counter() - t0
+        assert len(store) == len(messages)
+        return dt
+
+    passes = [(one_round(ReplicatedLogStore), one_round(PerDocStore)) for _ in range(rounds)]
+    return min(p[0] for p in passes) / min(p[1] for p in passes)
+
+
+class TestStoreWriteFloors:
+    """One write per owner: the columnar quorum write against the
+    per-document one, same process, same messages.  Ratios only."""
+
+    def test_repeated_templates_in_full_batches_are_a_fifth_faster(self):
+        ratio = _write_cost_ratio(_write_lines(4_000, repeated=True), 500)
+        assert ratio <= 1 / 1.2, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_never_repeating_templates_cost_no_more(self):
+        """Text that never repeats earns no plan: a first sight is one
+        lookup, so the bypass costs at most timer noise."""
+        ratio = _write_cost_ratio(_write_lines(4_000, repeated=False), 500)
+        assert ratio <= 1.05, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_a_three_document_batch_is_no_slower(self):
+        """The paced regime flushes a handful of lines at a time; the
+        per-owner call must not cost what it saves.  Measured 0.91-0.97
+        here (1.00 on the spine benchmark's own lines); the allowance is
+        for the timer."""
+        ratio = _write_cost_ratio(_write_lines(2_400, repeated=True), 3, rounds=9)
+        assert ratio <= 1.05, f"a 3-doc bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_cut_out_runs_in_full_batches_are_a_fifth_faster(self):
+        """The other side of ``bulk_index``'s per-owner branch: where a
+        node owns only some shards its run is compressed out of the
+        batch's columns.  Measured 0.55-0.58."""
+        ratio = _write_cost_ratio(
+            _write_lines(4_000, repeated=True), 500, placement=_A_NODE_OWNS_A_THIRD
+        )
+        assert ratio <= 1 / 1.2, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_cut_out_runs_of_a_three_document_batch_have_a_bounded_cost(self):
+        """Three documents over six nodes reach four owners with one or
+        two rows each: a call per owner has nothing to amortise, and
+        cutting the runs out costs more than the per-document write's
+        six ``put``s did.  Measured 1.25-1.36 (about 3 us per document
+        of a paced phase that costs 340 per line); this pins it there."""
+        ratio = _write_cost_ratio(
+            _write_lines(2_400, repeated=True), 3, rounds=9,
+            placement=_A_NODE_OWNS_A_THIRD,
+        )
+        assert ratio <= 1.5, f"a 3-doc bulk_index costs {ratio:.2f}x the per-doc write"
+
+
 class TestWellknownAccessorFloor:
     """A catalogue accessor is a thin get-or-create: hot paths call a
     dozen of them per classified batch."""

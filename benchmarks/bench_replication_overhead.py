@@ -1,5 +1,6 @@
 """REPLICATION — quorum-write cost versus a bare LogStore, and versus
-the per-document write both replaced.
+the per-document write both replaced; query cost beside it, versus the
+scan-every-copy aggregations the shared engine replaced.
 
 The replicated store at the paper's deployment shape (3 nodes, RF=3,
 W=2) pays for durability with extra copies: every batch is analyzed
@@ -30,6 +31,20 @@ saturated flush).  Rounds are interleaved and min-of-rounds is
 compared, so a background hiccup lands on every lane instead of biasing
 one.  Written to ``BENCH_replication_overhead.json``.
 
+The read lane asks the spine benchmark's five dashboard queries
+(``benchmarks/spine/dashboard.py``: two message-rate histograms, the
+busiest hosts, the severity mix over the recent tenth, a term search) of
+three stores holding the same documents — bare, replicated, and the
+replicated store as it read before (``PerDocStore``: ``term_query`` from
+the acting primaries, the aggregations from a walk over every copy of
+every shard) — at two sizes.  What it shows is the shape: a ranged
+query costs its window on the engine and the whole store on the scan.
+Two rows more ask ``all_terms_query`` and ``phrase_query``, which only
+the bare store had before: there the engine on the bare store is read
+against the bare store's former bodies (``PerDocLogStore``).  Reported
+under ``reads`` in the same artifact, min of rounds, not asserted beyond
+the stores of a row agreeing on its answer.
+
 Environment knobs: ``REPRO_BENCH_REPL_MESSAGES`` (messages per round,
 default 6000), ``REPRO_BENCH_REPL_ROUNDS`` (rounds, default 5).
 """
@@ -50,10 +65,13 @@ from repro.stream.opensearch import LogStore
 from conftest import BENCH_SEED, emit, write_artifact
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "spine"))
+import dashboard  # noqa: E402
 from perdoc_store import PerDocLogStore, PerDocStore  # noqa: E402
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_REPL_MESSAGES", "6000"))
 N_ROUNDS = int(os.environ.get("REPRO_BENCH_REPL_ROUNDS", "5"))
+READ_DOCS = (3000, 30000)
 BATCHES = (3, 500)
 OVERHEAD_BUDGET_PCT = 35.0
 _REPLICATED = dict(n_nodes=3, n_shards=6, n_replicas=2, write_quorum=2, read_quorum=2)
@@ -85,7 +103,7 @@ def _fresh_word(i: int) -> str:
     return "".join(chr(97 + (i * 7919 + BENCH_SEED >> s) % 26) for s in range(0, 36, 4))
 
 
-def _messages(*, repeated: bool) -> list[SyslogMessage]:
+def _messages(*, repeated: bool, n: int = N_MESSAGES) -> list[SyslogMessage]:
     return [
         SyslogMessage(
             timestamp=float(i),
@@ -94,7 +112,7 @@ def _messages(*, repeated: bool) -> list[SyslogMessage]:
             text=_TEMPLATES[i % len(_TEMPLATES)].format(i=i % 97)
             + ("" if repeated else " " + _fresh_word(i)),
         )
-        for i in range(N_MESSAGES)
+        for i in range(n)
     ]
 
 
@@ -111,6 +129,77 @@ def _run(make, batches) -> float:
 
 def _overhead_pct(us: dict[str, float], lane: str, bare: str) -> float:
     return round((us[lane] - us[bare]) / us[bare] * 100.0, 2)
+
+
+#: read lane -> store factory
+READ_LANES = {
+    "bare": LANES["bare"],
+    "replicated": LANES["replicated"],
+    "replicated scan": LANES["replicated per-doc"],
+    "bare before": LANES["bare per-doc"],
+}
+
+#: The document queries no dashboard asks.  The replicated store had
+#: neither before the engine, so what they are read against is the body
+#: each had on the bare store (``PerDocLogStore``), not the scan.
+DOC_QUERIES = {
+    "all_terms_query": lambda store: store.all_terms_query(["kernel", "usb"]),
+    "phrase_query": lambda store: store.phrase_query("new high-speed USB device"),
+}
+
+
+def _answer(kind: str, result):
+    """An answer in a form the stores can be compared on: of the busiest
+    hosts the counts only — the 24 hosts tie, and among equal counts the
+    engine cuts by value, the scan by first sight."""
+    if kind == "terms_aggregation":
+        return sorted(n for _host, n in result)
+    if kind == "term_query" or kind in DOC_QUERIES:
+        return [d.doc_id for d in result.docs], result.total
+    return result
+
+
+def _read_lane() -> tuple[list[dict], list[list[str]]]:
+    rows, table = [], []
+    for n_docs in READ_DOCS:
+        msgs = _messages(repeated=True, n=n_docs)
+        with use_registry(MetricsRegistry()):
+            stores = {lane: make() for lane, make in READ_LANES.items()}
+            for store in stores.values():
+                for i in range(0, n_docs, 500):
+                    store.bulk_index(msgs[i:i + 500])
+        window = (msgs[0].timestamp, msgs[-1].timestamp)
+        for kind in (*dashboard.KINDS, *DOC_QUERIES):
+            # engine / before: the lane the shared engine is read on, and
+            # the lane holding the body that query had there before it
+            if kind in DOC_QUERIES:
+                ask, engine, before = DOC_QUERIES[kind], "bare", "bare before"
+            else:
+                def ask(store, kind=kind):
+                    return dashboard.run(store, kind, *window)
+                engine, before = "replicated", "replicated scan"
+            lanes = ("bare", "replicated", before)
+            answers = [_answer(kind, ask(stores[lane])) for lane in lanes]
+            assert answers[0] == answers[1] == answers[2], f"{kind} at {n_docs} documents"
+            best = dict.fromkeys(lanes, float("inf"))
+            for _ in range(N_ROUNDS):
+                for lane in lanes:
+                    t0 = time.perf_counter()
+                    ask(stores[lane])
+                    best[lane] = min(best[lane], time.perf_counter() - t0)
+            ms = {lane: round(s * 1e3, 3) for lane, s in best.items()}
+            rows.append({
+                "docs": n_docs, "query": kind, "ms": ms,
+                "replicated_vs_bare": round(best["replicated"] / best["bare"], 3),
+                "engine": engine, "before": before,
+                "engine_vs_before": round(best[engine] / best[before], 3),
+            })
+            table.append([
+                str(n_docs), kind,
+                *(f"{ms[lane]:.3f}" if lane in ms else "-" for lane in READ_LANES),
+                f"{rows[-1]['engine_vs_before']:.2f}x",
+            ])
+    return rows, table
 
 
 def test_replication_overhead(benchmark):
@@ -148,6 +237,7 @@ def test_replication_overhead(benchmark):
                 f"{row['per_doc_replication_overhead_pct']:+.1f}%",
             ])
 
+    reads, read_table = _read_lane()
     budgeted = next(r for r in rows if r["templates"] == "unique" and r["batch"] == 500)
     overhead_pct = budgeted["replication_overhead_pct"]
     benchmark.pedantic(
@@ -164,6 +254,8 @@ def test_replication_overhead(benchmark):
         "overhead_budget_pct": OVERHEAD_BUDGET_PCT,
         "budget_asserted_on": {"templates": "unique", "batch": 500},
         "rows": rows,
+        "read_docs": list(READ_DOCS),
+        "reads": reads,
     })
     emit(
         f"Replication overhead — {N_MESSAGES:,} messages × {N_ROUNDS} rounds "
@@ -173,6 +265,12 @@ def test_replication_overhead(benchmark):
         )
         + f"\nbudget (unique templates, batch 500): <{OVERHEAD_BUDGET_PCT:.0f}%  "
         + ("PASS" if overhead_pct < OVERHEAD_BUDGET_PCT else "FAIL"),
+    )
+
+    emit(
+        f"Queries — {N_ROUNDS} rounds (min), ms per query; scan = the replicated "
+        "store's read path before the shared engine, bare before = the bare store's",
+        format_table(["docs", "query", *READ_LANES, "engine/before"], read_table),
     )
 
     assert overhead_pct < OVERHEAD_BUDGET_PCT, (

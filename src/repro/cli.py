@@ -1159,18 +1159,7 @@ def _cmd_trace(args) -> int:
             raise SystemExit(f"trace {args.trace_id}: not found in {path}")
         print(render_waterfall(traces[args.trace_id]))
         return 0
-    index = []
-    for trace_id, trace_spans in sorted(traces.items()):
-        starts = [s.start_s for s in trace_spans]
-        ends = [s.end_s if s.end_s is not None else s.start_s
-                for s in trace_spans]
-        index.append({
-            "trace_id": trace_id,
-            "hops": len(trace_spans),
-            "names": sorted({s.name for s in trace_spans}),
-            "span_s": max(ends) - min(starts),
-        })
-    _print_trace_index(index, limit=args.limit)
+    _print_trace_index(tracer.index(), limit=args.limit)
     return 0
 
 

@@ -75,7 +75,7 @@ class _Handler(BaseHTTPRequestHandler):
                     json.dumps(ops.control_summary(), sort_keys=True),
                 )
             elif path == "/trace":
-                self._send(200, "application/json", json.dumps(ops.trace_index()))
+                self._send(200, "application/json", json.dumps(ops.tracer.index()))
             elif path.startswith("/trace/"):
                 trace_id = path[len("/trace/"):]
                 body = ops.render_trace(trace_id)
@@ -204,20 +204,6 @@ class OpsServer:
             "tenants": tenants,
             "tenants_active": scalar("repro_ingest_tenants_active"),
         }
-
-    def trace_index(self) -> list[dict]:
-        """The ``/trace`` body: one summary row per known trace."""
-        out = []
-        for trace_id, spans in sorted(self.tracer.traces().items()):
-            starts = [s.start_s for s in spans]
-            ends = [s.end_s if s.end_s is not None else s.start_s for s in spans]
-            out.append({
-                "trace_id": trace_id,
-                "hops": len(spans),
-                "names": sorted({s.name for s in spans}),
-                "span_s": max(ends) - min(starts),
-            })
-        return out
 
     def render_trace(self, trace_id: str) -> str | None:
         """The ``/trace/<id>`` body: a hop waterfall, or None if unknown."""

@@ -195,6 +195,22 @@ class Tracer:
                 out.setdefault(s.trace_id, []).append(s)
         return out
 
+    def index(self) -> list[dict]:
+        """One summary row per trace, in trace-id order: hop count, the
+        distinct span names, first start to last end (the ``/trace``
+        body and the ``repro-syslog trace`` listing)."""
+        out = []
+        for trace_id, spans in sorted(self.traces().items()):
+            starts = [s.start_s for s in spans]
+            ends = [s.end_s if s.end_s is not None else s.start_s for s in spans]
+            out.append({
+                "trace_id": trace_id,
+                "hops": len(spans),
+                "names": sorted({s.name for s in spans}),
+                "span_s": max(ends) - min(starts),
+            })
+        return out
+
 
 def render_trace(spans: list[Span]) -> str:
     """ASCII tree of one trace's spans with durations.

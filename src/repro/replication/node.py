@@ -154,12 +154,15 @@ class StoreNode:
         self._docs[doc_id] = VersionedDoc(
             message=message, category=category, version=version
         )
-        if shard in self.primary_shards:
-            local = self._local_of.get(doc_id)
-            if local is None:
-                self._index_rows([doc_id], [message], None, [category])
-            elif category is not None:
+        local = self._local_of.get(doc_id)
+        if local is not None:
+            # a resident of the index follows its copy whether or not the
+            # node acts for the shard right now: promote re-indexes only
+            # what is missing, so a label skipped here would stay stale
+            if category is not None:
                 self.search_index.set_category(local, category)
+        elif shard in self.primary_shards:
+            self._index_rows([doc_id], [message], None, [category])
         return True
 
     def apply_category(self, doc_id: int, category: Category, version: int) -> bool:
@@ -189,16 +192,19 @@ class StoreNode:
         self.ping()
         return self._docs.get(doc_id)
 
-    def global_docs(self, result_docs) -> list[LogDocument]:
-        """Map search-index hits back to globally-numbered documents."""
-        return [
-            LogDocument(
-                doc_id=self._local_gids[d.doc_id],
-                message=d.message,
-                category=d.category,
-            )
-            for d in result_docs
-        ]
+    def _resident_docs(self, docs, shards, numbered: bool):
+        """Of ``docs`` read from the search index, those of ``shards``.
+
+        The index numbers its documents locally; ``numbered`` maps each
+        one kept back to a globally-numbered :class:`LogDocument`, and
+        otherwise the index's own document is yielded untouched — what a
+        count-only aggregation wants, which reads no doc id.
+        """
+        gids, n_shards = self._local_gids, self.n_shards
+        for doc in docs:
+            gid = gids[doc.doc_id]
+            if gid % n_shards in shards:
+                yield LogDocument(gid, doc.message, doc.category) if numbered else doc
 
     def shard_doc_ids(self, shard: int) -> set[int]:
         """Document ids this node holds for ``shard`` (live or not —

@@ -19,11 +19,17 @@ process.  :class:`ReplicatedLogStore` is the coordinator in front of N
   circuits are skipped on the spot, half-open circuits admit a probe
   whose success triggers the rejoin path,
 - **hinted handoff** — writes an unreachable owner missed are queued
-  (bounded, drop-oldest) and replayed when the node rejoins,
+  (bounded, drop-oldest) and replayed when the node rejoins — or, for a
+  node whose breaker never opened, at the next batch that finds it live,
 - **anti-entropy** — per-shard ``(count, checksum)`` seq digests
   compared between owners; mismatched shards are merged
   highest-version-wins, which is what reconverges a node that rejoined
-  empty after a SIGKILL-style wipe.
+  empty after a SIGKILL-style wipe,
+- **queries** — none of its own: the seven ``LogStore`` queries are
+  inherited from the engine both stores share
+  (``repro.stream.opensearch._Queries``), and the coordinator supplies
+  that engine's two primitives by fanning out to each shard's acting
+  primary's search index.
 
 Every decision is surfaced through the ``repro_store_*`` metric
 families, and the seedable fault sites ``store.node_down``,
@@ -34,12 +40,12 @@ exercise failover deterministically.
 from __future__ import annotations
 
 import time
-from collections import Counter as _Counter
 from collections.abc import Sequence
 from functools import partial
 from itertools import compress, cycle, repeat
+from operator import attrgetter
 
-from repro.core.message import Severity, SyslogMessage
+from repro.core.message import SyslogMessage
 from repro.core.taxonomy import Category
 from repro.faults.plan import SITE_NODE_DOWN, SITE_NODE_SLOW, SITE_PARTITION
 from repro.obs.propagation import carried, record_hop
@@ -51,12 +57,7 @@ from repro.replication.health import (
 )
 from repro.replication.node import StoreNode
 from repro.replication.placement import ShardPlacement
-from repro.stream.opensearch import (
-    DateHistogramBucket,
-    LogDocument,
-    QueryResult,
-    _analyze,
-)
+from repro.stream.opensearch import LogDocument, _analyze, _Queries
 
 __all__ = ["QuorumError", "ReplicatedLogStore"]
 
@@ -80,13 +81,15 @@ class QuorumError(RuntimeError):
         self.available = available
 
 
-class ReplicatedLogStore:
+class ReplicatedLogStore(_Queries):
     """Coordinator over N replicated :class:`StoreNode` members.
 
     Implements the :class:`~repro.stream.opensearch.LogStore` surface
     the stream layer relies on (``bulk_index``, ``get``,
-    ``set_category``, ``__len__``, aggregations), so it drops in as the
-    Fluentd sink and the Tivan cluster's store.
+    ``set_category``, ``__len__``) and inherits its queries, so it drops
+    in as the Fluentd sink and the Tivan cluster's store.  Queries are
+    answered by each shard's acting primary, without a quorum: a shard
+    with no reachable owner contributes nothing, and nothing raises.
 
     Parameters
     ----------
@@ -215,6 +218,12 @@ class ReplicatedLogStore:
             not self.nodes[node_id].down and node_id not in self._partitioned
         )
 
+    def _readers(self, shard: int) -> list[int]:
+        """The shard's reachable owners, in preference order."""
+        return [
+            o for o in self.placement.owner_table[shard] if self._reachable(o)
+        ]
+
     def _available_nodes(self, *, slow: set[int] = frozenset()) -> set[int]:
         """Breaker-gated reachability probe of every node.
 
@@ -223,7 +232,10 @@ class ReplicatedLogStore:
         attempts the probe and records the outcome.  A probe success on
         a non-closed breaker is a *rejoin* — the node was written off
         and is back — which replays its hints and anti-entropy-syncs it
-        before it serves again.
+        before it serves again.  A live node whose breaker never opened
+        (one timed-out probe) only has its hints replayed: it stayed an
+        acting primary throughout, so until then it serves reads short
+        of the documents it was hinted.
         """
         live: set[int] = set()
         rejoined: list[int] = []
@@ -244,6 +256,8 @@ class ReplicatedLogStore:
                 breaker.record_failure()
         for nid in rejoined:
             self._rejoin(nid)
+        for nid in sorted(live):
+            self._replay_hints(nid)
         if live != self._last_live:
             self._last_live = frozenset(live)
             self._rebalance()
@@ -290,16 +304,11 @@ class ReplicatedLogStore:
         primary — quiescing trades preference, never availability.
         """
         for shard in range(self.n_shards):
-            owners = self.placement.owners(shard)
+            readers = self._readers(shard)
             acting = next(
-                (
-                    o for o in owners
-                    if self._reachable(o) and o not in self.quiesced
-                ),
-                None,
+                (o for o in readers if o not in self.quiesced),
+                readers[0] if readers else None,
             )
-            if acting is None:
-                acting = next((o for o in owners if self._reachable(o)), None)
             previous = self._primary.get(shard)
             if acting == previous:
                 continue
@@ -474,28 +483,16 @@ class ReplicatedLogStore:
         t0 = time.perf_counter()
         self._ops += 1
         shard = doc_id % self.n_shards
-        owners = self.placement.owners(shard)
-        readers = [o for o in owners if self._reachable(o)]
+        readers = self._readers(shard)
         if len(readers) < self.read_quorum:
             self._m_quorum_failures.inc(op="read")
             raise QuorumError("read", shard, self.read_quorum, len(readers))
         readers = readers[: self.read_quorum]
-        copies = [(nid, self.nodes[nid].get(doc_id)) for nid in readers]
-        best = None
-        for _nid, copy in copies:
-            if copy is not None and (best is None or copy.version > best.version):
-                best = copy
+        best, repaired = self._converge(doc_id, readers, readers)
         if best is None:
             # W+R > copies makes this unreachable for acknowledged
             # writes; an unacknowledged id would have raised IndexError
             raise IndexError(f"doc id {doc_id} found on no reachable replica")
-        repaired = 0
-        for nid, copy in copies:
-            if copy is None or copy.version < best.version:
-                self.nodes[nid].put(
-                    doc_id, best.message, best.category, best.version
-                )
-                repaired += 1
         if repaired:
             self._m_read_repairs.inc(repaired)
         self._m_read_seconds.observe(time.perf_counter() - t0)
@@ -512,11 +509,9 @@ class ReplicatedLogStore:
         Checkpointing and dashboards read through here; each document
         comes from the first reachable owner holding a copy.
         """
+        readers = [self._readers(shard) for shard in range(self.n_shards)]
         for doc_id in range(len(self._versions)):
-            shard = doc_id % self.n_shards
-            for owner in self.placement.owners(shard):
-                if not self._reachable(owner):
-                    continue
+            for owner in readers[doc_id % self.n_shards]:
                 copy = self.nodes[owner].copy_of(doc_id)
                 if copy is not None:
                     yield LogDocument(
@@ -552,27 +547,37 @@ class ReplicatedLogStore:
         hints = self._hints[node_id]
         if not hints:
             return
-        node = self.nodes[node_id]
+        peers = [
+            [o for o in self._readers(shard) if o != node_id]
+            for shard in range(self.n_shards)
+        ]
         replayed = 0
-        for doc_id in list(hints):
-            best = self._best_copy(doc_id, exclude=node_id)
-            if best is not None:
-                node.put(doc_id, best.message, best.category, best.version)
-                replayed += 1
+        for doc_id in hints:
+            best, _ = self._converge(
+                doc_id, peers[doc_id % self.n_shards], (node_id,)
+            )
+            replayed += best is not None
         self._hints[node_id] = dict()
         if replayed:
             self._m_hints_replayed.inc(replayed)
 
-    def _best_copy(self, doc_id: int, *, exclude: int | None = None):
-        shard = doc_id % self.n_shards
+    def _converge(self, doc_id: int, sources, targets):
+        """Highest version wins: push the newest copy of a document
+        among ``sources`` to each of ``targets`` that holds none or an
+        older one.  Returns that copy (None when no source holds the
+        document) and the number of copies pushed."""
         best = None
-        for owner in self.placement.owners(shard):
-            if owner == exclude or not self._reachable(owner):
-                continue
-            copy = self.nodes[owner].copy_of(doc_id)
+        for nid in sources:
+            copy = self.nodes[nid].copy_of(doc_id)
             if copy is not None and (best is None or copy.version > best.version):
                 best = copy
-        return best
+        pushed = 0
+        if best is not None:
+            for nid in targets:
+                pushed += self.nodes[nid].put(
+                    doc_id, best.message, best.category, best.version
+                )
+        return best, pushed
 
     def sync_node(self, node_id: int) -> int:
         """Anti-entropy one node against its peers; returns docs repaired."""
@@ -590,9 +595,7 @@ class ReplicatedLogStore:
         """
         repaired = 0
         for shard in shards:
-            owners = [
-                o for o in self.placement.owners(shard) if self._reachable(o)
-            ]
+            owners = self._readers(shard)
             if len(owners) < 2:
                 continue
             digests = {self.nodes[o].seq_digest(shard) for o in owners}
@@ -602,20 +605,7 @@ class ReplicatedLogStore:
             for owner in owners:
                 union |= self.nodes[owner].shard_doc_ids(shard)
             for doc_id in sorted(union):
-                best = None
-                for owner in owners:
-                    copy = self.nodes[owner].copy_of(doc_id)
-                    if copy is not None and (
-                        best is None or copy.version > best.version
-                    ):
-                        best = copy
-                for owner in owners:
-                    copy = self.nodes[owner].copy_of(doc_id)
-                    if copy is None or copy.version < best.version:
-                        self.nodes[owner].put(
-                            doc_id, best.message, best.category, best.version
-                        )
-                        repaired += 1
+                repaired += self._converge(doc_id, owners, owners)[1]
         if repaired:
             self._m_repair_docs.inc(repaired)
         return repaired
@@ -650,124 +640,36 @@ class ReplicatedLogStore:
                 self._rejoin(nid)
         self._rebalance()
 
-    # -- queries (acting primaries) ---------------------------------------
+    # -- query primitives (the queries themselves are _Queries') ------------
 
-    def term_query(
-        self,
-        term: str,
-        *,
-        t0: float | None = None,
-        t1: float | None = None,
-        limit: int | None = None,
-        max_severity: "Severity | None" = None,
-    ) -> QueryResult:
-        """Fan a term query out to the acting primary of each shard."""
-        hits: list[LogDocument] = []
-        for nid in {
-            p for p in self._primary.values() if p is not None
-        }:
+    def _from_primaries(self, read, numbered: bool):
+        """``read(search_index)`` of every acting primary, ascending node
+        id: a down node is skipped, and a document counts only where the
+        node is its shard's *current* acting primary — a demoted index
+        keeps its stale residents, and they are never read twice."""
+        acting: dict[int, set[int]] = {}
+        for shard, nid in self._primary.items():
+            if nid is not None and not self.nodes[nid].down:
+                acting.setdefault(nid, set()).add(shard)
+        for nid in sorted(acting):
             node = self.nodes[nid]
-            if node.down:
-                continue
-            result = node.search_index.term_query(
-                term, t0=t0, t1=t1, max_severity=max_severity
+            yield from node._resident_docs(
+                read(node.search_index), acting[nid], numbered
             )
-            for doc in node.global_docs(result.docs):
-                # ownership filter: only the shard's current acting
-                # primary contributes it (a demoted index may retain
-                # stale residents; they are skipped here)
-                if self._primary.get(doc.doc_id % self.n_shards) == nid:
-                    hits.append(doc)
-        hits.sort(key=lambda d: d.doc_id)
-        total = len(hits)
-        if limit is not None:
-            hits = hits[:limit]
-        return QueryResult(docs=tuple(hits), total=total)
 
-    def _iter_copies(self, t0: float | None, t1: float | None):
-        """Documents in range via each shard's first reachable owner."""
-        lo = t0 if t0 is not None else float("-inf")
-        hi = t1 if t1 is not None else float("inf")
-        for shard in range(self.n_shards):
-            reader = next(
-                (
-                    o
-                    for o in self.placement.owners(shard)
-                    if self._reachable(o)
-                ),
-                None,
-            )
-            if reader is None:
-                continue
-            node = self.nodes[reader]
-            for doc_id in node.shard_doc_ids(shard):
-                copy = node.copy_of(doc_id)
-                if copy is not None and lo <= copy.message.timestamp < hi:
-                    yield copy
+    def _iter_range(self, t0: float | None, t1: float | None):
+        return self._from_primaries(lambda index: index._iter_range(t0, t1), numbered=False)
 
-    def terms_aggregation(
-        self,
-        field_name: str,
-        *,
-        top: int = 10,
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> list[tuple[str, int]]:
-        """Top field values merged across shard owners (count-only)."""
-        if field_name not in ("hostname", "app", "category"):
-            raise ValueError(f"cannot aggregate on field {field_name!r}")
-        counter: _Counter[str] = _Counter()
-        for copy in self._iter_copies(t0, t1):
-            if field_name == "category":
-                if copy.category is not None:
-                    counter[copy.category.value] += 1
-            else:
-                counter[getattr(copy.message, field_name)] += 1
-        return counter.most_common(top)
+    def _numbered_range(self, t0: float, t1: float):
+        docs = self._from_primaries(lambda index: index._iter_range(t0, t1), numbered=True)
+        return sorted(docs, key=lambda d: (d.message.timestamp, d.doc_id))
 
-    def severity_histogram(
-        self, *, t0: float | None = None, t1: float | None = None
-    ) -> dict[Severity, int]:
-        """Document counts per severity, merged across shard owners."""
-        out: dict[Severity, int] = {}
-        for copy in self._iter_copies(t0, t1):
-            sev = copy.message.severity
-            out[sev] = out.get(sev, 0) + 1
-        return out
-
-    def date_histogram(
-        self,
-        *,
-        interval_s: float,
-        t0: float | None = None,
-        t1: float | None = None,
-        term: str | None = None,
-    ) -> list[DateHistogramBucket]:
-        """Counts per fixed interval, merged across shard owners."""
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if term is not None:
-            times = sorted(
-                d.message.timestamp
-                for d in self.term_query(term, t0=t0, t1=t1).docs
-            )
-        else:
-            times = sorted(
-                c.message.timestamp for c in self._iter_copies(t0, t1)
-            )
-        if not times:
-            return []
-        start = (t0 if t0 is not None else times[0]) // interval_s * interval_s
-        counts: _Counter[int] = _Counter(
-            int((t - start) // interval_s) for t in times
+    def _iter_terms(self, terms, t0, t1, max_severity=None):
+        # every cut is made at each index, before a hit is renumbered
+        docs = self._from_primaries(
+            lambda index: index._iter_terms(terms, t0, t1, max_severity), numbered=True
         )
-        n_buckets = int((times[-1] - start) // interval_s) + 1
-        return [
-            DateHistogramBucket(
-                start=start + b * interval_s, count=counts.get(b, 0)
-            )
-            for b in range(n_buckets)
-        ]
+        return sorted(docs, key=attrgetter("doc_id"))
 
     # -- ops visibility ----------------------------------------------------
 
@@ -775,10 +677,9 @@ class ReplicatedLogStore:
         """Documents per shard (from each shard's first reachable owner)."""
         out = [0] * self.n_shards
         for shard in range(self.n_shards):
-            for owner in self.placement.owners(shard):
-                if self._reachable(owner):
-                    out[shard] = len(self.nodes[owner].shard_doc_ids(shard))
-                    break
+            readers = self._readers(shard)
+            if readers:
+                out[shard] = len(self.nodes[readers[0]].shard_doc_ids(shard))
         return out
 
     def index_stats(self) -> dict[str, int]:

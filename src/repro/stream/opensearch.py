@@ -14,6 +14,13 @@ internals, so :class:`LogStore` implements:
 - term / all-terms / phrase queries with time-range filtering,
 - ``date_histogram`` and ``terms`` aggregations — the backbone of the
   §4.5 frequency and grouping analyses.
+
+The seven queries are written once, in :class:`_Queries`, over two
+primitives — the documents in a time range, the documents filed under
+every one of some terms.  :class:`LogStore` answers those from its time
+index and postings;
+:class:`~repro.replication.ReplicatedLogStore` inherits the same queries
+and answers the primitives from its acting primaries' ``LogStore``s.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
@@ -78,7 +86,185 @@ class DateHistogramBucket:
     count: int
 
 
-class LogStore:
+class _Queries:
+    """The seven queries of the store surface, each written once.
+
+    :class:`LogStore` and :class:`~repro.replication.ReplicatedLogStore`
+    inherit them and supply two primitives of their own:
+
+    ``_iter_range(t0, t1)``
+        every document with ``t0 <= timestamp < t1`` (``None`` leaves
+        that side open), each once, lazily, in an order that is a
+        function of the store's contents.  This is the count-only path:
+        the aggregations read ``message`` and ``category`` and nothing
+        else, so a store yields the documents it holds rather than
+        building one per document scanned.
+    ``_iter_terms(terms, t0, t1, max_severity=None)``
+        the documents of that range, carrying the store's doc ids, whose
+        postings hold every one of the lower-cased ``terms`` (hostnames,
+        apps or tokens), at ``max_severity`` or more urgent, in ascending
+        doc id.  Every cut is the store's to make, so that it falls
+        before whatever a hit costs it to hand over.
+
+    ``time_range`` alone returns what ``_iter_range`` walks, so it asks
+    for ``_numbered_range`` — the same documents under the store's doc
+    ids, in (timestamp, doc id) order — which a store whose
+    ``_iter_range`` already yields exactly that need not supply.
+    """
+
+    def _iter_range(self, t0: float | None, t1: float | None):
+        raise NotImplementedError
+
+    def _iter_terms(
+        self,
+        terms: Sequence[str],
+        t0: float | None,
+        t1: float | None,
+        max_severity: "Severity | None" = None,
+    ):
+        raise NotImplementedError
+
+    def _numbered_range(self, t0: float, t1: float):
+        """``_iter_range``'s documents as ``time_range`` returns them."""
+        return self._iter_range(t0, t1)
+
+    def _range_times(self, t0: float | None, t1: float | None) -> list[float]:
+        """Ascending timestamps of the documents in [t0, t1)."""
+        return sorted(map(attrgetter("message.timestamp"), self._iter_range(t0, t1)))
+
+    # -- document queries ---------------------------------------------------
+
+    def term_query(
+        self,
+        term: str,
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+        max_severity: "Severity | None" = None,
+    ) -> QueryResult:
+        """Documents containing ``term`` (hostname/app/token match).
+
+        ``max_severity`` keeps only documents at that severity or more
+        urgent (syslog severities are lower-is-more-urgent, so this is
+        a numeric upper bound — ``max_severity=Severity.WARNING`` means
+        warnings, errors, criticals, alerts, and emergencies).
+        """
+        return _finalize(self._iter_terms((term.lower(),), t0, t1, max_severity), limit)
+
+    def all_terms_query(
+        self,
+        terms: Sequence[str],
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+    ) -> QueryResult:
+        """Documents containing every term (AND of postings)."""
+        if not terms:
+            raise ValueError("all_terms_query requires at least one term")
+        return _finalize(self._iter_terms([t.lower() for t in terms], t0, t1), limit)
+
+    def phrase_query(
+        self,
+        phrase: str,
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+    ) -> QueryResult:
+        """AND-query on the phrase's tokens, verified by substring match
+        on the masked text (like a match_phrase over a keyword subfield)."""
+        tokens = _analyze(phrase)
+        if not tokens:
+            raise ValueError(f"phrase {phrase!r} yields no tokens")
+        cand = self.all_terms_query(tokens, t0=t0, t1=t1)
+        needle = " ".join(tokens)
+        return _finalize(
+            (d for d in cand.docs if needle in " ".join(_analyze(d.message.text))), limit
+        )
+
+    def time_range(self, t0: float, t1: float) -> QueryResult:
+        """All documents with t0 <= timestamp < t1."""
+        docs = tuple(self._numbered_range(t0, t1))
+        return QueryResult(docs=docs, total=len(docs))
+
+    # -- aggregations ------------------------------------------------------
+
+    def date_histogram(
+        self,
+        *,
+        interval_s: float,
+        t0: float | None = None,
+        t1: float | None = None,
+        term: str | None = None,
+    ) -> list[DateHistogramBucket]:
+        """Counts per fixed time interval (Grafana's message-rate panel).
+
+        Empty intermediate buckets are included so plots show gaps.
+        """
+        if interval_s <= 0:
+            raise ValueError(f"interval_s must be positive, got {interval_s}")
+        if term is not None:
+            docs = self.term_query(term, t0=t0, t1=t1).docs
+            times = sorted(d.message.timestamp for d in docs)
+        else:
+            times = self._range_times(t0, t1)
+        if not times:
+            return []
+        start = (t0 if t0 is not None else times[0]) // interval_s * interval_s
+        counts: Counter[int] = Counter(int((t - start) // interval_s) for t in times)
+        n_buckets = int((times[-1] - start) // interval_s) + 1
+        return [
+            DateHistogramBucket(start=start + b * interval_s, count=counts.get(b, 0))
+            for b in range(n_buckets)
+        ]
+
+    def terms_aggregation(
+        self,
+        field_name: str,
+        *,
+        top: int = 10,
+        t0: float | None = None,
+        t1: float | None = None,
+    ) -> list[tuple[str, int]]:
+        """Top values of a document field (hostname/app/category),
+        highest count first; equal counts in value order, so the answer
+        does not depend on which copy of a document was counted first.
+
+        Raises
+        ------
+        ValueError
+            Unknown field name.
+        """
+        if field_name not in ("hostname", "app", "category"):
+            raise ValueError(f"cannot aggregate on field {field_name!r}")
+        docs = self._iter_range(t0, t1)
+        if field_name == "category":
+            by_category = Counter(map(attrgetter("category"), docs))
+            by_category.pop(None, None)  # not yet classified
+            counts = [(c.value, n) for c, n in by_category.items()]
+        else:
+            counts = Counter(map(attrgetter("message." + field_name), docs)).items()
+        return sorted(counts, key=lambda kv: (-kv[1], kv[0]))[:top]
+
+    def severity_histogram(
+        self, *, t0: float | None = None, t1: float | None = None
+    ) -> dict[Severity, int]:
+        """Document counts per severity level (dashboard panel)."""
+        return dict(Counter(map(attrgetter("message.severity"), self._iter_range(t0, t1))))
+
+
+def _finalize(docs, limit) -> QueryResult:
+    """Count ``docs``, then cut them to ``limit``."""
+    out = list(docs)
+    total = len(out)
+    if limit is not None:
+        out = out[:limit]
+    return QueryResult(docs=tuple(out), total=total)
+
+
+class LogStore(_Queries):
     """Sharded, inverted-indexed log document store.
 
     Parameters
@@ -239,7 +425,7 @@ class LogStore:
             doc_id, self._docs[doc_id].message, category
         )
 
-    # -- queries ----------------------------------------------------------
+    # -- reads --------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -248,188 +434,57 @@ class LogStore:
         """Fetch by id (raises IndexError when absent)."""
         return self._docs[doc_id]
 
-    def term_query(
-        self,
-        term: str,
-        *,
-        t0: float | None = None,
-        t1: float | None = None,
-        limit: int | None = None,
-        max_severity: "Severity | None" = None,
-    ) -> QueryResult:
-        """Documents containing ``term`` (hostname/app/token match).
+    # -- the query primitives (the queries themselves: _Queries) ------------
 
-        ``max_severity`` keeps only documents at that severity or more
-        urgent (syslog severities are lower-is-more-urgent, so this is
-        a numeric upper bound — ``max_severity=Severity.WARNING`` means
-        warnings, errors, criticals, alerts, and emergencies).
-        """
-        ids = self._postings.get(term.lower(), [])
-        return self._finalize(ids, t0, t1, limit, max_severity)
-
-    def all_terms_query(
-        self,
-        terms: Sequence[str],
-        *,
-        t0: float | None = None,
-        t1: float | None = None,
-        limit: int | None = None,
-    ) -> QueryResult:
-        """Documents containing every term (AND of postings)."""
-        if not terms:
-            raise ValueError("all_terms_query requires at least one term")
-        lists = sorted(
-            (self._postings.get(t.lower(), []) for t in terms), key=len
-        )
-        if not lists[0]:
-            return QueryResult(docs=(), total=0)
-        result = set(lists[0])
-        for lst in lists[1:]:
-            result &= set(lst)
-            if not result:
-                break
-        return self._finalize(sorted(result), t0, t1, limit)
-
-    def phrase_query(
-        self,
-        phrase: str,
-        *,
-        t0: float | None = None,
-        t1: float | None = None,
-        limit: int | None = None,
-    ) -> QueryResult:
-        """AND-query on the phrase's tokens, verified by substring match
-        on the masked text (like a match_phrase over a keyword subfield)."""
-        tokens = _analyze(phrase)
-        if not tokens:
-            raise ValueError(f"phrase {phrase!r} yields no tokens")
-        cand = self.all_terms_query(tokens, t0=t0, t1=t1)
-        needle = " ".join(tokens)
-        hits = [
-            d for d in cand.docs
-            if needle in " ".join(_analyze(d.message.text))
-        ]
-        if limit is not None:
-            hits = hits[:limit]
-        return QueryResult(docs=tuple(hits), total=len(hits))
-
-    def time_range(self, t0: float, t1: float) -> QueryResult:
-        """All documents with t0 <= timestamp < t1."""
-        docs = tuple(self._iter_range(t0, t1))
-        return QueryResult(docs=docs, total=len(docs))
-
-    def _iter_range(self, t0: float | None, t1: float | None):
-        """Documents in [t0, t1), lazily, in timestamp order.
-
-        The count-only path for aggregations: no tuple of the whole
-        range is ever built, so a dashboard refresh over a large store
-        costs iteration, not a copy of every document per panel.
-        """
+    def _time_slice(self, t0: float | None, t1: float | None) -> tuple[int, int]:
+        """Bounds of [t0, t1) in the sorted time index."""
         self._ensure_time_index()
-        lo = (
-            bisect.bisect_left(self._time_sorted, t0)
-            if t0 is not None else 0
-        )
+        lo = bisect.bisect_left(self._time_sorted, t0) if t0 is not None else 0
         hi = (
             bisect.bisect_left(self._time_sorted, t1)
             if t1 is not None else len(self._time_sorted)
         )
-        for i in range(lo, hi):
-            yield self._docs[self._time_order[i]]
+        return lo, hi
 
-    def iter_documents(self):
-        """Iterate every document in doc-id order (checkpoint path)."""
-        return iter(self._docs)
+    def _iter_range(self, t0: float | None, t1: float | None):
+        """Documents in [t0, t1), lazily, in (timestamp, doc id) order.
 
-    def _finalize(self, ids, t0, t1, limit, max_severity=None) -> QueryResult:
-        docs = (self._docs[i] for i in ids)
+        The count-only path for aggregations: only the range's slice of
+        the time order (doc ids) is copied, never its documents, so a
+        dashboard refresh over a large store costs iteration, not a
+        tuple of every document per panel.
+        """
+        lo, hi = self._time_slice(t0, t1)
+        return map(self._docs.__getitem__, self._time_order[lo:hi])
+
+    def _iter_terms(self, terms, t0, t1, max_severity=None):
+        """AND of the terms' postings, shortest list first; only the
+        documents every list names are looked up and cut."""
+        lists = sorted((self._postings.get(t, ()) for t in terms), key=len)
+        ids = lists[0]  # one term: its postings, ascending as appended
+        if len(lists) > 1:
+            found = set(ids)
+            for lst in lists[1:]:
+                if not found:
+                    break
+                found &= set(lst)
+            ids = sorted(found)
+        docs = map(self._docs.__getitem__, ids)
         if t0 is not None or t1 is not None:
             lo = t0 if t0 is not None else float("-inf")
             hi = t1 if t1 is not None else float("inf")
             docs = (d for d in docs if lo <= d.message.timestamp < hi)
         if max_severity is not None:
             docs = (d for d in docs if d.message.severity <= max_severity)
-        out = list(docs)
-        total = len(out)
-        if limit is not None:
-            out = out[:limit]
-        return QueryResult(docs=tuple(out), total=total)
+        return docs
 
-    # -- aggregations ------------------------------------------------------
+    def _range_times(self, t0: float | None, t1: float | None) -> list[float]:
+        lo, hi = self._time_slice(t0, t1)
+        return self._time_sorted[lo:hi]
 
-    def date_histogram(
-        self,
-        *,
-        interval_s: float,
-        t0: float | None = None,
-        t1: float | None = None,
-        term: str | None = None,
-    ) -> list[DateHistogramBucket]:
-        """Counts per fixed time interval (Grafana's message-rate panel).
-
-        Empty intermediate buckets are included so plots show gaps.
-        """
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if term is not None:
-            docs = self.term_query(term, t0=t0, t1=t1).docs
-            times = sorted(d.message.timestamp for d in docs)
-        else:
-            self._ensure_time_index()
-            lo = bisect.bisect_left(self._time_sorted, t0) if t0 is not None else 0
-            hi = (
-                bisect.bisect_left(self._time_sorted, t1)
-                if t1 is not None
-                else len(self._time_sorted)
-            )
-            times = self._time_sorted[lo:hi]
-        if not times:
-            return []
-        start = (t0 if t0 is not None else times[0]) // interval_s * interval_s
-        end = times[-1]
-        buckets: list[DateHistogramBucket] = []
-        counts: Counter[int] = Counter(int((t - start) // interval_s) for t in times)
-        n_buckets = int((end - start) // interval_s) + 1
-        for b in range(n_buckets):
-            buckets.append(
-                DateHistogramBucket(start=start + b * interval_s, count=counts.get(b, 0))
-            )
-        return buckets
-
-    def terms_aggregation(
-        self,
-        field_name: str,
-        *,
-        top: int = 10,
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> list[tuple[str, int]]:
-        """Top values of a document field (hostname/app/category).
-
-        Raises
-        ------
-        ValueError
-            Unknown field name.
-        """
-        if field_name not in ("hostname", "app", "category"):
-            raise ValueError(f"cannot aggregate on field {field_name!r}")
-        counter: Counter[str] = Counter()
-        for d in self._iter_range(t0, t1):
-            if field_name == "category":
-                if d.category is not None:
-                    counter[d.category.value] += 1
-            else:
-                counter[getattr(d.message, field_name)] += 1
-        return counter.most_common(top)
-
-    def severity_histogram(
-        self, *, t0: float | None = None, t1: float | None = None
-    ) -> dict[Severity, int]:
-        """Document counts per severity level (dashboard panel)."""
-        out: dict[Severity, int] = {}
-        for d in self._iter_range(t0, t1):
-            out[d.message.severity] = out.get(d.message.severity, 0) + 1
-        return out
+    def iter_documents(self):
+        """Iterate every document in doc-id order (checkpoint path)."""
+        return iter(self._docs)
 
     # -- ops visibility -----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The per-document quorum write, kept as the oracle for the columnar one.
+"""The replicated store as it was, kept as the oracle for what replaced it.
 
 ``PerDocStore`` writes the way ``ReplicatedLogStore`` did before its
 ``bulk_index`` went columnar: document by document and owner by owner
@@ -6,29 +6,53 @@ through ``StoreNode.put(..., tokens=...)``, postings maintained token by
 token with a fresh ``seen`` set per document.  The bodies of
 ``bulk_index``, ``put``, ``_index_doc``, ``promote`` and ``index`` below
 are those routines verbatim; nothing here calls ``put_many``,
-``index_many``, the owner table or a template plan.  Liveness, hints,
-reads, repair and queries are inherited — they are not what changed.
+``index_many``, the owner table or a template plan.
 
-Used by ``test_store_oracle.py`` (state equality after every step), by
-``test_perf_smoke.py::TestStoreWriteFloors`` and by
-``benchmarks/bench_replication_overhead.py`` (the cost beside it).
+It also reads the way the replicated store did before its queries moved
+onto the shared engine (``repro.stream.opensearch._Queries``):
+``term_query`` fanned out to the acting primaries' own ``term_query``,
+and ``terms_aggregation`` / ``severity_histogram`` / ``date_histogram``
+re-derived from ``_iter_copies``, a walk over every document of every
+shard in its first reachable owner's replica map.  Those five bodies,
+``StoreNode.global_docs`` and the bare store's ``term_query`` /
+``_finalize`` under them are verbatim too, so none of the four answers
+below passes through the engine.  ``all_terms_query``, ``phrase_query``
+and ``time_range`` did not exist on the replicated store; here they are
+inherited, and the bodies the first two had on the bare store are kept
+on ``PerDocLogStore`` (what the engine's cost is read against).
+Liveness, hints, ``get`` and repair are inherited — they are not what
+changed.
+
+Used by ``test_store_oracle.py`` (state equality after every step, query
+answers in every state), by ``test_perf_smoke.py`` (``TestStoreWriteFloors``,
+``TestStoreQueryFloors``) and by ``benchmarks/bench_replication_overhead.py``
+(the cost beside it).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter as _Counter
+from collections.abc import Sequence
 
+from repro.core.message import Severity
 from repro.obs.propagation import carried, record_hop
 from repro.replication import ReplicatedLogStore, StoreNode
 from repro.replication import store as store_mod
 from repro.replication.node import VersionedDoc
 from repro.replication.store import QuorumError
 from repro.stream import opensearch
-from repro.stream.opensearch import LogDocument, LogStore
+from repro.stream.opensearch import (
+    DateHistogramBucket,
+    LogDocument,
+    LogStore,
+    QueryResult,
+)
 
 
 class PerDocLogStore(LogStore):
-    """``LogStore`` with the per-document ``index`` it had."""
+    """``LogStore`` with the per-document ``index`` and the document
+    queries it had."""
 
     def index(self, message, category=None, *, _tokens=None):
         doc_id = len(self._docs)
@@ -69,6 +93,85 @@ class PerDocLogStore(LogStore):
                 )
         return True
 
+    def term_query(
+        self,
+        term: str,
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+        max_severity: "Severity | None" = None,
+    ) -> QueryResult:
+        """Documents containing ``term`` (hostname/app/token match).
+
+        ``max_severity`` keeps only documents at that severity or more
+        urgent (syslog severities are lower-is-more-urgent, so this is
+        a numeric upper bound — ``max_severity=Severity.WARNING`` means
+        warnings, errors, criticals, alerts, and emergencies).
+        """
+        ids = self._postings.get(term.lower(), [])
+        return self._finalize(ids, t0, t1, limit, max_severity)
+
+    def all_terms_query(
+        self,
+        terms: Sequence[str],
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+    ) -> QueryResult:
+        """Documents containing every term (AND of postings)."""
+        if not terms:
+            raise ValueError("all_terms_query requires at least one term")
+        lists = sorted(
+            (self._postings.get(t.lower(), []) for t in terms), key=len
+        )
+        if not lists[0]:
+            return QueryResult(docs=(), total=0)
+        result = set(lists[0])
+        for lst in lists[1:]:
+            result &= set(lst)
+            if not result:
+                break
+        return self._finalize(sorted(result), t0, t1, limit)
+
+    def phrase_query(
+        self,
+        phrase: str,
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+    ) -> QueryResult:
+        """AND-query on the phrase's tokens, verified by substring match
+        on the masked text (like a match_phrase over a keyword subfield)."""
+        tokens = opensearch._analyze(phrase)
+        if not tokens:
+            raise ValueError(f"phrase {phrase!r} yields no tokens")
+        cand = self.all_terms_query(tokens, t0=t0, t1=t1)
+        needle = " ".join(tokens)
+        hits = [
+            d for d in cand.docs
+            if needle in " ".join(opensearch._analyze(d.message.text))
+        ]
+        if limit is not None:
+            hits = hits[:limit]
+        return QueryResult(docs=tuple(hits), total=len(hits))
+
+    def _finalize(self, ids, t0, t1, limit, max_severity=None) -> QueryResult:
+        docs = (self._docs[i] for i in ids)
+        if t0 is not None or t1 is not None:
+            lo = t0 if t0 is not None else float("-inf")
+            hi = t1 if t1 is not None else float("inf")
+            docs = (d for d in docs if lo <= d.message.timestamp < hi)
+        if max_severity is not None:
+            docs = (d for d in docs if d.message.severity <= max_severity)
+        out = list(docs)
+        total = len(out)
+        if limit is not None:
+            out = out[:limit]
+        return QueryResult(docs=tuple(out), total=total)
+
 
 class PerDocNode(StoreNode):
     """``StoreNode`` with the per-document write and promote it had."""
@@ -93,7 +196,10 @@ class PerDocNode(StoreNode):
         self._docs[doc_id] = VersionedDoc(
             message=message, category=category, version=version
         )
-        if shard in self.primary_shards:
+        # "or resident": the one line that is not as it was — a copy
+        # refreshed while its shard is demoted must relabel its index entry
+        # (StoreNode.put has the same fix; see TestStaleResidents)
+        if shard in self.primary_shards or doc_id in self._local_of:
             self._index_doc(doc_id, message, category, tokens)
         return True
 
@@ -117,6 +223,17 @@ class PerDocNode(StoreNode):
                 self._index_doc(doc_id, doc.message, doc.category, None)
                 n += 1
         return n
+
+    def global_docs(self, result_docs) -> list[LogDocument]:
+        """Map search-index hits back to globally-numbered documents."""
+        return [
+            LogDocument(
+                doc_id=self._local_gids[d.doc_id],
+                message=d.message,
+                category=d.category,
+            )
+            for d in result_docs
+        ]
 
 
 class PerDocStore(ReplicatedLogStore):
@@ -179,3 +296,123 @@ class PerDocStore(ReplicatedLogStore):
                     wall_ms=round(wall * 1e3, 3),
                 )
         return True
+
+    # -- the read path as it was: term_query over the acting primaries, the
+    # -- three aggregations re-derived from every copy of every shard
+
+    def term_query(
+        self,
+        term: str,
+        *,
+        t0: float | None = None,
+        t1: float | None = None,
+        limit: int | None = None,
+        max_severity: "Severity | None" = None,
+    ) -> QueryResult:
+        """Fan a term query out to the acting primary of each shard."""
+        hits: list[LogDocument] = []
+        for nid in {
+            p for p in self._primary.values() if p is not None
+        }:
+            node = self.nodes[nid]
+            if node.down:
+                continue
+            result = node.search_index.term_query(
+                term, t0=t0, t1=t1, max_severity=max_severity
+            )
+            for doc in node.global_docs(result.docs):
+                # ownership filter: only the shard's current acting
+                # primary contributes it (a demoted index may retain
+                # stale residents; they are skipped here)
+                if self._primary.get(doc.doc_id % self.n_shards) == nid:
+                    hits.append(doc)
+        hits.sort(key=lambda d: d.doc_id)
+        total = len(hits)
+        if limit is not None:
+            hits = hits[:limit]
+        return QueryResult(docs=tuple(hits), total=total)
+
+    def _iter_copies(self, t0: float | None, t1: float | None):
+        """Documents in range via each shard's first reachable owner."""
+        lo = t0 if t0 is not None else float("-inf")
+        hi = t1 if t1 is not None else float("inf")
+        for shard in range(self.n_shards):
+            reader = next(
+                (
+                    o
+                    for o in self.placement.owners(shard)
+                    if self._reachable(o)
+                ),
+                None,
+            )
+            if reader is None:
+                continue
+            node = self.nodes[reader]
+            for doc_id in node.shard_doc_ids(shard):
+                copy = node.copy_of(doc_id)
+                if copy is not None and lo <= copy.message.timestamp < hi:
+                    yield copy
+
+    def terms_aggregation(
+        self,
+        field_name: str,
+        *,
+        top: int = 10,
+        t0: float | None = None,
+        t1: float | None = None,
+    ) -> list[tuple[str, int]]:
+        """Top field values merged across shard owners (count-only)."""
+        if field_name not in ("hostname", "app", "category"):
+            raise ValueError(f"cannot aggregate on field {field_name!r}")
+        counter: _Counter[str] = _Counter()
+        for copy in self._iter_copies(t0, t1):
+            if field_name == "category":
+                if copy.category is not None:
+                    counter[copy.category.value] += 1
+            else:
+                counter[getattr(copy.message, field_name)] += 1
+        return counter.most_common(top)
+
+    def severity_histogram(
+        self, *, t0: float | None = None, t1: float | None = None
+    ) -> dict[Severity, int]:
+        """Document counts per severity, merged across shard owners."""
+        out: dict[Severity, int] = {}
+        for copy in self._iter_copies(t0, t1):
+            sev = copy.message.severity
+            out[sev] = out.get(sev, 0) + 1
+        return out
+
+    def date_histogram(
+        self,
+        *,
+        interval_s: float,
+        t0: float | None = None,
+        t1: float | None = None,
+        term: str | None = None,
+    ) -> list[DateHistogramBucket]:
+        """Counts per fixed interval, merged across shard owners."""
+        if interval_s <= 0:
+            raise ValueError(f"interval_s must be positive, got {interval_s}")
+        if term is not None:
+            times = sorted(
+                d.message.timestamp
+                for d in self.term_query(term, t0=t0, t1=t1).docs
+            )
+        else:
+            times = sorted(
+                c.message.timestamp for c in self._iter_copies(t0, t1)
+            )
+        if not times:
+            return []
+        start = (t0 if t0 is not None else times[0]) // interval_s * interval_s
+        counts: _Counter[int] = _Counter(
+            int((t - start) // interval_s) for t in times
+        )
+        n_buckets = int((times[-1] - start) // interval_s) + 1
+        return [
+            DateHistogramBucket(
+                start=start + b * interval_s, count=counts.get(b, 0)
+            )
+            for b in range(n_buckets)
+        ]

@@ -1,21 +1,31 @@
-"""The columnar quorum write against the per-document one it replaced.
+"""The replicated store against the one it replaced, writes and reads.
 
 ``perdoc_store.PerDocStore`` is the oracle: the write path as it was,
-document by document and owner by owner.  Both stores are driven with
-one operation stream — batches mixing repeated and never-repeating
-templates, single writes, re-labelling, node kills with and without
-wipe, partitions, quiescing, armed ``store.*`` fault sites, quorum
-reads, anti-entropy — and after every step everything a node holds must
-be equal, in order: replica maps, versions, shard id sets, every search
-index's documents, postings, time index and local id maps, hints per
-node, digests, query results and the ``repro_store_*`` counters.
+document by document and owner by owner, and the read path as it was,
+every copy of every shard walked per aggregation.  Both stores are
+driven with one operation stream — batches mixing repeated and
+never-repeating templates, single writes, re-labelling, node kills with
+and without wipe, partitions, quiescing, armed ``store.*`` fault sites,
+quorum reads, anti-entropy — and after every step everything a node
+holds must be equal, in order: replica maps, versions, shard id sets,
+every search index's documents, postings, time index and local id maps,
+hints per node, digests and the ``repro_store_*`` counters.
+
+Between the writes the machine asks questions: all seven queries, over
+ranged and unranged windows, against the oracle's scan and against a
+bare ``LogStore`` fed the same acknowledged writes (the query rules say
+in which states each comparison is an equality).  ``TestOneEngine``
+gates the structure: the seven names are one function each, serving
+both stores.
 
 Also here: the range checks on ``set_category`` and the contracts of the
 two batch entry points (``StoreNode.put_many``, ``LogStore.index_many``).
 """
 
+import ast
 import copy
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import seed, settings, strategies as st
@@ -23,18 +33,19 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
     run_state_machine_as_test,
 )
 
 from perdoc_store import PerDocLogStore, PerDocStore
-from repro.core.message import SyslogMessage
+from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import MetricsRegistry, use_registry
 from repro.replication import NodeDownError, QuorumError, ReplicatedLogStore, StoreNode
 from repro.stream import opensearch
-from repro.stream.opensearch import LogStore
+from repro.stream.opensearch import LogStore, QueryResult
 
 #: the CI replication-chaos job shifts this for the seed matrix
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -67,7 +78,7 @@ def _message(i: int, unique: bool, late: bool) -> SyslogMessage:
         text = _REPEATED[i % len(_REPEATED)].format(a=i % 97, b=i % 13, c=i * 31 % 65536)
     return SyslogMessage(
         timestamp=1000.0 + (i - 50 if late else i), hostname=_HOSTS[i % len(_HOSTS)],
-        app=_APPS[i % len(_APPS)], text=text,
+        app=_APPS[i % len(_APPS)], text=text, severity=Severity(i % 8),
     )
 
 
@@ -120,9 +131,68 @@ def _outcome(call, store):
         return (type(exc).__name__, str(exc))
 
 
+def _docs(result):
+    """A document query's answer: who, in what order, and the total."""
+    return [(d.doc_id, id(d.message), d.category) for d in result.docs], result.total
+
+
+def _scan_reads_what_the_primaries_hold(store: ReplicatedLogStore) -> bool:
+    """The oracle's aggregations read each shard's first reachable owner,
+    the engine its acting primary: the same node, or two whose copies of
+    the shard are equal (they may be one hinted batch apart)."""
+    for shard in range(store.n_shards):
+        readers = store._readers(shard)
+        if readers and readers[0] != store._primary[shard]:
+            reader, primary = store.nodes[readers[0]], store.nodes[store._primary[shard]]
+            if reader.seq_digest(shard) != primary.seq_digest(shard):
+                return False
+    return True
+
+
+def _primaries_hold_everything(store: ReplicatedLogStore) -> bool:
+    """Every acknowledged document sits, at its latest version, on its
+    shard's acting primary — then the store must answer like a bare one."""
+    for doc_id, version in enumerate(store._versions):
+        primary = store._primary[doc_id % store.n_shards]
+        copy = store.nodes[primary].copy_of(doc_id) if primary is not None else None
+        if copy is None or copy.version != version:
+            return False
+    return True
+
+
+def _indices_follow_their_copies(store: ReplicatedLogStore) -> bool:
+    """Every search-index resident carries its replica-map copy's label,
+    whether or not the node acts for the document's shard right now."""
+    return all(
+        node.search_index.get(local).category == node.copy_of(doc_id).category
+        for node in store.nodes
+        for local, doc_id in enumerate(node._local_gids)
+    )
+
+
+def _filed_under(doc, term: str) -> bool:
+    """Do the postings of ``term`` hold the document?"""
+    m = doc.message
+    return term in (m.hostname.lower(), m.app.lower()) or term in opensearch._analyze(m.text)
+
+
+#: (bounds, pick, from, until): a window laid around one stored document —
+#: empty, that document alone, ending on it, or straddling its neighbours
+#: (late batches put out-of-order timestamps on either side)
+WINDOWS = st.tuples(
+    st.sampled_from(["open", "from", "until", "both", "both", "both"]),
+    st.integers(0, 10_000),
+    st.sampled_from([0, 0, -1, -30, -5000]),
+    st.sampled_from([0, 1, 1, 25, 5000]),
+)
+LIMITS = st.sampled_from([None, None, 0, 1, 50])
+TERMS = ["kernel", "cn001", "KERNEL", "started", "LOGIN1", "link", "up", "absent"]
+
+
 @seed(SEED_SHIFT)
 class StoreEquivalence(RuleBasedStateMachine):
-    """One operation stream, two write paths, no visible difference."""
+    """One operation stream, two stores, no visible difference — and a
+    bare ``LogStore`` beside them that is fed every acknowledged write."""
 
     @initialize(
         placement=st.sampled_from(PLACEMENTS),
@@ -154,6 +224,7 @@ class StoreEquivalence(RuleBasedStateMachine):
         self.memo_max = opensearch.ANALYSIS_MEMO_MAX_ENTRIES
         opensearch.ANALYSIS_MEMO_MAX_ENTRIES = memo_max
         self.n = 0
+        self.bare = LogStore()
 
     def teardown(self):
         if hasattr(self, "memo_max"):
@@ -183,16 +254,20 @@ class StoreEquivalence(RuleBasedStateMachine):
         if outcome[0] == "quorum":
             # refused before any document was numbered or placed
             assert before == [(len(s), s._versions) for s in (self.real, self.oracle)]
+        else:
+            self.bare.bulk_index(batch)
 
     @rule(category=st.sampled_from([None, *CATEGORIES[:3]]), unique=st.booleans())
     def index(self, category, unique):
         (message,) = self._messages(1, 10 if unique else 0, False)
-        self.both(lambda s: s.index(message, category))
+        if self.both(lambda s: s.index(message, category))[0] == "ok":
+            self.bare.index(message, category)
 
     @rule(pick=st.integers(0, 10_000), category=st.sampled_from(CATEGORIES))
     def set_category(self, pick, category):
         if len(self.real):
             self.both(lambda s: s.set_category(pick % len(s), category))
+            self.bare.set_category(pick % len(self.bare), category)
 
     @rule(doc_id=st.sampled_from([-1, 1 << 40]), category=st.sampled_from(CATEGORIES))
     def set_category_out_of_range(self, doc_id, category):
@@ -237,17 +312,186 @@ class StoreEquivalence(RuleBasedStateMachine):
     def sync_all(self):
         self.both(lambda s: s.sync_all())
 
+    # -- queries: the engine, the oracle's scan, the bare store ---------------
+    #
+    # ``term_query`` read the acting primaries before and after: equal to the
+    # oracle's in every state.  The three aggregations the oracle re-derives
+    # from first reachable owners: equal while those hold what the primaries
+    # hold.  All seven equal the bare store's while the primaries hold every
+    # acknowledged write.  In any other state (a primary one hinted batch
+    # behind, a shard with no reachable owner) an answer is still a sound
+    # part of the bare store's: nothing raised, nothing twice, nothing made up.
+
+    def _settle_time_indices(self):
+        """A ranged read sorts an index's time order if writes left it
+        dirty.  The engine's aggregations are such reads and the scan's
+        are not, so after the questions of a step the oracle's indices
+        catch up — before the next write compares against the order."""
+        for mine, theirs in zip(self.real.nodes, self.oracle.nodes):
+            if theirs.search_index._time_dirty and not mine.search_index._time_dirty:
+                theirs.search_index._ensure_time_index()
+
+    def _window(self, window):
+        """The window and the document it was laid around."""
+        bounds, pick, lo, hi = window
+        doc = self.bare.get(pick % len(self.bare))
+        return (
+            doc.message.timestamp + lo if bounds in ("from", "both") else None,
+            doc.message.timestamp + hi if bounds in ("until", "both") else None,
+            doc,
+        )
+
+    def _ask_for_documents(self, ask, matches, t0, t1, limit, by_time=False):
+        """One document query, put to the engine and to the bare store;
+        the bare store's answer is also worked out by hand, from a pass
+        over its documents (both stores run the same engine code)."""
+        got = _outcome(lambda s: _docs(ask(s)), self.real)
+        want = _outcome(lambda s: _docs(ask(s)), self.bare)
+        if want[0] == "ok":
+            lo, hi = (-1e18 if t0 is None else t0), (1e18 if t1 is None else t1)
+            hits = [
+                d for d in self.bare.iter_documents()
+                if lo <= d.message.timestamp < hi and matches(d)
+            ]
+            if by_time:
+                hits.sort(key=lambda d: (d.message.timestamp, d.doc_id))
+            assert want[1] == _docs(QueryResult(tuple(hits[:limit]), len(hits)))
+        if got[0] != "ok" or _primaries_hold_everything(self.real):
+            assert got == want
+            return
+        (docs, total), (known, _total) = got[1], want[1]
+        ids = [doc_id for doc_id, _message, _category in docs]
+        assert len(set(ids)) == len(ids) and total >= len(ids)
+        assert len(ids) == (total if limit is None else min(total, limit))
+        if limit is None:  # the bare answer was not cut: every hit is one of its
+            assert {(i, m) for i, m, _c in docs} <= {(i, m) for i, m, _c in known}
+
+    @precondition(lambda self: len(self.real))
+    @rule(
+        source=st.sampled_from(["hostname", "app", "token", "listed", "listed"]),
+        listed=st.sampled_from(TERMS), window=WINDOWS, limit=LIMITS,
+        max_severity=st.sampled_from([None, None, Severity.WARNING, Severity.EMERGENCY]),
+    )
+    def ask_term_query(self, source, listed, window, limit, max_severity):
+        """A listed term ("kernel" and "cn001" are hostnames, apps and
+        tokens at once) or one the window's own document is filed under,
+        so the window's edges fall on a hit."""
+        t0, t1, doc = self._window(window)
+        tokens = opensearch._analyze(doc.message.text)
+        term = {
+            "hostname": doc.message.hostname, "app": doc.message.app,
+            "token": tokens[doc.doc_id % len(tokens)] if tokens else listed,
+        }.get(source, listed)
+
+        def ask(store):
+            return store.term_query(
+                term, t0=t0, t1=t1, limit=limit, max_severity=max_severity
+            )
+
+        self.both(lambda s: _docs(ask(s)))
+        self._ask_for_documents(
+            ask,
+            lambda d: _filed_under(d, term.lower())
+            and (max_severity is None or d.message.severity <= max_severity),
+            t0, t1, limit,
+        )
+
+    @precondition(lambda self: len(self.real))
+    @rule(
+        kind=st.sampled_from(["all_terms_query", "phrase_query", "time_range"]),
+        terms=st.lists(st.sampled_from(TERMS), max_size=3),
+        phrase=st.sampled_from([
+            "link up on", "up link", "started on", "new high-speed USB device",
+            "device number 7 using", "reported state", "kernel", "absent here", "", "!!",
+        ]),
+        window=WINDOWS, limit=LIMITS,
+    )
+    def ask_for_documents(self, kind, terms, phrase, window, limit):
+        t0, t1, _doc = self._window(window)
+        if kind == "time_range":
+            lo, hi = (0.0 if t0 is None else t0), (1e9 if t1 is None else t1)
+            self._ask_for_documents(
+                lambda s: s.time_range(lo, hi), lambda d: True, lo, hi, None, by_time=True
+            )
+        elif kind == "all_terms_query":
+            self._ask_for_documents(
+                lambda s: s.all_terms_query(terms, t0=t0, t1=t1, limit=limit),
+                lambda d: all(_filed_under(d, term.lower()) for term in terms),
+                t0, t1, limit,
+            )
+        else:
+            tokens = opensearch._analyze(phrase)
+            self._ask_for_documents(
+                lambda s: s.phrase_query(phrase, t0=t0, t1=t1, limit=limit),
+                lambda d: all(_filed_under(d, tok) for tok in tokens)
+                and " ".join(tokens) in " ".join(opensearch._analyze(d.message.text)),
+                t0, t1, limit,
+            )
+
+    @precondition(lambda self: len(self.real))
+    @rule(
+        kind=st.sampled_from(["date_histogram", "severity_histogram", "hostname", "app",
+                              "category", "no_such_field"]),
+        window=WINDOWS, top=st.sampled_from([1, 3, 50]),
+        interval_s=st.sampled_from([0.0, 1.0, 7.0, 60.0]),
+        term=st.sampled_from([None, None, "kernel", "cn001", "absent"]),
+    )
+    def ask_for_counts(self, kind, window, top, interval_s, term):
+        t0, t1, _doc = self._window(window)
+        if kind == "date_histogram":
+            def ask(store, top=None):
+                buckets = store.date_histogram(interval_s=interval_s, t0=t0, t1=t1, term=term)
+                return [(b.start, b.count) for b in buckets]
+        elif kind == "severity_histogram":
+            def ask(store, top=None):
+                return sorted(store.severity_histogram(t0=t0, t1=t1).items())
+        else:
+            def ask(store, top=top):
+                return store.terms_aggregation(kind, top=top, t0=t0, t1=t1)
+
+        got = _outcome(ask, self.real)
+        everything = _outcome(lambda s: ask(s, 1 << 30), self.bare)
+        if got[0] != "ok":
+            assert got == everything  # refused alike, whatever the state
+            return
+        if (term is not None and kind == "date_histogram") or (
+            _scan_reads_what_the_primaries_hold(self.real)
+        ):
+            scanned = ask(self.oracle, 1 << 30)
+            if kind in ("hostname", "app", "category"):
+                # value -> count above the cut: the scan orders equal counts
+                # by first sight, the engine by value
+                scanned = sorted(scanned, key=lambda kv: (-kv[1], kv[0]))[:top]
+            assert got[1] == scanned
+        if _primaries_hold_everything(self.real):
+            assert got == _outcome(ask, self.bare)
+        elif kind == "date_histogram":
+            assert sum(n for _start, n in got[1]) <= sum(n for _start, n in everything[1])
+        else:
+            known = dict(everything[1])
+            assert len(dict(got[1])) == len(got[1])
+            if kind == "category":  # a copy behind may still carry an older label
+                assert sum(n for _value, n in got[1]) <= sum(known.values())
+            else:
+                assert all(n <= known.get(value, 0) for value, n in got[1])
+
     @invariant()
     def indistinguishable(self):
         if not hasattr(self, "real"):
             return
+        self._settle_time_indices()
         assert _store_state(self.real) == _store_state(self.oracle)
         assert _counters(self.registries[0]) == _counters(self.registries[1])
+        assert _indices_follow_their_copies(self.real)
         for term in ("kernel", "cn001", "started"):
             self.both(lambda s: [d.doc_id for d in s.term_query(term).docs])
-        for field in ("hostname", "category"):
-            self.both(lambda s: s.terms_aggregation(field, top=50))
+        if _scan_reads_what_the_primaries_hold(self.real):
+            for field in ("hostname", "category"):
+                # no cut at top=50; equal counts order by value on the
+                # engine, by first sight on the oracle's scan
+                self.both(lambda s: sorted(s.terms_aggregation(field, top=50)))
         self.both(lambda s: s.index_stats())
+        self._settle_time_indices()
         bound = opensearch.ANALYSIS_MEMO_MAX_ENTRIES
         assert all(len(n.search_index._plans) <= bound for n in self.real.nodes)
 
@@ -289,6 +533,177 @@ def _plain(n, text="job {i} started on cn{i:03d}"):
                       text=text.format(i=i))
         for i in range(n)
     ]
+
+
+# -- one engine, two stores ---------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+QUERIES = (
+    "term_query", "all_terms_query", "phrase_query", "time_range",
+    "date_histogram", "terms_aggregation", "severity_histogram",
+)
+
+
+class TestOneEngine:
+    def test_every_query_is_one_function_serving_both_stores(self):
+        public = [
+            name for name, value in vars(opensearch._Queries).items()
+            if callable(value) and not name.startswith("_")
+        ]
+        assert sorted(public) == sorted(QUERIES)
+        for name in QUERIES:
+            assert getattr(ReplicatedLogStore, name) is getattr(LogStore, name), name
+
+    def test_no_query_is_written_twice_in_the_source(self):
+        """One ``def`` per query name in the engine's module, none under
+        ``replication/`` — nor the reductions a second engine would need."""
+        defs = {}
+        for path in [SRC / "stream" / "opensearch.py", *(SRC / "replication").glob("*.py")]:
+            tree = ast.parse(path.read_text())
+            names = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+            defs[path.name] = [name for name in names if name in QUERIES]
+            if path.parent.name == "replication":
+                assert "_iter_copies" not in names
+                imported = [
+                    alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                    for alias in n.names
+                ]
+                assert not {"Counter", "DateHistogramBucket", "QueryResult"} & set(imported)
+        assert sorted(defs.pop("opensearch.py")) == sorted(QUERIES)
+        assert not any(defs.values()), defs
+
+    def test_the_queries_the_replicated_store_lacked(self):
+        """``examples/tivan_queries.py``'s tour, on both stores."""
+        bare, repl = LogStore(), ReplicatedLogStore(n_nodes=3, n_replicas=1)
+        batch = [_message(i, False, i % 9 == 0) for i in range(1, 120)]
+        for store in (bare, repl):
+            store.bulk_index(batch)
+            store.set_category(4, Category.UNIMPORTANT)
+        repl.kill_node(1)  # node 2 serves shard 1 now, from a fresh index
+        for ask in (
+            lambda s: s.phrase_query("link up on", limit=3),
+            lambda s: s.all_terms_query(["kernel", "link"], t0=1010.0),
+            lambda s: s.time_range(960.0, 1040.0),
+            lambda s: s.term_query("kernel", t0=1000.0, t1=1060.0,
+                                   max_severity=Severity.WARNING),
+        ):
+            assert _docs(ask(repl)) == _docs(ask(bare)) and ask(bare).total
+        # and by hand, since both stores run the one engine
+        for window in ((1010.0, 1050.0), (None, 1003.0), (1100.0, None)):
+            lo, hi = window[0] or 0.0, window[1] or 1e9
+            by_hand = [
+                d.doc_id for d in bare.iter_documents()
+                if _filed_under(d, "kernel") and lo <= d.message.timestamp < hi
+            ]
+            for store in (bare, repl):
+                hits = store.all_terms_query(["KERNEL"], t0=window[0], t1=window[1])
+                assert [d.doc_id for d in hits.docs] == by_hand and by_hand
+                hits = store.phrase_query("kernel", t0=window[0], t1=window[1])
+                assert {d.doc_id for d in hits.docs} <= set(by_hand)
+
+    def test_a_primary_that_died_unnoticed_is_skipped(self):
+        """Between two probes the coordinator still lists a dead node as
+        acting primary; its index is not read."""
+        batch = [_message(i, False, False) for i in range(1, 40)]
+        stores = [
+            cls(n_nodes=3, n_replicas=2, registry=MetricsRegistry())
+            for cls in (ReplicatedLogStore, PerDocStore)
+        ]
+        for store in stores:
+            store.bulk_index(batch)
+            store.nodes[1].kill(wipe=False)  # not kill_node: nobody rebalances
+            assert store._primary[1] == store._primary[4] == 1
+        real, oracle = stores
+        assert _docs(real.term_query("kernel")) == _docs(oracle.term_query("kernel"))
+        lit = [d for d in range(39) if d % 6 not in (1, 4)]  # shards 1 and 4 are dark
+        assert [d.doc_id for d in real.time_range(0.0, 2000.0).docs] == lit
+        assert sum(real.severity_histogram().values()) == len(lit)
+
+
+class TestStaleResidents:
+    """A demoted index keeps what it indexed; two ways that could leak."""
+
+    def test_a_label_replayed_onto_a_demoted_resident_reaches_its_index(self):
+        """Relabelled while its node was down *and* demoted: the replayed
+        copy must relabel the index entry too, because the promote that
+        follows re-indexes only what is missing."""
+        bare, store, batch = LogStore(), ReplicatedLogStore(n_nodes=3, n_replicas=2), _plain(12)
+        for s in (bare, store):
+            s.bulk_index(batch)
+        store.quiesce_node(0)  # shard 0 moves to node 1; node 0 keeps doc 0 indexed
+        store.kill_node(0, wipe=False)
+        for s in (bare, store):
+            s.set_category(0, Category.THERMAL)  # node 0 is hinted
+        store.restart_node(0)  # the hint is replayed through put()
+        store.activate_node(0)
+        assert store._primary[0] == 0 and _indices_follow_their_copies(store)
+        assert _docs(store.term_query("cn001")) == _docs(bare.term_query("cn001"))
+        assert store.terms_aggregation("category") == [(Category.THERMAL.value, 1)]
+
+    def test_a_node_is_read_for_the_shards_the_coordinator_gave_it(self):
+        """Not for the ones it believes it leads: a node demoted while
+        unreachable never heard, and still indexes that shard's writes."""
+        bare = LogStore()
+        store = ReplicatedLogStore(n_nodes=6, n_replicas=1, write_quorum=1)
+        batches = [_plain(24), _plain(12, "late job {i} started on cn{i:03d}")]
+        store.bulk_index(batches[0])
+        store.kill_node(1, wipe=False)  # shard 1 moves to node 2
+        store.bulk_index(batches[1])
+        store.quiesce_node(1)
+        store.restart_node(1)  # back, but no longer preferred: node 2 keeps shard 1
+        store.kill_node(0)  # node 1 is shard 0's last owner, so it leads that
+        for batch in batches:
+            bare.bulk_index(batch)
+        assert store._primary[0] == 1 and store._primary[1] == 2
+        assert store.nodes[1].primary_shards == {0, 1}
+        assert _primaries_hold_everything(store)
+        for ask in (
+            lambda s: s.time_range(0.0, 100.0), lambda s: s.term_query("cn001"),
+            lambda s: s.phrase_query("started on"),
+        ):
+            assert _docs(ask(store)) == _docs(ask(bare))
+        assert store.severity_histogram() == bare.severity_histogram()
+        assert store.terms_aggregation("app", t0=5.0) == bare.terms_aggregation("app", t0=5.0)
+        assert store.date_histogram(interval_s=5.0) == bare.date_histogram(interval_s=5.0)
+
+
+class TestHintReplay:
+    def test_a_node_that_timed_out_once_is_caught_up_by_the_next_write(self):
+        """One failed probe hints a batch and leaves the breaker closed:
+        the node stays acting primary, so it must not wait for a rejoin."""
+        from repro.faults import FaultSpec
+
+        registry = MetricsRegistry()
+        store = ReplicatedLogStore(
+            n_nodes=3, n_replicas=2, registry=registry, fault_injector=FaultInjector(
+                FaultPlan(sites={"store.node_slow": FaultSpec(at_calls=(2,))})
+            ),
+        )
+        batches = [
+            [SyslogMessage(timestamp=float(12 * b + i), hostname="cn001", app="kernel",
+                           text=f"link {i} up") for i in range(12)]
+            for b in range(3)
+        ]
+        store.bulk_index(batches[0])
+        store.bulk_index(batches[1])  # node 0 times out: its run is hinted
+        assert store.hints_pending == 12
+        assert {b.state for b in store.breakers} == {"closed"}
+        store.bulk_index(batches[2])
+        assert store.hints_pending == 0 and len(store) == 36
+        assert store.term_query("cn001").total == 36
+        assert store.all_terms_query(["link", "up"]).total == 36
+        assert len(store.time_range(0.0, 36.0).docs) == 36
+        assert sum(store.severity_histogram().values()) == 36
+        assert store.terms_aggregation("hostname") == [("cn001", 36)]
+        assert sum(b.count for b in store.date_histogram(interval_s=12.0)) == 36
+        assert len({d for owner in store.seq_digests().values() for d in owner.items()}) == 6
+        counters = _counters(registry)
+        queued, replayed, dropped = (
+            counters.get((f"repro_store_hints_{what}_total", ()), 0)
+            for what in ("queued", "replayed", "dropped")
+        )
+        assert (queued, replayed, dropped) == (12, 12, 0)
+        assert queued - replayed - dropped == store.hints_pending
 
 
 class TestTemplatePlans:

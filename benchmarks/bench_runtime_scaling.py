@@ -17,6 +17,13 @@ may not exceed what it was before the masker itself was memoized, and
 the cache must still win ≥3.5× over the — now much cheaper — uncached
 path.
 
+The batch-size lane (``test_batch_size_lane``) is the other end of the
+scale: the paced spine flushes one to three lines at a time, so it
+times ``classify_batch`` on all-hit and all-miss lines at 1/3/10/100/500
+rows — µs per call and per line, the miss side also with the
+matrix-by-matrix TF-IDF weighting it had before (kept in
+``tests/reference_tfidf.py``) — and writes ``BENCH_batch_size_lane.json``.
+
 Environment knobs: ``REPRO_BENCH_SCALING_N`` (corpus size, default
 50000), ``REPRO_BENCH_SCALING_WORKERS`` (shard count, default 4).  The
 sharded ≥2× speedup assertion needs real cores and is skipped on
@@ -28,7 +35,9 @@ from __future__ import annotations
 import os
 import random
 import string
+import sys
 import time
+from pathlib import Path
 
 from conftest import BENCH_SEED, emit, write_artifact
 
@@ -37,8 +46,13 @@ from repro.core.template_cache import TemplateCache
 from repro.datagen.generator import CorpusGenerator
 from repro.experiments.common import format_table
 from repro.ml import ComplementNB
+from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import MessageBatch, ShardedExecutor
 from repro.textproc import MaskingNormalizer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from reference_tfidf import reference_transform_analyzed  # noqa: E402
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_SCALING_N", "50000"))
 N_WORKERS = int(os.environ.get("REPRO_BENCH_SCALING_WORKERS", "4"))
@@ -55,6 +69,10 @@ MATRIX_N = int(os.environ.get("REPRO_BENCH_MATRIX_N", "20000"))
 # cached path cost 9.5 µs/msg against 36 for the chain, 0.26; now ~0.15
 CACHED_VS_REFERENCE_MAX_AT_95 = 0.25
 SPEEDUP_FLOOR_AT_95 = 3.5
+# the batch-size lane: rows per call, never-seen lines per size and round
+LANE_SIZES = (1, 3, 10, 100, 500)
+LANE_MISS_LINES = 1500
+LANE_ROUNDS = 5
 
 
 def test_runtime_scaling(benchmark):
@@ -261,3 +279,99 @@ def test_template_cache_matrix(benchmark):
         f"expected >={SPEEDUP_FLOOR_AT_95}x speedup at 95% hit rate, got "
         f"{at_95['speedup']:.2f}x\n{table}"
     )
+
+
+
+def _lane_cost(call, batches: list[list[str]], before_round=None) -> float:
+    """Seconds per ``call(batch)`` over ``batches``: best of LANE_ROUNDS."""
+    best = float("inf")
+    for _ in range(LANE_ROUNDS):
+        if before_round is not None:
+            before_round()
+        t0 = time.perf_counter()
+        for batch in batches:
+            call(batch)
+        best = min(best, (time.perf_counter() - t0) / len(batches))
+    return best
+
+
+def test_batch_size_lane(benchmark):
+    """What ``classify_batch`` costs by batch size, all-hit and all-miss.
+
+    The spine benchmark's pipeline (TF-IDF, ComplementNB, a 4096-entry
+    template cache, a live registry).  Hit batches repeat cached
+    templates; miss batches are corpus lines made unique by one
+    never-seen word, classified from an empty cache each round (token
+    memos stay warm, as they do in a long run).  The miss side runs
+    twice, with ``transform_analyzed`` as it is and as it was.
+    """
+    corpus = CorpusGenerator(scale=0.02, seed=BENCH_SEED).generate()
+    pipe = ClassificationPipeline(classifier=ComplementNB(), template_cache=TemplateCache(4096))
+    pipe.fit(corpus.texts, corpus.labels)
+    vec = pipe.vectorizer
+    pool = corpus.texts[:500]
+    fresh = [
+        f"{pool[i % len(pool)]} {_letters(i + 26 ** 5)}" for i in range(LANE_MISS_LINES)
+    ]
+
+    def as_it_was(docs):
+        return reference_transform_analyzed(vec, docs)
+
+    lane: dict[str, dict[str, float]] = {}
+    rows = []
+    with use_registry(MetricsRegistry()):
+        # the fixture's own number: the trickle's case, one never-seen line a call
+        benchmark.pedantic(
+            lambda: [pipe.classify_batch([line]) for line in fresh], rounds=1, iterations=1
+        )
+        for size in LANE_SIZES:
+            pipe.template_cache.clear()
+            pipe.classify_batch(pool)
+            hit_batches = [pool[i:i + size] for i in range(0, len(pool) - size + 1, size)]
+            mark = pipe.template_cache.counters()
+            hit_s = _lane_cost(pipe.classify_batch, hit_batches)
+            assert pipe.template_cache.counters()["misses"] == mark["misses"]
+
+            miss_batches = [fresh[i:i + size] for i in range(0, len(fresh) - size + 1, size)]
+            costs = {}
+            for name, transform in (("miss", None), ("miss_reference_transform", as_it_was)):
+                if transform is not None:
+                    vec.transform_analyzed = transform
+                try:
+                    mark = pipe.template_cache.counters()
+                    costs[name] = _lane_cost(
+                        pipe.classify_batch, miss_batches, pipe.template_cache.clear
+                    )
+                    assert pipe.template_cache.counters()["hits"] == mark["hits"]
+                finally:
+                    vec.__dict__.pop("transform_analyzed", None)
+            lane[str(size)] = {
+                "hit_us_per_call": hit_s * 1e6,
+                "hit_us_per_line": hit_s * 1e6 / size,
+                **{f"{name}_us_per_call": s * 1e6 for name, s in costs.items()},
+                **{f"{name}_us_per_line": s * 1e6 / size for name, s in costs.items()},
+            }
+            rows.append([
+                str(size), f"{hit_s * 1e6:.1f}", f"{hit_s * 1e6 / size:.2f}",
+                f"{costs['miss'] * 1e6:.1f}", f"{costs['miss'] * 1e6 / size:.2f}",
+                f"{costs['miss_reference_transform'] * 1e6:.1f}",
+                f"{costs['miss_reference_transform'] * 1e6 / size:.2f}",
+            ])
+
+    table = format_table(
+        ["rows", "hit µs/call", "µs/line", "miss µs/call", "µs/line",
+         "miss, old transform µs/call", "µs/line"],
+        rows,
+    )
+    emit("classify_batch by batch size — all-hit and all-miss lines", table)
+    write_artifact("batch_size_lane", {
+        "miss_lines_per_round": LANE_MISS_LINES, "rounds": LANE_ROUNDS, "rows": lane,
+    })
+
+    one, full = lane["1"], lane[str(LANE_SIZES[-1])]
+    # a one-line miss no longer pays for seven matrices ...
+    assert one["miss_us_per_call"] <= 0.7 * one["miss_reference_transform_us_per_call"], table
+    # ... and a full batch pays no more per line for it
+    assert full["miss_us_per_line"] <= 1.1 * full["miss_reference_transform_us_per_line"], table
+    # a batch's fixed cost stays a small multiple of a full batch's line
+    assert one["hit_us_per_call"] <= 25 * full["hit_us_per_line"], table

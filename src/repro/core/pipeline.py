@@ -122,6 +122,13 @@ class ClassificationPipeline:
     _fingerprinter: TemplateFingerprinter | None = field(
         default=None, init=False, repr=False
     )
+    #: model-stage label → Category, resolved from the classifier's
+    #: ``classes_`` once per ``fit`` generation
+    _label_categories: dict | None = field(default=None, init=False, repr=False)
+    #: the batch-level metric children and the template-cache mirror,
+    #: bound on first use (``wellknown.Bound``)
+    _batch_metrics: tuple | None = field(default=None, init=False, repr=False)
+    _cache_mirror: object = field(default=None, init=False, repr=False)
 
     def fit(self, texts: Sequence[str], labels: Sequence[Category]) -> "ClassificationPipeline":
         """Fit vectorizer and classifier on a labelled corpus.
@@ -173,6 +180,7 @@ class ClassificationPipeline:
         # vectorizer's normalization changed
         self._generation += 1
         self._fingerprinter = None
+        self._label_categories = None
         return self
 
     def classify(self, text: str) -> PipelineResult:
@@ -258,7 +266,7 @@ class ClassificationPipeline:
                     else:
                         results[i] = PipelineResult(
                             text=texts[i],
-                            category=_as_category(cats[j]),
+                            category=self._category(cats[j]),
                             confidence=(
                                 float(confs[j])
                                 if confs is not None and confs[j] is not None
@@ -362,21 +370,41 @@ class ClassificationPipeline:
                 # store the *converted* result so hits skip the
                 # label→Category and numpy→float conversions too
                 conf = m_confs[k] if m_confs is not None else None
-                cats[j] = _as_category(m_cats[k])
+                cats[j] = self._category(m_cats[k])
                 confs[j] = float(conf) if conf is not None else None
                 if j not in poisoned:
                     cache.put(keys[j], (cats[j], confs[j]))
         self._record_cache_metrics(cache, before)
         return cats, confs, condemned
 
+    def _category(self, label) -> Category:
+        """The :class:`Category` a model-stage label names."""
+        if isinstance(label, Category):
+            return label
+        table = self._label_categories
+        if table is None:
+            table = self._label_categories = {}
+            classes = getattr(self.classifier, "classes_", None)
+            for known in classes if classes is not None else ():
+                try:
+                    table[known] = Category.from_name(str(known))
+                except KeyError:
+                    pass  # raised if and when the model predicts it
+        category = table.get(label)
+        return category if category is not None else Category.from_name(str(label))
+
     def _record_cache_metrics(self, cache, before: dict) -> None:
         """Mirror one batch's cache counter deltas into the registry."""
-        from repro.obs import wellknown
-
         after = cache.counters()
         stats = {name: after[name] - before[name] for name in after}
         stats["size"] = len(cache)
-        wellknown.mirror_template_cache(stats, os.getpid(), self.timer.registry)
+        pid = os.getpid()
+        mirror = self._cache_mirror
+        if mirror is None or mirror.worker != pid:  # first batch, or a fork's child
+            from repro.obs import wellknown
+
+            mirror = self._cache_mirror = wellknown.TemplateCacheMirror(pid)
+        mirror.publish(stats, self.timer.registry)
 
     def _model_salvage(self, model_texts, poisoned: set[int]):
         """Per-message fallback when the columnar path cannot run.
@@ -420,14 +448,23 @@ class ClassificationPipeline:
         self, n_messages: int, n_filtered: int, elapsed: float
     ) -> None:
         """Mirror one batch into the metrics registry (once per batch)."""
-        from repro.obs import wellknown
+        bound = self._batch_metrics
+        if bound is None:
+            from repro.obs import wellknown
 
+            bound = self._batch_metrics = tuple(
+                wellknown.Bound(family) for family in (
+                    wellknown.pipeline_batches, wellknown.pipeline_messages,
+                    wellknown.pipeline_filtered, wellknown.pipeline_batch_seconds,
+                )
+            )
+        batches, messages, filtered, batch_seconds = bound
         registry = self.timer.registry
-        wellknown.pipeline_batches(registry).inc()
-        wellknown.pipeline_messages(registry).inc(n_messages)
+        batches(registry).inc()
+        messages(registry).inc(n_messages)
         if n_filtered:
-            wellknown.pipeline_filtered(registry).inc(n_filtered)
-        wellknown.pipeline_batch_seconds(registry).observe(elapsed)
+            filtered(registry).inc(n_filtered)
+        batch_seconds(registry).observe(elapsed)
 
     def timing_report(self) -> StageReport:
         """Per-stage breakdown of time spent classifying so far."""

@@ -376,6 +376,13 @@ class StreamJournal:
         return self._auto
 
     def _barrier_commit(self, kind: str, data: dict) -> None:
+        # the pending accepts and the record that moves them go out in
+        # one write — unless a kill may be scheduled between the two,
+        # which must still find only the first on disk
+        if self._pending and not (
+            self.injector is not None and self.injector.armed(SITE_CRASH)
+        ):
+            self.wal.hold()
         self.flush_pending()
         seq = self.wal.append(kind, data)
         self.state.apply(WalRecord(seq=seq, kind=kind, data=data))

@@ -25,6 +25,7 @@ propagates).  A valid prefix is always recovered, never an exception.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -72,15 +73,19 @@ class WalScanInfo:
     dropped_segments: int = 0
 
 
+#: ``json.dumps(data, sort_keys=True, separators=(",", ":"))`` builds an
+#: encoder like this one on every call; a record is on the per-flush
+#: hot path, so it is built once
+_encode_data = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: the JSON form of a record kind — a handful of strings, each encoded once
+_encode_kind = functools.lru_cache(maxsize=64)(json.dumps)
+
+
 def _encode_record(seq: int, kind: str, data: dict) -> bytes:
     # the canonical body is built by hand (keys in sorted order, compact
-    # separators) so one json.dumps covers both the CRC input and the
-    # emitted line — encoding is on the per-message hot path
-    canon = '{"data":%s,"kind":%s,"seq":%d}' % (
-        json.dumps(data, sort_keys=True, separators=(",", ":")),
-        json.dumps(kind),
-        seq,
-    )
+    # separators) so one encoding covers both the CRC input and the
+    # emitted line
+    canon = '{"data":%s,"kind":%s,"seq":%d}' % (_encode_data(data), _encode_kind(kind), seq)
     crc = zlib.crc32(canon.encode("utf-8"))
     return ('%s,"crc":%d}\n' % (canon[:-1], crc)).encode("utf-8")
 
@@ -233,6 +238,7 @@ class WriteAheadLog:
             self._m_truncated.inc(self.recovery.truncated_bytes)
         self._last_seq = self.recovery.last_seq
         self._appends_since_sync = 0
+        self._hold = False
         self._fh = None
         self._segment_size = 0
         segments = sorted(self.directory.glob(_SEGMENT_GLOB))
@@ -251,7 +257,10 @@ class WriteAheadLog:
         The line is flushed to the OS before returning under every
         policy, so a SIGKILL after :meth:`append` cannot lose the
         record — only a power failure can, bounded by the fsync policy.
+        The one exception is a record appended right after
+        :meth:`hold`, which is flushed together with its successor.
         """
+        held, self._hold = self._hold, False
         seq = self._last_seq + 1
         encoded = _encode_record(seq, kind, data)
         if (
@@ -260,7 +269,8 @@ class WriteAheadLog:
         ):
             self._rotate(seq)
         self._fh.write(encoded)
-        self._fh.flush()
+        if not held or self.fsync == "always":
+            self._fh.flush()
         self._segment_size += len(encoded)
         self._last_seq = seq
         child = self._m_append_kind.get(kind)
@@ -276,6 +286,22 @@ class WriteAheadLog:
             if self._appends_since_sync >= self.sync_every:
                 self.sync()
         return seq
+
+    def hold(self) -> None:
+        """Let the next record ride with the one appended after it.
+
+        For a caller about to append two records back to back (the
+        journal's write barrier: the pending accepts, then the record
+        that moves them): the first stays in the file object's buffer
+        and both reach the OS in the second's one ``write`` — same
+        sequence numbers, same bytes, rotation and fsync accounting
+        still per record.  Until then a SIGKILL can lose the held
+        record, so a caller that must be killable between the two does
+        not hold.  Ignored under ``always``, whose fsync needs the
+        bytes; a rotation, :meth:`sync` or :meth:`close` in between
+        flushes the held record early.
+        """
+        self._hold = True
 
     def sync(self) -> None:
         """Flush and fsync the current segment (no-op when ``off``)."""

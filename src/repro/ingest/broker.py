@@ -80,6 +80,7 @@ from repro.faults.plan import (
     FaultInjector,
 )
 from repro.obs import wellknown
+from repro.obs.metrics import default_registry
 from repro.obs.propagation import TraceContext, record_hop
 
 __all__ = [
@@ -281,13 +282,13 @@ class LogBroker:
         # and batch the published counter (listener-style) — a registry
         # increment per record would dominate the telemetry budget
         self._pub_unsynced = 0
+        #: pinned here, so every child below and each group's four are
+        #: resolved once and kept
+        self._registry = registry if registry is not None else default_registry()
+        registry = self._registry
         self._m_published = wellknown.broker_published(registry).labels()
         self._m_refused = wellknown.broker_publish_refused(registry).labels()
-        self._m_polled = wellknown.broker_polled(registry)
-        self._m_commits = wellknown.broker_commits(registry)
         self._m_commits_lost = wellknown.broker_commits_lost(registry).labels()
-        self._m_lag = wellknown.broker_lag(registry)
-        self._m_lag_age = wellknown.broker_lag_age_seconds(registry)
         self._m_partitions = wellknown.broker_partitions(registry).labels()
         self._m_stalls = wellknown.broker_partition_stalls(registry).labels()
         self._m_queue_age = wellknown.broker_queue_age_seconds(registry).labels()
@@ -382,10 +383,13 @@ class LogBroker:
                 if part.next_offset > 0:
                     group.lag += part.next_offset
                     group.uncommitted.add(key)
-            group.m_polled = self._m_polled.labels(group=name)
-            group.m_commits = self._m_commits.labels(group=name)
-            group.m_lag = self._m_lag.labels(group=name)
-            group.m_lag_age = self._m_lag_age.labels(group=name)
+            registry = self._registry
+            group.m_polled = wellknown.Bound(wellknown.broker_polled, group=name)(registry)
+            group.m_commits = wellknown.Bound(wellknown.broker_commits, group=name)(registry)
+            group.m_lag = wellknown.Bound(wellknown.broker_lag, group=name)(registry)
+            group.m_lag_age = wellknown.Bound(
+                wellknown.broker_lag_age_seconds, group=name
+            )(registry)
         return group
 
     def _advance_committed(self, g: ConsumerGroup, key: str, offset: int) -> None:

@@ -336,7 +336,9 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every family (tests and benchmark isolation)."""
         with self._lock:
-            self._families.clear()
+            # a fresh dict, not clear(): children bound once
+            # (``wellknown.Bound``) notice by its identity
+            self._families = {}
         self.created_at = time.time()
 
     # registries ride along when a pipeline crosses a process boundary

@@ -20,7 +20,9 @@ process-wide one) through the registry's public ``counter`` / ``gauge``
 still hands back its shared no-op metric.  :func:`declare_all`
 registers the full schema at once so a snapshot carries zero-valued
 samples for subsystems that have not run yet — a scrape of a freshly
-started process already shows every panel.
+started process already shows every panel.  A path that reports per
+batch binds instead — :class:`Bound` resolves an accessor and its label
+values to the child once per registry.
 
 To add a family, add one statement where its samples belong in the
 exposition (statement order is registration order), then replace the
@@ -388,7 +390,8 @@ def _named_accessors(namespace: dict) -> list[str]:
 
 __all__ = [
     *_named_accessors(globals()),
-    "CATALOGUE", "Family", "SECTIONS", "declare_all", "mirror_template_cache", "render_reference",
+    "Bound", "CATALOGUE", "Family", "SECTIONS", "TemplateCacheMirror", "declare_all",
+    "mirror_template_cache", "render_reference",
 ]
 
 
@@ -405,28 +408,90 @@ def declare_all(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     return registry
 
 
+class Bound:
+    """One family's child for fixed label values, resolved once per registry.
+
+    ``Bound(stage_seconds, stage="route")`` is called like the accessor
+    it wraps — ``bound(registry)``, default the process-wide registry —
+    and returns the labelled child, so a hot path observes without the
+    family get-or-create and the ``labels()`` resolution an accessor
+    call plus ``inc(..., stage=...)`` costs per event.  Nothing is
+    registered until the first call (a family or child that is never
+    used never shows a zero sample), and the resolution is redone when
+    the call meets another registry — an explicit one, the default
+    after ``set_default_registry``/``use_registry``, or the same one
+    after ``reset()`` — so a long-lived holder keeps reporting where an
+    accessor call would.  Only the recipe pickles: a copy in another
+    process resolves against that process's registry.
+    """
+
+    __slots__ = ("_accessor", "_labels", "_resolved")
+
+    def __init__(self, accessor: Callable[..., Counter | Gauge | Histogram], **labels: str) -> None:
+        self._accessor = accessor
+        self._labels = labels
+        #: (the families dict resolved against, the child) — one tuple so
+        #: a racing thread never pairs a child with the wrong registry
+        self._resolved: tuple = (None, None)
+
+    def __call__(self, registry: MetricsRegistry | None = None):
+        if registry is None:
+            registry = default_registry()
+        families, child = self._resolved
+        if registry._families is not families:
+            child = self._accessor(registry).labels(**self._labels)
+            self._resolved = (registry._families, child)
+        return child
+
+    def __reduce__(self):
+        return partial(Bound, **self._labels), (self._accessor,)
+
+
+class TemplateCacheMirror:
+    """Publishes one process's template-cache counter deltas and size.
+
+    The five ``worker``-labelled children are bound once
+    (:class:`Bound`), so the serial pipeline's per-batch report costs
+    no family or label resolution.  The serial pipeline reports its own
+    cache under its pid; sharded workers' registries are invisible to
+    the parent, so chunk results carry ``stats`` by value and the
+    parent republishes them under the worker's pid
+    (:func:`mirror_template_cache`) — one implementation, so both paths
+    emit the same families.
+    """
+
+    __slots__ = ("worker", "_deltas", "_size")
+
+    def __init__(self, worker: int | str) -> None:
+        #: as given (the pipeline compares it with ``os.getpid()`` to
+        #: notice it now runs in a fork's child)
+        self.worker = worker
+        label = str(worker)
+        self._deltas = tuple(
+            (stat, Bound(counter, worker=label))
+            for stat, counter in (
+                ("hits", template_cache_hits),
+                ("misses", template_cache_misses),
+                ("evictions", template_cache_evictions),
+                ("invalidations", template_cache_invalidations),
+            )
+        )
+        self._size = Bound(template_cache_size, worker=label)
+
+    def publish(self, stats: Mapping[str, int], registry: MetricsRegistry | None = None) -> None:
+        """``stats`` holds the ``TemplateCache.counters()`` deltas since
+        the last report plus the current ``size``."""
+        for stat, counter in self._deltas:
+            if delta := stats.get(stat, 0):
+                counter(registry).inc(delta)
+        self._size(registry).set(stats.get("size", 0))
+
+
 def mirror_template_cache(
     stats: Mapping[str, int], worker: int | str, registry: MetricsRegistry | None = None
 ) -> None:
-    """Publish one process's template-cache counter deltas and size.
-
-    ``stats`` holds the ``TemplateCache.counters()`` deltas since the
-    last report plus the current ``size``.  The serial pipeline reports
-    its own cache under its pid; sharded workers' registries are
-    invisible to the parent, so chunk results carry ``stats`` by value
-    and the parent republishes them under the worker's pid — one
-    implementation, so both paths emit the same families.
-    """
-    worker = str(worker)
-    for stat, counter in (
-        ("hits", template_cache_hits),
-        ("misses", template_cache_misses),
-        ("evictions", template_cache_evictions),
-        ("invalidations", template_cache_invalidations),
-    ):
-        if delta := stats.get(stat, 0):
-            counter(registry).inc(delta, worker=worker)
-    template_cache_size(registry).set(stats.get("size", 0), worker=worker)
+    """One-off :meth:`TemplateCacheMirror.publish` for ``worker``."""
+    TemplateCacheMirror(worker).publish(stats, registry)
 
 
 def render_reference() -> str:

@@ -21,9 +21,8 @@ behaviour) and mirrors the interval into the well-known
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 
 __all__ = ["StageTimer", "StageStat", "StageReport"]
 
@@ -152,27 +151,35 @@ class StageTimer:
     _stats: dict[str, StageStat] = field(default_factory=dict, repr=False)
     #: metrics registry to mirror into; ``None`` = process default
     registry: object = field(default=None, repr=False)
+    #: stage name → its (seconds, items) metric children, bound once
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @contextmanager
-    def stage(self, name: str, items: int = 0):
-        """Time one stage execution covering ``items`` messages."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0, items)
+    def stage(self, name: str, items: int = 0) -> "_Stage":
+        """Time one stage execution covering ``items`` messages (a
+        context manager; the interval is recorded when the body raises
+        too)."""
+        return _Stage(self, name, items)
 
     def add(self, name: str, seconds: float, items: int = 0) -> None:
         """Record an externally-timed interval (e.g. from a worker)."""
-        self._stats.setdefault(name, StageStat()).add(seconds, items)
+        stat = self._stats.get(name)
+        if stat is None:
+            stat = self._stats[name] = StageStat()
+        stat.add(seconds, items)
         self._mirror(name, seconds, items)
 
     def _mirror(self, name: str, seconds: float, items: int) -> None:
-        from repro.obs import wellknown
+        bound = self._bound.get(name)
+        if bound is None:
+            from repro.obs import wellknown
 
-        wellknown.stage_seconds(self.registry).observe(seconds, stage=name)
+            bound = self._bound[name] = (
+                wellknown.Bound(wellknown.stage_seconds, stage=name),
+                wellknown.Bound(wellknown.stage_items, stage=name),
+            )
+        bound[0](self.registry).observe(seconds)
         if items:
-            wellknown.stage_items(self.registry).inc(items, stage=name)
+            bound[1](self.registry).inc(items)
 
     def merge(self, report: StageReport) -> None:
         """Fold another timer's report in (used to absorb shard timings).
@@ -203,3 +210,20 @@ class StageTimer:
             stages=stages,
             total_seconds=sum(s.seconds for s in stages.values()),
         )
+
+
+class _Stage:
+    """The context manager :meth:`StageTimer.stage` hands out."""
+
+    __slots__ = ("_timer", "_name", "_items", "_t0")
+
+    def __init__(self, timer: StageTimer, name: str, items: int) -> None:
+        self._timer = timer
+        self._name = name
+        self._items = items
+
+    def __enter__(self) -> None:
+        self._t0 = perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self._timer.add(self._name, perf_counter() - self._t0, self._items)

@@ -133,10 +133,11 @@ class TfidfVectorizer:
             max_df_ratio=self.max_df_ratio,
             max_size=self.max_features,
         )
-        counts = self._count_matrix(docs)
-        df = np.asarray((counts > 0).sum(axis=0)).ravel()
-        n = counts.shape[0]
-        self.idf_ = np.log((1.0 + n) / (1.0 + df)) + 1.0
+        # a row lists each of its columns once, so a column's document
+        # frequency is the number of times it is listed
+        _counts, indices, _indptr = self._count_rows(docs)
+        df = np.bincount(np.asarray(indices, dtype=np.intp), minlength=len(self.vocabulary))
+        self.idf_ = np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
         return self
 
     def fit_transform(self, messages: Sequence[str]) -> sp.csr_matrix:
@@ -166,34 +167,60 @@ class TfidfVectorizer:
         """
         if self.vocabulary is None or self.idf_ is None:
             raise RuntimeError("TfidfVectorizer.transform called before fit")
-        counts = self._count_matrix(docs).astype(np.float64)
-        if self.sublinear_tf:
-            counts.data = 1.0 + np.log(counts.data)
-        x = counts.multiply(self.idf_[np.newaxis, :]).tocsr()
-        if self.l2_normalize:
-            _l2_normalize_rows(x)
-        return x
+        counts, indices, indptr = self._count_rows(docs)
+        return self._weighted(counts, indices, indptr, len(self.vocabulary), self.idf_)
 
-    def _count_matrix(self, docs: Sequence[Sequence[str]]) -> sp.csr_matrix:
+    def _count_rows(
+        self, docs: Sequence[Sequence[str]]
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Term counts of ``docs`` as flat CSR lists ``(counts, indices,
+        indptr)``: in-vocabulary columns only, ascending within a row."""
         assert self.vocabulary is not None
-        vocab = self.vocabulary
-        indptr = [0]
+        column = self.vocabulary.index.get
+        counts: list[int] = []
         indices: list[int] = []
-        data: list[int] = []
+        indptr = [0]
         for doc in docs:
-            row = Counter(vocab.get(t) for t in doc)
-            row.pop(-1, None)  # out-of-vocabulary
-            indices.extend(row.keys())
-            data.extend(row.values())
+            row = Counter(map(column, doc))
+            row.pop(None, None)  # out-of-vocabulary
+            columns = sorted(row)
+            indices += columns
+            counts += [row[c] for c in columns]
             indptr.append(len(indices))
-        return sp.csr_matrix(
-            (
-                np.asarray(data, dtype=np.int64),
-                np.asarray(indices, dtype=np.int32),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(len(docs), len(vocab)),
-        )
+        return counts, indices, indptr
+
+    def _weighted(
+        self,
+        counts: list[int],
+        indices: list[int],
+        indptr: list[int],
+        n_columns: int,
+        idf: np.ndarray | None = None,
+    ) -> sp.csr_matrix:
+        """Weight flat CSR term counts and build the one matrix.
+
+        Sublinear tf, IDF and the L2 row scale are all applied to the
+        flat ``data`` array, so a batch costs one ``csr_matrix``
+        construction whatever its size — a one-line flush pays for its
+        dozen numbers, not for seven intermediate matrices.
+        """
+        data = np.asarray(counts, dtype=np.float64)
+        indices = np.asarray(indices, dtype=np.int32)
+        indptr = np.asarray(indptr, dtype=np.int32)
+        if self.sublinear_tf:
+            data = 1.0 + np.log(data)
+        if idf is not None:
+            data = data * idf[indices]
+        if self.l2_normalize:
+            lengths = np.diff(indptr)
+            rows = np.flatnonzero(lengths)
+            if rows.size:
+                # per-row sums of squares in stored order, by the
+                # reduction scipy's ``sum(axis=1)`` performs
+                norms = np.sqrt(np.add.reduceat(data * data, indptr[rows]))
+                norms[norms == 0.0] = 1.0
+                data *= np.repeat(1.0 / norms, lengths[rows])
+        return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_columns))
 
     # -- introspection ---------------------------------------------------
 
@@ -267,31 +294,11 @@ class HashingVectorizer(TfidfVectorizer):
             indices.extend(row.keys())
             data.extend(row.values())
             indptr.append(len(indices))
-        x = sp.csr_matrix(
-            (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices, dtype=np.int32),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(len(docs), n_features),
-        )
-        if self.sublinear_tf:
-            x.data = 1.0 + np.log(x.data)
-        if self.l2_normalize:
-            _l2_normalize_rows(x)
-        return x
+        return self._weighted(data, indices, indptr, n_features)
 
     def feature_names(self) -> tuple[str, ...]:
         """Unavailable: hashed columns have no token names."""
         raise RuntimeError("HashingVectorizer has no feature names")
-
-
-def _l2_normalize_rows(x: sp.csr_matrix) -> None:
-    """In-place L2 row normalization of a CSR matrix."""
-    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-    norms[norms == 0.0] = 1.0
-    scale = np.repeat(1.0 / norms, np.diff(x.indptr))
-    x.data *= scale
 
 
 # Function words and masking placeholders carry no category signal and

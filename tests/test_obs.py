@@ -493,6 +493,315 @@ class TestPipelineMetrics:
         assert tree.splitlines()[0].startswith("shard.classify_batch")
 
 
+# -- bind-once: a steady-state batch resolves nothing ------------------------
+
+
+class CountingRegistry(MetricsRegistry):
+    """Counts family get-or-creates; ``labels()`` resolutions are counted
+    by patching the family base class for the duration of a test."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.get_or_creates = 0
+        self.label_resolutions = 0
+
+    def _get_or_create(self, *args, **kwargs):
+        self.get_or_creates += 1
+        return super()._get_or_create(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_registry(monkeypatch):
+    from repro.obs import metrics
+
+    registry = CountingRegistry()
+    resolve = metrics._Family.labels
+
+    def counted(family, **labels):
+        registry.label_resolutions += 1
+        return resolve(family, **labels)
+
+    monkeypatch.setattr(metrics._Family, "labels", counted)
+    return registry
+
+
+def _cached_pipeline(corpus, *, blacklist=False, cls=ClassificationPipeline):
+    from repro.buckets.blacklist import BlacklistFilter
+    from repro.core.template_cache import TemplateCache
+
+    pipe = cls(
+        classifier=ComplementNB(), template_cache=TemplateCache(4096),
+        blacklist=BlacklistFilter(threshold=3) if blacklist else None,
+    )
+    pipe.fit(corpus.texts[:600], corpus.labels[:600])
+    return pipe
+
+
+def _never_seen(start: int, n: int) -> list[str]:
+    """Lines whose masked form no earlier line had (cache misses)."""
+    return [f"unit{'abcdefghij'[i % 10]}{'klmnopqrst'[i // 10 % 10]}{'uvwxyz'[i // 100 % 6]} "
+            f"entered state after event" for i in range(start, start + n)]
+
+
+class _CallByCallTimer(StageTimer):
+    """``StageTimer`` mirroring as it did before it bound its children."""
+
+    def _mirror(self, name, seconds, items):
+        wellknown.stage_seconds(self.registry).observe(seconds, stage=name)
+        if items:
+            wellknown.stage_items(self.registry).inc(items, stage=name)
+
+
+class _CallByCallPipeline(ClassificationPipeline):
+    """The pipeline's metric emission as it was: every family resolved
+    through its accessor and every label through ``labels()``, on every
+    batch.  The three bodies are the replaced ones."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.timer = _CallByCallTimer()
+
+    def _record_batch_metrics(self, n_messages, n_filtered, elapsed):
+        registry = self.timer.registry
+        wellknown.pipeline_batches(registry).inc()
+        wellknown.pipeline_messages(registry).inc(n_messages)
+        if n_filtered:
+            wellknown.pipeline_filtered(registry).inc(n_filtered)
+        wellknown.pipeline_batch_seconds(registry).observe(elapsed)
+
+    def _record_cache_metrics(self, cache, before):
+        import os
+
+        after = cache.counters()
+        stats = {name: after[name] - before[name] for name in after}
+        stats["size"] = len(cache)
+        worker = str(os.getpid())
+        for stat, counter in (
+            ("hits", wellknown.template_cache_hits),
+            ("misses", wellknown.template_cache_misses),
+            ("evictions", wellknown.template_cache_evictions),
+            ("invalidations", wellknown.template_cache_invalidations),
+        ):
+            if delta := stats.get(stat, 0):
+                counter(self.timer.registry).inc(delta, worker=worker)
+        wellknown.template_cache_size(self.timer.registry).set(stats.get("size", 0), worker=worker)
+
+
+def _shape_of(registry) -> list:
+    """Families, children and counts of an exposition — everything but
+    the seconds a histogram happened to measure."""
+    out = []
+    for metric in registry.snapshot()["metrics"]:
+        samples = [
+            (tuple(s["labels"].items()), s["count"] if "count" in s else s["value"])
+            for s in metric["samples"]
+        ]
+        out.append((metric["name"], metric["type"], tuple(metric["label_names"]), samples))
+    return out
+
+
+def _child_pid_and_cache_workers(conn, pipe, texts):
+    """Runs in a forked child: classify, report who the cache mirror says it is."""
+    import os
+
+    with use_registry(MetricsRegistry()) as registry:
+        pipe.classify_batch(texts)
+    workers = [labels["worker"] for labels, _c in wellknown.template_cache_size(registry).samples()]
+    conn.send((os.getpid(), workers))
+    conn.close()
+
+
+class TestBindOnce:
+    def test_steady_state_batches_resolve_nothing(self, corpus, counting_registry):
+        """Hit, miss and filtered batches: after the first of each kind,
+        not one family get-or-create and not one ``labels()`` call (a hit
+        batch alone cost nine and six when every call went through its
+        accessor)."""
+        registry = counting_registry
+        pipe = _cached_pipeline(corpus, blacklist=True)
+        noise = next(t for t in corpus.texts if pipe.blacklist.is_noise(t))
+        kept = [t for t in corpus.texts[:200] if not pipe.blacklist.is_noise(t)][:3]
+        with use_registry(registry):
+            pipe.classify_batch(kept)  # misses
+            pipe.classify_batch(kept)  # hits
+            pipe.classify_batch([noise])  # filtered: nothing reaches the model stage
+            assert registry.get_or_creates > 0 and registry.label_resolutions > 0
+            registry.get_or_creates = registry.label_resolutions = 0
+            pipe.classify_batch(kept)
+            pipe.classify_batch(_never_seen(0, 3))
+            pipe.classify_batch([noise])
+            pipe.classify_batch([noise, *kept, *_never_seen(3, 2)])
+        assert (registry.get_or_creates, registry.label_resolutions) == (0, 0)
+        assert wellknown.pipeline_batches(registry).value() == 7
+        assert wellknown.pipeline_filtered(registry).value() == 3
+        assert pipe.template_cache.misses == 3 + 3 + 2
+
+    def test_call_by_call_emission_resolves_on_every_batch(self, corpus, counting_registry):
+        """The yardstick of the test above is not vacuous: the replaced
+        emission pays nine get-or-creates and six ``labels()`` per hit
+        batch."""
+        registry = counting_registry
+        pipe = _cached_pipeline(corpus, cls=_CallByCallPipeline)
+        with use_registry(registry):
+            pipe.classify_batch(corpus.texts[:3])
+            pipe.classify_batch(corpus.texts[:3])
+            registry.get_or_creates = registry.label_resolutions = 0
+            pipe.classify_batch(corpus.texts[:3])
+        assert (registry.get_or_creates, registry.label_resolutions) == (9, 6)
+
+    def test_exposition_equals_call_by_call_emission(self, corpus):
+        """Same families, same children in the same order, same counts —
+        and nothing zero-valued shows before its first use."""
+        bound, reference = (
+            _cached_pipeline(corpus, blacklist=True, cls=cls)
+            for cls in (ClassificationPipeline, _CallByCallPipeline)
+        )
+        noise = next(t for t in corpus.texts if bound.blacklist.is_noise(t))
+        kept = [t for t in corpus.texts[:200] if not bound.blacklist.is_noise(t)][:5]
+        shapes = []
+        for pipe in (bound, reference):
+            steps = []
+            with use_registry(MetricsRegistry()) as registry:
+                for batch in (
+                    "",  # an empty batch first: "filter" is timed, with no items to count
+                    kept[:2],  # misses
+                    kept[:2],  # hits: no "evictions" child yet, no "filtered" family
+                    [noise],  # repro_pipeline_filtered_total appears
+                    [noise, *kept, *_never_seen(0, 3)],
+                    "",  # an empty batch
+                ):
+                    pipe.classify_batch(list(batch))
+                    steps.append(_shape_of(registry))
+                pipe.template_cache.max_entries = 2  # the next misses evict
+                pipe.classify_batch(_never_seen(10, 4))
+                pipe.fit(corpus.texts[:600], corpus.labels[:600])  # invalidates
+                pipe.classify_batch(kept[:1])
+                steps.append(_shape_of(registry))
+            shapes.append(steps)
+        assert shapes[0] == shapes[1]
+        empty, first, last = shapes[0][0], shapes[0][1], shapes[0][-1]
+        assert [name for name, *_ in empty] == [
+            "repro_pipeline_stage_seconds", "repro_pipeline_batches_total",
+            "repro_pipeline_messages_total", "repro_pipeline_batch_seconds",
+        ]  # no repro_pipeline_stage_items_total{stage="filter"} at zero
+        assert "repro_pipeline_filtered_total" not in [name for name, *_ in first]
+        assert "repro_template_cache_evictions_total" not in [name for name, *_ in first]
+        by_name = {name: samples for name, _kind, _labels, samples in last}
+        assert by_name["repro_pipeline_filtered_total"] == [((), 2.0)]
+        assert by_name["repro_template_cache_evictions_total"][0][1] > 0
+        assert by_name["repro_template_cache_invalidations_total"][0][1] == 1
+        stages = [dict(labels)["stage"] for labels, _n in by_name["repro_pipeline_stage_seconds"]]
+        assert stages == ["filter", "fingerprint", "normalize", "vectorize", "predict", "route"]
+
+    def test_use_registry_mid_run_moves_the_observations(self, corpus):
+        pipe = _cached_pipeline(corpus)
+        with use_registry(MetricsRegistry()) as first:
+            pipe.classify_batch(corpus.texts[:4])
+            with use_registry(MetricsRegistry()) as second:
+                pipe.classify_batch(corpus.texts[:4])
+                pipe.classify_batch(corpus.texts[:2])
+            pipe.classify_batch(corpus.texts[:1])
+        explicit = MetricsRegistry()
+        pipe.timer.registry = explicit
+        pipe.classify_batch(corpus.texts[:3])
+        for registry, batches, messages in ((first, 2, 5), (second, 2, 6), (explicit, 1, 3)):
+            assert wellknown.pipeline_batches(registry).value() == batches
+            assert wellknown.pipeline_messages(registry).value() == messages
+            assert wellknown.stage_items(registry).value(stage="route") == messages
+            (_labels, size), = wellknown.template_cache_size(registry).samples()
+            assert size.value == len(pipe.template_cache)
+
+    def test_a_reset_registry_is_bound_afresh(self):
+        registry = MetricsRegistry()
+        bound = wellknown.Bound(wellknown.stage_items, stage="route")
+        bound(registry).inc(2)
+        registry.reset()
+        bound(registry).inc(3)
+        assert wellknown.stage_items(registry).value(stage="route") == 3
+
+    def test_bound_is_lazy_and_null_safe(self):
+        registry = MetricsRegistry()
+        bound = wellknown.Bound(wellknown.pipeline_filtered)
+        assert registry.collect() == []  # constructing registers nothing
+        assert bound(registry) is bound(registry) is wellknown.pipeline_filtered(registry).labels()
+        assert not wellknown.Bound(wellknown.stage_seconds, stage="x")(NullRegistry()).live
+
+    def test_only_the_recipe_pickles(self, corpus, tmp_path):
+        """A pipeline that crosses a process boundary — pickled for a
+        spawned shard worker, or saved and loaded — carries no resolved
+        child: it binds in the registry of the process it lands in."""
+        from repro.core.serialize import load_pipeline, save_pipeline
+
+        pipe = _cached_pipeline(corpus)
+        with use_registry(MetricsRegistry()) as home:
+            pipe.classify_batch(corpus.texts[:5])
+        assert pipe._batch_metrics[0]._resolved[1] is wellknown.pipeline_batches(home).labels()
+        clone = pickle.loads(pickle.dumps(pipe))
+        carried = [
+            *clone._batch_metrics,
+            *(b for pair in clone.timer._bound.values() for b in pair),
+            clone._cache_mirror._size, *(b for _stat, b in clone._cache_mirror._deltas),
+        ]
+        assert len(carried) == 4 + 2 * 5 + 5
+        assert all(b._resolved == (None, None) for b in carried)
+        with use_registry(MetricsRegistry()) as away:
+            clone.classify_batch(corpus.texts[:5])
+        assert wellknown.pipeline_messages(away).value() == 5
+        assert wellknown.pipeline_messages(home).value() == 5
+        save_pipeline(pipe, tmp_path / "model")
+        loaded = load_pipeline(tmp_path / "model")
+        assert loaded._batch_metrics is None and loaded.timer._bound == {}
+
+    def test_a_forked_worker_reports_under_its_own_pid(self, corpus):
+        """Shard workers forked after the parent classified inherit its
+        cache mirror, bound to the parent's pid."""
+        import multiprocessing
+        import os
+
+        pipe = _cached_pipeline(corpus)
+        with use_registry(MetricsRegistry()):
+            pipe.classify_batch(corpus.texts[:5])
+        assert pipe._cache_mirror.worker == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=_child_pid_and_cache_workers, args=(theirs, pipe, corpus.texts[:5])
+        )
+        child.start()
+        theirs.close()
+        assert ours.poll(60), "the forked child never reported"
+        pid, workers = ours.recv()
+        child.join(60)
+        assert not child.is_alive()
+        assert pid != os.getpid() and workers == [str(pid)]
+
+    def test_a_stage_whose_body_raises_is_still_timed(self):
+        registry = MetricsRegistry()
+        timer = StageTimer(registry=registry)
+        with pytest.raises(ZeroDivisionError):
+            with timer.stage("predict", items=4):
+                1 / 0
+        assert timer.report().stages["predict"].calls == 1
+        assert wellknown.stage_seconds(registry).labels(stage="predict").count == 1
+        assert wellknown.stage_items(registry).value(stage="predict") == 4
+
+    def test_the_broker_binds_each_group_once_and_at_once(self):
+        """The four per-group children exist, zero-valued, from the
+        moment the group does — in the registry the broker was built
+        with, whatever the default is by then."""
+        from repro.ingest import LogBroker
+
+        registry = MetricsRegistry()
+        broker = LogBroker(registry=registry)
+        with use_registry(MetricsRegistry()) as other:
+            broker.subscribe("g", "m")
+        for family in (wellknown.broker_polled, wellknown.broker_commits,
+                       wellknown.broker_lag, wellknown.broker_lag_age_seconds):
+            (labels, child), = family(registry).samples()
+            assert labels == {"group": "g"} and child.value == 0
+        assert other.collect() == []
+
+
 # -- dashboard panel --------------------------------------------------------
 
 

@@ -27,6 +27,13 @@ def _clocked(fn, budget_s: float, label: str):
     return result
 
 
+def _best_ratio(numerator, denominator, rounds: int = 9) -> float:
+    """``numerator()`` over ``denominator()`` (seconds each): alternating
+    rounds, best round of each side."""
+    passes = [(numerator(), denominator()) for _ in range(rounds)]
+    return min(p[0] for p in passes) / min(p[1] for p in passes)
+
+
 class TestScalingSmoke:
     def test_bulk_random_order_indexing_is_linearish(self):
         """LogStore must not degrade to O(n²) on shuffled bulk loads."""
@@ -110,11 +117,9 @@ def _masker_cost_ratio(lines, rounds: int = 9) -> float:
             fn(line)
         return time.perf_counter() - t0
 
-    passes = [
-        (cold_pass(norm.normalize), cold_pass(norm.normalize_reference))
-        for _ in range(rounds)
-    ]
-    return min(p[0] for p in passes) / min(p[1] for p in passes)
+    return _best_ratio(
+        lambda: cold_pass(norm.normalize), lambda: cold_pass(norm.normalize_reference), rounds
+    )
 
 
 class TestMaskerFloors:
@@ -165,8 +170,7 @@ def _poll_cost_ratio(big, small, cycle, rounds: int = 7, reps: int = 200) -> flo
             total += cycle(*setup, i)
         return total
 
-    passes = [(one_round(big), one_round(small)) for _ in range(rounds)]
-    return min(p[0] for p in passes) / min(p[1] for p in passes)
+    return _best_ratio(lambda: one_round(big), lambda: one_round(small), rounds)
 
 
 class TestBrokerPollFloors:
@@ -256,8 +260,9 @@ def _write_cost_ratio(
         assert len(store) == len(messages)
         return dt
 
-    passes = [(one_round(ReplicatedLogStore), one_round(PerDocStore)) for _ in range(rounds)]
-    return min(p[0] for p in passes) / min(p[1] for p in passes)
+    return _best_ratio(
+        lambda: one_round(ReplicatedLogStore), lambda: one_round(PerDocStore), rounds
+    )
 
 
 class TestStoreWriteFloors:
@@ -322,8 +327,7 @@ def _query_cost_ratio(ask, baseline, rounds: int = 7) -> float:
         call()
         return time.perf_counter() - t0
 
-    passes = [(clock(ask), clock(baseline)) for _ in range(rounds)]
-    return min(p[0] for p in passes) / min(p[1] for p in passes)
+    return _best_ratio(lambda: clock(ask), lambda: clock(baseline), rounds)
 
 
 class TestStoreQueryFloors:
@@ -387,8 +391,7 @@ class TestWellknownAccessorFloor:
             return time.perf_counter() - t0
 
         assert wellknown.broker_polled(registry) is registry.counter(name, help_text, labels)
-        passes = [(accessor_round(), direct_round()) for _ in range(25)]
-        ratio = min(p[0] for p in passes) / min(p[1] for p in passes)
+        ratio = _best_ratio(accessor_round, direct_round, rounds=25)
         assert ratio <= 1.5, f"an accessor costs {ratio:.2f}x a direct get-or-create"
 
     def test_null_registry_gets_the_shared_null_metric(self):
@@ -403,6 +406,67 @@ class TestWellknownAccessorFloor:
             doc = family.accessor.__doc__
             assert doc.startswith(family.kind.capitalize()), family.name
             assert family.name in doc and family.help in doc
+
+
+class TestSmallBatchFloors:
+    """A trickle flushes one to three lines at a time, so what a batch
+    costs before its first row is what the paced regime pays per line.
+    Ratios against a same-process yardstick only."""
+
+    def test_one_row_transform_costs_under_half_the_matrix_by_matrix_one(self, split, corpus):
+        """Weighting at array level (one CSR built) against the
+        implementation it replaced (seven), kept in
+        ``reference_tfidf.py``: reads 0.15-0.17."""
+        from reference_tfidf import reference_transform_analyzed
+
+        vec = split[4]
+        rows = [[doc] for doc in vec.analyze_batch(corpus.texts[:300])]
+
+        def timed(transform):
+            def one_round() -> float:
+                t0 = time.perf_counter()
+                for row in rows:
+                    transform(row)
+                return time.perf_counter() - t0
+            return one_round
+
+        ratio = _best_ratio(
+            timed(vec.transform_analyzed), timed(lambda row: reference_transform_analyzed(vec, row))
+        )
+        assert ratio <= 0.4, f"a one-row transform costs {ratio:.2f}x the reference"
+
+    def test_a_one_line_all_hit_batch_costs_a_bounded_number_of_full_batch_lines(self, corpus):
+        """The fixed cost of ``classify_batch`` — stage timers, batch and
+        cache metrics — measured in lines of a 500-line all-hit batch:
+        reads 10-11; 27-31 while every batch resolved its metric
+        families and labels anew."""
+        from repro.core.pipeline import ClassificationPipeline
+        from repro.core.template_cache import TemplateCache
+        from repro.ml import ComplementNB
+
+        pipe = ClassificationPipeline(classifier=ComplementNB(), template_cache=TemplateCache(4096))
+        pipe.timer.registry = MetricsRegistry()
+        pipe.fit(corpus.texts, corpus.labels)
+        full = _zipf_draw(corpus, 500)
+        one = full[:1]
+        pipe.classify_batch(full)  # fill the cache: everything below is a hit
+        misses = pipe.template_cache.misses
+
+        def one_line_call() -> float:
+            t0 = time.perf_counter()
+            for _ in range(400):
+                pipe.classify_batch(one)
+            return (time.perf_counter() - t0) / 400
+
+        def full_batch_line() -> float:
+            t0 = time.perf_counter()
+            for _ in range(4):
+                pipe.classify_batch(full)
+            return (time.perf_counter() - t0) / (4 * 500)
+
+        ratio = _best_ratio(one_line_call, full_batch_line)
+        assert pipe.template_cache.misses == misses
+        assert ratio <= 18.0, f"a one-line all-hit batch costs {ratio:.1f} full-batch lines"
 
 
 class TestTemplateCacheSpeedup:

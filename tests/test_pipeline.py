@@ -178,3 +178,44 @@ class TestModelStageFedKeys:
             lambda *a, **k: pytest.fail("fell to per-row salvage"),
         )
         assert [r.category for r in pipe.classify_batch(texts)] == expected
+
+
+class TestLabelTable:
+    """Model-stage labels resolve through a table built from the
+    classifier's ``classes_`` once per fit, not through a scan of the
+    enum per row."""
+
+    class Parrot:
+        """Predicts whatever ``says`` holds, row by row."""
+
+        classes_ = np.asarray(["Unimportant", "Thermal Issue", "Bogus"])
+        says: list = []
+
+        def predict(self, X):
+            return np.asarray(self.says[: X.shape[0]])
+
+    @pytest.mark.parametrize("cache", [None, TemplateCache()], ids=["uncached", "cached"])
+    def test_known_labels_resolve_and_an_unknown_one_still_raises(self, fitted, cache):
+        pipe = ClassificationPipeline(
+            vectorizer=fitted.vectorizer, classifier=self.Parrot(), template_cache=cache
+        )
+        pipe._fitted = True
+        pipe.classifier.says = ["Thermal Issue", "Unimportant", "thermal issues"]
+        got = [r.category for r in pipe.classify_batch(["alpha one", "beta two", "gamma three"])]
+        # the third is not one of classes_: it takes from_name's tolerant route
+        assert got == [Category.THERMAL, Category.UNIMPORTANT, Category.THERMAL]
+        assert set(pipe._label_categories) == {"Unimportant", "Thermal Issue"}
+        pipe.classifier.says = ["Bogus"]
+        with pytest.raises(KeyError, match="Bogus"):
+            pipe.classify_batch(["delta four"])
+
+    def test_every_category_resolves_as_from_name_does(self, corpus):
+        pipe = ClassificationPipeline(classifier=ComplementNB())
+        pipe.fit(corpus.texts, corpus.labels)
+        pipe.classify_batch(corpus.texts[:5])
+        table = pipe._label_categories
+        assert {str(k): v for k, v in table.items()} == {c.value: c for c in Category}
+        for label in pipe.classifier.classes_:
+            assert pipe._category(label) is Category.from_name(str(label))
+        pipe.fit(corpus.texts[:300], corpus.labels[:300])
+        assert pipe._label_categories is None  # rebuilt on the refit's first batch

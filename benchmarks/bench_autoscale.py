@@ -46,7 +46,7 @@ from repro.obs.metrics import (
     set_default_registry,
 )
 from repro.obs.slo import default_slos
-from repro.stream.tivan import ClassifierStage, TivanCluster
+from repro.stream.tivan import SETTLE_MARGIN_S, ClassifierStage, TivanCluster
 
 DURATION_S = float(os.environ.get("REPRO_BENCH_CTRL_DURATION", "900"))
 BASE_RATE = float(os.environ.get("REPRO_BENCH_CTRL_RATE", "4"))
@@ -103,7 +103,7 @@ def _run(name: str, *, n_workers: int, batch: int, controlled: bool):
         if controlled:
             cluster.attach_controller(_bench_policy())
         cluster.load_events(events)
-        report = cluster.run(DURATION_S + 30.0)
+        report = cluster.run(DURATION_S + SETTLE_MARGIN_S)
         p99 = _e2e_p99(registry)
         worker_seconds = (
             report.control_worker_seconds

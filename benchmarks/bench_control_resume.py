@@ -38,7 +38,7 @@ from repro.control import (
     FeedforwardPolicy,
     LeverPolicy,
 )
-from repro.durability import SimConfig, recover_state, resume_simulation
+from repro.durability import SimConfig, recover_state, resume_simulation, run_to_completion
 from repro.experiments.common import format_table
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -105,7 +105,7 @@ def _lane(lane_dir, *, warm: bool, target: float) -> dict:
     previous = default_registry()
     set_default_registry(registry)
     try:
-        cluster, config, journal = resume_simulation(lane_dir)
+        cluster, config, _journal = resume_simulation(lane_dir)
         controller = cluster.controller
         assert controller is not None
         if not warm:
@@ -124,8 +124,7 @@ def _lane(lane_dir, *, warm: bool, target: float) -> dict:
             trajectory.append(controller.levers[LEVER].value)
 
         controller.tick = tick
-        report = cluster.run(config.duration_s + 30.0)
-        journal.wal.close()
+        report, _conservation = run_to_completion(cluster, config)
     finally:
         set_default_registry(previous)
     if start_value >= target:

@@ -20,19 +20,8 @@ wide margin; Complement NB tests fastest.
 
 from conftest import emit
 
-from repro.experiments.classifiers import run_classifier_comparison
+from repro.experiments.classifiers import fig3_layout, run_classifier_comparison
 from repro.experiments.common import format_table
-
-PAPER_F1 = {
-    "Logistic Regression": 0.9992,
-    "Ridge Classifier": 0.9987,
-    "kNN": 0.998475,
-    "Random Forest": 0.9995,
-    "Linear SVC": 0.99925,
-    "Log-loss SGD": 0.987794,
-    "Nearest Centroid": 0.952334,
-    "Complement Naive Bayes": 0.99751,
-}
 
 
 def test_fig3_classifier_comparison(benchmark, bench_data):
@@ -42,11 +31,7 @@ def test_fig3_classifier_comparison(benchmark, bench_data):
 
     emit(
         "Figure 3 — traditional classifiers (measured vs paper weighted F1)",
-        format_table(
-            ["Classifier", "wF1 (measured)", "wF1 (paper)", "train s", "test s"],
-            [[r.name, r.weighted_f1, PAPER_F1[r.name], r.train_s, r.test_s]
-             for r in rows],
-        ),
+        format_table(*fig3_layout(rows)),
     )
 
     by = {r.name: r for r in rows}

@@ -57,7 +57,7 @@ from repro.obs import (
 )
 from repro.runtime import MessageBatch
 from repro.stream.events import EventEngine
-from repro.stream.fluentd import FluentdForwarder
+from repro.stream.fluentd import FluentdForwarder, settle
 from repro.stream.opensearch import LogStore
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_OBS_N", "6000"))
@@ -206,8 +206,7 @@ def _broker_round(lines: list[bytes], *, registry, trace_sample: float) -> float
                 t0 = time.perf_counter()
                 for line in lines:
                     listener._handle_line(line, udp=True)
-                while fwd.poll_broker() or fwd.buffered:
-                    fwd.flush()
+                settle([fwd])
                 elapsed = time.perf_counter() - t0
             finally:
                 gc.enable()

@@ -11,6 +11,7 @@ from conftest import BENCH_SCALE, BENCH_SEED, emit
 from repro.core.taxonomy import Category
 from repro.datagen.generator import CorpusGenerator
 from repro.experiments.common import format_table
+from repro.experiments.table1 import table1_layout
 from repro.textproc.tfidf import category_top_tokens
 
 
@@ -25,10 +26,7 @@ def test_table1_top_tokens(benchmark):
 
     emit(
         "Table 1 — top 5 TF-IDF tokens per category",
-        format_table(
-            ["Category", "Top Tokens"],
-            [[cat, ", ".join(tokens)] for cat, tokens in sorted(tops.items())],
-        ),
+        format_table(*table1_layout(tops)),
     )
 
     # paper-shape assertions: signature tokens land in the right rows

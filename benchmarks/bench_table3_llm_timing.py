@@ -14,20 +14,19 @@ stream simulator).
 from conftest import emit
 
 from repro.experiments.common import format_table
-from repro.experiments.table3 import PAPER_TABLE3, run_table3
+from repro.experiments.table3 import PAPER_TABLE3, run_table3, table3_layout
 
 
 def test_table3_llm_inference_cost(benchmark):
     rows = benchmark(run_table3)
 
+    headers, table = table3_layout(rows)
     emit(
         "Table 3 — LLM classification cost (measured vs paper)",
         format_table(
-            ["Model", "time s (model)", "time s (paper)",
-             "msgs/h (model)", "msgs/h (paper)", "GPUs"],
-            [[r.model, r.inference_time_s, PAPER_TABLE3[r.model][0],
-              int(r.messages_per_hour), PAPER_TABLE3[r.model][1], r.n_gpus]
-             for r in rows],
+            # the paper's msgs/h is asserted on below
+            headers + ["msgs/h (paper)"],
+            [line + [PAPER_TABLE3[r.model][1]] for line, r in zip(table, rows)],
         ),
     )
 

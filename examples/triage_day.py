@@ -25,7 +25,7 @@ from repro.monitor import (
     render_overview,
 )
 from repro.stream import TivanCluster
-from repro.stream.tivan import ClassifierStage
+from repro.stream.tivan import SETTLE_MARGIN_S, ClassifierStage
 
 DURATION_S = 1800.0  # half an hour of stream, compressed
 RACK_HOSTS = tuple(f"cn{i:03d}" for i in range(8))
@@ -59,7 +59,7 @@ def main() -> None:
             classify=lambda text: pipeline.classify(text).category,
         )
     )
-    report = cluster.run(DURATION_S + 30.0)
+    report = cluster.run(DURATION_S + SETTLE_MARGIN_S)
     print(f"  produced={report.produced} indexed={report.indexed} "
           f"classified={report.classified} backlog={report.final_backlog}\n")
 

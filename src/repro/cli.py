@@ -633,41 +633,24 @@ def _cmd_tables(args) -> int:
     from repro.experiments.common import format_table
 
     if args.artifact == "table1":
-        from repro.experiments.table1 import run_table1
+        from repro.experiments.table1 import run_table1, table1_layout
 
-        tops = run_table1(scale=args.scale, seed=args.seed)
-        print(format_table(
-            ["Category", "Top Tokens"],
-            [[c, ", ".join(t)] for c, t in sorted(tops.items())],
-        ))
+        layout = table1_layout(run_table1(scale=args.scale, seed=args.seed))
     elif args.artifact == "table2":
-        from repro.experiments.table2 import run_table2
+        from repro.experiments.table2 import run_table2, table2_layout
 
-        res = run_table2(scale=args.scale, seed=args.seed)
-        print(format_table(
-            ["Category", "generated", "paper"],
-            [[c.value, res.generated.get(c, 0), res.paper[c]]
-             for c in res.paper],
-        ))
+        layout = table2_layout(run_table2(scale=args.scale, seed=args.seed))
     elif args.artifact == "table3":
-        from repro.experiments.table3 import PAPER_TABLE3, run_table3
+        from repro.experiments.table3 import run_table3, table3_layout
 
-        rows = run_table3()
-        print(format_table(
-            ["Model", "time s", "paper s", "msgs/h"],
-            [[r.model, r.inference_time_s, PAPER_TABLE3[r.model][0],
-              int(r.messages_per_hour)] for r in rows],
-        ))
+        layout = table3_layout(run_table3())
     else:  # fig3
-        from repro.experiments.classifiers import run_classifier_comparison
+        from repro.experiments.classifiers import fig3_layout, run_classifier_comparison
         from repro.experiments.common import ExperimentData
 
         data = ExperimentData(scale=args.scale, seed=args.seed)
-        rows = run_classifier_comparison(data)
-        print(format_table(
-            ["Classifier", "weighted F1", "train s", "test s"],
-            [[r.name, r.weighted_f1, r.train_s, r.test_s] for r in rows],
-        ))
+        layout = fig3_layout(run_classifier_comparison(data))
+    print(format_table(*layout))
     return 0
 
 
@@ -707,11 +690,11 @@ def _build_injector(plan_path):
 def _run_simulation(config, *, wal_dir=None, injector=None):
     """Build and run the simulation ``config`` describes (simulate/assist).
 
-    Returns ``(cluster, report)``.  With ``wal_dir`` the run is
-    durable: state goes through :mod:`repro.durability` and a killed
-    run can be resumed with ``repro-syslog recover``.
+    Returns ``(cluster, report, conservation)``.  With ``wal_dir`` the
+    run is durable: state goes through :mod:`repro.durability` and a
+    killed run can be resumed with ``repro-syslog recover``.
     """
-    from repro.durability import build_cluster, resume_simulation
+    from repro.durability import build_cluster, resume_simulation, run_to_completion
 
     if wal_dir is not None and (wal_dir / "meta.json").exists():
         raise SystemExit(
@@ -730,10 +713,8 @@ def _run_simulation(config, *, wal_dir=None, injector=None):
             )
     except ValueError as e:
         raise SystemExit(str(e))
-    report = cluster.run(config.duration_s + 30.0)
-    if cluster.journal is not None:
-        cluster.journal.wal.close()
-    return cluster, report
+    report, conservation = run_to_completion(cluster, config)
+    return cluster, report, conservation
 
 
 def _cmd_simulate(args) -> int:
@@ -764,7 +745,7 @@ def _cmd_simulate(args) -> int:
     injector = _build_injector(args.fault_plan)
     server = _start_ops(args)
     try:
-        cluster, report = _run_simulation(
+        cluster, report, conservation = _run_simulation(
             config, wal_dir=args.wal_dir, injector=injector
         )
     finally:
@@ -772,11 +753,7 @@ def _cmd_simulate(args) -> int:
         # before printing so a crash mid-simulation also tears it down
         if server is not None:
             server.stop()
-    print(
-        f"produced={report.produced} indexed={report.indexed} "
-        f"classified={report.classified} backlog={report.final_backlog} "
-        f"keeping_up={report.keeping_up}"
-    )
+    print(report.headline())
     stats = cluster.forwarder.stats
     if injector is not None or report.degrade_transitions:
         print(
@@ -833,10 +810,8 @@ def _cmd_simulate(args) -> int:
             f"W={cluster.store.write_quorum} R={cluster.store.read_quorum} "
             f"hints_pending={cluster.store.hints_pending}"
         )
-    if cluster.journal is not None:
-        from repro.durability import reconcile
-
-        print(reconcile(cluster.journal.state, report.produced).render())
+    if conservation is not None:
+        print(conservation.render())
     print()
     print(render_overview(cluster.store, interval_s=max(args.duration / 12, 1.0)))
     if args.metrics_out:
@@ -849,7 +824,7 @@ def _cmd_assist(args) -> int:
     from repro.llm.assistant import AdminAssistant
     from repro.llm.models import model_spec
 
-    cluster, _report = _run_simulation(SimConfig(
+    cluster, _report, _conservation = _run_simulation(SimConfig(
         duration_s=600.0, rate=5.0, seed=args.seed, incident=True,
         model_dir=str(args.model_dir),
     ))
@@ -869,7 +844,7 @@ def _cmd_assist(args) -> int:
 def _cmd_recover(args) -> int:
     from dataclasses import replace
 
-    from repro.durability import SimConfig, reconcile, resume_simulation
+    from repro.durability import SimConfig, resume_simulation, run_to_completion
 
     overrides = {
         "store_nodes": args.store_nodes,
@@ -889,18 +864,12 @@ def _cmd_recover(args) -> int:
         )
     except (FileNotFoundError, ValueError) as e:
         raise SystemExit(str(e))
-    report = cluster.run(max(config.duration_s + 30.0, cluster.engine.now))
-    conservation = reconcile(journal.state, report.produced)
-    journal.wal.close()
+    report, conservation = run_to_completion(cluster, config)
     print(
         f"recovered: scanned={journal.wal.recovery.records} WAL records "
         f"(truncated {journal.wal.recovery.truncated_bytes} torn bytes)"
     )
-    print(
-        f"produced={report.produced} indexed={report.indexed} "
-        f"classified={report.classified} backlog={report.final_backlog} "
-        f"keeping_up={report.keeping_up}"
-    )
+    print(report.headline())
     print(conservation.render())
     if args.metrics_out:
         _write_metrics(args.metrics_out)
@@ -922,7 +891,7 @@ def _cmd_listen(args) -> int:
 
     from repro.ingest import LogBroker, SyslogListener
     from repro.stream.events import EventEngine
-    from repro.stream.fluentd import FluentdForwarder
+    from repro.stream.fluentd import FluentdForwarder, classifying_sink, settle
     from repro.stream.opensearch import LogStore
 
     if args.udp_port < 0 and args.tcp_port < 0:
@@ -958,26 +927,10 @@ def _cmd_listen(args) -> int:
 
     broker = LogBroker(n_partitions=args.partitions)
     store = LogStore()
-
-    def sink(batch) -> bool:
-        first_id = len(store)
-        store.bulk_index(batch)
-        if pipe is not None:
-            results = pipe.classify_batch([m.text for m in batch])
-            for doc_id, result in enumerate(results, first_id):
-                store.set_category(doc_id, result.category)
-        return True
-
     forwarder = FluentdForwarder(
-        engine=EventEngine(), sink=sink, broker=broker,
+        engine=EventEngine(), sink=classifying_sink(store, pipe), broker=broker,
         consumer_group="cli", consumer_member="cli-0", clock=time.time,
     )
-
-    def consume() -> int:
-        polled = forwarder.poll_broker()
-        forwarder.drain()
-        return polled
-
     listener = SyslogListener(
         broker,
         host=args.host,
@@ -1038,7 +991,7 @@ def _cmd_listen(args) -> int:
         try:
             while True:
                 await asyncio.sleep(0.05)
-                consume()
+                forwarder.consume()
                 if loop.time() >= next_sync:
                     listener.sync_metrics()
                     next_sync = loop.time() + 1.0
@@ -1060,9 +1013,7 @@ def _cmd_listen(args) -> int:
             pass
         finally:
             await listener.stop()
-            # settle: a poll takes at most the buffer's free room
-            while consume():
-                pass
+            settle([forwarder])
 
     try:
         asyncio.run(serve())

@@ -41,6 +41,7 @@ from repro.durability.recovery import (
     reconcile,
     recover_state,
     resume_simulation,
+    run_to_completion,
 )
 from repro.durability.wal import (
     FSYNC_POLICIES,
@@ -70,6 +71,7 @@ __all__ = [
     "reconcile",
     "recover_state",
     "resume_simulation",
+    "run_to_completion",
     "child_main",
     "crash_recovery_scenario",
     "run_child",

@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.durability.recovery import SimConfig, reconcile, resume_simulation
+from repro.durability.recovery import SimConfig, resume_simulation, run_to_completion
 
 __all__ = ["child_main", "run_child", "crash_recovery_scenario"]
 
@@ -53,7 +53,7 @@ def child_main(argv: list[str] | None = None) -> int:
         from repro.faults import FaultInjector, FaultPlan
 
         injector = FaultInjector(FaultPlan.from_file(args.crash_plan))
-    cluster, config, journal = resume_simulation(args.wal_dir, injector=injector)
+    cluster, config, _journal = resume_simulation(args.wal_dir, injector=injector)
     # captured before the run: the restored control state this child
     # woke up with — the crash harness asserts it equals what the dead
     # generation journaled (setpoint equality, no duplicate actuations)
@@ -61,10 +61,7 @@ def child_main(argv: list[str] | None = None) -> int:
         cluster.controller.export_state()
         if cluster.controller is not None else None
     )
-    horizon = max(config.duration_s + 30.0, cluster.engine.now)
-    report = cluster.run(horizon)
-    conservation = reconcile(journal.state, report.produced)
-    journal.wal.close()
+    report, conservation = run_to_completion(cluster, config)
     payload = {
         "produced": report.produced,
         "indexed": report.indexed,

@@ -62,6 +62,7 @@ __all__ = [
     "reconcile",
     "recover_state",
     "resume_simulation",
+    "run_to_completion",
 ]
 
 #: WAL record kinds the journal writes (one per buffer transition;
@@ -664,6 +665,25 @@ def build_cluster(config: SimConfig, *, injector=None, journal=None):
 
         cluster.attach_controller(ControlPolicy.from_dict(config.control))
     return cluster
+
+
+def run_to_completion(cluster, config: SimConfig):
+    """Run a built and loaded cluster out — the tail every run shares.
+
+    Runs to ``config.duration_s + SETTLE_MARGIN_S`` (``run`` clamps a
+    resumed clock already past that) and, when the run is journaled,
+    checks conservation and closes the WAL.  Returns ``(report,
+    conservation)``; ``conservation`` is ``None`` on a volatile run.
+    """
+    from repro.stream.tivan import SETTLE_MARGIN_S
+
+    report = cluster.run(config.duration_s + SETTLE_MARGIN_S)
+    journal = cluster.journal
+    if journal is None:
+        return report, None
+    conservation = reconcile(journal.state, report.produced)
+    journal.wal.close()
+    return report, conservation
 
 
 def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.taxonomy import Category
 from repro.datagen.workload import Incident, generate_stream
 from repro.monitor.correlate import CorrelationResult, EventCorrelator
-from repro.stream.tivan import TivanCluster
+from repro.stream.tivan import SETTLE_MARGIN_S, TivanCluster
 
 __all__ = ["CorrelationExperimentResult", "run_correlation_experiment"]
 
@@ -69,7 +69,7 @@ def run_correlation_experiment(
     )
     cluster = TivanCluster()
     cluster.load_events(events)
-    cluster.run(duration_s + 30.0)
+    cluster.run(duration_s + SETTLE_MARGIN_S)
 
     # classified target streams from the store (ground-truth labels here;
     # in deployment these come from the classification pipeline)

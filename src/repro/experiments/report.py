@@ -10,29 +10,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.taxonomy import Category
-from repro.experiments.classifiers import linear_svc_confusion, run_classifier_comparison
+from repro.experiments.classifiers import (
+    fig3_layout,
+    linear_svc_confusion,
+    run_classifier_comparison,
+)
 from repro.experiments.common import ExperimentData, format_table
 from repro.experiments.correlationexp import run_correlation_experiment
 from repro.experiments.driftexp import run_drift_experiment
 from repro.experiments.retrainexp import run_retrain_experiment
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import PAPER_TABLE3, run_table3
+from repro.experiments.table1 import run_table1, table1_layout
+from repro.experiments.table2 import run_table2, table2_layout
+from repro.experiments.table3 import run_table3, table3_layout
 from repro.monitor.dashboard import render_confusion
 
 __all__ = ["write_report", "build_report"]
-
-_FIG3_PAPER = {
-    "Logistic Regression": 0.9992,
-    "Ridge Classifier": 0.9987,
-    "kNN": 0.998475,
-    "Random Forest": 0.9995,
-    "Linear SVC": 0.99925,
-    "Log-loss SGD": 0.987794,
-    "Nearest Centroid": 0.952334,
-    "Complement Naive Bayes": 0.99751,
-}
 
 
 def build_report(*, scale: float = 0.02, seed: int = 0) -> str:
@@ -48,28 +40,21 @@ def build_report(*, scale: float = 0.02, seed: int = 0) -> str:
     # Table 1
     tops = run_table1(scale=scale, seed=seed)
     sections.append("## Table 1 — top TF-IDF tokens per category\n")
-    sections.append("```\n" + format_table(
-        ["Category", "Top tokens"],
-        [[c, ", ".join(t)] for c, t in sorted(tops.items())],
-    ) + "\n```\n")
+    sections.append("```\n" + format_table(*table1_layout(tops)) + "\n```\n")
 
     # Table 2
     t2 = run_table2(scale=scale, seed=seed)
     sections.append("## Table 2 — unique messages per category\n")
-    sections.append("```\n" + format_table(
-        ["Category", "generated", "paper"],
-        [[c.value, t2.generated.get(c, 0), t2.paper[c]] for c in Category],
-    ) + f"\n```\nall texts unique: {t2.all_unique}\n")
+    sections.append(
+        "```\n" + format_table(*table2_layout(t2))
+        + f"\n```\nall texts unique: {t2.all_unique}\n"
+    )
 
     # Figure 3 + Figure 2
     data = ExperimentData(scale=scale, seed=seed)
     rows = run_classifier_comparison(data)
     sections.append("## Figure 3 — traditional classifiers\n")
-    sections.append("```\n" + format_table(
-        ["Classifier", "wF1 measured", "wF1 paper", "train s", "test s"],
-        [[r.name, r.weighted_f1, _FIG3_PAPER[r.name], r.train_s, r.test_s]
-         for r in rows],
-    ) + "\n```\n")
+    sections.append("```\n" + format_table(*fig3_layout(rows)) + "\n```\n")
     cm, labels = linear_svc_confusion(data)
     sections.append("## Figure 2 — Linear SVC confusion matrix\n")
     sections.append("```\n" + render_confusion(cm, labels) + "\n```\n")
@@ -77,11 +62,7 @@ def build_report(*, scale: float = 0.02, seed: int = 0) -> str:
     # Table 3
     t3 = run_table3()
     sections.append("## Table 3 — LLM inference cost\n")
-    sections.append("```\n" + format_table(
-        ["Model", "time s (model)", "time s (paper)", "msgs/h (model)"],
-        [[r.model, r.inference_time_s, PAPER_TABLE3[r.model][0],
-          int(r.messages_per_hour)] for r in t3],
-    ) + "\n```\n")
+    sections.append("```\n" + format_table(*table3_layout(t3)) + "\n```\n")
 
     # Drift
     drift = run_drift_experiment(scale=min(scale, 0.01), seed=seed,

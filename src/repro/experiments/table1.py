@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.datagen.generator import CorpusGenerator
 from repro.textproc.tfidf import category_top_tokens
 
-__all__ = ["run_table1"]
+__all__ = ["run_table1", "table1_layout"]
 
 
 def run_table1(
@@ -22,4 +22,12 @@ def run_table1(
     corpus = CorpusGenerator(scale=scale, seed=seed).generate()
     return category_top_tokens(
         corpus.texts, [lab.value for lab in corpus.labels], top_k=top_k
+    )
+
+
+def table1_layout(tops: dict[str, list[str]]) -> tuple[list[str], list[list]]:
+    """Table 1 as ``(headers, rows)`` for ``format_table``: the one layout."""
+    return (
+        ["Category", "Top tokens"],
+        [[c, ", ".join(t)] for c, t in sorted(tops.items())],
     )

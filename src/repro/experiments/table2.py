@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.core.taxonomy import Category
 from repro.datagen.generator import TABLE2_COUNTS, CorpusGenerator
 
-__all__ = ["run_table2", "Table2Result"]
+__all__ = ["run_table2", "table2_layout", "Table2Result"]
 
 
 @dataclass(frozen=True)
@@ -35,4 +35,12 @@ def run_table2(*, scale: float = 0.02, seed: int = 0) -> Table2Result:
         paper=dict(TABLE2_COUNTS),
         scale=scale,
         all_unique=len(set(texts)) == len(texts),
+    )
+
+
+def table2_layout(result: Table2Result) -> tuple[list[str], list[list]]:
+    """Table 2 as ``(headers, rows)``, one row per :class:`Category` in order."""
+    return (
+        ["Category", "generated", "paper"],
+        [[c.value, result.generated.get(c, 0), result.paper[c]] for c in Category],
     )

@@ -25,7 +25,7 @@ from repro.llm.models import model_spec
 from repro.llm.prompts import PromptConfig, build_prompt
 from repro.llm.tokenizer import count_tokens
 
-__all__ = ["Table3Row", "run_table3", "PAPER_TABLE3"]
+__all__ = ["Table3Row", "run_table3", "table3_layout", "PAPER_TABLE3"]
 
 #: The paper's measured values, for paper-vs-measured reporting.
 PAPER_TABLE3: dict[str, tuple[float, int]] = {
@@ -100,3 +100,12 @@ def run_table3(
         )
     )
     return rows
+
+
+def table3_layout(rows: list[Table3Row]) -> tuple[list[str], list[list]]:
+    """Table 3 as ``(headers, rows)``: the paper's seconds beside the model's."""
+    return (
+        ["Model", "time s (model)", "time s (paper)", "msgs/h (model)"],
+        [[r.model, r.inference_time_s, PAPER_TABLE3[r.model][0],
+          int(r.messages_per_hour)] for r in rows],
+    )

@@ -53,6 +53,27 @@ class EventEngine:
         heapq.heappush(self._heap, Event(time, self._seq, action))
         self._seq += 1
 
+    def every(self, interval: float, action: Callable[[], None], *, until: float) -> None:
+        """Run ``action`` every ``interval`` seconds up to ``until``.
+
+        First one interval from now, then again while the next firing
+        still lands at or before ``until``.
+
+        Raises
+        ------
+        ValueError
+            For a non-positive interval (time would not advance).
+        """
+        if interval <= 0:
+            raise ValueError(f"interval must be positive, got {interval}")
+
+        def fire() -> None:
+            action()
+            if self.now + interval <= until:
+                self.schedule(interval, fire)
+
+        self.schedule(interval, fire)
+
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Process events until the horizon/queue end; returns final time.
 

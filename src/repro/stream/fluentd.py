@@ -43,7 +43,9 @@ from repro.faults.plan import SITE_FLUSH_FAIL
 from repro.obs.propagation import carrying, record_hop
 from repro.stream.events import EventEngine
 
-__all__ = ["FluentdForwarder", "ForwarderStats", "OVERFLOW_POLICIES"]
+__all__ = [
+    "FluentdForwarder", "ForwarderStats", "OVERFLOW_POLICIES", "classifying_sink", "settle",
+]
 
 #: dead-letter sites used by the forwarder
 OVERFLOW_SITE = "fluentd.overflow"
@@ -79,6 +81,26 @@ class ForwarderStats:
     abandoned_messages: int = 0
 
 
+def classifying_sink(store, pipeline=None) -> Callable[[Sequence[SyslogMessage]], bool]:
+    """The live spine's sink: index a batch, classify it, attach the verdicts.
+
+    ``store`` is a ``LogStore`` or a ``ReplicatedLogStore`` (its quorum
+    refusal raises: a failed flush).  The batch takes the store's next
+    ids in order; without a ``pipeline`` the sink only indexes.
+    """
+
+    def sink(batch: Sequence[SyslogMessage]) -> bool:
+        first_id = len(store)
+        store.bulk_index(batch)
+        if pipeline is not None:
+            results = pipeline.classify_batch([m.text for m in batch])
+            for doc_id, result in enumerate(results, first_id):
+                store.set_category(doc_id, result.category)
+        return True
+
+    return sink
+
+
 @dataclass
 class FluentdForwarder:
     """Buffered batch forwarder.
@@ -89,7 +111,8 @@ class FluentdForwarder:
         The event engine (flushes are scheduled on it).
     sink:
         Batch write target; returns True on success.  (Normally
-        :meth:`repro.stream.opensearch.LogStore.bulk_index`.)  A sink
+        :meth:`repro.stream.opensearch.LogStore.bulk_index`, or
+        :func:`classifying_sink` to label what it indexes.)  A sink
         that raises is treated as a failed flush, not a crash.
     flush_interval_s:
         Seconds between scheduled flushes.
@@ -258,16 +281,34 @@ class FluentdForwarder:
                     self.journal.reject(event_idx)
                 self.stats.rejected += 1
                 return False
-        if self.journal is not None:
-            self.journal.accept(event_idx, message)
+        self._admit(
+            message, event_idx, None, (ctx, self.clock()) if ctx is not None else None
+        )
+        self._mark_depth()
+        return True
+
+    def _admit(self, message, ident=None, offset=None, traced=None, *, silent=False) -> None:
+        """Put one message in flight — the only way into the buffer.
+
+        Journaled as an accept under ``ident`` first (write-ahead) and
+        counted, unless ``silent``: accepted in an earlier life.  A run
+        of admits ends with one :meth:`_mark_depth`.
+        """
+        if not silent:
+            if self.journal is not None:
+                self.journal.accept(ident, message)
+            self.stats.accepted += 1
         self._buffer.append(message)
         if self.broker is not None:
-            self._offsets.append(None)
-        self._ctxs.append((ctx, self.clock()) if ctx is not None else None)
-        self.stats.accepted += 1
-        self.stats.max_buffer_seen = max(self.stats.max_buffer_seen, len(self._buffer))
-        self._m_buffer_depth.set(len(self._buffer))
-        return True
+            self._offsets.append(offset)
+        self._ctxs.append(traced)
+
+    def _mark_depth(self) -> None:
+        """Raise the buffer's high-water mark and publish its depth."""
+        depth = len(self._buffer)
+        if depth > self.stats.max_buffer_seen:
+            self.stats.max_buffer_seen = depth
+        self._m_buffer_depth.set(depth)
 
     def poll_broker(self, *, max_records: int | None = None) -> int:
         """Consumer-group intake: poll assigned partitions into the buffer.
@@ -291,29 +332,31 @@ class FluentdForwarder:
         )
         now: float | None = None
         for rec in records:
-            if self.journal is not None:
-                self.journal.accept(rec.ident, rec.message)
-            self._buffer.append(rec.message)
-            self._offsets.append((rec.partition, rec.offset))
+            traced = None
             if rec.ctx is not None:
                 if now is None:
                     now = self.clock()
-                self._ctxs.append((
+                traced = (
                     record_hop(
                         rec.ctx, "broker.poll", now,
                         group=self.consumer_group, member=self.consumer_member,
                     ),
                     now,
-                ))
-            else:
-                self._ctxs.append(None)
-            self.stats.accepted += 1
+                )
+            self._admit(rec.message, rec.ident, (rec.partition, rec.offset), traced)
         if records:
-            self.stats.max_buffer_seen = max(
-                self.stats.max_buffer_seen, len(self._buffer)
-            )
-            self._m_buffer_depth.set(len(self._buffer))
+            self._mark_depth()
         return len(records)
+
+    def consume(self) -> int:
+        """One consumer turn: poll the broker once, then drain the buffer.
+
+        Returns the records polled: a poll takes at most the buffer's
+        free room, so emptying the broker takes turns (:func:`settle`).
+        """
+        polled = self.poll_broker()
+        self.drain()
+        return polled
 
     def _batch_offsets(self, n: int) -> dict:
         """Commit offsets for the head batch: partition → next offset."""
@@ -327,8 +370,7 @@ class FluentdForwarder:
         return out
 
     def _flush_tick(self) -> None:
-        if self.broker is not None:
-            self.poll_broker()
+        self.poll_broker()
         self.flush()
         delay = self._retry_delay if self._retry_delay > 0 else self.flush_interval_s
         self.engine.schedule(delay, self._flush_tick)
@@ -399,31 +441,11 @@ class FluentdForwarder:
             sink_start = 0.0
             ok = self._attempt_sink(batch)
         if ok:
-            offsets = (
-                self._batch_offsets(len(batch)) if self.broker is not None else None
-            )
-            wal_ms = 0.0
-            if self.journal is not None:
-                wal_t0 = time.perf_counter() if traced else 0.0
-                self.journal.flushed(len(batch), offsets=offsets)
-                if traced:
-                    wal_ms = (time.perf_counter() - wal_t0) * 1e3
-            if offsets:
-                # journal first, broker second: the journal is the
-                # durable truth; a commit the broker loses (the
-                # broker.commit_lost site) is re-seeded from the
-                # journal's flush records on recovery
-                for partition, next_offset in offsets.items():
-                    self.broker.commit(self.consumer_group, partition, next_offset)
-            del self._buffer[: len(batch)]
-            if self.broker is not None:
-                del self._offsets[: len(batch)]
-            del self._ctxs[: len(batch)]
+            wal_ms = self._retire(len(batch))
             self.stats.flushed_batches += 1
             self.stats.flushed_messages += len(batch)
             self._retry_delay = 0.0
             self._consecutive_failures = 0
-            self._m_buffer_depth.set(len(self._buffer))
             self._m_flush_size.set(len(batch))
             self._m_flushed.inc(len(batch))
             if traced:
@@ -459,32 +481,39 @@ class FluentdForwarder:
         poison batch is parked in the DLQ and the group moves *past*
         it, instead of re-polling the same doomed records forever.
         """
-        offsets = (
-            self._batch_offsets(len(batch)) if self.broker is not None else None
-        )
-        if self.journal is not None:
-            self.journal.abandoned(
-                len(batch), ABANDON_SITE,
-                f"flush failed {self._consecutive_failures} times",
-                offsets=offsets,
-            )
-        if offsets:
-            for partition, next_offset in offsets.items():
-                self.broker.commit(self.consumer_group, partition, next_offset)
-        del self._buffer[: len(batch)]
-        if self.broker is not None:
-            del self._offsets[: len(batch)]
-        del self._ctxs[: len(batch)]
+        error = f"flush failed {self._consecutive_failures} times"
+        self._retire(len(batch), abandoned=error)
         self.stats.abandoned_flushes += 1
         self.stats.abandoned_messages += len(batch)
         for pos, message in enumerate(batch):
-            self.dead_letters.push(
-                ABANDON_SITE, message,
-                f"flush failed {self._consecutive_failures} times",
-                batch_position=pos,
-            )
+            self.dead_letters.push(ABANDON_SITE, message, error, batch_position=pos)
         self._consecutive_failures = 0
+
+    def _retire(self, n: int, *, abandoned: str | None = None) -> float:
+        """Take the head batch of ``n`` off the buffer, delivered or given up.
+
+        Journal first, broker second, the parallel lists last: the
+        journal is the durable truth; a commit the broker loses (the
+        ``broker.commit_lost`` site) is re-seeded from its records on
+        recovery.  Returns the journal write's wall milliseconds.
+        """
+        offsets = self._batch_offsets(n) if self.broker is not None else None
+        wal_ms = 0.0
+        if self.journal is not None:
+            wal_t0 = time.perf_counter()
+            if abandoned is None:
+                self.journal.flushed(n, offsets=offsets)
+            else:
+                self.journal.abandoned(n, ABANDON_SITE, abandoned, offsets=offsets)
+            wal_ms = (time.perf_counter() - wal_t0) * 1e3
+        if offsets:
+            for partition, next_offset in offsets.items():
+                self.broker.commit(self.consumer_group, partition, next_offset)
+        del self._buffer[:n]
+        del self._offsets[:n]  # empty in push mode
+        del self._ctxs[:n]
         self._m_buffer_depth.set(len(self._buffer))
+        return wal_ms
 
     def drain(
         self, max_rounds: int = 1_000_000, max_consecutive_failures: int = 50
@@ -527,19 +556,25 @@ class FluentdForwarder:
         already journaled when first offered; this only puts them back
         in flight so the flush cycle can deliver them.
         """
-        n = 0
+        before = len(self._buffer)
         for m in messages:
-            self._buffer.append(m)
-            if self.broker is not None:
-                self._offsets.append(None)
-            self._ctxs.append(None)
-            n += 1
-        self.stats.max_buffer_seen = max(
-            self.stats.max_buffer_seen, len(self._buffer)
-        )
-        self._m_buffer_depth.set(len(self._buffer))
-        return n
+            self._admit(m, silent=True)
+        self._mark_depth()
+        return len(self._buffer) - before
 
     @property
     def buffered(self) -> int:
         return len(self._buffer)
+
+
+def settle(consumers: Sequence[FluentdForwarder]) -> int:
+    """Drive ``consumers`` until nothing moves; returns messages flushed.
+
+    Every consumer takes a :meth:`~FluentdForwarder.consume` turn until
+    a full round polls nothing: broker lag is consumed and flushed as
+    push mode drains its buffer; a stalled partition keeps its lag.
+    """
+    before = sum(c.stats.flushed_messages for c in consumers)
+    while sum(c.consume() for c in consumers):
+        pass
+    return sum(c.stats.flushed_messages for c in consumers) - before

@@ -18,11 +18,15 @@ from dataclasses import dataclass, field
 from repro.core.taxonomy import Category
 from repro.datagen.workload import StreamEvent
 from repro.stream.events import EventEngine
-from repro.stream.fluentd import FluentdForwarder
+from repro.stream.fluentd import FluentdForwarder, settle
 from repro.stream.opensearch import LogStore
 from repro.stream.syslogd import SyslogDaemon, SyslogRelay
 
-__all__ = ["TivanCluster", "IngestReport", "ClassifierStage"]
+__all__ = ["TivanCluster", "IngestReport", "ClassifierStage", "SETTLE_MARGIN_S"]
+
+#: simulated seconds a run is given past its trace's end, for the last
+#: flush ticks and the classifier stage: ``run(duration_s + SETTLE_MARGIN_S)``
+SETTLE_MARGIN_S = 30.0
 
 
 @dataclass
@@ -148,6 +152,14 @@ class IngestReport:
             return True
         peak = max(b for _t, b in self.backlog_timeline)
         return self.final_backlog <= max(10, peak * 0.1)
+
+    def headline(self) -> str:
+        """The one-line outcome ``simulate`` and ``recover`` print."""
+        return (
+            f"produced={self.produced} indexed={self.indexed} "
+            f"classified={self.classified} backlog={self.final_backlog} "
+            f"keeping_up={self.keeping_up}"
+        )
 
 
 class TivanCluster:
@@ -462,17 +474,18 @@ class TivanCluster:
                 h = e.message.hostname
                 self._event_pub[i] = (h, ordinals.get(h, 0))
                 ordinals[h] = ordinals.get(h, 0) + 1
-        messages = []
+        # grouped once, in trace order: a daemon walks its own lines,
+        # not the whole trace
+        by_host: dict[str, list] = {}
         for i, e in enumerate(events):
             if i in skip:
                 continue
             self._event_idx[id(e.message)] = i
-            messages.append(e.message)
-        hosts = sorted({m.hostname for m in messages})
-        for h in hosts:
+            by_host.setdefault(e.message.hostname, []).append(e.message)
+        for h in sorted(by_host):
             self.daemons[h] = SyslogDaemon(hostname=h, relay=self.relay)
         for h, d in self.daemons.items():
-            d.load_trace(self.engine, messages)
+            d.load_trace(self.engine, by_host.get(h, ()))
         self._n_produced = len(events)
 
     def run(self, duration_s: float, *, sample_every_s: float = 5.0) -> IngestReport:
@@ -493,18 +506,20 @@ class TivanCluster:
         if self.controller is not None:
             self._schedule_controller(horizon)
         if self.journal is not None and self.checkpoint_every_s is not None:
-            self._schedule_checkpoint(horizon)
+            self.engine.every(
+                self.checkpoint_every_s, self.write_checkpoint, until=horizon
+            )
         self.engine.run(until=horizon)
         # snapshot at the horizon first: the settle drain below indexes
         # messages the classifier was never offered during the run, and
         # counting them into final_backlog would flip keeping_up
         indexed_at_horizon = len(self.store)
         classified = self._stage.n_done if self._stage else 0
-        # settle: drain remaining buffered messages into the index
-        if self.broker is not None:
-            drained = self._settle_broker()
-        else:
-            drained = self.forwarder.drain() if self.forwarder.buffered else 0
+        # settle: drain what is still buffered — and, in broker mode,
+        # still in the broker (lag) — into the index; a stalled
+        # partition keeps its lag and the report carries it as
+        # ``broker_lag``
+        drained = settle(self.consumers)
         if self.journal is not None:
             self.write_checkpoint()
         report = IngestReport(
@@ -539,25 +554,6 @@ class TivanCluster:
             report.broker_partition_stalls = bs.stall_events
             report.broker_partitions = len(self.broker.partitions)
         return report
-
-    def _settle_broker(self) -> int:
-        """Post-horizon settle for broker mode.
-
-        Alternate poll and drain across every consumer until neither
-        moves: records still in the broker at the horizon (lag) are
-        consumed and flushed, exactly as push mode drains its buffer.
-        A stalled partition ends the loop with its lag intact — the
-        report carries it as ``broker_lag``.
-        """
-        drained = 0
-        while True:
-            polled = 0
-            for consumer in self.consumers:
-                polled += consumer.poll_broker()
-                if consumer.buffered:
-                    drained += consumer.drain()
-            if polled == 0 and all(not c.buffered for c in self.consumers):
-                return drained
 
     def write_checkpoint(self):
         """Write one atomic checkpoint of this durable run's state."""
@@ -614,16 +610,6 @@ class TivanCluster:
             return False
         return True
 
-    def _schedule_checkpoint(self, horizon: float) -> None:
-        every = self.checkpoint_every_s
-
-        def tick() -> None:
-            self.write_checkpoint()
-            if self.engine.now + every <= horizon:
-                self.engine.schedule(every, tick)
-
-        self.engine.schedule(every, tick)
-
     def _schedule_controller(self, horizon: float) -> None:
         """Drive the controller on the simulation clock.
 
@@ -637,7 +623,6 @@ class TivanCluster:
         from repro.obs import wellknown
 
         controller = self.controller
-        every = controller.policy.tick_every_s
         backlog_gauge = wellknown.classifier_backlog(controller.reader.registry)
 
         def tick() -> None:
@@ -646,14 +631,10 @@ class TivanCluster:
             controller.tick(self.engine.now)
             if self.journal is not None:
                 self.journal.control_state(controller.export_state())
-            if self.engine.now + every <= horizon:
-                self.engine.schedule(every, tick)
 
-        self.engine.schedule(every, tick)
+        self.engine.every(controller.policy.tick_every_s, tick, until=horizon)
 
     def _schedule_sampler(self, every: float, horizon: float) -> None:
-        if every <= 0:
-            raise ValueError(f"sample_every_s must be positive, got {every}")
         from repro.obs import wellknown
 
         backlog_gauge = wellknown.classifier_backlog()
@@ -663,10 +644,8 @@ class TivanCluster:
             backlog = len(self.store) - done
             self._backlog_samples.append((self.engine.now, backlog))
             backlog_gauge.set(backlog)
-            if self.engine.now + every <= horizon:
-                self.engine.schedule(every, sample)
 
-        self.engine.schedule(every, sample)
+        self.engine.every(every, sample, until=horizon)
 
     def _update_degraded(self, backlog: int) -> None:
         """Hysteresis between the full and cheap classification paths.

@@ -24,6 +24,12 @@ rows — µs per call and per line, the miss side also with the
 matrix-by-matrix TF-IDF weighting it had before (kept in
 ``tests/reference_tfidf.py``) — and writes ``BENCH_batch_size_lane.json``.
 
+The text-analysis lane (``test_text_analysis_lane``) is what a line
+pays before any of that: mask, index tokens and lemmas, the token-wise
+memo-sharing pass beside the staged chain it replaced (kept in
+``tests/reference_textproc.py``), µs and counted operations per line,
+written to ``BENCH_text_analysis.json``.
+
 Environment knobs: ``REPRO_BENCH_SCALING_N`` (corpus size, default
 50000), ``REPRO_BENCH_SCALING_WORKERS`` (shard count, default 4).  The
 sharded ≥2× speedup assertion needs real cores and is skipped on
@@ -39,6 +45,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 from conftest import BENCH_SEED, emit, write_artifact
 
 from repro.core.pipeline import ClassificationPipeline
@@ -48,10 +55,19 @@ from repro.experiments.common import format_table
 from repro.ml import ComplementNB
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import MessageBatch, ShardedExecutor
-from repro.textproc import MaskingNormalizer
+from repro.stream.rfc import safe_parse_line
+from repro.textproc import Lemmatizer, MaskingNormalizer, Tokenizer
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "spine"))
 
+import workloads as spine_workloads  # noqa: E402
+from reference_textproc import (  # noqa: E402
+    clear_memos,
+    counted,
+    reference_lemmatize,
+    reference_tokenize,
+)
 from reference_tfidf import reference_transform_analyzed  # noqa: E402
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_SCALING_N", "50000"))
@@ -73,6 +89,8 @@ SPEEDUP_FLOOR_AT_95 = 3.5
 LANE_SIZES = (1, 3, 10, 100, 500)
 LANE_MISS_LINES = 1500
 LANE_ROUNDS = 5
+# the text-analysis lane: lines per workload drawn from the spine benchmark
+ANALYSIS_LINES = 4000
 
 
 def test_runtime_scaling(benchmark):
@@ -375,3 +393,167 @@ def test_batch_size_lane(benchmark):
     assert full["miss_us_per_line"] <= 1.1 * full["miss_reference_transform_us_per_line"], table
     # a batch's fixed cost stays a small multiple of a full batch's line
     assert one["hit_us_per_call"] <= 25 * full["hit_us_per_line"], table
+
+
+def _benchmark_texts(name: str, n: int) -> list[str]:
+    """Message texts of a spine-benchmark workload, as its sink sees them."""
+    lines = getattr(spine_workloads, name)(np.random.default_rng(BENCH_SEED), BENCH_SEED, n)[0]
+    return [safe_parse_line(line)[0].text for line in lines]
+
+
+def _hostile_draws(n: int) -> list[str]:
+    """``n`` draws of the fuzz wall's ``_hostile_line``, the same every run."""
+    from hypothesis import Phase, given, seed, settings
+    from test_fuzz_properties import _hostile_line
+
+    draws: list[str] = []
+
+    @seed(BENCH_SEED)
+    @settings(max_examples=n, database=None, phases=[Phase.generate], deadline=None)
+    @given(_hostile_line)
+    def collect(text):
+        draws.append(text)
+
+    collect()
+    return draws
+
+
+def _analysis_cost(step, lines) -> float:
+    """µs per line of ``step(lines)``, every round from empty memos."""
+    best = float("inf")
+    for _ in range(LANE_ROUNDS):
+        clear_memos()
+        t0 = time.perf_counter()
+        step(lines)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6 / max(1, len(lines))
+
+
+def test_text_analysis_lane(benchmark):
+    """Mask, index tokens, lemmas: the one token-wise pass beside the
+    staged chain it replaced (``tests/reference_textproc.py``).
+
+    µs per line (wall clock, best of ``LANE_ROUNDS``, each from empty
+    memos) and counted operations per line, on the spine benchmark's
+    hot, cold and fleet lines, on all-unique lines and on the fuzz
+    wall's hostile draws.  "Index tokens" is what the sink does: the
+    store asks for a masked line's tokens, then the classifier does.
+    The ledger row of the floors ``tests/test_perf_smoke.py`` states as
+    counts — and what decided that a line of never-seen tokens needs no
+    whole-line route: masking each token behind its screens must cost
+    no more than the chain over the line.
+    """
+    norm, tokenizer = MaskingNormalizer(), Tokenizer()
+    rng = np.random.default_rng(BENCH_SEED)
+    alphabet = np.array(list(string.ascii_lowercase + string.digits))
+    inputs = {
+        "hot": _benchmark_texts("_hot", ANALYSIS_LINES),
+        "cold": _benchmark_texts("_cold", ANALYSIS_LINES),
+        "fleet": _benchmark_texts("_fleet", ANALYSIS_LINES),
+        "all_unique": [
+            " ".join("".join(alphabet[rng.integers(0, 36, size=8)]) for _ in range(12))
+            for _ in range(ANALYSIS_LINES // 2)
+        ],
+        "hostile": _hostile_draws(400),
+    }
+
+    def index_tokens_twice(masked):
+        for i in range(0, len(masked), 500):  # a flush: the store's ask, then the classifier's
+            for _ in range(2):
+                for text in masked[i:i + 500]:
+                    tokenizer.index_tokens(text)
+
+    def whole_line_route(lines):
+        """What the masker did for a line of mostly new tokens: the chain
+        over the line, split back into per-token maskings for the memo."""
+        memo: dict[str, str] = {}
+        for text in lines:
+            out = norm.normalize_reference(text).split()
+            memo.update(zip(text.split(), out))
+            " ".join(out)
+
+    def reference_tokens_twice(masked):
+        for _ in range(2):
+            for text in masked:
+                reference_tokenize(tokenizer, text)
+
+    def reference_lemmas(docs):
+        lemmatizer = Lemmatizer()
+        for doc in docs:
+            for token in doc:
+                reference_lemmatize(lemmatizer, token)
+
+    lane: dict[str, dict[str, float]] = {}
+    rows = []
+    for name, lines in inputs.items():
+        masked = [norm.normalize_reference(line) for line in lines]
+        docs = [reference_tokenize(tokenizer, text) for text in masked]
+        assert [norm.normalize(line) for line in lines] == masked
+        assert [list(tokenizer.index_tokens(text)) for text in masked] == docs
+        timed = {
+            "mask": _analysis_cost(norm.normalize_many, lines),
+            "mask_reference": _analysis_cost(
+                lambda batch: [norm.normalize_reference(line) for line in batch], lines
+            ),
+            "index_tokens": _analysis_cost(index_tokens_twice, masked),
+            "index_tokens_reference": _analysis_cost(reference_tokens_twice, masked),
+            "lemmas": _analysis_cost(lambda batch: Lemmatizer().lemmatize_docs(batch), docs),
+            "lemmas_reference": _analysis_cost(reference_lemmas, docs),
+        }
+        with counted() as counts:
+            norm.normalize_many(lines)
+            index_tokens_twice(masked)
+            Lemmatizer().lemmatize_docs(docs)
+        n = max(1, len(lines))
+        lane[name] = {
+            **{f"{stage}_us_per_line": cost for stage, cost in timed.items()},
+            "lines": len(lines),
+            "tokens_per_line": sum(len(line.split()) for line in lines) / n,
+            "regex_subs_per_line": counts.subs / n,
+            "regex_subs_per_unseen_token": counts.subs / max(1, counts.unseen_tokens),
+            "memo_probes_per_line": counts.memo_probes / n,
+            "tokenize_calls_per_line": counts.tokenize_calls / n,
+            "emit_calls_per_line": counts.emit_calls / n,
+            "suffix_tests_per_line": counts.suffix_tests / n,
+        }
+        row = lane[name]
+        rows.append([
+            name,
+            *(f"{timed[s]:.1f} / {timed[s + '_reference']:.1f}"
+              for s in ("mask", "index_tokens", "lemmas")),
+            f"{row['regex_subs_per_line']:.2f}", f"{row['regex_subs_per_unseen_token']:.2f}",
+            f"{row['tokenize_calls_per_line']:.2f}", f"{row['emit_calls_per_line']:.2f}",
+            f"{row['suffix_tests_per_line']:.2f}",
+        ])
+    benchmark.pedantic(lambda: norm.normalize_many(inputs["cold"]), rounds=1, iterations=1)
+
+    table = format_table(
+        ["lines", "mask µs/line new / chain", "index tokens ×2 new / _emit loop",
+         "lemmas new / every rule", "subs/line", "subs/unseen token",
+         "tokenize/line", "_emit/line", "suffix tests/line"],
+        rows,
+    )
+    emit(f"Text analysis — one pass beside the staged chain, {ANALYSIS_LINES:,} lines", table)
+    # lines of never-seen tokens, each token behind its screens against
+    # the whole-line route the masker had for them: at or under 1.0 that
+    # route is not worth keeping (reads 0.9-1.0; it is gone)
+    whole_line_us = _analysis_cost(whole_line_route, inputs["all_unique"])
+    per_token_vs_whole_line = lane["all_unique"]["mask_us_per_line"] / whole_line_us
+    emit(
+        "Text analysis — all-unique lines, per-token screens vs the whole-line route",
+        f"{lane['all_unique']['mask_us_per_line']:.1f} / {whole_line_us:.1f} µs/line"
+        f" = {per_token_vs_whole_line:.2f}",
+    )
+    write_artifact("text_analysis", {
+        "rounds": LANE_ROUNDS, "rows": lane,
+        "all_unique_whole_line_route_us_per_line": whole_line_us,
+        "all_unique_per_token_vs_whole_line": per_token_vs_whole_line,
+    })
+
+    # counts, which hold on any host.  A flush's second ask finds the
+    # first's answer unless the 2,048-entry memo filled in between:
+    # 1.0 tokenisations a line under that many, ~1.06 over a long run
+    assert lane["cold"]["tokenize_calls_per_line"] <= 1.1, table
+    assert lane["cold"]["emit_calls_per_line"] <= 2.0, table
+    for name in ("hot", "fleet"):
+        assert lane[name]["regex_subs_per_unseen_token"] <= 5.0, table

@@ -35,30 +35,22 @@ from operator import attrgetter
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
-from repro.textproc.normalize import normalize_message
-from repro.textproc.tokenize import tokenize
+from repro.textproc.normalize import ANALYSIS_MEMO_MAX_ENTRIES, normalize_message
+from repro.textproc.tokenize import index_tokens
 
 __all__ = ["LogDocument", "LogStore", "QueryResult", "DateHistogramBucket"]
 
-#: masked text → index tokens, cleared when full: lines of a template
-#: the process has seen cost one mask and one lookup, not a tokenize
-ANALYSIS_MEMO_MAX_ENTRIES = 1 << 11
-_ANALYSIS_MEMO: dict[str, tuple[str, ...]] = {}
 _NO_TIME = float("-inf")  # earlier than any timestamp
 
 
 def _analyze(text: str) -> tuple[str, ...]:
     """Index-time analysis for :class:`LogStore` and
     :class:`~repro.replication.ReplicatedLogStore`: mask, then tokenize;
-    equal to ``tokenize(normalize_reference(text))`` on every input."""
-    masked = normalize_message(text)
-    tokens = _ANALYSIS_MEMO.get(masked)
-    if tokens is None:
-        tokens = tuple(tokenize(masked))
-        if len(_ANALYSIS_MEMO) >= ANALYSIS_MEMO_MAX_ENTRIES:
-            _ANALYSIS_MEMO.clear()
-        _ANALYSIS_MEMO[masked] = tokens
-    return tokens
+    equal to ``tokenize(normalize_reference(text))`` on every input.
+    Lines of a template the process has seen — or the classifier has
+    just analysed — cost one mask and one lookup
+    (:meth:`~repro.textproc.tokenize.Tokenizer.index_tokens`)."""
+    return index_tokens(normalize_message(text))
 
 
 @dataclass(frozen=True)

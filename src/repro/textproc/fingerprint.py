@@ -60,7 +60,9 @@ class TemplateFingerprinter:
 
     def mask_many(self, texts: Sequence[str]) -> list[str]:
         """Mask a whole column of messages (the batch hot path)."""
-        return [self.mask(t) for t in texts]
+        if self.normalizer is None:
+            return list(texts)
+        return self.normalizer.normalize_many(texts)
 
     def fingerprint(self, text: str) -> str:
         """Stable 16-hex-char digest of :meth:`mask` output.

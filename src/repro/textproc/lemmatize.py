@@ -20,6 +20,7 @@ The derivational rules (``failure`` → ``fail``, ``connection`` →
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["Lemmatizer", "lemmatize_token", "DEFAULT_LEXICON"]
@@ -89,6 +90,11 @@ _RULES: list[tuple[str, str, bool]] = [
     ("es", "", False), ("s", "", False),
 ]
 
+#: the rules that can detach from a token, by its last letter, in order
+_RULES_BY_LAST: dict[str, list[tuple[str, str, bool]]] = {}
+for _rule in _RULES:
+    _RULES_BY_LAST.setdefault(_rule[0][-1], []).append(_rule)
+
 _VOWELS = set("aeiou")
 
 #: cap on a lemmatizer's token → lemma cache; a full cache is cleared, so
@@ -148,7 +154,7 @@ class Lemmatizer:
             return exc
         if token in self.lexicon:
             return token
-        for suffix, repl, derivational in _RULES:
+        for suffix, repl, derivational in _RULES_BY_LAST.get(token[-1], ()):
             if not token.endswith(suffix) or len(token) <= len(suffix):
                 continue
             stem = token[: -len(suffix)] + repl
@@ -202,10 +208,11 @@ class Lemmatizer:
         """Lemmatize a token list."""
         return [self.lemmatize(t) for t in tokens]
 
-    def lemmatize_docs(self, docs: list[list[str]]) -> list[list[str]]:
-        """Lemmatize a whole column of token lists (batch-first hot
+    def lemmatize_docs(self, docs: Iterable[Sequence[str]]) -> list[list[str]]:
+        """Lemmatize a whole column of token documents (batch-first hot
         path); the memo cache is shared across the batch."""
-        return [self.lemmatize_tokens(doc) for doc in docs]
+        lemmatize = self.lemmatize
+        return [list(map(lemmatize, doc)) for doc in docs]
 
 
 _DEFAULT = Lemmatizer()

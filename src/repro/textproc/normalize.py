@@ -40,6 +40,16 @@ _RULES: list[tuple[str, re.Pattern[str]]] = [
     ("<num>", re.compile(r"\b\d+(?:\.\d+)?\b")),
 ]
 
+#: What a match of each rule up to ``<ver>`` cannot do without: a literal
+#: and a length.  The rules after it, and ``_ALNUM_ID``, all need a digit;
+#: all but the plain ``<num>`` need a unit's or an exponent's first letter
+#: right after one.
+_SCREENS = (
+    (":", 17), (".", 7), (":", 7), (":", 4), ("-", 10), ("0x", 3), ("", 8), ("/", 2), (".", 5),
+)
+_DIGIT = re.compile(r"\d")
+_DIGIT_UNIT = re.compile(r"\d[CdckKMGTbeE]")
+
 # node-name style identifiers: alpha prefix + numeric suffix (cn042,
 # sda1, eth0, cpu23).  The alpha stem is kept, the counter masked, so
 # "cpu23"/"cpu7" share the feature "cpu<num>".
@@ -64,6 +74,10 @@ TOKEN_MEMO_MAX_ENTRIES = 1 << 16
 TOKEN_MEMO_MAX_TOKEN_LEN = 256
 LINE_MEMO_MAX_ENTRIES = 1 << 12
 LINE_MEMO_MAX_LINE_LEN = 512
+#: ``repro.textproc.tokenize`` holds its whitespace pieces under the two
+#: token caps and its recent texts (→ index tokens) under the line length
+#: cap and this one, which also bounds each store's posting plans
+ANALYSIS_MEMO_MAX_ENTRIES = 1 << 11
 _TOKEN_MEMOS: dict[bool, dict[str, str]] = {False: {}, True: {}}
 _LINE_MEMOS: dict[bool, dict[str, str]] = {False: {}, True: {}}
 
@@ -73,8 +87,9 @@ class MaskingNormalizer:
     """Replace volatile message fields with placeholder tokens.
 
     :meth:`normalize` masks token-wise with a memo — a dict lookup per
-    whitespace token instead of thirteen regex passes over the line —
-    and returns *exactly* what the regex chain returns
+    whitespace token instead of thirteen regex passes over the line,
+    and for a token the memo has not seen only the rules that can match
+    it — and returns *exactly* what the regex chain returns
     (:meth:`normalize_reference`, the oracle the property tests compare
     against).  Token-wise masking is exact because no rule can match
     across whitespace, with one family of exceptions: ``<temp>`` and
@@ -133,7 +148,6 @@ class MaskingNormalizer:
         memo = _TOKEN_MEMOS[self.mask_alnum_ids]
         tokens = text.split()
         out: list[str] = []
-        new: list[int] = []  # positions the memo has no answer for
         prev_digit = False
         for t in tokens:
             # the one cross-whitespace case the rules allow: a
@@ -148,26 +162,29 @@ class MaskingNormalizer:
                     # chars) or <num>: cheaper to retest than to store
                     v = "<hexid>" if len(t) >= 8 else "<num>"
                 else:
-                    new.append(len(out))
-                    v = t
+                    v = self._mask_token(t)
+                    if len(t) <= TOKEN_MEMO_MAX_TOKEN_LEN:
+                        if len(memo) >= TOKEN_MEMO_MAX_ENTRIES:
+                            memo.clear()
+                        memo[t] = v
             out.append(v)
-        if new:
-            if 2 * len(new) > len(tokens):
-                # mostly new tokens: thirteen passes over the line cost
-                # less than thirteen over each token.  No rule matched
-                # across whitespace, so the result splits back into the
-                # per-token maskings and the memo learns all the same.
-                out = self.normalize_reference(text).split()
-            else:
-                for i in new:
-                    out[i] = self.normalize_reference(tokens[i])
-            for i in new:
-                t = tokens[i]
-                if len(t) <= TOKEN_MEMO_MAX_TOKEN_LEN:
-                    if len(memo) >= TOKEN_MEMO_MAX_ENTRIES:
-                        memo.clear()
-                    memo[t] = out[i]
         return " ".join(out)
+
+    def _mask_token(self, t: str) -> str:
+        """``normalize_reference(t)`` for a whitespace-free token, running
+        only the rules that can match.  Every screen reads the text as it
+        stands before its rule: ``<ipv6>`` puts a digit into a token that
+        had none, and ``mask_alnum_ids`` then masks it."""
+        for (placeholder, pat), (needle, least) in zip(_RULES, _SCREENS):
+            if len(t) >= least and needle in t:
+                t = pat.sub(placeholder, t)
+        if _DIGIT.search(t):
+            first = len(_SCREENS) if _DIGIT_UNIT.search(t) else -1  # else the plain <num> alone
+            for placeholder, pat in _RULES[first:]:
+                t = pat.sub(placeholder, t)
+            if self.mask_alnum_ids:
+                t = _ALNUM_ID.sub(lambda m: m.group(1) + "<num>", t)
+        return t
 
     def normalize_many(self, texts: Sequence[str]) -> list[str]:
         """Normalize a whole column of messages.
@@ -176,7 +193,7 @@ class MaskingNormalizer:
         preprocessing stage once per batch; masking is applied
         column-wise here so the stage is a single timed unit.
         """
-        return [self.normalize(t) for t in texts]
+        return list(map(self.normalize, texts))
 
 
 _DEFAULT = MaskingNormalizer()

@@ -101,9 +101,11 @@ class TfidfVectorizer:
         """The chain after masking — tokenize, lemmatize, n-grams — for a
         caller that holds the masked texts (the template cache's keys;
         with ``normalize=False`` those are the raw texts)."""
-        docs = self._tokenizer.tokenize_many(masked)
+        docs = map(self._tokenizer.index_tokens, masked)  # shared with the store
         if self._lemmatizer is not None:
             docs = self._lemmatizer.lemmatize_docs(docs)
+        else:
+            docs = list(map(list, docs))
         lo, hi = self.ngram_range
         if hi == 1:
             return docs if lo == 1 else [[] for _ in docs]

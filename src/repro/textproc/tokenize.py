@@ -13,17 +13,30 @@ punctuation and breaks ``k=v`` / ``k:v`` pairs, which keeps identifiers
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-__all__ = ["Tokenizer", "tokenize"]
+from repro.textproc.normalize import (
+    ANALYSIS_MEMO_MAX_ENTRIES,
+    LINE_MEMO_MAX_LINE_LEN,
+    TOKEN_MEMO_MAX_ENTRIES,
+    TOKEN_MEMO_MAX_TOKEN_LEN,
+)
+
+__all__ = ["Tokenizer", "index_tokens", "tokenize"]
 
 # Punctuation stripped from token edges.  Internal punctuation (dots in
 # IP addresses, dashes in node names) is preserved.
 _EDGE_PUNCT = ".,;!?\"'()[]{}:=#"
 
 _KV_RE = re.compile(r"^([A-Za-z_][\w.\-]*)([=:])(.+)$")
-_WS_RE = re.compile(r"\s+")
+_CLOCK_TAIL = re.compile(r"\d{2}(:|$)")  # what follows the colon of 12:34:56
+
+#: Per tokenizer configuration ``(lowercase, split_kv, min_len)``: the
+#: tokens of recent whole texts (what the store files a masked line under
+#: and the vectorizer lemmatizes — whoever asks second pays a lookup) and
+#: of every whitespace piece seen.  Module-level and cleared when full,
+#: like the masker's memos, beside whose caps theirs sit.
+_MEMOS: dict[tuple, tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]] = {}
 
 
 @dataclass
@@ -50,22 +63,44 @@ class Tokenizer:
     def __call__(self, text: str) -> list[str]:
         return self.tokenize(text)
 
+    def _memos(self):
+        key = (self.lowercase, self.split_kv, self.min_len)
+        if key not in _MEMOS:
+            _MEMOS[key] = ({}, {})
+        return _MEMOS[key]
+
     def tokenize(self, text: str) -> list[str]:
-        """Tokenize ``text`` into a list of tokens."""
+        """Tokenize ``text`` into a list of tokens: a memo lookup per
+        whitespace piece, :meth:`_emit` on a piece never seen."""
+        pieces = self._memos()[1]
         out: list[str] = []
-        for raw in _WS_RE.split(text.strip()):
-            if not raw:
-                continue
-            self._emit(raw, out)
-        if self.lowercase:
-            out = [t.lower() for t in out]
-        if self.min_len > 1:
-            out = [t for t in out if len(t) >= self.min_len]
+        for raw in text.split():
+            toks = pieces.get(raw)
+            if toks is None:
+                emitted: list[str] = []
+                self._emit(raw, emitted)
+                if self.lowercase:
+                    emitted = [t.lower() for t in emitted]
+                toks = tuple([t for t in emitted if len(t) >= self.min_len])
+                if len(raw) <= TOKEN_MEMO_MAX_TOKEN_LEN:
+                    if len(pieces) >= TOKEN_MEMO_MAX_ENTRIES:
+                        pieces.clear()
+                    pieces[raw] = toks
+            out += toks
         return out
 
-    def tokenize_many(self, texts: Sequence[str]) -> list[list[str]]:
-        """Tokenize a whole column of messages (batch-first hot path)."""
-        return [self.tokenize(t) for t in texts]
+    def index_tokens(self, text: str) -> tuple[str, ...]:
+        """``tuple(tokenize(text))`` through the memo of recent texts —
+        the one tokenisation the store and the vectorizer share."""
+        lines = self._memos()[0]
+        tokens = lines.get(text)
+        if tokens is None:
+            tokens = tuple(self.tokenize(text))
+            if len(text) <= LINE_MEMO_MAX_LINE_LEN:
+                if len(lines) >= ANALYSIS_MEMO_MAX_ENTRIES:
+                    lines.clear()
+                lines[text] = tokens
+        return tokens
 
     def _emit(self, raw: str, out: list[str]) -> None:
         tok = raw.strip(_EDGE_PUNCT)
@@ -76,7 +111,7 @@ class Tokenizer:
             # Do not split dotted quads or timestamps: only split when the
             # key looks like an identifier and the separator is = or a
             # colon not followed by a digit pair (12:34:56).
-            if m and not (m.group(2) == ":" and re.match(r"^\d{2}(:|$)", m.group(3))):
+            if m and not (m.group(2) == ":" and _CLOCK_TAIL.match(m.group(3))):
                 key, _sep, val = m.groups()
                 out.append(key)
                 val = val.strip(_EDGE_PUNCT)
@@ -96,3 +131,8 @@ _DEFAULT = Tokenizer()
 def tokenize(text: str) -> list[str]:
     """Tokenize with the default (lowercasing, kv-splitting) tokenizer."""
     return _DEFAULT.tokenize(text)
+
+
+def index_tokens(text: str) -> tuple[str, ...]:
+    """The default tokenizer's :meth:`Tokenizer.index_tokens`."""
+    return _DEFAULT.index_tokens(text)

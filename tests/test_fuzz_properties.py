@@ -1,16 +1,27 @@
 """Property-based fuzzing across module boundaries."""
 
 import os
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from reference_textproc import (
+    clear_memos,
+    lemmatize_mod,
+    normalize_mod,
+    reference_analyze,
+    reference_tokenize,
+    tokenize_mod,
+)
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
 from repro.stream.opensearch import LogStore
+from repro.textproc.normalize import MaskingNormalizer
 from repro.textproc.tfidf import TfidfVectorizer
+from repro.textproc.tokenize import Tokenizer
 
 _text = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs"),
@@ -443,3 +454,111 @@ class TestFingerprintProperties:
                 expected = norm.normalize_reference(text)
                 assert norm.normalize(text) == expected
                 assert norm.normalize(text) == expected  # recent-lines hit
+
+
+# -- one analysis per line: every product equals the staged chain ----------
+
+# what ``_hostile_line`` lacks for the tokenizer: the separators beyond
+# ASCII, ``key=value`` and ``key:value`` shapes (the clock exception,
+# comma lists, edge punctuation inside values), and the digit ``<ipv6>``
+# brings into a token that had none
+_analysis_line = st.lists(
+    st.one_of(
+        st.sampled_from([
+            " ", " ", "\x1c", "\x1f", "\x85", "key=value,list", "k=v,,w;", "a=b=c",
+            "_k:v.", "ts:12:34:56", "t:12", "t:123", "err:x=1", "Key:", "=", ":", "(x=1)",
+            "12:34:56", "0x1F", "0xdeadbeef,", "aa:bb:cc:dd:ee:ff", "45 Caa:bb:cc:dd:ee:ff",
+            "3 MB", "3MB", "5e3", "1.5GiB", "١٢٣", "Failed", "connections", "throttling,",
+            "statuses", "x" * 300,
+        ]),
+        _hostile_line,
+    ),
+    max_size=6,
+).map("".join)
+#: lines to analyse in order, each with "empty every memo first?"
+_analysis_run = st.lists(st.tuples(_analysis_line, st.booleans()), min_size=1, max_size=6)
+
+
+@contextmanager
+def _memo_caps(cap):
+    """Every text-analysis memo bounded by ``cap`` entries (``None``
+    leaves the defaults), so a handful of lines clears each many times."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            for module, name in (
+                (tokenize_mod, "TOKEN_MEMO_MAX_ENTRIES"),
+                (tokenize_mod, "ANALYSIS_MEMO_MAX_ENTRIES"),
+                (normalize_mod, "TOKEN_MEMO_MAX_ENTRIES"),
+                (normalize_mod, "LINE_MEMO_MAX_ENTRIES"),
+                (lemmatize_mod, "CACHE_MAX_ENTRIES"),
+            ):
+                mp.setattr(module, name, cap)
+        yield
+
+
+_TOKENIZERS = [
+    Tokenizer(lowercase, split_kv, min_len)
+    for lowercase in (True, False) for split_kv in (True, False) for min_len in (1, 3)
+]
+_VECTORIZERS = [
+    TfidfVectorizer(normalize=normalize, lemmatize=lemmatize)
+    for normalize in (True, False) for lemmatize in (True, False)
+] + [TfidfVectorizer(ngram_range=(1, 2))]
+
+
+@pytest.mark.parametrize("cap", [4, None])
+class TestTextAnalysisExactness:
+    """The token-wise, memo-sharing pass against the loops it replaced
+    (``tests/reference_textproc.py``): warm memos or cold, whoever asks
+    first, with the memos clearing mid-line at ``cap=4``."""
+
+    @seed(SEED_SHIFT)
+    @given(_analysis_run)
+    @settings(max_examples=150, deadline=None)
+    def test_tokenize_is_the_emit_loop_it_replaced(self, cap, run):
+        with _memo_caps(cap):
+            for text, clear in run:
+                if clear:
+                    clear_memos()
+                for tokenizer in _TOKENIZERS:
+                    expected = reference_tokenize(tokenizer, text)
+                    assert tokenizer.tokenize(text) == expected
+                    assert tokenizer.index_tokens(text) == tuple(expected)
+                    assert tokenizer.index_tokens(text) == tuple(expected)  # recent-texts hit
+
+    @seed(SEED_SHIFT)
+    @given(_analysis_run)
+    @settings(max_examples=150, deadline=None)
+    def test_index_tokens_are_the_tokens_of_the_regex_chain(self, cap, run):
+        from repro.stream.opensearch import _analyze
+
+        norm, tokenizer = MaskingNormalizer(), Tokenizer()
+        with _memo_caps(cap):
+            for text, clear in run:
+                if clear:
+                    clear_memos()
+                expected = tuple(reference_tokenize(tokenizer, norm.normalize_reference(text)))
+                assert _analyze(text) == expected
+                assert _analyze(text) == expected
+
+    @seed(SEED_SHIFT)
+    @given(_analysis_run, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_vectorizer_docs_are_the_staged_chain(self, cap, run, store_first):
+        """``analyze_batch`` and the pipeline's ``analyze_masked(keys)``
+        route, with the store asking before or after."""
+        from repro.stream.opensearch import _analyze
+        from repro.textproc.fingerprint import TemplateFingerprinter
+
+        texts = [text for text, _clear in run]
+        with _memo_caps(cap):
+            for vec in _VECTORIZERS:
+                if run[0][1]:
+                    clear_memos()
+                expected = reference_analyze(vec, texts)
+                if store_first:
+                    for text in texts:
+                        _analyze(text)
+                assert vec.analyze_batch(texts) == expected
+                keys = TemplateFingerprinter.for_vectorizer(vec).mask_many(texts)
+                assert vec.analyze_masked(keys) == expected

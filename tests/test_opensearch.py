@@ -8,7 +8,9 @@ from repro.replication import ReplicatedLogStore
 from repro.stream import opensearch as store_mod
 from repro.stream.opensearch import LogStore
 from repro.textproc.normalize import MaskingNormalizer
-from repro.textproc.tokenize import tokenize
+from repro.textproc.tfidf import TfidfVectorizer
+from repro.textproc.tokenize import Tokenizer
+from reference_textproc import clear_memos, counted, reference_tokenize, tokenize_mod
 
 
 def msg(t, host="cn001", app="kernel", text="x"):
@@ -175,7 +177,13 @@ class TestSeverityFeatures:
 
 
 def _reference_analyze(text):
-    return tuple(tokenize(MaskingNormalizer().normalize_reference(text)))
+    return tuple(reference_tokenize(Tokenizer(), MaskingNormalizer().normalize_reference(text)))
+
+
+def _shared_memos():
+    """(masked line → tokens, whitespace piece → tokens) of the default
+    tokenizer: the memos the store and the vectorizer both read."""
+    return Tokenizer()._memos()
 
 
 def _replicated():
@@ -231,26 +239,31 @@ class TestSharedAnalysis:
     ):
         texts = self._texts(corpus)
         control = self._build(make, texts, monkeypatch, reference=True)
-        monkeypatch.setattr(store_mod, "ANALYSIS_MEMO_MAX_ENTRIES", 8)
-        store_mod._ANALYSIS_MEMO.clear()
+        monkeypatch.setattr(store_mod, "ANALYSIS_MEMO_MAX_ENTRIES", 8)  # the plans
+        monkeypatch.setattr(tokenize_mod, "ANALYSIS_MEMO_MAX_ENTRIES", 8)
+        monkeypatch.setattr(tokenize_mod, "TOKEN_MEMO_MAX_ENTRIES", 8)
+        clear_memos()
         store = self._build(make, texts, monkeypatch, reference=False)
-        assert 0 < len(store_mod._ANALYSIS_MEMO) <= 8
+        lines, pieces = _shared_memos()
+        assert 0 < len(lines) <= 8 and 0 < len(pieces) <= 8
         _assert_same_index(store, control)
 
     def test_poison_message_leaves_store_unchanged_and_memo_exact(
         self, make, monkeypatch
     ):
-        """All-or-nothing with the memo in place.  The messages analyzed
+        """All-or-nothing with the memos in place.  The messages analyzed
         before the poison may already be memoized when the batch fails;
         what holds is that the store is untouched and every memo entry
         is the reference analysis of its key, so the retry indexes as if
         the failed attempt never ran."""
-        def poisoned(text):
-            if "POISON" in text:
-                raise ValueError("tokenizer crash")
-            return tokenize(text)
+        emit = Tokenizer._emit
 
-        store_mod._ANALYSIS_MEMO.clear()
+        def poisoned(self, raw, out):
+            if "POISON" in raw:
+                raise ValueError("tokenizer crash")
+            return emit(self, raw, out)
+
+        clear_memos()
         store, control = make(), make()
         warm = [msg(i, text=f"job {i} started on cn{i:03d}") for i in range(5)]
         store.bulk_index(warm)
@@ -259,17 +272,37 @@ class TestSharedAnalysis:
         batch[2] = msg(12, text="novel template ahead of the pill 12")
         batch[5] = msg(15, text="POISON pill 15")
         batch[7] = msg(17, text="never analyzed before 17")
-        memo_before = dict(store_mod._ANALYSIS_MEMO)
+        lines, pieces = _shared_memos()
+        lines_before = dict(lines)
         stats_before = store.index_stats()
-        monkeypatch.setattr(store_mod, "tokenize", poisoned)
-        with pytest.raises(ValueError, match="tokenizer crash"):
-            store.bulk_index(batch)
+        with monkeypatch.context() as mp:
+            mp.setattr(Tokenizer, "_emit", poisoned)
+            with pytest.raises(ValueError, match="tokenizer crash"):
+                store.bulk_index(batch)
         assert store.index_stats() == stats_before and len(store) == 5
-        added = store_mod._ANALYSIS_MEMO.keys() - memo_before.keys()
+        added = lines.keys() - lines_before.keys()
         assert added == {MaskingNormalizer().normalize_reference(batch[2].text)}
-        for masked, tokens in store_mod._ANALYSIS_MEMO.items():
-            assert tokens == tuple(tokenize(masked))
-        monkeypatch.setattr(store_mod, "tokenize", tokenize)
+        assert "POISON" not in pieces
+        for memo in (lines, pieces):
+            for text, tokens in memo.items():
+                assert tokens == tuple(reference_tokenize(Tokenizer(), text))
         assert store.bulk_index(batch)
         control.bulk_index(batch)
+        _assert_same_index(store, control)
+
+    def test_the_classifier_asking_first_spares_the_store_the_tokenisation(
+        self, make, corpus, monkeypatch
+    ):
+        """One tokenisation per masked line whoever asks first: the
+        vectorizer's ``analyze_batch`` fills the memo ``bulk_index``
+        reads, and the index is the reference one all the same."""
+        texts = self._texts(corpus)[-200:]  # fewer lines than the memo holds
+        control = self._build(make, texts, monkeypatch, reference=True)
+        masked = {MaskingNormalizer().normalize_reference(t) for t in texts}
+        with counted() as counts:
+            docs = TfidfVectorizer(lemmatize=False).analyze_batch(texts)
+            assert counts.tokenize_calls == len(masked)
+            store = self._build(make, texts, monkeypatch, reference=False)
+            assert counts.tokenize_calls == len(masked)
+        assert docs == [list(_reference_analyze(t)) for t in texts]
         _assert_same_index(store, control)

@@ -10,13 +10,17 @@ regression trips them.
 import time
 
 import numpy as np
+from reference_textproc import counted
 
 from repro.core.message import Severity, SyslogMessage
 from repro.ingest import LogBroker
 from repro.obs import MetricsRegistry, NullRegistry, wellknown
 from repro.stream.opensearch import LogStore
 from repro.textproc.drain import DrainTemplateMiner
+from repro.textproc.lemmatize import Lemmatizer
+from repro.textproc.normalize import MaskingNormalizer
 from repro.textproc.tfidf import TfidfVectorizer
+from repro.textproc.tokenize import Tokenizer
 
 
 def _clocked(fn, budget_s: float, label: str):
@@ -98,49 +102,117 @@ def _zipf_draw(corpus, n: int = 15_000) -> list[str]:
     return [corpus.texts[r] for r in ranks]
 
 
-def _masker_cost_ratio(lines, rounds: int = 9) -> float:
-    """``normalize`` / ``normalize_reference`` cost over ``lines``.
-
-    Every pass starts from empty memos.  The passes alternate so a slow
-    spell of the host falls on both sides, and each side's best pass
-    stands for the undisturbed machine.
-    """
-    from repro.textproc import normalize as mod
-
-    norm = mod.MaskingNormalizer()
-
-    def cold_pass(fn) -> float:
-        for memo in (*mod._TOKEN_MEMOS.values(), *mod._LINE_MEMOS.values()):
-            memo.clear()
-        t0 = time.perf_counter()
-        for line in lines:
-            fn(line)
-        return time.perf_counter() - t0
-
-    return _best_ratio(
-        lambda: cold_pass(norm.normalize), lambda: cold_pass(norm.normalize_reference), rounds
-    )
+def _all_unique_lines(n: int = 2_000, tokens: int = 12) -> list[str]:
+    rng = np.random.default_rng(0)
+    alphabet = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789"))
+    return [
+        " ".join("".join(alphabet[rng.integers(0, 36, size=8)]) for _ in range(tokens))
+        for _ in range(n)
+    ]
 
 
 class TestMaskerFloors:
-    """Relative, same-process floors on the token-wise masker against
-    the regex chain it must equal."""
+    """Counted floors on the token-wise masker against the regex chain
+    it must equal (14 ``sub`` calls a line): regex calls and memo probes
+    on an instrumented double, from empty memos.  The wall-clock twin is
+    ``benchmarks/bench_runtime_scaling.py::test_text_analysis_lane``."""
 
     def test_normalize_twice_as_fast_as_chain_on_zipf(self, corpus):
-        ratio = _masker_cost_ratio(_zipf_draw(corpus, 5_000))
-        assert ratio <= 0.5, f"normalize costs {ratio:.2f}x the chain"
+        """Skewed lines: a repeated line is one lookup, a repeated token
+        one probe, and only a token never seen meets a regex.  Reads 0.55
+        ``sub`` calls a line and 0.09 probes a token; 0.87 ``sub`` calls with
+        the token memo never consulted, 1.96 with the screens dropped, 1.0
+        probes a token with the recent-lines memo gone."""
+        lines = _zipf_draw(corpus, 5_000)
+        norm = MaskingNormalizer()
+        with counted() as counts:
+            for line in lines:
+                norm.normalize(line)
+        n_tokens = sum(len(line.split()) for line in lines)
+        assert counts.subs <= 0.7 * len(lines), counts.subs / len(lines)
+        assert 0 < counts.memo_probes <= 0.15 * n_tokens, counts.memo_probes / n_tokens
 
     def test_all_unique_tokens_cost_at_most_a_quarter_more(self):
-        """No input may cost materially more than the chain: lines of
-        never-seen tokens take the whole-line route."""
+        """No input may cost materially more than the chain: a token
+        never seen is probed once and runs the rules that can match it
+        — 3.6 ``sub`` calls on eight random letters and digits, 14 with
+        the screens dropped."""
+        lines = _all_unique_lines()
+        norm = MaskingNormalizer()
+        with counted() as counts:
+            for line in lines:
+                norm.normalize(line)
+        n_tokens = sum(len(line.split()) for line in lines)
+        assert counts.memo_probes == n_tokens
+        assert counts.subs <= 5 * n_tokens, counts.subs / n_tokens
+
+    def test_a_never_seen_slot_value_averages_five_subs_or_fewer(self):
+        """Node names, addresses, counters and temperatures in the slots
+        of eight templates: a never-seen one pays 3.9 ``sub`` calls, 14
+        with the screens dropped (the benchmark's own hot and fleet slot
+        values read 3.7 and 4.0 in the text-analysis lane)."""
+        lines = [m.text for m in _write_lines(2_000, repeated=True)]
+        norm = MaskingNormalizer()
+        with counted() as counts:
+            for line in lines:
+                norm.normalize(line)
+        assert counts.unseen_tokens
+        assert counts.subs <= 5 * counts.unseen_tokens, counts.subs / counts.unseen_tokens
+
+
+class TestTokenizerFloors:
+    """One tokenisation per line, one ``_emit`` per distinct piece."""
+
+    def test_a_repeated_vocabulary_emits_under_two_pieces_a_line(self):
+        """Never-repeating lines over a small vocabulary (one fresh word
+        each): the memo answers every piece but the new ones — 1.5
+        ``_emit`` calls a line, 9.25 with the memo never consulted."""
+        lines = [m.text for m in _write_lines(2_000, repeated=False)]
+        tokenizer = Tokenizer()
+        with counted() as counts:
+            for line in lines:
+                assert tokenizer.tokenize(line)
+        assert len(lines) <= counts.emit_calls <= 2 * len(lines), counts.emit_calls / len(lines)
+
+    def test_store_and_classifier_share_one_tokenisation_per_line(self, corpus):
+        """``bulk_index`` then ``classify_batch`` over never-repeating
+        templates: 1.0 ``tokenize`` calls a line across the two (2.0 when
+        the classifier tokenises for itself), on a bare store and behind
+        the quorum write."""
+        from repro.core.pipeline import ClassificationPipeline
+        from repro.core.template_cache import TemplateCache
+        from repro.ml import ComplementNB
+        from repro.replication import ReplicatedLogStore
+
+        pipe = ClassificationPipeline(classifier=ComplementNB(), template_cache=TemplateCache(4096))
+        pipe.fit(corpus.texts, corpus.labels)
+        messages = _write_lines(1_500, repeated=False)  # fewer than the memo holds
+        for store in (LogStore(), ReplicatedLogStore(**_EVERY_NODE_OWNS_ALL)):
+            with counted() as counts:
+                for i in range(0, len(messages), 500):
+                    batch = messages[i:i + 500]
+                    store.bulk_index(batch)
+                    pipe.classify_batch([m.text for m in batch])
+            assert counts.tokenize_calls == len(messages)
+            pipe.template_cache.clear()
+
+
+class TestLemmatizerFloors:
+    def test_a_fresh_word_tests_only_the_rules_its_last_letter_allows(self):
+        """33 suffix rules, 16 of them ending in ``s``: a word no rule
+        detaches from tests the ones sharing its last letter — 1.3 on
+        average over random words, 33 with the screen dropped."""
         rng = np.random.default_rng(0)
-        alphabet = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789"))
-        lines = [
-            " ".join("".join(alphabet[rng.integers(0, 36, size=8)]) for _ in range(12))
-            for _ in range(2_000)
-        ]
-        ratio = _masker_cost_ratio(lines)
-        assert ratio <= 1.25, f"normalize costs {ratio:.2f}x the chain"
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        words = ["".join(letters[rng.integers(0, 26, size=9)]) for _ in range(2_000)]
+        lemmatizer = Lemmatizer()
+        with counted() as counts:
+            for word in words:
+                lemmatizer.lemmatize(word)
+        assert 0 < counts.suffix_tests <= 2 * len(words), counts.suffix_tests / len(words)
+        with counted() as counts:
+            lemmatizer.lemmatize("zzzzzzzzs")
+        assert counts.suffix_tests == 16
 
 
 def _caught_up_broker(n_partitions: int, depth: int):
@@ -477,8 +549,6 @@ class TestTemplateCacheSpeedup:
         absolute throughput bound — so the floor is loud on a fast-path
         regression but deaf to slow CI hardware.
         """
-        import numpy as np
-
         from repro.core.pipeline import ClassificationPipeline
         from repro.core.template_cache import TemplateCache
         from repro.ml import ComplementNB
@@ -489,15 +559,20 @@ class TestTemplateCacheSpeedup:
         msgs = _zipf_draw(corpus)
 
         base = pipe.classify_batch(msgs)  # warm interpreter/allocator
-        t0 = time.perf_counter()
-        assert pipe.classify_batch(msgs) == base
-        uncached_s = time.perf_counter() - t0
+        cache = TemplateCache(4096)
 
-        pipe.template_cache = TemplateCache(4096)
-        assert pipe.classify_batch(msgs) == base  # cold fill
-        t0 = time.perf_counter()
-        assert pipe.classify_batch(msgs) == base
-        cached_s = time.perf_counter() - t0
+        def timed(template_cache) -> float:
+            pipe.template_cache = template_cache
+            t0 = time.perf_counter()
+            assert pipe.classify_batch(msgs) == base
+            return time.perf_counter() - t0
+
+        timed(cache)  # cold fill
+        # the uncached side now reads repeated lines' tokens from the
+        # shared memo too (4.2x here, 5x before): alternating rounds,
+        # best of each, so a slow spell of the host cannot fake a loss
+        passes = [(timed(None), timed(cache)) for _ in range(5)]
+        uncached_s, cached_s = (min(p[i] for p in passes) for i in (0, 1))
 
         ratio = uncached_s / cached_s
         assert ratio >= 3.0, (

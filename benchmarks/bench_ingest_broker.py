@@ -29,7 +29,22 @@ Three questions, three lanes:
    publishes everything and drains in 4,096-record polls and cannot
    see this.
 
-All three land in ``BENCH_ingest_broker.json``.
+4. **The front door** (``test_front_door_lane`` →
+   ``BENCH_front_door.json``): µs per received line of the three
+   things a line meets at the door — the fair-share quota's ``allow``
+   (deals included: the spine's quota probe asks a freshly dealt quota
+   and never sees one), the dead-letter ``push`` and ``safe_parse_line``
+   — over the spine benchmark's ``flood_reject`` lines, each beside the
+   code it replaced (``tests/reference_door.py``), plus the whole
+   ``_handle_line`` assembled both ways, a 4,096-tenant churn row (one
+   spoofed hostname per line: every line evicts) and a scarce-pool row
+   (the same tenants asking a quota that refills one token per four
+   lines — ``listen --rate-limit`` with senders at four times the limit,
+   where every admitted line is a deal of one quantum).  A ledger row,
+   not a gate: no floor is asserted on wall-clock, only that both sides
+   decide, count and capture the same.
+
+The first three land in ``BENCH_ingest_broker.json``.
 
 Environment knobs: ``REPRO_BENCH_INGEST_MESSAGES`` (lines per lane,
 default 60000), ``REPRO_BENCH_INGEST_ROUNDS`` (default 3),
@@ -41,18 +56,37 @@ from __future__ import annotations
 import asyncio
 import gc
 import os
+import sys
 import threading
 import time
+from pathlib import Path
+
+import pytest
 
 from repro.datagen.sender import send_tcp, send_udp, wire_lines
 from repro.datagen.workload import standard_simulation_events
 from repro.experiments.common import format_table
-from repro.ingest import LogBroker, SyslogListener
+from repro.faults.dlq import DeadLetterQueue, entry_to_dict
+from repro.ingest import DeficitRoundRobin, LogBroker, SyslogListener
+from repro.ingest import listener as listener_mod
+from repro.ingest.listener import SITE_INGEST_PARSE
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
+from repro.stream.rfc import safe_parse_line
 
 from conftest import BENCH_SEED, emit, write_artifact
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "spine"))
+
+import workloads as spine_workloads  # noqa: E402
+from spine import QUOTA_BURST, QUOTA_RATE  # noqa: E402
+from reference_door import (  # noqa: E402
+    ReferenceDeadLetterQueue,
+    ReferenceQuota,
+    reference_safe_parse_line,
+)
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_INGEST_MESSAGES", "60000"))
 N_ROUNDS = int(os.environ.get("REPRO_BENCH_INGEST_ROUNDS", "3"))
@@ -60,6 +94,14 @@ OVERHEAD_CEILING = float(
     os.environ.get("REPRO_BENCH_INGEST_OVERHEAD_CEILING", "6.0")
 )
 RATE_FLOOR = 50_000.0
+DOOR_ROUNDS = 3
+#: the spine's quota (its ``max_tenants`` is a literal there, repeated here)
+DOOR_QUOTA = {"rate": QUOTA_RATE, "burst": QUOTA_BURST, "max_tenants": 4096}
+CHURN_LINES = 300
+#: the throttled door: lines asked of a quota that accrues one token per
+#: ``SCARCE_LINES_PER_TOKEN`` of them, so it has one quantum to deal at a time
+SCARCE_LINES = 20_000
+SCARCE_LINES_PER_TOKEN = 4
 TRICKLE_HOSTS = 200
 TRICKLE_DEPTHS = (0, 250, 1_000, 4_000)
 
@@ -260,6 +302,189 @@ def test_ingest_broker_throughput():
         )
 
 
+# -- lane 4: the front door ------------------------------------------------------
+
+
+def _best_us(step, per: int, rounds: int = DOOR_ROUNDS) -> float:
+    """µs of ``step()`` divided over ``per`` lines, best round."""
+    best = float("inf")
+    for _ in range(rounds):
+        gc.collect()
+        t0 = time.perf_counter()
+        step()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6 / max(1, per)
+
+
+def _door(lines, quota_cls, dlq_cls):
+    registry = MetricsRegistry()
+    listener = SyslogListener(
+        LogBroker(registry=registry), udp_port=None, tcp_port=None,
+        tenant_quota=quota_cls(**DOOR_QUOTA),
+        max_line_bytes=spine_workloads.FLOOD_MAX_LINE_BYTES,
+        dead_letters=dlq_cls(
+            max_entries=spine_workloads.FLOOD_DLQ_ENTRIES, registry=registry
+        ),
+        registry=registry,
+    )
+    for line in lines:
+        listener._handle_line(line, udp=False)
+    listener.sync_metrics()
+    return listener, registry
+
+
+def _door_outcome(listener, registry):
+    dlq = listener.dead_letters
+    return (
+        vars(listener.stats), [entry_to_dict(e) for e in dlq], dlq.n_evicted,
+        listener.quota.snapshot(), list(listener.quota._ring), registry.to_prometheus(),
+    )
+
+
+def _churn(quota_cls) -> float:
+    """µs per line once every line brings a tenant never seen before."""
+    n = DOOR_QUOTA["max_tenants"]
+    best = float("inf")
+    for _ in range(DOOR_ROUNDS):
+        quota = quota_cls(**DOOR_QUOTA)
+        for i in range(n):
+            quota.allow(f"spoof{i}/app")
+        fresh = [f"fresh{i}/app" for i in range(CHURN_LINES)]
+        t0 = time.perf_counter()
+        for tenant in fresh:
+            quota.allow(tenant)
+        best = min(best, time.perf_counter() - t0)
+        assert len(quota) == n
+    return best * 1e6 / CHURN_LINES
+
+
+class _TickClock:
+    """A clock that advances ``step`` seconds per reading."""
+
+    def __init__(self, step: float) -> None:
+        self.now, self.step = 0.0, step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+def _scarce(quota_cls, tenants):
+    """The quota behind a throttled door: a token accrues every few
+    lines asked, so a deal finds one quantum in the pool and grants once.
+    Returns the decisions and the quota."""
+    quota = quota_cls(
+        1.0, DOOR_QUOTA["burst"], max_tenants=DOOR_QUOTA["max_tenants"],
+        clock=_TickClock(1.0 / SCARCE_LINES_PER_TOKEN),
+    )
+    for tenant in dict.fromkeys(tenants):  # the first seen takes the one-time burst
+        quota.allow(tenant)
+    return [quota.allow(tenant) for tenant in tenants[:SCARCE_LINES]], quota
+
+
+def test_front_door_lane():
+    """Quota, capture and parse per received ``flood_reject`` line,
+    beside the code each replaced."""
+    inputs = spine_workloads.build(
+        "flood_reject", BENCH_SEED, spine_workloads.REFERENCE_SECONDS
+    )
+    lines = [line for phase in (inputs.paced, *inputs.bursts) for line in phase.lines]
+    cap = spine_workloads.FLOOD_MAX_LINE_BYTES
+    n = len(lines)
+
+    parsed = [safe_parse_line(line, max_bytes=cap) for line in lines]
+    assert parsed == [reference_safe_parse_line(line, max_bytes=cap) for line in lines]
+    tenants = [f"{m.hostname}/{m.app}" for m, _error in parsed if m is not None]
+    refused = [
+        (raw[:256].decode("utf-8", errors="replace"), error)
+        for raw, (m, error) in zip(lines, parsed) if m is None
+    ]
+    oversize = sum(1 for _payload, error in refused if error.startswith("oversize"))
+
+    def allows(quota_cls):
+        quota = quota_cls(**DOOR_QUOTA)
+        return [quota.allow(tenant) for tenant in tenants]
+
+    def pushes(dlq_cls):
+        dlq = dlq_cls(
+            max_entries=spine_workloads.FLOOD_DLQ_ENTRIES, registry=MetricsRegistry()
+        )
+        for payload, error in refused:
+            dlq.push(SITE_INGEST_PARSE, payload, error, transport="tcp")
+        return dlq
+
+    assert allows(DeficitRoundRobin) == allows(ReferenceQuota)
+    scarce_new, scarce_old = _scarce(DeficitRoundRobin, tenants), _scarce(ReferenceQuota, tenants)
+    assert scarce_new[0] == scarce_old[0] and True in scarce_new[0] and False in scarce_new[0]
+    assert scarce_new[1].snapshot() == scarce_old[1].snapshot()
+    assert list(scarce_new[1]._ring) == list(scarce_old[1]._ring)
+    new_door = _door(lines, DeficitRoundRobin, DeadLetterQueue)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(listener_mod, "safe_parse_line", reference_safe_parse_line)
+        old_door = _door(lines, ReferenceQuota, ReferenceDeadLetterQueue)
+        door_reference = _best_us(
+            lambda: _door(lines, ReferenceQuota, ReferenceDeadLetterQueue), n
+        )
+    assert _door_outcome(*new_door) == _door_outcome(*old_door)
+    assert new_door[0].stats.accounted()
+
+    legs = {
+        "quota": _best_us(lambda: allows(DeficitRoundRobin), n),
+        "quota_reference": _best_us(lambda: allows(ReferenceQuota), n),
+        "capture": _best_us(lambda: pushes(DeadLetterQueue), n),
+        "capture_reference": _best_us(lambda: pushes(ReferenceDeadLetterQueue), n),
+        "parse": _best_us(lambda: [safe_parse_line(x, max_bytes=cap) for x in lines], n),
+        "parse_reference": _best_us(
+            lambda: [reference_safe_parse_line(x, max_bytes=cap) for x in lines], n
+        ),
+        "door": _best_us(lambda: _door(lines, DeficitRoundRobin, DeadLetterQueue), n),
+        "door_reference": door_reference,
+    }
+    churn = {"churn": _churn(DeficitRoundRobin), "churn_reference": _churn(ReferenceQuota)}
+    asked = min(SCARCE_LINES, len(tenants))
+    scarce = {
+        "scarce": _best_us(lambda: _scarce(DeficitRoundRobin, tenants), asked),
+        "scarce_reference": _best_us(lambda: _scarce(ReferenceQuota, tenants), asked),
+    }
+    rows = [
+        [leg, f"{legs[leg]:.2f}", f"{legs[leg + '_reference']:.2f}", per]
+        for leg, per in (
+            ("quota", f"{len(tenants):,} parsed lines ask"),
+            ("capture", f"{len(refused):,} refused lines are pushed"),
+            ("parse", f"{n - oversize:,} lines reach the grammar"),
+            ("door", "_handle_line: the three, publish and the counters"),
+        )
+    ]
+    rows.append([
+        f"churn at {DOOR_QUOTA['max_tenants']:,} tenants", f"{churn['churn']:.2f}",
+        f"{churn['churn_reference']:.2f}", "µs per line, every line a fresh tenant",
+    ])
+    rows.append([
+        "quota, scarce pool", f"{scarce['scarce']:.2f}", f"{scarce['scarce_reference']:.2f}",
+        f"µs per line asked, a token per {SCARCE_LINES_PER_TOKEN} lines "
+        f"({sum(scarce_new[0]):,} of {asked:,} admitted)",
+    ])
+    emit(
+        f"Front door: µs per received flood_reject line ({n:,} lines)",
+        format_table(["leg", "now", "replaced code", "of which"], rows),
+    )
+    write_artifact("front_door", {
+        "lines": n, "parsed": len(tenants), "refused": len(refused),
+        "rounds": DOOR_ROUNDS, "us_per_received_line": legs,
+        "us_per_admitted_line": {
+            k: legs[k] * n / max(1, len(tenants)) for k in ("quota", "quota_reference")
+        },
+        "us_per_push": {
+            k: legs[k] * n / max(1, len(refused)) for k in ("capture", "capture_reference")
+        },
+        "churn_us_per_line": churn, "churn_tenants": DOOR_QUOTA["max_tenants"],
+        "scarce_us_per_line_asked": scarce, "scarce_lines": asked,
+        "scarce_lines_per_token": SCARCE_LINES_PER_TOKEN,
+        "scarce_admitted": sum(scarce_new[0]),
+    })
+
+
 if __name__ == "__main__":
     test_trickle_poll_cost_is_flat()
     test_ingest_broker_throughput()
+    test_front_door_lane()

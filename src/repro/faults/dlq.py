@@ -3,9 +3,10 @@
 The resilience invariant the chaos suite enforces is *no silent loss*:
 every message offered to the system is delivered, dropped-and-counted,
 or parked here with the exception that condemned it.  A
-:class:`DeadLetterQueue` is deliberately boring — an append-only list
-of :class:`DeadLetter` records — because it must keep working while
-everything around it is failing.
+:class:`DeadLetterQueue` is deliberately boring — an append-only run
+of :class:`DeadLetter` records, the oldest dropped (and counted) at an
+optional cap — because it must keep working while everything around it
+is failing.
 
 Queues travel across process boundaries (shard workers return their
 new entries by value so the parent can adopt them), so entries hold
@@ -16,8 +17,11 @@ dict.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.obs import wellknown
 
 __all__ = ["DeadLetter", "DeadLetterQueue", "entry_to_dict", "entry_from_dict"]
 
@@ -103,7 +107,11 @@ class DeadLetterQueue:
     Every capture increments ``repro_faults_dead_letters_total{site=}``
     in this process's registry — :meth:`extend` too, which is how
     worker-side captures (whose registries are invisible to the parent)
-    get counted exactly once, in the parent.
+    get counted exactly once, in the parent.  The per-site child and the
+    eviction counter are bound once per registry
+    (:class:`~repro.obs.wellknown.Bound`): a capture is one append and
+    one increment, and only the recipes travel when the queue is
+    pickled with a spawned pipeline.
 
     ``max_entries`` caps the queue: sustained faults cannot grow the
     no-silent-loss backstop without bound.  Beyond the cap the *oldest*
@@ -122,30 +130,27 @@ class DeadLetterQueue:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.registry = registry
-        self._entries: list[DeadLetter] = []
+        self._entries: deque[DeadLetter] = deque()
         self._next_seq = 0
         #: oldest entries dropped by the ``max_entries`` cap
         self.n_evicted = 0
+        self._m_evicted = wellknown.Bound(wellknown.faults_dlq_evicted)
+        self._m_captured: dict[str, wellknown.Bound] = {}
 
     def _append(self, site: str, payload, error: str, context: dict) -> DeadLetter:
         self._next_seq += 1
-        entry = DeadLetter(
-            seq=self._next_seq, site=site, payload=payload,
-            error=error, context=context,
-        )
+        entry = DeadLetter(self._next_seq, site, payload, error, context)
         self._entries.append(entry)
         if self.max_entries is not None and len(self._entries) > self.max_entries:
-            del self._entries[0]
+            self._entries.popleft()
             self.n_evicted += 1
-            from repro.obs import wellknown
-
-            wellknown.faults_dlq_evicted(self.registry).inc()
+            self._m_evicted(self.registry).inc()
         return entry
 
     def push(self, site: str, payload, error: str, **context) -> DeadLetter:
         """Capture one message; returns its record."""
-        entry = self._append(site, payload, error, dict(context))
-        self._count(site, 1)
+        entry = self._append(site, payload, error, context)
+        self._count(site)
         return entry
 
     def extend(self, entries) -> int:
@@ -153,24 +158,33 @@ class DeadLetterQueue:
         n = 0
         for e in entries:
             self._append(e.site, e.payload, e.error, dict(e.context))
-            self._count(e.site, 1)
+            self._count(e.site)
             n += 1
         return n
 
-    def _count(self, site: str, n: int) -> None:
-        from repro.obs import wellknown
-
-        wellknown.faults_dead_letters(self.registry).inc(n, site=site)
+    def _count(self, site: str) -> None:
+        captured = self._m_captured.get(site)
+        if captured is None:
+            captured = self._m_captured[site] = wellknown.Bound(
+                wellknown.faults_dead_letters, site=site
+            )
+        captured(self.registry).inc()
 
     def entries(self, site: str | None = None) -> list[DeadLetter]:
-        """All entries, optionally filtered to one site."""
+        """All entries, optionally filtered to one site.
+
+        A snapshot (one C-level copy), as every reader below takes: the
+        listener's thread may capture while another reads, and a deque
+        refuses to be iterated across an append.
+        """
+        snapshot = list(self._entries)
         if site is None:
-            return list(self._entries)
-        return [e for e in self._entries if e.site == site]
+            return snapshot
+        return [e for e in snapshot if e.site == site]
 
     def since(self, n: int) -> list[DeadLetter]:
         """Entries with sequence number past ``n`` (worker delta export)."""
-        return [e for e in self._entries if e.seq > n]
+        return [e for e in self.entries() if e.seq > n]
 
     def restore(self, entries) -> int:
         """Adopt entries *without* counting them (checkpoint/file restore).
@@ -195,7 +209,7 @@ class DeadLetterQueue:
         """
         path = Path(path)
         with path.open("w") as fh:
-            for e in self._entries:
+            for e in self.entries():
                 fh.write(json.dumps(entry_to_dict(e), sort_keys=True) + "\n")
         return path
 
@@ -230,7 +244,7 @@ class DeadLetterQueue:
     def counts_by_site(self) -> dict[str, int]:
         """Entry counts per site (the stats-reconciliation view)."""
         out: dict[str, int] = {}
-        for e in self._entries:
+        for e in self.entries():
             out[e.site] = out.get(e.site, 0) + 1
         return out
 
@@ -242,7 +256,7 @@ class DeadLetterQueue:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DeadLetterQueue(n={len(self._entries)})"

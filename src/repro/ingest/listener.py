@@ -41,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.faults.dlq import DeadLetterQueue
 from repro.faults.plan import SITE_ACCEPT_DROP, FaultInjector
@@ -319,8 +319,10 @@ class SyslogListener:
         stats = self.stats
         if udp:
             stats.received_udp += 1
+            transport = "udp"
         else:
             stats.received_tcp += 1
+            transport = "tcp"
         self._since_sync += 1
         if self._since_sync >= _SYNC_EVERY:
             self._sync_metrics()
@@ -336,17 +338,18 @@ class SyslogListener:
                 SITE_INGEST_PARSE,
                 raw[:256].decode("utf-8", errors="replace"),
                 f"oversize: {len(raw)} bytes > {self.max_line_bytes}",
-                transport="udp" if udp else "tcp",
+                transport=transport,
             )
             return
-        message, error = safe_parse_line(raw, max_bytes=self.max_line_bytes)
+        # the size cap was checked just above, on these very bytes
+        message, error = safe_parse_line(raw, max_bytes=None)
         if message is None:
             stats.parse_errors += 1
             self.dead_letters.push(
                 SITE_INGEST_PARSE,
                 raw[:256].decode("utf-8", errors="replace"),
                 error or "unparseable",
-                transport="udp" if udp else "tcp",
+                transport=transport,
             )
             return
         if self.quota is not None:
@@ -368,7 +371,7 @@ class SyslogListener:
             sampler = self.trace_sampler
             ctx = sampler.begin(
                 stats.accepted,
-                proto="udp" if udp else "tcp",
+                proto=transport,
                 host=message.hostname,
             )
             self._next_traced = sampler.next_sampled_after(stats.accepted)
@@ -378,7 +381,7 @@ class SyslogListener:
                 stats.publish_refused += 1
                 self.dead_letters.push(
                     SITE_INGEST_PUBLISH, message, "broker partition stalled",
-                    transport="udp" if udp else "tcp",
+                    transport=transport,
                 )
                 return
         if self.on_message is not None:
@@ -426,5 +429,5 @@ class SyslogListener:
             self._tenant_pending.clear()
         if self.quota is not None:
             self._m_tenants_active.set(len(self.quota))
-        self._synced = ListenerStats(**vars(s))
+        self._synced = replace(s)
         self._since_sync = 0

@@ -21,6 +21,24 @@ deficit and is shed without touching anyone else's.  The structure is
 the classic DRR scheduler (Shreedhar & Varghese) applied to admission
 instead of dequeueing.
 
+What it costs: an ``allow`` that finds its tenant in credit is a few
+dict operations.  One that finds it drained deals first, and a deal
+costs at most one pass of the ring (granting, and noting the tenants
+still under the cap) plus one step per further quantum granted —
+tenants + grants, not rounds × tenants: topping one drained tenant up by
+nine tokens does not walk everyone else nine times.  The pass ends
+where the pool runs dry, so a scarce deal (a throttled door hands out
+one quantum at a time) walks no further than the tenant it grants.
+Admitting a tenant beyond ``max_tenants`` reads the least recently seen
+one off the head of ``_last_seen``, which is kept in recency order, so
+a sender that spoofs a hostname per line cannot make every line a scan
+of every tenant (removing the victim from the ring is still one C-level
+``deque.remove``).  Decisions, deficits, pool and ring order are those
+of the loop that walked the whole ring per quantum
+(``tests/reference_door.py``), bit for bit: every addition is made in
+the same order, because ``burst / n`` is fractional and
+``x + 1.0 + 1.0`` is not ``x + 2.0`` in the last place.
+
 Like :class:`~repro.ingest.listener.TokenBucket` the clock is injected
 and all state transitions happen under one lock, so tests drive it
 deterministically and the listener's event loop and the controller's
@@ -110,6 +128,8 @@ class DeficitRoundRobin:
         with self._lock:
             now = self._clock()
             self._settle(now)
+            # re-inserted, not overwritten: the dict stays in recency order
+            self._last_seen.pop(tenant, None)
             self._last_seen[tenant] = now
             if tenant not in self._deficits:
                 self._admit_tenant(tenant)
@@ -154,33 +174,70 @@ class DeficitRoundRobin:
 
     def _admit_tenant(self, tenant: str) -> None:
         if len(self._deficits) >= self.max_tenants:
-            stale = min(self._ring, key=lambda t: self._last_seen.get(t, 0.0))
+            # ``_last_seen`` is in recency order, so the least recently
+            # seen tenant is read off its head; only tenants stamped with
+            # the very same reading are compared, and among those the
+            # one earliest in the ring goes (the newcomer, stamped but
+            # not yet in the ring, never does).  Recency order is stamp
+            # order because the clock is monotonic; were it to step
+            # back, the tenant touched longest ago goes, whatever its
+            # stamp says
+            seen = iter(self._last_seen.items())
+            stale, oldest = next(seen)
+            tied = {stale}
+            for other, at in seen:
+                if at != oldest:
+                    break
+                tied.add(other)
+            if len(tied) > 1:
+                stale = next(t for t in self._ring if t in tied)
             self._pool = min(
                 self.burst, self._pool + self._deficits.pop(stale)
             )
             self._ring.remove(stale)
-            self._last_seen.pop(stale, None)
+            del self._last_seen[stale]
         self._deficits[tenant] = 0.0
         self._ring.append(tenant)
 
     def _distribute(self) -> None:
         """Deal the pool round-robin, one quantum per tenant per visit.
 
-        Stops when the pool cannot fund another quantum or a full pass
-        grants nothing (every tenant at its fair-share cap).
+        Stops when the pool cannot fund another quantum or every tenant
+        is at its fair-share cap.  The first round walks the ring,
+        granting as it goes and noting who still has room; deficits only
+        grow during a deal, so a tenant at the cap stays there and the
+        later rounds run over the noted tenants alone, in ring order.
+        Each grant is the same additions in the same order a walk of the
+        whole ring per round would make, a pool that runs dry ends the
+        walk where it stands, and the ring is left where that walk would
+        leave it: just past the last tenant granted.
         """
-        n = len(self._ring)
-        if n == 0:
+        ring = self._ring
+        n = len(ring)
+        quantum = self.quantum
+        pool = self._pool
+        if n == 0 or pool < quantum:
             return
-        cap = max(self.quantum, self.burst / n)
-        stalled = 0
-        while self._pool >= self.quantum and stalled < n:
-            tenant = self._ring[0]
-            self._ring.rotate(-1)
-            take = min(self.quantum, cap - self._deficits[tenant], self._pool)
-            if take <= 0:
-                stalled += 1
-                continue
-            stalled = 0
-            self._deficits[tenant] += take
-            self._pool -= take
+        cap = max(quantum, self.burst / n)
+        deficits = self._deficits
+        last = -1
+        visit = enumerate(ring)
+        while visit:
+            again = []  # (ring position, tenant) still under the cap
+            for position, tenant in visit:
+                deficit = deficits[tenant]
+                room = cap - deficit
+                if room <= 0:
+                    continue
+                take = min(quantum, room, pool)
+                deficits[tenant] = deficit = deficit + take
+                pool -= take
+                last = position
+                if pool < quantum:
+                    again = ()
+                    break
+                if deficit < cap:
+                    again.append((position, tenant))
+            visit = again
+        self._pool = pool
+        ring.rotate(-(last + 1))

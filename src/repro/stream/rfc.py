@@ -12,6 +12,13 @@ Timestamps use the simulation calendar: fixed 30-day months and
 360-day years anchored at 2023-01-01, so render→parse round-trips are
 exact (to whole seconds) without ever touching the host clock.
 
+A line is read in one pass: PRI from a table of the 192 valid values,
+the rest in one regex match (RFC 5424 tried first, then RFC 3164), and
+the timestamp string looked up in a small clear-on-full memo before it
+is parsed field by field — consecutive lines share a second.  The
+regex chain this replaced is kept in ``tests/reference_door.py``; the
+two agree on every message and every error string.
+
 Two parsing entry points:
 
 ``parse_line``
@@ -55,10 +62,27 @@ _SECONDS_PER_DAY = 86400.0
 # simulator, which never crosses real calendar boundaries.
 _DAYS_PER_MONTH = 30
 
-# Enum lookup tables: Severity(x)/Facility(x) go through EnumMeta.__call__,
-# which dominates the per-line budget at ingest rates.
-_SEVERITY_BY_CODE = tuple(Severity(i) for i in range(8))
+# PRI → (severity, facility), one entry per valid PRI value:
+# Severity(x)/Facility(x) go through EnumMeta.__call__, which dominates
+# the per-line budget at ingest rates.
 _FACILITY_BY_CODE = {int(f): f for f in Facility}
+_PRI_TABLE = tuple(
+    (Severity(pri % 8), _FACILITY_BY_CODE.get(pri // 8, Facility.USER))
+    for pri in range(192)
+)
+
+#: timestamp strings remembered with their parsed value (consecutive
+#: lines share a second); cleared when full.  Only a stamp that passed
+#: validation is ever kept, so a hit needs no re-check, and only one of
+#: at most ``_STAMP_CHARS`` characters, so a sender cannot fill the memo
+#: with line-long keys.
+STAMP_MEMO_MAX_ENTRIES = 4096
+_STAMPS: dict[str, float] = {}
+# ``YYYY-MM-DDTHH:MM:SS``: all of an RFC 5424 stamp that ``_ISO_RE``
+# reads (a fraction or an offset after it changes nothing), and longer
+# than the ``Mmm dd HH:MM:SS`` of RFC 3164 — whose ``\s+`` lets a sender
+# stretch it to the line cap
+_STAMP_CHARS = 19
 
 
 def _format_bsd_time(ts: float) -> str:
@@ -95,19 +119,16 @@ def format_rfc5424(msg: SyslogMessage) -> str:
     return f"<{msg.pri}>1 {ts} {msg.hostname} {msg.app} {pid} - - {msg.text}"
 
 
-_PRI_RE = re.compile(r"^<(\d{1,3})>")
-_BSD_RE = re.compile(
-    r"^(?P<mon>[A-Z][a-z]{2})\s+(?P<day>\d{1,2})\s"
-    r"(?P<h>\d{2}):(?P<m>\d{2}):(?P<s>\d{2})\s"
-    r"(?P<host>\S+)\s(?P<tag>[^:\[]+)(?:\[(?P<pid>\d+)\])?:\s?(?P<text>.*)$"
+# What follows the PRI, RFC 5424 tried before RFC 3164.  Groups are
+# positional (one ``groups()`` call reads a line): the 5424 stamp, host,
+# app, procid and text; then the 3164 stamp whole (the memo key) and in
+# its five parts, host, tag, pid and text.
+_LINE_RE = re.compile(
+    r"1\s(\S+)\s(\S+)\s(\S+)\s(\S+)\s\S+\s(?:-|\[.*?\])\s?(.*)$"
+    r"|(([A-Z][a-z]{2})\s+(\d{1,2})\s(\d{2}):(\d{2}):(\d{2}))\s"
+    r"(\S+)\s([^:\[]+)(?:\[(\d+)\])?:\s?(.*)$"
 )
-_5424_RE = re.compile(
-    r"^1\s(?P<ts>\S+)\s(?P<host>\S+)\s(?P<app>\S+)\s(?P<pid>\S+)\s\S+\s(?:-|\[.*?\])\s?"
-    r"(?P<text>.*)$"
-)
-_ISO_RE = re.compile(
-    r"^(?P<Y>\d{4})-(?P<M>\d{2})-(?P<D>\d{2})T(?P<h>\d{2}):(?P<m>\d{2}):(?P<s>\d{2})"
-)
+_ISO_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})")
 
 
 def parse_line(line: str) -> SyslogMessage:
@@ -122,53 +143,57 @@ def parse_line(line: str) -> SyslogMessage:
         If the line matches neither format.
     """
     severity, facility = Severity.INFO, Facility.USER
-    m = _PRI_RE.match(line)
-    if m:
-        pri = int(m.group(1))
-        if pri > 191:
-            raise ValueError(f"invalid PRI value {pri} in syslog line: {line!r}")
-        severity = _SEVERITY_BY_CODE[pri % 8]
-        facility = _FACILITY_BY_CODE.get(pri // 8, Facility.USER)
-        line = line[m.end():]
+    if line[:1] == "<":
+        # ``<`` + one to three decimal digits + ``>``; ``isdecimal`` is
+        # the ``\d`` of a str pattern (any script's digits, as ``int``
+        # reads them)
+        end = line.find(">", 2, 5)
+        digits = line[1:end]
+        if end != -1 and digits.isdecimal():
+            pri = int(digits)
+            if pri > 191:
+                raise ValueError(f"invalid PRI value {pri} in syslog line: {line!r}")
+            severity, facility = _PRI_TABLE[pri]
+            line = line[end + 1:]
 
-    m5 = _5424_RE.match(line)
-    if m5:
-        ts = _parse_iso_time(m5.group("ts"))
-        pid_s = m5.group("pid")
+    m = _LINE_RE.match(line)
+    if m is None:
+        raise ValueError(f"unparseable syslog line: {line!r}")
+    iso, host5, app, procid, text5, bsd, mon, day, h, mi, s, host, tag, pid_s, text = m.groups()
+    if iso is not None:
+        second = iso[:_STAMP_CHARS]
+        ts = _STAMPS.get(second)
+        if ts is None:
+            ts = _remember(second, _parse_iso_time(iso))
         return SyslogMessage(
-            timestamp=ts,
-            hostname=m5.group("host"),
-            app=m5.group("app"),
-            text=m5.group("text"),
-            severity=severity,
-            facility=facility,
-            pid=int(pid_s) if pid_s.isdigit() else None,
+            ts, host5, app, text5, severity, facility,
+            int(procid) if procid.isdigit() else None,
         )
 
-    mb = _BSD_RE.match(line)
-    if mb:
-        mon = _MONTH_INDEX.get(mb.group("mon"))
+    ts = _STAMPS.get(bsd)
+    if ts is None:
+        mon = _MONTH_INDEX.get(mon)
         if mon is None:
             raise ValueError(f"unrecognized month in syslog line: {line!r}")
-        day = int(mb.group("day"))
+        day = int(day)
         if not 1 <= day <= _DAYS_PER_MONTH:
             raise ValueError(f"day {day} out of range in syslog line: {line!r}")
         day_total = (mon - 1) * _DAYS_PER_MONTH + day - 1
-        ts = (
-            day_total * _SECONDS_PER_DAY
-            + _clock_seconds(mb.group("h"), mb.group("m"), mb.group("s"), line)
+        ts = _remember(
+            bsd, float(day_total * _SECONDS_PER_DAY + _clock_seconds(h, mi, s, line))
         )
-        pid_s = mb.group("pid")
-        return SyslogMessage(
-            timestamp=float(ts),
-            hostname=mb.group("host"),
-            app=mb.group("tag").strip(),
-            text=mb.group("text"),
-            severity=severity,
-            facility=facility,
-            pid=int(pid_s) if pid_s else None,
-        )
-    raise ValueError(f"unparseable syslog line: {line!r}")
+    return SyslogMessage(
+        ts, host, tag.strip(), text, severity, facility,
+        int(pid_s) if pid_s else None,
+    )
+
+
+def _remember(stamp: str, ts: float) -> float:
+    if len(stamp) <= _STAMP_CHARS:
+        if len(_STAMPS) >= STAMP_MEMO_MAX_ENTRIES:
+            _STAMPS.clear()
+        _STAMPS[stamp] = ts
+    return ts
 
 
 def _clock_seconds(h: str, m: str, s: str, context: str) -> int:
@@ -185,18 +210,16 @@ def _parse_iso_time(ts: str) -> float:
     m = _ISO_RE.match(ts)
     if not m:
         raise ValueError(f"unparseable RFC5424 timestamp: {ts!r}")
-    month, day = int(m.group("M")), int(m.group("D"))
+    year, month, day, h, mi, s = m.groups()
+    month, day = int(month), int(day)
     if not 1 <= month <= 12 or not 1 <= day <= _DAYS_PER_MONTH:
         raise ValueError(f"date out of range in RFC5424 timestamp: {ts!r}")
     day_total = (
-        (int(m.group("Y")) - 2023) * 360
+        (int(year) - 2023) * 360
         + (month - 1) * _DAYS_PER_MONTH
         + day - 1
     )
-    return (
-        day_total * _SECONDS_PER_DAY
-        + _clock_seconds(m.group("h"), m.group("m"), m.group("s"), ts)
-    )
+    return day_total * _SECONDS_PER_DAY + _clock_seconds(h, mi, s, ts)
 
 
 def safe_parse_line(

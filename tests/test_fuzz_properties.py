@@ -1,10 +1,21 @@
 """Property-based fuzzing across module boundaries."""
 
 import os
+import pickle
+import random
+import re
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from reference_door import (
+    ReferenceDeadLetterQueue,
+    ReferenceQuota,
+    reference_safe_parse_line,
+)
 from reference_textproc import (
     clear_memos,
     lemmatize_mod,
@@ -16,9 +27,14 @@ from reference_textproc import (
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
+from repro.faults.dlq import DeadLetter, DeadLetterQueue, entry_to_dict
+from repro.ingest.quota import DeficitRoundRobin
+from repro.obs import MetricsRegistry, use_registry
+from repro.stream import rfc as rfc_mod
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
 from repro.stream.opensearch import LogStore
+from repro.stream.rfc import format_rfc3164, format_rfc5424, safe_parse_line
 from repro.textproc.normalize import MaskingNormalizer
 from repro.textproc.tfidf import TfidfVectorizer
 from repro.textproc.tokenize import Tokenizer
@@ -562,3 +578,348 @@ class TestTextAnalysisExactness:
                 assert vec.analyze_batch(texts) == expected
                 keys = TemplateFingerprinter.for_vectorizer(vec).mask_many(texts)
                 assert vec.analyze_masked(keys) == expected
+
+
+# -- the front door: deal, capture and parse equal the code they replaced ---
+
+SPINE = Path(__file__).resolve().parents[1] / "benchmarks" / "spine"
+
+
+def _spine_workloads():
+    """``benchmarks/spine/workloads.py``, read-only: its malformed lines
+    are what ``flood_reject`` sends."""
+    sys.path.insert(0, str(SPINE))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(SPINE))
+    return workloads
+
+
+class _SharedClock:
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _quota_state(quota):
+    return quota.snapshot(), quota._pool, list(quota._ring), dict(quota._last_seen)
+
+
+class TestQuotaDealExactness:
+    """``DeficitRoundRobin`` against the deal and the eviction it
+    replaced (``tests/reference_door.py``): after every ``allow`` and
+    ``set_rate`` of a random interleaving the decision, the deficits,
+    the pool and the ring order are ``==`` — not close."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_every_step_of_a_random_interleaving_is_bit_equal(self, block):
+        for case in range(60):
+            rng = random.Random((SEED_SHIFT * 4 + block) * 1000 + case)
+            n_tenants = rng.choice([1, 2, 3, 7, 40, 211])
+            burst = rng.choice([1.0, 2.0, 7.0, 30.0, 2000.0, 0.75, 9.478, 1e3 / 7])
+            rate = rng.choice([0.5, 3.0, 50.0, 1e8])  # scarce … refilled at once
+            kwargs = {
+                "quantum": rng.choice([0.5, 1.0, 2.0, 3.0]),
+                "max_tenants": rng.choice([n_tenants + 1, max(1, n_tenants // 2), 1024]),
+            }
+            clock = _SharedClock()
+            new = DeficitRoundRobin(rate, burst, clock=clock, **kwargs)
+            old = ReferenceQuota(rate, burst, clock=clock, **kwargs)
+            tenants = [f"t{i}" for i in range(n_tenants)]
+            for step in range(rng.choice([40, 150, 400])):
+                # a tie on the last-seen stamp now and then: evictions compare
+                if rng.random() < 0.8:
+                    clock.now += rng.choice([1e-6, 1e-3, 0.05, 1.0])
+                if rng.random() < 0.04:
+                    args = (rng.choice([0.5, 3.0, 50.0, 1e8]),
+                            rng.choice([None, 1.0, 9.478, 30.0, 2000.0]))
+                    new.set_rate(*args)
+                    old.set_rate(*args)
+                else:
+                    # Pareto: a few tenants send most of the lines
+                    tenant = tenants[min(n_tenants - 1, int(rng.paretovariate(1.1)) - 1)]
+                    assert new.allow(tenant) == old.allow(tenant), (case, step)
+                assert _quota_state(new) == _quota_state(old), (case, step)
+
+    def test_a_clock_that_steps_back_evicts_the_tenant_touched_longest_ago(self):
+        """The precondition of the equality above, pinned: the victim is
+        read off the order tenants were touched in, which is the order of
+        their stamps only while the clock never steps back.  When it does,
+        the tenant touched longest ago goes; the scan went by the stamps."""
+        now = [10.0]
+        new = DeficitRoundRobin(1.0, 4.0, max_tenants=2, clock=lambda: now[0])
+        old = ReferenceQuota(1.0, 4.0, max_tenants=2, clock=lambda: now[0])
+        for quota in (new, old):
+            for tenant, at in (("a", 10.0), ("b", 5.0), ("c", 6.0)):
+                now[0] = at
+                quota.allow(tenant)
+        assert set(new.snapshot()) == {"b", "c"}
+        assert set(old.snapshot()) == {"a", "c"}
+
+
+def _entries_view(queue):
+    return (
+        [entry_to_dict(e) for e in queue],
+        [entry_to_dict(e) for e in queue.entries("b")],
+        [e.seq for e in queue.since(queue.n_evicted + 1)],
+        queue.n_evicted, len(queue), queue.counts_by_site(),
+    )
+
+
+_dlq_op = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from("abc"), st.integers(0, 99)),
+    st.tuples(st.just("extend"), st.sampled_from("abc"), st.integers(0, 4)),
+    st.tuples(st.just("restore"), st.sampled_from("abc"), st.integers(0, 4)),
+    st.tuples(st.sampled_from(["clear", "pickle", "swap_registry", "reset_registry"]),
+              st.just(""), st.just(0)),
+)
+
+
+class TestDeadLetterCaptureExactness:
+    """``DeadLetterQueue`` against the append and the count it replaced:
+    entries, evictions and the registry exposition after every step,
+    through a pickle round-trip and across ``use_registry``/``reset()``
+    (the bound children must follow the registry an accessor would
+    have resolved)."""
+
+    @pytest.mark.parametrize("cap", [1, 3, None])
+    @seed(SEED_SHIFT)
+    @given(st.lists(_dlq_op, min_size=1, max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_every_step_of_a_random_sequence_is_equal(self, cap, ops):
+        queues = {"new": DeadLetterQueue(max_entries=cap),
+                  "old": ReferenceDeadLetterQueue(max_entries=cap)}
+        registries = {side: MetricsRegistry() for side in queues}
+        for step, (op, site, k) in enumerate(ops):
+            for side in queues:
+                with use_registry(registries[side]):
+                    queue = queues[side]
+                    foreign = [
+                        DeadLetter(seq=90 + i, site=site, payload=f"p{i}", error="e",
+                                   context={"i": i})
+                        for i in range(k)
+                    ]
+                    if op == "push":
+                        entry = queue.push(site, f"payload {k}", f"error {k}", attempt=k)
+                        assert entry is list(queue)[-1]
+                    elif op == "extend":
+                        assert queue.extend(foreign) == k
+                    elif op == "restore":
+                        assert queue.restore(foreign) == k
+                    elif op == "clear":
+                        queue.clear()
+                    elif op == "pickle":
+                        queues[side] = pickle.loads(pickle.dumps(queue))
+                    elif op == "swap_registry":
+                        registries[side] = MetricsRegistry()
+                    else:
+                        registries[side].reset()
+            assert _entries_view(queues["new"]) == _entries_view(queues["old"]), step
+            assert (registries["new"].to_prometheus()
+                    == registries["old"].to_prometheus()), step
+
+    def test_a_reader_survives_a_capture_made_while_it_reads(self):
+        """The listener's thread pushes while another reads: every reader
+        walks a snapshot, as it did when the entries were a list."""
+        for queue in (DeadLetterQueue(max_entries=3), ReferenceDeadLetterQueue(max_entries=3)):
+            for i in range(3):
+                queue.push("a", i, "e")
+            seen = []
+            for entry in queue:
+                queue.push("b", entry.payload, "e")  # evicts what is being read
+                seen.append(entry.payload)
+            assert seen == [0, 1, 2] and queue.counts_by_site() == {"b": 3}
+
+    def test_an_explicit_registry_is_counted_like_the_default_one(self):
+        registries = {"new": MetricsRegistry(), "old": MetricsRegistry()}
+        queues = {"new": DeadLetterQueue(max_entries=2, registry=registries["new"]),
+                  "old": ReferenceDeadLetterQueue(max_entries=2, registry=registries["old"])}
+        for side, queue in queues.items():
+            for i in range(5):
+                queue.push("ingest.parse" if i % 2 else "ingest.publish", i, "e")
+            registries[side].reset()
+            queue.push("ingest.parse", 9, "e")
+        assert _entries_view(queues["new"]) == _entries_view(queues["old"])
+        assert registries["new"].to_prometheus() == registries["old"].to_prometheus()
+        assert 'repro_faults_dead_letters_total{site="ingest.parse"} 1' in (
+            registries["new"].to_prometheus())
+
+
+# PRI spellings ``\d{1,3}`` takes or leaves: canonical, out of range, four
+# digits, leading zeros, other scripts' digits (``\d`` matches them and
+# ``int`` reads them), a superscript (``isdigit`` but not ``\d``), torn
+_pri = st.one_of(
+    st.integers(0, 191).map(lambda p: f"<{p}>"),
+    st.integers(0, 191).map(lambda p: f"<{p}>"),
+    st.sampled_from([
+        "", "<192>", "<999>", "<1234>", "<007>", "<000>", "<١٣>", "<१९१>", "<９９９>", "<1٣>",
+        "<²>", "<1²>", "<>", "<", "<1", "<12", "<1a>", "<-1>", "< 1>", "<1 >", "<13>>", "<<13>",
+        "<13><14>",
+    ]),
+)
+_two = st.one_of(
+    st.integers(0, 99).map(lambda v: f"{v:02d}"),
+    st.sampled_from(["٢٣", "５９", "1", "123", "²3", "-1", "ab", ""]),
+)
+_valid_clock = st.tuples(st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)).map(
+    lambda c: "%02d:%02d:%02d" % c)
+_clock = st.one_of(
+    _valid_clock, _valid_clock, _valid_clock,
+    st.tuples(_two, _two, _two).map(":".join),
+    st.sampled_from(["24:00:00", "23:60:00", "23:59:60", "00:00:00"]),
+)
+_day = st.one_of(
+    st.integers(1, 30).map(str), st.integers(0, 32).map(str),
+    st.integers(1, 9).map(lambda d: f" {d}"), st.sampled_from(["٣", "١٢", "31", "00", "007", ""]),
+)
+_month = st.sampled_from([
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+    "Foo", "feb", "FEB", "Fe", "Sept",
+])
+_gap = st.one_of(
+    st.just(" "), st.just(" "), st.just(" "), st.just(" "), st.just(" "),
+    st.sampled_from(["  ", "\t", "\x1f", "\xa0", ""]),
+)
+_word = st.sampled_from([
+    "cn042", "sk022", "-", "h", "kernel", "sshd", "my app", "a:b", "x[1", "ñandú", "1", "\x00",
+])
+_body = st.one_of(
+    st.sampled_from([
+        "link up", "", " ", "a: b: c", "[x] y", "line\nbreak", "tail\n", "nul\x00inside",
+        "trailing  ", "1 2023-01-01T00:00:00Z h a - - - nested", "Feb  1 00:00:00 h a: nested",
+    ]),
+    st.text(max_size=12),
+)
+_bsd_line = st.tuples(
+    _pri, _month, _gap, _day, _gap, _clock, _gap, _word, _gap, _word,
+    st.sampled_from(["", "[7]", "[٧]", "[]", "[x]", "[12][3]"]),
+    st.sampled_from([": ", ":", " :", ":  ", ""]), _body,
+).map("".join)
+_iso = st.one_of(
+    st.tuples(st.integers(2020, 2026), st.integers(0, 13), st.integers(0, 32), _clock).map(
+        lambda t: "%04d-%02d-%02dT%s" % t),
+    st.tuples(st.integers(2023, 2024), st.integers(1, 12), st.integers(1, 30), _clock,
+              st.sampled_from(["Z", ".123Z", "+02:00", ".5", "junk"])).map(
+        lambda t: "%04d-%02d-%02dT%s%s" % t),
+    st.sampled_from(["-", "2023-01-01", "٢٠٢٣-٠١-٠١T٠٠:٠٠:٠٠Z", "2023-1-1T0:0:0",
+                     "2023-02-31T00:00:00Z", "2023-01-01T24:00:00Z", "x2023-01-01T00:00:00Z"]),
+)
+_iso_line = st.tuples(
+    _pri, st.sampled_from(["1", "1", "1", "2", "11", ""]), _gap, _iso, _gap, _word, _gap, _word,
+    _gap, st.sampled_from(["-", "7", "٧", "²", "12a", "007", ""]), _gap,
+    st.sampled_from(["-", "ID47", ""]), _gap,
+    st.sampled_from(["-", "[x y=\"z\"]", "[a][b]", "[", "[]", ""]),
+    st.sampled_from([" ", "", "  "]), _body,
+).map("".join)
+_frame = st.sampled_from(["", "", "\n", "\r\n", "\x00", "\x00\r\n\x00", " \t", "\n\n"])
+_wire_line = st.tuples(_frame, st.one_of(_bsd_line, _iso_line), _frame).map("".join)
+_rendered = st.builds(
+    lambda ts, host, app, text, sev, pid, fmt: (
+        format_rfc3164 if fmt else format_rfc5424
+    )(SyslogMessage(float(ts), host, app, text, Severity(sev), pid=pid)),
+    st.integers(0, 86400 * 720), st.sampled_from(["cn001", "sk022", "hog001"]),
+    st.sampled_from(["kernel", "sshd", "floodd"]), st.text(max_size=20), st.integers(0, 7),
+    st.one_of(st.none(), st.integers(0, 99999)), st.booleans(),
+)
+
+
+def _same_parse(raw, **kwargs):
+    got = safe_parse_line(raw, **kwargs)
+    assert got == reference_safe_parse_line(raw, **kwargs), raw
+    return got
+
+
+@pytest.mark.parametrize("cap", [4, None])
+class TestParserExactness:
+    """``safe_parse_line`` against the regex chain it replaced, on
+    ``(message, error)``: the table-read PRI, the one match and the
+    stamp memo (bounded by ``cap`` entries, so hits and clears
+    interleave within a handful of lines) change no verdict, no field
+    and no error string."""
+
+    @pytest.fixture(autouse=True)
+    def _memo_cap(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(rfc_mod, "STAMP_MEMO_MAX_ENTRIES", cap)
+        rfc_mod._STAMPS.clear()
+        yield
+        rfc_mod._STAMPS.clear()
+
+    @seed(SEED_SHIFT)
+    @given(st.lists(st.tuples(st.one_of(_wire_line, _rendered), st.booleans()),
+                    min_size=1, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_hostile_and_rendered_lines(self, cap, run):
+        for line, as_bytes in run:
+            raw = line.encode("utf-8", errors="replace") if as_bytes else line
+            _same_parse(raw)
+            _same_parse(raw)  # the stamp is in the memo now, if it was valid
+            _same_parse(raw, max_bytes=None)
+            _same_parse(raw, max_bytes=16)
+        assert len(rfc_mod._STAMPS) <= rfc_mod.STAMP_MEMO_MAX_ENTRIES
+        assert all(len(stamp) <= 19 for stamp in rfc_mod._STAMPS)
+
+    def test_the_benchmarks_malformed_kinds_and_every_truncation(self, cap):
+        workloads = _spine_workloads()
+        rng = np.random.default_rng(SEED_SHIFT)
+        message = SyslogMessage(86400.0 * 41 + 4711, "sk022", "kernel",
+                                "CPU16 temperature above threshold — throttled",
+                                Severity.WARNING, pid=100)
+        for render in (format_rfc3164, format_rfc5424):
+            valid = render(message).encode()
+            assert _same_parse(valid)[0] == message
+            for kind in range(4):
+                for _ in range(8):
+                    assert _same_parse(workloads._malformed(kind, rng, valid))[0] is None
+            assert _same_parse(valid + b" pad" * 768, max_bytes=2048)[0] is None
+            for cut in range(len(valid) + 1):
+                _same_parse(valid[:cut])
+                _same_parse(valid[:cut] + b"\x00\r\n")
+                _same_parse(b"\x00\x00" + valid[cut:])
+
+    def test_an_invalid_stamp_is_refused_on_every_sight(self, cap):
+        for line in (
+            "<13>Feb 31 00:00:00 h app: x", "<13>Feb  1 24:00:00 h app: x",
+            "<13>1 2023-02-31T00:00:00Z h app - - - x", "<13>1 2023-02-01T24:00:00Z h app - - - x",
+            "<13>Foo  1 00:00:00 h app: x",
+        ):
+            first = _same_parse(line)
+            assert first[0] is None and first == _same_parse(line)
+        assert not rfc_mod._STAMPS
+
+    def test_the_memo_keys_on_the_second_and_keeps_no_long_key(self, cap):
+        """Fractions and offsets of one RFC 5424 second share its entry
+        (the stamp is read to the second, as before); an RFC 3164 stamp
+        stretched with whitespace parses as it did and is not kept."""
+        for tail in ("Z", ".000001Z", ".999999+02:00", ".5", "junk" * 2000):
+            message, error = _same_parse(f"<13>1 2023-02-01T00:00:07{tail} h app 7 - - x",
+                                         max_bytes=None)
+            assert error is None and message.timestamp == 86400.0 * 30 + 7
+        assert list(rfc_mod._STAMPS) == ["2023-02-01T00:00:07"]
+        for _sight in range(2):
+            message, error = _same_parse("<13>Feb" + " " * 4000 + "1 00:00:07 h app: x")
+            assert error is None and message.timestamp == 86400.0 * 30 + 7
+        _same_parse("<13>Feb 1 00:00:07 h app: x")
+        assert set(rfc_mod._STAMPS) == {"2023-02-01T00:00:07", "Feb 1 00:00:07"}
+
+    def test_a_repeated_second_hits_and_a_full_memo_clears(self, cap):
+        seconds = [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 5, 6, 7, 8, 9, 0, 0]
+        for i, s in enumerate(seconds):
+            line = (f"<13>Feb  1 00:00:{s:02d} h app[{i}]: x" if i % 2
+                    else f"<13>1 2023-02-01T00:00:{s:02d}Z h app {i} - - x")
+            message, error = _same_parse(line)
+            assert error is None and message.timestamp == 86400.0 * 30 + s
+            assert message.pid == i
+        assert 0 < len(rfc_mod._STAMPS) <= rfc_mod.STAMP_MEMO_MAX_ENTRIES
+
+
+def test_decimal_digits_are_the_digits_the_pattern_took():
+    """``str.isdecimal`` reads PRI where ``\\d{1,3}`` did: the two agree
+    on every code point, and ``int`` reads each of them."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    digits = set(re.findall(r"\d", everything))
+    assert digits == {c for c in everything if c.isdecimal()}
+    assert all(0 <= int(c) <= 9 for c in digits)

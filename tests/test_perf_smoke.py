@@ -10,12 +10,26 @@ regression trips them.
 import time
 
 import numpy as np
+import reference_door
+from reference_door import (
+    CountedQuota,
+    CountedReading,
+    CountedReferenceQuota,
+    ReferenceDeadLetterQueue,
+    ReferenceQuota,
+    counted_matches,
+    counted_registry,
+    reference_safe_parse_line,
+)
 from reference_textproc import counted
 
 from repro.core.message import Severity, SyslogMessage
-from repro.ingest import LogBroker
+from repro.faults.dlq import DeadLetterQueue
+from repro.ingest import DeficitRoundRobin, LogBroker
 from repro.obs import MetricsRegistry, NullRegistry, wellknown
+from repro.stream import rfc as rfc_mod
 from repro.stream.opensearch import LogStore
+from repro.stream.rfc import safe_parse_line
 from repro.textproc.drain import DrainTemplateMiner
 from repro.textproc.lemmatize import Lemmatizer
 from repro.textproc.normalize import MaskingNormalizer
@@ -437,6 +451,187 @@ class TestStoreQueryFloors:
             lambda: scan.terms_aggregation("hostname"),
         )
         assert ratio <= 1.15, f"terms_aggregation costs {ratio:.2f}x the scan of every copy"
+
+
+class _Readings:
+    """A clock whose every reading is distinct and counts the
+    comparisons made with it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> CountedReading:
+        self.now += 0.001
+        return CountedReading(self.now)
+
+
+class TestFrontDoorFloors:
+    """What a line costs at the door, stated as counts on instrumented
+    doubles (``tests/reference_door.py``) — deficit-table visits per
+    deal, last-seen comparisons per eviction, family and label
+    resolutions per dead letter, regex matches per line — each beside
+    the count the replaced code reads."""
+
+    #: the spine benchmark's quota: 211 tenants would share a burst of 2000
+    TENANTS = [f"host{i:03d}/app" for i in range(211)]
+
+    def _drain_one_tenant(self, quota_cls):
+        quota = quota_cls(1e8, 2e3, max_tenants=4096, clock=_Readings())
+        for tenant in self.TENANTS:
+            quota.allow(tenant)
+        del quota.deals[:]
+        for _ in range(40):  # one tenant sends (the last seen: under the cap of 211)
+            assert quota.allow(self.TENANTS[-1])  # ... and the refill is instant
+        return quota.deals
+
+    def test_a_deal_visits_each_tenant_once_and_then_only_the_takers(self):
+        deals = self._drain_one_tenant(CountedQuota)
+        assert len(deals) >= 3
+        for tenants, grants, visits in deals:
+            assert grants >= 1
+            assert visits <= tenants + grants, (tenants, grants, visits)
+        # the double sees what the floor is about: the replaced loop
+        # walked the whole ring once per quantum the drained tenant took
+        old = self._drain_one_tenant(CountedReferenceQuota)
+        assert [d[:2] for d in old] == [d[:2] for d in deals]
+        assert all(visits > 5 * tenants for tenants, _grants, visits in old)
+
+    def test_a_scarce_deal_walks_no_further_than_the_tenant_it_grants(self):
+        """The throttled door: one token a second and a drained tenant
+        asking every second, so each deal has one quantum to hand to the
+        head of the ring.  That is one visit — two when the head is the
+        first-seen tenant, still over the cap from the one-time burst —
+        not a pass over all 211 to learn who could have taken."""
+        def scarce_deals(quota_cls):
+            now = [0.0]
+            quota = quota_cls(1.0, 2e3, max_tenants=4096, clock=lambda: now[0])
+            for tenant in self.TENANTS:  # the first takes the burst, the rest find it dry
+                quota.allow(tenant)
+            del quota.deals[:]
+            admitted = 0
+            for _ in range(500):
+                now[0] += 1.0
+                admitted += quota.allow(self.TENANTS[-1])
+            return quota.deals, admitted
+
+        deals, admitted = scarce_deals(CountedQuota)
+        assert 1 <= admitted <= 4 and len(deals) >= 490  # its turn comes once a lap
+        for tenants, grants, visits in deals:
+            assert (tenants, grants) == (211, 1)
+            assert visits <= 2, visits
+        old, old_admitted = scarce_deals(CountedReferenceQuota)
+        assert old_admitted == admitted and [d[:2] for d in old] == [d[:2] for d in deals]
+        # never dearer than the loop it replaced (which read the deficit
+        # again to grant: one more read per grant on this double)
+        assert all(new[2] <= was[2] - was[1] for new, was in zip(deals, old))
+
+    def test_where_a_deal_leaves_the_ring_decides_a_later_scarce_one(self):
+        """Three tenants, one token a second: ``b`` takes the first
+        scarce token, which leaves the ring at ``c`` — so the next one is
+        ``c``'s, and ``b`` (asking) is refused.  A ring left where the
+        deal found it would hand ``b`` both."""
+        for quota_cls in (DeficitRoundRobin, ReferenceQuota):
+            now = [0.0]
+            quota = quota_cls(1.0, 3.0, clock=lambda: now[0])
+            assert quota.allow("a")  # a lone tenant takes the whole burst
+            assert not quota.allow("b") and not quota.allow("c")
+            now[0] += 1.0
+            assert quota.allow("b")
+            assert list(quota._ring) == ["c", "a", "b"]
+            now[0] += 1.0
+            assert not quota.allow("b")
+            assert quota.snapshot() == {"a": 2.0, "b": 0.0, "c": 1.0}
+            assert list(quota._ring) == ["a", "b", "c"]
+            # nobody can take (a is over the new cap, the pool is dry): unmoved
+            assert quota.allow("c") and not quota.allow("c")
+            assert list(quota._ring) == ["a", "b", "c"]
+
+    def test_an_eviction_reads_the_least_recently_seen_tenant(self):
+        """One spoofed hostname per line at the benchmark's
+        ``max_tenants``: the victim is read off the recency order, not
+        searched for over 4,096 tenants."""
+        n = 4096
+        quota = DeficitRoundRobin(1e8, 2e3, max_tenants=n, clock=_Readings())
+        for i in range(n):
+            quota.allow(f"spoof{i}")
+        quota.allow("spoof0")  # seen again: no longer the oldest
+        CountedReading.comparisons = 0
+        for i in range(200):
+            quota.allow(f"fresh{i}")
+        assert CountedReading.comparisons <= 2 * 200
+        assert len(quota) == n
+        assert "spoof0" in quota.snapshot() and "spoof1" not in quota.snapshot()
+        assert "spoof200" not in quota.snapshot() and "spoof201" in quota.snapshot()
+        old = ReferenceQuota(1e8, 2e3, max_tenants=64, clock=_Readings())
+        for i in range(64):
+            old.allow(f"spoof{i}")
+        CountedReading.comparisons = 0
+        old.allow("fresh")
+        assert CountedReading.comparisons >= 63  # the scan the double exists to see
+
+    def test_a_dead_letter_after_the_first_resolves_no_family_and_no_label(self):
+        for cap in (3, None):
+            with counted_registry() as calls:
+                queue = DeadLetterQueue(max_entries=cap, registry=MetricsRegistry())
+                for i in range(5):  # first capture per site, first eviction
+                    queue.push("ingest.parse" if i % 2 else "ingest.publish", i, "e")
+                warm = (calls.get_or_creates, calls.labels)
+                # one resolution per site, and one of the eviction counter
+                assert warm == ((3, 3) if cap else (2, 2))
+                for i in range(50):
+                    queue.push("ingest.parse" if i % 2 else "ingest.publish", i, "e", k=i)
+                queue.extend(queue.entries()[-2:])
+                assert (calls.get_or_creates, calls.labels) == warm
+                assert queue.n_evicted == (54 if cap else 0)
+                old = ReferenceDeadLetterQueue(max_entries=cap, registry=MetricsRegistry())
+                old.push("ingest.parse", 0, "e")
+                before = calls.get_or_creates + calls.labels
+                old.push("ingest.parse", 1, "e")
+                assert calls.get_or_creates + calls.labels - before >= 2
+
+    _ACCEPTED = [
+        f"<13>Feb  1 00:00:07 cn{i:03d} app[{i}]: link up" if i % 2
+        else f"<13>1 2023-02-01T00:00:07Z cn{i:03d} app {i} - - link up"
+        for i in range(40)
+    ]
+    _REJECTED = [
+        b"<999>Feb  1 00:00:07 cn001 app: x", b"\xf3\x9a\x81\xe9 no line at all",
+        b"<13>Feb  1\xe2\x82", b"<13>Feb  1 77:88:99 cn001 app: x",
+        b"<13>1 2023-02-01T77:88:99Z cn001 app - - x", b"<13>1 yesterday cn001 app - - x",
+        b"<13>Foo  1 00:00:07 cn001 app: x", b"<13>Feb 31 00:00:07 cn001 app: x", b"<13>",
+    ]
+
+    def test_a_line_on_a_repeated_second_is_read_in_one_match(self):
+        rfc_mod._STAMPS.clear()
+        for line in self._ACCEPTED[:2]:  # first sight of the second, each grammar
+            assert safe_parse_line(line)[0] is not None
+        with counted_matches() as calls:
+            for line in self._ACCEPTED:
+                assert safe_parse_line(line)[0] is not None
+        assert calls.matches <= 2 * len(self._ACCEPTED)
+        assert calls.matches == len(self._ACCEPTED)
+        with counted_matches(reference_door) as old:
+            for line in self._ACCEPTED:
+                assert reference_safe_parse_line(line)[0] is not None
+        assert old.matches == 3 * len(self._ACCEPTED)
+
+    def test_a_first_seen_second_costs_at_most_one_more_match(self):
+        rfc_mod._STAMPS.clear()
+        with counted_matches() as calls:
+            for line in self._ACCEPTED[:2]:
+                assert safe_parse_line(line)[0] is not None
+        assert calls.matches == 3  # 3164: the line; 5424: the line and its stamp
+
+    def test_a_refused_line_costs_no_more_matches_than_it_did(self):
+        for raw in self._REJECTED:
+            rfc_mod._STAMPS.clear()
+            for _sight in range(2):  # refused again: an invalid stamp is never kept
+                with counted_matches() as calls:
+                    assert safe_parse_line(raw)[0] is None
+                with counted_matches(reference_door) as old:
+                    assert reference_safe_parse_line(raw) == safe_parse_line(raw)
+                assert calls.matches <= min(old.matches, 2), raw
+            assert not rfc_mod._STAMPS
 
 
 class TestWellknownAccessorFloor:

@@ -45,21 +45,40 @@ against the bare store's former bodies (``PerDocLogStore``).  Reported
 under ``reads`` in the same artifact, min of rounds, not asserted beyond
 the stores of a row agreeing on its answer.
 
+The heap lane (``test_store_heap_lane``, ``BENCH_store_heap.json``) reads
+what a stored line leaves behind and what the cyclic collector pays for
+it, on the replicated store and on ``PerDocStore`` — which keeps the
+object per copy and per line both stores kept before their documents
+went columnar.  Lines go through ``classifying_sink`` (quorum write,
+then one ``set_category`` a line) with a pipeline that allocates
+nothing, so every reading is the store's own: collector-tracked objects
+per line (``gc.get_objects()``, the lines' own ``SyslogMessage``
+included), collections per generation per 10k lines (``gc.get_stats()``),
+seconds inside the collector (``gc.callbacks``), ``tracemalloc`` bytes
+per stored document (the messages allocated beforehand), µs per document
+through the sink in full and 3-document batches at both placements, and
+the five dashboard queries at 30k documents.  It asserts that the two
+stores hold and answer the same; no reading has a floor — the counted
+floor is ``tests/test_perf_smoke.py::TestStoreHeapFloors``.
+
 Environment knobs: ``REPRO_BENCH_REPL_MESSAGES`` (messages per round,
 default 6000), ``REPRO_BENCH_REPL_ROUNDS`` (rounds, default 5).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro.core.message import SyslogMessage
 from repro.experiments.common import format_table
 from repro.obs import MetricsRegistry, use_registry
 from repro.replication import ReplicatedLogStore
+from repro.stream.fluentd import classifying_sink
 from repro.stream.opensearch import LogStore
 
 from conftest import BENCH_SEED, emit, write_artifact
@@ -67,7 +86,7 @@ from conftest import BENCH_SEED, emit, write_artifact
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "spine"))
 import dashboard  # noqa: E402
-from perdoc_store import PerDocLogStore, PerDocStore  # noqa: E402
+from perdoc_store import OneVerdict, PerDocLogStore, PerDocStore  # noqa: E402
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_REPL_MESSAGES", "6000"))
 N_ROUNDS = int(os.environ.get("REPRO_BENCH_REPL_ROUNDS", "5"))
@@ -276,4 +295,153 @@ def test_replication_overhead(benchmark):
     assert overhead_pct < OVERHEAD_BUDGET_PCT, (
         f"replication overhead {overhead_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT:.0f}% budget"
+    )
+
+
+# -- the heap lane -------------------------------------------------------------
+
+HEAP_LINES = 20_000
+#: heap lane -> (store class, placement name)
+HEAP_STORES = {"columns": ReplicatedLogStore, "per-doc": PerDocStore}
+HEAP_PLACEMENTS = {"3 nodes RF 3": _REPLICATED, "6 nodes RF 2": _SPREAD}
+
+
+def _sink_all(make, msgs, batch: int):
+    """``msgs`` through ``classifying_sink`` in ``batch``-sized flushes;
+    returns the store and the seconds the flushes took."""
+    with use_registry(MetricsRegistry()):
+        store = make()
+        sink = classifying_sink(store, OneVerdict())
+        t0 = time.perf_counter()
+        for i in range(0, len(msgs), batch):
+            sink(msgs[i:i + batch])
+        return store, time.perf_counter() - t0
+
+
+def _heap_census(cls) -> dict:
+    """One store of ``cls`` at 3 nodes RF 3 filled with ``HEAP_LINES``
+    fresh lines: what they leave tracked, and what collecting cost."""
+    pauses, started = [], []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            pauses.append(time.perf_counter() - started.pop())
+
+    _sink_all(lambda: cls(**_REPLICATED), _messages(repeated=True, n=2_000), 500)  # memos, plans
+    gc.collect()
+    tracked0 = len(gc.get_objects())
+    stats0 = [g["collections"] for g in gc.get_stats()]
+    gc.callbacks.append(on_gc)
+    try:
+        store, seconds = _sink_all(
+            lambda: cls(**_REPLICATED), _messages(repeated=True, n=HEAP_LINES), 500
+        )
+    finally:
+        gc.callbacks.remove(on_gc)
+    collections = [g["collections"] - c0 for g, c0 in zip(gc.get_stats(), stats0)]
+    gc.collect()
+    tracked = len(gc.get_objects()) - tracked0
+    assert len(store) == HEAP_LINES
+    return {
+        "tracked_objects_per_line": round(tracked / HEAP_LINES, 3),
+        "collections_per_10k_lines": [round(c * 1e4 / HEAP_LINES, 1) for c in collections],
+        "collector_seconds": round(sum(pauses), 4),
+        "collector_us_per_line": round(sum(pauses) / HEAP_LINES * 1e6, 3),
+        "sink_us_per_line": round(seconds / HEAP_LINES * 1e6, 3),
+    }
+
+
+def _heap_bytes(cls) -> float:
+    """``tracemalloc`` bytes the store holds per document, the messages
+    themselves allocated before tracing starts."""
+    msgs = _messages(repeated=True, n=HEAP_LINES)
+    _sink_all(lambda: cls(**_REPLICATED), msgs[:2_000], 500)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store, _seconds = _sink_all(lambda: cls(**_REPLICATED), msgs, 500)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(store) == HEAP_LINES
+    return round(held / HEAP_LINES, 1)
+
+
+def test_store_heap_lane(benchmark):
+    census = {lane: _heap_census(cls) for lane, cls in HEAP_STORES.items()}
+    for lane, cls in HEAP_STORES.items():
+        census[lane]["tracemalloc_bytes_per_doc"] = _heap_bytes(cls)
+
+    # µs per document through the sink (quorum write + a label a line),
+    # collector on as it is in a live process: interleaved, min of rounds
+    writes, msgs = [], _messages(repeated=True)
+    for placement, kwargs in HEAP_PLACEMENTS.items():
+        for batch in BATCHES:
+            best = dict.fromkeys(HEAP_STORES, float("inf"))
+            for _ in range(N_ROUNDS):
+                for lane, cls in HEAP_STORES.items():
+                    _store, seconds = _sink_all(lambda: cls(**kwargs), msgs, batch)
+                    best[lane] = min(best[lane], seconds)
+            writes.append({
+                "placement": placement, "batch": batch,
+                "us_per_doc": {k: round(v / len(msgs) * 1e6, 3) for k, v in best.items()},
+                "columns_vs_per_doc": round(best["columns"] / best["per-doc"], 3),
+            })
+
+    # the same lines on both stores: equal holdings, equal answers
+    msgs = _messages(repeated=True, n=READ_DOCS[-1])
+    stores = {
+        lane: _sink_all(lambda: cls(**_REPLICATED), msgs, 500)[0]
+        for lane, cls in HEAP_STORES.items()
+    }
+    held = [
+        (s.seq_digests(), [(d.doc_id, d.message, d.category) for d in s.iter_documents()])
+        for s in stores.values()
+    ]
+    assert held[0] == held[1]
+    window, reads = (msgs[0].timestamp, msgs[-1].timestamp), []
+    for kind in dashboard.KINDS:
+        answers = [_answer(kind, dashboard.run(s, kind, *window)) for s in stores.values()]
+        assert answers[0] == answers[1], kind
+        best = dict.fromkeys(stores, float("inf"))
+        for _ in range(N_ROUNDS):
+            for lane, store in stores.items():
+                t0 = time.perf_counter()
+                dashboard.run(store, kind, *window)
+                best[lane] = min(best[lane], time.perf_counter() - t0)
+        reads.append({"query": kind, "ms": {k: round(v * 1e3, 3) for k, v in best.items()}})
+
+    benchmark.pedantic(lambda: _heap_census(ReplicatedLogStore), rounds=1, iterations=1)
+    benchmark.extra_info.update(census["columns"])
+    write_artifact("store_heap", {
+        "lines": HEAP_LINES, "rounds": N_ROUNDS, "seed": BENCH_SEED,
+        "census": census, "writes": writes,
+        "read_docs": READ_DOCS[-1], "reads": reads,
+    })
+    keys = list(census["columns"])
+    emit(
+        f"What a stored line leaves on the heap — {HEAP_LINES:,} lines through "
+        "classifying_sink, 3 nodes RF 3; per-doc = an object per copy and per line",
+        format_table(
+            ["reading", *HEAP_STORES],
+            [[k, *(str(census[lane][k]) for lane in HEAP_STORES)] for k in keys],
+        )
+        + "\n\n"
+        + format_table(
+            ["placement", "batch", *(f"{lane} us/doc" for lane in HEAP_STORES), "ratio"],
+            [
+                [w["placement"], str(w["batch"]),
+                 *(f"{w['us_per_doc'][lane]:.2f}" for lane in HEAP_STORES),
+                 f"{w['columns_vs_per_doc']:.2f}x"]
+                for w in writes
+            ],
+        )
+        + "\n\n"
+        + format_table(
+            [f"query at {READ_DOCS[-1]:,} docs", *(f"{lane} ms" for lane in HEAP_STORES)],
+            [[r["query"], *(f"{r['ms'][lane]:.3f}" for lane in HEAP_STORES)] for r in reads],
+        ),
     )

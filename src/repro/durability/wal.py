@@ -33,6 +33,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.obs import wellknown
+
 __all__ = [
     "FSYNC_POLICIES",
     "WalRecord",
@@ -220,8 +222,6 @@ class WriteAheadLog:
         self.fsync = fsync
         self.segment_bytes = segment_bytes
         self.sync_every = sync_every
-        from repro.obs import wellknown
-
         self._m_appends = wellknown.wal_appends(registry)
         self._m_fsyncs = wellknown.wal_fsyncs(registry)
         self._m_rotations = wellknown.wal_rotations(registry)

@@ -28,7 +28,7 @@ process.  :class:`ReplicatedLogStore` is the coordinator in front of N
 - **queries** — none of its own: the seven ``LogStore`` queries are
   inherited from the engine both stores share
   (``repro.stream.opensearch._Queries``), and the coordinator supplies
-  that engine's two primitives by fanning out to each shard's acting
+  that engine's primitives by fanning out to each shard's acting
   primary's search index.
 
 Every decision is surfaced through the ``repro_store_*`` metric
@@ -43,11 +43,12 @@ import time
 from collections.abc import Sequence
 from functools import partial
 from itertools import compress, cycle, repeat
-from operator import attrgetter
+from operator import itemgetter
 
 from repro.core.message import SyslogMessage
 from repro.core.taxonomy import Category
 from repro.faults.plan import SITE_NODE_DOWN, SITE_NODE_SLOW, SITE_PARTITION
+from repro.obs import wellknown
 from repro.obs.propagation import carried, record_hop
 from repro.replication.health import (
     BREAKER_CLOSED,
@@ -178,8 +179,6 @@ class ReplicatedLogStore(_Queries):
         self._rotation = 0  # deterministic victim choice for fault sites
         self._primary: dict[int, int | None] = {}
         self._last_live: frozenset[int] = frozenset()
-        from repro.obs import wellknown
-
         self._m_node_up = wellknown.store_node_up(registry)
         self._m_write_seconds = wellknown.store_quorum_write_seconds(registry)
         self._m_read_seconds = wellknown.store_quorum_read_seconds(registry)
@@ -642,34 +641,44 @@ class ReplicatedLogStore(_Queries):
 
     # -- query primitives (the queries themselves are _Queries') ------------
 
-    def _from_primaries(self, read, numbered: bool):
-        """``read(search_index)`` of every acting primary, ascending node
-        id: a down node is skipped, and a document counts only where the
-        node is its shard's *current* acting primary — a demoted index
-        keeps its stale residents, and they are never read twice."""
+    def _from_primaries(self, hits_of):
+        """Every acting primary, ascending node id, with the doc ids
+        ``hits_of(search_index)`` names that are its to answer for: a down
+        node is skipped, and a document counts only where the node is its
+        shard's *current* acting primary — a demoted index keeps its
+        stale residents, and they are never read twice."""
         acting: dict[int, set[int]] = {}
         for shard, nid in self._primary.items():
             if nid is not None and not self.nodes[nid].down:
                 acting.setdefault(nid, set()).add(shard)
         for nid in sorted(acting):
             node = self.nodes[nid]
-            yield from node._resident_docs(
-                read(node.search_index), acting[nid], numbered
-            )
+            yield node, node._residents(hits_of(node.search_index), acting[nid])
 
-    def _iter_range(self, t0: float | None, t1: float | None):
-        return self._from_primaries(lambda index: index._iter_range(t0, t1), numbered=False)
+    def _iter_range(self, t0, t1, categories=False):
+        for node, ids in self._from_primaries(lambda index: index._range_hits(t0, t1)):
+            yield from node.search_index._column(ids, categories)
 
-    def _numbered_range(self, t0: float, t1: float):
-        docs = self._from_primaries(lambda index: index._iter_range(t0, t1), numbered=True)
-        return sorted(docs, key=lambda d: (d.message.timestamp, d.doc_id))
+    def _located(self, hits_of) -> list[tuple]:
+        """A hit per document: (global doc id, the index holding it, its id there)."""
+        return [
+            (node._local_gids[i], node.search_index, i)
+            for node, ids in self._from_primaries(hits_of) for i in ids
+        ]
 
-    def _iter_terms(self, terms, t0, t1, max_severity=None):
-        # every cut is made at each index, before a hit is renumbered
-        docs = self._from_primaries(
-            lambda index: index._iter_terms(terms, t0, t1, max_severity), numbered=True
+    def _range_hits(self, t0, t1):
+        hits = self._located(lambda index: index._range_hits(t0, t1))
+        return sorted(hits, key=lambda hit: (hit[1]._times[hit[2]], hit[0]))
+
+    def _term_hits(self, terms, t0, t1, max_severity=None):
+        # every cut is made at each index, before a hit leaves it
+        hits = self._located(lambda index: index._term_hits(terms, t0, t1, max_severity))
+        return sorted(hits, key=itemgetter(0))
+
+    def _documents(self, hits):
+        return (
+            LogDocument(gid, index._messages[i], index._categories[i]) for gid, index, i in hits
         )
-        return sorted(docs, key=attrgetter("doc_id"))
 
     # -- ops visibility ----------------------------------------------------
 

@@ -15,10 +15,11 @@ internals, so :class:`LogStore` implements:
 - ``date_histogram`` and ``terms`` aggregations — the backbone of the
   §4.5 frequency and grouping analyses.
 
-The seven queries are written once, in :class:`_Queries`, over two
-primitives — the documents in a time range, the documents filed under
-every one of some terms.  :class:`LogStore` answers those from its time
-index and postings;
+The seven queries are written once, in :class:`_Queries`, over four
+primitives — a column over a time range, that range's hits, the hits
+filed under every one of some terms, the documents of some hits.
+:class:`LogStore` answers those from its time index, postings and two
+columns (message, category: a :class:`LogDocument` is built when read);
 :class:`~repro.replication.ReplicatedLogStore` inherits the same queries
 and answers the primitives from its acting primaries' ``LogStore``s.
 """
@@ -30,11 +31,12 @@ import time
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from operator import attrgetter
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
+from repro.obs.propagation import carried, record_hop
 from repro.textproc.normalize import ANALYSIS_MEMO_MAX_ENTRIES, normalize_message
 from repro.textproc.tokenize import index_tokens
 
@@ -55,7 +57,8 @@ def _analyze(text: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class LogDocument:
-    """One indexed log record."""
+    """One indexed log record, built when it is read: a store keeps a
+    message column and a category column, not a document per line."""
 
     doc_id: int
     message: SyslogMessage
@@ -82,47 +85,47 @@ class _Queries:
     """The seven queries of the store surface, each written once.
 
     :class:`LogStore` and :class:`~repro.replication.ReplicatedLogStore`
-    inherit them and supply two primitives of their own:
+    inherit them and supply four primitives of their own.  A *hit* is
+    whatever a store names a document by (``LogStore``: its doc id), so
+    that hits are counted and cut before any document is built:
 
-    ``_iter_range(t0, t1)``
-        every document with ``t0 <= timestamp < t1`` (``None`` leaves
-        that side open), each once, lazily, in an order that is a
-        function of the store's contents.  This is the count-only path:
-        the aggregations read ``message`` and ``category`` and nothing
-        else, so a store yields the documents it holds rather than
-        building one per document scanned.
-    ``_iter_terms(terms, t0, t1, max_severity=None)``
-        the documents of that range, carrying the store's doc ids, whose
-        postings hold every one of the lower-cased ``terms`` (hostnames,
-        apps or tokens), at ``max_severity`` or more urgent, in ascending
-        doc id.  Every cut is the store's to make, so that it falls
-        before whatever a hit costs it to hand over.
-
-    ``time_range`` alone returns what ``_iter_range`` walks, so it asks
-    for ``_numbered_range`` — the same documents under the store's doc
-    ids, in (timestamp, doc id) order — which a store whose
-    ``_iter_range`` already yields exactly that need not supply.
+    ``_iter_range(t0, t1, categories=False)``
+        the message — with ``categories``, the category — of every
+        document with ``t0 <= timestamp < t1`` (``None`` leaves that
+        side open), each once, lazily, in an order that is a function of
+        the store's contents.  This is the count-only path: an
+        aggregation reads the column it counts, and no document is built
+        for a row scanned.
+    ``_range_hits(t0, t1)``
+        a hit for each of those documents, in (timestamp, doc id) order.
+    ``_term_hits(terms, t0, t1, max_severity=None)``
+        a hit for each document of that range whose postings hold every
+        one of the lower-cased ``terms`` (hostnames, apps or tokens), at
+        ``max_severity`` or more urgent, in ascending doc id.
+    ``_documents(hits)``
+        the documents of ``hits``, in order, under the store's doc ids.
     """
 
-    def _iter_range(self, t0: float | None, t1: float | None):
+    def _iter_range(self, t0: float | None, t1: float | None, categories: bool = False):
         raise NotImplementedError
 
-    def _iter_terms(
-        self,
-        terms: Sequence[str],
-        t0: float | None,
-        t1: float | None,
-        max_severity: "Severity | None" = None,
-    ):
+    def _range_hits(self, t0: float | None, t1: float | None):
         raise NotImplementedError
 
-    def _numbered_range(self, t0: float, t1: float):
-        """``_iter_range``'s documents as ``time_range`` returns them."""
-        return self._iter_range(t0, t1)
+    def _term_hits(self, terms: Sequence[str], t0, t1, max_severity: "Severity | None" = None):
+        raise NotImplementedError
+
+    def _documents(self, hits):
+        raise NotImplementedError
+
+    def _result(self, hits, limit: int | None) -> QueryResult:
+        """Count ``hits``, cut them to ``limit``, build what is left."""
+        hits = list(hits)
+        return QueryResult(docs=tuple(self._documents(hits[:limit])), total=len(hits))
 
     def _range_times(self, t0: float | None, t1: float | None) -> list[float]:
         """Ascending timestamps of the documents in [t0, t1)."""
-        return sorted(map(attrgetter("message.timestamp"), self._iter_range(t0, t1)))
+        return sorted(map(attrgetter("timestamp"), self._iter_range(t0, t1)))
 
     # -- document queries ---------------------------------------------------
 
@@ -142,7 +145,7 @@ class _Queries:
         a numeric upper bound — ``max_severity=Severity.WARNING`` means
         warnings, errors, criticals, alerts, and emergencies).
         """
-        return _finalize(self._iter_terms((term.lower(),), t0, t1, max_severity), limit)
+        return self._result(self._term_hits((term.lower(),), t0, t1, max_severity), limit)
 
     def all_terms_query(
         self,
@@ -155,7 +158,7 @@ class _Queries:
         """Documents containing every term (AND of postings)."""
         if not terms:
             raise ValueError("all_terms_query requires at least one term")
-        return _finalize(self._iter_terms([t.lower() for t in terms], t0, t1), limit)
+        return self._result(self._term_hits([t.lower() for t in terms], t0, t1), limit)
 
     def phrase_query(
         self,
@@ -172,14 +175,12 @@ class _Queries:
             raise ValueError(f"phrase {phrase!r} yields no tokens")
         cand = self.all_terms_query(tokens, t0=t0, t1=t1)
         needle = " ".join(tokens)
-        return _finalize(
-            (d for d in cand.docs if needle in " ".join(_analyze(d.message.text))), limit
-        )
+        docs = [d for d in cand.docs if needle in " ".join(_analyze(d.message.text))]
+        return QueryResult(docs=tuple(docs[:limit]), total=len(docs))
 
     def time_range(self, t0: float, t1: float) -> QueryResult:
         """All documents with t0 <= timestamp < t1."""
-        docs = tuple(self._numbered_range(t0, t1))
-        return QueryResult(docs=docs, total=len(docs))
+        return self._result(self._range_hits(t0, t1), None)
 
     # -- aggregations ------------------------------------------------------
 
@@ -231,29 +232,19 @@ class _Queries:
         """
         if field_name not in ("hostname", "app", "category"):
             raise ValueError(f"cannot aggregate on field {field_name!r}")
-        docs = self._iter_range(t0, t1)
         if field_name == "category":
-            by_category = Counter(map(attrgetter("category"), docs))
+            by_category = Counter(self._iter_range(t0, t1, categories=True))
             by_category.pop(None, None)  # not yet classified
             counts = [(c.value, n) for c, n in by_category.items()]
         else:
-            counts = Counter(map(attrgetter("message." + field_name), docs)).items()
+            counts = Counter(map(attrgetter(field_name), self._iter_range(t0, t1))).items()
         return sorted(counts, key=lambda kv: (-kv[1], kv[0]))[:top]
 
     def severity_histogram(
         self, *, t0: float | None = None, t1: float | None = None
     ) -> dict[Severity, int]:
         """Document counts per severity level (dashboard panel)."""
-        return dict(Counter(map(attrgetter("message.severity"), self._iter_range(t0, t1))))
-
-
-def _finalize(docs, limit) -> QueryResult:
-    """Count ``docs``, then cut them to ``limit``."""
-    out = list(docs)
-    total = len(out)
-    if limit is not None:
-        out = out[:limit]
-    return QueryResult(docs=tuple(out), total=total)
+        return dict(Counter(map(attrgetter("severity"), self._iter_range(t0, t1))))
 
 
 class LogStore(_Queries):
@@ -269,7 +260,9 @@ class LogStore(_Queries):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards
-        self._docs: list[LogDocument] = []
+        # a document is two rows, read back as a LogDocument by get()
+        self._messages: list[SyslogMessage] = []
+        self._categories: list[Category | None] = []
         self._shard_counts = [0] * n_shards
         self._postings: dict[str, list[int]] = defaultdict(list)
         # token tuple -> () on first sight, then (distinct tokens, the
@@ -321,18 +314,15 @@ class LogStore(_Queries):
             raise ValueError(f"{len(tokens)} token rows for {len(messages)} messages")
         if categories is not None and len(categories) != len(messages):
             raise ValueError(f"{len(categories)} categories for {len(messages)} messages")
-        first = len(self._docs)
+        first = len(self._messages)
         # one int object per document, shared by every structure below
         # (and by the caller's own id maps)
         ids = list(range(first, first + len(messages)))
-        docs, postings, plans = self._docs, self._postings, self._plans
+        postings, plans = self._postings, self._plans
         n_shards, shard_counts = self.n_shards, self._shard_counts
         times, time_sorted = self._times, self._time_sorted
         last = time_sorted[-1] if time_sorted else _NO_TIME
-        for doc_id, message, toks, category in zip(
-            ids, messages, tokens, categories or repeat(None)
-        ):
-            docs.append(LogDocument(doc_id, message, category))
+        for doc_id, message, toks in zip(ids, messages, tokens):
             shard_counts[doc_id % n_shards] += 1
             plan = plans.get(toks)
             if plan is None:  # first sight: remember it, index it longhand
@@ -364,6 +354,8 @@ class LogStore(_Queries):
             time_sorted.append(ts)
             times.append(ts)
         self._time_order.extend(ids)
+        self._messages.extend(messages)
+        self._categories.extend(categories or repeat(None, len(ids)))
         return ids
 
     def _ensure_time_index(self) -> None:
@@ -387,8 +379,6 @@ class LogStore(_Queries):
         is recorded per context — the cross-hop trace's store stop on
         the single-node path.
         """
-        from repro.obs.propagation import carried, record_hop
-
         ctxs, clock = carried()
         wall_t0 = time.perf_counter() if ctxs else 0.0
         self.index_many(messages)
@@ -411,20 +401,20 @@ class LogStore(_Queries):
             ``doc_id`` outside ``[0, len(store))`` — a negative id is
             not a position counted from the end.
         """
-        if not 0 <= doc_id < len(self._docs):
+        if not 0 <= doc_id < len(self._categories):
             raise IndexError(f"doc id {doc_id} out of range")
-        self._docs[doc_id] = LogDocument(
-            doc_id, self._docs[doc_id].message, category
-        )
+        self._categories[doc_id] = category
 
     # -- reads --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._messages)
 
     def get(self, doc_id: int) -> LogDocument:
-        """Fetch by id (raises IndexError when absent)."""
-        return self._docs[doc_id]
+        """Fetch by id (IndexError when absent, or negative)."""
+        if doc_id < 0:
+            raise IndexError(f"doc id {doc_id} out of range")
+        return LogDocument(doc_id, self._messages[doc_id], self._categories[doc_id])
 
     # -- the query primitives (the queries themselves: _Queries) ------------
 
@@ -438,20 +428,25 @@ class LogStore(_Queries):
         )
         return lo, hi
 
-    def _iter_range(self, t0: float | None, t1: float | None):
-        """Documents in [t0, t1), lazily, in (timestamp, doc id) order.
-
-        The count-only path for aggregations: only the range's slice of
-        the time order (doc ids) is copied, never its documents, so a
-        dashboard refresh over a large store costs iteration, not a
-        tuple of every document per panel.
-        """
+    def _range_hits(self, t0: float | None, t1: float | None) -> list[int]:
+        """Doc ids of [t0, t1) in (timestamp, doc id) order: the range's
+        slice of the time order, the one thing a ranged read copies."""
         lo, hi = self._time_slice(t0, t1)
-        return map(self._docs.__getitem__, self._time_order[lo:hi])
+        return self._time_order[lo:hi]
 
-    def _iter_terms(self, terms, t0, t1, max_severity=None):
+    def _column(self, ids, categories: bool = False):
+        """The message (or category) of each of ``ids``, lazily."""
+        return map((self._categories if categories else self._messages).__getitem__, ids)
+
+    def _iter_range(self, t0, t1, categories=False):
+        return self._column(self._range_hits(t0, t1), categories)
+
+    def _documents(self, hits):
+        return map(self.get, hits)
+
+    def _term_hits(self, terms, t0, t1, max_severity=None):
         """AND of the terms' postings, shortest list first; only the
-        documents every list names are looked up and cut."""
+        doc ids every list names are cut by time and severity."""
         lists = sorted((self._postings.get(t, ()) for t in terms), key=len)
         ids = lists[0]  # one term: its postings, ascending as appended
         if len(lists) > 1:
@@ -461,14 +456,15 @@ class LogStore(_Queries):
                     break
                 found &= set(lst)
             ids = sorted(found)
-        docs = map(self._docs.__getitem__, ids)
         if t0 is not None or t1 is not None:
             lo = t0 if t0 is not None else float("-inf")
             hi = t1 if t1 is not None else float("inf")
-            docs = (d for d in docs if lo <= d.message.timestamp < hi)
+            times = self._times
+            ids = (i for i in ids if lo <= times[i] < hi)
         if max_severity is not None:
-            docs = (d for d in docs if d.message.severity <= max_severity)
-        return docs
+            messages = self._messages
+            ids = (i for i in ids if messages[i].severity <= max_severity)
+        return ids
 
     def _range_times(self, t0: float | None, t1: float | None) -> list[float]:
         lo, hi = self._time_slice(t0, t1)
@@ -476,7 +472,7 @@ class LogStore(_Queries):
 
     def iter_documents(self):
         """Iterate every document in doc-id order (checkpoint path)."""
-        return iter(self._docs)
+        return map(LogDocument, count(), self._messages, self._categories)
 
     # -- ops visibility -----------------------------------------------------
 
@@ -487,7 +483,7 @@ class LogStore(_Queries):
     def index_stats(self) -> dict[str, int]:
         """Coarse index size statistics."""
         return {
-            "docs": len(self._docs),
+            "docs": len(self),
             "unique_terms": len(self._postings),
             "postings": sum(len(p) for p in self._postings.values()),
         }

@@ -23,6 +23,17 @@ on ``PerDocLogStore`` (what the engine's cost is read against).
 Liveness, hints, ``get`` and repair are inherited — they are not what
 changed.
 
+It stores the way both stores did before their documents went columnar:
+a ``VersionedDoc`` per copy in each node's ``_docs`` dict with the
+per-shard id sets beside it, a ``LogDocument`` per line in each index's
+``_docs`` list.  ``PerDocNode`` and ``PerDocLogStore`` hold that storage
+themselves and read nothing of their bases' columns: ``put_many``,
+``apply_category``, ``copy_of``, ``get``, ``seq_digest``, ``kill``,
+``index_many``, ``set_category``, ``_iter_range``, ``_iter_terms`` and
+the rest of what touched a document are the bodies they had, verbatim,
+as are the engine's count-only aggregations over documents and the
+coordinator's ``_from_primaries`` family that fed them.
+
 Used by ``test_store_oracle.py`` (state equality after every step, query
 answers in every state), by ``test_perf_smoke.py`` (``TestStoreWriteFloors``,
 ``TestStoreQueryFloors``) and by ``benchmarks/bench_replication_overhead.py``
@@ -32,10 +43,15 @@ answers in every state), by ``test_perf_smoke.py`` (``TestStoreWriteFloors``,
 from __future__ import annotations
 
 import time
+import zlib
 from collections import Counter as _Counter
 from collections.abc import Sequence
+from itertools import repeat
+from operator import attrgetter
+from types import SimpleNamespace
 
 from repro.core.message import Severity
+from repro.core.taxonomy import Category
 from repro.obs.propagation import carried, record_hop
 from repro.replication import ReplicatedLogStore, StoreNode
 from repro.replication import store as store_mod
@@ -50,9 +66,25 @@ from repro.stream.opensearch import (
 )
 
 
+class OneVerdict:
+    """A pipeline that allocates nothing — every line gets the same
+    result — so a heap census through ``classifying_sink`` reads the
+    store alone (``TestStoreHeapFloors``, the bench's heap lane)."""
+
+    def __init__(self) -> None:
+        self.result = SimpleNamespace(category=Category.UNIMPORTANT)
+
+    def classify_batch(self, texts):
+        return [self.result] * len(texts)
+
+
 class PerDocLogStore(LogStore):
     """``LogStore`` with the per-document ``index`` and the document
-    queries it had."""
+    queries it had, over a ``LogDocument`` per line."""
+
+    def __init__(self, n_shards: int = 6) -> None:
+        super().__init__(n_shards)
+        self._docs: list[LogDocument] = []
 
     def index(self, message, category=None, *, _tokens=None):
         doc_id = len(self._docs)
@@ -172,18 +204,173 @@ class PerDocLogStore(LogStore):
             out = out[:limit]
         return QueryResult(docs=tuple(out), total=total)
 
+    # -- the batch write, the relabel and the reads, as they were ----------
+
+    def index_many(self, messages, tokens=None, categories=None):
+        if tokens is None:
+            tokens = [opensearch._analyze(m.text) for m in messages]
+        elif len(tokens) != len(messages):
+            raise ValueError(f"{len(tokens)} token rows for {len(messages)} messages")
+        if categories is not None and len(categories) != len(messages):
+            raise ValueError(f"{len(categories)} categories for {len(messages)} messages")
+        first = len(self._docs)
+        # one int object per document, shared by every structure below
+        # (and by the caller's own id maps)
+        ids = list(range(first, first + len(messages)))
+        docs, postings, plans = self._docs, self._postings, self._plans
+        n_shards, shard_counts = self.n_shards, self._shard_counts
+        times, time_sorted = self._times, self._time_sorted
+        last = time_sorted[-1] if time_sorted else opensearch._NO_TIME
+        for doc_id, message, toks, category in zip(
+            ids, messages, tokens, categories or repeat(None)
+        ):
+            docs.append(LogDocument(doc_id, message, category))
+            shard_counts[doc_id % n_shards] += 1
+            plan = plans.get(toks)
+            if plan is None:  # first sight: remember it, index it longhand
+                if len(plans) >= opensearch.ANALYSIS_MEMO_MAX_ENTRIES:
+                    plans.clear()
+                plans[toks] = ()
+                seen = dict.fromkeys(toks)
+                for tok in seen:
+                    postings[tok].append(doc_id)
+            else:
+                if not plan:  # second sight: the template repeats
+                    seen = dict.fromkeys(toks)
+                    plan = plans[toks] = (
+                        seen, [postings[tok].append for tok in seen]
+                    )
+                seen, appends = plan
+                for append in appends:
+                    append(doc_id)
+            host = message.hostname.lower()
+            if host not in seen:
+                postings[host].append(doc_id)
+            app = message.app.lower()
+            if app not in seen and app != host:
+                postings[app].append(doc_id)
+            ts = message.timestamp
+            if ts < last:
+                self._time_dirty = True
+            last = ts
+            time_sorted.append(ts)
+            times.append(ts)
+        self._time_order.extend(ids)
+        return ids
+
+    def set_category(self, doc_id, category):
+        if not 0 <= doc_id < len(self._docs):
+            raise IndexError(f"doc id {doc_id} out of range")
+        self._docs[doc_id] = LogDocument(
+            doc_id, self._docs[doc_id].message, category
+        )
+
+    def __len__(self):
+        return len(self._docs)
+
+    def get(self, doc_id):
+        """Fetch by id (raises IndexError when absent)."""
+        return self._docs[doc_id]
+
+    def _iter_range(self, t0, t1):
+        """Documents in [t0, t1), lazily, in (timestamp, doc id) order."""
+        lo, hi = self._time_slice(t0, t1)
+        return map(self._docs.__getitem__, self._time_order[lo:hi])
+
+    def _iter_terms(self, terms, t0, t1, max_severity=None):
+        """AND of the terms' postings, shortest list first; only the
+        documents every list names are looked up and cut."""
+        lists = sorted((self._postings.get(t, ()) for t in terms), key=len)
+        ids = lists[0]  # one term: its postings, ascending as appended
+        if len(lists) > 1:
+            found = set(ids)
+            for lst in lists[1:]:
+                if not found:
+                    break
+                found &= set(lst)
+            ids = sorted(found)
+        docs = map(self._docs.__getitem__, ids)
+        if t0 is not None or t1 is not None:
+            lo = t0 if t0 is not None else float("-inf")
+            hi = t1 if t1 is not None else float("inf")
+            docs = (d for d in docs if lo <= d.message.timestamp < hi)
+        if max_severity is not None:
+            docs = (d for d in docs if d.message.severity <= max_severity)
+        return docs
+
+    def iter_documents(self):
+        """Iterate every document in doc-id order (checkpoint path)."""
+        return iter(self._docs)
+
+    # what the engine asks a store for now, answered by the bodies above:
+    # here a hit is the document itself, so there is nothing left to build
+    _range_hits = _iter_range
+    _term_hits = _iter_terms
+
+    def _documents(self, hits):
+        return hits
+
+    # -- the engine's count-only aggregations, over documents as they were --
+
+    def terms_aggregation(self, field_name, *, top=10, t0=None, t1=None):
+        if field_name not in ("hostname", "app", "category"):
+            raise ValueError(f"cannot aggregate on field {field_name!r}")
+        docs = self._iter_range(t0, t1)
+        if field_name == "category":
+            by_category = _Counter(map(attrgetter("category"), docs))
+            by_category.pop(None, None)  # not yet classified
+            counts = [(c.value, n) for c, n in by_category.items()]
+        else:
+            counts = _Counter(map(attrgetter("message." + field_name), docs)).items()
+        return sorted(counts, key=lambda kv: (-kv[1], kv[0]))[:top]
+
+    def severity_histogram(self, *, t0=None, t1=None):
+        return dict(_Counter(map(attrgetter("message.severity"), self._iter_range(t0, t1))))
+
 
 class PerDocNode(StoreNode):
-    """``StoreNode`` with the per-document write and promote it had."""
+    """``StoreNode`` with the per-document write and promote it had,
+    over a ``VersionedDoc`` per copy."""
 
     def __init__(self, node_id, n_shards):
-        super().__init__(node_id, n_shards)
+        self.node_id = node_id
+        self.n_shards = n_shards
+        self.down = False
+        self._docs: dict[int, VersionedDoc] = {}
+        self._shard_ids: dict[int, set[int]] = {}
+        # acting-primary search index over primary shards only
         self.search_index = PerDocLogStore(n_shards=1)
+        self._local_gids: list[int] = []  # local doc id -> global doc id
+        self._local_of: dict[int, int] = {}  # global doc id -> local
+        self.primary_shards: set[int] = set()
 
     def kill(self, *, wipe=True):
-        super().kill(wipe=wipe)
+        self.down = True
         if wipe:
+            self._docs.clear()
+            self._shard_ids.clear()
             self.search_index = PerDocLogStore(n_shards=1)
+            self._local_gids.clear()
+            self._local_of.clear()
+            self.primary_shards.clear()
+
+    def put_many(self, doc_ids, messages, tokens):
+        self.ping()
+        docs, n_shards, shard_ids = self._docs, self.n_shards, self._shard_ids
+        primary = self.primary_shards
+        to_index = []
+        for row in zip(doc_ids, messages, tokens):
+            doc_id, message, _ = row
+            docs[doc_id] = VersionedDoc(message, None, 1)
+            shard = doc_id % n_shards
+            try:
+                shard_ids[shard].add(doc_id)
+            except KeyError:
+                shard_ids[shard] = {doc_id}
+            if shard in primary:
+                to_index.append(row)
+        if to_index:
+            self._index_rows(*zip(*to_index))
 
     def put(self, doc_id, message, category, version, *, tokens=None):
         self.ping()
@@ -223,6 +410,46 @@ class PerDocNode(StoreNode):
                 self._index_doc(doc_id, doc.message, doc.category, None)
                 n += 1
         return n
+
+    def apply_category(self, doc_id, category, version):
+        self.ping()
+        doc = self._docs.get(doc_id)
+        if doc is None or doc.version >= version:
+            return False
+        doc.category = category
+        doc.version = version
+        local = self._local_of.get(doc_id)
+        if local is not None:
+            self.search_index.set_category(local, category)
+        return True
+
+    def get(self, doc_id):
+        self.ping()
+        return self._docs.get(doc_id)
+
+    def _resident_docs(self, docs, shards, numbered: bool):
+        gids, n_shards = self._local_gids, self.n_shards
+        for doc in docs:
+            gid = gids[doc.doc_id]
+            if gid % n_shards in shards:
+                yield LogDocument(gid, doc.message, doc.category) if numbered else doc
+
+    def shard_doc_ids(self, shard):
+        return self._shard_ids.get(shard, set())
+
+    def copy_of(self, doc_id):
+        return self._docs.get(doc_id)
+
+    def seq_digest(self, shard):
+        ids = self._shard_ids.get(shard, ())
+        checksum = 0
+        for doc_id in ids:
+            doc = self._docs[doc_id]
+            checksum ^= zlib.crc32(f"{doc_id}:{doc.version}".encode())
+        return (len(ids), checksum)
+
+    def __len__(self):
+        return len(self._docs)
 
     def global_docs(self, result_docs) -> list[LogDocument]:
         """Map search-index hits back to globally-numbered documents."""
@@ -296,6 +523,40 @@ class PerDocStore(ReplicatedLogStore):
                     wall_ms=round(wall * 1e3, 3),
                 )
         return True
+
+    # -- the engine's primitives as they were: documents, renumbered per hit
+
+    def _from_primaries(self, read, numbered: bool):
+        acting: dict[int, set[int]] = {}
+        for shard, nid in self._primary.items():
+            if nid is not None and not self.nodes[nid].down:
+                acting.setdefault(nid, set()).add(shard)
+        for nid in sorted(acting):
+            node = self.nodes[nid]
+            yield from node._resident_docs(
+                read(node.search_index), acting[nid], numbered
+            )
+
+    def _iter_range(self, t0, t1):
+        return self._from_primaries(lambda index: index._iter_range(t0, t1), numbered=False)
+
+    def _numbered_range(self, t0, t1):
+        docs = self._from_primaries(lambda index: index._iter_range(t0, t1), numbered=True)
+        return sorted(docs, key=lambda d: (d.message.timestamp, d.doc_id))
+
+    def _iter_terms(self, terms, t0, t1, max_severity=None):
+        # every cut is made at each index, before a hit is renumbered
+        docs = self._from_primaries(
+            lambda index: index._iter_terms(terms, t0, t1, max_severity), numbered=True
+        )
+        return sorted(docs, key=attrgetter("doc_id"))
+
+    # what the engine asks a store for now: a hit is the document itself
+    _range_hits = _numbered_range
+    _term_hits = _iter_terms
+
+    def _documents(self, hits):
+        return hits
 
     # -- the read path as it was: term_query over the acting primaries, the
     # -- three aggregations re-derived from every copy of every shard

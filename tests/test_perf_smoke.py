@@ -7,7 +7,10 @@ are 10×+ looser than observed, so only an accidental complexity
 regression trips them.
 """
 
+import gc
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import reference_door
@@ -24,6 +27,7 @@ from reference_door import (
 from reference_textproc import counted
 
 from repro.core.message import Severity, SyslogMessage
+from repro.core.taxonomy import Category
 from repro.faults.dlq import DeadLetterQueue
 from repro.ingest import DeficitRoundRobin, LogBroker
 from repro.obs import MetricsRegistry, NullRegistry, wellknown
@@ -451,6 +455,117 @@ class TestStoreQueryFloors:
             lambda: scan.terms_aggregation("hostname"),
         )
         assert ratio <= 1.15, f"terms_aggregation costs {ratio:.2f}x the scan of every copy"
+
+
+def _tracked_per_line(store_cls, n: int = 2_000) -> tuple[float, object]:
+    """Collector-tracked objects left behind per line by ``n`` lines pushed
+    through ``classifying_sink`` onto a 3-node RF-3 store of ``store_cls``
+    — the lines themselves included, one ``SyslogMessage`` each.  One
+    template on 24 hosts: after the first batch every posting list and
+    every index's plan exists, so what grows is what a line costs."""
+    from perdoc_store import OneVerdict
+    from repro.stream.fluentd import classifying_sink
+
+    def lines(first: int, count: int) -> list[SyslogMessage]:
+        return [
+            SyslogMessage(timestamp=float(i), hostname=f"cn{i % 24:03d}", app="kernel",
+                          text=f"job {i} started on partition batch with {i % 7} tasks")
+            for i in range(first, first + count)
+        ]
+
+    store = store_cls(registry=MetricsRegistry(), **_EVERY_NODE_OWNS_ALL)
+    sink = classifying_sink(store, OneVerdict())
+    sink(lines(0, 100))
+    gc.collect()
+    before = len(gc.get_objects())
+    for first in range(100, 100 + n, 500):
+        assert sink(lines(first, 500))
+    gc.collect()
+    return (len(gc.get_objects()) - before) / n, store
+
+
+def _constructions(monkeypatch, *classes) -> list:
+    """Count every construction of ``classes`` from here on: the list
+    grows by one class per instance built."""
+    built = []
+    for cls in classes:
+        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+class TestStoreHeapFloors:
+    """A stored line is rows, not objects: what the quorum write leaves
+    on the heap, and what the read side builds, as counts.  No clock."""
+
+    def test_a_stored_line_leaves_its_message_and_nothing_else(self):
+        """The cyclic collector re-walks every tracked object that
+        survives, so the floor is on how many a line leaves: its
+        ``SyslogMessage``, plus the columns' and postings' growth
+        (a handful of lists for the whole run).  The per-document store
+        this replaced leaves five: three ``VersionedDoc``, one
+        ``LogDocument``, the message."""
+        from perdoc_store import PerDocStore
+        from repro.replication import ReplicatedLogStore, VersionedDoc
+        from repro.stream.opensearch import LogDocument
+
+        per_line, store = _tracked_per_line(ReplicatedLogStore)
+        kept = [o for o in gc.get_objects() if isinstance(o, (VersionedDoc, LogDocument))]
+        assert not kept, f"{len(kept)} documents retained, e.g. {kept[0]!r}"
+        assert per_line <= 1.2, f"{per_line:.2f} tracked objects per stored line"
+        assert len(store) == 2_100
+        del store
+        was, _store = _tracked_per_line(PerDocStore)
+        assert was >= 4.8, f"the per-document store reads {was:.2f}: the census is blind"
+
+    def test_the_write_path_builds_no_document(self, monkeypatch):
+        """Not retained is not enough: ``set_category`` rebuilding a
+        ``LogDocument`` per label would cost what retaining it did."""
+        from repro.replication import ReplicatedLogStore, VersionedDoc
+        from repro.stream.opensearch import LogDocument
+
+        built = _constructions(monkeypatch, VersionedDoc, LogDocument)
+        _tracked_per_line(ReplicatedLogStore, n=600)
+        bare, lines = LogStore(), _write_lines(600, repeated=True)
+        bare.bulk_index(lines)
+        for doc_id in range(600):
+            bare.set_category(doc_id, Category.UNIMPORTANT)
+        assert built == []
+
+    def test_an_aggregation_builds_no_document(self, monkeypatch):
+        """The count-only queries read the column they count — ranged or
+        not, on either store; a document query builds the hits it returns."""
+        from repro.replication import ReplicatedLogStore, VersionedDoc
+        from repro.stream.opensearch import LogDocument
+
+        stores = [_filled(ReplicatedLogStore, 3_000), LogStore()]
+        stores[1].bulk_index(_write_lines(3_000, repeated=True))
+        built = _constructions(monkeypatch, VersionedDoc, LogDocument)
+        for store in stores:
+            store.set_category(7, Category.UNIMPORTANT)
+            for window in ({}, {"t0": 1_000.0, "t1": 2_000.0}):
+                assert sum(n for _host, n in store.terms_aggregation("hostname", top=99, **window))
+                assert store.terms_aggregation("category") == [(Category.UNIMPORTANT.value, 1)]
+                assert store.severity_histogram(**window)
+                assert store.date_histogram(interval_s=60.0, **window)
+            assert built == []
+            assert store.term_query("cn007", limit=5).total == 125
+            assert built == [LogDocument] * 5  # hits are counted, then cut, then built
+            del built[:]
+
+    def test_the_collector_is_not_tuned(self):
+        """The gain is fewer objects, never a collector switched off."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        tuned = [
+            f"{path.relative_to(src)}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if re.search(r"gc\.(disable|freeze|set_threshold)", line)
+        ]
+        assert not tuned, tuned
 
 
 class _Readings:

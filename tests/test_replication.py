@@ -637,8 +637,11 @@ class TestCountOnlyAggregations:
         store.bulk_index(list(reversed(msgs)))  # shuffled arrival
         it = store._iter_range(5.0, 15.0)
         assert not isinstance(it, (list, tuple))
-        times = [d.message.timestamp for d in it]
+        times = [message.timestamp for message in it]  # the column, no documents
         assert times == [float(t) for t in range(5, 15)]
+        store.set_category(12, Category.UNIMPORTANT)  # doc 12 arrived 13th from last: t=7
+        labels = list(store._iter_range(5.0, 15.0, categories=True))
+        assert labels == [None, None, Category.UNIMPORTANT, *[None] * 7]
 
     def test_aggregations_agree_with_time_range(self):
         store = LogStore(n_shards=3)

@@ -7,9 +7,18 @@ driven with one operation stream — batches mixing repeated and
 never-repeating templates, single writes, re-labelling, node kills with
 and without wipe, partitions, quiescing, armed ``store.*`` fault sites,
 quorum reads, anti-entropy — and after every step everything a node
-holds must be equal, in order: replica maps, versions, shard id sets,
-every search index's documents, postings, time index and local id maps,
-hints per node, digests and the ``repro_store_*`` counters.
+holds must be equal: every copy (``copy_of`` per id: the message by
+identity, category, version), shard id sets, every search index's
+documents (``get`` per id), postings, time index and local id maps,
+hints per node, digests and the ``repro_store_*`` counters.  The oracle
+keeps an object per copy and per line and the store keeps columns, so
+the comparison is through reads, never through the storage itself; the
+read surface (``get``, ``iter_documents``, ``node.get``, ``shard_counts``,
+``index_stats``, ``node_health``, the checkpoint's pass over the
+documents) is compared in every state too.  ``NodeEquivalence`` drives
+one ``StoreNode`` beside one ``PerDocNode`` with what no coordinator
+sends: batches skipped so that rows stay holes, copies pushed at older,
+equal and newer versions and in any order, labels for holes.
 
 Between the writes the machine asks questions: all seven queries, over
 ranged and unranged windows, against the oracle's scan and against a
@@ -24,6 +33,7 @@ two batch entry points (``StoreNode.put_many``, ``LogStore.index_many``).
 
 import ast
 import copy
+import json
 import os
 from pathlib import Path
 
@@ -38,7 +48,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from perdoc_store import PerDocLogStore, PerDocStore
+from perdoc_store import PerDocLogStore, PerDocNode, PerDocStore
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
 from repro.faults import FaultInjector, FaultPlan
@@ -82,31 +92,53 @@ def _message(i: int, unique: bool, late: bool) -> SyslogMessage:
     )
 
 
+def _rows(docs):
+    """Documents as comparable rows: the message by identity."""
+    return [(d.doc_id, id(d.message), d.category) for d in docs]
+
+
 def _index_state(ix: LogStore):
     return (
-        [(d.doc_id, id(d.message), d.category) for d in ix._docs],
+        _rows(map(ix.get, range(len(ix)))), _rows(ix.iter_documents()),
         list(ix._postings.items()),
         ix._times, ix._time_order, ix._time_sorted, ix._time_dirty, ix._shard_counts,
+        ix.shard_counts(), ix.index_stats(),
     )
 
 
-def _node_state(node: StoreNode):
+def _node_state(node: StoreNode, n_docs: int):
+    """Everything the node holds of documents ``0..n_docs`` (and two
+    ids beyond, which it must not hold), read back copy by copy."""
+    copies = [(doc_id, node.copy_of(doc_id)) for doc_id in range(-1, n_docs + 2)]
     return (
-        [(k, id(v.message), v.category, v.version) for k, v in node._docs.items()],
-        list(node._shard_ids.items()),
+        [(k, id(v.message), v.category, v.version) for k, v in copies if v is not None],
+        [node.shard_doc_ids(shard) for shard in range(node.n_shards)],
+        [node.seq_digest(shard) for shard in range(node.n_shards)],
         _index_state(node.search_index),
         node._local_gids, list(node._local_of.items()),
-        node.primary_shards, node.down,
+        node.primary_shards, node.down, len(node),
     )
+
+
+def _checkpointed_categories(store) -> bytes:
+    """The store's share of a checkpoint payload, as bytes: the pass
+    ``recovery.build_checkpoint_payload`` makes over ``iter_documents``."""
+    categories = {
+        str(doc.doc_id): doc.category.value
+        for doc in store.iter_documents() if doc.category is not None
+    }
+    return json.dumps(categories, sort_keys=True).encode()
 
 
 def _store_state(store: ReplicatedLogStore):
     return (
         store._versions,
         [list(hints) for hints in store._hints],
-        [_node_state(node) for node in store.nodes],
+        [_node_state(node, len(store)) for node in store.nodes],
         store.seq_digests(), store._primary, store.quiesced, store._partitioned,
         [b.state for b in store.breakers], store.node_health(),
+        store.shard_counts(), store.index_stats(),
+        _rows(store.iter_documents()), _checkpointed_categories(store),
     )
 
 
@@ -133,7 +165,7 @@ def _outcome(call, store):
 
 def _docs(result):
     """A document query's answer: who, in what order, and the total."""
-    return [(d.doc_id, id(d.message), d.category) for d in result.docs], result.total
+    return _rows(result.docs), result.total
 
 
 def _scan_reads_what_the_primaries_hold(store: ReplicatedLogStore) -> bool:
@@ -302,10 +334,18 @@ class StoreEquivalence(RuleBasedStateMachine):
         """A quorum read of a recent document — the ones a slow or
         partitioned owner may have missed, so read repair runs."""
         if len(self.real):
+            doc_id = max(0, len(self.real) - 1 - back)
+
             def read(store):
-                doc = store.get(max(0, len(store) - 1 - back))
+                doc = store.get(doc_id)
                 return doc.doc_id, id(doc.message), doc.category
 
+            def node_read(store, nid):
+                copy = store.nodes[nid].get(doc_id)  # NodeDownError while down
+                return copy and (id(copy.message), copy.category, copy.version)
+
+            for nid in range(len(self.real.nodes)):  # before the quorum read repairs
+                self.both(lambda s: node_read(s, nid))
             self.both(read)
 
     @rule()
@@ -496,11 +536,100 @@ class StoreEquivalence(RuleBasedStateMachine):
         assert all(len(n.search_index._plans) <= bound for n in self.real.nodes)
 
 
+@seed(SEED_SHIFT)
+class NodeEquivalence(RuleBasedStateMachine):
+    """One ``StoreNode`` beside one ``PerDocNode``, sent what a coordinator
+    sends and what none does: the dense columns must read back as the
+    dict of copies did whatever order rows are filled in."""
+
+    @initialize(n_shards=st.sampled_from([1, 3, 6]), primary=st.sets(st.integers(0, 5)))
+    def build(self, n_shards, primary):
+        self.pair = StoreNode(0, n_shards), PerDocNode(0, n_shards)
+        self.known: list[SyslogMessage] = []  # by doc id: every id handed out
+        for shard in sorted(primary):
+            self.both(lambda node: node.promote(shard % n_shards))
+
+    def both(self, call):
+        got, want = (_outcome(call, node) for node in self.pair)
+        assert got == want
+        return got
+
+    def _copy(self, pick, delta):
+        """A handed-out doc id and a version ``delta`` from the one held."""
+        doc_id = pick % len(self.known)
+        held = self.pair[1].copy_of(doc_id)
+        return doc_id, max(1, (held.version if held else 1) + delta)
+
+    @rule(
+        count=st.sampled_from([1, 2, 3, 5, 11, 40]), unique=st.booleans(),
+        shards=st.sets(st.integers(0, 5)),
+    )
+    def batch(self, count, unique, shards):
+        """The next ``count`` ids are handed out and the node is sent its
+        run: the rows of ``shards``, cut out of the batch.  The rows of
+        the other shards stay holes — a write the node missed."""
+        first, n_shards = len(self.known), self.pair[0].n_shards
+        self.known += [_message(first + k + 1, unique, False) for k in range(count)]
+        run = [i for i in range(first, first + count) if i % n_shards in shards]
+        if run:
+            messages = [self.known[i] for i in run]
+            tokens = [opensearch._analyze(m.text) for m in messages]
+            self.both(lambda node: node.put_many(run, messages, tokens))
+
+    @precondition(lambda self: self.known)
+    @rule(
+        pick=st.integers(0, 10_000), delta=st.sampled_from([-1, 0, 0, 1, 1, 3]),
+        category=st.sampled_from([None, *CATEGORIES[:3]]),
+    )
+    def put(self, pick, delta, category):
+        """Read repair, hint replay and anti-entropy, in any order: onto
+        a hole, past the end of a column, older, equal and newer."""
+        doc_id, version = self._copy(pick, delta)
+        self.both(lambda node: node.put(doc_id, self.known[doc_id], category, version))
+
+    @precondition(lambda self: self.known)
+    @rule(
+        pick=st.integers(0, 10_000), delta=st.sampled_from([-1, 0, 1, 1, 2]),
+        category=st.sampled_from(CATEGORIES[:3]),
+    )
+    def apply_category(self, pick, delta, category):
+        doc_id, version = self._copy(pick, delta)
+        self.both(lambda node: node.apply_category(doc_id, category, version))
+
+    @rule(shard=st.integers(0, 5), up=st.booleans())
+    def change_role(self, shard, up):
+        shard %= self.pair[0].n_shards
+        self.both(lambda node: node.promote(shard) if up else node.demote(shard))
+
+    @rule(wipe=st.booleans())
+    def kill(self, wipe):
+        self.both(lambda node: node.kill(wipe=wipe))
+
+    @rule()
+    def restart(self):
+        self.both(lambda node: node.restart())
+
+    @invariant()
+    def indistinguishable(self):
+        if not hasattr(self, "pair"):
+            return
+        real, oracle = self.pair
+        assert _node_state(real, len(self.known)) == _node_state(oracle, len(self.known))
+        for doc_id in range(0, len(self.known), 7):
+            self.both(lambda node: (c := node.get(doc_id)) and (id(c.message), c.version))
+
+
 class TestStoreEquivalence:
     def test_matches_per_document_oracle(self):
         run_state_machine_as_test(
             StoreEquivalence,
             settings=settings(max_examples=60, stateful_step_count=40),
+        )
+
+    def test_a_node_reads_back_what_a_dict_of_copies_did(self):
+        run_state_machine_as_test(
+            NodeEquivalence,
+            settings=settings(max_examples=60, stateful_step_count=30),
         )
 
     def test_bare_store_matches_per_document_index(self):

@@ -28,7 +28,8 @@ bursts are independent across passes, a regression persists.
 Environment knobs: ``REPRO_BENCH_OBS_N`` / ``REPRO_BENCH_OBS_ROUNDS``
 (pipeline lane, default 6000 messages × 12 pairs),
 ``REPRO_BENCH_OBS_BROKER_N`` / ``REPRO_BENCH_OBS_BROKER_ROUNDS``
-(broker lane, default 4000 × 15).
+(broker lane, default 4000 × 15).  Both lanes' rows land in
+``BENCH_obs_overhead.json``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import gc
 import os
 import time
 
-from conftest import BENCH_SEED, emit
+from conftest import BENCH_SEED, emit, write_artifact
 
 from repro.core.pipeline import ClassificationPipeline
 from repro.datagen.generator import CorpusGenerator
@@ -70,6 +71,8 @@ TRACE_SAMPLE = 1.0 / 64.0
 #: many times before the gate fails: contention bursts are transient
 #: and independent across passes, a real telemetry regression is not
 MAX_ATTEMPTS = int(os.environ.get("REPRO_BENCH_OBS_ATTEMPTS", "3"))
+#: BENCH_obs_overhead.json: one row per measured path
+_ARTIFACT: dict[str, dict] = {}
 
 
 def _overhead_pct(null_times: list[float], live_times: list[float]) -> float:
@@ -88,6 +91,18 @@ def _overhead_pct(null_times: list[float], live_times: list[float]) -> float:
         (live - null) / null for null, live in zip(null_times, live_times)
     )
     return min(min_based, pairs[len(pairs) // 2]) * 100.0
+
+
+def _record(path: str, n: int, rounds: int, null_s: float, live_s: float,
+            overhead_pct: float, **extra) -> None:
+    """Add one path's row to ``BENCH_obs_overhead.json`` (rewritten whole)."""
+    _ARTIFACT[path] = {
+        "messages": n, "rounds": rounds,
+        "null_ms_per_round": null_s * 1e3, "live_ms_per_round": live_s * 1e3,
+        "null_msg_per_s": n / null_s, "live_msg_per_s": n / live_s,
+        "overhead_pct": overhead_pct, "budget_pct": OVERHEAD_BUDGET_PCT, **extra,
+    }
+    write_artifact("obs_overhead", _ARTIFACT)
 
 
 def _time_round(pipe: ClassificationPipeline, batch: MessageBatch) -> float:
@@ -154,6 +169,8 @@ def test_obs_overhead(benchmark):
         + f"\nbudget: <{OVERHEAD_BUDGET_PCT:.0f}%  "
         + ("PASS" if overhead_pct < OVERHEAD_BUDGET_PCT else "FAIL"),
     )
+
+    _record("classify_batch", len(batch), N_ROUNDS, null_s, live_s, overhead_pct)
 
     # sanity: the live registry actually recorded the rounds
     messages = live_registry.get("repro_pipeline_messages_total")
@@ -269,6 +286,11 @@ def test_obs_broker_path_overhead(benchmark):
         format_table(["lane", "ms/round", "msg/s", "overhead"], rows)
         + f"\nbudget: <{OVERHEAD_BUDGET_PCT:.0f}%  "
         + ("PASS" if overhead_pct < OVERHEAD_BUDGET_PCT else "FAIL"),
+    )
+
+    _record(
+        "broker_path", len(lines), BROKER_ROUNDS, null_s, live_s, overhead_pct,
+        trace_sample=TRACE_SAMPLE,
     )
 
     # sanity: the live lane really published, sampled, and timed e2e

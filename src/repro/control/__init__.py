@@ -15,7 +15,6 @@ determinism guarantees.
 from repro.control.actuators import (
     Actuator,
     CallableActuator,
-    ExecutorWorkersActuator,
     FluentdBatchActuator,
     ListenerRateActuator,
     StageBatchActuator,
@@ -42,7 +41,6 @@ from repro.control.signals import SIGNALS, SignalReader
 __all__ = [
     "Actuator",
     "CallableActuator",
-    "ExecutorWorkersActuator",
     "FluentdBatchActuator",
     "ListenerRateActuator",
     "StageBatchActuator",

@@ -1,11 +1,10 @@
 """Actuators: the write side of the control loop.
 
 Each actuator adapts one capacity lever — classifier workers, batch
-sizes, the listener's token bucket, executor pool width, replica
-activation — behind a uniform ``get``/``apply`` surface so the
-controller's AIMD logic stays lever-agnostic.  Actuators are dumb by
-design: they clamp, round, and forward; *when* to move is entirely the
-controller's decision.
+sizes, the listener's token bucket, replica activation — behind a
+uniform ``get``/``apply`` surface so the controller's AIMD logic stays
+lever-agnostic.  Actuators are dumb by design: they clamp, round, and
+forward; *when* to move is entirely the controller's decision.
 
 The one piece of lever-specific intelligence lives in ``can_shrink``:
 capacity-guarded scale-down.  A naive "backlog is low, drop a worker"
@@ -29,7 +28,6 @@ __all__ = [
     "StageBatchActuator",
     "FluentdBatchActuator",
     "ListenerRateActuator",
-    "ExecutorWorkersActuator",
     "StoreActiveNodesActuator",
 ]
 
@@ -177,23 +175,6 @@ class ListenerRateActuator(Actuator):
     def apply(self, value: float) -> None:
         """Set the admit rate, keeping the accumulated burst tokens."""
         self.bucket.set_rate(value)
-
-
-class ExecutorWorkersActuator(Actuator):
-    """Resize a :class:`~repro.runtime.executor.ShardedExecutor` pool."""
-
-    integral = True
-
-    def __init__(self, executor) -> None:
-        self.executor = executor
-
-    def get(self) -> float:
-        """Current worker-process count."""
-        return float(self.executor.n_workers)
-
-    def apply(self, value: float) -> None:
-        """Resize the pool; workers respawn lazily on the next dispatch."""
-        self.executor.resize(max(1, int(round(value))))
 
 
 class StoreActiveNodesActuator(Actuator):

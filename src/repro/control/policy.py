@@ -15,7 +15,7 @@ deterministic and resumable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from repro.control.signals import SIGNALS
@@ -37,9 +37,34 @@ KNOWN_LEVERS = (
     "fluentd_batch",
     "degrade_threshold",
     "listener_rate",
-    "executor_workers",
     "store_active_nodes",
 )
+
+#: the two fields the JSON form spells shorter than the dataclass does
+_JSON_KEYS = {"min_value": "min", "max_value": "max"}
+_SCALARS = {"str": lambda value: value, "float": float, "int": int, "bool": bool}
+
+
+def _to_json(policy) -> dict:
+    """A flat policy's JSON form: one key per field, in field order."""
+    return {
+        _JSON_KEYS.get(f.name, f.name): getattr(policy, f.name)
+        for f in fields(policy)
+    }
+
+
+def _scalars_from_json(cls, data: dict) -> dict:
+    """Constructor arguments for the scalar fields of ``cls`` that
+    ``data`` sets, each coerced to its declared type.  An absent key is
+    left to the dataclass default; a field without one is a ``KeyError``.
+    Nested fields (levers, sub-policies) are the caller's to build."""
+    kwargs = {}
+    for f in fields(cls):
+        coerce = _SCALARS.get(f.type)
+        key = _JSON_KEYS.get(f.name, f.name)
+        if coerce is not None and (key in data or f.default is MISSING):
+            kwargs[f.name] = coerce(data[key])
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -110,38 +135,12 @@ class LeverPolicy:
 
     def to_dict(self) -> dict:
         """The JSON form ``load_policy_file`` reads back."""
-        return {
-            "name": self.name,
-            "signal": self.signal,
-            "high": self.high,
-            "low": self.low,
-            "min": self.min_value,
-            "max": self.max_value,
-            "up_step": self.up_step,
-            "down_factor": self.down_factor,
-            "cooldown_s": self.cooldown_s,
-            "hold_ticks": self.hold_ticks,
-            "pressure_up": self.pressure_up,
-            "costed": self.costed,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LeverPolicy":
         """Build a lever policy from its JSON dict form."""
-        return cls(
-            name=data["name"],
-            signal=data["signal"],
-            high=float(data["high"]),
-            low=float(data["low"]),
-            min_value=float(data["min"]),
-            max_value=float(data["max"]),
-            up_step=float(data.get("up_step", 1.0)),
-            down_factor=float(data.get("down_factor", 0.5)),
-            cooldown_s=float(data.get("cooldown_s", 10.0)),
-            hold_ticks=int(data.get("hold_ticks", 3)),
-            pressure_up=bool(data.get("pressure_up", True)),
-            costed=bool(data.get("costed", False)),
-        )
+        return cls(**_scalars_from_json(cls, data))
 
 
 @dataclass(frozen=True)
@@ -177,26 +176,12 @@ class BrownoutPolicy:
 
     def to_dict(self) -> dict:
         """The JSON form ``load_policy_file`` reads back."""
-        return {
-            "enter_ticks": self.enter_ticks,
-            "exit_ticks": self.exit_ticks,
-            "max_level": self.max_level,
-            "backlog_high": self.backlog_high,
-            "budget_threshold": self.budget_threshold,
-            "shed_fraction": self.shed_fraction,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BrownoutPolicy":
         """Build a brownout policy from its JSON dict form."""
-        return cls(
-            enter_ticks=int(data.get("enter_ticks", 3)),
-            exit_ticks=int(data.get("exit_ticks", 6)),
-            max_level=int(data.get("max_level", 3)),
-            backlog_high=float(data.get("backlog_high", 2000.0)),
-            budget_threshold=float(data.get("budget_threshold", 0.0)),
-            shed_fraction=float(data.get("shed_fraction", 0.5)),
-        )
+        return cls(**_scalars_from_json(cls, data))
 
 
 @dataclass(frozen=True)
@@ -233,20 +218,12 @@ class FeedforwardPolicy:
 
     def to_dict(self) -> dict:
         """The JSON form ``load_policy_file`` reads back."""
-        return {
-            "window_ticks": self.window_ticks,
-            "horizon_s": self.horizon_s,
-            "min_gain": self.min_gain,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeedforwardPolicy":
         """Build a feedforward policy from its JSON dict form."""
-        return cls(
-            window_ticks=int(data.get("window_ticks", 12)),
-            horizon_s=float(data.get("horizon_s", 30.0)),
-            min_gain=float(data.get("min_gain", 1.2)),
-        )
+        return cls(**_scalars_from_json(cls, data))
 
 
 @dataclass(frozen=True)
@@ -297,8 +274,7 @@ class ControlPolicy:
         brownout = data.get("brownout")
         feedforward = data.get("feedforward")
         return cls(
-            tick_every_s=float(data.get("tick_every_s", 5.0)),
-            utilization_cap=float(data.get("utilization_cap", 0.8)),
+            **_scalars_from_json(cls, data),
             levers=tuple(
                 LeverPolicy.from_dict(d) for d in data.get("levers", ())
             ),

@@ -9,10 +9,10 @@ of the legacy bucketing approach, §3).
 """
 
 from repro.core.taxonomy import Category, CATEGORIES, TAXONOMY, CategorySpec
-from repro.core.message import SyslogMessage, parse_syslog_line, Severity, Facility
+from repro.core.message import SyslogMessage, Severity, Facility
 from repro.core.pipeline import ClassificationPipeline, PipelineResult
 from repro.core.template_cache import TemplateCache
-from repro.core.alerts import AlertRule, AlertRouter, Alert, EmailSink, MemorySink
+from repro.core.alerts import AlertRule, AlertRouter, Alert, EmailSink
 from repro.core.drift import DriftMonitor, DriftReport
 from repro.core.registry import ModelRegistry, ModelRecord
 from repro.core.retrain import RetrainController, RetrainEvent
@@ -24,7 +24,6 @@ __all__ = [
     "TAXONOMY",
     "CategorySpec",
     "SyslogMessage",
-    "parse_syslog_line",
     "Severity",
     "Facility",
     "ClassificationPipeline",
@@ -34,7 +33,6 @@ __all__ = [
     "AlertRouter",
     "Alert",
     "EmailSink",
-    "MemorySink",
     "DriftMonitor",
     "DriftReport",
     "ModelRegistry",

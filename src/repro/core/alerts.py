@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.message import Severity
 from repro.core.taxonomy import TAXONOMY, Category
 
-__all__ = ["Alert", "AlertRule", "AlertRouter", "EmailSink", "MemorySink"]
+__all__ = ["Alert", "AlertRule", "AlertRouter", "EmailSink"]
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,6 @@ class Alert:
     hostname: str
     text: str
     action_hint: str
-
-
-class MemorySink:
-    """Collects alerts in memory (test/inspection sink)."""
-
-    def __init__(self) -> None:
-        self.alerts: list[Alert] = []
-
-    def __call__(self, alert: Alert) -> None:
-        self.alerts.append(alert)
 
 
 class EmailSink:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["Severity", "Facility", "SyslogMessage", "parse_syslog_line"]
+__all__ = ["Severity", "Facility", "SyslogMessage"]
 
 
 class Severity(enum.IntEnum):
@@ -130,21 +130,3 @@ class SyslogMessage:
         from repro.stream.rfc import format_rfc5424
 
         return format_rfc5424(self)
-
-
-def parse_syslog_line(line: str) -> SyslogMessage:
-    """Parse an RFC 3164 or RFC 5424 syslog line.
-
-    Kept as the historical entry point; the canonical wire-format
-    implementation (both directions) lives in :mod:`repro.stream.rfc`,
-    shared by the datagen senders and the ingest listener.  Imported
-    lazily because ``repro.stream.rfc`` imports this module's types.
-
-    Raises
-    ------
-    ValueError
-        If the line matches neither format.
-    """
-    from repro.stream.rfc import parse_line
-
-    return parse_line(line)

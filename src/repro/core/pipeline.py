@@ -23,7 +23,6 @@ from repro.faults.dlq import DeadLetterQueue
 from repro.faults.plan import SITE_POISON, InjectedFault
 from repro.runtime.batch import MessageBatch
 from repro.runtime.timing import StageReport, StageTimer
-from repro.textproc.fingerprint import TemplateFingerprinter
 from repro.textproc.tfidf import TfidfVectorizer
 
 __all__ = ["ClassificationPipeline", "PipelineResult"]
@@ -119,9 +118,6 @@ class ClassificationPipeline:
     #: bumped by every successful ``fit``; stamps the template cache so
     #: a refit atomically invalidates memoized results
     _generation: int = field(default=0, init=False, repr=False)
-    _fingerprinter: TemplateFingerprinter | None = field(
-        default=None, init=False, repr=False
-    )
     #: model-stage label → Category, resolved from the classifier's
     #: ``classes_`` once per ``fit`` generation
     _label_categories: dict | None = field(default=None, init=False, repr=False)
@@ -176,10 +172,8 @@ class ClassificationPipeline:
         self._fitted = True
         # a refit changes what the model would answer: bump the
         # generation so an attached template cache clears atomically on
-        # its next lookup, and rebuild the fingerprinter in case the
-        # vectorizer's normalization changed
+        # its next lookup
         self._generation += 1
-        self._fingerprinter = None
         self._label_categories = None
         return self
 
@@ -307,13 +301,15 @@ class ClassificationPipeline:
         return preds, probs
 
     def _template_keys(self, texts: Sequence[str]) -> list[str]:
-        """Template-cache keys: the exact masked form of each text."""
-        fp = self._fingerprinter
-        if fp is None:
-            fp = self._fingerprinter = TemplateFingerprinter.for_vectorizer(
-                self.vectorizer
-            )
-        return fp.mask_many(texts)
+        """Template-cache keys: the exact masked form of each text — the
+        vectorizer's own ``normalize_many`` output, so the store, the
+        vectorizer and the cache share one masker and one memo.  Without
+        masking (``TfidfVectorizer(normalize=False)``) the raw text is
+        the only sound key."""
+        normalizer = getattr(self.vectorizer, "_normalizer", None)
+        if normalizer is None:
+            return list(texts)
+        return normalizer.normalize_many(texts)
 
     def _model_stage_cached(self, model_texts, poisoned: set[int], cache):
         """Template-dedup front of the model stage.

@@ -12,8 +12,9 @@ Correctness rules (enforced by ``ClassificationPipeline`` and proven by
 the hypothesis wall in ``tests/test_template_cache.py``):
 
 - the key is the exact masked text
-  (:class:`~repro.textproc.fingerprint.TemplateFingerprinter`), so a
-  hit is *guaranteed* to reproduce what the model stage would compute;
+  (:meth:`~repro.textproc.normalize.MaskingNormalizer.normalize_many`'s
+  output), so a hit is *guaranteed* to reproduce what the model stage
+  would compute;
 - blacklist-filtered and quarantined results are never cached, and
   poison-injected messages bypass the cache entirely in both
   directions;

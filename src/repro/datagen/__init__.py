@@ -16,7 +16,7 @@ cannot ship.  This package generates a behaviourally equivalent corpus:
   for the streaming / monitoring experiments.
 """
 
-from repro.datagen.vendors import VendorProfile, VENDORS, vendor_by_name
+from repro.datagen.vendors import VendorProfile, VENDORS
 from repro.datagen.templates import MessageTemplate, TEMPLATES, templates_for
 from repro.datagen.generator import CorpusGenerator, LabeledCorpus, TABLE2_COUNTS
 from repro.datagen.firmware import FirmwareDrift, DriftedTemplateSet
@@ -42,7 +42,6 @@ from repro.datagen.sender import render_event, wire_lines, send_udp, send_tcp
 __all__ = [
     "VendorProfile",
     "VENDORS",
-    "vendor_by_name",
     "MessageTemplate",
     "TEMPLATES",
     "templates_for",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["VendorProfile", "VENDORS", "vendor_by_name"]
+__all__ = ["VendorProfile", "VENDORS"]
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,3 @@ VENDORS: tuple[VendorProfile, ...] = (
     VendorProfile("nvidia", "x86_64-a100", "gp", rfc5424=True),
     VendorProfile("supermicro", "x86_64-skylake", "sk"),
 )
-
-_BY_NAME = {v.name: v for v in VENDORS}
-
-
-def vendor_by_name(name: str) -> VendorProfile:
-    """Look up a vendor profile by key.
-
-    Raises
-    ------
-    KeyError
-        Unknown vendor name.
-    """
-    return _BY_NAME[name]

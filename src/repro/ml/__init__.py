@@ -32,7 +32,6 @@ from repro.ml.metrics import (
     confusion_matrix,
     precision_recall_f1,
     weighted_f1_score,
-    macro_f1_score,
     classification_report,
 )
 from repro.ml.anomaly import PCAAnomalyDetector, IsolationForest, DeepLogDetector
@@ -57,7 +56,6 @@ __all__ = [
     "confusion_matrix",
     "precision_recall_f1",
     "weighted_f1_score",
-    "macro_f1_score",
     "classification_report",
     "roc_auc_score",
     "PCAAnomalyDetector",

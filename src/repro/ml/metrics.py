@@ -17,7 +17,6 @@ __all__ = [
     "confusion_matrix",
     "precision_recall_f1",
     "weighted_f1_score",
-    "macro_f1_score",
     "classification_report",
     "roc_auc_score",
 ]
@@ -91,15 +90,6 @@ def weighted_f1_score(y_true, y_pred, labels: Sequence | None = None) -> float:
     if total == 0:
         raise ValueError("no true samples in any class")
     return float((f1 * support).sum() / total)
-
-
-def macro_f1_score(y_true, y_pred, labels: Sequence | None = None) -> float:
-    """Unweighted mean of per-class F1 over classes with support."""
-    _p, _r, f1, support = precision_recall_f1(y_true, y_pred, labels)
-    mask = support > 0
-    if not mask.any():
-        raise ValueError("no true samples in any class")
-    return float(f1[mask].mean())
 
 
 def roc_auc_score(y_true, scores) -> float:

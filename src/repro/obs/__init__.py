@@ -64,13 +64,11 @@ from repro.obs.slo import (
     load_slo_file,
     quantile_slo,
     ratio_slo,
-    render_slo_panel,
 )
 from repro.obs.trace import (
     Span,
     Tracer,
     default_tracer,
-    render_trace,
     set_default_tracer,
 )
 
@@ -93,7 +91,6 @@ __all__ = [
     "Tracer",
     "default_tracer",
     "set_default_tracer",
-    "render_trace",
     "TraceContext",
     "TraceSampler",
     "derive_trace_id",
@@ -109,6 +106,5 @@ __all__ = [
     "ratio_slo",
     "default_slos",
     "load_slo_file",
-    "render_slo_panel",
     "OpsServer",
 ]

@@ -43,7 +43,6 @@ __all__ = [
     "ratio_slo",
     "default_slos",
     "load_slo_file",
-    "render_slo_panel",
 ]
 
 
@@ -236,18 +235,3 @@ class SloTracker:
                 threshold=target.threshold, ok=ok, budget_remaining=budget,
             ))
         return statuses
-
-
-def render_slo_panel(statuses: list[SloStatus]) -> str:
-    """Small text table of SLO states for the dashboard / CLI."""
-    if not statuses:
-        return "(no slos)"
-    name_w = max(len(s.name) for s in statuses)
-    lines = []
-    for s in statuses:
-        mark = "ok " if s.ok else "VIOLATED"
-        lines.append(
-            f"  {s.name:<{name_w}}  {mark:<8}  value={s.value:.4g}  "
-            f"target<{s.threshold:.4g}  budget={s.budget_remaining:+.2f}"
-        )
-    return "\n".join(lines)

@@ -27,7 +27,6 @@ __all__ = [
     "Tracer",
     "default_tracer",
     "set_default_tracer",
-    "render_trace",
 ]
 
 
@@ -120,7 +119,7 @@ class Tracer:
         with tracer.span("classify", n=500) as root:
             with tracer.span("vectorize"):   # child of root, automatically
                 ...
-        tree = render_trace(tracer.finished)
+        timeline = render_waterfall(tracer.finished)  # repro.obs.propagation
 
     Nesting is tracked per :mod:`contextvars` context, so concurrent
     asyncio tasks or threads each get their own current-span stack
@@ -210,37 +209,6 @@ class Tracer:
                 "span_s": max(ends) - min(starts),
             })
         return out
-
-
-def render_trace(spans: list[Span]) -> str:
-    """ASCII tree of one trace's spans with durations.
-
-    Orphan spans (parent not in the list) are treated as roots, so a
-    partial export still renders.
-    """
-    if not spans:
-        return "(no spans)"
-    by_id = {s.span_id: s for s in spans}
-    children: dict[str | None, list[Span]] = {}
-    for s in spans:
-        parent = s.parent_id if s.parent_id in by_id else None
-        children.setdefault(parent, []).append(s)
-    for kids in children.values():
-        kids.sort(key=lambda s: s.start_s)
-    lines: list[str] = []
-
-    def walk(span: Span, depth: int) -> None:
-        attrs = " ".join(f"{k}={v}" for k, v in span.attributes.items())
-        attrs = f"  [{attrs}]" if attrs else ""
-        lines.append(
-            f"{'  ' * depth}{span.name}  {span.duration_s * 1e3:.2f}ms{attrs}"
-        )
-        for child in children.get(span.span_id, []):
-            walk(child, depth + 1)
-
-    for root in children.get(None, []):
-        walk(root, 0)
-    return "\n".join(lines)
 
 
 _default_tracer = Tracer()

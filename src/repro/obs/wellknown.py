@@ -364,10 +364,6 @@ control_feedforward_moves = _counter(
     "reactive signal crossed its high watermark", ("lever",))
 
 # -- executor lifecycle ------------------------------------------------
-executor_workers = _gauge(
-    "pipeline", "repro_executor_workers", "Configured worker-process count of the sharded executor")
-executor_resizes = _counter(
-    "pipeline", "repro_executor_resizes_total", "Sharded-executor pool resizes", ("direction",))
 executor_respawns = _counter(
     "pipeline", "repro_executor_respawns_total",
     "Sharded-executor pool respawns after a broken worker pool")

@@ -221,8 +221,6 @@ class ShardedExecutor:
         self.n_worker_respawns = 0
         self.n_chunk_retries = 0
         self.n_serial_fallback_chunks = 0
-        #: control-plane resizes applied via :meth:`resize`
-        self.n_pool_resizes = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -237,35 +235,6 @@ class ShardedExecutor:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-    def resize(self, n_workers: int, registry=None) -> None:
-        """Retarget the pool to ``n_workers`` processes (control lever).
-
-        A no-op when the size is unchanged.  Otherwise the current pool
-        is shut down without waiting and the next dispatch lazily spawns
-        a fresh pool at the new width — exactly the respawn path used
-        after a worker death, so in-flight chunks are re-dispatched, not
-        lost.  Counted into ``repro_executor_resizes_total`` by
-        direction, with the new width published on
-        ``repro_executor_workers``.
-        """
-        from repro.obs import wellknown
-
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if registry is None and self._pipeline is not None:
-            registry = self._pipeline.timer.registry
-        if n_workers == self.n_workers:
-            wellknown.executor_workers(registry).set(self.n_workers)
-            return
-        direction = "up" if n_workers > self.n_workers else "down"
-        self.n_workers = n_workers
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-        self.n_pool_resizes += 1
-        wellknown.executor_resizes(registry).inc(direction=direction)
-        wellknown.executor_workers(registry).set(self.n_workers)
 
     @property
     def pipeline(self):

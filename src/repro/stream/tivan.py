@@ -351,6 +351,7 @@ class TivanCluster:
         )
         self.daemons: dict[str, SyslogDaemon] = {}
         self._event_idx: dict[int, int] = {}
+        self._n_produced = 0
         #: durable broker mode: trace position → (partition key, stable
         #: per-host offset), computed over the *full* trace in load_events
         self._event_pub: dict[int, tuple[str, int]] = {}
@@ -524,7 +525,7 @@ class TivanCluster:
             self.write_checkpoint()
         report = IngestReport(
             duration_s=duration_s,
-            produced=getattr(self, "_n_produced", 0),
+            produced=self._n_produced,
             relay_received=self.relay.n_received,
             relay_dropped=self.relay.n_dropped,
             indexed=indexed_at_horizon,

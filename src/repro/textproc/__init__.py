@@ -14,33 +14,25 @@ described in §4.3 of the paper:
 - :mod:`repro.textproc.tfidf` — a sparse TF-IDF vectorizer plus the
   per-category top-token extraction used for Table 1 and for LLM prompt
   construction, and a vocabulary-free hashing variant,
-- :mod:`repro.textproc.fingerprint` — the template-dedup cache key
-  (the masked text) and its stable digest,
-- :mod:`repro.textproc.distance` — Levenshtein / Hamming / token edit
-  distances, including the thresholded variant used by the legacy
-  bucketing classifier (§3).
+- :mod:`repro.textproc.distance` — Levenshtein / Hamming distances,
+  including the thresholded variant used by the legacy bucketing
+  classifier (§3).
 """
 
 from repro.textproc.tokenize import tokenize, Tokenizer
 from repro.textproc.normalize import normalize_message, MaskingNormalizer
-from repro.textproc.lemmatize import Lemmatizer, lemmatize_token
+from repro.textproc.lemmatize import Lemmatizer
 from repro.textproc.vocab import Vocabulary, build_vocabulary
 from repro.textproc.tfidf import (
     TfidfVectorizer,
     HashingVectorizer,
     category_top_tokens,
 )
-from repro.textproc.fingerprint import (
-    TemplateFingerprinter,
-    fingerprint,
-    mask_template,
-)
 from repro.textproc.drain import DrainTemplateMiner, LogTemplate
 from repro.textproc.distance import (
     levenshtein,
     levenshtein_within,
     hamming,
-    token_edit_distance,
 )
 
 __all__ = [
@@ -49,19 +41,14 @@ __all__ = [
     "normalize_message",
     "MaskingNormalizer",
     "Lemmatizer",
-    "lemmatize_token",
     "Vocabulary",
     "build_vocabulary",
     "TfidfVectorizer",
     "HashingVectorizer",
     "category_top_tokens",
-    "TemplateFingerprinter",
-    "fingerprint",
-    "mask_template",
     "DrainTemplateMiner",
     "LogTemplate",
     "levenshtein",
     "levenshtein_within",
     "hamming",
-    "token_edit_distance",
 ]

@@ -9,15 +9,11 @@ evaluations, so besides the plain DP we provide:
   answers "is d(a, b) ≤ k?" in O(k·min(len)) with cheap length and
   character-multiset prefilters, and
 - a NumPy row-vectorized full DP for long strings.
-
-Distances operate on strings; :func:`token_edit_distance` applies the
-same DP over token sequences, useful for template mining.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence, Hashable
 
 import numpy as np
 
@@ -25,7 +21,6 @@ __all__ = [
     "levenshtein",
     "levenshtein_within",
     "hamming",
-    "token_edit_distance",
 ]
 
 
@@ -132,21 +127,3 @@ def hamming(a: str, b: str) -> int:
     an = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
     bn = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
     return int(np.count_nonzero(an != bn))
-
-
-def token_edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """Levenshtein distance over token sequences."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ta in enumerate(a, start=1):
-        curr = [i]
-        for j, tb in enumerate(b, start=1):
-            cost = 0 if ta == tb else 1
-            curr.append(min(prev[j] + 1, curr[-1] + 1, prev[j - 1] + cost))
-        prev = curr
-    return prev[-1]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-__all__ = ["Lemmatizer", "lemmatize_token", "DEFAULT_LEXICON"]
+__all__ = ["Lemmatizer", "DEFAULT_LEXICON"]
 
 # Irregular forms common in syslog prose.
 _EXCEPTIONS: dict[str, str] = {
@@ -213,11 +213,3 @@ class Lemmatizer:
         path); the memo cache is shared across the batch."""
         lemmatize = self.lemmatize
         return [list(map(lemmatize, doc)) for doc in docs]
-
-
-_DEFAULT = Lemmatizer()
-
-
-def lemmatize_token(token: str) -> str:
-    """Lemmatize with the default lexicon."""
-    return _DEFAULT.lemmatize(token)

@@ -1,6 +1,6 @@
 """Unit tests for alert routing."""
 
-from repro.core.alerts import AlertRouter, AlertRule, EmailSink, MemorySink
+from repro.core.alerts import AlertRouter, AlertRule, EmailSink
 from repro.core.message import Severity
 from repro.core.taxonomy import TAXONOMY, Category
 
@@ -11,37 +11,37 @@ def route_args(t=0.0, host="cn001", text="CPU throttled", sev=Severity.WARNING):
 
 class TestAlertRule:
     def test_fires_and_delivers(self):
-        sink = MemorySink()
-        rule = AlertRule(category=Category.THERMAL, sink=sink)
+        alerts = []
+        rule = AlertRule(category=Category.THERMAL, sink=alerts.append)
         assert rule.consider(**route_args())
-        assert len(sink.alerts) == 1
-        assert sink.alerts[0].category is Category.THERMAL
-        assert sink.alerts[0].action_hint == TAXONOMY[Category.THERMAL].action
+        assert len(alerts) == 1
+        assert alerts[0].category is Category.THERMAL
+        assert alerts[0].action_hint == TAXONOMY[Category.THERMAL].action
 
     def test_cooldown_suppresses_repeats(self):
-        sink = MemorySink()
-        rule = AlertRule(category=Category.THERMAL, sink=sink, cooldown_s=300)
+        alerts = []
+        rule = AlertRule(category=Category.THERMAL, sink=alerts.append, cooldown_s=300)
         rule.consider(**route_args(t=0.0))
         assert not rule.consider(**route_args(t=10.0))
         assert rule.n_suppressed == 1
-        assert len(sink.alerts) == 1
+        assert len(alerts) == 1
 
     def test_cooldown_is_per_host(self):
-        sink = MemorySink()
-        rule = AlertRule(category=Category.THERMAL, sink=sink, cooldown_s=300)
+        alerts = []
+        rule = AlertRule(category=Category.THERMAL, sink=alerts.append, cooldown_s=300)
         rule.consider(**route_args(t=0.0, host="a"))
         assert rule.consider(**route_args(t=1.0, host="b"))
 
     def test_cooldown_expires(self):
-        sink = MemorySink()
-        rule = AlertRule(category=Category.THERMAL, sink=sink, cooldown_s=60)
+        alerts = []
+        rule = AlertRule(category=Category.THERMAL, sink=alerts.append, cooldown_s=60)
         rule.consider(**route_args(t=0.0))
         assert rule.consider(**route_args(t=61.0))
 
     def test_severity_gate(self):
-        sink = MemorySink()
+        alerts = []
         rule = AlertRule(
-            category=Category.THERMAL, sink=sink, min_severity=Severity.ERROR
+            category=Category.THERMAL, sink=alerts.append, min_severity=Severity.ERROR
         )
         # WARNING (4) is less urgent than ERROR (3): no alert
         assert not rule.consider(**route_args(sev=Severity.WARNING))
@@ -50,20 +50,20 @@ class TestAlertRule:
 
 class TestAlertRouter:
     def test_with_defaults_excludes_unimportant(self):
-        sink = MemorySink()
-        router = AlertRouter.with_defaults(sink)
+        alerts = []
+        router = AlertRouter.with_defaults(alerts.append)
         fired = router.route(Category.UNIMPORTANT, **route_args())
         assert fired == 0
         fired = router.route(Category.MEMORY, **route_args(text="OOM"))
         assert fired == 1
 
     def test_multiple_rules_per_category(self):
-        a, b = MemorySink(), MemorySink()
+        a, b = [], []
         router = AlertRouter()
-        router.add_rule(AlertRule(category=Category.USB, sink=a))
-        router.add_rule(AlertRule(category=Category.USB, sink=b))
+        router.add_rule(AlertRule(category=Category.USB, sink=a.append))
+        router.add_rule(AlertRule(category=Category.USB, sink=b.append))
         fired = router.route(Category.USB, **route_args(text="usb attach"))
-        assert fired == 2 and a.alerts and b.alerts
+        assert fired == 2 and a and b
 
     def test_unrouted_category_is_noop(self):
         router = AlertRouter()

@@ -30,7 +30,6 @@ from repro.control import (
     CallableActuator,
     ControlPolicy,
     Controller,
-    ExecutorWorkersActuator,
     FeedforwardPolicy,
     LeverPolicy,
     ListenerRateActuator,
@@ -41,34 +40,23 @@ from repro.control import (
     default_policy,
     load_policy_file,
 )
-from repro.core.pipeline import ClassificationPipeline
 from repro.core.taxonomy import Category
 from repro.datagen.workload import offered_load_events
 from repro.faults import (
     SITE_NODE_DOWN,
     SITE_PARTITION_STALL,
-    SITE_WORKER_CRASH,
     FaultInjector,
     FaultPlan,
     FaultSpec,
 )
 from repro.ingest.listener import TokenBucket
-from repro.ml import ComplementNB
 from repro.obs import MetricsRegistry, use_registry, wellknown
 from repro.replication import ReplicatedLogStore
-from repro.runtime import MessageBatch, ShardedExecutor
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
 #: the CI chaos job shifts this to run the whole suite under other seeds
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 CHAOS_SEEDS = [SEED_SHIFT, SEED_SHIFT + 1, SEED_SHIFT + 2]
-
-
-@pytest.fixture(scope="module")
-def fitted(corpus):
-    pipe = ClassificationPipeline(classifier=ComplementNB())
-    pipe.fit(corpus.texts[:600], corpus.labels[:600])
-    return pipe
 
 
 # -- policy data model -----------------------------------------------------
@@ -129,6 +117,30 @@ class TestPolicy:
         path = tmp_path / "policy.json"
         path.write_text(json.dumps(default_policy().to_dict()))
         assert load_policy_file(path) == default_policy()
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        required = dict(
+            name="stage_workers", signal="broker_lag", high=5, low=1, min=1, max=4
+        )
+        assert LeverPolicy.from_dict(required) == LeverPolicy(
+            name="stage_workers", signal="broker_lag",
+            high=5.0, low=1.0, min_value=1.0, max_value=4.0,
+        )
+        assert BrownoutPolicy.from_dict({}) == BrownoutPolicy()
+        assert FeedforwardPolicy.from_dict({}) == FeedforwardPolicy()
+        assert ControlPolicy.from_dict({"brownout": {}}) == ControlPolicy()
+        with pytest.raises(KeyError, match="signal"):
+            LeverPolicy.from_dict({"name": "stage_workers"})
+
+    def test_policy_file_naming_the_executor_lever_fails_on_load(self, tmp_path):
+        """No binder ever bound ``executor_workers``; the name is unknown now."""
+        lever = dict(self._lever().to_dict(), name="executor_workers")
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"levers": [lever]}))
+        with pytest.raises(
+            ValueError, match=r"unknown lever 'executor_workers'; known: \('stage_workers'"
+        ):
+            load_policy_file(path)
 
     def test_load_policy_file_rejects_non_object(self, tmp_path):
         path = tmp_path / "policy.json"
@@ -720,65 +732,6 @@ class TestTokenBucketSetRate:
         assert bucket.rate == 250.0
 
 
-# -- executor resize (satellite 2) -----------------------------------------
-
-
-class TestExecutorResize:
-    def _executor(self, fitted, injector=None, **kw):
-        kw.setdefault("n_workers", 2)
-        kw.setdefault("chunk_size", 25)
-        kw.setdefault("min_parallel", 0)
-        kw.setdefault("chunk_timeout_s", 30.0)
-        kw.setdefault("retry_base_s", 0.01)
-        kw.setdefault("retry_max_s", 0.05)
-        return ShardedExecutor(fitted, fault_injector=injector, **kw)
-
-    def test_resize_counts_direction_and_publishes_width(self, fitted):
-        reg = MetricsRegistry()
-        with self._executor(fitted) as ex:
-            ex.resize(4, registry=reg)
-            ex.resize(1, registry=reg)
-            assert ex.n_workers == 1
-            assert ex.n_pool_resizes == 2
-        assert wellknown.executor_resizes(reg).value(direction="up") == 1
-        assert wellknown.executor_resizes(reg).value(direction="down") == 1
-        assert wellknown.executor_workers(reg).value() == 1
-
-    def test_same_size_is_a_noop(self, fitted):
-        reg = MetricsRegistry()
-        with self._executor(fitted) as ex:
-            ex.resize(2, registry=reg)
-            assert ex.n_pool_resizes == 0
-        assert wellknown.executor_workers(reg).value() == 2
-
-    def test_resize_validates(self, fitted):
-        with self._executor(fitted) as ex:
-            with pytest.raises(ValueError, match="n_workers"):
-                ex.resize(0)
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_resize_under_worker_crash_keeps_parity(
-        self, fitted, corpus, seed
-    ):
-        """The control lever and the crash-respawn path compose."""
-        probe = list(corpus.texts[:80])
-        serial = [r.category for r in fitted.classify_batch(probe)]
-        with use_registry(MetricsRegistry()) as reg:
-            inj = FaultInjector(FaultPlan(
-                sites={SITE_WORKER_CRASH: FaultSpec(at_calls=(2,))},
-                seed=seed,
-            ))
-            with self._executor(fitted, inj) as ex:
-                first = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.n_worker_respawns >= 1
-                ExecutorWorkersActuator(ex).apply(3)
-                assert ex.n_workers == 3
-                second = ex.classify_batch(MessageBatch.of_texts(probe))
-            assert [r.category for r in first] == serial
-            assert [r.category for r in second] == serial
-            assert wellknown.executor_respawns(reg).value() >= 1
-
-
 # -- store quiesce + breaker gauge (satellites) ----------------------------
 
 
@@ -987,8 +940,6 @@ class TestControlFamiliesDeclared:
             "repro_ingest_tenant_accepted_total",
             "repro_ingest_tenant_shed_total",
             "repro_ingest_tenants_active",
-            "repro_executor_workers",
-            "repro_executor_resizes_total",
             "repro_executor_respawns_total",
             "repro_executor_serial_fallbacks_total",
             "repro_store_breaker_state",

@@ -12,7 +12,7 @@ from repro.datagen.templates import (
     fill_slots,
     templates_for,
 )
-from repro.datagen.vendors import VENDORS, vendor_by_name
+from repro.datagen.vendors import VENDORS
 
 
 class TestVendors:
@@ -24,12 +24,8 @@ class TestVendors:
         assert len(set(prefixes)) == len(prefixes)
 
     def test_node_name_format(self):
-        v = vendor_by_name("dell")
-        assert v.node_name(7) == "cn007"
-
-    def test_unknown_vendor(self):
-        with pytest.raises(KeyError):
-            vendor_by_name("quantum-corp")
+        dell = next(v for v in VENDORS if v.name == "dell")
+        assert dell.node_name(7) == "cn007"
 
     def test_multiple_architectures(self):
         assert len({v.arch for v in VENDORS}) >= 4

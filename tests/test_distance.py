@@ -7,7 +7,6 @@ from repro.textproc.distance import (
     hamming,
     levenshtein,
     levenshtein_within,
-    token_edit_distance,
 )
 
 
@@ -86,22 +85,6 @@ class TestHamming:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal lengths"):
             hamming("ab", "abc")
-
-
-class TestTokenEditDistance:
-    def test_identical(self):
-        assert token_edit_distance(["a", "b"], ["a", "b"]) == 0
-
-    def test_substitution(self):
-        assert token_edit_distance(["cpu", "hot"], ["cpu", "cold"]) == 1
-
-    def test_empty_sides(self):
-        assert token_edit_distance([], ["x", "y"]) == 2
-        assert token_edit_distance(["x"], []) == 1
-
-    def test_tokens_not_chars(self):
-        # whole-token moves cost 1 regardless of token length
-        assert token_edit_distance(["temperature"], ["pressure"]) == 1
 
 
 _short = st.text(alphabet="abcdef", max_size=12)

@@ -393,67 +393,49 @@ _hostile_line = st.lists(
 
 
 class TestFingerprintProperties:
-    """Hostile-input totality + determinism of the template fingerprint."""
+    """Hostile-input totality + determinism of the template key: the
+    masked line, as ``normalize`` hands it to the cache and the store."""
+
+    @staticmethod
+    def _key_of_wire_bytes(payload: bytes) -> str:
+        # the listener's decode; undecodable bytes arrive as U+FFFD
+        return MaskingNormalizer().normalize(payload.decode("utf-8", errors="replace"))
 
     @given(st.binary(min_size=0, max_size=200))
     @settings(max_examples=120, deadline=None)
     def test_byte_garbage_never_raises(self, payload):
-        from repro.textproc.fingerprint import fingerprint, mask_template
-
-        fp = fingerprint(payload)
-        assert isinstance(fp, str) and len(fp) == 16
-        assert int(fp, 16) >= 0  # 16 hex chars
-        assert isinstance(mask_template(payload), str)
+        key = self._key_of_wire_bytes(payload)
+        assert isinstance(key, str)
+        assert key == MaskingNormalizer().normalize_reference(
+            payload.decode("utf-8", errors="replace")
+        )
 
     @given(st.text(min_size=0, max_size=200))
     @settings(max_examples=120, deadline=None)
     def test_arbitrary_text_deterministic(self, text):
-        from repro.textproc.fingerprint import fingerprint
-
-        assert fingerprint(text) == fingerprint(text)
+        norm = MaskingNormalizer()
+        clear_memos()
+        cold = norm.normalize(text)
+        assert norm.normalize(text) == cold  # the recent-lines hit
+        assert norm.normalize_many([text, text]) == [cold, cold]
 
     @given(st.text(min_size=1, max_size=80), st.integers(min_value=1, max_value=40))
     @settings(max_examples=60, deadline=None)
     def test_truncated_utf8_never_raises(self, text, cut):
-        from repro.textproc.fingerprint import fingerprint
-
-        assert len(fingerprint(text.encode("utf-8")[:cut])) == 16
+        assert isinstance(self._key_of_wire_bytes(text.encode("utf-8")[:cut]), str)
 
     def test_nuls_and_controls_never_raise(self):
-        from repro.textproc.fingerprint import fingerprint, mask_template
-
+        norm = MaskingNormalizer()
         for hostile in [
-            b"\x00\x00\x00", "NUL\x00inside", "\x1b[31mansi\x1b[0m",
-            "\x00", "", b"", "\udc80lone surrogate",
+            "\x00\x00\x00", "NUL\x00inside", "\x1b[31mansi\x1b[0m",
+            "\x00", "", "\udc80lone surrogate",
         ]:
-            assert len(fingerprint(hostile)) == 16
-            assert isinstance(mask_template(hostile), str)
+            assert norm.normalize(hostile) == norm.normalize_reference(hostile)
 
     def test_megabyte_line_never_raises(self):
-        from repro.textproc.fingerprint import fingerprint
-
         line = ("kernel panic at 0xdeadbeef code 12345 " * 27_000)[:1_048_576]
-        assert len(fingerprint(line)) == 16
-        assert len(fingerprint(line.encode())) == 16
-
-    def test_stable_across_processes(self):
-        """BLAKE2b keys survive hash randomization — safe to shard on."""
-        import subprocess
-        import sys
-
-        from repro.textproc.fingerprint import fingerprint
-
-        msg = "Connection closed by 10.0.0.7 port 22"
-        code = (
-            "from repro.textproc.fingerprint import fingerprint;"
-            f"print(fingerprint({msg!r}))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": "random"},
-        ).stdout.strip()
-        assert out == fingerprint(msg)
+        assert isinstance(MaskingNormalizer().normalize(line), str)
+        assert isinstance(self._key_of_wire_bytes(line.encode()), str)
 
     @seed(SEED_SHIFT)
     @given(_hostile_line)
@@ -563,8 +545,8 @@ class TestTextAnalysisExactness:
     def test_vectorizer_docs_are_the_staged_chain(self, cap, run, store_first):
         """``analyze_batch`` and the pipeline's ``analyze_masked(keys)``
         route, with the store asking before or after."""
+        from repro.core.pipeline import ClassificationPipeline
         from repro.stream.opensearch import _analyze
-        from repro.textproc.fingerprint import TemplateFingerprinter
 
         texts = [text for text, _clear in run]
         with _memo_caps(cap):
@@ -576,7 +558,7 @@ class TestTextAnalysisExactness:
                     for text in texts:
                         _analyze(text)
                 assert vec.analyze_batch(texts) == expected
-                keys = TemplateFingerprinter.for_vectorizer(vec).mask_many(texts)
+                keys = ClassificationPipeline(vectorizer=vec)._template_keys(texts)
                 assert vec.analyze_masked(keys) == expected
 
 

@@ -7,7 +7,6 @@ from repro.core import (
     AlertRouter,
     Category,
     ClassificationPipeline,
-    MemorySink,
     load_pipeline,
     save_pipeline,
 )
@@ -83,8 +82,8 @@ class TestFullTriageScenario:
 
     def test_alerts_fire_with_cooldown(self, run):
         _events, cluster, _report = run
-        sink = MemorySink()
-        router = AlertRouter.with_defaults(sink)
+        alerts = []
+        router = AlertRouter.with_defaults(alerts.append)
         for i in range(len(cluster.store)):
             doc = cluster.store.get(i)
             if doc.category is not None:
@@ -95,7 +94,7 @@ class TestFullTriageScenario:
                     text=doc.message.text,
                     severity=doc.message.severity,
                 )
-        thermal_alerts = [a for a in sink.alerts if a.category is Category.THERMAL]
+        thermal_alerts = [a for a in alerts if a.category is Category.THERMAL]
         assert thermal_alerts
         # cooldown keeps the storm to roughly one alert per node per 300 s
         per_host = {}

@@ -2,7 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from repro.textproc.lemmatize import DEFAULT_LEXICON, Lemmatizer, lemmatize_token
+from repro.textproc.lemmatize import DEFAULT_LEXICON, Lemmatizer
+
+lemmatize_token = Lemmatizer().lemmatize
 
 
 class TestPaperExamples:

@@ -3,12 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.message import (
-    Facility,
-    Severity,
-    SyslogMessage,
-    parse_syslog_line,
-)
+from repro.core.message import Facility, Severity, SyslogMessage
+from repro.stream.rfc import parse_line
 
 
 def make(
@@ -58,7 +54,7 @@ class TestRendering:
 
 class TestParsing:
     def test_parse_rfc3164(self):
-        m = parse_syslog_line("<4>Oct 12 23:34:04 sk036 kernel[159]: CPU throttled")
+        m = parse_line("<4>Oct 12 23:34:04 sk036 kernel[159]: CPU throttled")
         assert m.hostname == "sk036"
         assert m.app == "kernel"
         assert m.pid == 159
@@ -66,12 +62,12 @@ class TestParsing:
         assert m.text == "CPU throttled"
 
     def test_parse_rfc3164_no_pri(self):
-        m = parse_syslog_line("Jan  1 00:00:01 cn001 sshd: Connection closed")
+        m = parse_line("Jan  1 00:00:01 cn001 sshd: Connection closed")
         assert m.severity is Severity.INFO
         assert m.app == "sshd"
 
     def test_parse_rfc5424(self):
-        m = parse_syslog_line(
+        m = parse_line(
             "<86>1 2023-02-03T10:20:30Z ep004 sshd 991 - - Accepted publickey"
         )
         assert m.hostname == "ep004"
@@ -81,20 +77,20 @@ class TestParsing:
         assert m.text == "Accepted publickey"
 
     def test_parse_rfc5424_nil_pid(self):
-        m = parse_syslog_line("<14>1 2023-01-01T00:00:00Z h a - - - body text")
+        m = parse_line("<14>1 2023-01-01T00:00:00Z h a - - - body text")
         assert m.pid is None
 
     def test_invalid_pri_raises(self):
         with pytest.raises(ValueError, match="PRI"):
-            parse_syslog_line("<999>Oct 12 00:00:00 h app: text")
+            parse_line("<999>Oct 12 00:00:00 h app: text")
 
     def test_garbage_raises(self):
         with pytest.raises(ValueError, match="unparseable"):
-            parse_syslog_line("not a syslog line at all")
+            parse_line("not a syslog line at all")
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            parse_syslog_line("")
+            parse_line("")
 
 
 class TestRoundTrip:
@@ -113,7 +109,7 @@ class TestRoundTrip:
             timestamp=ts, hostname="cn007", app="testapp", text=text,
             severity=sev, facility=fac, pid=pid,
         )
-        back = parse_syslog_line(m.to_rfc3164())
+        back = parse_line(m.to_rfc3164())
         assert back.hostname == m.hostname
         assert back.app == m.app
         assert back.text == m.text
@@ -136,7 +132,7 @@ class TestRoundTrip:
             timestamp=ts, hostname="ep001", app="slurmd", text=text,
             severity=sev, facility=Facility.DAEMON, pid=pid,
         )
-        back = parse_syslog_line(m.to_rfc5424())
+        back = parse_line(m.to_rfc5424())
         assert back.hostname == m.hostname
         assert back.text == m.text
         assert back.pid == m.pid

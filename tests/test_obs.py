@@ -28,7 +28,7 @@ from repro.obs import (
     histogram_quantile,
     load_snapshot,
     parse_prometheus,
-    render_trace,
+    render_waterfall,
     set_default_tracer,
     use_registry,
     wellknown,
@@ -336,11 +336,11 @@ class TestSpans:
         with tracer.span("root"):
             with tracer.span("leaf"):
                 pass
-        text = render_trace(tracer.finished)
-        lines = text.splitlines()
-        assert lines[0].startswith("root")
-        assert lines[1].startswith("  leaf")
-        assert render_trace([]) == "(no spans)"
+        text = render_waterfall(tracer.finished)
+        header, root, leaf = text.splitlines()
+        assert header.startswith(f"trace {tracer.finished[0].trace_id}  (2 hops")
+        assert root.split()[0] == "root" and leaf.split()[0] == "leaf"
+        assert render_waterfall([]) == "(no spans)"
 
     def test_traces_groups_by_trace_id(self):
         tracer = Tracer()
@@ -489,8 +489,8 @@ class TestPipelineMetrics:
         assert all(s.parent_id == root.span_id for s in workers)
         assert all(s.end_s is not None for s in spans)
         assert sum(s.attributes["n_messages"] for s in workers) == 120
-        tree = render_trace(spans)
-        assert tree.splitlines()[0].startswith("shard.classify_batch")
+        hops = render_waterfall(spans).splitlines()[1:]
+        assert hops[0].split()[0] == "shard.classify_batch"
 
 
 # -- bind-once: a steady-state batch resolves nothing ------------------------

@@ -100,6 +100,11 @@ class TestTivanCluster:
         assert rep.indexed == rep.relay_received - rep.relay_dropped
         assert rep.indexed == len(tc.store)
 
+    def test_run_without_loaded_events_produced_nothing(self):
+        rep = TivanCluster().run(5)
+        assert rep.produced == 0
+        assert rep.indexed == 0
+
     def test_fast_classifier_keeps_up(self):
         ev = generate_stream(duration_s=30, background_rate=10, seed=1)
         tc = TivanCluster()

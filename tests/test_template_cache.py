@@ -7,7 +7,7 @@ equivalence the adversarial way — arbitrary message mixes, cache sizes
 including 0 and 1, refits mid-sequence, poison fault injection (under
 the ``REPRO_CHAOS_SEED`` matrix), blacklist filtering, and the sharded
 executor — plus the LRU/eviction/invalidations unit behavior and the
-load-bearing ``mask == MaskingNormalizer.normalize`` identity.
+load-bearing identity: a key is ``MaskingNormalizer``'s masked line.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from repro.core.pipeline import ClassificationPipeline
 from repro.core.template_cache import TemplateCache
 from repro.faults.plan import SITE_POISON, FaultInjector, FaultPlan, FaultSpec
 from repro.ml import ComplementNB
-from repro.textproc.fingerprint import TemplateFingerprinter, fingerprint
 from repro.textproc.normalize import MaskingNormalizer
+from repro.textproc.tfidf import TfidfVectorizer
 
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -253,45 +253,47 @@ class TestLruSemantics:
         }
 
 
+def _template_keys(texts, **vectorizer_kw) -> list[str]:
+    """What the pipeline's ``fingerprint`` stage hands the cache."""
+    pipe = ClassificationPipeline(vectorizer=TfidfVectorizer(**vectorizer_kw))
+    return pipe._template_keys(texts)
+
+
 class TestFingerprintExactness:
-    """mask() must equal MaskingNormalizer.normalize() — the soundness
-    pin that makes cache keys collision-free by construction."""
+    """A cache key must equal the masker's regex chain on the line — the
+    soundness pin that makes cache keys collision-free by construction."""
 
     @given(text=_arbitrary_text)
     @settings(max_examples=300)
     def test_mask_equals_normalize_arbitrary(self, text):
-        fp = TemplateFingerprinter(MaskingNormalizer())
-        assert fp.mask(text) == MaskingNormalizer().normalize(text)
+        assert _template_keys([text]) == [MaskingNormalizer().normalize_reference(text)]
 
     def test_mask_equals_normalize_on_corpus(self, corpus):
-        fp = TemplateFingerprinter(MaskingNormalizer())
         norm = MaskingNormalizer()
-        for text in corpus.texts:
-            assert fp.mask(text) == norm.normalize(text)
+        assert _template_keys(corpus.texts) == [
+            norm.normalize_reference(text) for text in corpus.texts
+        ]
 
     def test_cross_whitespace_units_fall_back_exactly(self):
         """'45 C' / '3 MB' are the one cross-token rule family."""
-        fp = TemplateFingerprinter(MaskingNormalizer())
         norm = MaskingNormalizer()
-        for text in [
+        texts = [
             "temp is 45 C now", "wrote 3 MB to disk", "read 12 KiB",
             "45  C double space", "4.5e3 C sci", "45 Cat not a unit",
             "used 100 bytes total", "at 45 celsius", "45 degC",
-        ]:
-            assert fp.mask(text) == norm.normalize(text)
+        ]
+        assert _template_keys(texts) == [norm.normalize_reference(t) for t in texts]
 
     def test_same_template_same_key_different_slots(self):
-        assert fingerprint("job 111 done in 5 s") == fingerprint(
-            "job 999 done in 7 s"
-        )
-        assert fingerprint("job 1 done") != fingerprint("job 1 failed")
+        same_a, same_b, done, failed = _template_keys([
+            "job 111 done in 5 s", "job 999 done in 7 s", "job 1 done", "job 1 failed",
+        ])
+        assert same_a == same_b
+        assert done != failed
 
     def test_identity_mode_for_unnormalized_vectorizers(self):
-        from repro.textproc.tfidf import TfidfVectorizer
-
-        vec = TfidfVectorizer(normalize=False)
-        fp = TemplateFingerprinter.for_vectorizer(vec)
-        assert fp.mask("Connection from 1.2.3.4") == "Connection from 1.2.3.4"
+        texts = ("Connection from 1.2.3.4", "Connection from 5.6.7.8")
+        assert _template_keys(texts, normalize=False) == list(texts)
 
 
 class TestSerialShardedParity:

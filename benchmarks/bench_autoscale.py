@@ -91,8 +91,7 @@ def _run(name: str, *, n_workers: int, batch: int, controlled: bool):
             base_rate=BASE_RATE, swing=SWING, seed=7,
         )
         cluster = TivanCluster(
-            via_broker=True, batch_size=batch, flush_interval_s=1.0,
-            trace_sample=1.0,
+            batch_size=batch, flush_interval_s=1.0, trace_sample=1.0,
         )
         cluster.attach_classifier(ClassifierStage(
             service_time_s=SERVICE_S, batch_size=32, n_workers=n_workers,

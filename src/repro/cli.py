@@ -223,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", type=Path, default=None,
                    help="JSON fault plan armed on the stream and "
                         "classification layers (see repro.faults)")
-    p.add_argument("--overflow", choices=["block", "drop_oldest", "dead_letter"],
-                   default="block",
-                   help="forwarder policy when the buffer is full")
     p.add_argument("--flush-retries", type=_positive_int, default=None,
                    help="bounded flush retry budget; a head batch "
                         "failing this many times in a row is "
@@ -258,17 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fsync", choices=["always", "batch", "off"],
                    default="batch",
                    help="WAL fsync policy (durable runs only)")
-    p.add_argument("--via-broker", action="store_true",
-                   help="route the relay through the partitioned log "
-                        "broker; the forwarder becomes a consumer-group "
-                        "member and backpressure is broker lag")
     p.add_argument("--broker-partitions", type=_positive_int, default=None,
                    help="hash hosts onto this many partitions instead "
-                        "of one per host (requires --via-broker; "
-                        "incompatible with --wal-dir)")
+                        "of one per host (incompatible with --wal-dir)")
     p.add_argument("--consumers", type=_positive_int, default=1,
                    help="consumer-group members sharing the partitions "
-                        "(requires --via-broker; durable runs need 1)")
+                        "(durable runs need 1)")
     p.add_argument("--load-profile",
                    choices=["standard", "surge", "diurnal", "constant"],
                    default="standard",
@@ -726,12 +718,11 @@ def _cmd_simulate(args) -> int:
         duration_s=args.duration, rate=args.rate, seed=args.seed,
         incident=args.incident, fsync=args.fsync,
         checkpoint_every_s=args.checkpoint_every,
-        overflow=args.overflow, flush_retry_limit=args.flush_retries,
+        flush_retry_limit=args.flush_retries,
         degrade_backlog=args.degrade_backlog,
         model_dir=str(args.model_dir),
         store_nodes=args.store_nodes, store_replicas=args.replicas,
         write_quorum=args.write_quorum, read_quorum=args.read_quorum,
-        via_broker=args.via_broker,
         broker_partitions=args.broker_partitions,
         n_consumers=args.consumers,
         trace_sample=args.trace_sample, trace_seed=args.trace_seed,
@@ -760,7 +751,6 @@ def _cmd_simulate(args) -> int:
             f"faults: injected={dict(injector.fire_counts()) if injector else {}} "
             f"failed_flushes={stats.failed_flushes} "
             f"abandoned={stats.abandoned_messages} "
-            f"evicted={stats.evicted} "
             f"dead_lettered={len(cluster.forwarder.dead_letters)}"
         )
     if report.degrade_transitions:
@@ -793,15 +783,14 @@ def _cmd_simulate(args) -> int:
             f"evictions="
             f"{int(wellknown.template_cache_evictions().value(worker=worker))}"
         )
-    if cluster.broker is not None:
-        print(
-            f"broker: partitions={report.broker_partitions} "
-            f"published={report.broker_published} "
-            f"publish_refused={report.broker_publish_refused} "
-            f"polled={report.broker_polled} lag={report.broker_lag} "
-            f"commits_lost={report.broker_commits_lost} "
-            f"stalls={report.broker_partition_stalls}"
-        )
+    print(
+        f"broker: partitions={report.broker_partitions} "
+        f"published={report.broker_published} "
+        f"publish_refused={report.broker_publish_refused} "
+        f"polled={report.broker_polled} lag={report.broker_lag} "
+        f"commits_lost={report.broker_commits_lost} "
+        f"stalls={report.broker_partition_stalls}"
+    )
     if hasattr(cluster.store, "node_health"):
         rows = cluster.store.node_health()
         up = sum(1 for r in rows if r["up"])
@@ -881,7 +870,7 @@ def _cmd_listen(args) -> int:
 
     Binds the asyncio listener on loopback (or ``--host``), publishes
     accepted messages into a :class:`LogBroker`, and drains it through
-    a pull-mode :class:`FluentdForwarder` into an in-process
+    a :class:`FluentdForwarder` into an in-process
     :class:`LogStore` — the assembly ``benchmarks/spine`` measures.
     Stops on ``--duration`` seconds, after ``--max-messages`` received
     lines, or Ctrl-C; then prints the full accounting.

@@ -1,6 +1,6 @@
 """Durable ingest: WAL, checkpoint/restore, and crash recovery.
 
-The stream layer's resilience (retries, overflow policies, dead
+The stream layer's resilience (retries, broker offsets, dead
 letters) lives in memory and dies with the process.  This package
 makes the Tivan simulation survive process death with an
 effectively-exactly-once guarantee:
@@ -11,7 +11,7 @@ effectively-exactly-once guarantee:
 - :mod:`repro.durability.checkpoint` — atomic temp-then-rename
   snapshots that bound WAL replay,
 - :mod:`repro.durability.recovery` — the :class:`StreamJournal` that
-  logs every forwarder buffer transition write-ahead, checkpoint
+  logs every message transition write-ahead, checkpoint
   payloads, :class:`SimConfig` → :func:`build_cluster` (the one cluster
   assembly), :func:`resume_simulation`, and the :func:`reconcile`
   conservation check,

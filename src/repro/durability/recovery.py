@@ -3,38 +3,39 @@
 The simulation trace is deterministic — ``generate_stream(seed)``
 produces the same events every run — so each message's position in the
 trace is a durable identity that survives process death.  The
-:class:`StreamJournal` writes one WAL record *before* every buffer
-transition in the forwarder (accept, reject, evict, flush, abandon,
-overflow dead-letter), keyed by that identity.  Recovery then has an
-effectively-exactly-once story without distributed-systems machinery:
+:class:`StreamJournal` writes one WAL record *before* every transition
+a message makes (accepted into the forwarder's buffer, rejected at the
+relay, flushed, abandoned), keyed by that identity.  Recovery then has
+an effectively-exactly-once story without distributed-systems
+machinery:
 
 1. load the newest valid checkpoint (bounded replay),
 2. replay WAL records past its ``last_wal_seq`` — apply is idempotent,
    deduplicated by sequence number,
-3. regenerate the trace and re-offer only events whose identity the
-   journal has never seen.
+3. requeue what was polled but not committed, regenerate the trace and
+   republish only events whose identity the journal has never seen.
 
 Because the trace is regenerable, WAL records for trace events carry
 only the index — message bodies are rematerialized from the trace on
 resume, which keeps the per-message journal cost to a few bytes.  Only
-synthetic identities (messages offered outside the trace, negative
+synthetic identities (messages published outside the trace, negative
 indices) embed the full body.
 
 Accepts are also *group-committed*: they accumulate in memory and are
 written as one batch record at the next write barrier — any other
-record kind (flush, evict, reject, dead-letter, abandon) and every
+record kind (flush, reject, abandon, requeue, control) and every
 checkpoint — so the WAL stays ordered (an event's accept always
 precedes any record that moves it) while the per-message hot path
 costs a list append instead of an encode+write.  A crash can lose the
 pending window, but those events were still buffered, so recovery
-simply re-offers them from the regenerated trace: conservation holds;
+simply republishes them from the regenerated trace: conservation holds;
 the window is only visible as reprocessing, never as loss.
 
 Conservation is the correctness contract, enforced by
 :func:`reconcile`: at the end of a run — through any number of
 SIGKILLs — every generated message has exactly one disposition
-(indexed, rejected, evicted, dead-lettered, or still buffered), never
-zero (lost) and never two (duplicated).
+(indexed, rejected, dead-lettered, or still buffered), never zero
+(lost) and never two (duplicated).
 """
 
 from __future__ import annotations
@@ -65,14 +66,11 @@ __all__ = [
     "run_to_completion",
 ]
 
-#: WAL record kinds the journal writes (one per buffer transition;
-#: ``requeue`` is broker-mode recovery returning polled-but-uncommitted
-#: events to the broker; ``control`` is the controller's post-tick
-#: decision state — setpoints, ladder rung, hysteresis — newest wins)
-RECORD_KINDS = (
-    "accept", "reject", "evict", "flush", "abandon", "dead_new", "requeue",
-    "control",
-)
+#: WAL record kinds the journal writes (one per message transition;
+#: ``requeue`` is recovery returning polled-but-uncommitted events to
+#: the broker; ``control`` is the controller's post-tick decision
+#: state — setpoints, ladder rung, hysteresis — newest wins)
+RECORD_KINDS = ("accept", "reject", "flush", "abandon", "requeue", "control")
 
 META_FILENAME = "meta.json"
 
@@ -86,9 +84,9 @@ class JournalState:
     """Replayable projection of the WAL: where every message is now.
 
     Events are identified by their position in the deterministic trace
-    (negative indices are synthetic, for messages offered outside the
+    (negative indices are synthetic, for messages published outside the
     trace).  Each identity lives in exactly one place — ``buffer``,
-    ``indexed``, ``dead``, ``rejected``, or ``evicted`` — and
+    ``indexed``, ``dead``, or ``rejected`` — and
     :meth:`apply` moves it between them.  Applies are idempotent:
     records at or below :attr:`applied_seq` are skipped, so replaying a
     prefix that a checkpoint already covers is harmless.
@@ -96,7 +94,7 @@ class JournalState:
 
     #: last WAL sequence applied (dedup line for replay)
     applied_seq: int = 0
-    #: in-flight: accepted, not yet flushed/evicted/abandoned.  The
+    #: in-flight: accepted, not yet flushed/abandoned.  The
     #: second element is the embedded msg dict for synthetic events and
     #: None for trace events (rematerialized from the trace on resume).
     buffer: list = field(default_factory=list)  # [(event, msg|None), ...]
@@ -104,13 +102,11 @@ class JournalState:
     indexed: list = field(default_factory=list)  # [(event, msg|None), ...]
     #: dead-lettered: {"event", "msg", "site", "error"}
     dead: list = field(default_factory=list)
-    #: rejected at offer time (block overflow policy)
+    #: refused at the relay: a brownout shed or a stalled partition
     rejected: list = field(default_factory=list)  # [event, ...]
-    #: evicted by the drop_oldest overflow policy
-    evicted: list = field(default_factory=list)  # [event, ...]
-    #: every trace identity ever offered (resume skips these)
+    #: every trace identity ever published (resume skips these)
     seen: set = field(default_factory=set)
-    #: broker mode: committed consumer offsets (partition → next offset),
+    #: committed consumer offsets (partition → next offset),
     #: carried by flush/abandon records — the durable commit log that
     #: outlives the broker's in-memory committed offsets
     offsets: dict = field(default_factory=dict)
@@ -136,16 +132,6 @@ class JournalState:
         elif kind == "reject":
             self.rejected.append(data["event"])
             self.seen.add(data["event"])
-        elif kind == "dead_new":
-            self.dead.append({
-                "event": data["event"], "msg": data.get("msg"),
-                "site": data["site"], "error": data["error"],
-            })
-            self.seen.add(data["event"])
-        elif kind == "evict":
-            entry = self._take(data["event"])
-            if entry is not None:
-                self.evicted.append(entry[0])
         elif kind == "flush":
             for event in data["events"]:
                 entry = self._take(event)
@@ -162,10 +148,10 @@ class JournalState:
                     })
             self._merge_offsets(data)
         elif kind == "requeue":
-            # broker-mode recovery: the events leave the buffer AND the
-            # seen set, so the regenerated trace republishes them at
-            # their stable offsets and the consumer re-polls them past
-            # the committed offsets (at-least-once re-delivery)
+            # recovery: the events leave the buffer AND the seen set, so
+            # the regenerated trace republishes them at their stable
+            # offsets and the consumer re-polls them past the committed
+            # offsets (at-least-once re-delivery)
             for event in data["events"]:
                 entry = self._take(event)
                 if entry is not None:
@@ -197,7 +183,6 @@ class JournalState:
             "indexed": [[e, m] for e, m in self.indexed],
             "dead": [dict(d) for d in self.dead],
             "rejected": list(self.rejected),
-            "evicted": list(self.evicted),
             "offsets": dict(self.offsets),
             "control": self.control,
         }
@@ -210,7 +195,6 @@ class JournalState:
             indexed=[(int(e), m) for e, m in payload["indexed"]],
             dead=[dict(d) for d in payload["dead"]],
             rejected=[int(e) for e in payload["rejected"]],
-            evicted=[int(e) for e in payload["evicted"]],
             # absent in pre-broker checkpoints
             offsets={
                 str(p): int(o)
@@ -224,13 +208,12 @@ class JournalState:
             | {e for e, _m in state.indexed}
             | {d["event"] for d in state.dead}
             | set(state.rejected)
-            | set(state.evicted)
         )
         return state
 
 
 class StreamJournal:
-    """Write-ahead journal of forwarder buffer transitions.
+    """Write-ahead journal of message transitions.
 
     Accepts are group-committed: :meth:`accept` updates the in-memory
     :class:`JournalState` and queues the event; the pending batch is
@@ -239,7 +222,7 @@ class StreamJournal:
     checkpoint takes first).  Barriers keep the WAL causally ordered:
     an event's accept record always precedes any record that moves it.
     Between barriers the in-memory state runs ahead of the log; a crash
-    there loses only pending accepts, which recovery re-offers from the
+    there loses only pending accepts, which recovery republishes from the
     regenerated trace (reprocessing, never loss).
 
     When a fault injector is armed at ``durability.crash``, each accept
@@ -258,13 +241,13 @@ class StreamJournal:
         self.wal = wal
         self.injector = injector
         self.state = state if state is not None else JournalState()
-        # synthetic identities for messages offered outside the trace
+        # synthetic identities for messages published outside the trace
         self._auto = min((e for e in self.state.seen if e < 0), default=0)
         self._pending: list = []  # accepts awaiting group commit
 
     @property
     def seen(self) -> set:
-        """Trace identities already offered (resume skips these)."""
+        """Trace identities already published (resume skips these)."""
         return self.state.seen
 
     def accept(self, event: int | None, message) -> None:
@@ -281,28 +264,16 @@ class StreamJournal:
         self._crash_check()
 
     def reject(self, event: int | None) -> None:
-        """The forwarder is about to reject a newcomer (block policy)."""
+        """The relay is about to refuse a message: a brownout shed or a
+        publish a stalled partition turned away."""
         self._barrier_commit("reject", {"event": self._resolve(event)})
-
-    def dead_newcomer(self, event: int | None, message, site: str, error: str) -> None:
-        """The forwarder is about to dead-letter a newcomer (overflow)."""
-        event = self._resolve(event)
-        data = {"event": event, "site": site, "error": error}
-        if event < 0:
-            data["msg"] = message.to_dict()
-        self._barrier_commit("dead_new", data)
-
-    def evict_oldest(self) -> None:
-        """The forwarder is about to evict its oldest buffered message."""
-        self._barrier_commit("evict", {"event": self.state.buffer[0][0]})
 
     def flushed(self, n: int, *, offsets: dict | None = None) -> None:
         """The sink accepted the head batch of ``n`` messages.
 
-        ``offsets`` (broker mode) records the batch's committed
-        consumer offsets — the flush record *is* the durable offset
-        commit; the broker's in-memory commit happens after and may be
-        lost without harm.
+        ``offsets`` records the batch's committed consumer offsets — the
+        flush record *is* the durable offset commit; the broker's
+        in-memory commit happens after and may be lost without harm.
         """
         data: dict = {"events": [e for e, _m in self.state.buffer[:n]]}
         if offsets:
@@ -322,13 +293,12 @@ class StreamJournal:
         self._barrier_commit("abandon", data)
 
     def requeue_buffer(self) -> int:
-        """Broker-mode recovery: in-flight events go back to the broker.
+        """Recovery: in-flight events go back to the broker.
 
         The buffer holds events that were polled but not committed when
-        the process died.  Rather than preloading them (push-mode
-        recovery), a ``requeue`` record removes them from the buffer
-        *and* the seen set: the regenerated trace republishes them at
-        their stable offsets and the consumer re-polls them from the
+        the process died.  A ``requeue`` record removes them from the
+        buffer *and* the seen set: the regenerated trace republishes them
+        at their stable offsets and the consumer re-polls them from the
         journal's committed offsets — Kafka's contract, an in-flight
         batch returns to the log on consumer death.  Returns the number
         of events requeued.
@@ -418,7 +388,6 @@ class SimConfig:
     fsync: str = "batch"
     checkpoint_every_s: float = 60.0
     segment_bytes: int = 4_000_000
-    overflow: str = "block"
     flush_retry_limit: int | None = None
     degrade_backlog: int | None = None
     model_dir: str | None = None
@@ -433,9 +402,8 @@ class SimConfig:
     store_replicas: int = 1
     write_quorum: int | None = None
     read_quorum: int | None = None
-    #: broker-spine ingest (relay → LogBroker → consumer-group forwarder);
-    #: durable broker runs require the host partitioner and one consumer
-    via_broker: bool = False
+    #: broker layout (relay → LogBroker → consumer-group forwarders);
+    #: durable runs require the host partitioner and one consumer
     broker_partitions: int | None = None
     n_consumers: int = 1
     #: cross-hop trace sampling (0.0 disables); the seed keys the
@@ -491,6 +459,11 @@ class SimConfig:
                 f"directory (start one with simulate --wal-dir)"
             )
         data = json.loads(path.read_text())
+        if data.get("via_broker") is False:
+            raise ValueError(
+                f"{directory}: written by a push-mode run (via_broker=false); "
+                f"only broker-fed runs can be resumed"
+            )
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -618,7 +591,6 @@ def build_cluster(config: SimConfig, *, injector=None, journal=None):
         flush_interval_s=config.flush_interval_s,
         batch_size=config.forward_batch,
         buffer_limit=config.buffer_limit,
-        overflow=config.overflow,
         flush_retry_limit=config.flush_retry_limit,
         degrade_backlog=config.degrade_backlog,
         fault_injector=injector,
@@ -628,7 +600,6 @@ def build_cluster(config: SimConfig, *, injector=None, journal=None):
         store_replicas=config.store_replicas,
         write_quorum=config.write_quorum,
         read_quorum=config.read_quorum,
-        via_broker=config.via_broker,
         broker_partitions=config.broker_partitions,
         n_consumers=config.n_consumers,
         trace_sample=config.trace_sample,
@@ -701,14 +672,14 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
     gauges are not clobbered), the store/forwarder/stats are
     reconstructed *from the journal* — the single source of truth for
     dispositions; checkpoint counters only seed the cosmetic fields
-    replay cannot see (batch counts, peak buffer) — and finally the
-    trace is regenerated and re-offered minus the identities seen.
+    replay cannot see (batch counts, peak buffer) — the in-flight
+    buffer is requeued to the broker, and finally the trace is
+    regenerated and republished minus the identities seen.
     """
     from repro.core.message import SyslogMessage
     from repro.core.taxonomy import Category
     from repro.faults.dlq import DeadLetter, entry_from_dict
     from repro.obs import default_tracer, restore_snapshot
-    from repro.stream.fluentd import ABANDON_SITE, OVERFLOW_SITE
 
     wal_dir = Path(wal_dir)
     saved = config is None
@@ -768,22 +739,14 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
             Category(cat) if cat is not None else None,
         )
     stage.n_done = min(stage.n_done, len(cluster.store))
-    if config.via_broker:
-        # broker-mode recovery: events that were polled but not
-        # committed go *back to the broker* — the requeue record drops
-        # them from the buffer and the seen set, so the regenerated
-        # trace republishes them at their stable offsets and the
-        # consumer re-polls them from the journal's committed offsets.
-        # This must happen before the stats recompute below so the
-        # formulas see the post-requeue (empty) buffer.
-        journal.requeue_buffer()
-        cluster.broker.restore_offsets(
-            cluster.forwarder.consumer_group, state.offsets
-        )
-    else:
-        cluster.forwarder.preload(
-            materialize(e, m) for e, m in state.buffer
-        )
+    # events that were polled but not committed go *back to the
+    # broker* — the requeue record drops them from the buffer and the
+    # seen set, so the regenerated trace republishes them at their
+    # stable offsets and the consumer re-polls them from the journal's
+    # committed offsets.  This must happen before the stats recompute
+    # below so the formulas see the post-requeue (empty) buffer.
+    journal.requeue_buffer()
+    cluster.broker.restore_offsets(cluster.forwarder.consumer_group, state.offsets)
     replay_dead = [
         DeadLetter(seq=0, site=d["site"],
                    payload=materialize(d["event"], d["msg"]),
@@ -794,21 +757,13 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
 
     # conservation counters come from the journal, not the checkpoint:
     # replay may have moved messages since the snapshot was taken
-    dead_overflow = sum(1 for d in state.dead if d["site"] == OVERFLOW_SITE)
-    dead_abandoned = sum(1 for d in state.dead if d["site"] == ABANDON_SITE)
-    stats.accepted = (
-        len(state.indexed) + len(state.buffer) + len(state.evicted)
-        + dead_abandoned
-    )
-    stats.rejected = len(state.rejected)
-    stats.evicted = len(state.evicted)
-    stats.dead_lettered = dead_overflow
+    stats.accepted = len(state.indexed) + len(state.buffer) + len(state.dead)
     stats.flushed_messages = len(state.indexed)
-    stats.abandoned_messages = dead_abandoned
+    stats.abandoned_messages = len(state.dead)
     stats.max_buffer_seen = max(stats.max_buffer_seen, len(state.buffer))
-    cluster.relay.n_received = stats.accepted + stats.rejected + dead_overflow
+    cluster.relay.n_received = stats.accepted + len(state.rejected)
     cluster.relay.n_forwarded = stats.accepted
-    cluster.relay.n_dropped = stats.rejected + dead_overflow
+    cluster.relay.n_dropped = len(state.rejected)
 
     if cluster.controller is not None and state.control is not None:
         cluster.controller.restore_state(state.control)
@@ -835,7 +790,6 @@ class ConservationReport:
     indexed: int
     dead_lettered: int
     rejected: int
-    evicted: int
     in_buffer: int
     duplicated: int
     lost: int
@@ -850,7 +804,7 @@ class ConservationReport:
         return (
             f"conservation {verdict}: produced={self.produced} "
             f"indexed={self.indexed} dead_lettered={self.dead_lettered} "
-            f"rejected={self.rejected} evicted={self.evicted} "
+            f"rejected={self.rejected} "
             f"in_buffer={self.in_buffer} duplicated={self.duplicated} "
             f"lost={self.lost}"
         )
@@ -867,15 +821,12 @@ def reconcile(state: JournalState, produced: int) -> ConservationReport:
         counts[d["event"]] += 1
     for e in state.rejected:
         counts[e] += 1
-    for e in state.evicted:
-        counts[e] += 1
     trace = {e: n for e, n in counts.items() if 0 <= e < produced}
     return ConservationReport(
         produced=produced,
         indexed=sum(1 for e, _m in state.indexed if 0 <= e < produced),
         dead_lettered=sum(1 for d in state.dead if 0 <= d["event"] < produced),
         rejected=sum(1 for e in state.rejected if 0 <= e < produced),
-        evicted=sum(1 for e in state.evicted if 0 <= e < produced),
         in_buffer=sum(1 for e, _m in state.buffer if 0 <= e < produced),
         duplicated=sum(n - 1 for n in trace.values() if n > 1),
         lost=produced - len(trace),

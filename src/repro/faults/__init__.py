@@ -14,7 +14,8 @@ the reproduction's failure-as-common-case layer:
 The resilience these exercise lives in the layers themselves: the
 sharded executor respawns dead workers and retries lost chunks with
 backoff (then falls back to serial), the Fluentd forwarder retries
-flushes under a bounded budget with pluggable overflow policies, the
+flushes under a bounded budget and dead-letters a batch that exhausts
+it (a slow consumer is broker lag, not an overflow), the
 classification pipeline quarantines poison messages per-message, and
 the Tivan cluster sheds load to the cheap blacklist path when the
 classifier backlog crosses a threshold.  Everything is counted through

@@ -83,7 +83,7 @@ class DeadLetter:
         1-based position in the owning queue at capture time.
     site:
         Where the message was condemned (e.g. ``pipeline.quarantine``,
-        ``fluentd.overflow``, ``fluentd.flush_abandoned``).
+        ``fluentd.flush_abandoned``, ``ingest.parse``).
     payload:
         The message itself — text for pipeline quarantines, the
         :class:`~repro.core.message.SyslogMessage` for forwarder

@@ -149,9 +149,6 @@ relay_dropped = _counter(
 classifier_backlog = _gauge(
     "stream", "repro_stream_classifier_backlog",
     "Indexed documents awaiting classification (engine-clock sampled)")
-fluentd_dropped = _counter(
-    "stream", "repro_stream_fluentd_dropped_total",
-    "Buffered messages evicted by the drop-oldest overflow policy")
 degraded_mode = _gauge(
     "stream", "repro_stream_degraded_mode",
     "1 while the classifier stage is degraded to the cheap path")

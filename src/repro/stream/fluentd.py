@@ -1,34 +1,25 @@
-"""The Fluentd forwarder: buffer, batch, flush, retry, backpressure.
+"""The Fluentd forwarder: a consumer-group member draining the broker.
 
 §4.2.2: "Data collection, filtering, and translation is implemented
 using Fluentd running on a dedicated server."  The forwarder models
-Fluentd's buffered output plugin: messages accumulate in a bounded
-buffer; a periodic flush writes a batch to the store; failed flushes
-retry with exponential backoff under an optional bounded budget; a
-full buffer applies the configured overflow policy (reject, evict the
-oldest, or dead-letter the newcomer).
+Fluentd's buffered output plugin fed from a
+:class:`~repro.ingest.broker.LogBroker`: each flush tick it polls its
+assigned partitions into a bounded buffer (at most the buffer's free
+room — backpressure is expressed as broker lag, never as a buffer
+overflow), writes a batch to the store, and commits the batch's
+high-water offsets back to the broker on success.  Failed flushes
+retry with exponential backoff under an optional bounded budget; an
+abandoned batch commits too — the poison batch is dead-lettered and
+the group moves past it rather than re-polling it forever.  A crashed
+member that re-polls from its committed offsets re-delivers only
+uncommitted messages (at-least-once).
 
 Flushes are all-or-nothing per batch: the buffer is mutated only after
 the sink accepted the whole batch, and a sink that *raises* is treated
 exactly like one that returns False — counted as a failed flush, batch
-kept for retry.  Combined with the dead-letter captures, every message
-offered is accounted for: delivered, rejected-and-counted,
-evicted-and-counted, or parked in :attr:`dead_letters` — never lost
+kept for retry.  Every message polled is accounted for: delivered,
+still buffered, or parked in :attr:`dead_letters` — never lost
 silently.
-
-Broker mode
------------
-Given a :class:`~repro.ingest.broker.LogBroker`, the forwarder becomes
-a *consumer-group member* instead of a push target: each flush tick it
-polls its assigned partitions into the buffer (at most the buffer's
-free room — backpressure is expressed as broker lag, so the offer-side
-overflow policies never fire), and each successful flush *commits* the
-batch's high-water offsets back to the broker.  An abandoned batch
-commits too — the poison batch is dead-lettered and the group moves
-past it rather than re-polling it forever.  The buffering/overflow/DLQ
-semantics of push mode are thereby re-expressed as offset lag plus a
-commit policy; a crashed member that re-polls from its committed
-offsets re-delivers only uncommitted messages (at-least-once).
 """
 
 from __future__ import annotations
@@ -43,39 +34,26 @@ from repro.faults.plan import SITE_FLUSH_FAIL
 from repro.obs.propagation import carrying, record_hop
 from repro.stream.events import EventEngine
 
-__all__ = [
-    "FluentdForwarder", "ForwarderStats", "OVERFLOW_POLICIES", "classifying_sink", "settle",
-]
+__all__ = ["FluentdForwarder", "ForwarderStats", "classifying_sink", "settle"]
 
-#: dead-letter sites used by the forwarder
-OVERFLOW_SITE = "fluentd.overflow"
+#: dead-letter site of a batch abandoned after its retry budget
 ABANDON_SITE = "fluentd.flush_abandoned"
-
-#: valid values for :attr:`FluentdForwarder.overflow`
-OVERFLOW_POLICIES = ("block", "drop_oldest", "dead_letter")
 
 
 @dataclass
 class ForwarderStats:
     """Cumulative forwarder counters.
 
-    Conservation invariants (checked by the chaos suite)::
+    Conservation invariant (checked by the chaos suite)::
 
-        offered  == accepted + rejected + dead_lettered
-        accepted == flushed_messages + buffered + evicted
-                    + abandoned_messages
+        accepted == flushed_messages + buffered + abandoned_messages
     """
 
     accepted: int = 0
-    rejected: int = 0
     flushed_batches: int = 0
     flushed_messages: int = 0
     failed_flushes: int = 0
     max_buffer_seen: int = 0
-    #: oldest messages evicted by the ``drop_oldest`` overflow policy
-    evicted: int = 0
-    #: overflow newcomers captured by the ``dead_letter`` policy
-    dead_lettered: int = 0
     #: flush batches given up on after ``flush_retry_limit`` failures
     abandoned_flushes: int = 0
     abandoned_messages: int = 0
@@ -103,7 +81,7 @@ def classifying_sink(store, pipeline=None) -> Callable[[Sequence[SyslogMessage]]
 
 @dataclass
 class FluentdForwarder:
-    """Buffered batch forwarder.
+    """Buffered batch forwarder polling a broker.
 
     Parameters
     ----------
@@ -114,21 +92,19 @@ class FluentdForwarder:
         :meth:`repro.stream.opensearch.LogStore.bulk_index`, or
         :func:`classifying_sink` to label what it indexes.)  A sink
         that raises is treated as a failed flush, not a crash.
+    broker:
+        The :class:`~repro.ingest.broker.LogBroker` this member polls
+        into its buffer each flush tick, committing batch offsets on
+        flush success (and on abandon).
     flush_interval_s:
         Seconds between scheduled flushes.
     batch_size:
         Max messages per flush call.
     buffer_limit:
-        Max buffered messages before the overflow policy applies.
+        Max buffered messages; a poll takes at most the free room.
     retry_base_s, retry_max_s:
         Exponential-backoff bounds after a failed flush (doubling with
         each *consecutive* failure; any success resets the schedule).
-    overflow:
-        Policy when the buffer is full at :meth:`offer` time —
-        ``"block"`` rejects the newcomer (the relay counts it as a
-        drop), ``"drop_oldest"`` evicts the oldest buffered message to
-        make room, ``"dead_letter"`` parks the newcomer in
-        :attr:`dead_letters` with an overflow reason.
     flush_retry_limit:
         Bounded retry budget per stuck head batch: after this many
         consecutive failed flushes the head batch is abandoned to
@@ -152,43 +128,37 @@ class FluentdForwarder:
         Optional :class:`repro.durability.StreamJournal`.  When set,
         every buffer transition is logged to the WAL *before* the
         in-memory mutation (write-ahead), so recovery can rebuild the
-        buffer, the delivered set, and the dead letters after a crash.
-    broker:
-        Optional :class:`~repro.ingest.broker.LogBroker`.  When set,
-        the forwarder is a consumer-group member: it polls the broker
-        into its buffer each flush tick and commits batch offsets on
-        flush success (and on abandon).  See *Broker mode* above.
+        delivered set, the dead letters and the committed offsets after
+        a crash.
     consumer_group, consumer_member:
-        Group and member names for broker mode.
+        Group and member names on the broker.
     """
 
     engine: EventEngine
     sink: Callable[[Sequence[SyslogMessage]], bool]
+    broker: object
     flush_interval_s: float = 1.0
     batch_size: int = 500
     buffer_limit: int = 50_000
     retry_base_s: float = 0.5
     retry_max_s: float = 30.0
-    overflow: str = "block"
     flush_retry_limit: int | None = None
     sink_timeout_s: float | None = None
     dlq_max_entries: int | None = None
     fault_injector: object = None
     journal: object = None
-    broker: object = None
     consumer_group: str = "fluentd"
     consumer_member: str = "member-0"
     #: trace/dwell clock; ``None`` means the engine's simulated now
     clock: Callable[[], float] | None = None
 
     stats: ForwarderStats = field(default_factory=ForwarderStats)
-    #: overflow/abandon captures land here with their reason
+    #: abandoned batches land here with their reason
     dead_letters: DeadLetterQueue = field(
         default_factory=DeadLetterQueue, init=False, repr=False
     )
     _buffer: list[SyslogMessage] = field(default_factory=list, init=False, repr=False)
-    #: broker mode: (partition, offset) per buffered message, or None
-    #: for entries that arrived via offer()/preload() (never committed)
+    #: (partition, offset) per buffered message
     _offsets: list = field(default_factory=list, init=False, repr=False)
     #: per buffered message: (TraceContext, entered_s) for sampled
     #: messages, None otherwise — mirrors every _buffer mutation
@@ -198,11 +168,6 @@ class FluentdForwarder:
     _started: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, "
-                f"got {self.overflow!r}"
-            )
         if self.flush_retry_limit is not None and self.flush_retry_limit < 1:
             raise ValueError(
                 f"flush_retry_limit must be >= 1 or None, "
@@ -217,20 +182,18 @@ class FluentdForwarder:
             self.dead_letters = DeadLetterQueue(
                 max_entries=self.dlq_max_entries
             )
-        # resolved once — offer() runs per message, so the registry
+        # resolved once — a poll admits per message, so the registry
         # lookup must not sit on that path
         from repro.obs import wellknown
 
         self._m_buffer_depth = wellknown.fluentd_buffer_depth()
         self._m_flush_size = wellknown.fluentd_flush_size()
         self._m_flushed = wellknown.fluentd_flushed_messages()
-        self._m_dropped = wellknown.fluentd_dropped()
         self._m_poll_to_flush = wellknown.poll_to_flush_seconds().labels()
         self._m_e2e = wellknown.e2e_latency_seconds().labels()
         if self.clock is None:
             self.clock = lambda: self.engine.now
-        if self.broker is not None:
-            self.broker.subscribe(self.consumer_group, self.consumer_member)
+        self.broker.subscribe(self.consumer_group, self.consumer_member)
 
     def start(self) -> None:
         """Begin the periodic flush cycle."""
@@ -238,90 +201,15 @@ class FluentdForwarder:
             self._started = True
             self.engine.schedule(self.flush_interval_s, self._flush_tick)
 
-    def offer(
-        self,
-        message: SyslogMessage,
-        *,
-        event_idx: int | None = None,
-        ctx=None,
-    ) -> bool:
-        """Accept a message into the buffer; False when rejected.
-
-        A full buffer applies :attr:`overflow`: ``block`` returns False
-        (caller counts the drop), ``drop_oldest`` evicts the oldest
-        buffered message and accepts, ``dead_letter`` parks the
-        newcomer and returns False — but counted, not lost.
-
-        ``event_idx`` is the message's durable identity (its position
-        in the deterministic trace), journaled with each transition so
-        recovery can tell which messages were already offered.
-        """
-        if len(self._buffer) >= self.buffer_limit:
-            if self.overflow == "drop_oldest":
-                if self.journal is not None:
-                    self.journal.evict_oldest()
-                del self._buffer[0]
-                if self._offsets:
-                    del self._offsets[0]
-                if self._ctxs:
-                    del self._ctxs[0]
-                self.stats.evicted += 1
-                self._m_dropped.inc()
-            elif self.overflow == "dead_letter":
-                error = f"buffer full at {self.buffer_limit}"
-                if self.journal is not None:
-                    self.journal.dead_newcomer(
-                        event_idx, message, OVERFLOW_SITE, error
-                    )
-                self.stats.dead_lettered += 1
-                self.dead_letters.push(OVERFLOW_SITE, message, error)
-                return False
-            else:  # block
-                if self.journal is not None:
-                    self.journal.reject(event_idx)
-                self.stats.rejected += 1
-                return False
-        self._admit(
-            message, event_idx, None, (ctx, self.clock()) if ctx is not None else None
-        )
-        self._mark_depth()
-        return True
-
-    def _admit(self, message, ident=None, offset=None, traced=None, *, silent=False) -> None:
-        """Put one message in flight — the only way into the buffer.
-
-        Journaled as an accept under ``ident`` first (write-ahead) and
-        counted, unless ``silent``: accepted in an earlier life.  A run
-        of admits ends with one :meth:`_mark_depth`.
-        """
-        if not silent:
-            if self.journal is not None:
-                self.journal.accept(ident, message)
-            self.stats.accepted += 1
-        self._buffer.append(message)
-        if self.broker is not None:
-            self._offsets.append(offset)
-        self._ctxs.append(traced)
-
-    def _mark_depth(self) -> None:
-        """Raise the buffer's high-water mark and publish its depth."""
-        depth = len(self._buffer)
-        if depth > self.stats.max_buffer_seen:
-            self.stats.max_buffer_seen = depth
-        self._m_buffer_depth.set(depth)
-
     def poll_broker(self, *, max_records: int | None = None) -> int:
         """Consumer-group intake: poll assigned partitions into the buffer.
 
         Polls at most the buffer's free room, so a slow consumer shows
-        up as broker *lag*, never as buffer overflow — the offer-side
-        overflow policies are idle in broker mode.  Each polled record
-        is journaled as an accept under its durable identity
-        (``record.ident``), exactly as an offered message would be.
+        up as broker *lag*, never as buffer overflow.  Each polled
+        record is journaled as an accept under its durable identity
+        (``record.ident``) before it enters the buffer (write-ahead).
         Returns the number of records taken.
         """
-        if self.broker is None:
-            return 0
         room = self.buffer_limit - len(self._buffer)
         if room <= 0:
             return 0
@@ -330,6 +218,8 @@ class FluentdForwarder:
         records = self.broker.poll(
             self.consumer_group, self.consumer_member, max_records=room
         )
+        if not records:
+            return 0
         now: float | None = None
         for rec in records:
             traced = None
@@ -343,9 +233,16 @@ class FluentdForwarder:
                     ),
                     now,
                 )
-            self._admit(rec.message, rec.ident, (rec.partition, rec.offset), traced)
-        if records:
-            self._mark_depth()
+            if self.journal is not None:
+                self.journal.accept(rec.ident, rec.message)
+            self._buffer.append(rec.message)
+            self._offsets.append((rec.partition, rec.offset))
+            self._ctxs.append(traced)
+        self.stats.accepted += len(records)
+        depth = len(self._buffer)
+        if depth > self.stats.max_buffer_seen:
+            self.stats.max_buffer_seen = depth
+        self._m_buffer_depth.set(depth)
         return len(records)
 
     def consume(self) -> int:
@@ -361,10 +258,7 @@ class FluentdForwarder:
     def _batch_offsets(self, n: int) -> dict:
         """Commit offsets for the head batch: partition → next offset."""
         out: dict = {}
-        for entry in self._offsets[:n]:
-            if entry is None:
-                continue
-            partition, offset = entry
+        for partition, offset in self._offsets[:n]:
             if offset + 1 > out.get(partition, 0):
                 out[partition] = offset + 1
         return out
@@ -477,9 +371,9 @@ class FluentdForwarder:
     def _abandon(self, batch: list[SyslogMessage]) -> None:
         """Dead-letter a head batch that exhausted its retry budget.
 
-        In broker mode the batch's offsets are committed too: the
-        poison batch is parked in the DLQ and the group moves *past*
-        it, instead of re-polling the same doomed records forever.
+        The batch's offsets are committed too: the poison batch is
+        parked in the DLQ and the group moves *past* it, instead of
+        re-polling the same doomed records forever.
         """
         error = f"flush failed {self._consecutive_failures} times"
         self._retire(len(batch), abandoned=error)
@@ -497,7 +391,7 @@ class FluentdForwarder:
         ``broker.commit_lost`` site) is re-seeded from its records on
         recovery.  Returns the journal write's wall milliseconds.
         """
-        offsets = self._batch_offsets(n) if self.broker is not None else None
+        offsets = self._batch_offsets(n)
         wal_ms = 0.0
         if self.journal is not None:
             wal_t0 = time.perf_counter()
@@ -506,11 +400,10 @@ class FluentdForwarder:
             else:
                 self.journal.abandoned(n, ABANDON_SITE, abandoned, offsets=offsets)
             wal_ms = (time.perf_counter() - wal_t0) * 1e3
-        if offsets:
-            for partition, next_offset in offsets.items():
-                self.broker.commit(self.consumer_group, partition, next_offset)
+        for partition, next_offset in offsets.items():
+            self.broker.commit(self.consumer_group, partition, next_offset)
         del self._buffer[:n]
-        del self._offsets[:n]  # empty in push mode
+        del self._offsets[:n]
         del self._ctxs[:n]
         self._m_buffer_depth.set(len(self._buffer))
         return wal_ms
@@ -549,19 +442,6 @@ class FluentdForwarder:
                     )
         raise RuntimeError("drain exceeded max_rounds")
 
-    def preload(self, messages) -> int:
-        """Silently restore buffered messages (checkpoint restore).
-
-        No journal records, no ``accepted`` counts: these messages were
-        already journaled when first offered; this only puts them back
-        in flight so the flush cycle can deliver them.
-        """
-        before = len(self._buffer)
-        for m in messages:
-            self._admit(m, silent=True)
-        self._mark_depth()
-        return len(self._buffer) - before
-
     @property
     def buffered(self) -> int:
         return len(self._buffer)
@@ -571,8 +451,8 @@ def settle(consumers: Sequence[FluentdForwarder]) -> int:
     """Drive ``consumers`` until nothing moves; returns messages flushed.
 
     Every consumer takes a :meth:`~FluentdForwarder.consume` turn until
-    a full round polls nothing: broker lag is consumed and flushed as
-    push mode drains its buffer; a stalled partition keeps its lag.
+    a full round polls nothing: broker lag is consumed and flushed; a
+    stalled partition keeps its lag.
     """
     before = sum(c.stats.flushed_messages for c in consumers)
     while sum(c.consume() for c in consumers):

@@ -1,7 +1,8 @@
 """The assembled Tivan cluster simulation.
 
-Wires the §4.2 path — node daemons → primary syslog relay → Fluentd
-forwarder → the indexed store — and optionally attaches a *classifier
+Wires the §4.2 path — node daemons → primary syslog relay → log broker
+→ Fluentd forwarder(s) → the indexed store — and optionally attaches a
+*classifier
 stage*: a single-server queue that works through indexed documents at a
 given per-message service time (measured from a real pipeline, or taken
 from the LLM cost model).  The stage's backlog over time is the
@@ -127,7 +128,7 @@ class IngestReport:
     classified_degraded: int = 0
     #: degraded-mode enter+exit transitions during the run
     degrade_transitions: int = 0
-    #: broker-mode counters (zero when the run is push-mode)
+    #: broker counters
     broker_published: int = 0
     broker_publish_refused: int = 0
     broker_polled: int = 0
@@ -171,8 +172,8 @@ class TivanCluster:
         Store shards (paper: 6 OpenSearch data nodes).
     flush_interval_s, batch_size, buffer_limit:
         Fluentd forwarder tuning.
-    overflow, flush_retry_limit:
-        Forwarder resilience knobs (see :class:`FluentdForwarder`).
+    flush_retry_limit:
+        Forwarder retry budget (see :class:`FluentdForwarder`).
     degrade_backlog:
         Classifier backlog at which the cluster sheds load: the stage
         switches to its ``cheap_classify_batch`` path until the backlog
@@ -199,27 +200,22 @@ class TivanCluster:
         nodes instead of a single in-process :class:`LogStore`.  The
         fault injector's ``store.*`` sites then act on the replicated
         store, and quorum-unavailable flushes fail into the forwarder's
-        retry/overflow/DLQ machinery like any other failed flush.
+        retry/DLQ machinery like any other failed flush.
     store_replicas:
         Copies per shard beyond the primary (replicated store only).
     write_quorum, read_quorum:
         W and R for the replicated store; default to majority.
-    via_broker:
-        Route the relay through a :class:`~repro.ingest.broker.LogBroker`
-        instead of pushing straight into the forwarder: the relay
-        *publishes* to per-host partitions and the forwarder(s) become
-        consumer-group members polling at their own pace.  Backpressure
-        is then broker lag, not relay drops.
     broker_partitions:
-        Hash the hostname onto this many partitions instead of the
-        per-host layout (requires ``via_broker``; incompatible with
-        ``journal`` — only the per-host layout gives offsets that are a
-        pure function of the trace, which is what makes them durable
-        identities across crash and resume).
+        Hash the hostname onto this many partitions of the
+        :class:`~repro.ingest.broker.LogBroker` the relay publishes to,
+        instead of the per-host layout (incompatible with ``journal`` —
+        only the per-host layout gives offsets that are a pure function
+        of the trace, which is what makes them durable identities across
+        crash and resume).
     n_consumers:
-        Consumer-group members sharing the partitions (requires
-        ``via_broker``).  Durable runs require exactly one — the
-        journal models a single buffer.
+        Consumer-group members polling the partitions at their own
+        pace; backpressure is broker lag.  Durable runs require exactly
+        one — the journal models a single buffer.
     trace_sample:
         Fraction of messages head-sampled into a cross-hop trace
         (relay → broker → consumer → store → WAL).  Sampling is keyed
@@ -237,7 +233,6 @@ class TivanCluster:
         flush_interval_s: float = 1.0,
         batch_size: int = 1000,
         buffer_limit: int = 100_000,
-        overflow: str = "block",
         flush_retry_limit: int | None = None,
         degrade_backlog: int | None = None,
         recover_backlog: int | None = None,
@@ -248,7 +243,6 @@ class TivanCluster:
         store_replicas: int = 1,
         write_quorum: int | None = None,
         read_quorum: int | None = None,
-        via_broker: bool = False,
         broker_partitions: int | None = None,
         n_consumers: int = 1,
         trace_sample: float = 0.0,
@@ -273,12 +267,7 @@ class TivanCluster:
             )
         if n_consumers < 1:
             raise ValueError(f"n_consumers must be >= 1, got {n_consumers}")
-        if not via_broker:
-            if broker_partitions is not None:
-                raise ValueError("broker_partitions requires via_broker")
-            if n_consumers != 1:
-                raise ValueError("n_consumers > 1 requires via_broker")
-        elif journal is not None:
+        if journal is not None:
             # durable identities are per-host trace ordinals; only the
             # host partitioner keeps partition appends monotonic under
             # the resume clock clamp, and the journal models one buffer
@@ -316,44 +305,40 @@ class TivanCluster:
             self.sampler = TraceSampler(
                 trace_sample, seed=trace_seed, clock=lambda: self.engine.now
             )
-        self.broker = None
-        if via_broker:
-            from repro.ingest.broker import LogBroker
+        from repro.ingest.broker import LogBroker
 
-            self.broker = LogBroker(
-                n_partitions=broker_partitions,
-                fault_injector=fault_injector,
-                clock=lambda: self.engine.now,
-            )
+        self.broker = LogBroker(
+            n_partitions=broker_partitions,
+            fault_injector=fault_injector,
+            clock=lambda: self.engine.now,
+        )
         self.consumers: list[FluentdForwarder] = [
             FluentdForwarder(
                 engine=self.engine,
                 sink=self.store.bulk_index,
+                broker=self.broker,
                 flush_interval_s=flush_interval_s,
                 batch_size=batch_size,
                 buffer_limit=buffer_limit,
-                overflow=overflow,
                 flush_retry_limit=flush_retry_limit,
                 fault_injector=fault_injector,
                 # the journal models a single buffer; with several
                 # consumers only the first may be durable (validated
                 # above: durable runs get exactly one)
                 journal=journal if i == 0 else None,
-                broker=self.broker,
                 consumer_member=f"fluentd-{i:02d}",
             )
             for i in range(n_consumers)
         ]
-        #: the primary consumer — push-mode code paths address only this
+        #: the primary consumer — the durable one, whose stats and dead
+        #: letters the checkpoint and the CLI report
         self.forwarder = self.consumers[0]
-        self.relay = SyslogRelay(
-            downstream=self._publish if via_broker else self._offer
-        )
+        self.relay = SyslogRelay(downstream=self._publish)
         self.daemons: dict[str, SyslogDaemon] = {}
         self._event_idx: dict[int, int] = {}
         self._n_produced = 0
-        #: durable broker mode: trace position → (partition key, stable
-        #: per-host offset), computed over the *full* trace in load_events
+        #: durable runs: trace position → (partition key, stable per-host
+        #: offset), computed over the *full* trace in load_events
         self._event_pub: dict[int, tuple[str, int]] = {}
         self.degrade_backlog = degrade_backlog
         self.recover_backlog = recover_backlog
@@ -465,7 +450,7 @@ class TivanCluster:
         stated over every generated message).
         """
         skip = set(skip)
-        if self.broker is not None and self.journal is not None:
+        if self.journal is not None:
             # stable offsets: event i's offset is its per-host ordinal
             # over the FULL trace (skipped events included), so a
             # sparse resume republishes every event at the offset it
@@ -516,13 +501,13 @@ class TivanCluster:
         # counting them into final_backlog would flip keeping_up
         indexed_at_horizon = len(self.store)
         classified = self._stage.n_done if self._stage else 0
-        # settle: drain what is still buffered — and, in broker mode,
-        # still in the broker (lag) — into the index; a stalled
-        # partition keeps its lag and the report carries it as
-        # ``broker_lag``
+        # settle: drain what is still buffered or still in the broker
+        # (lag) into the index; a stalled partition keeps its lag and
+        # the report carries it as ``broker_lag``
         drained = settle(self.consumers)
         if self.journal is not None:
             self.write_checkpoint()
+        bs = self.broker.stats
         report = IngestReport(
             duration_s=duration_s,
             produced=self._n_produced,
@@ -535,6 +520,13 @@ class TivanCluster:
             drained=drained,
             classified_degraded=self._stage.n_degraded if self._stage else 0,
             degrade_transitions=self.n_degrade_transitions,
+            broker_published=bs.published,
+            broker_publish_refused=bs.publish_refused,
+            broker_polled=bs.polled,
+            broker_lag=self.broker.lag(self.forwarder.consumer_group),
+            broker_commits_lost=bs.commits_lost,
+            broker_partition_stalls=bs.stall_events,
+            broker_partitions=len(self.broker.partitions),
         )
         if self.controller is not None:
             report.control_ticks = self.controller.n_ticks
@@ -545,15 +537,6 @@ class TivanCluster:
                 report.brownout_level = self.controller.brownout.level
                 report.brownout_changes = self.controller.brownout.n_changes
             report.shed_messages = self.n_shed
-        if self.broker is not None:
-            bs = self.broker.stats
-            report.broker_published = bs.published
-            report.broker_publish_refused = bs.publish_refused
-            report.broker_polled = bs.polled
-            report.broker_lag = self.broker.lag(self.forwarder.consumer_group)
-            report.broker_commits_lost = bs.commits_lost
-            report.broker_partition_stalls = bs.stall_events
-            report.broker_partitions = len(self.broker.partitions)
         return report
 
     def write_checkpoint(self):
@@ -579,26 +562,19 @@ class TivanCluster:
             return None
         return self.sampler.begin(idx, host=message.hostname)
 
-    def _offer(self, message) -> bool:
-        """Relay downstream: forward with the message's trace identity."""
-        if self._shed_at_accept():
-            return False
-        idx = self._event_idx.get(id(message))
-        ctx = self._begin_trace(message, idx)
-        if self.journal is None:
-            return self.forwarder.offer(message, ctx=ctx)
-        return self.forwarder.offer(message, event_idx=idx, ctx=ctx)
-
     def _publish(self, message) -> bool:
-        """Relay downstream, broker mode: publish to the message's partition.
+        """Relay downstream: publish to the message's partition.
 
         Durable runs publish at the event's stable per-host offset; a
-        refused publish (stalled partition) is journaled as a reject —
-        a recorded disposition, never republished on resume.
+        brownout shed or a refused publish (stalled partition) is
+        journaled as a reject — a recorded disposition, never
+        republished on resume.
         """
-        if self._shed_at_accept():
-            return False
         idx = self._event_idx.get(id(message))
+        if self._shed_at_accept():
+            if self.journal is not None:
+                self.journal.reject(idx)
+            return False
         ctx = self._begin_trace(message, idx)
         if self.journal is None:
             return self.broker.publish(message, ctx=ctx) is not None

@@ -5,11 +5,12 @@ Everything here is the parent commit's code (596aa60), kept verbatim so
 beside what replaced it (house style of ``tests/perdoc_store.py`` and
 ``tests/reference_tfidf.py``):
 
-* :class:`ReferenceForwarder` — ``FluentdForwarder`` with the five
+* :class:`ReferenceForwarder` — ``FluentdForwarder`` with the three
   methods that each trimmed or grew the three parallel lists themselves:
-  ``offer``, ``poll_broker``, ``flush``, ``_abandon``, ``preload``
-  (replaced by the shared ``_admit`` / ``_retire``), and the tick that
-  guarded its poll;
+  ``poll_broker``, ``flush``, ``_abandon`` (replaced by ``_retire`` and
+  a ``poll_broker`` that grows the lists in one loop), and the tick that
+  guarded its poll.  Its push half — ``offer`` and ``preload`` — left
+  with the push intake itself;
 * :func:`settle_broker` — ``TivanCluster._settle_broker`` (replaced by
   ``stream.fluentd.settle``);
 * :func:`listen_sink`, :func:`listen_consume`, :func:`listen_settle` —
@@ -36,66 +37,12 @@ from repro.core.message import SyslogMessage
 from repro.datagen.workload import StreamEvent
 from repro.durability import reconcile
 from repro.obs.propagation import carrying, record_hop
-from repro.stream.fluentd import ABANDON_SITE, OVERFLOW_SITE, FluentdForwarder
+from repro.stream.fluentd import ABANDON_SITE, FluentdForwarder
 from repro.stream.syslogd import SyslogDaemon
 
 
 class ReferenceForwarder(FluentdForwarder):
     """The forwarder with the parent's own admit and retire code."""
-
-    def offer(
-        self,
-        message: SyslogMessage,
-        *,
-        event_idx: int | None = None,
-        ctx=None,
-    ) -> bool:
-        """Accept a message into the buffer; False when rejected.
-
-        A full buffer applies :attr:`overflow`: ``block`` returns False
-        (caller counts the drop), ``drop_oldest`` evicts the oldest
-        buffered message and accepts, ``dead_letter`` parks the
-        newcomer and returns False — but counted, not lost.
-
-        ``event_idx`` is the message's durable identity (its position
-        in the deterministic trace), journaled with each transition so
-        recovery can tell which messages were already offered.
-        """
-        if len(self._buffer) >= self.buffer_limit:
-            if self.overflow == "drop_oldest":
-                if self.journal is not None:
-                    self.journal.evict_oldest()
-                del self._buffer[0]
-                if self._offsets:
-                    del self._offsets[0]
-                if self._ctxs:
-                    del self._ctxs[0]
-                self.stats.evicted += 1
-                self._m_dropped.inc()
-            elif self.overflow == "dead_letter":
-                error = f"buffer full at {self.buffer_limit}"
-                if self.journal is not None:
-                    self.journal.dead_newcomer(
-                        event_idx, message, OVERFLOW_SITE, error
-                    )
-                self.stats.dead_lettered += 1
-                self.dead_letters.push(OVERFLOW_SITE, message, error)
-                return False
-            else:  # block
-                if self.journal is not None:
-                    self.journal.reject(event_idx)
-                self.stats.rejected += 1
-                return False
-        if self.journal is not None:
-            self.journal.accept(event_idx, message)
-        self._buffer.append(message)
-        if self.broker is not None:
-            self._offsets.append(None)
-        self._ctxs.append((ctx, self.clock()) if ctx is not None else None)
-        self.stats.accepted += 1
-        self.stats.max_buffer_seen = max(self.stats.max_buffer_seen, len(self._buffer))
-        self._m_buffer_depth.set(len(self._buffer))
-        return True
 
     def poll_broker(self, *, max_records: int | None = None) -> int:
         """Consumer-group intake: poll assigned partitions into the buffer.
@@ -263,26 +210,6 @@ class ReferenceForwarder(FluentdForwarder):
             )
         self._consecutive_failures = 0
         self._m_buffer_depth.set(len(self._buffer))
-
-    def preload(self, messages) -> int:
-        """Silently restore buffered messages (checkpoint restore).
-
-        No journal records, no ``accepted`` counts: these messages were
-        already journaled when first offered; this only puts them back
-        in flight so the flush cycle can deliver them.
-        """
-        n = 0
-        for m in messages:
-            self._buffer.append(m)
-            if self.broker is not None:
-                self._offsets.append(None)
-            self._ctxs.append(None)
-            n += 1
-        self.stats.max_buffer_seen = max(
-            self.stats.max_buffer_seen, len(self._buffer)
-        )
-        self._m_buffer_depth.set(len(self._buffer))
-        return n
 
 
 def _settle_broker(self) -> int:

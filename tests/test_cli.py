@@ -197,18 +197,17 @@ class TestSimulate:
     def test_simulate_via_broker_reports_broker_line(self, model_dir, capsys):
         assert main(["simulate", "--model-dir", str(model_dir),
                      "--duration", "120", "--rate", "3",
-                     "--via-broker", "--consumers", "2"]) == 0
+                     "--consumers", "2"]) == 0
         out = capsys.readouterr().out
         assert "broker: partitions=" in out
         assert "lag=0" in out
         assert "keeping_up=True" in out
 
     @pytest.mark.parametrize("flags, message", [
-        pytest.param(["--via-broker", "--broker-partitions", "4",
-                      "--wal-dir", "{wal}"],
+        pytest.param(["--broker-partitions", "4", "--wal-dir", "{wal}"],
                      "incompatible", id="partitions-with-wal-dir"),
-        pytest.param(["--consumers", "2"], "requires via_broker",
-                     id="consumers-without-broker"),
+        pytest.param(["--consumers", "2", "--wal-dir", "{wal}"],
+                     "exactly one consumer", id="consumers-with-wal-dir"),
     ])
     def test_broker_partitions_refused_with_wal_dir(
         self, model_dir, tmp_path, flags, message

@@ -23,6 +23,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from broker_feed import fed_forwarder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_consumer import (
@@ -90,7 +91,7 @@ class _NullJournal:
         return lambda *args, **kwargs: None
 
 
-JOURNAL_CALLS = ("accept", "flushed", "abandoned", "evict_oldest", "dead_newcomer", "reject")
+JOURNAL_CALLS = ("accept", "flushed", "abandoned")
 
 
 class World:
@@ -98,7 +99,7 @@ class World:
 
     def __init__(
         self, forwarder_cls, n: int, plan: FaultPlan, *, retry_limit, batch_size: int,
-        buffer_limit: int, overflow: str = "block", sample: float = 0.0, journal=None,
+        buffer_limit: int, sample: float = 0.0, journal=None,
     ) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
@@ -119,7 +120,7 @@ class World:
             self.consumers = [
                 forwarder_cls(
                     engine=EventEngine(), sink=self.store.bulk_index,
-                    batch_size=batch_size, buffer_limit=buffer_limit, overflow=overflow,
+                    batch_size=batch_size, buffer_limit=buffer_limit,
                     flush_retry_limit=retry_limit, fault_injector=self.injector,
                     journal=_Recorder(
                         journal if journal is not None and i == 0 else _NullJournal(),
@@ -203,11 +204,6 @@ def _apply(world: World, op: tuple, *, reference: bool) -> str | None:
         return world.run(c._flush_tick)
     if kind == "flush":
         return world.run(c.flush)
-    if kind == "offer":
-        return world.run(lambda: c.offer(_message(10_000 + op[2], "offered")))
-    if kind == "preload":
-        restored = [_message(20_000 + k, "restored") for k in range(op[2])]
-        return world.run(lambda: c.preload(restored))
     raise AssertionError(op)
 
 
@@ -253,8 +249,6 @@ _ops = st.lists(
         st.tuples(st.just("listen_settle"), _index),
         st.tuples(st.just("tick"), _index),
         st.tuples(st.just("flush"), _index),
-        st.tuples(st.just("offer"), _index, st.integers(0, 99)),
-        st.tuples(st.just("preload"), _index, st.integers(0, 4)),
     ),
     min_size=1, max_size=24,
 )
@@ -267,14 +261,13 @@ class TestEqualsReplacedLoops:
         retry_limit=st.sampled_from([None, 1, 2]),
         batch_size=st.sampled_from([1, 3, 500]),
         buffer_limit=st.sampled_from([4, 7, 50_000]),
-        overflow=st.sampled_from(["block", "drop_oldest", "dead_letter"]),
     )
     def test_any_interleaving_any_faults(
-        self, ops, n, plan, retry_limit, batch_size, buffer_limit, overflow
+        self, ops, n, plan, retry_limit, batch_size, buffer_limit
     ):
         _both(
             ops + [("settle",)], n, plan, retry_limit=retry_limit,
-            batch_size=batch_size, buffer_limit=buffer_limit, overflow=overflow,
+            batch_size=batch_size, buffer_limit=buffer_limit,
         )
 
     def test_a_poll_takes_only_the_free_room_so_settle_takes_rounds(self):
@@ -328,19 +321,6 @@ class TestEqualsReplacedLoops:
         names = {s.name for s in new.tracer.finished}
         assert {"ingest.accept", "broker.publish", "broker.poll", "fluentd.flush"} <= names
 
-    def test_push_mode_settles_through_the_same_call(self):
-        """Without a broker ``settle`` is the drain push mode always did."""
-        with use_registry(MetricsRegistry()):
-            store = LogStore()
-            fwd = FluentdForwarder(engine=EventEngine(), sink=store.bulk_index, batch_size=4)
-            for i in range(10):
-                assert fwd.offer(_message(i, "cn001"))
-            assert fwd.consume() == 0 and len(store) == 10
-            for i in range(10, 13):
-                fwd.offer(_message(i, "cn001"))
-            assert settle([fwd]) == 3 and fwd.buffered == 0
-            assert fwd.stats.flushed_batches == 4 and fwd.stats.accepted == 13
-
 
 class TestJournalRecords:
     """A real WAL under both worlds: segment bytes equal, record for record."""
@@ -358,7 +338,7 @@ class TestJournalRecords:
         for round_no in range(12):
             ops += [("publish", round_no % 4, 7), ("consume", 0)]
             if round_no % 3 == 2:
-                ops += [("offer", 0, round_no), ("tick", 0)]
+                ops += [("publish", 0, 1), ("tick", 0)]
         ops.append(("settle",))
         worlds = []
         for name, cls in (("new", FluentdForwarder), ("old", ReferenceForwarder)):
@@ -384,19 +364,6 @@ class TestJournalRecords:
         assert len(state.indexed) == len(new.store)
         if retry_limit is not None:
             assert new.consumers[0].stats.abandoned_messages > 0
-
-
-class TestPreload:
-    def test_restored_messages_are_neither_journaled_nor_counted(self):
-        new, _old = _both(
-            [("preload", 0, 4), ("publish", 0, 2), ("consume", 0)], 1, FaultPlan.never(),
-            retry_limit=None, batch_size=500, buffer_limit=50,
-        )
-        (c,) = new.consumers
-        assert c.stats.accepted == 2 and c.stats.flushed_messages == 6
-        assert c.stats.max_buffer_seen == 6
-        accepts = [call for call in new.log if call[1] == "accept"]
-        assert len(accepts) == 2
 
 
 @pytest.fixture(scope="module")
@@ -483,10 +450,9 @@ class TestClassifyingSink:
             store = ReplicatedLogStore(n_nodes=3, n_replicas=2, registry=MetricsRegistry())
             for node_id in (0, 1):
                 store.kill_node(node_id)
-            fwd = FluentdForwarder(
-                engine=EventEngine(), sink=classifying_sink(store, pipe), flush_retry_limit=1,
+            fwd = fed_forwarder(
+                [_message(0, "cn001")], sink=classifying_sink(store, pipe), flush_retry_limit=1,
             )
-            fwd.offer(_message(0, "cn001"))
             assert fwd.flush() == 0
             assert fwd.stats.failed_flushes == 1 and fwd.stats.abandoned_messages == 1
 
@@ -548,5 +514,5 @@ class TestStatedOnce:
                     for t in node.targets
                 ):
                     trimmers.add(method.name)
-        assert growers == {"_admit"}
+        assert growers == {"poll_broker"}
         assert trimmers == {"_retire"}

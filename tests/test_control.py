@@ -815,7 +815,7 @@ def _message(i):
 def _controlled_cluster(events, *, fault_injector=None, store_nodes=None):
     """A surge-ready cluster with a fast-reacting control policy."""
     cluster = TivanCluster(
-        via_broker=True, batch_size=25, flush_interval_s=1.0,
+        batch_size=25, flush_interval_s=1.0,
         fault_injector=fault_injector, store_nodes=store_nodes,
         store_replicas=2 if store_nodes else 1,
     )

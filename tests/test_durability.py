@@ -13,6 +13,7 @@ so CI can shift every scenario without touching the code.
 import json
 import os
 import signal
+from dataclasses import asdict
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.durability import (
     replay_wal,
     resume_simulation,
     run_child,
+    run_to_completion,
     write_checkpoint,
 )
 from repro.faults import FaultInjector, FaultPlan
@@ -262,9 +264,7 @@ class TestJournal:
         j.accept(1, _msg(1))
         j.flushed(1)
         j.accept(2, _msg(2))
-        j.evict_oldest()
         j.reject(3)
-        j.dead_newcomer(4, _msg(4), "fluentd.overflow", "full")
         j.abandoned(1, "fluentd.flush_abandoned", "gave up")
         wal.close()
 
@@ -276,15 +276,13 @@ class TestJournal:
         assert replayed.indexed == j.state.indexed
         assert replayed.dead == j.state.dead
         assert replayed.rejected == j.state.rejected
-        assert replayed.evicted == j.state.evicted
         assert replayed.seen == j.state.seen
-        # disposition check: 0 indexed, 1 evicted, 2 abandoned,
-        # 3 rejected, 4 overflow-dead
+        # disposition check: 0 indexed, 1 abandoned, 2 still buffered,
+        # 3 rejected
         assert [e for e, _ in replayed.indexed] == [0]
-        assert replayed.evicted == [1]
-        assert {d["event"] for d in replayed.dead} == {2, 4}
+        assert {d["event"] for d in replayed.dead} == {1}
         assert replayed.rejected == [3]
-        assert replayed.buffer == []
+        assert [e for e, _ in replayed.buffer] == [2]
 
     def test_apply_is_idempotent_by_seq(self):
         state = JournalState()
@@ -470,7 +468,7 @@ class TestResume:
         save_pipeline(pipe, tmp_path / "model")
         config = _quick_config(
             model_dir=str(tmp_path / "model"), incident=True,
-            template_cache=64, degrade_backlog=8, via_broker=True,
+            template_cache=64, degrade_backlog=8,
         )
 
         volatile = build_cluster(config)
@@ -500,6 +498,51 @@ class TestResume:
         ]
         assert categories[0] == categories[1]
         assert len(set(categories[0])) > 1
+
+    def test_a_brownout_shed_is_a_journaled_reject(self, tmp_path):
+        """Brownout L3 sheds half the arrivals at the relay: each shed
+        line is journaled as a ``reject`` — a disposition, not a loss —
+        and a later resume does not republish it."""
+        config = _quick_config()
+        cluster, _config, _journal = resume_simulation(tmp_path, config=config)
+        cluster.apply_brownout(0, 3)
+        _report, conservation = run_to_completion(cluster, config)
+        assert conservation.ok, conservation.render()
+        assert conservation.rejected == cluster.n_shed > 0
+        assert conservation.indexed == conservation.produced - cluster.n_shed
+
+        again, _config, _journal = resume_simulation(tmp_path)
+        _report, after = run_to_completion(again, config)
+        assert after.ok and after.rejected == cluster.n_shed
+        assert after.indexed == conservation.indexed
+
+    def _legacy_meta(self, directory, **keys):
+        """``meta.json`` as a run before the broker became the only intake
+        wrote it: the two retired keys beside the current ones."""
+        data = asdict(_quick_config())
+        data.update(keys)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "meta.json").write_text(json.dumps(data))
+
+    def test_a_push_mode_directory_is_refused_in_one_line(self, tmp_path):
+        from repro.cli import main
+
+        self._legacy_meta(tmp_path, via_broker=False, overflow="drop_oldest")
+        with pytest.raises(ValueError, match="push-mode") as refused:
+            SimConfig.load(tmp_path)
+        assert str(tmp_path) in str(refused.value)
+        assert "\n" not in str(refused.value)
+        with pytest.raises(SystemExit, match="push-mode"):
+            main(["recover", "--wal-dir", str(tmp_path)])
+        assert not list(tmp_path.glob("wal-*.jsonl"))
+
+    def test_a_broker_mode_directory_still_resumes(self, tmp_path):
+        self._legacy_meta(tmp_path, via_broker=True, overflow="block")
+        assert SimConfig.load(tmp_path) == _quick_config()
+        cluster, config, _journal = resume_simulation(tmp_path)
+        report, conservation = run_to_completion(cluster, config)
+        assert conservation.ok, conservation.render()
+        assert conservation.indexed == report.produced > 0
 
     def test_rejected_recover_override_changes_nothing(self, tmp_path, capsys):
         """`recover --replicas 9` on a 3-node run is refused *before*
@@ -539,13 +582,15 @@ class TestCrashRecovery:
         assert c["lost"] == 0, c
         assert c["duplicated"] == 0, c
         assert c["produced"] > 0
-        assert c["indexed"] + c["rejected"] + c["evicted"] \
+        assert c["indexed"] + c["rejected"] \
             + c["dead_lettered"] + c["in_buffer"] == c["produced"]
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_sigkill_under_overflow_pressure(self, tmp_path, seed):
+        """A 20-message buffer under 12 msg/s: the overflow waits as
+        broker lag, and kills land while the consumer is behind."""
         config = _quick_config(
-            seed=seed, rate=12.0, overflow="dead_letter",
+            seed=seed, rate=12.0,
             buffer_limit=20, flush_interval_s=2.0, forward_batch=8,
         )
         report = crash_recovery_scenario(

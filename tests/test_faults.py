@@ -16,6 +16,7 @@ import signal
 import time
 
 import pytest
+from broker_feed import feed, fed_forwarder
 
 from repro.core.pipeline import ClassificationPipeline
 from repro.core.message import SyslogMessage
@@ -34,10 +35,9 @@ from repro.faults import (
 from repro.ml import ComplementNB
 from repro.obs import MetricsRegistry, use_registry, wellknown
 from repro.runtime import MessageBatch, ShardedExecutor
-from repro.stream.events import EventEngine
-from repro.stream.fluentd import FluentdForwarder
 from repro.stream.opensearch import LogStore
 from repro.stream.tivan import ClassifierStage, TivanCluster
+
 
 #: the CI chaos job shifts this to run the whole suite under other seeds
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -257,30 +257,25 @@ class TestPoisonQuarantine:
 # -- forwarder flush faults ------------------------------------------------
 
 
-def _forwarder_conservation(fwd, offered):
+def _forwarder_conservation(fwd, published):
     s = fwd.stats
-    assert offered == s.accepted + s.rejected + s.dead_lettered
-    assert s.accepted == (
-        s.flushed_messages + fwd.buffered + s.evicted + s.abandoned_messages
-    )
+    assert fwd.broker.stats.published == published
+    assert fwd.broker.stats.polled == s.accepted
+    assert s.accepted == s.flushed_messages + fwd.buffered + s.abandoned_messages
 
 
 class TestForwarderChaos:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_flush_faults_conserve_messages(self, seed):
         with use_registry(MetricsRegistry()) as reg:
-            engine = EventEngine()
             store = LogStore(n_shards=2)
             inj = FaultInjector(FaultPlan(
                 sites={SITE_FLUSH_FAIL: FaultSpec(probability=0.4)}, seed=seed
             ))
-            fwd = FluentdForwarder(
-                engine=engine, sink=store.bulk_index, batch_size=20,
+            fwd = fed_forwarder(
+                _messages(300, seed), sink=store.bulk_index, batch_size=20,
                 buffer_limit=1000, fault_injector=inj,
             )
-            msgs = _messages(300, seed)
-            for m in msgs:
-                fwd.offer(m)
             flushed = fwd.drain()
             assert flushed == 300 and len(store) == 300
             _forwarder_conservation(fwd, 300)
@@ -295,7 +290,6 @@ class TestForwarderChaos:
 
     def test_raising_sink_counts_failed_flush(self):
         with use_registry(MetricsRegistry()):
-            engine = EventEngine()
             calls = []
 
             def sink(batch):
@@ -304,9 +298,7 @@ class TestForwarderChaos:
                     raise ConnectionError("sink went away")
                 return True
 
-            fwd = FluentdForwarder(engine=engine, sink=sink, batch_size=10)
-            for m in _messages(10):
-                fwd.offer(m)
+            fwd = fed_forwarder(_messages(10), sink=sink, batch_size=10)
             assert fwd.flush() == 0
             assert fwd.stats.failed_flushes == 1
             assert fwd.buffered == 10  # all-or-nothing: nothing left early
@@ -315,13 +307,10 @@ class TestForwarderChaos:
 
     def test_bounded_retry_budget_abandons_head_batch(self):
         with use_registry(MetricsRegistry()) as reg:
-            engine = EventEngine()
-            fwd = FluentdForwarder(
-                engine=engine, sink=lambda b: False, batch_size=25,
+            fwd = fed_forwarder(
+                _messages(50), sink=lambda b: False, batch_size=25,
                 flush_retry_limit=3,
             )
-            for m in _messages(50):
-                fwd.offer(m)
             # drain completes by abandoning both stuck batches, instead
             # of raising the unbounded-retry stall error
             assert fwd.drain(max_consecutive_failures=10) == 0
@@ -341,14 +330,11 @@ class TestForwarderChaos:
 
     def test_backoff_resets_after_success(self):
         with use_registry(MetricsRegistry()):
-            engine = EventEngine()
             fail = [True]
-            fwd = FluentdForwarder(
-                engine=engine, sink=lambda b: not fail[0], batch_size=10,
+            fwd = fed_forwarder(
+                _messages(10), sink=lambda b: not fail[0], batch_size=10,
                 retry_base_s=0.5,
             )
-            for m in _messages(10):
-                fwd.offer(m)
             fwd.flush()
             first_delay = fwd._retry_delay
             fwd.flush()
@@ -356,61 +342,10 @@ class TestForwarderChaos:
             fail[0] = False
             fwd.flush()
             assert fwd._retry_delay == 0.0
-            for m in _messages(10):
-                fwd.offer(m)
+            feed(fwd, _messages(10))
             fail[0] = True
             fwd.flush()
             assert fwd._retry_delay == first_delay  # schedule restarted
-
-
-class TestOverflowPolicies:
-    def _full_forwarder(self, overflow):
-        engine = EventEngine()
-        fwd = FluentdForwarder(
-            engine=engine, sink=lambda b: True, batch_size=5,
-            buffer_limit=10, overflow=overflow,
-        )
-        for m in _messages(10):
-            assert fwd.offer(m)
-        return fwd
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="overflow"):
-            FluentdForwarder(
-                engine=EventEngine(), sink=lambda b: True, overflow="explode"
-            )
-
-    def test_block_rejects(self):
-        with use_registry(MetricsRegistry()):
-            fwd = self._full_forwarder("block")
-            assert not fwd.offer(_messages(1)[0])
-            assert fwd.stats.rejected == 1 and fwd.buffered == 10
-            _forwarder_conservation(fwd, 11)
-
-    def test_drop_oldest_evicts(self):
-        with use_registry(MetricsRegistry()) as reg:
-            fwd = self._full_forwarder("drop_oldest")
-            newcomer = SyslogMessage(
-                timestamp=99.0, hostname="cn000", app="kernel", text="newest"
-            )
-            assert fwd.offer(newcomer)
-            assert fwd.stats.evicted == 1 and fwd.buffered == 10
-            assert fwd._buffer[-1] is newcomer
-            assert fwd._buffer[0].text == "seed 0 message number 1"
-            _forwarder_conservation(fwd, 11)
-            assert wellknown.fluentd_dropped(reg).value() == 1
-
-    def test_dead_letter_captures_newcomer(self):
-        with use_registry(MetricsRegistry()):
-            fwd = self._full_forwarder("dead_letter")
-            newcomer = SyslogMessage(
-                timestamp=99.0, hostname="cn000", app="kernel", text="newest"
-            )
-            assert not fwd.offer(newcomer)
-            assert fwd.stats.dead_lettered == 1 and fwd.buffered == 10
-            entries = fwd.dead_letters.entries("fluentd.overflow")
-            assert len(entries) == 1 and entries[0].payload is newcomer
-            _forwarder_conservation(fwd, 11)
 
 
 # -- sharded executor chaos ------------------------------------------------
@@ -606,8 +541,7 @@ class TestEndToEndChaos:
             )
             cluster = TivanCluster(
                 flush_interval_s=0.5, batch_size=100, buffer_limit=200,
-                overflow="dead_letter", flush_retry_limit=5,
-                fault_injector=inj,
+                flush_retry_limit=5, fault_injector=inj,
             )
             cluster.load_events(events)
             report = cluster.run(120.0)
@@ -615,19 +549,19 @@ class TestEndToEndChaos:
             s = fwd.stats
             # relay-level conservation
             assert report.relay_received == cluster.relay.n_forwarded + cluster.relay.n_dropped
-            # forwarder-level conservation: everything the relay pushed
-            # is flushed, still buffered, or dead-lettered with a reason
-            offered = cluster.relay.n_forwarded + cluster.relay.n_dropped
-            assert offered == s.accepted + s.rejected + s.dead_lettered
+            # forwarder-level conservation: everything the relay forwarded
+            # was published and polled, then flushed, still buffered, or
+            # dead-lettered with a reason
+            assert report.broker_published == cluster.relay.n_forwarded
+            assert report.broker_polled == s.accepted
             assert s.accepted == (
-                s.flushed_messages + fwd.buffered + s.evicted
-                + s.abandoned_messages
+                s.flushed_messages + fwd.buffered + s.abandoned_messages
             )
             # the store holds exactly what was flushed
             assert len(cluster.store) == s.flushed_messages
-            # relay drops are the forwarder's rejections (block policy
-            # is off, so rejections come only from dead_letter returns)
-            assert cluster.relay.n_dropped == s.rejected + s.dead_lettered
+            # a full buffer is broker lag, never a relay drop
+            assert cluster.relay.n_dropped == 0
+            assert report.broker_published == s.accepted + report.broker_lag
             # reconciliation with the injector
             fired = inj.fire_counts().get(SITE_FLUSH_FAIL, 0)
             assert fired > 0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from broker_feed import fed_forwarder
 from hypothesis import given, seed, settings, strategies as st
 from reference_door import (
     ReferenceDeadLetterQueue,
@@ -31,8 +32,7 @@ from repro.faults.dlq import DeadLetter, DeadLetterQueue, entry_to_dict
 from repro.ingest.quota import DeficitRoundRobin
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream import rfc as rfc_mod
-from repro.stream.events import EventEngine
-from repro.stream.fluentd import FluentdForwarder
+from repro.stream.fluentd import settle
 from repro.stream.opensearch import LogStore
 from repro.stream.rfc import format_rfc3164, format_rfc5424, safe_parse_line
 from repro.textproc.normalize import MaskingNormalizer
@@ -108,24 +108,24 @@ class TestForwarderProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_no_message_lost_or_duplicated(self, messages, batch, limit):
-        """accepted == flushed + buffered, rejected == offered - accepted."""
-        engine = EventEngine()
+        """Everything published is flushed once, in order; a buffer too
+        small for it takes at most its room and leaves the rest as lag."""
         sunk: list = []
-        fwd = FluentdForwarder(
-            engine=engine, sink=lambda b: (sunk.extend(b), True)[1],
+        fwd = fed_forwarder(
+            messages, sink=lambda b: (sunk.extend(b), True)[1],
             batch_size=batch, buffer_limit=limit,
         )
-        accepted = sum(fwd.offer(m) for m in messages)
-        while fwd.buffered:
-            fwd.flush()
-        assert len(sunk) == accepted == fwd.stats.flushed_messages
-        assert fwd.stats.rejected == len(messages) - accepted
+        assert fwd.stats.accepted == min(len(messages), limit)
+        fwd.drain()  # a full buffer polls nothing until a drain makes room
+        settle([fwd])
+        assert len(sunk) == len(messages) == fwd.stats.flushed_messages
+        assert all(a is b for a, b in zip(sunk, messages))
+        assert fwd.stats.max_buffer_seen <= limit
 
     @given(st.lists(st.booleans(), min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)
     def test_flaky_sink_eventually_delivers_everything(self, outcomes):
         """A sink that fails arbitrarily (then recovers) loses nothing."""
-        engine = EventEngine()
         sunk: list = []
         it = iter(outcomes)
 
@@ -135,15 +135,12 @@ class TestForwarderProperties:
                 sunk.extend(batch)
             return ok
 
-        fwd = FluentdForwarder(engine=engine, sink=sink, batch_size=5,
-                               buffer_limit=1000)
         msgs = [
             SyslogMessage(timestamp=float(i), hostname="h", app="a",
                           text=f"m{i}", severity=Severity.INFO)
             for i in range(20)
         ]
-        for m in msgs:
-            fwd.offer(m)
+        fwd = fed_forwarder(msgs, sink=sink, batch_size=5, buffer_limit=1000)
         fwd.drain()
         assert [m.text for m in sunk] == [m.text for m in msgs]  # order kept
 
@@ -204,50 +201,21 @@ class TestHostileInputProperties:
         assert len(monster) == 1 << 20 and "\n" not in monster
         results = fitted.classify_batch([monster, "normal message"])
         self._check_invariants([monster, "normal message"], results)
-        # the stream path indexes it too (forwarder -> store)
-        engine = EventEngine()
+        # the stream path indexes it too (broker -> forwarder -> store)
         store = LogStore(n_shards=2)
-        fwd = FluentdForwarder(engine=engine, sink=store.bulk_index,
-                               batch_size=10)
         m = SyslogMessage(timestamp=0.0, hostname="cn000", app="kernel",
                           text=monster, severity=Severity.INFO)
-        assert fwd.offer(m)
+        fwd = fed_forwarder([m], sink=store.bulk_index, batch_size=10)
+        assert fwd.buffered == 1
         assert fwd.drain() == 1
         assert len(store) == 1
         assert store.get(0).message.text == monster
-
-    @given(
-        st.lists(_message, max_size=40),
-        st.sampled_from(["block", "drop_oldest", "dead_letter"]),
-        st.integers(min_value=1, max_value=20),  # buffer limit
-        st.integers(min_value=1, max_value=8),  # batch size
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_overflow_policies_conserve(self, messages, policy, limit, batch):
-        """Under any overflow policy, every offered message is accounted:
-        flushed, buffered, rejected, evicted, or dead-lettered."""
-        engine = EventEngine()
-        store = LogStore(n_shards=2)
-        fwd = FluentdForwarder(
-            engine=engine, sink=store.bulk_index, batch_size=batch,
-            buffer_limit=limit, overflow=policy,
-        )
-        for m in messages:
-            fwd.offer(m)
-        s = fwd.stats
-        assert len(messages) == s.accepted + s.rejected + s.dead_lettered
-        assert s.accepted == s.flushed_messages + fwd.buffered + s.evicted
-        assert len(fwd.dead_letters) == s.dead_lettered
-        fwd.drain()
-        assert s.flushed_messages == len(store)
-        assert s.accepted == s.flushed_messages + s.evicted
 
     @given(st.lists(st.booleans(), min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)
     def test_raising_sink_no_loss_no_duplicate(self, outcomes):
         """A sink that *raises* arbitrarily behaves like one returning
         False: retried, all-or-nothing, order preserved."""
-        engine = EventEngine()
         sunk: list = []
         raised = [0]
         it = iter(outcomes)
@@ -259,15 +227,12 @@ class TestHostileInputProperties:
             sunk.extend(batch)
             return True
 
-        fwd = FluentdForwarder(engine=engine, sink=sink, batch_size=5,
-                               buffer_limit=1000)
         msgs = [
             SyslogMessage(timestamp=float(i), hostname="h", app="a",
                           text=f"m{i}", severity=Severity.INFO)
             for i in range(20)
         ]
-        for m in msgs:
-            fwd.offer(m)
+        fwd = fed_forwarder(msgs, sink=sink, batch_size=5, buffer_limit=1000)
         fwd.drain()
         assert [m.text for m in sunk] == [m.text for m in msgs]
         assert fwd.stats.failed_flushes == raised[0]

@@ -8,8 +8,11 @@ journal barrier, across the ``REPRO_CHAOS_SEED`` matrix.
 """
 
 import asyncio
+import hashlib
+import json
 import os
 import socket
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -42,6 +45,9 @@ from repro.stream.tivan import ClassifierStage, TivanCluster
 
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 CHAOS_SEEDS = [SEED_SHIFT, SEED_SHIFT + 1, SEED_SHIFT + 2]
+
+#: the push intake's outputs, recorded in push mode before it was removed
+PUSH_MODE_OUTPUTS = Path(__file__).with_name("push_mode_outputs.json")
 
 
 @pytest.fixture(autouse=True)
@@ -785,35 +791,53 @@ def _mk_cluster(**kw):
 
 class TestBrokerSpineSimulation:
     def test_validation(self):
-        with pytest.raises(ValueError, match="requires via_broker"):
-            TivanCluster(broker_partitions=4)
-        with pytest.raises(ValueError, match="requires via_broker"):
-            TivanCluster(n_consumers=2)
+        """Fan-out is free on a volatile run; a durable one keeps the
+        per-host layout and one consumer.  The refusal comes before the
+        journal is used, so any object stands in for it."""
+        assert len(TivanCluster(broker_partitions=4, n_consumers=2).consumers) == 2
+        with pytest.raises(ValueError, match="n_consumers must be >= 1"):
+            TivanCluster(n_consumers=0)
+        with pytest.raises(ValueError, match="incompatible with journal"):
+            TivanCluster(broker_partitions=4, journal=object())
+        with pytest.raises(ValueError, match="exactly one consumer"):
+            TivanCluster(n_consumers=2, journal=object())
 
-    def test_parity_with_push_mode(self):
-        events = standard_simulation_events(
-            duration_s=60, background_rate=40, seed=7, incident=True
-        )
-        push = _mk_cluster()
-        push.load_events(events)
-        r_push = push.run(60)
-        spine = _mk_cluster(via_broker=True)
-        spine.load_events(events)
-        r_spine = spine.run(60)
-        assert r_push.indexed + r_push.drained == len(events)
-        assert r_spine.indexed + r_spine.drained == len(events)
-        assert r_spine.broker_published == len(events)
-        assert r_spine.broker_polled == len(events)
-        assert r_spine.broker_lag == 0
-        assert len(spine.store) == len(push.store)
+    def test_reproduces_the_frozen_push_mode_outputs(self):
+        """Four ``SimConfig`` runs and three experiments give what the
+        push intake gave: report counts, backlog timelines and a
+        ``repr`` digest of each experiment's result."""
+        from repro.durability import SimConfig, build_cluster, run_to_completion
+        from repro.experiments.correlationexp import run_correlation_experiment
+        from repro.experiments.monitoringexp import run_monitoring_experiment
+        from repro.experiments.throughput import run_throughput_sweep
+
+        frozen = json.loads(PUSH_MODE_OUTPUTS.read_text())
+        for name, case in frozen["configs"].items():
+            config = SimConfig(**case["config"])
+            with use_registry(MetricsRegistry()):
+                cluster = build_cluster(config)
+                cluster.load_events(config.events())
+                report, _ = run_to_completion(cluster, config)
+            assert [getattr(report, f) for f in frozen["report_fields"]] == case["report"], name
+            assert [list(s) for s in report.backlog_timeline] == case["backlog_timeline"], name
+        runners = {
+            "monitoring": run_monitoring_experiment,
+            "correlation": run_correlation_experiment,
+            "throughput_sweep": run_throughput_sweep,
+        }
+        for name, case in frozen["experiments"].items():
+            kwargs = {
+                k: tuple(v) if isinstance(v, list) else v for k, v in case["kwargs"].items()
+            }
+            with use_registry(MetricsRegistry()):
+                result = runners[name](**kwargs)
+            assert hashlib.sha256(repr(result).encode()).hexdigest() == case["repr_sha256"], name
 
     def test_hashed_partitions_and_consumer_fleet(self):
         events = standard_simulation_events(
             duration_s=60, background_rate=40, seed=8
         )
-        cluster = _mk_cluster(
-            via_broker=True, broker_partitions=4, n_consumers=3
-        )
+        cluster = _mk_cluster(broker_partitions=4, n_consumers=3)
         cluster.load_events(events)
         report = cluster.run(60)
         assert report.broker_partitions <= 4
@@ -831,9 +855,7 @@ class TestBrokerSpineSimulation:
         events = standard_simulation_events(
             duration_s=60, background_rate=40, seed=9
         )
-        cluster = _mk_cluster(
-            via_broker=True, fault_injector=FaultInjector(plan)
-        )
+        cluster = _mk_cluster(fault_injector=FaultInjector(plan))
         cluster.load_events(events)
         report = cluster.run(60)
         assert report.broker_partition_stalls == 1
@@ -851,9 +873,7 @@ class TestBrokerSpineSimulation:
         events = standard_simulation_events(
             duration_s=60, background_rate=40, seed=10
         )
-        cluster = _mk_cluster(
-            via_broker=True, fault_injector=FaultInjector(plan)
-        )
+        cluster = _mk_cluster(fault_injector=FaultInjector(plan))
         cluster.load_events(events)
         report = cluster.run(60)
         assert report.broker_commits_lost > 0
@@ -876,7 +896,7 @@ class TestDurableBrokerCrash:
 
         config = SimConfig(
             duration_s=60, rate=40, seed=seed, incident=True,
-            checkpoint_every_s=10.0, via_broker=True,
+            checkpoint_every_s=10.0,
         )
         report = crash_recovery_scenario(
             tmp_path, config, kill_points=[25 + seed, 60, 110]
@@ -885,15 +905,13 @@ class TestDurableBrokerCrash:
         assert c["lost"] == 0
         assert c["duplicated"] == 0
         assert c["indexed"] + c["dead_lettered"] + c["rejected"] \
-            + c["evicted"] + c["in_buffer"] == c["produced"]
+            + c["in_buffer"] == c["produced"]
 
     def test_sigkill_with_broker_faults_armed(self, tmp_path):
         """A crash *plus* lost commits and a partition stall: the journal
         remains the durable truth and conservation still holds."""
-        import json
         import subprocess
         import sys
-        from pathlib import Path
 
         import repro
         from repro.durability.harness import REPORT_FILENAME, run_child
@@ -903,7 +921,7 @@ class TestDurableBrokerCrash:
         seed = SEED_SHIFT
         config = SimConfig(
             duration_s=60, rate=40, seed=seed, incident=True,
-            checkpoint_every_s=10.0, via_broker=True,
+            checkpoint_every_s=10.0,
         )
         config.save(tmp_path)
         # child 1: broker faults armed AND a SIGKILL at record 40

@@ -16,6 +16,7 @@ Three layers of assurance:
 import os
 
 import pytest
+from broker_feed import feed, fed_forwarder
 from hypothesis import given, strategies as st
 
 from repro.core.message import SyslogMessage
@@ -41,10 +42,9 @@ from repro.replication import (
     ShardPlacement,
     StoreNode,
 )
-from repro.stream.events import EventEngine
-from repro.stream.fluentd import FluentdForwarder
 from repro.stream.opensearch import LogStore
 from repro.stream.tivan import ClassifierStage, TivanCluster
+
 
 #: the CI replication-chaos job shifts this for the seed matrix
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -615,13 +615,10 @@ class TestBoundedDeadLetterQueue:
         assert len(dlq) == 100 and dlq.n_evicted == 0
 
     def test_forwarder_cap_knob(self):
-        engine = EventEngine()
-        fwd = FluentdForwarder(
-            engine=engine, sink=lambda b: False, flush_retry_limit=1,
+        fwd = fed_forwarder(
+            _messages(5), sink=lambda b: False, flush_retry_limit=1,
             batch_size=1, dlq_max_entries=2,
         )
-        for m in _messages(5):
-            fwd.offer(m)
         fwd.drain(max_consecutive_failures=100)
         assert len(fwd.dead_letters) == 2
         assert fwd.dead_letters.n_evicted == 3
@@ -681,14 +678,11 @@ class TestSinkDeadline:
             release.wait(30.0)  # hangs (does not raise)
             return True
 
-        engine = EventEngine()
-        fwd = FluentdForwarder(
-            engine=engine, sink=hanging_sink, batch_size=10,
+        fwd = fed_forwarder(
+            _messages(5), sink=hanging_sink, batch_size=10,
             sink_timeout_s=0.1, flush_retry_limit=2,
         )
         try:
-            for m in _messages(5):
-                fwd.offer(m)
             n = fwd.flush()
             assert n == 0
             assert fwd.stats.failed_flushes == 1
@@ -703,18 +697,11 @@ class TestSinkDeadline:
 
     def test_sink_deadline_validation(self):
         with pytest.raises(ValueError, match="sink_timeout_s"):
-            FluentdForwarder(
-                engine=EventEngine(), sink=lambda b: True, sink_timeout_s=0.0
-            )
+            fed_forwarder(sink=lambda b: True, sink_timeout_s=0.0)
 
     def test_fast_sink_unaffected_by_deadline(self):
         store = LogStore()
-        engine = EventEngine()
-        fwd = FluentdForwarder(
-            engine=engine, sink=store.bulk_index, sink_timeout_s=5.0,
-        )
-        for m in _messages(5):
-            fwd.offer(m)
+        fwd = fed_forwarder(_messages(5), sink=store.bulk_index, sink_timeout_s=5.0)
         assert fwd.flush() == 5
         assert len(store) == 5
 
@@ -793,20 +780,16 @@ class TestReplicationChaos:
         store = ReplicatedLogStore(
             n_nodes=3, n_replicas=2, write_quorum=2, read_quorum=2,
         )
-        engine = EventEngine()
-        fwd = FluentdForwarder(
-            engine=engine, sink=store.bulk_index, batch_size=10,
+        msgs = _messages(40, seed=seed)
+        fwd = fed_forwarder(
+            msgs[:20], sink=store.bulk_index, batch_size=10,
             flush_interval_s=1.0, flush_retry_limit=3,
         )
-        msgs = _messages(40, seed=seed)
-        for m in msgs[:20]:
-            assert fwd.offer(m)
         assert fwd.flush() == 10
         assert fwd.flush() == 10
         store.kill_node(0)
         store.kill_node(1)
-        for m in msgs[20:]:
-            assert fwd.offer(m)
+        assert feed(fwd, msgs[20:]) == 20
         fwd.drain(max_consecutive_failures=50)
         stats = fwd.stats
         offered = len(msgs)
@@ -854,7 +837,7 @@ class TestReplicationChaos:
         # conservation through the replicated sink
         assert stats.accepted == (
             stats.flushed_messages + stats.abandoned_messages
-            + cluster.forwarder.buffered + stats.evicted
+            + cluster.forwarder.buffered
         )
         assert len(cluster.store) == stats.flushed_messages
         assert report.produced == len(events)

@@ -203,9 +203,8 @@ class TestRunToCompletion:
         assert report.duration_s == config.duration_s + SETTLE_MARGIN_S == 70.0
         assert asdict(report) == asdict(want)
 
-    @pytest.mark.parametrize("via_broker", [False, True])
-    def test_a_journaled_run_equals_the_tail_it_replaced(self, tmp_path, via_broker):
-        config = _config(via_broker=via_broker, checkpoint_every_s=10.0)
+    def test_a_journaled_run_equals_the_tail_it_replaced(self, tmp_path):
+        config = _config(checkpoint_every_s=10.0)
         outcomes = []
         for name in ("new", "old"):
             with use_registry(MetricsRegistry()):

@@ -1,12 +1,12 @@
 """Unit tests for syslogd, fluentd, and the Tivan assembly."""
 
 import pytest
+from broker_feed import fed_forwarder
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
 from repro.datagen.workload import generate_stream
 from repro.stream.events import EventEngine
-from repro.stream.fluentd import FluentdForwarder
 from repro.stream.syslogd import SyslogDaemon, SyslogRelay
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
@@ -41,51 +41,46 @@ class TestDaemon:
 
 
 class TestFluentd:
-    def make(self, sink=None, **kw):
-        eng = EventEngine()
+    def make(self, messages=(), sink=None, **kw):
         store: list = []
         ok = sink if sink is not None else (lambda batch: (store.extend(batch), True)[1])
-        fwd = FluentdForwarder(engine=eng, sink=ok, **kw)
-        return eng, fwd, store
+        fwd = fed_forwarder(messages, sink=ok, **kw)
+        return fwd.engine, fwd, store
 
     def test_offer_and_flush(self):
-        _eng, fwd, store = self.make(batch_size=10)
-        for i in range(7):
-            fwd.offer(msg(float(i)))
+        _eng, fwd, store = self.make([msg(float(i)) for i in range(7)], batch_size=10)
         assert fwd.flush() == 7
         assert len(store) == 7 and fwd.buffered == 0
 
     def test_batch_size_respected(self):
-        _eng, fwd, store = self.make(batch_size=3)
-        for i in range(7):
-            fwd.offer(msg(float(i)))
+        _eng, fwd, store = self.make([msg(float(i)) for i in range(7)], batch_size=3)
         assert fwd.flush() == 3
         assert fwd.buffered == 4
 
     def test_backpressure(self):
-        _eng, fwd, _store = self.make(buffer_limit=2)
-        assert fwd.offer(msg()) and fwd.offer(msg())
-        assert not fwd.offer(msg())
-        assert fwd.stats.rejected == 1
+        """A full buffer polls nothing more: the rest waits as broker lag."""
+        _eng, fwd, _store = self.make([msg(), msg(), msg()], buffer_limit=2)
+        assert fwd.buffered == 2 and fwd.stats.accepted == 2
+        assert fwd.poll_broker() == 0
+        assert fwd.broker.lag(fwd.consumer_group) == 3
+        assert fwd.flush() == 2 and fwd.poll_broker() == 1
 
     def test_failed_flush_sets_retry_backoff(self):
-        _eng, fwd, _ = self.make(sink=lambda batch: False)
-        fwd.offer(msg())
+        _eng, fwd, _ = self.make([msg()], sink=lambda batch: False)
         assert fwd.flush() == 0
         assert fwd.stats.failed_flushes == 1
         assert fwd._retry_delay > 0
 
     def test_drain_raises_on_stuck_sink(self):
-        _eng, fwd, _ = self.make(sink=lambda batch: False)
-        fwd.offer(msg())
+        _eng, fwd, _ = self.make([msg()], sink=lambda batch: False)
         with pytest.raises(RuntimeError, match="stalled"):
             fwd.drain()
 
     def test_periodic_flush_via_engine(self):
         eng, fwd, store = self.make(flush_interval_s=1.0)
         fwd.start()
-        for i in range(5):
-            fwd.offer(msg(float(i)))
+        for i in range(5):  # the flush tick polls them
+            fwd.broker.publish(msg(float(i)))
         eng.run(until=3.0)
         assert len(store) == 5
 

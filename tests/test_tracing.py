@@ -211,7 +211,7 @@ class TestHopChain:
 def _traced_sim_config(**overrides) -> SimConfig:
     base = dict(
         duration_s=30.0, rate=20.0, seed=1, incident=True,
-        checkpoint_every_s=10.0, via_broker=True, store_nodes=3,
+        checkpoint_every_s=10.0, store_nodes=3,
         trace_sample=1.0, trace_seed=0,
     )
     base.update(overrides)
@@ -270,7 +270,7 @@ class TestCrashResumeTraces:
         """
         config = SimConfig(
             duration_s=40.0, rate=30.0, seed=seed, incident=True,
-            checkpoint_every_s=5.0, flush_interval_s=2.0, via_broker=True,
+            checkpoint_every_s=5.0, flush_interval_s=2.0,
             trace_sample=0.5, trace_seed=seed,
         )
         report = crash_recovery_scenario(

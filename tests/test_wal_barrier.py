@@ -67,9 +67,8 @@ def _drive(journal: StreamJournal) -> None:
         journal.flushed(size, offsets={"cn001": event})
     journal.accept(None, _MSG)  # a synthetic identity embeds its body
     journal.accept(event, _MSG)
-    journal.evict_oldest()
-    journal.reject(event + 1)  # a barrier with nothing pending
-    journal.dead_newcomer(None, _MSG, "fluentd.overflow", "full")
+    journal.reject(event + 1)  # a barrier with accepts pending
+    journal.reject(None)  # a barrier with nothing pending
     journal.accept(event + 2, _MSG)
     journal.abandoned(2, "fluentd.flush", "sink refused", offsets={"cn001": event + 3})
     journal.control_state({"setpoints": {"batch": 64}})
@@ -90,8 +89,8 @@ class TestEncoding:
         for seq, kind, data in (
             (1, "accept", {"events": [3, 1, 2]}),
             (2, "flush", {"events": [1], "offsets": {"cn002": 7, "cn001": 9}}),
-            (3, "dead_new", {"event": -1, "msg": {"text": "café \ud83d", "n": None, "x": 1.5},
-                             "site": "a\"b", "error": "line\nbreak"}),
+            (3, "abandon", {"event": -1, "msg": {"text": "café \ud83d", "n": None, "x": 1.5},
+                            "site": "a\"b", "error": "line\nbreak"}),
             (4, "kind \"quoted\" ü", {}),
         ):
             canon = '{"data":%s,"kind":%s,"seq":%d}' % (

@@ -28,7 +28,7 @@ _FAMILY_NAME = re.compile(r"repro_[a-z0-9_]*[a-z0-9]")
 class TestCatalogue:
     def test_every_family_is_a_distinct_module_level_accessor(self):
         names = [family.name for family in wellknown.CATALOGUE]
-        assert len(set(names)) == len(names) == 93
+        assert len(set(names)) == len(names) == 92
         for family in wellknown.CATALOGUE:
             assert getattr(wellknown, family.accessor.__name__) is family.accessor
             assert family.accessor.__name__ in wellknown.__all__

@@ -34,7 +34,7 @@ def main() -> None:
     cluster.load_events(events)
     cluster.attach_classifier(ClassifierStage(
         service_time_s=1e-4,
-        classify=lambda text: pipeline.classify(text).category,
+        classify_batch=lambda texts: [r.category for r in pipeline.classify_batch(texts)],
     ))
     cluster.run(930.0)
     print(f"  indexed and classified {len(cluster.store)} messages\n")

@@ -17,7 +17,7 @@ from repro.monitor import render_top_panel
 
 
 def main() -> None:
-    print("Ingesting a 30-minute stream through syslogd -> fluentd -> store...")
+    print("Ingesting a 30-minute stream through relay -> broker -> fluentd -> store...")
     events = generate_stream(
         duration_s=1800.0, background_rate=6.0, seed=4,
         incidents=[Incident("door", Category.THERMAL, start=600.0,

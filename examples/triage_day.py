@@ -56,7 +56,7 @@ def main() -> None:
     cluster.attach_classifier(
         ClassifierStage(
             service_time_s=max(pipeline.mean_service_time, 1e-4),
-            classify=lambda text: pipeline.classify(text).category,
+            classify_batch=lambda texts: [r.category for r in pipeline.classify_batch(texts)],
         )
     )
     report = cluster.run(DURATION_S + SETTLE_MARGIN_S)

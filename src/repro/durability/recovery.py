@@ -491,11 +491,6 @@ def build_checkpoint_payload(cluster) -> dict:
         "journal": journal.state.to_payload(),
         "cluster": {
             "stats": asdict(cluster.forwarder.stats),
-            "relay": {
-                "received": cluster.relay.n_received,
-                "forwarded": cluster.relay.n_forwarded,
-                "dropped": cluster.relay.n_dropped,
-            },
             "stage": {
                 "n_done": stage.n_done if stage else 0,
                 "n_degraded": stage.n_degraded if stage else 0,
@@ -761,9 +756,8 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
     stats.flushed_messages = len(state.indexed)
     stats.abandoned_messages = len(state.dead)
     stats.max_buffer_seen = max(stats.max_buffer_seen, len(state.buffer))
-    cluster.relay.n_received = stats.accepted + len(state.rejected)
-    cluster.relay.n_forwarded = stats.accepted
-    cluster.relay.n_dropped = len(state.rejected)
+    cluster.n_received = stats.accepted + len(state.rejected)
+    cluster.n_dropped = len(state.rejected)
 
     if cluster.controller is not None and state.control is not None:
         cluster.controller.restore_state(state.control)

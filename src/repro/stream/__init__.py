@@ -6,19 +6,19 @@ with Grafana.  This package rebuilds that path as a discrete-event
 simulation with real data structures:
 
 - :mod:`repro.stream.events` — the event engine (heap scheduler),
-- :mod:`repro.stream.syslogd` — node daemons and the central relay,
 - :mod:`repro.stream.fluentd` — the forwarder: buffering, batching,
   flush intervals, retry with backoff, bounded-queue backpressure,
 - :mod:`repro.stream.opensearch` — an indexed document store with a
   real inverted index: term and phrase queries, time-range filters,
   date-histogram and terms aggregations, round-robin shards,
-- :mod:`repro.stream.tivan` — the assembled cluster, plus classifier
-  attachment so the throughput experiments (can classification keep up
-  with >1M messages/hour? §5) run end-to-end.
+- :mod:`repro.stream.tivan` — the assembled cluster: each trace line
+  is scheduled straight onto its relay, which publishes to the log
+  broker the forwarders consume; plus classifier attachment so the
+  throughput experiments (can classification keep up with >1M
+  messages/hour? §5) run end-to-end.
 """
 
 from repro.stream.events import EventEngine, Event
-from repro.stream.syslogd import SyslogDaemon, SyslogRelay
 from repro.stream.fluentd import FluentdForwarder, ForwarderStats
 from repro.stream.opensearch import (
     LogStore,
@@ -32,8 +32,6 @@ from repro.stream.capacity import CapacityPlanner, CapacityPlan, ClusterSpec, PA
 __all__ = [
     "EventEngine",
     "Event",
-    "SyslogDaemon",
-    "SyslogRelay",
     "FluentdForwarder",
     "ForwarderStats",
     "LogStore",

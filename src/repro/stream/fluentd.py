@@ -451,10 +451,18 @@ def settle(consumers: Sequence[FluentdForwarder]) -> int:
     """Drive ``consumers`` until nothing moves; returns messages flushed.
 
     Every consumer takes a :meth:`~FluentdForwarder.consume` turn until
-    a full round polls nothing: broker lag is consumed and flushed; a
-    stalled partition keeps its lag.
+    a round neither polls nor flushes: broker lag is consumed and
+    flushed; a stalled partition keeps its lag.  A consumer whose buffer
+    is full polls nothing, so its turn counts as moving — its drain
+    made the room the next round polls into.  Any other empty poll
+    found its partitions empty, and nothing a drain does refills them.
     """
     before = sum(c.stats.flushed_messages for c in consumers)
-    while sum(c.consume() for c in consumers):
-        pass
+    moved = True
+    while moved:
+        moved = False
+        for c in consumers:
+            full = c.buffered >= c.buffer_limit
+            if c.consume() or full:
+                moved = True
     return sum(c.stats.flushed_messages for c in consumers) - before

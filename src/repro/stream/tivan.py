@@ -1,12 +1,12 @@
 """The assembled Tivan cluster simulation.
 
-Wires the §4.2 path — node daemons → primary syslog relay → log broker
-→ Fluentd forwarder(s) → the indexed store — and optionally attaches a
-*classifier
-stage*: a single-server queue that works through indexed documents at a
-given per-message service time (measured from a real pipeline, or taken
-from the LLM cost model).  The stage's backlog over time is the
-quantitative form of the paper's feasibility argument: a classifier
+Wires the §4.2 path — every node's trace lines → the primary syslog
+relay → log broker → Fluentd forwarder(s) → the indexed store — and
+optionally attaches a *classifier stage*: a single-server queue that
+works through indexed documents at a given per-message service time
+(measured from a real pipeline, or taken from the LLM cost model).  The
+stage's backlog over time is the quantitative form of the paper's
+feasibility argument: a classifier
 whose service rate is below the arrival rate "will not be able to keep
 up with the continuous flow of messages" (§6).
 """
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.taxonomy import Category
 from repro.datagen.workload import StreamEvent
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder, settle
 from repro.stream.opensearch import LogStore
-from repro.stream.syslogd import SyslogDaemon, SyslogRelay
 
 __all__ = ["TivanCluster", "IngestReport", "ClassifierStage", "SETTLE_MARGIN_S"]
 
@@ -39,16 +39,13 @@ class ClassifierStage:
     service_time_s:
         Simulated seconds to classify one message (e.g. Table 3's
         per-message LLM latency, or a measured pipeline mean).
-    classify:
-        Maps message text → :class:`Category`; ``None`` records
-        progress without real predictions (pure queueing study).
     classify_batch:
-        Batch alternative to ``classify``: maps a sequence of texts to
-        a parallel sequence of categories.  This is how a
+        Maps a sequence of texts to a parallel sequence of
+        :class:`Category`; this is how a
         :class:`~repro.core.pipeline.ClassificationPipeline` (or a
         :class:`~repro.runtime.executor.ShardedExecutor` wrapping one)
-        attaches on its batch-first path.  Takes precedence over
-        ``classify`` when both are given.
+        attaches.  ``None`` records progress without real predictions
+        (pure queueing study).
     batch_size:
         Documents drained per simulated service tick.  The simulated
         cost of a tick is ``service_time_s × n_taken``, so batching
@@ -59,7 +56,7 @@ class ClassifierStage:
         Optional cheap path for degraded mode — typically the
         blacklist/bucketing filter alone (§5.1), orders of magnitude
         cheaper than the model.  Used instead of
-        ``classify_batch``/``classify`` while the cluster is shedding
+        ``classify_batch`` while the cluster is shedding
         load; documents it labels count into :attr:`n_degraded`.
     degraded_service_time_s:
         Simulated per-message seconds on the cheap path; defaults to
@@ -72,7 +69,6 @@ class ClassifierStage:
     """
 
     service_time_s: float
-    classify: Callable[[str], Category] | None = None
     classify_batch: Callable[[Sequence[str]], Sequence[Category]] | None = None
     batch_size: int = 1
     cheap_classify_batch: Callable[[Sequence[str]], Sequence[Category]] | None = None
@@ -177,11 +173,9 @@ class TivanCluster:
     degrade_backlog:
         Classifier backlog at which the cluster sheds load: the stage
         switches to its ``cheap_classify_batch`` path until the backlog
-        recovers.  ``None`` (default) disables degraded mode.
-    recover_backlog:
-        Backlog at which a degraded cluster returns to the full model
-        path; defaults to ``degrade_backlog // 2`` (hysteresis, so the
-        mode cannot flap on every tick).
+        falls back to ``degrade_backlog // 2`` (hysteresis, so the mode
+        cannot flap on every tick).  ``None`` (default) disables
+        degraded mode.
     fault_injector:
         Optional :class:`repro.faults.FaultInjector`, armed on the
         forwarder's ``fluentd.flush`` site.
@@ -235,7 +229,6 @@ class TivanCluster:
         buffer_limit: int = 100_000,
         flush_retry_limit: int | None = None,
         degrade_backlog: int | None = None,
-        recover_backlog: int | None = None,
         fault_injector=None,
         journal=None,
         checkpoint_every_s: float | None = None,
@@ -251,15 +244,6 @@ class TivanCluster:
         if degrade_backlog is not None and degrade_backlog < 1:
             raise ValueError(
                 f"degrade_backlog must be >= 1, got {degrade_backlog}"
-            )
-        if recover_backlog is None:
-            recover_backlog = (degrade_backlog // 2) if degrade_backlog else 0
-        elif degrade_backlog is None:
-            raise ValueError("recover_backlog requires degrade_backlog")
-        elif not 0 <= recover_backlog < degrade_backlog:
-            raise ValueError(
-                f"recover_backlog must be in [0, degrade_backlog), got "
-                f"{recover_backlog} with degrade_backlog={degrade_backlog}"
             )
         if checkpoint_every_s is not None and checkpoint_every_s <= 0:
             raise ValueError(
@@ -333,15 +317,19 @@ class TivanCluster:
         #: the primary consumer — the durable one, whose stats and dead
         #: letters the checkpoint and the CLI report
         self.forwarder = self.consumers[0]
-        self.relay = SyslogRelay(downstream=self._publish)
-        self.daemons: dict[str, SyslogDaemon] = {}
-        self._event_idx: dict[int, int] = {}
+        from repro.obs import wellknown
+
+        #: the primary syslog relay's counts: lines it took, and lines it
+        #: dropped (a brownout shed or a publish a stalled partition refused)
+        self.n_received = 0
+        self.n_dropped = 0
+        self._m_received = wellknown.relay_received()
+        self._m_dropped = wellknown.relay_dropped()
         self._n_produced = 0
-        #: durable runs: trace position → (partition key, stable per-host
-        #: offset), computed over the *full* trace in load_events
-        self._event_pub: dict[int, tuple[str, int]] = {}
+        #: durable runs: trace position → stable per-host offset, computed
+        #: over the *full* trace in load_events
+        self._event_offset: dict[int, int] = {}
         self.degrade_backlog = degrade_backlog
-        self.recover_backlog = recover_backlog
         self.degraded = False
         self.n_degrade_transitions = 0
         self._stage: ClassifierStage | None = None
@@ -378,26 +366,20 @@ class TivanCluster:
 
     # -- brownout ladder actions ---------------------------------------
 
-    def set_degraded_override(self, forced: bool) -> None:
-        """Force (or release) the cheap-classify path regardless of the
-        backlog hysteresis — brownout rung L2."""
-        self._degraded_override = bool(forced)
-
     def set_degrade_backlog(self, value: float) -> None:
         """Retune the degrade threshold (control lever); the recover
         threshold follows at half to preserve the hysteresis gap."""
-        value = max(1, int(round(value)))
-        self.degrade_backlog = value
-        self.recover_backlog = value // 2
+        self.degrade_backlog = max(1, int(round(value)))
 
     def apply_brownout(self, old_level: int, new_level: int) -> None:
         """Apply one brownout ladder transition (rungs are absolute).
 
         L1 shrinks the stage drain batch to a quarter of its baseline
-        (restored on full recovery), L2 forces the cheap-classify path,
-        L3 sheds a deterministic fraction of arrivals at accept.  Each
-        rung includes the ones below it, and climbing back releases
-        mitigations in reverse order.
+        (restored on full recovery), L2 forces the cheap-classify path
+        regardless of the backlog hysteresis, L3 sheds a deterministic
+        fraction of arrivals at accept.  Each rung includes the ones
+        below it, and climbing back releases mitigations in reverse
+        order.
         """
         stage = self._stage
         if stage is not None:
@@ -408,7 +390,7 @@ class TivanCluster:
             elif self._stage_batch_baseline is not None:
                 stage.batch_size = self._stage_batch_baseline
                 self._stage_batch_baseline = None
-        self.set_degraded_override(new_level >= 2)
+        self._degraded_override = new_level >= 2
         if new_level >= 3:
             fraction = 0.5
             if (
@@ -421,57 +403,40 @@ class TivanCluster:
             self._shed_fraction = 0.0
             self._shed_acc = 0.0
 
-    def _shed_at_accept(self) -> bool:
-        """Brownout L3's deterministic fractional drop decision.
-
-        An accumulator spreads ``shed_fraction`` evenly over arrivals
-        (no RNG — replayable), counting each drop into
-        ``repro_control_shed_total{reason="brownout"}``.
-        """
-        if self._shed_fraction <= 0.0:
-            return False
-        self._shed_acc += self._shed_fraction
-        if self._shed_acc >= 1.0:
-            self._shed_acc -= 1.0
-            self.n_shed += 1
-            from repro.obs import wellknown
-
-            wellknown.control_shed().inc(reason="brownout")
-            return True
-        return False
-
     def load_events(self, events: Sequence[StreamEvent], *, skip=()) -> None:
-        """Create daemons for every host in the trace and schedule it.
+        """Schedule every trace line for the relay to accept.
 
-        ``skip`` holds trace positions to leave unscheduled — on a
-        durable resume these are the identities the journal already
-        saw, so a message is never offered twice across restarts.
-        ``produced`` still counts the full trace (conservation is
-        stated over every generated message).
+        Hosts go in sorted order and each host's lines in trace order, so
+        every event keeps its ``(time, sequence number)``.  A timestamp
+        already in the past (a resumed run whose clock moved on while
+        the line was never offered) is clamped to *now* — delivered late
+        rather than dropped or time-travelled.  ``skip`` holds trace
+        positions to leave unscheduled — on a durable resume these are
+        the identities the journal already saw, so a message is never
+        offered twice across restarts.  ``produced`` still counts the
+        full trace (conservation is stated over every generated message).
         """
         skip = set(skip)
-        if self.journal is not None:
-            # stable offsets: event i's offset is its per-host ordinal
-            # over the FULL trace (skipped events included), so a
-            # sparse resume republishes every event at the offset it
-            # had in its first life and committed offsets stay valid
-            ordinals: dict[str, int] = {}
-            for i, e in enumerate(events):
-                h = e.message.hostname
-                self._event_pub[i] = (h, ordinals.get(h, 0))
-                ordinals[h] = ordinals.get(h, 0) + 1
-        # grouped once, in trace order: a daemon walks its own lines,
-        # not the whole trace
-        by_host: dict[str, list] = {}
+        ordinals: dict[str, int] = {}
+        by_host: dict[str, list[int]] = {}
         for i, e in enumerate(events):
-            if i in skip:
-                continue
-            self._event_idx[id(e.message)] = i
-            by_host.setdefault(e.message.hostname, []).append(e.message)
-        for h in sorted(by_host):
-            self.daemons[h] = SyslogDaemon(hostname=h, relay=self.relay)
-        for h, d in self.daemons.items():
-            d.load_trace(self.engine, by_host.get(h, ()))
+            host = e.message.hostname
+            if self.journal is not None:
+                # stable offsets: event i's offset is its per-host ordinal
+                # over the FULL trace (skipped events included), so a
+                # sparse resume republishes every event at the offset it
+                # had in its first life and committed offsets stay valid
+                self._event_offset[i] = ordinals.get(host, 0)
+                ordinals[host] = self._event_offset[i] + 1
+            if i not in skip:
+                by_host.setdefault(host, []).append(i)
+        now = self.engine.now
+        for host in sorted(by_host):
+            for i in by_host[host]:
+                message = events[i].message
+                self.engine.schedule_at(
+                    max(message.timestamp, now), partial(self._accept, i, message)
+                )
         self._n_produced = len(events)
 
     def run(self, duration_s: float, *, sample_every_s: float = 5.0) -> IngestReport:
@@ -511,8 +476,8 @@ class TivanCluster:
         report = IngestReport(
             duration_s=duration_s,
             produced=self._n_produced,
-            relay_received=self.relay.n_received,
-            relay_dropped=self.relay.n_dropped,
+            relay_received=self.n_received,
+            relay_dropped=self.n_dropped,
             indexed=indexed_at_horizon,
             classified=classified,
             final_backlog=indexed_at_horizon - classified,
@@ -547,45 +512,45 @@ class TivanCluster:
 
     # -- internals ---------------------------------------------------------
 
-    def _begin_trace(self, message, idx):
-        """Head-sample at relay accept, keyed by trace position.
+    def _accept(self, idx: int, message) -> None:
+        """The primary syslog relay takes trace line ``idx``.
 
-        The key is the event's position in the deterministic trace, so
-        a resumed process (same seed) re-derives the same decisions and
-        the same trace IDs — continuity across SIGKILL.
+        Brownout L3 sheds first: an accumulator spreads ``shed_fraction``
+        evenly over arrivals (no RNG — replayable), counting each drop
+        into ``repro_control_shed_total{reason="brownout"}``.  A kept
+        line is head-sampled by its trace position — a resumed process
+        (same seed) re-derives the same decisions and trace IDs, so a
+        trace continues across SIGKILL — and published; a durable run
+        publishes at the line's stable per-host offset.  A shed or a
+        publish a stalled partition refuses is a drop, journaled as a
+        ``reject`` — a recorded disposition, never republished on resume.
         """
-        if (
-            self.sampler is None
-            or idx is None
-            or not self.sampler.sample_ordinal(idx)
-        ):
-            return None
-        return self.sampler.begin(idx, host=message.hostname)
+        self.n_received += 1
+        self._m_received.inc()
+        record = None
+        self._shed_acc += self._shed_fraction
+        if self._shed_acc >= 1.0:
+            self._shed_acc -= 1.0
+            self.n_shed += 1
+            from repro.obs import wellknown
 
-    def _publish(self, message) -> bool:
-        """Relay downstream: publish to the message's partition.
-
-        Durable runs publish at the event's stable per-host offset; a
-        brownout shed or a refused publish (stalled partition) is
-        journaled as a reject — a recorded disposition, never
-        republished on resume.
-        """
-        idx = self._event_idx.get(id(message))
-        if self._shed_at_accept():
+            wellknown.control_shed().inc(reason="brownout")
+        else:
+            ctx = None
+            if self.sampler is not None and self.sampler.sample_ordinal(idx):
+                ctx = self.sampler.begin(idx, host=message.hostname)
+            if self.journal is None:
+                record = self.broker.publish(message, ctx=ctx)
+            else:
+                record = self.broker.publish(
+                    message, key=message.hostname, ident=idx,
+                    offset=self._event_offset[idx], ctx=ctx,
+                )
+        if record is None:
+            self.n_dropped += 1
+            self._m_dropped.inc()
             if self.journal is not None:
                 self.journal.reject(idx)
-            return False
-        ctx = self._begin_trace(message, idx)
-        if self.journal is None:
-            return self.broker.publish(message, ctx=ctx) is not None
-        key, offset = self._event_pub[idx]
-        record = self.broker.publish(
-            message, key=key, ident=idx, offset=offset, ctx=ctx
-        )
-        if record is None:
-            self.journal.reject(idx)
-            return False
-        return True
 
     def _schedule_controller(self, horizon: float) -> None:
         """Drive the controller on the simulation clock.
@@ -628,8 +593,8 @@ class TivanCluster:
         """Hysteresis between the full and cheap classification paths.
 
         Enter degraded mode when the backlog crosses
-        ``degrade_backlog``; leave only once it has fallen back to
-        ``recover_backlog``, so the mode cannot flap on every tick.
+        ``degrade_backlog``; leave only once it has fallen back to half
+        of it, so the mode cannot flap on every tick.
         Transitions are counted here and mirrored into the
         ``repro_stream_degraded_*`` families.
         """
@@ -642,7 +607,7 @@ class TivanCluster:
             self.n_degrade_transitions += 1
             wellknown.degraded_mode().set(1)
             wellknown.degraded_transitions().inc(direction="enter")
-        elif self.degraded and backlog <= self.recover_backlog:
+        elif self.degraded and backlog <= self.degrade_backlog // 2:
             self.degraded = False
             self.n_degrade_transitions += 1
             wellknown.degraded_mode().set(0)
@@ -672,25 +637,16 @@ class TivanCluster:
                 (self.degraded or self._degraded_override)
                 and stage.cheap_classify_batch is not None
             )
-            if shed:
-                categories = stage.cheap_classify_batch(
-                    [d.message.text for d in docs]
-                )
+            classify = stage.cheap_classify_batch if shed else stage.classify_batch
+            if classify is not None:
+                categories = classify([d.message.text for d in docs])
                 for doc, cat in zip(docs, categories):
                     self.store.set_category(doc.doc_id, cat)
+            if shed:
                 stage.n_degraded += take
                 from repro.obs import wellknown
 
                 wellknown.degraded_messages().inc(take)
-            elif stage.classify_batch is not None:
-                categories = stage.classify_batch([d.message.text for d in docs])
-                for doc, cat in zip(docs, categories):
-                    self.store.set_category(doc.doc_id, cat)
-            elif stage.classify is not None:
-                for doc in docs:
-                    self.store.set_category(
-                        doc.doc_id, stage.classify(doc.message.text)
-                    )
             stage.n_done += take
             service = (
                 stage.degraded_service_time_s if shed else stage.service_time_s

@@ -19,7 +19,10 @@ beside what replaced it (house style of ``tests/perdoc_store.py`` and
 * :func:`schedule_every` — the re-arming closure ``TivanCluster`` wrote
   three times (replaced by ``EventEngine.every``);
 * :func:`load_events` — ``TivanCluster.load_events`` handing every
-  daemon the whole trace;
+  daemon the whole trace, with the replay half of the node daemon it
+  scheduled through (:class:`SyslogDaemon`, from the deleted
+  ``stream/syslogd.py``); it runs on a stand-in cluster
+  (:func:`daemon_cluster`) whose relay names each line by ``id()``;
 * :func:`run_tail`, :func:`headline` — what ``recover``, ``simulate``
   and the crash harness each did after building a cluster.
 
@@ -31,14 +34,15 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from repro.core.message import SyslogMessage
 from repro.datagen.workload import StreamEvent
 from repro.durability import reconcile
 from repro.obs.propagation import carrying, record_hop
+from repro.stream.events import EventEngine
 from repro.stream.fluentd import ABANDON_SITE, FluentdForwarder
-from repro.stream.syslogd import SyslogDaemon
 
 
 class ReferenceForwarder(FluentdForwarder):
@@ -288,6 +292,53 @@ def schedule_every(engine, every: float, action, horizon: float) -> None:
         SimpleNamespace(engine=engine, checkpoint_every_s=every, write_checkpoint=action),
         horizon,
     )
+
+
+@dataclass
+class SyslogDaemon:
+    """One node's rsyslogd, replaying its share of a message trace."""
+
+    hostname: str
+    relay: object
+    n_emitted: int = field(default=0, init=False)
+
+    def load_trace(
+        self, engine: EventEngine, messages: Sequence[SyslogMessage]
+    ) -> None:
+        """Schedule this node's messages into the engine.
+
+        Only messages whose ``hostname`` matches are scheduled; the
+        timestamps in the trace are absolute sim times.  A timestamp
+        already in the past (a resumed run whose clock moved on while
+        the message was never offered) is clamped to *now* — delivered
+        late rather than dropped or time-travelled.
+        """
+        for msg in messages:
+            if msg.hostname != self.hostname:
+                continue
+            engine.schedule_at(
+                max(msg.timestamp, engine.now), lambda m=msg: self._emit(m)
+            )
+
+    def _emit(self, message: SyslogMessage) -> None:
+        self.n_emitted += 1
+        self.relay.receive(message)
+
+
+def daemon_cluster(engine: EventEngine, accept) -> SimpleNamespace:
+    """What :func:`load_events` reads and writes of a ``TivanCluster``.
+
+    Its relay hands ``accept(idx, message)`` the trace position the
+    cluster kept per message object, ``_event_idx[id(message)]``.
+    """
+    cluster = SimpleNamespace(
+        engine=engine, broker=None, journal=None, daemons={}, _event_idx={},
+        _event_pub={}, _n_produced=0,
+    )
+    cluster.relay = SimpleNamespace(
+        receive=lambda m: accept(cluster._event_idx[id(m)], m)
+    )
+    return cluster
 
 
 def load_events(self, events: Sequence[StreamEvent], *, skip=()) -> None:

@@ -40,8 +40,9 @@ from repro.control import (
     default_policy,
     load_policy_file,
 )
+from repro.core.message import SyslogMessage
 from repro.core.taxonomy import Category
-from repro.datagen.workload import offered_load_events
+from repro.datagen.workload import StreamEvent, offered_load_events
 from repro.faults import (
     SITE_NODE_DOWN,
     SITE_PARTITION_STALL,
@@ -605,9 +606,15 @@ class TestClusterBrownout:
         with use_registry(MetricsRegistry()) as reg:
             cluster = self._cluster()
             cluster.apply_brownout(0, 3)
-            decisions = [cluster._shed_at_accept() for _ in range(10)]
-            assert decisions.count(True) == 5  # exactly the fraction
-            assert cluster.n_shed == 5
+            cluster.load_events([
+                StreamEvent(SyslogMessage(float(i), "cn001", "kernel", f"line {i}"), None)
+                for i in range(10)
+            ])
+            cluster.engine.run()
+            # exactly the fraction, every second arrival
+            published = cluster.broker.partitions["cn001"].read_from(0, 10)
+            assert [r.message.timestamp for r in published] == [0.0, 2.0, 4.0, 6.0, 8.0]
+            assert cluster.n_shed == cluster.n_dropped == 5
             assert wellknown.control_shed(reg).value(reason="brownout") == 5
 
     def test_partial_descent_keeps_lower_rungs_off(self):

@@ -516,6 +516,24 @@ class TestResume:
         assert after.ok and after.rejected == cluster.n_shed
         assert after.indexed == conservation.indexed
 
+    def test_a_line_listed_twice_is_published_at_each_position(self, tmp_path):
+        """A trace may list one frozen message at several positions: each
+        is its own identity, published at its own per-host offset."""
+        from repro.core.message import SyslogMessage
+        from repro.datagen.workload import StreamEvent
+        from repro.stream.tivan import TivanCluster
+
+        line = SyslogMessage(1.0, "cn001", "kernel", "the same line")
+        journal = StreamJournal(WriteAheadLog(tmp_path))
+        cluster = TivanCluster(journal=journal)
+        cluster.load_events([StreamEvent(message=line, label=None)] * 3)
+        report = cluster.run(10.0)
+        journal.wal.close()
+        records = cluster.broker.partitions["cn001"].read_from(0, 10)
+        assert [(r.offset, r.ident) for r in records] == [(0, 0), (1, 1), (2, 2)]
+        conservation = reconcile(journal.state, report.produced)
+        assert conservation.ok and conservation.indexed == 3, conservation.render()
+
     def _legacy_meta(self, directory, **keys):
         """``meta.json`` as a run before the broker became the only intake
         wrote it: the two retired keys beside the current ones."""

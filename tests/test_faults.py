@@ -499,11 +499,10 @@ class TestDegradedMode:
 
     def test_hysteresis_recovers(self):
         with use_registry(MetricsRegistry()) as reg:
-            cluster, report = self._run_cluster(
-                degrade_backlog=100, recover_backlog=20
-            )
+            cluster, report = self._run_cluster(degrade_backlog=100)
             # the cheap path drains the backlog below the recover
-            # threshold well before the horizon, so the mode exits
+            # threshold (half of 100) well before the horizon, so the
+            # mode exits
             assert not cluster.degraded
             assert report.degrade_transitions >= 2
             assert wellknown.degraded_mode(reg).value() == 0
@@ -517,10 +516,6 @@ class TestDegradedMode:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="degrade_backlog"):
             TivanCluster(degrade_backlog=0)
-        with pytest.raises(ValueError, match="recover_backlog"):
-            TivanCluster(degrade_backlog=10, recover_backlog=10)
-        with pytest.raises(ValueError, match="requires"):
-            TivanCluster(recover_backlog=5)
 
 
 # -- end-to-end chaos simulation -------------------------------------------
@@ -547,12 +542,14 @@ class TestEndToEndChaos:
             report = cluster.run(120.0)
             fwd = cluster.forwarder
             s = fwd.stats
-            # relay-level conservation
-            assert report.relay_received == cluster.relay.n_forwarded + cluster.relay.n_dropped
+            # relay-level conservation: what the relay took and did not
+            # drop is what it forwarded
+            forwarded = report.relay_received - report.relay_dropped
+            assert report.relay_received == cluster.n_received == len(events)
             # forwarder-level conservation: everything the relay forwarded
             # was published and polled, then flushed, still buffered, or
             # dead-lettered with a reason
-            assert report.broker_published == cluster.relay.n_forwarded
+            assert report.broker_published == forwarded
             assert report.broker_polled == s.accepted
             assert s.accepted == (
                 s.flushed_messages + fwd.buffered + s.abandoned_messages
@@ -560,7 +557,7 @@ class TestEndToEndChaos:
             # the store holds exactly what was flushed
             assert len(cluster.store) == s.flushed_messages
             # a full buffer is broker lag, never a relay drop
-            assert cluster.relay.n_dropped == 0
+            assert cluster.n_dropped == report.relay_dropped == 0
             assert report.broker_published == s.accepted + report.broker_lag
             # reconciliation with the injector
             fired = inj.fire_counts().get(SITE_FLUSH_FAIL, 0)

@@ -25,7 +25,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.message import Facility, Severity, SyslogMessage
-from repro.datagen.sender import send_tcp, send_udp, wire_lines
+from repro.datagen.sender import render_event, send_tcp, send_udp, wire_lines
 from repro.datagen.workload import standard_simulation_events
 from repro.faults import FaultInjector, FaultPlan
 from repro.ingest import (
@@ -40,7 +40,6 @@ from repro.obs import MetricsRegistry, use_registry, wellknown
 from repro.stream import rfc
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
-from repro.stream.syslogd import SyslogDaemon, SyslogRelay
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -124,22 +123,13 @@ class TestRfcRoundTrip:
             assert msg.hostname == event.message.hostname
             assert msg.text == event.message.text
 
-    def test_daemon_render_line_mixed_alternates(self):
-        relay = SyslogRelay(downstream=lambda m: True)
-        daemon = SyslogDaemon(hostname="cn001", relay=relay, wire_format="mixed")
+    def test_sender_render_event_mixed_alternates(self):
         m = _msg()
-        assert daemon.render_line(m) == m.to_rfc3164()
-        daemon.n_emitted = 1
-        assert daemon.render_line(m) == m.to_rfc5424()
+        assert render_event(m, 0) == m.to_rfc3164()
+        assert render_event(m, 1) == m.to_rfc5424()
+        assert render_event(m, 1, "3164") == m.to_rfc3164()
         with pytest.raises(ValueError):
-            SyslogDaemon(hostname="x", relay=relay, wire_format="cef")
-
-    def test_relay_receive_line_counts_parse_errors(self):
-        relay = SyslogRelay(downstream=lambda m: True)
-        assert relay.receive_line(_msg().to_rfc5424().encode()) is True
-        assert relay.receive_line(b"%%% not syslog %%%") is False
-        assert relay.n_parse_errors == 1
-        assert relay.n_forwarded == 1
+            render_event(m, 0, "cef")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ class TestFullTriageScenario:
         cluster.load_events(events)
         cluster.attach_classifier(ClassifierStage(
             service_time_s=1e-4,
-            classify=lambda t: trained_pipeline.classify(t).category,
+            classify_batch=lambda texts: [
+                r.category for r in trained_pipeline.classify_batch(texts)
+            ],
         ))
         report = cluster.run(930.0)
         return events, cluster, report

@@ -793,62 +793,41 @@ class TestWellknownAccessorFloor:
 class TestSmallBatchFloors:
     """A trickle flushes one to three lines at a time, so what a batch
     costs before its first row is what the paced regime pays per line.
-    Ratios against a same-process yardstick only."""
+    Counted, not timed: the weighting builds one CSR matrix a call, and
+    the batch's metric binds — zero family get-or-creates and zero
+    ``labels()`` per steady one-line batch — are counted by
+    ``tests/test_obs.py::TestBindOnce``.  The wall-clock ratios these
+    counts replace are ledger rows in
+    ``benchmarks/bench_runtime_scaling.py::TestSmallBatchFloors``."""
 
-    def test_one_row_transform_costs_under_half_the_matrix_by_matrix_one(self, split, corpus):
-        """Weighting at array level (one CSR built) against the
-        implementation it replaced (seven), kept in
-        ``reference_tfidf.py``: reads 0.15-0.17."""
+    def test_a_one_row_transform_builds_one_csr_matrix(self, split, corpus, monkeypatch):
+        """Weighting at array level against the implementation it
+        replaced, kept in ``reference_tfidf.py``: one ``csr_matrix`` a
+        row against seven."""
+        import scipy.sparse as sp
         from reference_tfidf import reference_transform_analyzed
 
         vec = split[4]
-        rows = [[doc] for doc in vec.analyze_batch(corpus.texts[:300])]
+        rows = [[doc] for doc in vec.analyze_batch(corpus.texts[:60])]
+        built: list[int] = []
+        init = sp.csr_matrix.__init__
 
-        def timed(transform):
-            def one_round() -> float:
-                t0 = time.perf_counter()
-                for row in rows:
-                    transform(row)
-                return time.perf_counter() - t0
-            return one_round
+        def counting_init(matrix, *args, **kwargs):
+            built.append(1)
+            init(matrix, *args, **kwargs)
 
-        ratio = _best_ratio(
-            timed(vec.transform_analyzed), timed(lambda row: reference_transform_analyzed(vec, row))
-        )
-        assert ratio <= 0.4, f"a one-row transform costs {ratio:.2f}x the reference"
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
 
-    def test_a_one_line_all_hit_batch_costs_a_bounded_number_of_full_batch_lines(self, corpus):
-        """The fixed cost of ``classify_batch`` — stage timers, batch and
-        cache metrics — measured in lines of a 500-line all-hit batch:
-        reads 10-11; 27-31 while every batch resolved its metric
-        families and labels anew."""
-        from repro.core.pipeline import ClassificationPipeline
-        from repro.core.template_cache import TemplateCache
-        from repro.ml import ComplementNB
+        def per_row(transform) -> list[int]:
+            counts = []
+            for row in rows:
+                built.clear()
+                transform(row)
+                counts.append(len(built))
+            return counts
 
-        pipe = ClassificationPipeline(classifier=ComplementNB(), template_cache=TemplateCache(4096))
-        pipe.timer.registry = MetricsRegistry()
-        pipe.fit(corpus.texts, corpus.labels)
-        full = _zipf_draw(corpus, 500)
-        one = full[:1]
-        pipe.classify_batch(full)  # fill the cache: everything below is a hit
-        misses = pipe.template_cache.misses
-
-        def one_line_call() -> float:
-            t0 = time.perf_counter()
-            for _ in range(400):
-                pipe.classify_batch(one)
-            return (time.perf_counter() - t0) / 400
-
-        def full_batch_line() -> float:
-            t0 = time.perf_counter()
-            for _ in range(4):
-                pipe.classify_batch(full)
-            return (time.perf_counter() - t0) / (4 * 500)
-
-        ratio = _best_ratio(one_line_call, full_batch_line)
-        assert pipe.template_cache.misses == misses
-        assert ratio <= 18.0, f"a one-line all-hit batch costs {ratio:.1f} full-batch lines"
+        assert per_row(vec.transform_analyzed) == [1] * len(rows)
+        assert min(per_row(lambda row: reference_transform_analyzed(vec, row))) > 1
 
 
 class TestTemplateCacheSpeedup:

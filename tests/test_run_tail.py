@@ -4,8 +4,9 @@ The replaced code lives on in ``tests/reference_consumer.py``:
 ``EventEngine.every`` is held against the re-arming closure
 ``TivanCluster`` wrote three times (same ``(time, seq)`` of every
 event), ``TivanCluster.load_events`` against the version that handed
-every daemon the whole trace (same schedule, a linear number of
-hostname comparisons), ``run_to_completion`` against the tail
+every node daemon the whole trace (same schedule, each line accepted
+under the same trace position, no hostname comparisons at all),
+``run_to_completion`` against the tail
 ``recover`` and the crash harness each carried, ``IngestReport.headline``
 against the f-string ``simulate`` and ``recover`` both typed.  The
 gates at the end are AST checks that the settle margin and the
@@ -140,36 +141,49 @@ def _trace(n_hosts: int, per_host: int):
     ]
 
 
+def _load(load, events, *, skip=()):
+    """``(time, seq)`` of every scheduled event, every ``(position, line)``
+    accepted, and ``produced``, after ``load`` and a run."""
+    engine, accepted = _Engine(), []
+
+    def accept(idx, message) -> None:
+        accepted.append((idx, message))
+
+    if load is TivanCluster.load_events:
+        cluster = TivanCluster()
+        cluster.engine = engine
+        cluster._accept = accept
+    else:
+        cluster = reference.daemon_cluster(engine, accept)
+    load(cluster, events, skip=skip)
+    engine.run()
+    return engine.scheduled, accepted, cluster._n_produced
+
+
 class TestLoadEvents:
     def test_the_load_is_linear_in_events_not_hosts_times_events(self):
         events = _trace(n_hosts=40, per_host=5)
-        cluster = TivanCluster()
         _Host.compared = 0
-        cluster.load_events(events)
-        # each daemon compares its own lines; the parent compared hosts × events
-        assert _Host.compared <= 2 * len(events)
-        old = TivanCluster()
+        _load(TivanCluster.load_events, events)
+        # lines are grouped by host once: no hostname is compared at all
+        assert _Host.compared == 0
         _Host.compared = 0
-        reference.load_events(old, events)
+        _load(reference.load_events, events)
         assert _Host.compared == 40 * len(events)
 
     @pytest.mark.parametrize("skip", [(), (0, 3, 4, 17, 199)])
     def test_every_event_keeps_its_time_and_sequence_number(self, skip):
         events = _trace(n_hosts=8, per_host=25)
-        heaps = []
-        for load in (TivanCluster.load_events, reference.load_events):
-            cluster = TivanCluster()
-            cluster.engine = engine = _Engine()
-            load(cluster, events, skip=skip)
-            delivered = []
-            cluster.relay.downstream = lambda m, delivered=delivered: delivered.append(m) or True
-            engine.run()
-            heaps.append((
-                engine.scheduled, delivered, list(cluster.daemons),
-                cluster._event_idx, cluster._n_produced,
-            ))
-        assert heaps[0] == heaps[1]
-        assert len(heaps[0][1]) == len(events) - len(skip)
+        new, old = (_load(load, events, skip=skip) for load in (
+            TivanCluster.load_events, reference.load_events,
+        ))
+        assert new == old
+        scheduled, accepted, produced = new
+        assert len(accepted) == len(scheduled) == len(events) - len(skip)
+        assert produced == len(events)
+        assert sorted(idx for idx, _m in accepted) == [
+            i for i in range(len(events)) if i not in skip
+        ]
 
     def test_a_second_load_schedules_nothing_for_the_daemons_it_has_no_lines_for(self):
         events = _trace(n_hosts=4, per_host=3)
@@ -177,12 +191,26 @@ class TestLoadEvents:
         second = [e for e in events if e.message.hostname >= "cn002"]
         scheduled = []
         for load in (TivanCluster.load_events, reference.load_events):
-            cluster = TivanCluster()
-            cluster.engine = _Engine()
+            engine = _Engine()
+            if load is TivanCluster.load_events:
+                cluster = TivanCluster()
+                cluster.engine = engine
+            else:
+                cluster = reference.daemon_cluster(engine, lambda idx, m: None)
             load(cluster, first)
             load(cluster, second)
-            scheduled.append(cluster.engine.scheduled)
+            scheduled.append(engine.scheduled)
         assert scheduled[0] == scheduled[1] and len(scheduled[0]) == len(events)
+
+    def test_a_line_listed_twice_is_accepted_under_each_position(self):
+        """The trace names a line by its position, not by its object: the
+        oracle, keyed by ``id()``, accepts both copies as the last."""
+        line = SyslogMessage(1.0, "cn001", "kernel", "twice")
+        events = [StreamEvent(message=line, label=None)] * 2
+        _scheduled, accepted, _produced = _load(TivanCluster.load_events, events)
+        assert accepted == [(0, line), (1, line)]
+        _scheduled, accepted, _produced = _load(reference.load_events, events)
+        assert accepted == [(1, line), (1, line)]
 
 
 def _config(**knobs) -> SimConfig:

@@ -1,13 +1,13 @@
-"""Unit tests for syslogd, fluentd, and the Tivan assembly."""
+"""Unit tests for the relay, fluentd, and the Tivan assembly."""
 
 import pytest
 from broker_feed import fed_forwarder
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
-from repro.datagen.workload import generate_stream
-from repro.stream.events import EventEngine
-from repro.stream.syslogd import SyslogDaemon, SyslogRelay
+from repro.datagen.workload import StreamEvent, generate_stream
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import SITE_PARTITION_STALL, FaultSpec
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
 
@@ -16,28 +16,32 @@ def msg(t=0.0, host="cn001", text="hello"):
                          severity=Severity.INFO)
 
 
+def relayed(*messages, **kw):
+    """A cluster whose relay has taken ``messages`` (nothing consumed)."""
+    cluster = TivanCluster(**kw)
+    cluster.load_events([StreamEvent(message=m, label=None) for m in messages])
+    cluster.engine.run()
+    return cluster
+
+
 class TestRelay:
     def test_forwards_to_downstream(self):
-        got = []
-        relay = SyslogRelay(downstream=lambda m: (got.append(m), True)[1])
-        relay.receive(msg())
-        assert relay.n_forwarded == 1 and got
+        tc = relayed(msg())
+        assert (tc.n_received, tc.n_dropped) == (1, 0)
+        assert tc.broker.stats.published == 1
 
     def test_counts_drops(self):
-        relay = SyslogRelay(downstream=lambda m: False)
-        relay.receive(msg())
-        assert relay.n_dropped == 1 and relay.n_forwarded == 0
+        stall = FaultPlan(sites={SITE_PARTITION_STALL: FaultSpec(at_calls=(1,))})
+        tc = relayed(msg(), fault_injector=FaultInjector(stall))
+        assert (tc.n_received, tc.n_dropped) == (1, 1)
+        assert tc.broker.stats.published == 0
 
-
-class TestDaemon:
-    def test_only_replays_own_hostname(self):
-        relay = SyslogRelay(downstream=lambda m: True)
-        daemon = SyslogDaemon(hostname="cn001", relay=relay)
-        eng = EventEngine()
-        daemon.load_trace(eng, [msg(1.0, "cn001"), msg(2.0, "cn999")])
-        eng.run()
-        assert daemon.n_emitted == 1
-        assert relay.n_received == 1
+    def test_each_host_publishes_to_its_own_partition(self):
+        tc = relayed(msg(1.0, "cn001"), msg(2.0, "cn999"), msg(3.0, "cn001"))
+        assert tc.n_received == 3
+        assert {h: len(p) for h, p in tc.broker.partitions.items()} == {
+            "cn001": 2, "cn999": 1,
+        }
 
 
 class TestFluentd:
@@ -124,7 +128,7 @@ class TestTivanCluster:
         tc.load_events(ev)
         tc.attach_classifier(
             ClassifierStage(service_time_s=0.001,
-                            classify=lambda text: Category.UNIMPORTANT)
+                            classify_batch=lambda texts: [Category.UNIMPORTANT] * len(texts))
         )
         rep = tc.run(20)
         labelled = sum(

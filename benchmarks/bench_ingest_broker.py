@@ -42,6 +42,13 @@ Three questions, three lanes:
    not a gate: no floor is asserted on wall-clock, only that both sides
    decide, count and capture the same.
 
+5. **The poll floors** (``TestBrokerPollFloors`` →
+   ``BENCH_broker_poll_floors.json``): the two wall-clock ratios tier-1
+   gated on before it counted partitions and records visited instead —
+   an empty poll over 2,000 against 20 records a partition, and a
+   3-record poll plus commits over 1,000 against 50 partitions (≤ 3×
+   each).
+
 The first three land in ``BENCH_ingest_broker.json``.
 
 Environment knobs: ``REPRO_BENCH_INGEST_MESSAGES`` (lines per lane,
@@ -60,6 +67,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.message import SyslogMessage
 from repro.datagen.sender import send_tcp, send_udp, wire_lines
 from repro.datagen.workload import standard_simulation_events
 from repro.experiments.common import format_table
@@ -449,6 +457,96 @@ def test_front_door_lane():
         "scarce_lines_per_token": SCARCE_LINES_PER_TOKEN,
         "scarce_admitted": sum(scarce_new[0]),
     })
+
+
+# -- lane 5: the poll floors, as wall-clock ratios ----------------------------------
+
+#: ratio per test, rewritten to ``BENCH_broker_poll_floors.json`` after each
+_RATIOS: list[float] = []
+_POLL_FLOOR_ROWS: dict[str, float] = {}
+
+
+def _best_ratio(numerator, denominator, rounds: int = 9) -> float:
+    """``numerator()`` over ``denominator()`` (seconds each): alternating
+    rounds, best round of each side; recorded for the ledger row."""
+    passes = [(numerator(), denominator()) for _ in range(rounds)]
+    _RATIOS.append(min(p[0] for p in passes) / min(p[1] for p in passes))
+    return _RATIOS[-1]
+
+
+def _caught_up_broker(n_partitions: int, depth: int):
+    """A broker (live registry, so the lag gauges are computed) whose
+    one consumer has polled and committed ``depth`` records on each of
+    ``n_partitions`` host partitions."""
+    broker = LogBroker(registry=MetricsRegistry())
+    hosts = [f"cn{i:04d}" for i in range(n_partitions)]
+    msg = SyslogMessage(timestamp=0.0, hostname="cn", app="kernel", text="link up")
+    for _ in range(depth):
+        for host in hosts:
+            broker.publish(msg, key=host)
+    while records := broker.poll("g", max_records=4096):
+        for rec in records:
+            broker.commit("g", rec.partition, rec.offset + 1)
+    assert broker.lag("g") == 0
+    return broker, hosts, msg
+
+
+def _poll_cost_ratio(big, small, cycle, rounds: int = 7, reps: int = 200) -> float:
+    """Cost of ``cycle`` on the ``big`` broker over the ``small`` one:
+    alternating rounds, best round of each side."""
+
+    def one_round(setup) -> float:
+        total = 0.0
+        for i in range(reps):
+            total += cycle(*setup, i)
+        return total
+
+    return _best_ratio(lambda: one_round(big), lambda: one_round(small), rounds)
+
+
+class TestBrokerPollFloors:
+    """A poll costs what it returns — not what the partitions retain,
+    and not how many of them there are.  Ratios only: the tier-1 gates
+    these were are counted now (``tests/test_perf_smoke.py::
+    TestBrokerPollFloors``, partitions and records a poll visits); each
+    ratio is written to ``BENCH_broker_poll_floors.json`` whether or not
+    its bound held."""
+
+    @pytest.fixture(autouse=True)
+    def _ledger_row(self, request):
+        _RATIOS.clear()
+        yield
+        if _RATIOS:
+            _POLL_FLOOR_ROWS[request.node.name] = _RATIOS[-1]
+            write_artifact("broker_poll_floors", {"ratios": _POLL_FLOOR_ROWS})
+
+    def test_empty_poll_is_blind_to_retained_history(self):
+        def empty_poll(broker, _hosts, _msg, _i) -> float:
+            t0 = time.perf_counter()
+            assert broker.poll("g") == []
+            return time.perf_counter() - t0
+
+        ratio = _poll_cost_ratio(
+            _caught_up_broker(200, 2_000), _caught_up_broker(200, 20), empty_poll
+        )
+        assert ratio <= 3.0, f"an empty poll over deep partitions costs {ratio:.1f}x"
+
+    def test_small_poll_is_blind_to_partition_count(self):
+        def three_record_poll(broker, hosts, msg, i) -> float:
+            for k in range(3):
+                broker.publish(msg, key=hosts[(7 * i + k) % len(hosts)])
+            t0 = time.perf_counter()
+            records = broker.poll("g")
+            for rec in records:
+                broker.commit("g", rec.partition, rec.offset + 1)
+            dt = time.perf_counter() - t0
+            assert len(records) == 3
+            return dt
+
+        ratio = _poll_cost_ratio(
+            _caught_up_broker(1_000, 5), _caught_up_broker(50, 5), three_record_poll
+        )
+        assert ratio <= 3.0, f"a 3-record poll over 1,000 partitions costs {ratio:.1f}x"
 
 
 if __name__ == "__main__":

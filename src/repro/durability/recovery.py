@@ -19,14 +19,17 @@ Because the trace is regenerable, WAL records for trace events carry
 only the index — message bodies are rematerialized from the trace on
 resume, which keeps the per-message journal cost to a few bytes.  Only
 synthetic identities (messages published outside the trace, negative
-indices) embed the full body.
+indices) embed the full body.  In memory the journal keeps the
+:class:`~repro.core.message.SyslogMessage` it was handed, never a dict
+copy; bodies are serialised once, when their accept record is written,
+and converted to dicts only at the checkpoint boundary.
 
 Accepts are also *group-committed*: they accumulate in memory and are
 written as one batch record at the next write barrier — any other
 record kind (flush, reject, abandon, requeue, control) and every
 checkpoint — so the WAL stays ordered (an event's accept always
-precedes any record that moves it) while the per-message hot path
-costs a list append instead of an encode+write.  A crash can lose the
+precedes any record that moves it) while the hot path costs a list
+extend per poll instead of an encode+write per message.  A crash can lose the
 pending window, but those events were still buffered, so recovery
 simply republishes them from the regenerated trace: conservation holds;
 the window is only visible as reprocessing, never as loss.
@@ -44,11 +47,13 @@ import json
 import os
 import signal
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from repro.durability.checkpoint import load_latest_checkpoint, write_checkpoint
-from repro.durability.wal import WalRecord, WriteAheadLog, replay_wal
+from repro.durability.wal import JsonText, WalRecord, WriteAheadLog, replay_wal
 from repro.faults.plan import SITE_CRASH
 
 __all__ = [
@@ -74,6 +79,64 @@ RECORD_KINDS = ("accept", "reject", "flush", "abandon", "requeue", "control")
 
 META_FILENAME = "meta.json"
 
+_INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# message bodies: kept as messages, written as their to_dict() JSON
+
+
+def _json_number(value) -> str:
+    """A number (or ``None``) exactly as the WAL's JSON encoder writes it."""
+    kind = type(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _encode_body(message) -> str:
+    """``message.to_dict()`` as the WAL encodes it — sorted keys, compact
+    separators, ASCII — formatted in one pass, no dict built."""
+    try:
+        return '{"app":%s,"fac":%d,"host":%s,"pid":%s,"sev":%d,"text":%s,"ts":%s}' % (
+            _json_str(message.app), message.facility, _json_str(message.hostname),
+            _json_number(message.pid), message.severity, _json_str(message.text),
+            _json_number(message.timestamp),
+        )
+    except TypeError:  # a field of an unexpected type: the generic encoder decides
+        return json.dumps(message.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _encode_bodies(entries) -> JsonText:
+    """The ``msgs`` object of an accept record, ``str(event)`` → body."""
+    bodies = {str(event): message for event, message in entries}
+    return JsonText("{%s}" % ",".join(
+        '"%s":%s' % (key, _encode_body(bodies[key])) for key in sorted(bodies)
+    ))
+
+
+def _message(body: dict | None):
+    """A journaled body back as a message (``None`` stays ``None``)."""
+    if body is None:
+        return None
+    from repro.core.message import SyslogMessage
+
+    return SyslogMessage.from_dict(body)
+
+
+def _body(message) -> dict | None:
+    return None if message is None else message.to_dict()
+
 
 # ---------------------------------------------------------------------------
 # journal state: the durable truth about every message's disposition
@@ -94,9 +157,9 @@ class JournalState:
 
     #: last WAL sequence applied (dedup line for replay)
     applied_seq: int = 0
-    #: in-flight: accepted, not yet flushed/abandoned.  The
-    #: second element is the embedded msg dict for synthetic events and
-    #: None for trace events (rematerialized from the trace on resume).
+    #: in-flight: accepted, not yet flushed/abandoned, in accept order.
+    #: The second element is the ``SyslogMessage`` for synthetic events
+    #: and None for trace events (rematerialized from the trace on resume).
     buffer: list = field(default_factory=list)  # [(event, msg|None), ...]
     #: delivered to the store, in doc-id order
     indexed: list = field(default_factory=list)  # [(event, msg|None), ...]
@@ -127,35 +190,27 @@ class JournalState:
             # dict}} with bodies only for synthetic (negative) events
             msgs = data.get("msgs") or {}
             for event in data["events"]:
-                self.buffer.append((event, msgs.get(str(event))))
+                self.buffer.append((event, _message(msgs.get(str(event)))))
                 self.seen.add(event)
         elif kind == "reject":
             self.rejected.append(data["event"])
             self.seen.add(data["event"])
         elif kind == "flush":
-            for event in data["events"]:
-                entry = self._take(event)
-                if entry is not None:
-                    self.indexed.append(entry)
+            self.indexed.extend(self._retire_head(data["events"]))
             self._merge_offsets(data)
         elif kind == "abandon":
-            for event in data["events"]:
-                entry = self._take(event)
-                if entry is not None:
-                    self.dead.append({
-                        "event": entry[0], "msg": entry[1],
-                        "site": data["site"], "error": data["error"],
-                    })
+            self.dead.extend(
+                {"event": event, "msg": msg, "site": data["site"], "error": data["error"]}
+                for event, msg in self._retire_head(data["events"])
+            )
             self._merge_offsets(data)
         elif kind == "requeue":
             # recovery: the events leave the buffer AND the seen set, so
             # the regenerated trace republishes them at their stable
             # offsets and the consumer re-polls them past the committed
             # offsets (at-least-once re-delivery)
-            for event in data["events"]:
-                entry = self._take(event)
-                if entry is not None:
-                    self.seen.discard(event)
+            self.seen.difference_update(data["events"])
+            self._retire_head(data["events"])
         elif kind == "control":
             # full post-tick snapshot, so newest-wins is the whole story
             self.control = data["state"]
@@ -168,20 +223,27 @@ class JournalState:
             if next_offset > self.offsets.get(partition, 0):
                 self.offsets[partition] = int(next_offset)
 
-    def _take(self, event: int):
-        """Remove and return the buffered entry for ``event``."""
-        for i, entry in enumerate(self.buffer):
-            if entry[0] == event:
-                return self.buffer.pop(i)
-        return None
+    def _retire_head(self, events: list) -> list:
+        """Remove and return the buffer's head entries, which must be
+        ``events``: the journal retires a batch from the front, in the
+        order it accepted it, so one slice does it."""
+        n = len(events)
+        head = self.buffer[:n]
+        if [e for e, _m in head] != events:
+            raise ValueError(
+                f"WAL record names events {events[:5]}… that are not the "
+                f"head of the journal buffer"
+            )
+        del self.buffer[:n]
+        return head
 
     def to_payload(self) -> dict:
         """JSON-ready form for embedding in a checkpoint."""
         return {
             "applied_seq": self.applied_seq,
-            "buffer": [[e, m] for e, m in self.buffer],
-            "indexed": [[e, m] for e, m in self.indexed],
-            "dead": [dict(d) for d in self.dead],
+            "buffer": [[e, _body(m)] for e, m in self.buffer],
+            "indexed": [[e, _body(m)] for e, m in self.indexed],
+            "dead": [{**d, "msg": _body(d["msg"])} for d in self.dead],
             "rejected": list(self.rejected),
             "offsets": dict(self.offsets),
             "control": self.control,
@@ -191,9 +253,9 @@ class JournalState:
     def from_payload(cls, payload: dict) -> "JournalState":
         state = cls(
             applied_seq=int(payload["applied_seq"]),
-            buffer=[(int(e), m) for e, m in payload["buffer"]],
-            indexed=[(int(e), m) for e, m in payload["indexed"]],
-            dead=[dict(d) for d in payload["dead"]],
+            buffer=[(int(e), _message(m)) for e, m in payload["buffer"]],
+            indexed=[(int(e), _message(m)) for e, m in payload["indexed"]],
+            dead=[{**d, "msg": _message(d["msg"])} for d in payload["dead"]],
             rejected=[int(e) for e in payload["rejected"]],
             # absent in pre-broker checkpoints
             offsets={
@@ -215,8 +277,9 @@ class JournalState:
 class StreamJournal:
     """Write-ahead journal of message transitions.
 
-    Accepts are group-committed: :meth:`accept` updates the in-memory
-    :class:`JournalState` and queues the event; the pending batch is
+    Accepts are group-committed: :meth:`accept_many` (one call per
+    forwarder poll) updates the in-memory :class:`JournalState` and
+    queues the events; the pending batch is
     written as one WAL record at the next *write barrier* — any other
     record kind, or an explicit :meth:`flush_pending` (which every
     checkpoint takes first).  Barriers keep the WAL causally ordered:
@@ -251,17 +314,29 @@ class StreamJournal:
         return self.state.seen
 
     def accept(self, event: int | None, message) -> None:
-        """The forwarder is about to buffer ``message``.
+        """The forwarder is about to buffer ``message``: :meth:`accept_many` of one."""
+        self.accept_many((event,), (message,))
 
-        Trace events (``event >= 0``) journal only the index; the body
-        is regenerable from the trace.  Synthetic events embed it.
+    def accept_many(self, events: Sequence[int | None], messages: Sequence) -> None:
+        """The forwarder is about to buffer ``messages`` (one poll).
+
+        ``events`` are their identities, ``None`` for a message published
+        outside the trace (it draws a synthetic one).  Trace events
+        (``event >= 0``) journal only the index; the body is regenerable
+        from the trace.  Synthetic events keep the message itself; its
+        body is serialised when the accept record is written.  Each
+        accept is one ``durability.crash`` arming check, in order.
         """
-        event = self._resolve(event)
-        msg = message.to_dict() if event < 0 else None
-        self._pending.append((event, msg))
-        self.state.buffer.append((event, msg))
-        self.state.seen.add(event)
-        self._crash_check()
+        entries = []
+        for event, message in zip(events, messages):
+            event = self._resolve(event)
+            entries.append((event, message if event < 0 else None))
+        self._pending.extend(entries)
+        self.state.buffer.extend(entries)
+        self.state.seen.update([event for event, _m in entries])
+        if self.injector is not None:
+            for _ in entries:
+                self._crash_check()
 
     def reject(self, event: int | None) -> None:
         """The relay is about to refuse a message: a brownout shed or a
@@ -330,10 +405,10 @@ class StreamJournal:
         """
         if not self._pending:
             return
-        data = {"events": [e for e, _m in self._pending]}
-        msgs = {str(e): m for e, m in self._pending if m is not None}
-        if msgs:
-            data["msgs"] = msgs
+        data: dict = {"events": [e for e, _m in self._pending]}
+        bodies = [(e, m) for e, m in self._pending if m is not None]
+        if bodies:
+            data["msgs"] = _encode_bodies(bodies)
         self._pending = []
         # the events are already applied to the in-memory state; only
         # the dedup line moves (replay applies this record instead)
@@ -690,9 +765,7 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
     def materialize(event: int, msg) -> SyslogMessage:
         # trace events journal only their index; the body comes from
         # the regenerated trace (same config, same seed, same message)
-        if msg is not None:
-            return SyslogMessage.from_dict(msg)
-        return events[event].message
+        return msg if msg is not None else events[event].message
 
     if checkpoint is not None:
         restore_snapshot(checkpoint["metrics"])

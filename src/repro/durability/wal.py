@@ -37,6 +37,7 @@ from repro.obs import wellknown
 
 __all__ = [
     "FSYNC_POLICIES",
+    "JsonText",
     "WalRecord",
     "WalScanInfo",
     "WriteAheadLog",
@@ -78,9 +79,30 @@ class WalScanInfo:
 #: ``json.dumps(data, sort_keys=True, separators=(",", ":"))`` builds an
 #: encoder like this one on every call; a record is on the per-flush
 #: hot path, so it is built once
-_encode_data = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 #: the JSON form of a record kind — a handful of strings, each encoded once
 _encode_kind = functools.lru_cache(maxsize=64)(json.dumps)
+
+
+class JsonText(str):
+    """A record value already in the encoder's JSON form (sorted keys,
+    compact separators, ASCII), spliced into the line verbatim.
+
+    Lets a caller that formats its payload in one pass hand it to
+    :meth:`WriteAheadLog.append` and get the bytes the equivalent plain
+    value would have produced.
+    """
+
+    __slots__ = ()
+
+
+def _encode_data(data: dict) -> str:
+    if not any(type(v) is JsonText for v in data.values()):
+        return _encode_json(data)
+    return "{%s}" % ",".join(
+        "%s:%s" % (_encode_json(key), value if type(value) is JsonText else _encode_json(value))
+        for key, value in sorted(data.items())
+    )
 
 
 def _encode_record(seq: int, kind: str, data: dict) -> bytes:
@@ -254,7 +276,8 @@ class WriteAheadLog:
     def append(self, kind: str, data: dict) -> int:
         """Append one record; returns its sequence number.
 
-        The line is flushed to the OS before returning under every
+        ``data`` is JSON-encodable; a :class:`JsonText` value in it is
+        written as is.  The line is flushed to the OS before returning under every
         policy, so a SIGKILL after :meth:`append` cannot lose the
         record — only a power failure can, bounded by the fsync policy.
         The one exception is a record appended right after

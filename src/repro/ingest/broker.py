@@ -42,14 +42,18 @@ keeps a *ready* set (partitions a poll still has something to do on),
 an *uncommitted* set and a running lag, all maintained under the one
 lock by the operations that change them:
 
-- ``publish`` is O(groups): it marks the partition ready and bumps the
-  lag of every group.
+- ``publish_many`` is O(messages + touched partitions × groups): one
+  lock and one clock read per call, and the ready/lag bookkeeping
+  once per partition the call appended to — so O(groups) per call,
+  not per message.  ``publish`` is its one-message call.
 - ``poll`` is O(ready partitions of the group + records returned): a
   caught-up consumer touches no partition, and a read finds its cursor
   by bisection (records are offset-ordered), never by walking the
   segment.  Delivery order is the round-robin scan over the member's
   sorted assignment — the ready set only skips the visits that would
   have read nothing.
+- ``commit_many`` takes the lock once for a flush's offsets, however
+  many partitions they span; ``commit`` is its one-partition call.
 - ``lag`` is O(1); ``lag_age`` is O(partitions with uncommitted
   records), one bisection each.
 
@@ -58,9 +62,10 @@ Fault sites (armed via :class:`repro.faults.FaultPlan`):
 - ``broker.partition_stall`` — the target partition refuses appends
   and fetches until the site fires again (stall/heal churn); refused
   publishes return ``None`` so callers count, never lose silently.
+  One arming check per message, batched or not.
 - ``broker.commit_lost`` — an offset commit vanishes in flight; the
   group's committed offset stays behind, so replay re-delivers
-  (at-least-once, never lost).
+  (at-least-once, never lost).  One arming check per partition.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ import threading
 import time
 import zlib
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -278,9 +283,10 @@ class LogBroker:
         self._stalled: str | None = None
         self._lock = threading.Lock()
         self._clock = clock
-        # publish runs per message: bind the unlabeled children once,
-        # and batch the published counter (listener-style) — a registry
-        # increment per record would dominate the telemetry budget
+        # publish runs per chunk, or per line on UDP: bind the unlabeled
+        # children once, and batch the published counter (listener-style)
+        # — a registry increment per record would dominate the telemetry
+        # budget
         self._pub_unsynced = 0
         #: pinned here, so every child below and each group's four are
         #: resolved once and kept
@@ -304,58 +310,105 @@ class LogBroker:
         offset: int | None = None,
         ctx: TraceContext | None = None,
     ) -> BrokerRecord | None:
-        """Append ``message`` to its partition.
+        """Append ``message`` to its partition: :meth:`publish_many` of one.
 
         Returns the stored record, or ``None`` when the partition is
         stalled (the caller must count the refusal — nothing here is
-        silent).  ``offset`` pins an explicit (sparse) offset for
-        durable replay; omitted, the partition's next dense offset is
-        used.  ``ctx`` attaches a sampled trace context: the publish
-        hop is recorded and the stored record carries the chained
-        context for the consumer side.
+        silent).
         """
-        key = key if key is not None else self.partitioner(message)
+        return self.publish_many(
+            (message,), keys=(key,), idents=(ident,), offsets=(offset,), ctxs=(ctx,)
+        )[0]
+
+    def publish_many(
+        self,
+        messages: Sequence[SyslogMessage],
+        *,
+        keys: Sequence[str | None] | None = None,
+        idents: Sequence[int | None] | None = None,
+        offsets: Sequence[int | None] | None = None,
+        ctxs: Sequence[TraceContext | None] | None = None,
+    ) -> list[BrokerRecord | None]:
+        """Append ``messages`` in order; returns one entry per message.
+
+        An entry is the stored record, or ``None`` where the message's
+        partition is stalled (the caller must count the refusal —
+        nothing here is silent).  The keyword arguments are columns
+        parallel to ``messages``; an omitted column, or a ``None`` in
+        it, means the default for that message.  ``keys`` overrides the
+        partitioner.  ``offsets`` pins explicit (sparse) offsets for
+        durable replay; otherwise the partition's next dense offset is
+        used.  ``ctxs`` attaches sampled trace contexts: the publish hop
+        is recorded and the stored record carries the chained context
+        for the consumer side.
+
+        One lock and one clock read for the whole call; every message
+        is one ``broker.partition_stall`` arming check, in order; the
+        consumer groups' ready/lag bookkeeping runs once per partition
+        the call appended to.
+        """
+        partitioner = self.partitioner
+        if keys is None:
+            keys = [partitioner(m) for m in messages]
+        else:
+            keys = [partitioner(m) if k is None else k for k, m in zip(keys, messages)]
+        out: list[BrokerRecord | None] = [None] * len(messages)
+        injector = self.injector
+        partitions = self.partitions
+        #: each partition appended to → its next offset before this call
+        ends: dict[str, int] = {}
+        published = refused = 0
         with self._lock:
-            if self.injector is not None and self.injector.should_fire(
-                SITE_PARTITION_STALL
-            ):
-                if self._stalled is None:
-                    self._stalled = key
-                    self.stats.stall_events += 1
-                    self._m_stalls.inc()
-                else:
-                    self._stalled = None
-            if self._stalled == key:
-                self.stats.publish_refused += 1
-                self._m_refused.inc()
-                return None
-            part = self.partitions.get(key)
-            if part is None:
-                part = self.partitions[key] = Partition(
-                    key, segment_records=self.segment_records
-                )
-                keys = self._keys
-                born = bisect_left(keys, key)
-                keys.insert(born, key)
-                for i in range(born, len(keys)):
-                    self._rank[keys[i]] = i
-                self._m_partitions.set(len(self.partitions))
             pub_s = self._clock()
-            if ctx is not None:
-                ctx = record_hop(
-                    ctx, "broker.publish", pub_s, partition=key
-                )
-            record = BrokerRecord(
-                partition=key,
-                offset=offset if offset is not None else part.next_offset,
-                message=message,
-                ident=ident,
-                ctx=ctx,
-                pub_s=pub_s,
-            )
-            end = part.next_offset
-            part.append(record)
-            grown = part.next_offset - end
+            try:
+                for i, message in enumerate(messages):
+                    key = keys[i]
+                    if injector is not None and injector.should_fire(SITE_PARTITION_STALL):
+                        if self._stalled is None:
+                            self._stalled = key
+                            self.stats.stall_events += 1
+                            self._m_stalls.inc()
+                        else:
+                            self._stalled = None
+                    if self._stalled == key:
+                        refused += 1
+                        continue
+                    part = partitions.get(key)
+                    if part is None:
+                        part = self._open_partition(key)
+                    ctx = ctxs[i] if ctxs is not None else None
+                    if ctx is not None:
+                        ctx = record_hop(ctx, "broker.publish", pub_s, partition=key)
+                    offset = offsets[i] if offsets is not None else None
+                    end = part.next_offset
+                    record = BrokerRecord(
+                        key, end if offset is None else offset, message,
+                        idents[i] if idents is not None else None, ctx, pub_s,
+                    )
+                    part.append(record)
+                    ends.setdefault(key, end)
+                    out[i] = record
+                    published += 1
+            finally:
+                # a non-monotonic offset raises mid-batch: what landed
+                # before it is accounted all the same
+                self._account_publish(ends, published, refused)
+        return out
+
+    def _open_partition(self, key: str) -> Partition:
+        part = self.partitions[key] = Partition(key, segment_records=self.segment_records)
+        keys = self._keys
+        born = bisect_left(keys, key)
+        keys.insert(born, key)
+        for i in range(born, len(keys)):
+            self._rank[keys[i]] = i
+        self._m_partitions.set(len(self.partitions))
+        return part
+
+    def _account_publish(self, ends: dict[str, int], published: int, refused: int) -> None:
+        """Groups, stats and counters after a publish (lock held)."""
+        for key, end in ends.items():
+            grown = self.partitions[key].next_offset - end
             for g in self.groups.values():
                 g.ready.add(key)
                 # lag grows by what lands past the committed offset
@@ -363,12 +416,14 @@ class LogBroker:
                 if ahead < grown:
                     g.lag += grown - ahead if ahead > 0 else grown
                     g.uncommitted.add(key)
-            self.stats.published += 1
-            self._pub_unsynced += 1
-            if self._pub_unsynced >= _PUBLISH_SYNC_EVERY:
-                self._m_published.inc(self._pub_unsynced)
-                self._pub_unsynced = 0
-            return record
+        if refused:
+            self.stats.publish_refused += refused
+            self._m_refused.inc(refused)
+        self.stats.published += published
+        self._pub_unsynced += published
+        if self._pub_unsynced >= _PUBLISH_SYNC_EVERY:
+            self._m_published.inc(self._pub_unsynced)
+            self._pub_unsynced = 0
 
     # -- consumer groups -----------------------------------------------
 
@@ -502,26 +557,40 @@ class LogBroker:
             return out
 
     def commit(self, group: str, partition: str, offset: int) -> bool:
-        """Commit ``offset`` (the next offset to read) for one partition.
+        """Commit ``offset`` for one partition: :meth:`commit_many` of one.
 
-        Commits are max-wins — a stale commit never rewinds progress.
-        Returns False when the ``broker.commit_lost`` site eats the
-        commit; the journal remains the durable source of truth and
-        replay after a crash re-delivers from the stale offset
-        (at-least-once).
+        Returns False when the ``broker.commit_lost`` site eats it.
         """
+        return self.commit_many(group, {partition: offset}) == 1
+
+    def commit_many(self, group: str, offsets: Mapping[str, int]) -> int:
+        """Commit each partition's offset (the next offset to read).
+
+        One lock for the whole map, whatever partitions it spans; each
+        partition is one ``broker.commit_lost`` arming check, in the
+        map's order.  Commits are max-wins — a stale commit never
+        rewinds progress.  Returns how many commits landed: the site
+        eats the others, the journal remains the durable source of
+        truth, and replay after a crash re-delivers from the stale
+        offset (at-least-once).
+        """
+        injector = self.injector
+        landed = 0
         with self._lock:
-            if self.injector is not None and self.injector.should_fire(
-                SITE_COMMIT_LOST
-            ):
-                self.stats.commits_lost += 1
-                self._m_commits_lost.inc()
-                return False
-            g = self._group(group)
-            self._advance_committed(g, partition, offset)
-            self.stats.commits += 1
-            g.m_commits.inc()
-            return True
+            g = None
+            for partition, offset in offsets.items():
+                if injector is not None and injector.should_fire(SITE_COMMIT_LOST):
+                    self.stats.commits_lost += 1
+                    self._m_commits_lost.inc()
+                    continue
+                if g is None:
+                    g = self._group(group)
+                self._advance_committed(g, partition, offset)
+                landed += 1
+            if landed:
+                self.stats.commits += landed
+                g.m_commits.inc(landed)
+        return landed
 
     def committed(self, group: str, partition: str) -> int:
         """The group's committed offset for ``partition`` (0 if none)."""

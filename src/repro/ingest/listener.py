@@ -23,12 +23,19 @@ The accept path, in order, is:
    saturating tenant is shed (``tenant_shed``, reason ``fair_share``)
    without starving compliant ones (the key needs a parsed message,
    which is why this gate sits after parse);
-6. **publish** — a stalled-partition refusal is quarantined too.
+6. **publish** — per chunk, not per line: the lines of one TCP
+   ``data_received`` chunk that passed steps 1–5 go to
+   :meth:`~repro.ingest.broker.LogBroker.publish_many` in one call (a
+   UDP datagram is a chunk of one).  A line the broker refuses (a
+   stalled partition) is quarantined; only a published line counts as
+   ``accepted``.
 
 No branch is silent: every received line ends in exactly one of
 ``accepted``, ``shed``, ``tenant_shed``, ``accept_dropped``,
 ``oversize``, ``parse_errors`` or ``publish_refused`` (see
-:meth:`ListenerStats.accounted`).
+:meth:`ListenerStats.accounted`).  Trace sampling is keyed by the
+ordinal of lines past step 5, which equals ``accepted`` on a run with
+no refusals.
 
 Metrics are synchronised to the registry in batches (every
 ``_SYNC_EVERY`` lines and on ``stop``): at the ≥50k msgs/s rates the
@@ -177,7 +184,7 @@ class SyslogListener:
         Optional tap called with each accepted :class:`SyslogMessage`.
     trace_sampler:
         Optional :class:`~repro.obs.propagation.TraceSampler`; sampled
-        accepts start a cross-hop trace (keyed by the accept ordinal)
+        admits start a cross-hop trace (keyed by the admit ordinal)
         whose context rides the broker record downstream.
     """
 
@@ -208,8 +215,11 @@ class SyslogListener:
         self.dead_letters = dead_letters if dead_letters is not None else DeadLetterQueue()
         self.on_message = on_message
         self.trace_sampler = trace_sampler
-        # the next accept ordinal the sampler will trace (inf: never):
-        # the untraced majority costs one int comparison on accept
+        #: lines past the quota so far — the sampler's ordinal; equal to
+        #: ``stats.accepted`` until the broker refuses a publish
+        self._admitted = 0
+        # the next admit ordinal the sampler will trace (inf: never):
+        # the untraced majority costs one int comparison on admit
         self._next_traced = (
             trace_sampler.next_sampled_after(0)
             if trace_sampler is not None else float("inf")
@@ -295,11 +305,16 @@ class SyslogListener:
                 lines = chunk.split(b"\n")
                 lines[0] = buf + lines[0]
                 buf = lines.pop()  # unterminated tail, b"" after a newline
+                # the chunk's admitted lines go to the broker in one call
+                messages: list = []
+                ctxs: list = []
                 for line in lines:
                     if skipping:
                         skipping = False  # the oversize line's newline
                     elif line:
-                        self._handle_line(line, udp=False)
+                        self._admit(line, "tcp", messages, ctxs)
+                if messages:
+                    self._publish(messages, ctxs, "tcp")
                 if skipping:
                     buf = b""
                 elif len(buf) > self.max_line_bytes:
@@ -316,13 +331,22 @@ class SyslogListener:
     # -- the accept path -----------------------------------------------
 
     def _handle_line(self, raw: bytes, *, udp: bool) -> None:
+        """The whole accept path for one line: a batch of one."""
+        transport = "udp" if udp else "tcp"
+        messages: list = []
+        ctxs: list = []
+        self._admit(raw, transport, messages, ctxs)
+        if messages:
+            self._publish(messages, ctxs, transport)
+
+    def _admit(self, raw: bytes, transport: str, messages: list, ctxs: list) -> None:
+        """Steps 1–5 for one line; an admitted line joins ``messages``,
+        its trace context (or ``None``) ``ctxs``."""
         stats = self.stats
-        if udp:
+        if transport == "udp":
             stats.received_udp += 1
-            transport = "udp"
         else:
             stats.received_tcp += 1
-            transport = "tcp"
         self._since_sync += 1
         if self._since_sync >= _SYNC_EVERY:
             self._sync_metrics()
@@ -363,29 +387,40 @@ class SyslogListener:
                 pending[2] += 1
                 return
             pending[1] += 1
-        stats.accepted += 1
+        self._admitted += 1
         ctx = None
-        # keyed by the accept ordinal: deterministic under a fixed
+        # keyed by the admit ordinal: deterministic under a fixed
         # seed, so replays re-trace the same messages
-        if stats.accepted >= self._next_traced:
+        if self._admitted >= self._next_traced:
             sampler = self.trace_sampler
             ctx = sampler.begin(
-                stats.accepted,
+                self._admitted,
                 proto=transport,
                 host=message.hostname,
             )
-            self._next_traced = sampler.next_sampled_after(stats.accepted)
+            self._next_traced = sampler.next_sampled_after(self._admitted)
+        messages.append(message)
+        ctxs.append(ctx)
+
+    def _publish(self, messages: list, ctxs: list, transport: str) -> None:
+        """Step 6 for a batch of admitted lines: one broker call.  A
+        line the broker refuses is quarantined; the rest are accepted."""
+        accepted = messages
         if self.broker is not None:
-            record = self.broker.publish(message, ctx=ctx)
-            if record is None:
-                stats.publish_refused += 1
-                self.dead_letters.push(
-                    SITE_INGEST_PUBLISH, message, "broker partition stalled",
-                    transport=transport,
-                )
-                return
+            records = self.broker.publish_many(messages, ctxs=ctxs)
+            refused = [m for m, r in zip(messages, records) if r is None]
+            if refused:
+                self.stats.publish_refused += len(refused)
+                for message in refused:
+                    self.dead_letters.push(
+                        SITE_INGEST_PUBLISH, message, "broker partition stalled",
+                        transport=transport,
+                    )
+                accepted = [m for m, r in zip(messages, records) if r is not None]
+        self.stats.accepted += len(accepted)
         if self.on_message is not None:
-            self.on_message(message)
+            for message in accepted:
+                self.on_message(message)
 
     # -- metrics -------------------------------------------------------
 

@@ -316,8 +316,8 @@ broker_lag_age_seconds = _gauge(
     "consumer group", ("group",))
 poll_to_flush_seconds = _histogram(
     "stream", "repro_stream_poll_to_flush_seconds",
-    "Seconds a sampled message dwelt in the forwarder buffer between poll/offer and "
-    "a successful flush")
+    "Seconds a sampled message dwelt in the forwarder buffer, poll/flush: from the "
+    "poll that buffered it to a successful flush")
 wal_fsync_seconds = _histogram(
     "durability", "repro_wal_fsync_seconds", "Wall-clock seconds per write-ahead-log fsync call")
 slo_value = _gauge(

@@ -205,10 +205,10 @@ class FluentdForwarder:
         """Consumer-group intake: poll assigned partitions into the buffer.
 
         Polls at most the buffer's free room, so a slow consumer shows
-        up as broker *lag*, never as buffer overflow.  Each polled
-        record is journaled as an accept under its durable identity
-        (``record.ident``) before it enters the buffer (write-ahead).
-        Returns the number of records taken.
+        up as broker *lag*, never as buffer overflow.  The whole poll is
+        journaled in one call, each record as an accept under its
+        durable identity (``record.ident``), before it enters the buffer
+        (write-ahead).  Returns the number of records taken.
         """
         room = self.buffer_limit - len(self._buffer)
         if room <= 0:
@@ -220,6 +220,11 @@ class FluentdForwarder:
         )
         if not records:
             return 0
+        messages = [rec.message for rec in records]
+        if self.journal is not None:
+            self.journal.accept_many([rec.ident for rec in records], messages)
+        self._buffer.extend(messages)
+        self._offsets.extend([(rec.partition, rec.offset) for rec in records])
         now: float | None = None
         for rec in records:
             traced = None
@@ -233,10 +238,6 @@ class FluentdForwarder:
                     ),
                     now,
                 )
-            if self.journal is not None:
-                self.journal.accept(rec.ident, rec.message)
-            self._buffer.append(rec.message)
-            self._offsets.append((rec.partition, rec.offset))
             self._ctxs.append(traced)
         self.stats.accepted += len(records)
         depth = len(self._buffer)
@@ -386,8 +387,9 @@ class FluentdForwarder:
     def _retire(self, n: int, *, abandoned: str | None = None) -> float:
         """Take the head batch of ``n`` off the buffer, delivered or given up.
 
-        Journal first, broker second, the parallel lists last: the
-        journal is the durable truth; a commit the broker loses (the
+        Journal first, broker second (one commit call for every
+        partition the batch spans), the parallel lists last: the journal
+        is the durable truth; a commit the broker loses (the
         ``broker.commit_lost`` site) is re-seeded from its records on
         recovery.  Returns the journal write's wall milliseconds.
         """
@@ -400,8 +402,7 @@ class FluentdForwarder:
             else:
                 self.journal.abandoned(n, ABANDON_SITE, abandoned, offsets=offsets)
             wal_ms = (time.perf_counter() - wal_t0) * 1e3
-        for partition, next_offset in offsets.items():
-            self.broker.commit(self.consumer_group, partition, next_offset)
+        self.broker.commit_many(self.consumer_group, offsets)
         del self._buffer[:n]
         del self._offsets[:n]
         del self._ctxs[:n]

@@ -66,6 +66,18 @@ def _message(i: int, host: str) -> SyslogMessage:
     )
 
 
+def _as_singles(name: str, args: tuple) -> list[tuple[str, tuple]]:
+    """A batch call as the one-item calls it stands for, in order: the
+    reference journals each polled record and commits each partition."""
+    if name == "accept_many":
+        events, messages = args
+        return [("accept", pair) for pair in zip(events, messages)]
+    if name == "commit_many":
+        group, offsets = args
+        return [("commit", (group, *item)) for item in offsets.items()]
+    return [(name, args)]
+
+
 class _Recorder:
     """Forwards to ``inner``, logging calls to the named methods in order."""
 
@@ -78,7 +90,10 @@ class _Recorder:
             return attr
 
         def logged(*args, **kwargs):
-            self._log.append((self._tag, name, repr(args), repr(sorted(kwargs.items()))))
+            for single, single_args in _as_singles(name, args):
+                self._log.append(
+                    (self._tag, single, repr(single_args), repr(sorted(kwargs.items())))
+                )
             return attr(*args, **kwargs)
 
         return logged
@@ -91,7 +106,8 @@ class _NullJournal:
         return lambda *args, **kwargs: None
 
 
-JOURNAL_CALLS = ("accept", "flushed", "abandoned")
+JOURNAL_CALLS = ("accept", "accept_many", "flushed", "abandoned")
+BROKER_CALLS = ("poll", "commit", "commit_many")
 
 
 class World:
@@ -126,7 +142,7 @@ class World:
                         journal if journal is not None and i == 0 else _NullJournal(),
                         self.log, f"journal-{i}", JOURNAL_CALLS,
                     ),
-                    broker=_Recorder(self.broker, self.log, f"broker-{i}", ("poll", "commit")),
+                    broker=_Recorder(self.broker, self.log, f"broker-{i}", BROKER_CALLS),
                     consumer_member=f"m{i}", clock=self.clock,
                 )
                 for i in range(n)
@@ -555,7 +571,7 @@ class TestStatedOnce:
             for node in ast.walk(method):
                 if (
                     isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "append"
+                    and node.func.attr in ("append", "extend")
                     and isinstance(node.func.value, ast.Attribute)
                     and node.func.value.attr in ("_buffer", "_offsets", "_ctxs")
                 ):

@@ -13,10 +13,15 @@ so CI can shift every scenario without touching the code.
 import json
 import os
 import signal
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
+from repro.core.message import Facility, Severity, SyslogMessage
 from repro.durability import (
     FSYNC_POLICIES,
     JournalState,
@@ -36,6 +41,7 @@ from repro.durability import (
     run_to_completion,
     write_checkpoint,
 )
+from repro.durability.wal import _encode_record
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import SITE_CRASH
 from repro.obs import MetricsRegistry, use_registry
@@ -316,7 +322,9 @@ class TestJournal:
         replayed = JournalState()
         for rec in replay_wal(tmp_path)[0]:
             replayed.apply(rec)
-        assert replayed.buffer[0][1]["text"] == "msg 0"
+        # and come back from the WAL as the messages the journal was handed
+        assert replayed.buffer == j.state.buffer
+        assert replayed.buffer[0][1] == _msg(0)
         # synthetic identities survive a restart without colliding
         j2 = StreamJournal(
             WriteAheadLog(tmp_path),
@@ -344,6 +352,66 @@ class TestJournal:
             fired.append(inj.should_fire(SITE_CRASH))
         wal.close()
         assert fired == [False, False, True, False, False]
+
+    def test_accept_many_is_one_crash_check_per_accept(self, tmp_path):
+        checks = []
+
+        class Counting(FaultInjector):
+            def should_fire(self, site):
+                checks.append(site)
+                return False
+
+        wal = WriteAheadLog(tmp_path)
+        j = StreamJournal(wal, injector=Counting(FaultPlan.never()))
+        j.accept_many([0, 1, None, 3, None], [_msg(i) for i in range(5)])
+        wal.close()
+        assert checks == [SITE_CRASH] * 5
+        assert [e for e, _m in j.state.buffer] == [0, 1, -1, 3, -2]
+
+
+_HOSTILE = "\"\\\x00\x1f\x7f\n\t é€ \ud83d\U0001f600"
+_texts = st.text(st.one_of(st.sampled_from(_HOSTILE), st.characters(exclude_categories=())))
+_stamps = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([-0.0, 1e308, -1e-310, 1.5e16, 0.1]),
+    st.integers(-(2**70), 2**70),
+)
+_messages = st.builds(
+    SyslogMessage, timestamp=_stamps, hostname=_texts, app=_texts, text=_texts,
+    severity=st.sampled_from(Severity), facility=st.sampled_from(Facility),
+    pid=st.one_of(st.none(), st.integers(-(2**40), 2**40)),
+)
+
+
+class TestAcceptRecordBytes:
+    """The journal keeps messages and writes their bodies in one pass;
+    the line is the one the dict form used to produce, byte for byte."""
+
+    @seed(SEED_SHIFT)
+    @settings(max_examples=200)
+    @example(batch=[(SyslogMessage(float("nan"), "hé", "a\"b", "c\\d\x01", pid=None), True)] * 12)
+    @given(batch=st.lists(st.tuples(_messages, st.booleans()), min_size=1, max_size=14))
+    def test_the_bytes_are_the_to_dict_encoding(self, batch):
+        """Ten synthetic events or more put "-10" before "-2" in the
+        ``msgs`` keys: the bodies are ordered as strings, like the dict's."""
+        messages = [m for m, _synthetic in batch]
+        idents = [None if synthetic else i for i, (_m, synthetic) in enumerate(batch)]
+        with tempfile.TemporaryDirectory() as d:
+            wal = WriteAheadLog(d, registry=MetricsRegistry())
+            journal = StreamJournal(wal)
+            journal.accept_many(idents, messages)
+            journal.flush_pending()
+            wal.close()
+            (segment,) = Path(d).glob("wal-*.jsonl")
+            got = segment.read_bytes()
+            records, info = replay_wal(d)
+        events = [e for e, _m in journal.state.buffer]
+        data = {"events": events}
+        msgs = {str(e): m.to_dict() for e, m in zip(events, messages) if e < 0}
+        if msgs:
+            data["msgs"] = msgs
+        assert got == _encode_record(1, "accept", data)
+        assert info.truncated_bytes == 0 and [r.kind for r in records] == ["accept"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import socket
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from repro.core.message import Facility, Severity, SyslogMessage
 from repro.datagen.sender import render_event, send_tcp, send_udp, wire_lines
 from repro.datagen.workload import standard_simulation_events
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import SITE_COMMIT_LOST, SITE_PARTITION_STALL
 from repro.ingest import (
     BrokerRecord,
     LogBroker,
@@ -36,7 +38,8 @@ from repro.ingest import (
     TokenBucket,
     hash_partitioner,
 )
-from repro.obs import MetricsRegistry, use_registry, wellknown
+from repro.obs import MetricsRegistry, TraceSampler, Tracer, use_registry, wellknown
+from repro.obs.propagation import record_hop
 from repro.stream import rfc
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
@@ -245,6 +248,14 @@ class TestLogBroker:
         assert broker.stats.commits_lost == 1
         assert broker.commit("g", "a", 1) is True
 
+    def test_a_rewinding_offset_mid_batch_keeps_what_landed_before_it(self):
+        broker = LogBroker(registry=MetricsRegistry())
+        broker.subscribe("g", "m0")
+        with pytest.raises(ValueError, match="non-monotonic"):
+            broker.publish_many([_msg(i) for i in range(3)], offsets=[None, None, 0])
+        assert broker.stats.published == 2 and broker.lag("g") == 2
+        assert [r.offset for r in broker.poll("g", "m0")] == [0, 1]
+
     def test_restore_offsets_reseeds_and_resets_cursor(self):
         broker = LogBroker()
         for i in range(4):
@@ -295,7 +306,82 @@ class ScanAllBroker(LogBroker):
 
     These are the bodies ``LogBroker`` had before it kept a ready set;
     none of them reads ``ready``, ``uncommitted`` or the running ``lag``.
+    ``publish`` and ``commit`` are the one-message, one-partition bodies
+    it had before they became one-item calls of ``publish_many`` and
+    ``commit_many``: a lock, a clock read and the group bookkeeping per
+    message.
     """
+
+    def publish(self, message, *, key=None, ident=None, offset=None, ctx=None):
+        key = key if key is not None else self.partitioner(message)
+        with self._lock:
+            if self.injector is not None and self.injector.should_fire(
+                SITE_PARTITION_STALL
+            ):
+                if self._stalled is None:
+                    self._stalled = key
+                    self.stats.stall_events += 1
+                    self._m_stalls.inc()
+                else:
+                    self._stalled = None
+            if self._stalled == key:
+                self.stats.publish_refused += 1
+                self._m_refused.inc()
+                return None
+            part = self.partitions.get(key)
+            if part is None:
+                part = self.partitions[key] = Partition(
+                    key, segment_records=self.segment_records
+                )
+                keys = self._keys
+                born = bisect_left(keys, key)
+                keys.insert(born, key)
+                for i in range(born, len(keys)):
+                    self._rank[keys[i]] = i
+                self._m_partitions.set(len(self.partitions))
+            pub_s = self._clock()
+            if ctx is not None:
+                ctx = record_hop(
+                    ctx, "broker.publish", pub_s, partition=key
+                )
+            record = BrokerRecord(
+                partition=key,
+                offset=offset if offset is not None else part.next_offset,
+                message=message,
+                ident=ident,
+                ctx=ctx,
+                pub_s=pub_s,
+            )
+            end = part.next_offset
+            part.append(record)
+            grown = part.next_offset - end
+            for g in self.groups.values():
+                g.ready.add(key)
+                # lag grows by what lands past the committed offset
+                ahead = g.committed.get(key, 0) - end
+                if ahead < grown:
+                    g.lag += grown - ahead if ahead > 0 else grown
+                    g.uncommitted.add(key)
+            self.stats.published += 1
+            self._pub_unsynced += 1
+            if self._pub_unsynced >= 1024:
+                self._m_published.inc(self._pub_unsynced)
+                self._pub_unsynced = 0
+            return record
+
+    def commit(self, group, partition, offset):
+        with self._lock:
+            if self.injector is not None and self.injector.should_fire(
+                SITE_COMMIT_LOST
+            ):
+                self.stats.commits_lost += 1
+                self._m_commits_lost.inc()
+                return False
+            g = self._group(group)
+            self._advance_committed(g, partition, offset)
+            self.stats.commits += 1
+            g.m_commits.inc()
+            return True
 
     @staticmethod
     def _scan(part, offset, max_records):
@@ -433,6 +519,48 @@ class BrokerEquivalence(RuleBasedStateMachine):
         def call(broker):
             rec = broker.publish(_msg(self.n, host=host), offset=offset)
             return rec and (rec.partition, rec.offset, rec.pub_s)
+
+        self.both(call)
+
+    @rule(batch=st.lists(
+        st.tuples(_hosts, st.sampled_from([None, None, 0, 2])), min_size=0, max_size=9
+    ))
+    def publish_many(self, batch):
+        """One ``publish_many`` against a loop of the oracle's
+        per-message ``publish``: same records, same refusals, same
+        stall checks, in order."""
+        ahead = {h: p.next_offset for h, p in self.real.partitions.items()}
+        messages, offsets = [], []
+        for host, gap in batch:
+            self.n += 1
+            messages.append(_msg(self.n, host=host))
+            # at or past the partition's end whether or not earlier
+            # members of the batch land: sparse, never rewinding
+            offsets.append(None if gap is None else ahead.get(host, 0) + gap)
+            ahead[host] = ahead.get(host, 0) + (1 if gap is None else gap + 1)
+        idents = list(range(self.n - len(batch), self.n))
+
+        def call(broker):
+            if broker is self.real:
+                records = broker.publish_many(messages, idents=idents, offsets=offsets)
+            else:
+                records = [
+                    broker.publish(m, ident=i, offset=o)
+                    for m, i, o in zip(messages, idents, offsets)
+                ]
+            return [r and (r.partition, r.offset, r.ident, r.pub_s) for r in records]
+
+        self.both(call)
+
+    @rule(group=_groups, offsets=st.dictionaries(_hosts, st.integers(0, 30), max_size=5))
+    def commit_many(self, group, offsets):
+        """One ``commit_many`` against a loop of per-partition commits."""
+        group = self.group(group)
+
+        def call(broker):
+            if broker is self.real:
+                return broker.commit_many(group, offsets)
+            return sum(broker.commit(group, p, o) for p, o in offsets.items())
 
         self.both(call)
 
@@ -634,6 +762,32 @@ class TestSyslogListener:
         assert listener.stats.accepted == 2
         assert listener.stats.accounted()
 
+    @pytest.mark.parametrize("udp", [True, False])
+    def test_a_refused_publish_is_counted_once(self, udp, _fresh_registry):
+        """Three lines whose partition the broker's first stall check
+        stalls: each lands in ``publish_refused`` and the DLQ, none in
+        ``accepted`` — the bins sum back to ``received`` (each used to
+        be counted in both), per datagram and per TCP chunk alike."""
+        plan = FaultPlan.from_dict({
+            "seed": 0, "sites": {"broker.partition_stall": {"at_calls": [1]}},
+        })
+        broker = LogBroker(fault_injector=FaultInjector(plan))
+        listener = SyslogListener(broker, udp_port=None, tcp_port=None)
+        lines = [_msg(i).to_rfc5424().encode() for i in range(3)]
+        if udp:
+            for line in lines:
+                listener._handle_line(line, udp=True)
+        else:
+            stream = b"\n".join(lines) + b"\n"
+            _run(listener._serve_tcp(_ChunkedReader(stream, len(stream)), _NullWriter()))
+        listener.sync_metrics()
+        s = listener.stats
+        assert (s.received, s.accepted, s.publish_refused) == (3, 0, 3)
+        assert s.accounted()
+        assert wellknown.ingest_accepted(_fresh_registry).value() == 0
+        assert wellknown.ingest_publish_refused(_fresh_registry).value() == 3
+        assert [d.error for d in listener.dead_letters] == ["broker partition stalled"] * 3
+
     def test_metrics_synced_to_registry(self, _fresh_registry):
         async def scenario():
             listener = SyslogListener(None, tcp_port=None)
@@ -753,6 +907,35 @@ class TestTcpFraming:
         # and the stream did exercise every branch
         assert stats.accepted == 40 and stats.parse_errors == 2
         assert stats.oversize == 3
+
+    def test_trace_ordinals_are_the_per_line_ones(self):
+        """Sampling keys on the ordinal of lines past the quota, so a
+        stream published a chunk at a time traces the lines the per-line
+        path traces, under the same trace ids."""
+        stream = _framing_stream(self.CAP, unterminated=False)
+        traced = []
+        for cls in (SyslogListener, SlicePerLineListener):
+            sampler = TraceSampler(
+                0.25, seed=SEED_SHIFT, tracer=Tracer(), registry=MetricsRegistry()
+            )
+            broker = LogBroker(registry=MetricsRegistry())
+            listener = cls(
+                broker, udp_port=None, tcp_port=None, max_line_bytes=self.CAP,
+                trace_sampler=sampler,
+            )
+            _run(listener._serve_tcp(_ChunkedReader(stream, 4096), _NullWriter()))
+            broker.subscribe("g", "m0")
+            traced.append({
+                r.message.timestamp: r.ctx and r.ctx.trace_id
+                for r in broker.poll("g", "m0", max_records=1000)
+            })
+        # the k-th valid line of the stream is _msg(k - 1)
+        want = {
+            100.0 + k - 1: sampler.trace_id(k) if sampler.sample(k) else None
+            for k in range(1, 41)
+        }
+        assert traced[0] == traced[1] == want
+        assert any(want.values())
 
     def test_oversize_reason_depends_on_when_the_cap_is_crossed(self):
         """The reference's own behaviour, pinned so the equality above

@@ -7,9 +7,12 @@ are 10×+ looser than observed, so only an accidental complexity
 regression trips them.
 """
 
+import asyncio
 import gc
 import re
+import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +28,18 @@ from reference_door import (
     reference_safe_parse_line,
 )
 from reference_textproc import counted
+from test_ingest import ScanAllBroker, _ChunkedReader, _NullWriter
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
+from repro.durability import StreamJournal, WriteAheadLog
 from repro.faults.dlq import DeadLetterQueue
-from repro.ingest import DeficitRoundRobin, LogBroker
-from repro.obs import MetricsRegistry, NullRegistry, wellknown
+from repro.ingest import DeficitRoundRobin, LogBroker, SyslogListener
+from repro.ingest import broker as broker_mod
+from repro.ingest.broker import Partition
+from repro.obs import MetricsRegistry, NullRegistry, use_registry, wellknown
+from repro.stream.events import EventEngine
+from repro.stream.fluentd import FluentdForwarder
 from repro.stream import rfc as rfc_mod
 from repro.stream.opensearch import LogStore
 from repro.stream.rfc import safe_parse_line
@@ -233,11 +242,11 @@ class TestLemmatizerFloors:
         assert counts.suffix_tests == 16
 
 
-def _caught_up_broker(n_partitions: int, depth: int):
+def _caught_up_broker(n_partitions: int, depth: int, cls=LogBroker):
     """A broker (live registry, so the lag gauges are computed) whose
     one consumer has polled and committed ``depth`` records on each of
     ``n_partitions`` host partitions."""
-    broker = LogBroker(registry=MetricsRegistry())
+    broker = cls(registry=MetricsRegistry())
     hosts = [f"cn{i:04d}" for i in range(n_partitions)]
     msg = SyslogMessage(timestamp=0.0, hostname="cn", app="kernel", text="link up")
     for _ in range(depth):
@@ -250,50 +259,187 @@ def _caught_up_broker(n_partitions: int, depth: int):
     return broker, hosts, msg
 
 
-def _poll_cost_ratio(big, small, cycle, rounds: int = 7, reps: int = 200) -> float:
-    """Cost of ``cycle`` on the ``big`` broker over the ``small`` one:
-    alternating rounds, best round of each side."""
+class _Visits:
+    """Partitions and records a broker call visits, on either broker.
 
-    def one_round(setup) -> float:
-        total = 0.0
-        for i in range(reps):
-            total += cycle(*setup, i)
-        return total
+    ``LogBroker`` visits a partition per ``Partition.read_from`` and a
+    record per bisection probe or record returned; ``ScanAllBroker`` (the
+    oracle in ``test_ingest.py``) a partition per ``_scan`` and a record
+    per record the scan walks.
+    """
 
-    return _best_ratio(lambda: one_round(big), lambda: one_round(small), rounds)
+    def __init__(self, monkeypatch) -> None:
+        self.partitions = self.records = 0
+        read_from, scan = Partition.read_from, ScanAllBroker._scan
+
+        def counted_read_from(part, offset, max_records):
+            self.partitions += 1
+            out = read_from(part, offset, max_records)
+            self.records += len(out)
+            return out
+
+        def probing(key):
+            def probe(item):
+                self.records += 1
+                return key(item)
+            return probe
+
+        def counted_scan(part, offset, max_records):
+            self.partitions += 1
+            out = scan(part, offset, max_records)
+            # the scan walks from the first record to the last it returns,
+            # or to the end when it returns less than it may
+            self.records += len(part) if len(out) < max_records else sum(
+                1 for seg in (*part._sealed, part._active) for r in seg
+                if r.offset <= out[-1].offset
+            )
+            return out
+
+        monkeypatch.setattr(Partition, "read_from", counted_read_from)
+        monkeypatch.setattr(broker_mod, "_record_offset", probing(broker_mod._record_offset))
+        monkeypatch.setattr(broker_mod, "_segment_end", probing(broker_mod._segment_end))
+        monkeypatch.setattr(ScanAllBroker, "_scan", staticmethod(counted_scan))
+
+    def of(self, call) -> tuple[int, int]:
+        """(partitions, records) visited by ``call()``."""
+        self.partitions = self.records = 0
+        call()
+        return self.partitions, self.records
 
 
 class TestBrokerPollFloors:
     """A poll costs what it returns — not what the partitions retain,
-    and not how many of them there are.  Ratios only."""
+    and not how many of them there are.  Counted: partitions and records
+    a poll visits, beside the scan it replaced.  The wall-clock ratios
+    these were are ``benchmarks/bench_ingest_broker.py::TestBrokerPollFloors``."""
 
-    def test_empty_poll_is_blind_to_retained_history(self):
-        def empty_poll(broker, _hosts, _msg, _i) -> float:
-            t0 = time.perf_counter()
-            assert broker.poll("g") == []
-            return time.perf_counter() - t0
+    def test_empty_poll_is_blind_to_retained_history(self, monkeypatch):
+        """A caught-up consumer over 200 partitions: an empty poll visits
+        no partition and no record at 20 or 2,000 records a partition;
+        the scan visits all 200 and walks every retained record."""
+        visits = _Visits(monkeypatch)
+        for cls, depths, want in (
+            (LogBroker, (20, 2_000), lambda depth: (0, 0)),
+            (ScanAllBroker, (20, 200), lambda depth: (200, 200 * depth)),
+        ):
+            for depth in depths:
+                broker = _caught_up_broker(200, depth, cls)[0]
+                polled = []
+                assert visits.of(lambda: polled.extend(broker.poll("g"))) == want(depth)
+                assert polled == []
 
-        ratio = _poll_cost_ratio(
-            _caught_up_broker(200, 2_000), _caught_up_broker(200, 20), empty_poll
-        )
-        assert ratio <= 3.0, f"an empty poll over deep partitions costs {ratio:.1f}x"
+    def test_small_poll_is_blind_to_partition_count(self, monkeypatch):
+        """Three records published on three of 50 or 1,000 caught-up
+        partitions: the poll and its commits visit the same partitions
+        and records at either size — the three it reads and the three
+        heads the lag-age refresh reads, 24 records between them — while
+        the scan visits every partition."""
+        visits = _Visits(monkeypatch)
+        seen = {}
+        for cls in (LogBroker, ScanAllBroker):
+            for n in (50, 1_000):
+                broker, hosts, msg = _caught_up_broker(n, 5, cls)
+                for k in range(3):
+                    broker.publish(msg, key=hosts[7 * k])
 
-    def test_small_poll_is_blind_to_partition_count(self):
-        def three_record_poll(broker, hosts, msg, i) -> float:
-            for k in range(3):
-                broker.publish(msg, key=hosts[(7 * i + k) % len(hosts)])
-            t0 = time.perf_counter()
-            records = broker.poll("g")
-            for rec in records:
-                broker.commit("g", rec.partition, rec.offset + 1)
-            dt = time.perf_counter() - t0
-            assert len(records) == 3
-            return dt
+                def poll_and_commit():
+                    records = broker.poll("g")
+                    for rec in records:
+                        broker.commit("g", rec.partition, rec.offset + 1)
+                    assert len(records) == 3
 
-        ratio = _poll_cost_ratio(
-            _caught_up_broker(1_000, 5), _caught_up_broker(50, 5), three_record_poll
-        )
-        assert ratio <= 3.0, f"a 3-record poll over 1,000 partitions costs {ratio:.1f}x"
+                seen[cls, n] = visits.of(poll_and_commit)
+        assert seen[LogBroker, 50] == seen[LogBroker, 1_000] == (6, 24)
+        for n in (50, 1_000):
+            assert seen[ScanAllBroker, n][0] >= n
+            assert seen[ScanAllBroker, n][1] >= 5 * n
+
+
+class _CountingLock:
+    """A broker's lock that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class _Calls:
+    """Forwards to ``inner``, counting method calls by name."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.calls: Counter = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted_call(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted_call
+
+
+def _host_lines(n: int, hosts: int) -> list[SyslogMessage]:
+    return [
+        SyslogMessage(100.0 + i, f"cn{i % hosts:03d}", "kernel", f"link {i} up")
+        for i in range(n)
+    ]
+
+
+class TestHandOffFloors:
+    """A record is handed from layer to layer a batch at a time: one
+    broker call and one lock per TCP chunk, one journal call per poll,
+    one commit call and one lock per flush — each where the per-line
+    hand-off made one per line, record or partition."""
+
+    def test_a_tcp_chunk_is_one_publish_call_and_one_lock(self):
+        """200 lines over 7 hosts read 1,024 bytes at a time: a publish
+        for each chunk that completes a line (the per-line path made 200)."""
+        stream = b"".join(m.to_rfc5424().encode() + b"\n" for m in _host_lines(200, 7))
+        broker = LogBroker(registry=MetricsRegistry())
+        broker._lock = lock = _CountingLock()
+        calls = _Calls(broker)
+        listener = SyslogListener(calls, udp_port=None, tcp_port=None)
+        asyncio.run(listener._serve_tcp(_ChunkedReader(stream, 1024), _NullWriter()))
+        chunks = sum(1 for i in range(0, len(stream), 1024) if b"\n" in stream[i:i + 1024])
+        assert listener.stats.accepted == broker.stats.published == 200
+        assert calls.calls == {"publish_many": chunks}
+        assert lock.acquired == chunks < 200 / 10
+
+    def test_a_poll_is_one_journal_call_and_a_flush_one_commit(self, tmp_path):
+        """300 records over 9 partitions, polled and flushed as one batch:
+        one ``accept_many`` for the poll, one ``commit_many`` and one lock
+        for the flush's nine partitions (the per-record path made 300
+        accepts and nine commits)."""
+        with use_registry(MetricsRegistry()):
+            broker = LogBroker(registry=MetricsRegistry())
+            for message in _host_lines(300, 9):
+                broker.publish(message)
+            wal = WriteAheadLog(tmp_path, registry=MetricsRegistry())
+            journal, consumer = _Calls(StreamJournal(wal)), _Calls(broker)
+            fwd = FluentdForwarder(
+                engine=EventEngine(), sink=lambda batch: True, broker=consumer,
+                journal=journal, batch_size=1_000,
+            )
+            assert fwd.poll_broker() == 300
+            assert journal.calls == {"accept_many": 1}
+            broker._lock = lock = _CountingLock()
+            assert fwd.flush() == 300
+            wal.close()
+        assert journal.calls == {"accept_many": 1, "flushed": 1}
+        assert consumer.calls == {"subscribe": 1, "poll": 1, "commit_many": 1}
+        assert lock.acquired == 1
+        assert broker.stats.commits == 9 and broker.lag(fwd.consumer_group) == 0
 
 
 def _write_lines(n: int, *, repeated: bool) -> list[SyslogMessage]:

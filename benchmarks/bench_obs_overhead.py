@@ -30,6 +30,12 @@ Environment knobs: ``REPRO_BENCH_OBS_N`` / ``REPRO_BENCH_OBS_ROUNDS``
 ``REPRO_BENCH_OBS_BROKER_N`` / ``REPRO_BENCH_OBS_BROKER_ROUNDS``
 (broker lane, default 4000 × 15).  Both lanes' rows land in
 ``BENCH_obs_overhead.json``.
+
+The well-known accessor floor (``TestWellknownAccessorFloor``) is the
+wall-clock ratio tier-1 once held: a catalogue accessor call against a
+direct ``registry.counter`` get-or-create (≤ 1.5×).  Tier-1 now counts
+what it timed (one ``_get_or_create`` and no label bind a call); here
+the ratio is a ledger row in ``BENCH_wellknown_accessor_floor.json``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from repro.obs import (
     default_tracer,
     set_default_tracer,
     use_registry,
+    wellknown,
 )
 from repro.runtime import MessageBatch
 from repro.stream.events import EventEngine
@@ -308,3 +315,40 @@ def test_obs_broker_path_overhead(benchmark):
         f"broker-path telemetry overhead {overhead_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT:.0f}% budget"
     )
+
+
+def _best_ratio(numerator, denominator, rounds: int = 9) -> float:
+    """``numerator()`` over ``denominator()`` (seconds each): alternating
+    rounds, best round of each side."""
+    passes = [(numerator(), denominator()) for _ in range(rounds)]
+    return min(p[0] for p in passes) / min(p[1] for p in passes)
+
+
+class TestWellknownAccessorFloor:
+    """A catalogue accessor is a thin get-or-create: hot paths call a
+    dozen of them per classified batch.  The ratio is written to
+    ``BENCH_wellknown_accessor_floor.json`` whether or not its bound held."""
+
+    def test_accessor_costs_at_most_half_more_than_direct_get_or_create(self):
+        registry = MetricsRegistry()
+        family = next(f for f in wellknown.CATALOGUE if f.accessor is wellknown.broker_polled)
+        name, help_text, labels = family.name, family.help, family.labels
+
+        def accessor_round() -> float:
+            accessor = wellknown.broker_polled
+            t0 = time.perf_counter()
+            for _ in range(2_000):
+                accessor(registry)
+            return time.perf_counter() - t0
+
+        def direct_round() -> float:
+            counter = registry.counter
+            t0 = time.perf_counter()
+            for _ in range(2_000):
+                counter(name, help_text, labels)
+            return time.perf_counter() - t0
+
+        assert wellknown.broker_polled(registry) is registry.counter(name, help_text, labels)
+        ratio = _best_ratio(accessor_round, direct_round, rounds=25)
+        write_artifact("wellknown_accessor_floor", {"ratio": ratio, "bound": 1.5})
+        assert ratio <= 1.5, f"an accessor costs {ratio:.2f}x a direct get-or-create"

@@ -28,7 +28,8 @@ The text-analysis lane (``test_text_analysis_lane``) is what a line
 pays before any of that: mask, index tokens and lemmas, the token-wise
 memo-sharing pass beside the staged chain it replaced (kept in
 ``tests/reference_textproc.py``), µs and counted operations per line,
-written to ``BENCH_text_analysis.json``.
+and a first-sight row per spine workload (burst lines masked once after
+the paced phase), written to ``BENCH_text_analysis.json``.
 
 The small-batch floors (``TestSmallBatchFloors``) are the wall-clock
 ratios tier-1 once held: a one-row ``transform_analyzed`` beside the
@@ -428,6 +429,44 @@ def _hostile_draws(n: int) -> list[str]:
     return draws
 
 
+def _spine_phases(name: str) -> tuple[list[str], list[str]]:
+    """A spine workload's accepted texts at the reference size: the paced
+    phase's, then the bursts'."""
+    inputs = spine_workloads.build(name, BENCH_SEED, spine_workloads.REFERENCE_SECONDS)
+    phases, lo = [], 0
+    for phase in (inputs.paced, *inputs.bursts):
+        phases.append([
+            safe_parse_line(phase.lines[i - lo])[0].text for i in phase.accepted_ordinals
+        ])
+        lo += len(phase.lines)
+    return phases[0], [text for texts in phases[1:] for text in texts]
+
+
+def _first_sight_row(norm: MaskingNormalizer, paced: list[str], bursts: list[str]) -> dict:
+    """Every burst line masked once on the memos the paced phase warmed
+    (the spine's order): µs a line (best of ``LANE_ROUNDS``) and, counted,
+    ``sub`` calls, chain runs (whole line or number–unit window) and
+    shape-memo hits a line."""
+    best = float("inf")
+    for _ in range(LANE_ROUNDS):
+        clear_memos()
+        norm.normalize_many(paced)
+        t0 = time.perf_counter()
+        norm.normalize_many(bursts)
+        best = min(best, time.perf_counter() - t0)
+    with counted() as counts:
+        norm.normalize_many(paced)
+        warm = counts.subs, counts.chain_runs, counts.shape_hits
+        norm.normalize_many(bursts)
+    n = max(1, len(bursts))
+    return {
+        "paced_lines": len(paced), "lines": len(bursts), "mask_us_per_line": best * 1e6 / n,
+        "regex_subs_per_line": (counts.subs - warm[0]) / n,
+        "chain_runs_per_line": (counts.chain_runs - warm[1]) / n,
+        "shape_hits_per_line": (counts.shape_hits - warm[2]) / n,
+    }
+
+
 def _analysis_cost(step, lines) -> float:
     """µs per line of ``step(lines)``, every round from empty memos."""
     best = float("inf")
@@ -451,7 +490,10 @@ def test_text_analysis_lane(benchmark):
     The ledger row of the floors ``tests/test_perf_smoke.py`` states as
     counts — and what decided that a line of never-seen tokens needs no
     whole-line route: masking each token behind its screens must cost
-    no more than the chain over the line.
+    no more than the chain over the line.  The "first sight" rows are
+    the spine's own order on its hot, fleet and flood lines: the paced
+    phase warms the memos, then every burst line is masked once — µs,
+    ``sub`` calls, chain runs and shape-memo hits a line.
     """
     norm, tokenizer = MaskingNormalizer(), Tokenizer()
     rng = np.random.default_rng(BENCH_SEED)
@@ -554,8 +596,23 @@ def test_text_analysis_lane(benchmark):
         f"{lane['all_unique']['mask_us_per_line']:.1f} / {whole_line_us:.1f} µs/line"
         f" = {per_token_vs_whole_line:.2f}",
     )
+    first_sight = {
+        name: _first_sight_row(norm, *_spine_phases(workload))
+        for name, workload in (("hot", "hot_templates"), ("fleet", "fleet_dash"),
+                               ("flood", "flood_reject"))
+    }
+    emit(
+        "Text analysis — first sight: each burst line masked once after the paced phase",
+        format_table(
+            ["lines", "paced / burst lines", "mask µs/line", "subs/line", "chain runs/line",
+             "shape hits/line"],
+            [[name, f"{row['paced_lines']:,} / {row['lines']:,}", f"{row['mask_us_per_line']:.2f}",
+              f"{row['regex_subs_per_line']:.2f}", f"{row['chain_runs_per_line']:.3f}",
+              f"{row['shape_hits_per_line']:.2f}"] for name, row in first_sight.items()],
+        ),
+    )
     write_artifact("text_analysis", {
-        "rounds": LANE_ROUNDS, "rows": lane,
+        "rounds": LANE_ROUNDS, "rows": lane, "first_sight": first_sight,
         "all_unique_whole_line_route_us_per_line": whole_line_us,
         "all_unique_per_token_vs_whole_line": per_token_vs_whole_line,
     })

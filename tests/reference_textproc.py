@@ -121,8 +121,9 @@ def reference_analyze(vec, messages) -> list[list[str]]:
 
 def clear_memos() -> None:
     """Empty every module-level text-analysis memo."""
-    for memo in (*normalize_mod._TOKEN_MEMOS.values(), *normalize_mod._LINE_MEMOS.values()):
-        memo.clear()
+    for name in ("_TOKEN_MEMOS", "_SHAPE_MEMOS", "_LINE_MEMOS"):
+        for memo in getattr(normalize_mod, name).values():
+            memo.clear()
     tokenize_mod._MEMOS.clear()
 
 
@@ -139,10 +140,12 @@ class _CountingPattern:
 
 
 class _CountingMemo(dict):
-    probes = 0
+    probes = hits = 0
 
     def get(self, key, default=None):
         self.probes += 1
+        if key in self:
+            self.hits += 1
         return super().get(key, default)
 
 
@@ -159,18 +162,24 @@ class _CountingRules(list):
 
 class Counts:
     """Operation counts of the text-analysis pass while :func:`counted`
-    is open: regex ``sub`` calls, token-memo probes and tokens no memo
-    knew of the masker, ``tokenize`` and ``_emit`` calls of every
+    is open: regex ``sub`` calls, token-memo probes, shape-memo hits,
+    tokens no memo knew and chain runs (whole line or number–unit
+    window) of the masker, ``tokenize`` and ``_emit`` calls of every
     tokenizer, suffix rules the lemmatizer tested."""
 
-    subs = unseen_tokens = tokenize_calls = emit_calls = suffix_tests = 0
+    subs = unseen_tokens = chain_runs = tokenize_calls = emit_calls = suffix_tests = 0
 
     def __init__(self) -> None:
         self.token_memos = {flag: _CountingMemo() for flag in (False, True)}
+        self.shape_memos = {flag: _CountingMemo() for flag in (False, True)}
 
     @property
     def memo_probes(self) -> int:
         return sum(memo.probes for memo in self.token_memos.values())
+
+    @property
+    def shape_hits(self) -> int:
+        return sum(memo.hits for memo in self.shape_memos.values())
 
 
 @contextmanager
@@ -179,10 +188,15 @@ def counted():
     counts = Counts()
     tokenizer, normalizer = tokenize_mod.Tokenizer, normalize_mod.MaskingNormalizer
     tokenize, emit, mask_token = tokenizer.tokenize, tokenizer._emit, normalizer._mask_token
+    chain = normalizer.normalize_reference
 
     def counting_mask_token(self, token):
         counts.unseen_tokens += 1
         return mask_token(self, token)
+
+    def counting_chain(self, text):
+        counts.chain_runs += 1
+        return chain(self, text)
 
     def counting_tokenize(self, text):
         counts.tokenize_calls += 1
@@ -200,7 +214,9 @@ def counted():
         ])
         mp.setattr(normalize_mod, "_ALNUM_ID", _CountingPattern(normalize_mod._ALNUM_ID, counts))
         mp.setattr(normalize_mod, "_TOKEN_MEMOS", counts.token_memos)
+        mp.setattr(normalize_mod, "_SHAPE_MEMOS", counts.shape_memos)
         mp.setattr(normalizer, "_mask_token", counting_mask_token)
+        mp.setattr(normalizer, "normalize_reference", counting_chain)
         mp.setattr(tokenizer, "tokenize", counting_tokenize)
         mp.setattr(tokenizer, "_emit", counting_emit)
         mp.setattr(lemmatize_mod, "_RULES", _CountingRules(lemmatize_mod._RULES, counts))

@@ -340,7 +340,12 @@ SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 # what the masking rules and the split/join decomposition can disagree
 # on: number + unit across whitespace, every rule's fragment glued to
-# punctuation, and every separator ``str.split()`` treats as whitespace
+# punctuation, and every separator ``str.split()`` treats as whitespace;
+# and, drawn as often and each opening a token, what the digit-shape
+# keys can: digit twins whose mask keeps the digit (``thermal_zone3:``,
+# ``CPU7_Temp``), the ``0`` of ``0x`` beside its folded look-alikes, a
+# number and a unit one space, one tab or two spaces apart, a digit
+# outside ASCII
 _hostile_line = st.lists(
     st.one_of(
         st.sampled_from([
@@ -351,10 +356,17 @@ _hostile_line = st.lists(
             " ", "  ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
             "\xa0", "\x00", "\udc80",
         ]),
+        st.sampled_from([
+            " thermal_zone1:", " thermal_zone3:", " CPU1_Temp", " CPU7_Temp",
+            " 0x1f", " 1x1f", " 9x1f", " 45 C", " 47\tC", " 45  C", " ٣",
+        ]),
         st.text(max_size=6),
     ),
     max_size=14,
 ).map("".join)
+#: a number and a unit one whitespace character apart: the one place a
+#: rule (``<temp>``, ``<size>``) can match across whitespace
+_NUMBER_UNIT = re.compile(r"\d\s(?:degC|celsius|C|[kKMGT]i?B|kB|bytes)(?:$|\W)")
 
 
 class TestFingerprintProperties:
@@ -417,6 +429,29 @@ class TestFingerprintProperties:
                 expected = norm.normalize_reference(text)
                 assert norm.normalize(text) == expected
                 assert norm.normalize(text) == expected  # recent-lines hit
+
+    @seed(SEED_SHIFT)
+    @given(_hostile_line, st.permutations("23456789"))
+    @settings(max_examples=400, deadline=None)
+    def test_a_digit_twin_masks_like_the_chain(self, text, digits):
+        """A line, a token and a number–unit window are remembered by
+        their digit shape (ASCII 2–9 folded to 1) unless their mask
+        keeps a digit.  Mask a text, then its digit twin (its digits 2–9
+        permuted), then the reverse, on the memos they and every earlier
+        example warmed: each is ``normalize_reference``'s answer.  And the
+        chain runs only on a window where a number and a unit stand one
+        whitespace character apart."""
+        twin = text.translate(str.maketrans("23456789", "".join(digits)))
+        chain, windows = MaskingNormalizer.normalize_reference, []
+        for alnum_ids in (True, False):
+            norm = MaskingNormalizer(alnum_ids)
+            expected = {t: chain(norm, t) for t in (text, twin)}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(MaskingNormalizer, "normalize_reference",
+                           lambda self, t: windows.append(t) or chain(self, t))
+                for t in (text, twin, twin, text):
+                    assert norm.normalize(t) == expected[t]
+        assert all(_NUMBER_UNIT.search(window) for window in windows), windows
 
 
 # -- one analysis per line: every product equals the staged chain ----------

@@ -93,16 +93,18 @@ class TestMemos:
         from repro.textproc import normalize as mod
 
         monkeypatch.setattr(mod, "TOKEN_MEMO_MAX_ENTRIES", 64)
-        memo = mod._TOKEN_MEMOS[True]
+        memo, shapes = mod._TOKEN_MEMOS[True], mod._SHAPE_MEMOS[True]
         memo.clear()
+        shapes.clear()
         norm = MaskingNormalizer()
         for i in range(40):  # 400 distinct tokens: six caps' worth
             line = " ".join(f"garbage{i}x{j}y" for j in range(10))
             assert norm.normalize(line) == norm.normalize_reference(line)
-            assert len(memo) <= 64
+            assert len(memo) <= 64 and len(shapes) <= 64
         norm.normalize("the node cn042 reported for duty again")
-        assert memo["cn042"] == "cn<num>"
-        assert len(memo) <= 64
+        # a token with a digit 2-9 is held by its digit shape
+        assert shapes[b"cn011"] == "cn<num>" and "cn042" not in memo
+        assert len(memo) <= 64 and len(shapes) <= 64
 
     def test_pure_digit_tokens_are_not_memoized(self):
         from repro.textproc import normalize as mod

@@ -61,6 +61,13 @@ the five dashboard queries at 30k documents.  It asserts that the two
 stores hold and answer the same; no reading has a floor — the counted
 floor is ``tests/test_perf_smoke.py::TestStoreHeapFloors``.
 
+``TestStoreQueryFloors`` keeps the two wall-clock query ratios tier-1
+used to gate on (a 1,000-document window in a 10x store; the unranged
+``terms_aggregation`` against the scan), now counted in rows by
+``tests/test_perf_smoke.py::TestStoreQueryFloors``; each ratio is
+written to ``BENCH_store_query_floors.json`` whether or not its bound
+held.
+
 Environment knobs: ``REPRO_BENCH_REPL_MESSAGES`` (messages per round,
 default 6000), ``REPRO_BENCH_REPL_ROUNDS`` (rounds, default 5).
 """
@@ -73,6 +80,8 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from repro.core.message import SyslogMessage
 from repro.experiments.common import format_table
@@ -445,3 +454,77 @@ def test_store_heap_lane(benchmark):
             [[r["query"], *(f"{r['ms'][lane]:.3f}" for lane in HEAP_STORES)] for r in reads],
         ),
     )
+
+
+# -- the query floors ----------------------------------------------------------
+
+_QUERY_FLOOR_ROWS: dict[str, float] = {}
+_RATIOS: list[float] = []
+
+
+def _filled(cls, n: int):
+    """A 3-node RF-3 store of class ``cls`` holding ``n`` documents, one
+    per second of log time, written 500 at a time."""
+    store = cls(registry=MetricsRegistry(), **_REPLICATED)
+    lines = _messages(repeated=True, n=n)
+    for i in range(0, n, 500):
+        store.bulk_index(lines[i:i + 500])
+    return store
+
+
+def _query_cost_ratio(ask, baseline, rounds: int = 7) -> float:
+    """Cost of ``ask()`` over ``baseline()``: alternating rounds, best
+    round of each side; recorded for the ledger row."""
+    def clock(call) -> float:
+        t0 = time.perf_counter()
+        call()
+        return time.perf_counter() - t0
+
+    passes = [(clock(ask), clock(baseline)) for _ in range(rounds)]
+    _RATIOS.append(min(p[0] for p in passes) / min(p[1] for p in passes))
+    return _RATIOS[-1]
+
+
+class TestStoreQueryFloors:
+    """One query engine: a ranged dashboard query on the replicated store
+    costs its window, not the store, and an un-ranged one costs no more
+    than the scan of every copy it replaced.  Ratios only."""
+
+    @pytest.fixture(autouse=True)
+    def _ledger_row(self, request):
+        _RATIOS.clear()
+        yield
+        if _RATIOS:
+            _QUERY_FLOOR_ROWS[request.node.name] = round(_RATIOS[-1], 3)
+            write_artifact("store_query_floors", {"ratios": _QUERY_FLOOR_ROWS})
+
+    def test_a_ranged_aggregation_is_blind_to_the_documents_outside_it(self):
+        """The newest 1,000 documents of 30,000 against the newest 1,000
+        of 3,000.  Measured 1.0; the scan-every-copy read path this
+        replaced (``PerDocStore.severity_histogram``) reads 8.7-9.8x."""
+        from repro.replication import ReplicatedLogStore
+
+        big, small = _filled(ReplicatedLogStore, 30_000), _filled(ReplicatedLogStore, 3_000)
+        assert sum(big.severity_histogram(t0=29_000.0).values()) == 1_000
+        assert sum(small.severity_histogram(t0=2_000.0).values()) == 1_000
+        ratio = _query_cost_ratio(
+            lambda: big.severity_histogram(t0=29_000.0),
+            lambda: small.severity_histogram(t0=2_000.0),
+            rounds=15,
+        )
+        assert ratio <= 3.0, f"the same 1,000-document window costs {ratio:.1f}x in a 10x store"
+
+    def test_an_unranged_aggregation_costs_no_more_than_the_scan(self):
+        """Every document is read either way.  Measured 0.48-0.59."""
+        from perdoc_store import PerDocStore
+        from repro.replication import ReplicatedLogStore
+
+        engine, scan = _filled(ReplicatedLogStore, 10_000), _filled(PerDocStore, 10_000)
+        assert sorted(engine.terms_aggregation("hostname", top=24)) == sorted(
+            scan.terms_aggregation("hostname", top=24)  # all 24 hosts: no cut among ties
+        )
+        ratio = _query_cost_ratio(
+            lambda: engine.terms_aggregation("hostname"),
+            lambda: scan.terms_aggregation("hostname"),
+        )
+        assert ratio <= 1.15, f"terms_aggregation costs {ratio:.2f}x the scan of every copy"

@@ -285,14 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tcp-port", type=int, default=0,
                    help="TCP port (0 = ephemeral, -1 = disabled)")
     p.add_argument("--rate-limit", type=float, default=None,
-                   help="accept-time shed budget, messages/second "
+                   help="admit rate, messages/second, shared across "
+                        "tenants (host/app keys) by deficit-round-robin "
+                        "fairness; over it lines are shed "
                         "(default: unlimited)")
     p.add_argument("--burst", type=float, default=None,
-                   help="token-bucket burst (default: one second of rate)")
-    p.add_argument("--per-tenant", action="store_true",
-                   help="share --rate-limit across tenants (host/app "
-                        "keys) with deficit-round-robin fairness "
-                        "instead of one first-come global bucket")
+                   help="admission pool (default: one second of rate); "
+                        "any window of T seconds admits at most "
+                        "rate*T + burst + sum(max(1, burst/j), j=1..n) "
+                        "lines for n tenants tracked")
     p.add_argument("--max-line-bytes", type=_positive_int, default=8192,
                    help="oversize quarantine threshold")
     p.add_argument("--partitions", type=_positive_int, default=None,
@@ -900,19 +901,12 @@ def _cmd_listen(args) -> int:
         _attach_cache(pipe, args)
 
     tenant_quota = None
-    rate_limit = args.rate_limit
-    if args.per_tenant:
-        if args.rate_limit is None:
-            raise SystemExit(
-                "--per-tenant needs --rate-limit for the aggregate "
-                "admit rate the tenants share"
-            )
+    if args.rate_limit is not None:
         from repro.ingest import DeficitRoundRobin
 
-        # the fair-share quota replaces the global bucket: same
-        # aggregate budget, dealt round-robin across host/app keys
+        # the door's one admission valve: the aggregate budget, dealt
+        # round-robin across host/app keys
         tenant_quota = DeficitRoundRobin(args.rate_limit, args.burst)
-        rate_limit = None
 
     broker = LogBroker(n_partitions=args.partitions)
     store = LogStore()
@@ -925,8 +919,6 @@ def _cmd_listen(args) -> int:
         host=args.host,
         udp_port=None if args.udp_port < 0 else args.udp_port,
         tcp_port=None if args.tcp_port < 0 else args.tcp_port,
-        rate_limit=rate_limit,
-        burst=args.burst,
         tenant_quota=tenant_quota,
         max_line_bytes=args.max_line_bytes,
         trace_sampler=sampler,
@@ -936,6 +928,15 @@ def _cmd_listen(args) -> int:
     if control_policy is not None:
         from repro.control import Controller, ListenerRateActuator
 
+        if control_policy.brownout is not None:
+            raise SystemExit(
+                "listen mode has no brownout ladder, the policy sets one"
+            )
+        if tenant_quota is None:
+            raise SystemExit(
+                "the 'listener_rate' lever needs --rate-limit to "
+                "create the admission valve it actuates"
+            )
         controller = Controller(control_policy)
         for lever_policy in control_policy.levers:
             if lever_policy.name != "listener_rate":
@@ -943,16 +944,7 @@ def _cmd_listen(args) -> int:
                     f"listen mode can only bind the 'listener_rate' "
                     f"lever, policy names {lever_policy.name!r}"
                 )
-            # the admission valve is the global bucket or, under
-            # --per-tenant, the fair-share quota (same rate/set_rate
-            # surface — the lever retunes the aggregate budget)
-            valve = listener.bucket or listener.quota
-            if valve is None:
-                raise SystemExit(
-                    "the 'listener_rate' lever needs --rate-limit to "
-                    "create the admission valve it actuates"
-                )
-            controller.bind(lever_policy.name, ListenerRateActuator(valve))
+            controller.bind(lever_policy.name, ListenerRateActuator(tenant_quota))
     server = _start_ops(args)
 
     async def serve() -> None:
@@ -1018,11 +1010,8 @@ def _cmd_listen(args) -> int:
         f"parse_errors={s.parse_errors} publish_refused={s.publish_refused} "
         f"accounted={s.accounted()}"
     )
-    if listener.quota is not None:
-        print(
-            f"tenants: active={len(listener.quota)} "
-            f"tenant_shed={s.tenant_shed}"
-        )
+    if tenant_quota is not None:
+        print(f"tenants: active={len(tenant_quota)}")
     print(
         f"broker: partitions={len(broker.partitions)} "
         f"published={broker.stats.published} polled={broker.stats.polled} "
@@ -1039,12 +1028,11 @@ def _cmd_listen(args) -> int:
         print(line)
     if controller is not None:
         cs = controller.stats()
-        valve = listener.bucket or listener.quota
         print(
             f"control: ticks={cs['ticks']} "
             f"actuations={sum(cs['actuations'].values())} "
             f"flips={sum(cs['flips'].values())} "
-            f"rate={valve.rate:.0f}"
+            f"rate={tenant_quota.rate:.0f}"
         )
     if len(listener.dead_letters):
         print(f"dead_letters={len(listener.dead_letters)}")

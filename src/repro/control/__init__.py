@@ -2,7 +2,7 @@
 
 The earlier PRs left every capacity knob exposed but static: classifier
 worker count, forwarder batch size, degraded-mode thresholds, the
-listener's token-bucket budget, replica activation.  This package
+listener's admission budget, replica activation.  This package
 closes the loop: a deterministic, injectable-clock controller reads the
 metrics registry (backlog gauges, windowed latency quantiles, broker
 lag, SLO error budgets) and actuates those levers with AIMD steps,

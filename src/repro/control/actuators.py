@@ -1,7 +1,7 @@
 """Actuators: the write side of the control loop.
 
 Each actuator adapts one capacity lever — classifier workers, batch
-sizes, the listener's token bucket, replica activation — behind a
+sizes, the listener's admission quota, replica activation — behind a
 uniform ``get``/``apply`` surface so the controller's AIMD logic stays
 lever-agnostic.  Actuators are dumb by design: they clamp, round, and
 forward; *when* to move is entirely the controller's decision.
@@ -159,22 +159,23 @@ class FluentdBatchActuator(Actuator):
 
 
 class ListenerRateActuator(Actuator):
-    """Adjust a listener :class:`~repro.ingest.listener.TokenBucket` rate.
+    """Adjust the aggregate rate of a listener's admission quota
+    (:class:`~repro.ingest.quota.DeficitRoundRobin`).
 
-    Uses the bucket's thread-safe :meth:`set_rate`, so the asyncio
+    Uses the quota's thread-safe :meth:`set_rate`, so the asyncio
     accept path never observes a torn update.
     """
 
-    def __init__(self, bucket) -> None:
-        self.bucket = bucket
+    def __init__(self, quota) -> None:
+        self.quota = quota
 
     def get(self) -> float:
-        """Current admit rate (messages/second)."""
-        return float(self.bucket.rate)
+        """Current aggregate admit rate (messages/second)."""
+        return float(self.quota.rate)
 
     def apply(self, value: float) -> None:
-        """Set the admit rate, keeping the accumulated burst tokens."""
-        self.bucket.set_rate(value)
+        """Set the admit rate, keeping the pool's unspent tokens."""
+        self.quota.set_rate(value)
 
 
 class StoreActiveNodesActuator(Actuator):

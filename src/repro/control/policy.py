@@ -314,8 +314,9 @@ def default_policy() -> ControlPolicy:
 
 
 def default_listen_policy() -> ControlPolicy:
-    """The stock listener policy: trim the token-bucket admit rate
-    under broker lag, probe it back additively when lag clears."""
+    """The stock listener policy: trim the quota's admit rate under
+    broker lag, probe it back additively when lag clears.  No brownout
+    ladder: the listener has no rung to act on."""
     return ControlPolicy(
         tick_every_s=1.0,
         levers=(
@@ -326,7 +327,7 @@ def default_listen_policy() -> ControlPolicy:
                 hold_ticks=3, pressure_up=False,
             ),
         ),
-        brownout=BrownoutPolicy(backlog_high=float("inf")),
+        brownout=None,
     )
 
 

@@ -3,8 +3,9 @@
 The spine between noisy senders and the elastic consumer fleet:
 
 - :mod:`repro.ingest.listener` — :class:`SyslogListener`, an asyncio
-  UDP/TCP front door parsing RFC 3164/5424 wire lines with accept-time
-  rate limiting, load shedding, and DLQ quarantine for hostile input;
+  UDP/TCP front door parsing RFC 3164/5424 wire lines, with DLQ
+  quarantine for hostile input and per-tenant fair-share admission
+  (:mod:`repro.ingest.quota`) as its one load-shedding valve;
 - :mod:`repro.ingest.broker` — :class:`LogBroker`, per-host/per-tenant
   partitions of append-only segments with consumer groups and
   committed offsets.  Offsets ride the :mod:`repro.durability`
@@ -25,7 +26,7 @@ from repro.ingest.broker import (
     hash_partitioner,
     host_partitioner,
 )
-from repro.ingest.listener import ListenerStats, SyslogListener, TokenBucket
+from repro.ingest.listener import ListenerStats, SyslogListener
 from repro.ingest.quota import DeficitRoundRobin
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "LogBroker",
     "Partition",
     "SyslogListener",
-    "TokenBucket",
     "hash_partitioner",
     "host_partitioner",
 ]

@@ -11,30 +11,28 @@ The accept path, in order, is:
 
 1. ``ingest.accept_drop`` fault site — a simulated NIC-queue drop,
    counted into ``accept_dropped``;
-2. token-bucket **rate limiting** — accept-time load shedding: over
-   the budget, the line is shed and counted, the sender is never
-   blocked (syslog's fire-and-forget contract);
-3. **size cap** — oversize lines are quarantined to the DLQ;
-4. **parse** — unparseable lines are quarantined to the DLQ with the
+2. **size cap** — oversize lines are quarantined to the DLQ;
+3. **parse** — unparseable lines are quarantined to the DLQ with the
    parser's reason string;
-5. per-tenant **fair-share quota** — when a
-   :class:`~repro.ingest.quota.DeficitRoundRobin` is attached, the
-   parsed message's host/app key draws from its tenant's deficit; a
-   saturating tenant is shed (``tenant_shed``, reason ``fair_share``)
-   without starving compliant ones (the key needs a parsed message,
-   which is why this gate sits after parse);
-6. **publish** — per chunk, not per line: the lines of one TCP
-   ``data_received`` chunk that passed steps 1–5 go to
+4. **admission** — when a :class:`~repro.ingest.quota.DeficitRoundRobin`
+   is attached (the door's one admission valve), the parsed message's
+   host/app key draws from its tenant's fair share; over it the line
+   is shed (``shed``, reason ``fair_share`` per tenant) without
+   starving compliant tenants, and the sender is never blocked
+   (syslog's fire-and-forget contract).  The key needs a parsed
+   message, which is why this gate sits after parse;
+5. **publish** — per chunk, not per line: the lines of one TCP
+   ``data_received`` chunk that passed steps 1–4 go to
    :meth:`~repro.ingest.broker.LogBroker.publish_many` in one call (a
    UDP datagram is a chunk of one).  A line the broker refuses (a
    stalled partition) is quarantined; only a published line counts as
    ``accepted``.
 
 No branch is silent: every received line ends in exactly one of
-``accepted``, ``shed``, ``tenant_shed``, ``accept_dropped``,
-``oversize``, ``parse_errors`` or ``publish_refused`` (see
+``accepted``, ``shed``, ``accept_dropped``, ``oversize``,
+``parse_errors`` or ``publish_refused`` (see
 :meth:`ListenerStats.accounted`).  Trace sampling is keyed by the
-ordinal of lines past step 5, which equals ``accepted`` on a run with
+ordinal of lines past step 4, which equals ``accepted`` on a run with
 no refusals.
 
 Metrics are synchronised to the registry in batches (every
@@ -46,8 +44,6 @@ the bottleneck.
 from __future__ import annotations
 
 import asyncio
-import threading
-import time
 from dataclasses import dataclass, replace
 
 from repro.faults.dlq import DeadLetterQueue
@@ -57,71 +53,13 @@ from repro.ingest.quota import DeficitRoundRobin
 from repro.obs import wellknown
 from repro.stream.rfc import MAX_LINE_BYTES, safe_parse_line
 
-__all__ = ["ListenerStats", "SyslogListener", "TokenBucket"]
+__all__ = ["ListenerStats", "SyslogListener"]
 
 #: where parse/oversize/publish quarantines land in the DLQ
 SITE_INGEST_PARSE = "ingest.parse"
 SITE_INGEST_PUBLISH = "ingest.publish"
 
 _SYNC_EVERY = 1024
-
-
-class TokenBucket:
-    """Accept-time rate limiter: ``rate`` tokens/s, burst of ``burst``.
-
-    Monotonic-clock based and allocation-free on the hot path.  The
-    clock is injectable so tests can drive it deterministically.
-    :meth:`set_rate` retunes the bucket in place (the control plane's
-    admission lever) without forfeiting tokens already accumulated.
-    """
-
-    __slots__ = ("rate", "burst", "_tokens", "_last", "_clock", "_lock")
-
-    def __init__(self, rate: float, burst: float | None = None, *, clock=time.monotonic):
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(self.rate, 1.0)
-        self._tokens = self.burst
-        self._clock = clock
-        self._last = clock()
-        self._lock = threading.Lock()
-
-    def allow(self) -> bool:
-        """Take one token; False when the budget is exhausted."""
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._last) * self.rate
-            )
-            self._last = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
-
-    def set_rate(self, rate: float, burst: float | None = None) -> None:
-        """Retune the bucket to ``rate`` tokens/s (and optionally ``burst``).
-
-        Tokens accrued so far are first settled at the *old* rate up to
-        the current clock, then carried over (clamped to the new burst),
-        so a retune never manufactures or forfeits admission budget.
-        Thread-safe against a concurrent :meth:`allow`.
-        """
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._last) * self.rate
-            )
-            self._last = now
-            self.rate = float(rate)
-            if burst is not None:
-                self.burst = float(burst)
-            else:
-                self.burst = max(self.burst, 1.0)
-            self._tokens = min(self.burst, self._tokens)
 
 
 @dataclass
@@ -132,6 +70,8 @@ class ListenerStats:
     received_tcp: int = 0
     accepted: int = 0
     shed: int = 0
+    #: always 0 — a quota shed counts into ``shed``; kept only because
+    #: the spine benchmark adds it to ``shed``
     tenant_shed: int = 0
     accept_dropped: int = 0
     oversize: int = 0
@@ -145,8 +85,7 @@ class ListenerStats:
     def accounted(self) -> bool:
         """The no-silent-loss check: bins sum back to received."""
         return self.received == (
-            self.accepted + self.shed + self.tenant_shed
-            + self.accept_dropped + self.oversize
+            self.accepted + self.shed + self.accept_dropped + self.oversize
             + self.parse_errors + self.publish_refused
         )
 
@@ -169,15 +108,12 @@ class SyslogListener:
         parse-only use (the benchmark's listener-alone lane).
     udp_port, tcp_port:
         Port to bind (0 = ephemeral, ``None`` = transport disabled).
-    rate_limit, burst:
-        Accept-time token-bucket budget in messages/second; ``None``
-        disables shedding.
     tenant_quota:
-        Optional :class:`~repro.ingest.quota.DeficitRoundRobin`: parsed
-        messages draw admission from their tenant's (host/app) fair
-        share instead of a first-come free-for-all; over-quota lines
-        land in ``tenant_shed`` with per-tenant reason-labelled
-        counters.  Composes with (or replaces) the global bucket.
+        Optional :class:`~repro.ingest.quota.DeficitRoundRobin`, the
+        door's admission valve: parsed messages draw admission from
+        their tenant's (host/app) fair share of its rate; over-quota
+        lines land in ``shed``, broken down per tenant in
+        reason-labelled counters.  ``None`` admits every parsed line.
     max_line_bytes:
         Size cap; longer input is quarantined, not truncated.
     on_message:
@@ -195,14 +131,11 @@ class SyslogListener:
         host: str = "127.0.0.1",
         udp_port: int | None = 0,
         tcp_port: int | None = 0,
-        rate_limit: float | None = None,
-        burst: float | None = None,
         tenant_quota: DeficitRoundRobin | None = None,
         max_line_bytes: int = MAX_LINE_BYTES,
         fault_injector: FaultInjector | None = None,
         dead_letters: DeadLetterQueue | None = None,
         on_message=None,
-        clock=time.monotonic,
         registry=None,
         trace_sampler=None,
     ) -> None:
@@ -224,7 +157,6 @@ class SyslogListener:
             trace_sampler.next_sampled_after(0)
             if trace_sampler is not None else float("inf")
         )
-        self.bucket = TokenBucket(rate_limit, burst, clock=clock) if rate_limit else None
         self.quota = tenant_quota
         self.stats = ListenerStats()
         self.udp_address: tuple[str, int] | None = None
@@ -340,7 +272,7 @@ class SyslogListener:
             self._publish(messages, ctxs, transport)
 
     def _admit(self, raw: bytes, transport: str, messages: list, ctxs: list) -> None:
-        """Steps 1–5 for one line; an admitted line joins ``messages``,
+        """Steps 1–4 for one line; an admitted line joins ``messages``,
         its trace context (or ``None``) ``ctxs``."""
         stats = self.stats
         if transport == "udp":
@@ -352,9 +284,6 @@ class SyslogListener:
             self._sync_metrics()
         if self.injector is not None and self.injector.should_fire(SITE_ACCEPT_DROP):
             stats.accept_dropped += 1
-            return
-        if self.bucket is not None and not self.bucket.allow():
-            stats.shed += 1
             return
         if len(raw) > self.max_line_bytes:
             stats.oversize += 1
@@ -383,7 +312,7 @@ class SyslogListener:
                 pending = self._tenant_pending[tenant] = [0, 0, 0]
             pending[0] += 1
             if not self.quota.allow(tenant):
-                stats.tenant_shed += 1
+                stats.shed += 1
                 pending[2] += 1
                 return
             pending[1] += 1
@@ -403,7 +332,7 @@ class SyslogListener:
         ctxs.append(ctx)
 
     def _publish(self, messages: list, ctxs: list, transport: str) -> None:
-        """Step 6 for a batch of admitted lines: one broker call.  A
+        """Step 5 for a batch of admitted lines: one broker call.  A
         line the broker refuses is quarantined; the rest are accepted."""
         accepted = messages
         if self.broker is not None:

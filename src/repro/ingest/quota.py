@@ -1,13 +1,14 @@
 """Per-tenant fair-share admission: a deficit-round-robin quota.
 
-The listener's original token bucket is a single global valve: one
-abusive sender draining it starves every compliant tenant behind the
-same socket.  :class:`DeficitRoundRobin` replaces it with max-min
-fairness over tenants (the host/app key of each parsed message):
+A single global token bucket is one valve for everyone: one abusive
+sender draining it starves every compliant tenant behind the same
+socket.  :class:`DeficitRoundRobin`, the listener's admission valve,
+deals max-min fairness over tenants (the host/app key of each parsed
+message) instead:
 
 - tokens accrue into one global pool at ``rate`` per second (capped at
-  ``burst``), exactly like the bucket — the *aggregate* admit rate is
-  unchanged;
+  ``burst``), exactly like a token bucket — the *aggregate* admit rate
+  is ``rate``;
 - the pool is dealt to tenants round-robin, one ``quantum`` per visit,
   so every active tenant draws an equal share of the refill;
 - each tenant spends its own deficit to admit lines, and a tenant's
@@ -39,10 +40,9 @@ of the loop that walked the whole ring per quantum
 the same order, because ``burst / n`` is fractional and
 ``x + 1.0 + 1.0`` is not ``x + 2.0`` in the last place.
 
-Like :class:`~repro.ingest.listener.TokenBucket` the clock is injected
-and all state transitions happen under one lock, so tests drive it
-deterministically and the listener's event loop and the controller's
-``set_rate`` actuations can race safely.
+The clock is injected and all state transitions happen under one lock,
+so tests drive it deterministically and the listener's event loop and
+the controller's ``set_rate`` actuations can race safely.
 """
 
 from __future__ import annotations
@@ -75,6 +75,24 @@ class DeficitRoundRobin:
         the pool).
     clock:
         Monotonic time source (injected in tests and simulations).
+
+    Notes
+    -----
+    The burst bound: over any window of ``dt`` seconds the quota admits
+    at most::
+
+        rate * dt + burst + sum(max(quantum, burst / j) for j in 1..n)
+
+    lines, ``n`` being the tenants tracked when the window opens (at
+    most ``max_tenants``).  The pool holds at most ``burst`` and refills
+    at ``rate``; on top of it every tracked tenant may hold unspent
+    deficit, capped at ``max(quantum, burst / size)`` for the ring size
+    when it was last granted, and the j-th tenant by last grant was
+    granted in a ring of at least j.  A pool refill does not claw those
+    deficits back, so the door is looser than a token bucket of the same
+    ``burst``: ``DeficitRoundRobin(10, 10)`` admits 19 at one instant
+    after one admit and a second idle (a bucket: 10), and 123 once 100
+    tenants joined one per second fire together.
     """
 
     __slots__ = (
@@ -143,10 +161,9 @@ class DeficitRoundRobin:
     def set_rate(self, rate: float, burst: float | None = None) -> None:
         """Retarget the aggregate rate; unspent tokens are preserved.
 
-        Mirrors ``TokenBucket.set_rate`` so the controller's
-        ``listener_rate`` lever drives either admission mechanism: the
-        pool settles at the old rate up to now, then refills at the new
-        one (clamped into the possibly-changed burst).
+        The controller's ``listener_rate`` lever drives this: the pool
+        settles at the old rate up to now, then refills at the new one
+        (clamped into the possibly-changed burst).
         """
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")

@@ -249,7 +249,7 @@ ingest_accepted = _counter(
     "Wire lines parsed into messages and accepted by the listener")
 ingest_shed = _counter(
     "ingest", "repro_ingest_shed_total",
-    "Wire lines shed by the listener's accept-time rate limiter")
+    "Wire lines shed by the listener's fair-share admission quota, all tenants")
 ingest_accept_dropped = _counter(
     "ingest", "repro_ingest_accept_dropped_total",
     "Wire lines dropped at accept time by the ingest.accept_drop fault site "
@@ -360,13 +360,7 @@ control_feedforward_moves = _counter(
     "Capacity up-moves taken on the feedforward surge prediction before the "
     "reactive signal crossed its high watermark", ("lever",))
 
-# -- executor lifecycle ------------------------------------------------
-executor_respawns = _counter(
-    "pipeline", "repro_executor_respawns_total",
-    "Sharded-executor pool respawns after a broken worker pool")
-executor_serial_fallbacks = _counter(
-    "pipeline", "repro_executor_serial_fallbacks_total",
-    "Chunks executed serially in-process after pool retries failed")
+# -- store circuit breakers --------------------------------------------
 store_breaker_state = _gauge(
     "store", "repro_store_breaker_state",
     "Circuit-breaker state per store node (0 closed, 1 half-open, 2 open)", ("node",))

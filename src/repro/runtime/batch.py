@@ -1,66 +1,33 @@
-"""Columnar message batches — the unit of work on the hot path.
+"""Message batches — the unit of work on the hot path.
 
 §1 of the paper motivates scale ("in just an hour over a million
 messages can be produced in a small scale test-bed"), and per-message
 calls through normalize → tokenize → vectorize cannot reach it:
 every layer pays its per-call overhead once *per message*.
-:class:`MessageBatch` restructures the hot path around a column-major
-view of the stream — parallel tuples of texts, and optional labels,
-hosts, and timestamps — so each stage runs once per *batch* and the
-vectorizer produces one sparse matrix per batch instead of one row at
-a time.
+:class:`MessageBatch` restructures the hot path around a batch of
+message bodies, so each stage runs once per *batch* and the vectorizer
+produces one sparse matrix per batch instead of one row at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-if TYPE_CHECKING:  # import cycle: core.pipeline runs batch-first on us
-    from repro.core.message import SyslogMessage
-    from repro.core.taxonomy import Category
 
 __all__ = ["MessageBatch"]
 
 
 @dataclass(frozen=True)
 class MessageBatch:
-    """A column-major batch of syslog messages.
+    """An immutable batch of syslog message bodies.
 
     Attributes
     ----------
     texts:
-        Message bodies — the classification input, always present.
-    labels:
-        Optional parallel :class:`Category` labels (training /
-        evaluation batches).
-    hosts:
-        Optional originating hostnames.
-    timestamps:
-        Optional float64 epoch-seconds array.
-
-    All present columns must have the same length; batches are
-    immutable, so slicing (:meth:`chunks`, :meth:`select`) creates
-    views of the same column data.
+        Message bodies — the classification input.
     """
 
     texts: tuple[str, ...]
-    labels: tuple[Category, ...] | None = None
-    hosts: tuple[str, ...] | None = None
-    timestamps: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        n = len(self.texts)
-        for name in ("labels", "hosts", "timestamps"):
-            col = getattr(self, name)
-            if col is not None and len(col) != n:
-                raise ValueError(
-                    f"MessageBatch column {name!r} has length {len(col)}, "
-                    f"expected {n}"
-                )
 
     # -- construction --------------------------------------------------
 
@@ -80,20 +47,6 @@ class MessageBatch:
         if isinstance(batch, cls):
             return batch
         return cls(texts=tuple(batch))
-
-    @classmethod
-    def from_messages(
-        cls,
-        messages: Sequence[SyslogMessage],
-        labels: Sequence[Category] | None = None,
-    ) -> "MessageBatch":
-        """Columnarize parsed :class:`SyslogMessage` records."""
-        return cls(
-            texts=tuple(m.text for m in messages),
-            labels=tuple(labels) if labels is not None else None,
-            hosts=tuple(m.hostname for m in messages),
-            timestamps=np.asarray([m.timestamp for m in messages], dtype=np.float64),
-        )
 
     @classmethod
     def read_lines(
@@ -120,26 +73,6 @@ class MessageBatch:
         if pending:
             yield cls(texts=tuple(pending))
 
-    @classmethod
-    def concat(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
-        """Concatenate batches column-wise.
-
-        Optional columns are kept only when present on *every* input
-        batch (a missing column in one shard would silently misalign
-        the rest).
-        """
-        if not batches:
-            return cls(texts=())
-        texts: tuple[str, ...] = tuple(t for b in batches for t in b.texts)
-        labels = hosts = timestamps = None
-        if all(b.labels is not None for b in batches):
-            labels = tuple(lab for b in batches for lab in b.labels)  # type: ignore[union-attr]
-        if all(b.hosts is not None for b in batches):
-            hosts = tuple(h for b in batches for h in b.hosts)  # type: ignore[union-attr]
-        if all(b.timestamps is not None for b in batches):
-            timestamps = np.concatenate([b.timestamps for b in batches])
-        return cls(texts=texts, labels=labels, hosts=hosts, timestamps=timestamps)
-
     # -- slicing -------------------------------------------------------
 
     def __len__(self) -> int:
@@ -147,16 +80,6 @@ class MessageBatch:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.texts)
-
-    def select(self, indices: Sequence[int]) -> "MessageBatch":
-        """Row-subset batch (used for blacklist pass-through splits)."""
-        idx = list(indices)
-        return MessageBatch(
-            texts=tuple(self.texts[i] for i in idx),
-            labels=tuple(self.labels[i] for i in idx) if self.labels else None,
-            hosts=tuple(self.hosts[i] for i in idx) if self.hosts else None,
-            timestamps=self.timestamps[idx] if self.timestamps is not None else None,
-        )
 
     def chunks(self, size: int) -> Iterator["MessageBatch"]:
         """Split into consecutive sub-batches of at most ``size`` rows.
@@ -168,10 +91,4 @@ class MessageBatch:
         if size <= 0:
             raise ValueError(f"chunk size must be positive, got {size}")
         for start in range(0, len(self.texts), size):
-            sl = slice(start, start + size)
-            yield MessageBatch(
-                texts=self.texts[sl],
-                labels=self.labels[sl] if self.labels else None,
-                hosts=self.hosts[sl] if self.hosts else None,
-                timestamps=self.timestamps[sl] if self.timestamps is not None else None,
-            )
+            yield MessageBatch(texts=self.texts[start:start + size])

@@ -263,7 +263,6 @@ class ShardedExecutor:
             self._pool = None
         self.n_worker_respawns += 1
         wellknown.faults_worker_respawns(registry).inc()
-        wellknown.executor_respawns(registry).inc()
 
     # -- fault arming --------------------------------------------------
 
@@ -444,7 +443,6 @@ class ShardedExecutor:
         fallback_s = 0.0
         if fallback_idx:
             fallback_counter = wellknown.faults_serial_fallbacks(registry)
-            exec_fallback_counter = wellknown.executor_serial_fallbacks(registry)
             for idx in sorted(fallback_idx):
                 t0 = perf_counter()
                 by_chunk[idx] = pipe.classify_batch(
@@ -453,5 +451,4 @@ class ShardedExecutor:
                 fallback_s += perf_counter() - t0
                 self.n_serial_fallback_chunks += 1
                 fallback_counter.inc()
-                exec_fallback_counter.inc()
         return by_chunk, fallback_idx, fallback_s

@@ -343,6 +343,21 @@ class TestListen:
         with pytest.raises(SystemExit, match="at least one"):
             main(["listen", "--udp-port", "-1", "--tcp-port", "-1"])
 
+    def test_refuses_a_policy_that_sets_a_brownout_ladder(self, tmp_path):
+        """The listener has no rung to act on: a ladder would climb and
+        report a level while nothing is shed."""
+        from repro.control import BrownoutPolicy, ControlPolicy, default_listen_policy
+
+        ladder = ControlPolicy(
+            tick_every_s=1.0, levers=default_listen_policy().levers,
+            brownout=BrownoutPolicy(),
+        )
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(ladder.to_dict()))
+        with pytest.raises(SystemExit, match="no brownout ladder"):
+            main(["listen", "--udp-port", "0", "--tcp-port", "-1", "--rate-limit", "50",
+                  "--control-policy", str(path), "--duration", "0.2"])
+
 
 class TestMetrics:
     def test_classify_writes_prometheus_file(self, model_dir, tmp_path, capsys):

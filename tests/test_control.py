@@ -6,7 +6,7 @@ Four layers of coverage, mirroring the control loop's promises:
    (a policy file must be reviewable and replayable).
 2. **Mechanics** — signal windows, deadbands, cooldowns, hold ticks,
    capacity-guarded shrink, flip accounting, and each actuator's
-   contract (token bucket retune, executor resize, store quiesce).
+   contract (admission quota retune, executor resize, store quiesce).
 3. **Anti-oscillation** — the hypothesis property: constant offered
    load within capacity means *zero* actuations after convergence.
 4. **Chaos** — the controlled cluster runs under injected
@@ -50,7 +50,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.ingest.listener import TokenBucket
+from repro.ingest import DeficitRoundRobin
 from repro.obs import MetricsRegistry, use_registry, wellknown
 from repro.replication import ReplicatedLogStore
 from repro.stream.tivan import ClassifierStage, TivanCluster
@@ -673,70 +673,54 @@ class TestOfferedLoad:
             )
 
 
-# -- token bucket retune (satellite 1) -------------------------------------
+# -- the admission quota's retune -----------------------------------------
 
 
 class TestTokenBucketSetRate:
-    def test_retune_preserves_accrued_tokens(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=100.0, clock=lambda: now[0])
-        for _ in range(100):
-            assert bucket.allow()
-        assert not bucket.allow()  # burst exhausted
-        now[0] = 5.0  # 50 tokens accrue at the old 10/s
-        bucket.set_rate(1.0)
-        # the retune settled those tokens; the new (slow) rate does not
-        # have to re-earn them
-        allowed = sum(1 for _ in range(60) if bucket.allow())
-        assert allowed == 50
-
-    def test_retune_clamps_to_new_burst(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=100.0, clock=lambda: now[0])
-        bucket.set_rate(10.0, burst=5.0)
-        allowed = sum(1 for _ in range(20) if bucket.allow())
-        assert allowed == 5
-
-    def test_rate_must_be_positive(self):
-        bucket = TokenBucket(rate=10.0)
-        with pytest.raises(ValueError, match="rate"):
-            bucket.set_rate(0.0)
-        with pytest.raises(ValueError, match="rate"):
-            TokenBucket(rate=-1.0)
+    """``set_rate`` on the listener's admission valve, the fair-share
+    quota (its retune arithmetic is pinned in ``test_tenant_quota``)."""
 
     def test_concurrent_allow_and_retune(self):
         # the admission path races the control plane; no token is ever
         # double-spent and no exception escapes
-        bucket = TokenBucket(rate=1000.0, burst=200.0)
+        quota = DeficitRoundRobin(rate=1000.0, burst=200.0)
         allowed = []
 
-        def hammer():
+        def hammer(tenant):
             count = 0
             for _ in range(500):
-                if bucket.allow():
+                if quota.allow(tenant):
                     count += 1
             allowed.append(count)
 
         def retune():
             for rate in (500.0, 2000.0, 100.0, 1000.0) * 25:
-                bucket.set_rate(rate)
+                quota.set_rate(rate)
 
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        threads = [threading.Thread(target=hammer, args=(f"t{i}",)) for i in range(4)]
         threads.append(threading.Thread(target=retune))
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        # burst cap + worst-case accrual over the test's wall time
-        # bounds total admissions; the invariant is "no free tokens"
-        assert sum(allowed) <= 200 + 2000 * 2.0
+        # burst cap + four tenants' deficit headroom + worst-case accrual
+        # over the test's wall time bounds total admissions; the
+        # invariant is "no free tokens"
+        assert sum(allowed) <= 200 + (200 + 100 + 200 / 3 + 50) + 2000 * 2.0
+
+    def test_rate_must_be_positive(self):
+        quota = DeficitRoundRobin(rate=10.0)
+        with pytest.raises(ValueError, match="rate"):
+            quota.set_rate(0.0)
+        with pytest.raises(ValueError, match="burst"):
+            quota.set_rate(10.0, burst=-1.0)
 
     def test_actuator_reads_and_writes_rate(self):
-        bucket = TokenBucket(rate=100.0)
-        actuator = ListenerRateActuator(bucket)
+        quota = DeficitRoundRobin(rate=100.0)
+        actuator = ListenerRateActuator(quota)
         assert actuator.get() == 100.0
         actuator.apply(250.0)
-        assert bucket.rate == 250.0
+        assert quota.rate == 250.0
 
 
 # -- store quiesce + breaker gauge (satellites) ----------------------------
@@ -909,21 +893,36 @@ class TestListenPolicy:
         policy = default_listen_policy()
         controller = Controller(policy, registry=reg)
         now = [0.0]
-        bucket = TokenBucket(rate=100_000.0, clock=lambda: now[0])
+        quota = DeficitRoundRobin(rate=100_000.0, clock=lambda: now[0])
         lever = controller.bind(
-            "listener_rate", ListenerRateActuator(bucket)
+            "listener_rate", ListenerRateActuator(quota)
         )
         lag = wellknown.broker_lag(reg)
         lag.set(50_000.0, group="fluentd")
         for t in range(4):
             controller.tick(float(t))
-        assert bucket.rate < 100_000.0  # admission trimmed under lag
-        trimmed = bucket.rate
+        assert quota.rate < 100_000.0  # admission trimmed under lag
+        trimmed = quota.rate
         lag.set(0.0, group="fluentd")
         for t in range(4, 12):
             controller.tick(float(t))
-        assert bucket.rate > trimmed  # additive probe back up
+        assert quota.rate > trimmed  # additive probe back up
         assert lever.n_flips == 1
+
+    def test_arms_no_brownout_ladder(self):
+        """The listener has no rung to act on, so a ladder would report
+        a level while nothing is shed: 20 ticks of 30 s e2e latency
+        leave the level at 0."""
+        reg = MetricsRegistry()
+        controller = Controller(default_listen_policy(), registry=reg)
+        controller.bind("listener_rate", ListenerRateActuator(DeficitRoundRobin(1000.0)))
+        e2e = wellknown.e2e_latency_seconds(reg)
+        for t in range(20):
+            e2e.observe(30.0)
+            controller.tick(float(t))
+        assert controller.brownout is None
+        assert controller.stats()["brownout_level"] == 0
+        assert wellknown.control_brownout_level(reg).value() == 0
 
 
 # -- wellknown families ----------------------------------------------------
@@ -947,8 +946,6 @@ class TestControlFamiliesDeclared:
             "repro_ingest_tenant_accepted_total",
             "repro_ingest_tenant_shed_total",
             "repro_ingest_tenants_active",
-            "repro_executor_respawns_total",
-            "repro_executor_serial_fallbacks_total",
             "repro_store_breaker_state",
         ):
             assert name in names, name

@@ -32,10 +32,10 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import SITE_COMMIT_LOST, SITE_PARTITION_STALL
 from repro.ingest import (
     BrokerRecord,
+    DeficitRoundRobin,
     LogBroker,
     Partition,
     SyslogListener,
-    TokenBucket,
     hash_partitioner,
 )
 from repro.obs import MetricsRegistry, TraceSampler, Tracer, use_registry, wellknown
@@ -643,19 +643,6 @@ class TestBrokerEquivalence:
 # the listener
 
 
-class TestTokenBucket:
-    def test_shed_and_refill_deterministic(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=2.0, clock=lambda: now[0])
-        assert bucket.allow() and bucket.allow()
-        assert not bucket.allow()  # burst spent
-        now[0] += 0.1  # one token refilled
-        assert bucket.allow()
-        assert not bucket.allow()
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0)
-
-
 def _run(coro):
     return asyncio.run(coro)
 
@@ -729,7 +716,7 @@ class TestSyslogListener:
         async def scenario():
             # zero refill in practice: burst of 5, then everything sheds
             listener = SyslogListener(
-                None, tcp_port=None, rate_limit=0.001, burst=5,
+                None, tcp_port=None, tenant_quota=DeficitRoundRobin(0.001, 5),
             )
             await listener.start()
             for i in range(50):

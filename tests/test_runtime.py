@@ -1,12 +1,10 @@
 """Unit tests for the batch-first runtime layer (repro.runtime)."""
 
-import numpy as np
 import pytest
 
 from repro.buckets.blacklist import BlacklistFilter
 from repro.cli import _CLASSIFIERS
 from repro.core.pipeline import ClassificationPipeline
-from repro.core.taxonomy import Category
 from repro.ml import ComplementNB
 from repro.runtime import MessageBatch, ShardedExecutor, StageTimer
 
@@ -18,61 +16,23 @@ class TestMessageBatch:
     def test_of_texts(self):
         b = MessageBatch.of_texts(["a", "b"])
         assert len(b) == 2 and list(b) == ["a", "b"]
-        assert b.labels is None and b.hosts is None and b.timestamps is None
+        assert b.texts == ("a", "b")
 
     def test_coerce_passthrough(self):
         b = MessageBatch.of_texts(["x"])
         assert MessageBatch.coerce(b) is b
         assert MessageBatch.coerce(["x", "y"]).texts == ("x", "y")
 
-    def test_column_length_mismatch(self):
-        with pytest.raises(ValueError, match="labels"):
-            MessageBatch(texts=("a", "b"), labels=(Category.THERMAL,))
-
-    def test_from_messages(self):
-        from repro.core.message import SyslogMessage
-
-        msgs = [
-            SyslogMessage(timestamp=float(i), hostname=f"cn{i:03d}",
-                          app="kernel", text=f"msg {i}")
-            for i in range(3)
-        ]
-        b = MessageBatch.from_messages(msgs)
-        assert b.texts == ("msg 0", "msg 1", "msg 2")
-        assert b.hosts == ("cn000", "cn001", "cn002")
-        assert np.allclose(b.timestamps, [0.0, 1.0, 2.0])
-
     def test_chunks_preserve_order_and_columns(self):
-        b = MessageBatch(
-            texts=tuple(f"t{i}" for i in range(10)),
-            hosts=tuple(f"h{i}" for i in range(10)),
-            timestamps=np.arange(10, dtype=np.float64),
-        )
+        b = MessageBatch.of_texts(f"t{i}" for i in range(10))
         chunks = list(b.chunks(4))
         assert [len(c) for c in chunks] == [4, 4, 2]
-        assert MessageBatch.concat(chunks).texts == b.texts
-        assert chunks[2].hosts == ("h8", "h9")
-        assert np.allclose(chunks[1].timestamps, [4, 5, 6, 7])
+        assert tuple(t for c in chunks for t in c) == b.texts
+        assert chunks[2].texts == ("t8", "t9")
 
     def test_chunks_invalid_size(self):
         with pytest.raises(ValueError, match="positive"):
             list(MessageBatch.of_texts(["a"]).chunks(0))
-
-    def test_select(self):
-        b = MessageBatch(
-            texts=("a", "b", "c"),
-            labels=(Category.THERMAL, Category.SSH, Category.MEMORY),
-        )
-        sub = b.select([2, 0])
-        assert sub.texts == ("c", "a")
-        assert sub.labels == (Category.MEMORY, Category.THERMAL)
-
-    def test_concat_drops_partial_columns(self):
-        full = MessageBatch(texts=("a",), hosts=("h",))
-        bare = MessageBatch(texts=("b",))
-        joined = MessageBatch.concat([full, bare])
-        assert joined.texts == ("a", "b")
-        assert joined.hosts is None
 
     def test_read_lines_batches_and_skips_blanks(self):
         lines = ["one\n", "\n", "two\n", "three\n", "four"]

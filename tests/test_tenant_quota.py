@@ -1,6 +1,6 @@
 """Per-tenant fair-share admission: the deficit-round-robin quota.
 
-Three layers, mirroring the quota's promises:
+Four layers, mirroring the quota's promises:
 
 1. **Mechanics** — deterministic token accounting under an injected
    clock: full rate for a lone tenant, equal split under contention,
@@ -10,18 +10,22 @@ Three layers, mirroring the quota's promises:
    ones: every compliant tenant keeps an accept rate within ε of its
    offered (sub-fair-share) rate while the abuser absorbs exactly the
    leftover capacity, across the CI chaos-seed matrix.
-3. **Listener integration** — the accept path sheds over-quota lines
-   into ``tenant_shed`` with per-tenant reason-labelled metrics, and
-   the no-silent-loss ``accounted()`` invariant still holds.
+3. **Burst bound** — no window admits more than the docstring's
+   ``rate·Δt + burst + Σ max(quantum, burst/j)``.
+4. **Listener integration** — the accept path sheds over-quota lines
+   into ``shed`` with per-tenant reason-labelled metrics, the stock
+   loss SLO counts them, and the no-silent-loss ``accounted()``
+   invariant still holds.
 """
 
 import os
 import random
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.ingest import DeficitRoundRobin, SyslogListener
-from repro.obs import MetricsRegistry, wellknown
+from repro.obs import MetricsRegistry, SloTracker, default_slos, wellknown
 
 #: the CI chaos job shifts this to run the whole suite under other seeds
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -202,6 +206,82 @@ class TestFairnessProperty:
         assert hog_admitted <= budget
 
 
+# -- the burst bound -------------------------------------------------------
+
+
+def _headroom(burst: float, quantum: float, n: int) -> float:
+    """What ``n`` tracked tenants may hold unspent beyond the pool."""
+    return sum(max(quantum, burst / j) for j in range(1, n + 1))
+
+
+def _admitted_at_one_instant(quota, tenants) -> int:
+    """Fire every tenant in turn until a whole round admits nothing."""
+    total = 0
+    while admitted := sum(quota.allow(t) for t in tenants):
+        total += admitted
+    return total
+
+
+class TestBurstBound:
+    @seed(SEED_SHIFT)
+    @given(
+        rate=st.sampled_from([0.5, 1.0, 3.0, 10.0, 50.0]),
+        burst=st.sampled_from([1.0, 2.0, 7.0, 10.0, 30.0, 9.478]),
+        quantum=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        max_tenants=st.integers(1, 8),
+        steps=st.lists(
+            st.tuples(st.integers(0, 11), st.sampled_from([0.0, 0.0, 1e-3, 0.05, 0.3, 1.0])),
+            min_size=1, max_size=300,
+        ),
+    )
+    # one admit, a second idle, then a flood: 19 where a bucket gives 10
+    @example(10.0, 10.0, 1.0, 1024, [(0, 0.0), (0, 1.0)] + [(0, 0.0)] * 30)
+    # 100 tenants joined one per second, then all fire at once: 123
+    @example(
+        10.0, 10.0, 1.0, 1024,
+        [(k, 1.0) for k in range(100)] + [(k, 1.0 if k == 0 else 0.0) for k in range(100)]
+        + [(k, 0.0) for k in range(100)] * 11,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_window_admits_more_than_the_bound(
+        self, rate, burst, quantum, max_tenants, steps
+    ):
+        """Lines admitted from step i through step j never exceed
+        ``rate·(t_j - t_i) + burst + Σ_{k=1..n} max(quantum, burst/k)``,
+        n the tenants tracked when step i begins."""
+        quota, clock = _quota(rate, burst, quantum=quantum, max_tenants=max_tenants)
+        times, tracked, prefix = [], [], [0]
+        for tenant, dt in steps:
+            clock.advance(dt)
+            times.append(clock.t)
+            tracked.append(len(quota))
+            prefix.append(prefix[-1] + quota.allow(f"t{tenant}"))
+        # best window end for each start: max over j >= i of A_j - rate·t_j
+        best = float("-inf")
+        for i in reversed(range(len(steps))):
+            best = max(best, prefix[i + 1] - rate * times[i])
+            admitted_over_refill = best - prefix[i] + rate * times[i]
+            bound = burst + _headroom(burst, quantum, tracked[i])
+            assert admitted_over_refill <= bound + 1e-6, (i, admitted_over_refill, bound)
+
+    def test_the_door_is_looser_than_a_bucket_of_the_same_burst(self):
+        """The two cases the docstring states, measured: deficits are
+        capped when granted and a pool refill does not claw them back."""
+        quota, clock = _quota(10.0, 10.0)
+        assert quota.allow("a")
+        clock.advance(1.0)
+        assert _admitted_at_one_instant(quota, ["a"]) == 19  # a bucket: 10
+        quota, clock = _quota(10.0, 10.0)
+        tenants = [f"t{k}" for k in range(100)]
+        for tenant in tenants:
+            clock.advance(1.0)
+            quota.allow(tenant)
+        clock.advance(1.0)
+        admitted = _admitted_at_one_instant(quota, tenants)
+        assert admitted == 123
+        assert admitted <= 10.0 + _headroom(10.0, 1.0, 100)
+
+
 # -- listener integration --------------------------------------------------
 
 
@@ -227,9 +307,10 @@ class TestListenerIntegration:
         listener._handle_line(_line("host2", "app2", 0), udp=False)
         s = listener.stats
         assert s.accounted()
-        assert s.tenant_shed == 40
+        assert (s.shed, s.tenant_shed) == (40, 0)
         assert s.accepted == 11
         listener.sync_metrics()
+        assert wellknown.ingest_shed(reg).value() == 40
         shed = wellknown.ingest_tenant_shed(reg)
         assert shed.value(tenant="host1/app1", reason="fair_share") == 40
         accepted = wellknown.ingest_tenant_accepted(reg)
@@ -239,23 +320,22 @@ class TestListenerIntegration:
         assert received.value(tenant="host1/app1") == 50
         assert wellknown.ingest_tenants_active(reg).value() == 2
 
-    def test_quota_composes_with_global_bucket(self):
+    def test_the_loss_slo_counts_every_quota_shed(self):
+        """A frozen clock: the quota admits its burst and sheds the rest,
+        and the stock ``ingest_loss`` objective reads that loss."""
         reg = MetricsRegistry()
-        clock = _Clock()
-        quota = DeficitRoundRobin(100.0, 100.0, clock=clock)
-        listener = SyslogListener(
-            None, udp_port=None, tcp_port=None,
-            rate_limit=5.0, burst=5.0, clock=clock,
-            tenant_quota=quota, registry=reg,
-        )
-        for i in range(20):
+        listener = self._listener(reg, DeficitRoundRobin(10.0, 10.0, clock=_Clock()))
+        for i in range(100):
             listener._handle_line(_line("host1", "app1", i), udp=True)
+        listener.sync_metrics()
         s = listener.stats
-        # the global valve sheds first; the quota never saw the rest
-        assert s.shed == 15
-        assert s.accepted == 5
-        assert s.tenant_shed == 0
+        assert (s.accepted, s.shed) == (10, 90)
         assert s.accounted()
+        assert wellknown.ingest_shed(reg).value() == 90
+        statuses = SloTracker(default_slos(), registry=reg).evaluate()
+        slos = {status.name: status for status in statuses}
+        assert slos["ingest_loss"].value == pytest.approx(0.9)
+        assert not slos["ingest_loss"].ok
 
     def test_unparseable_lines_never_reach_the_quota(self):
         reg = MetricsRegistry()

@@ -66,7 +66,11 @@ used to gate on (a 1,000-document window in a 10x store; the unranged
 ``terms_aggregation`` against the scan), now counted in rows by
 ``tests/test_perf_smoke.py::TestStoreQueryFloors``; each ratio is
 written to ``BENCH_store_query_floors.json`` whether or not its bound
-held.
+held.  ``TestStoreWriteFloors`` does the same for the five write ratios
+(the columnar quorum write against the per-document one, at both
+placements, in batches of 500 and 3), now counted in owner and index
+calls by ``tests/test_perf_smoke.py::TestStoreWriteFloors``; they land
+in ``BENCH_store_write_floors.json``.
 
 Environment knobs: ``REPRO_BENCH_REPL_MESSAGES`` (messages per round,
 default 6000), ``REPRO_BENCH_REPL_ROUNDS`` (rounds, default 5).
@@ -96,6 +100,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "spine"))
 import dashboard  # noqa: E402
 from perdoc_store import OneVerdict, PerDocLogStore, PerDocStore  # noqa: E402
+from test_perf_smoke import (  # noqa: E402
+    _A_NODE_OWNS_A_THIRD,
+    _EVERY_NODE_OWNS_ALL,
+    _write_lines,
+)
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_REPL_MESSAGES", "6000"))
 N_ROUNDS = int(os.environ.get("REPRO_BENCH_REPL_ROUNDS", "5"))
@@ -528,3 +537,83 @@ class TestStoreQueryFloors:
             lambda: scan.terms_aggregation("hostname"),
         )
         assert ratio <= 1.15, f"terms_aggregation costs {ratio:.2f}x the scan of every copy"
+
+
+# -- the write floors ----------------------------------------------------------
+
+_WRITE_FLOOR_ROWS: dict[str, float] = {}
+
+
+def _write_cost_ratio(
+    messages, batch: int, rounds: int = 7, placement=_EVERY_NODE_OWNS_ALL
+) -> float:
+    """Cost of ``ReplicatedLogStore.bulk_index`` over the per-document
+    write it replaced (``perdoc_store.PerDocStore``) at one placement:
+    alternating rounds on fresh stores, best round of each side;
+    recorded for the ledger row."""
+    batches = [messages[i:i + batch] for i in range(0, len(messages), batch)]
+
+    def one_round(cls) -> float:
+        store = cls(registry=MetricsRegistry(), **placement)
+        t0 = time.perf_counter()
+        for b in batches:
+            store.bulk_index(b)
+        dt = time.perf_counter() - t0
+        assert len(store) == len(messages)
+        return dt
+
+    passes = [(one_round(ReplicatedLogStore), one_round(PerDocStore)) for _ in range(rounds)]
+    _RATIOS.append(min(p[0] for p in passes) / min(p[1] for p in passes))
+    return _RATIOS[-1]
+
+
+class TestStoreWriteFloors:
+    """One write per owner: the columnar quorum write against the
+    per-document one, same process, same messages.  Ratios only."""
+
+    @pytest.fixture(autouse=True)
+    def _ledger_row(self, request):
+        _RATIOS.clear()
+        yield
+        if _RATIOS:
+            _WRITE_FLOOR_ROWS[request.node.name] = round(_RATIOS[-1], 3)
+            write_artifact("store_write_floors", {"ratios": _WRITE_FLOOR_ROWS})
+
+    def test_repeated_templates_in_full_batches_are_a_fifth_faster(self):
+        ratio = _write_cost_ratio(_write_lines(4_000, repeated=True), 500)
+        assert ratio <= 1 / 1.2, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_never_repeating_templates_cost_no_more(self):
+        """Text that never repeats earns no plan: a first sight is one
+        lookup, so the bypass costs at most timer noise."""
+        ratio = _write_cost_ratio(_write_lines(4_000, repeated=False), 500)
+        assert ratio <= 1.05, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_a_three_document_batch_is_no_slower(self):
+        """The paced regime flushes a handful of lines at a time; the
+        per-owner call must not cost what it saves.  Measured 0.91-0.97
+        here (1.00 on the spine benchmark's own lines); the allowance is
+        for the timer."""
+        ratio = _write_cost_ratio(_write_lines(2_400, repeated=True), 3, rounds=9)
+        assert ratio <= 1.05, f"a 3-doc bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_cut_out_runs_in_full_batches_are_a_fifth_faster(self):
+        """The other side of ``bulk_index``'s per-owner branch: where a
+        node owns only some shards its run is compressed out of the
+        batch's columns.  Measured 0.55-0.58."""
+        ratio = _write_cost_ratio(
+            _write_lines(4_000, repeated=True), 500, placement=_A_NODE_OWNS_A_THIRD
+        )
+        assert ratio <= 1 / 1.2, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+
+    def test_cut_out_runs_of_a_three_document_batch_have_a_bounded_cost(self):
+        """Three documents over six nodes reach four owners with one or
+        two rows each: a call per owner has nothing to amortise, and
+        cutting the runs out costs more than the per-document write's
+        six ``put``s did.  Measured 1.25-1.36 (about 3 us per document
+        of a paced phase that costs 340 per line); this pins it there."""
+        ratio = _write_cost_ratio(
+            _write_lines(2_400, repeated=True), 3, rounds=9,
+            placement=_A_NODE_OWNS_A_THIRD,
+        )
+        assert ratio <= 1.5, f"a 3-doc bulk_index costs {ratio:.2f}x the per-doc write"

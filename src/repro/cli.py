@@ -61,6 +61,14 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _positive_float(value: str) -> float:
+    """Argparse type for options that must be a positive number."""
+    x = float(value)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {x}")
+    return x
+
+
 def _fraction(value: str) -> float:
     """Argparse type for options that must lie in 0..1."""
     x = float(value)
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the Tivan stream simulation with a saved pipeline",
     )
     p.add_argument("--model-dir", type=Path, required=True)
-    p.add_argument("--duration", type=float, default=600.0,
+    p.add_argument("--duration", type=_positive_float, default=600.0,
                    help="simulated seconds of stream")
     p.add_argument("--rate", type=float, default=5.0,
                    help="background messages per second")
@@ -255,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fsync", choices=["always", "batch", "off"],
                    default="batch",
                    help="WAL fsync policy (durable runs only)")
-    p.add_argument("--broker-partitions", type=_positive_int, default=None,
-                   help="hash hosts onto this many partitions instead "
-                        "of one per host (incompatible with --wal-dir)")
-    p.add_argument("--consumers", type=_positive_int, default=1,
-                   help="consumer-group members sharing the partitions "
-                        "(durable runs need 1)")
     p.add_argument("--load-profile",
                    choices=["standard", "surge", "diurnal", "constant"],
                    default="standard",
@@ -296,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "lines for n tenants tracked")
     p.add_argument("--max-line-bytes", type=_positive_int, default=8192,
                    help="oversize quarantine threshold")
-    p.add_argument("--partitions", type=_positive_int, default=None,
-                   help="hash hosts onto this many broker partitions "
-                        "(default: one per host)")
     p.add_argument("--duration", type=float, default=None,
                    help="stop after this many wall-clock seconds "
                         "(default: run until --max-messages or ^C)")
@@ -724,8 +723,6 @@ def _cmd_simulate(args) -> int:
         model_dir=str(args.model_dir),
         store_nodes=args.store_nodes, store_replicas=args.replicas,
         write_quorum=args.write_quorum, read_quorum=args.read_quorum,
-        broker_partitions=args.broker_partitions,
-        n_consumers=args.consumers,
         trace_sample=args.trace_sample, trace_seed=args.trace_seed,
         template_cache=args.cache_size if args.template_cache else None,
         load_profile=args.load_profile, load_swing=args.load_swing,
@@ -785,7 +782,7 @@ def _cmd_simulate(args) -> int:
             f"{int(wellknown.template_cache_evictions().value(worker=worker))}"
         )
     print(
-        f"broker: partitions={report.broker_partitions} "
+        f"broker: partitions={len(cluster.broker.partitions)} "
         f"published={report.broker_published} "
         f"publish_refused={report.broker_publish_refused} "
         f"polled={report.broker_polled} lag={report.broker_lag} "
@@ -908,7 +905,7 @@ def _cmd_listen(args) -> int:
         # round-robin across host/app keys
         tenant_quota = DeficitRoundRobin(args.rate_limit, args.burst)
 
-    broker = LogBroker(n_partitions=args.partitions)
+    broker = LogBroker()
     store = LogStore()
     forwarder = FluentdForwarder(
         engine=EventEngine(), sink=classifying_sink(store, pipe), broker=broker,

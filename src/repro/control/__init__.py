@@ -17,7 +17,6 @@ from repro.control.actuators import (
     CallableActuator,
     FluentdBatchActuator,
     ListenerRateActuator,
-    StageBatchActuator,
     StageWorkersActuator,
     StoreActiveNodesActuator,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "CallableActuator",
     "FluentdBatchActuator",
     "ListenerRateActuator",
-    "StageBatchActuator",
     "StageWorkersActuator",
     "StoreActiveNodesActuator",
     "BrownoutLadder",

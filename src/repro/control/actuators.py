@@ -17,7 +17,7 @@ is the anti-oscillation property the tests pin down.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from repro.control.signals import SIGNALS, SignalReader
 
@@ -25,7 +25,6 @@ __all__ = [
     "Actuator",
     "CallableActuator",
     "StageWorkersActuator",
-    "StageBatchActuator",
     "FluentdBatchActuator",
     "ListenerRateActuator",
     "StoreActiveNodesActuator",
@@ -115,47 +114,26 @@ class StageWorkersActuator(Actuator):
         return demand <= utilization_cap * capacity
 
 
-class StageBatchActuator(Actuator):
-    """Adjust a classifier stage's per-tick drain batch size."""
-
-    integral = True
-
-    def __init__(self, stage) -> None:
-        self.stage = stage
-
-    def get(self) -> float:
-        """Current stage batch size."""
-        return float(self.stage.batch_size)
-
-    def apply(self, value: float) -> None:
-        """Set the stage batch size (floored at 1)."""
-        self.stage.batch_size = max(1, int(round(value)))
-
-
 class FluentdBatchActuator(Actuator):
-    """Adjust the Fluentd forwarder flush batch across all consumers.
+    """Adjust the Fluentd forwarder's flush batch.
 
     Drain capacity of the broker spine is ``batch_size /
-    flush_interval_s`` per consumer, so this is the lever that actually
-    bounds accept-to-flush latency under surge.
+    flush_interval_s``, so this is the lever that actually bounds
+    accept-to-flush latency under surge.
     """
 
     integral = True
 
-    def __init__(self, consumers: Sequence) -> None:
-        if not consumers:
-            raise ValueError("need at least one consumer")
-        self.consumers = list(consumers)
+    def __init__(self, forwarder) -> None:
+        self.forwarder = forwarder
 
     def get(self) -> float:
-        """Current flush batch size (the first consumer's)."""
-        return float(self.consumers[0].batch_size)
+        """Current flush batch size."""
+        return float(self.forwarder.batch_size)
 
     def apply(self, value: float) -> None:
-        """Set every consumer's flush batch size (floored at 1)."""
-        size = max(1, int(round(value)))
-        for consumer in self.consumers:
-            consumer.batch_size = size
+        """Set the flush batch size (floored at 1)."""
+        self.forwarder.batch_size = max(1, int(round(value)))
 
 
 class ListenerRateActuator(Actuator):

@@ -463,8 +463,8 @@ def controller_for_cluster(cluster, policy: ControlPolicy, *, registry=None):
     """Bind a policy's levers onto a TivanCluster's live objects.
 
     Binds every lever the policy names — ``stage_workers``,
-    ``stage_batch``, ``fluentd_batch``, ``degrade_threshold``,
-    ``store_active_nodes`` — and wires the brownout ladder into
+    ``fluentd_batch``, ``degrade_threshold``, ``store_active_nodes`` —
+    and wires the brownout ladder into
     :meth:`~repro.stream.tivan.TivanCluster.apply_brownout`.  Levers
     that need an absent component (no classifier stage, single-node
     store) raise immediately: a policy that silently controls nothing
@@ -473,7 +473,6 @@ def controller_for_cluster(cluster, policy: ControlPolicy, *, registry=None):
     from repro.control.actuators import (
         CallableActuator,
         FluentdBatchActuator,
-        StageBatchActuator,
         StageWorkersActuator,
         StoreActiveNodesActuator,
     )
@@ -483,16 +482,12 @@ def controller_for_cluster(cluster, policy: ControlPolicy, *, registry=None):
     )
     for lever_policy in policy.levers:
         name = lever_policy.name
-        if name in ("stage_workers", "stage_batch"):
-            stage = cluster._stage
-            if stage is None:
+        if name == "stage_workers":
+            if cluster._stage is None:
                 raise ValueError(f"lever {name!r} needs an attached classifier stage")
-            actuator = (
-                StageWorkersActuator(stage)
-                if name == "stage_workers" else StageBatchActuator(stage)
-            )
+            actuator = StageWorkersActuator(cluster._stage)
         elif name == "fluentd_batch":
-            actuator = FluentdBatchActuator(cluster.consumers)
+            actuator = FluentdBatchActuator(cluster.forwarder)
         elif name == "degrade_threshold":
             if cluster.degrade_backlog is None:
                 raise ValueError(

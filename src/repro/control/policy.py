@@ -33,7 +33,6 @@ __all__ = [
 #: lever names the controller knows how to bind (see Controller.bind)
 KNOWN_LEVERS = (
     "stage_workers",
-    "stage_batch",
     "fluentd_batch",
     "degrade_threshold",
     "listener_rate",

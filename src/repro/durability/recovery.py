@@ -477,10 +477,6 @@ class SimConfig:
     store_replicas: int = 1
     write_quorum: int | None = None
     read_quorum: int | None = None
-    #: broker layout (relay → LogBroker → consumer-group forwarders);
-    #: durable runs require the host partitioner and one consumer
-    broker_partitions: int | None = None
-    n_consumers: int = 1
     #: cross-hop trace sampling (0.0 disables); the seed keys the
     #: deterministic per-event decision, so a resumed process re-traces
     #: the same messages with the same trace IDs
@@ -670,8 +666,6 @@ def build_cluster(config: SimConfig, *, injector=None, journal=None):
         store_replicas=config.store_replicas,
         write_quorum=config.write_quorum,
         read_quorum=config.read_quorum,
-        broker_partitions=config.broker_partitions,
-        n_consumers=config.n_consumers,
         trace_sample=config.trace_sample,
         trace_seed=config.trace_seed,
     )

@@ -6,7 +6,7 @@ The spine between noisy senders and the elastic consumer fleet:
   UDP/TCP front door parsing RFC 3164/5424 wire lines, with DLQ
   quarantine for hostile input and per-tenant fair-share admission
   (:mod:`repro.ingest.quota`) as its one load-shedding valve;
-- :mod:`repro.ingest.broker` — :class:`LogBroker`, per-host/per-tenant
+- :mod:`repro.ingest.broker` — :class:`LogBroker`, per-host
   partitions of append-only segments with consumer groups and
   committed offsets.  Offsets ride the :mod:`repro.durability`
   journal, so a crashed consumer resumes with zero acked-message loss.
@@ -23,8 +23,6 @@ from repro.ingest.broker import (
     ConsumerGroup,
     LogBroker,
     Partition,
-    hash_partitioner,
-    host_partitioner,
 )
 from repro.ingest.listener import ListenerStats, SyslogListener
 from repro.ingest.quota import DeficitRoundRobin
@@ -38,6 +36,4 @@ __all__ = [
     "LogBroker",
     "Partition",
     "SyslogListener",
-    "hash_partitioner",
-    "host_partitioner",
 ]

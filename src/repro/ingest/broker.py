@@ -10,13 +10,12 @@ own pace; progress is an *offset*, not an ack per message.
 
 Design
 ------
-- **Partitions** are append-only record sequences.  The default
-  partitioner keys by hostname, so one node's messages stay totally
-  ordered — and, critically for the durability layer, a partition's
-  contents are a pure function of the trace (a host's messages in
-  trace order), which makes offsets stable identities across crash
-  and resume.  A hashed partitioner (``n_partitions``) models the
-  per-tenant layout instead.
+- **Partitions** are append-only record sequences, one per
+  originating host: a message is keyed by its hostname, so one node's
+  messages stay totally ordered — and, critically for the durability
+  layer, a partition's contents are a pure function of the trace (a
+  host's messages in trace order), which makes offsets stable
+  identities across crash and resume.
 - **Segments**: each partition stores records in fixed-size segments;
   a full segment is sealed (tuple, immutable) and a fresh one opened.
   This mirrors on-disk log brokers and bounds the cost of any future
@@ -72,7 +71,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -94,8 +92,6 @@ __all__ = [
     "ConsumerGroup",
     "LogBroker",
     "Partition",
-    "hash_partitioner",
-    "host_partitioner",
 ]
 
 DEFAULT_SEGMENT_RECORDS = 4096
@@ -227,27 +223,6 @@ class BrokerStats:
     stall_events: int = 0
 
 
-def host_partitioner(message: SyslogMessage) -> str:
-    """Per-host layout: one partition per originating node."""
-    return message.hostname
-
-
-def hash_partitioner(n_partitions: int) -> Callable[[SyslogMessage], str]:
-    """Per-tenant layout: hostname hashed onto ``n_partitions`` buckets.
-
-    Uses CRC32, not ``hash()``, so the layout is stable across
-    processes (``PYTHONHASHSEED`` randomizes ``str.__hash__``).
-    """
-    if n_partitions < 1:
-        raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
-
-    def _partition(message: SyslogMessage) -> str:
-        bucket = zlib.crc32(message.hostname.encode()) % n_partitions
-        return f"p{bucket:03d}"
-
-    return _partition
-
-
 class LogBroker:
     """In-process partitioned log with consumer groups.
 
@@ -259,18 +234,11 @@ class LogBroker:
     def __init__(
         self,
         *,
-        partitioner: Callable[[SyslogMessage], str] | None = None,
-        n_partitions: int | None = None,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
         fault_injector: FaultInjector | None = None,
         registry=None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if partitioner is not None and n_partitions is not None:
-            raise ValueError("pass either partitioner or n_partitions, not both")
-        if n_partitions is not None:
-            partitioner = hash_partitioner(n_partitions)
-        self.partitioner = partitioner or host_partitioner
         self.segment_records = segment_records
         self.injector = fault_injector
         self.partitions: dict[str, Partition] = {}
@@ -335,23 +303,22 @@ class LogBroker:
         partition is stalled (the caller must count the refusal —
         nothing here is silent).  The keyword arguments are columns
         parallel to ``messages``; an omitted column, or a ``None`` in
-        it, means the default for that message.  ``keys`` overrides the
-        partitioner.  ``offsets`` pins explicit (sparse) offsets for
-        durable replay; otherwise the partition's next dense offset is
-        used.  ``ctxs`` attaches sampled trace contexts: the publish hop
-        is recorded and the stored record carries the chained context
-        for the consumer side.
+        it, means the default for that message.  A message is keyed by
+        its hostname unless ``keys`` names its partition.  ``offsets``
+        pins explicit (sparse) offsets for durable replay; otherwise the
+        partition's next dense offset is used.  ``ctxs`` attaches
+        sampled trace contexts: the publish hop is recorded and the
+        stored record carries the chained context for the consumer side.
 
         One lock and one clock read for the whole call; every message
         is one ``broker.partition_stall`` arming check, in order; the
         consumer groups' ready/lag bookkeeping runs once per partition
         the call appended to.
         """
-        partitioner = self.partitioner
         if keys is None:
-            keys = [partitioner(m) for m in messages]
+            keys = [m.hostname for m in messages]
         else:
-            keys = [partitioner(m) if k is None else k for k, m in zip(keys, messages)]
+            keys = [m.hostname if k is None else k for k, m in zip(keys, messages)]
         out: list[BrokerRecord | None] = [None] * len(messages)
         injector = self.injector
         partitions = self.partitions

@@ -395,7 +395,7 @@ class ReplicatedLogStore(_Queries):
                 continue  # owns no shard of this batch
             # an owner of every shard of the batch is handed the batch's
             # own columns: cutting copies there costs a 3-document batch
-            # 10% (TestStoreWriteFloors times both sides of this branch)
+            # 10% (bench_replication_overhead.py::TestStoreWriteFloors times both)
             run = (doc_ids, messages, analyzed)
             if not all(keep):
                 run = [list(compress(column, cycle(keep))) for column in run]

@@ -1,7 +1,7 @@
 """The assembled Tivan cluster simulation.
 
 Wires the §4.2 path — every node's trace lines → the primary syslog
-relay → log broker → Fluentd forwarder(s) → the indexed store — and
+relay → log broker → one Fluentd forwarder → the indexed store — and
 optionally attaches a *classifier stage*: a single-server queue that
 works through indexed documents at a given per-message service time
 (measured from a real pipeline, or taken from the LLM cost model).  The
@@ -131,7 +131,6 @@ class IngestReport:
     broker_lag: int = 0
     broker_commits_lost: int = 0
     broker_partition_stalls: int = 0
-    broker_partitions: int = 0
     #: control-plane counters (zero when no controller is attached)
     control_ticks: int = 0
     control_actuations: int = 0
@@ -199,17 +198,6 @@ class TivanCluster:
         Copies per shard beyond the primary (replicated store only).
     write_quorum, read_quorum:
         W and R for the replicated store; default to majority.
-    broker_partitions:
-        Hash the hostname onto this many partitions of the
-        :class:`~repro.ingest.broker.LogBroker` the relay publishes to,
-        instead of the per-host layout (incompatible with ``journal`` —
-        only the per-host layout gives offsets that are a pure function
-        of the trace, which is what makes them durable identities across
-        crash and resume).
-    n_consumers:
-        Consumer-group members polling the partitions at their own
-        pace; backpressure is broker lag.  Durable runs require exactly
-        one — the journal models a single buffer.
     trace_sample:
         Fraction of messages head-sampled into a cross-hop trace
         (relay → broker → consumer → store → WAL).  Sampling is keyed
@@ -236,8 +224,6 @@ class TivanCluster:
         store_replicas: int = 1,
         write_quorum: int | None = None,
         read_quorum: int | None = None,
-        broker_partitions: int | None = None,
-        n_consumers: int = 1,
         trace_sample: float = 0.0,
         trace_seed: int = 0,
     ) -> None:
@@ -249,22 +235,6 @@ class TivanCluster:
             raise ValueError(
                 f"checkpoint_every_s must be positive, got {checkpoint_every_s}"
             )
-        if n_consumers < 1:
-            raise ValueError(f"n_consumers must be >= 1, got {n_consumers}")
-        if journal is not None:
-            # durable identities are per-host trace ordinals; only the
-            # host partitioner keeps partition appends monotonic under
-            # the resume clock clamp, and the journal models one buffer
-            if broker_partitions is not None:
-                raise ValueError(
-                    "broker_partitions is incompatible with journal: durable "
-                    "broker runs require the per-host partition layout"
-                )
-            if n_consumers != 1:
-                raise ValueError(
-                    "durable broker runs require exactly one consumer, "
-                    f"got n_consumers={n_consumers}"
-                )
         self.engine = EventEngine()
         if store_nodes is not None:
             from repro.replication import ReplicatedLogStore
@@ -292,31 +262,23 @@ class TivanCluster:
         from repro.ingest.broker import LogBroker
 
         self.broker = LogBroker(
-            n_partitions=broker_partitions,
             fault_injector=fault_injector,
             clock=lambda: self.engine.now,
         )
-        self.consumers: list[FluentdForwarder] = [
-            FluentdForwarder(
-                engine=self.engine,
-                sink=self.store.bulk_index,
-                broker=self.broker,
-                flush_interval_s=flush_interval_s,
-                batch_size=batch_size,
-                buffer_limit=buffer_limit,
-                flush_retry_limit=flush_retry_limit,
-                fault_injector=fault_injector,
-                # the journal models a single buffer; with several
-                # consumers only the first may be durable (validated
-                # above: durable runs get exactly one)
-                journal=journal if i == 0 else None,
-                consumer_member=f"fluentd-{i:02d}",
-            )
-            for i in range(n_consumers)
-        ]
-        #: the primary consumer — the durable one, whose stats and dead
-        #: letters the checkpoint and the CLI report
-        self.forwarder = self.consumers[0]
+        #: the broker's one consumer; its stats and dead letters are what
+        #: the checkpoint and the CLI report
+        self.forwarder = FluentdForwarder(
+            engine=self.engine,
+            sink=self.store.bulk_index,
+            broker=self.broker,
+            flush_interval_s=flush_interval_s,
+            batch_size=batch_size,
+            buffer_limit=buffer_limit,
+            flush_retry_limit=flush_retry_limit,
+            fault_injector=fault_injector,
+            journal=journal,
+            consumer_member="fluentd-00",
+        )
         from repro.obs import wellknown
 
         #: the primary syslog relay's counts: lines it took, and lines it
@@ -449,8 +411,7 @@ class TivanCluster:
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
         horizon = max(duration_s, self.engine.now)
-        for consumer in self.consumers:
-            consumer.start()
+        self.forwarder.start()
         if self._stage is not None:
             self.engine.schedule(0.0, self._classifier_tick)
         self._schedule_sampler(sample_every_s, horizon)
@@ -469,7 +430,7 @@ class TivanCluster:
         # settle: drain what is still buffered or still in the broker
         # (lag) into the index; a stalled partition keeps its lag and
         # the report carries it as ``broker_lag``
-        drained = settle(self.consumers)
+        drained = settle([self.forwarder])
         if self.journal is not None:
             self.write_checkpoint()
         bs = self.broker.stats
@@ -491,7 +452,6 @@ class TivanCluster:
             broker_lag=self.broker.lag(self.forwarder.consumer_group),
             broker_commits_lost=bs.commits_lost,
             broker_partition_stalls=bs.stall_events,
-            broker_partitions=len(self.broker.partitions),
         )
         if self.controller is not None:
             report.control_ticks = self.controller.n_ticks

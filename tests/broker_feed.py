@@ -15,7 +15,7 @@ def fed_forwarder(messages=(), **kw) -> FluentdForwarder:
     """A forwarder on a one-partition broker of its own, with ``messages``
     published and polled into its buffer (at most its free room)."""
     kw.setdefault("engine", EventEngine())
-    fwd = FluentdForwarder(broker=LogBroker(n_partitions=1), **kw)
+    fwd = FluentdForwarder(broker=LogBroker(), **kw)
     feed(fwd, messages)
     return fwd
 
@@ -24,5 +24,5 @@ def feed(fwd: FluentdForwarder, messages) -> int:
     """Publish ``messages`` to ``fwd``'s broker, then poll once; returns
     the records taken (a full buffer leaves the rest as broker lag)."""
     for m in messages:
-        fwd.broker.publish(m)
+        fwd.broker.publish(m, key="p000")
     return fwd.poll_broker()

@@ -35,9 +35,9 @@ as are the engine's count-only aggregations over documents and the
 coordinator's ``_from_primaries`` family that fed them.
 
 Used by ``test_store_oracle.py`` (state equality after every step, query
-answers in every state), by ``test_perf_smoke.py`` (``TestStoreWriteFloors``,
-``TestStoreQueryFloors``) and by ``benchmarks/bench_replication_overhead.py``
-(the cost beside it).
+answers in every state), by ``test_perf_smoke.py`` (``TestStoreQueryFloors``)
+and by ``benchmarks/bench_replication_overhead.py`` (the cost beside it,
+the write and query floors' ratios among it).
 """
 
 from __future__ import annotations

@@ -196,28 +196,24 @@ class TestSimulate:
 
     def test_simulate_via_broker_reports_broker_line(self, model_dir, capsys):
         assert main(["simulate", "--model-dir", str(model_dir),
-                     "--duration", "120", "--rate", "3",
-                     "--consumers", "2"]) == 0
+                     "--duration", "120", "--rate", "3"]) == 0
         out = capsys.readouterr().out
         assert "broker: partitions=" in out
         assert "lag=0" in out
         assert "keeping_up=True" in out
 
-    @pytest.mark.parametrize("flags, message", [
-        pytest.param(["--broker-partitions", "4", "--wal-dir", "{wal}"],
-                     "incompatible", id="partitions-with-wal-dir"),
-        pytest.param(["--consumers", "2", "--wal-dir", "{wal}"],
-                     "exactly one consumer", id="consumers-with-wal-dir"),
-    ])
-    def test_broker_partitions_refused_with_wal_dir(
-        self, model_dir, tmp_path, flags, message
+    @pytest.mark.parametrize("value", ["0", "-100"])
+    def test_non_positive_duration_refused_at_parse_time(
+        self, model_dir, tmp_path, value, capsys
     ):
-        """Refused combinations exit on the constructor's message (no
-        traceback) and leave no durable directory behind."""
-        flags = [flag.format(wal=tmp_path / "wal") for flag in flags]
-        with pytest.raises(SystemExit, match=message):
+        """A run of no length is refused by the parser: no traceback out
+        of the run, and no durable directory a later ``simulate`` would
+        refuse to reuse."""
+        with pytest.raises(SystemExit):
             main(["simulate", "--model-dir", str(model_dir),
-                  "--duration", "60", "--rate", "2", *flags])
+                  "--duration", value, "--rate", "5",
+                  "--wal-dir", str(tmp_path / "wal")])
+        assert "must be positive" in capsys.readouterr().err
         assert not (tmp_path / "wal" / "meta.json").exists()
 
     @pytest.mark.parametrize("value", ["1.5", "-0.2"])

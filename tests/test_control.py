@@ -76,6 +76,12 @@ class TestPolicy:
         with pytest.raises(ValueError, match="unknown lever"):
             self._lever(name="warp_core")
 
+    def test_stage_batch_is_not_a_lever(self):
+        """Brownout L1 owns the stage's drain batch (it saves, shrinks and
+        restores it), so no lever writes it beside the ladder."""
+        with pytest.raises(ValueError, match="unknown lever 'stage_batch'"):
+            self._lever(name="stage_batch")
+
     def test_unknown_signal_rejected(self):
         with pytest.raises(ValueError, match="unknown signal"):
             self._lever(signal="vibes")

@@ -630,6 +630,28 @@ class TestResume:
         assert conservation.ok, conservation.render()
         assert conservation.indexed == report.produced > 0
 
+    def test_a_fan_out_era_directory_still_resumes(self, tmp_path, capsys):
+        """A finished run whose ``meta.json`` still carries the retired
+        fan-out keys (hashed partitions, consumer count) recovers: the
+        keys are left unread and the file is left as it was."""
+        from repro.cli import main
+
+        _quick_config().save(tmp_path)
+        cluster, config, journal = resume_simulation(tmp_path)
+        cluster.run(config.duration_s + 30.0)
+        journal.wal.close()
+        data = json.loads((tmp_path / "meta.json").read_text())
+        data.update(broker_partitions=None, n_consumers=1)
+        (tmp_path / "meta.json").write_text(json.dumps(data))
+        meta = (tmp_path / "meta.json").read_bytes()
+
+        loaded = SimConfig.load(tmp_path)
+        assert loaded == _quick_config()
+        assert not hasattr(loaded, "broker_partitions") and not hasattr(loaded, "n_consumers")
+        assert main(["recover", "--wal-dir", str(tmp_path)]) == 0
+        assert "conservation OK" in capsys.readouterr().out
+        assert (tmp_path / "meta.json").read_bytes() == meta
+
     def test_rejected_recover_override_changes_nothing(self, tmp_path, capsys):
         """`recover --replicas 9` on a 3-node run is refused *before*
         the override is persisted: meta.json stays byte-identical and

@@ -36,7 +36,6 @@ from repro.ingest import (
     LogBroker,
     Partition,
     SyslogListener,
-    hash_partitioner,
 )
 from repro.obs import MetricsRegistry, TraceSampler, Tracer, use_registry, wellknown
 from repro.obs.propagation import record_hop
@@ -174,14 +173,6 @@ class TestLogBroker:
         for times in per_host.values():
             assert times == sorted(times)
 
-    def test_hash_partitioner_stable_and_bounded(self):
-        part = hash_partitioner(4)
-        keys = {part(_msg(host=f"cn{i:03d}")) for i in range(50)}
-        assert keys <= {f"p{i:03d}" for i in range(4)}
-        assert part(_msg(host="cn001")) == part(_msg(host="cn001"))
-        with pytest.raises(ValueError):
-            hash_partitioner(0)
-
     def test_assignment_round_robin_over_members(self):
         broker = LogBroker()
         for host in "abcde":
@@ -313,7 +304,7 @@ class ScanAllBroker(LogBroker):
     """
 
     def publish(self, message, *, key=None, ident=None, offset=None, ctx=None):
-        key = key if key is not None else self.partitioner(message)
+        key = key if key is not None else message.hostname
         with self._lock:
             if self.injector is not None and self.injector.should_fire(
                 SITE_PARTITION_STALL
@@ -950,18 +941,6 @@ def _mk_cluster(**kw):
 
 
 class TestBrokerSpineSimulation:
-    def test_validation(self):
-        """Fan-out is free on a volatile run; a durable one keeps the
-        per-host layout and one consumer.  The refusal comes before the
-        journal is used, so any object stands in for it."""
-        assert len(TivanCluster(broker_partitions=4, n_consumers=2).consumers) == 2
-        with pytest.raises(ValueError, match="n_consumers must be >= 1"):
-            TivanCluster(n_consumers=0)
-        with pytest.raises(ValueError, match="incompatible with journal"):
-            TivanCluster(broker_partitions=4, journal=object())
-        with pytest.raises(ValueError, match="exactly one consumer"):
-            TivanCluster(n_consumers=2, journal=object())
-
     def test_reproduces_the_frozen_push_mode_outputs(self):
         """Four ``SimConfig`` runs and three experiments give what the
         push intake gave: report counts, backlog timelines and a
@@ -992,20 +971,6 @@ class TestBrokerSpineSimulation:
             with use_registry(MetricsRegistry()):
                 result = runners[name](**kwargs)
             assert hashlib.sha256(repr(result).encode()).hexdigest() == case["repr_sha256"], name
-
-    def test_hashed_partitions_and_consumer_fleet(self):
-        events = standard_simulation_events(
-            duration_s=60, background_rate=40, seed=8
-        )
-        cluster = _mk_cluster(broker_partitions=4, n_consumers=3)
-        cluster.load_events(events)
-        report = cluster.run(60)
-        assert report.broker_partitions <= 4
-        assert report.indexed + report.drained == len(events)
-        assert report.broker_lag == 0
-        # every member took a share of the partitions
-        groups = cluster.broker.describe()["groups"]["fluentd"]
-        assert len(groups["members"]) == 3
 
     def test_partition_stall_surfaces_as_refusals(self):
         plan = FaultPlan.from_dict({

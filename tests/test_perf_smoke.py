@@ -41,7 +41,7 @@ from repro.obs import MetricsRegistry, NullRegistry, use_registry, wellknown
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder
 from repro.stream import rfc as rfc_mod
-from repro.stream.opensearch import LogStore
+from repro.stream.opensearch import LogStore, _analyze
 from repro.stream.rfc import safe_parse_line
 from repro.textproc.drain import DrainTemplateMiner
 from repro.textproc.lemmatize import Lemmatizer
@@ -56,13 +56,6 @@ def _clocked(fn, budget_s: float, label: str):
     dt = time.perf_counter() - t0
     assert dt < budget_s, f"{label} took {dt:.2f}s (budget {budget_s}s)"
     return result
-
-
-def _best_ratio(numerator, denominator, rounds: int = 9) -> float:
-    """``numerator()`` over ``denominator()`` (seconds each): alternating
-    rounds, best round of each side."""
-    passes = [(numerator(), denominator()) for _ in range(rounds)]
-    return min(p[0] for p in passes) / min(p[1] for p in passes)
 
 
 class TestScalingSmoke:
@@ -522,73 +515,104 @@ _EVERY_NODE_OWNS_ALL = dict(n_nodes=3, n_shards=6, n_replicas=2)
 _A_NODE_OWNS_A_THIRD = dict(n_nodes=6, n_shards=6, n_replicas=1, write_quorum=1)
 
 
-def _write_cost_ratio(
-    messages, batch: int, rounds: int = 7, placement=_EVERY_NODE_OWNS_ALL
-) -> float:
-    """Cost of ``ReplicatedLogStore.bulk_index`` over the per-document
-    write it replaced (``perdoc_store.PerDocStore``) at one placement:
-    alternating rounds on fresh stores, best round of each side."""
-    from perdoc_store import PerDocStore
-    from repro.replication import ReplicatedLogStore
+def _owner_calls(monkeypatch, messages, batch: int, placement):
+    """Write ``messages`` ``batch`` at a time onto a fresh
+    ``ReplicatedLogStore`` at ``placement``, counting the calls each batch
+    makes; asserts them against the placement.  Returns the store.
 
-    batches = [messages[i:i + batch] for i in range(0, len(messages), batch)]
+    Per batch: one ``StoreNode.put_many`` per owner of a shard the batch
+    has rows on, no ``StoreNode.put``, and one ``LogStore.index_many``
+    per node acting primary for one of those shards.  Counting starts
+    once the store is built (building it indexes on its own)."""
+    from repro.replication import ReplicatedLogStore, StoreNode
 
-    def one_round(cls) -> float:
-        store = cls(registry=MetricsRegistry(), **placement)
-        t0 = time.perf_counter()
-        for b in batches:
-            store.bulk_index(b)
-        dt = time.perf_counter() - t0
-        assert len(store) == len(messages)
-        return dt
+    store = ReplicatedLogStore(registry=MetricsRegistry(), **placement)
+    calls: Counter = Counter()
+    for cls, name in ((StoreNode, "put_many"), (StoreNode, "put"), (LogStore, "index_many")):
+        def counting(self, *args, _call=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(self, *args, **kwargs)
 
-    return _best_ratio(
-        lambda: one_round(ReplicatedLogStore), lambda: one_round(PerDocStore), rounds
-    )
+        monkeypatch.setattr(cls, name, counting)
+    n_shards = store.n_shards
+    for first in range(0, len(messages), batch):
+        rows = messages[first:first + batch]
+        shards = {(first + i) % n_shards for i in range(len(rows))}
+        owners = {node for shard in shards for node in store.placement.owners(shard)}
+        primaries = [node for node in store.nodes if node.primary_shards & shards]
+        calls.clear()
+        store.bulk_index(rows)
+        assert calls == {"put_many": len(owners), "index_many": len(primaries)}, (
+            f"batch at {first}: {dict(calls)} for {len(owners)} owners, "
+            f"{len(primaries)} acting primaries"
+        )
+    assert len(store) == len(messages)
+    return store
+
+
+def _plans_built(store) -> list[tuple[int, int, int]]:
+    """Per node: template plans built, distinct token tuples and
+    documents in its search index."""
+    out = []
+    for node in store.nodes:
+        index = node.search_index
+        tuples = {_analyze(m.text) for m in index._messages}
+        out.append((sum(1 for plan in index._plans.values() if plan), len(tuples), len(index)))
+    return out
+
+
+def _assert_a_plan_per_template(store) -> None:
+    """Repeated text earns plans, at most one per token tuple and so
+    fewer than one per document."""
+    for plans, tuples, docs in _plans_built(store):
+        assert 0 < plans <= tuples < docs, f"{plans} plans, {tuples} tuples, {docs} documents"
 
 
 class TestStoreWriteFloors:
-    """One write per owner: the columnar quorum write against the
-    per-document one, same process, same messages.  Ratios only."""
+    """One write per owner: a batch reaches each owner of its shards in
+    one ``put_many`` and each acting primary's index in one
+    ``index_many``, never a ``put`` per document; and a template earns
+    its plan on second sight only.  Calls counted, no clock; the
+    wall-clock ratios these gates were live in
+    ``benchmarks/bench_replication_overhead.py::TestStoreWriteFloors``."""
 
-    def test_repeated_templates_in_full_batches_are_a_fifth_faster(self):
-        ratio = _write_cost_ratio(_write_lines(4_000, repeated=True), 500)
-        assert ratio <= 1 / 1.2, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+    def test_repeated_templates_in_full_batches_are_a_fifth_faster(self, monkeypatch):
+        """Every node owns every shard: 8 batches of 500 are 24 owner
+        calls and 24 index calls.  Eight templates over 97 slot values
+        earn at most a plan per token tuple (77 of 104 on a node), not
+        one per document (1,333)."""
+        store = _owner_calls(monkeypatch, _write_lines(4_000, repeated=True), 500,
+                             _EVERY_NODE_OWNS_ALL)
+        _assert_a_plan_per_template(store)
 
-    def test_never_repeating_templates_cost_no_more(self):
-        """Text that never repeats earns no plan: a first sight is one
-        lookup, so the bypass costs at most timer noise."""
-        ratio = _write_cost_ratio(_write_lines(4_000, repeated=False), 500)
-        assert ratio <= 1.05, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+    def test_never_repeating_templates_cost_no_more(self, monkeypatch):
+        """Text that never repeats earns no plan, at either placement."""
+        lines = _write_lines(4_000, repeated=False)
+        for placement in (_EVERY_NODE_OWNS_ALL, _A_NODE_OWNS_A_THIRD):
+            store = _owner_calls(monkeypatch, lines, 500, placement)
+            assert [plans for plans, _t, _d in _plans_built(store)] == [0] * len(store.nodes)
 
-    def test_a_three_document_batch_is_no_slower(self):
-        """The paced regime flushes a handful of lines at a time; the
-        per-owner call must not cost what it saves.  Measured 0.91-0.97
-        here (1.00 on the spine benchmark's own lines); the allowance is
-        for the timer."""
-        ratio = _write_cost_ratio(_write_lines(2_400, repeated=True), 3, rounds=9)
-        assert ratio <= 1.05, f"a 3-doc bulk_index costs {ratio:.2f}x the per-doc write"
+    def test_a_three_document_batch_is_no_slower(self, monkeypatch):
+        """The paced regime flushes a handful of lines at a time: a
+        3-document batch is still one call per owner, not one per row."""
+        store = _owner_calls(monkeypatch, _write_lines(2_400, repeated=True), 3,
+                             _EVERY_NODE_OWNS_ALL)
+        _assert_a_plan_per_template(store)
 
-    def test_cut_out_runs_in_full_batches_are_a_fifth_faster(self):
-        """The other side of ``bulk_index``'s per-owner branch: where a
-        node owns only some shards its run is compressed out of the
-        batch's columns.  Measured 0.55-0.58."""
-        ratio = _write_cost_ratio(
-            _write_lines(4_000, repeated=True), 500, placement=_A_NODE_OWNS_A_THIRD
-        )
-        assert ratio <= 1 / 1.2, f"columnar bulk_index costs {ratio:.2f}x the per-doc write"
+    def test_cut_out_runs_in_full_batches_are_a_fifth_faster(self, monkeypatch):
+        """A node owns a third of the shards, so its run is cut out of the
+        batch's columns: 8 batches of 500 reach all six nodes, 48 owner
+        calls, each a node's whole run."""
+        store = _owner_calls(monkeypatch, _write_lines(4_000, repeated=True), 500,
+                             _A_NODE_OWNS_A_THIRD)
+        _assert_a_plan_per_template(store)
 
-    def test_cut_out_runs_of_a_three_document_batch_have_a_bounded_cost(self):
-        """Three documents over six nodes reach four owners with one or
-        two rows each: a call per owner has nothing to amortise, and
-        cutting the runs out costs more than the per-document write's
-        six ``put``s did.  Measured 1.25-1.36 (about 3 us per document
-        of a paced phase that costs 340 per line); this pins it there."""
-        ratio = _write_cost_ratio(
-            _write_lines(2_400, repeated=True), 3, rounds=9,
-            placement=_A_NODE_OWNS_A_THIRD,
-        )
-        assert ratio <= 1.5, f"a 3-doc bulk_index costs {ratio:.2f}x the per-doc write"
+    def test_cut_out_runs_of_a_three_document_batch_have_a_bounded_cost(self, monkeypatch):
+        """Three documents over six nodes reach the owners of three
+        shards with one or two rows each: still a call per owner."""
+        store = _owner_calls(monkeypatch, _write_lines(2_400, repeated=True), 3,
+                             _A_NODE_OWNS_A_THIRD)
+        _assert_a_plan_per_template(store)
 
 
 def _filled(cls, n: int):

@@ -49,7 +49,19 @@ Three questions, three lanes:
    3-record poll plus commits over 1,000 against 50 partitions (≤ 3×
    each).
 
-The first three land in ``BENCH_ingest_broker.json``.
+6. **The hand-off** (``test_handoff_lane``): µs and collector-tracked
+   objects per line for the record hand-off between the listener and
+   the store — a chunk's messages through ``LogBroker.publish_many``,
+   ``FluentdForwarder.poll_broker`` journaling them with one
+   ``StreamJournal.accept_many`` on an ``fsync="off"`` WAL, and a
+   ``flush`` (``StreamJournal.flushed`` and one ``commit_many``) every
+   ``HANDOFF_FLUSH`` lines, into a sink that keeps nothing.  The
+   messages exist before the count, so the objects column is what the
+   hand-off itself leaves a line for the collector to re-walk: nothing
+   now that the broker and the journal keep columns, where it used to
+   leave a ``BrokerRecord`` and an ``(event, message)`` pair.
+
+Lanes 1–3 and 6 land in ``BENCH_ingest_broker.json``.
 
 Environment knobs: ``REPRO_BENCH_INGEST_MESSAGES`` (lines per lane,
 default 60000), ``REPRO_BENCH_INGEST_ROUNDS`` (default 3).
@@ -61,6 +73,7 @@ import asyncio
 import gc
 import os
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -70,12 +83,15 @@ import pytest
 from repro.core.message import SyslogMessage
 from repro.datagen.sender import send_tcp, send_udp, wire_lines
 from repro.datagen.workload import standard_simulation_events
+from repro.durability import StreamJournal, WriteAheadLog
 from repro.experiments.common import format_table
 from repro.faults.dlq import DeadLetterQueue, entry_to_dict
 from repro.ingest import DeficitRoundRobin, LogBroker, SyslogListener
 from repro.ingest import listener as listener_mod
 from repro.ingest.listener import SITE_INGEST_PARSE
 from repro.obs import MetricsRegistry, use_registry
+from repro.stream.events import EventEngine
+from repro.stream.fluentd import FluentdForwarder, settle
 from repro.stream.rfc import safe_parse_line
 
 from conftest import BENCH_SEED, emit, write_artifact
@@ -104,6 +120,10 @@ SCARCE_LINES = 20_000
 SCARCE_LINES_PER_TOKEN = 4
 TRICKLE_HOSTS = 200
 TRICKLE_DEPTHS = (0, 250, 1_000, 4_000)
+#: the hand-off lane: lines a chunk (a 16 KiB TCP read of ~130-byte
+#: lines) and lines a flush (the forwarder's batch)
+HANDOFF_CHUNK = 120
+HANDOFF_FLUSH = 500
 
 #: both tests add their section and rewrite the one artifact, so either
 #: can run alone
@@ -166,8 +186,8 @@ def _broker_rate(messages) -> float:
             break
         n += len(records)
         high: dict[str, int] = {}
-        for r in records:
-            high[r.partition] = r.offset + 1
+        for partition, offset in zip(records.partitions, records.offsets):
+            high[partition] = offset + 1
         for partition, next_offset in high.items():
             broker.commit("bench", partition, next_offset)
     elapsed = time.perf_counter() - start
@@ -184,8 +204,8 @@ def _trickle_costs(message, depth: int, *, reps: int = 2000) -> dict:
         for host in hosts:
             broker.publish(message, key=host)
     while records := broker.poll("bench", max_records=4096):
-        for r in records:
-            broker.commit("bench", r.partition, r.offset + 1)
+        for partition, offset in zip(records.partitions, records.offsets):
+            broker.commit("bench", partition, offset + 1)
     assert broker.lag("bench") == 0
 
     # a full collection over the retained records (800k at the deepest
@@ -207,8 +227,8 @@ def _trickle_costs(message, depth: int, *, reps: int = 2000) -> dict:
                 broker.publish(message, key=hosts[(7 * i + k) % TRICKLE_HOSTS])
             start = time.perf_counter()
             records = broker.poll("bench")
-            for r in records:
-                broker.commit("bench", r.partition, r.offset + 1)
+            for partition, offset in zip(records.partitions, records.offsets):
+                broker.commit("bench", partition, offset + 1)
             busy_s += time.perf_counter() - start
             assert len(records) == 3
     finally:
@@ -275,6 +295,68 @@ def test_ingest_broker_throughput():
             f"listener below the {RATE_FLOOR:,.0f} msgs/s floor: "
             f"udp={udp_rate:,.0f} tcp={tcp_rate:,.0f}"
         )
+
+
+def _handoff(messages, *, count_objects: bool) -> tuple[float, float]:
+    """(seconds, tracked objects left a line) for ``messages`` handed off
+    a chunk at a time; objects are counted only when asked (a census
+    walks the heap, which the clock must not see)."""
+    registry = MetricsRegistry()
+    with use_registry(registry), tempfile.TemporaryDirectory() as wal_dir:
+        broker = LogBroker(registry=registry)
+        wal = WriteAheadLog(wal_dir, fsync="off", registry=registry)
+        fwd = FluentdForwarder(
+            engine=EventEngine(), sink=lambda batch: True, broker=broker,
+            journal=StreamJournal(wal), batch_size=HANDOFF_FLUSH,
+        )
+        warm = messages[:HANDOFF_FLUSH]
+        broker.publish_many(warm)
+        settle([fwd])
+        gc.collect()
+        before = len(gc.get_objects()) if count_objects else 0
+        start = time.perf_counter()
+        for i in range(HANDOFF_FLUSH, len(messages), HANDOFF_CHUNK):
+            broker.publish_many(messages[i:i + HANDOFF_CHUNK])
+            fwd.poll_broker()
+            if fwd.buffered >= HANDOFF_FLUSH:
+                fwd.flush()
+        settle([fwd])
+        elapsed = time.perf_counter() - start
+        n = len(messages) - len(warm)
+        objects = 0.0
+        if count_objects:
+            gc.collect()
+            objects = (len(gc.get_objects()) - before) / n
+        wal.close()
+    assert fwd.stats.flushed_messages == len(messages)
+    return elapsed, objects
+
+
+def test_handoff_lane():
+    events = standard_simulation_events(
+        duration_s=120, background_rate=60, seed=BENCH_SEED, incident=True
+    )
+    messages = [e.message for e in events]
+    while len(messages) < N_MESSAGES:
+        messages = messages + messages
+    messages = messages[:N_MESSAGES]
+    seconds = min(_handoff(messages, count_objects=False)[0] for _ in range(N_ROUNDS))
+    _, objects = _handoff(messages, count_objects=True)
+    n = len(messages) - HANDOFF_FLUSH
+    row = {
+        "lines": n, "chunk_lines": HANDOFF_CHUNK, "flush_lines": HANDOFF_FLUSH,
+        "us_per_line": 1e6 * seconds / n, "tracked_objects_per_line": objects,
+    }
+    emit(
+        "Hand-off: chunk → publish_many → poll → accept_many → flushed",
+        format_table(
+            ["lines", "lines a chunk", "lines a flush", "µs a line", "tracked objects a line"],
+            [[f"{n:,}", HANDOFF_CHUNK, HANDOFF_FLUSH, f"{row['us_per_line']:.2f}",
+              f"{objects:.2f}"]],
+        ),
+    )
+    _ARTIFACT["handoff"] = row
+    write_artifact("ingest_broker", _ARTIFACT)
 
 
 # -- lane 4: the front door ------------------------------------------------------
@@ -523,7 +605,7 @@ class TestBrokerPollFloors:
     def test_empty_poll_is_blind_to_retained_history(self):
         def empty_poll(broker, _hosts, _msg, _i) -> float:
             t0 = time.perf_counter()
-            assert broker.poll("g") == []
+            assert len(broker.poll("g")) == 0
             return time.perf_counter() - t0
 
         ratio = _poll_cost_ratio(
@@ -552,4 +634,5 @@ class TestBrokerPollFloors:
 if __name__ == "__main__":
     test_trickle_poll_cost_is_flat()
     test_ingest_broker_throughput()
+    test_handoff_lane()
     test_front_door_lane()

@@ -117,9 +117,8 @@ def _encode_body(message) -> str:
         return json.dumps(message.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _encode_bodies(entries) -> JsonText:
-    """The ``msgs`` object of an accept record, ``str(event)`` → body."""
-    bodies = {str(event): message for event, message in entries}
+def _encode_bodies(bodies: dict) -> JsonText:
+    """The ``msgs`` object of an accept record from ``str(event)`` → message."""
     return JsonText("{%s}" % ",".join(
         '"%s":%s' % (key, _encode_body(bodies[key])) for key in sorted(bodies)
     ))
@@ -148,21 +147,26 @@ class JournalState:
 
     Events are identified by their position in the deterministic trace
     (negative indices are synthetic, for messages published outside the
-    trace).  Each identity lives in exactly one place — ``buffer``,
-    ``indexed``, ``dead``, or ``rejected`` — and
+    trace).  Each identity lives in exactly one place — the buffer, the
+    indexed columns, ``dead``, or ``rejected`` — and
     :meth:`apply` moves it between them.  Applies are idempotent:
     records at or below :attr:`applied_seq` are skipped, so replaying a
     prefix that a checkpoint already covers is harmless.
+
+    The buffer and the indexed set are each two parallel columns: the
+    events, and beside each its ``SyslogMessage`` for a synthetic event
+    or None for a trace event (rematerialized from the trace on resume).
+    A journaled line is its event and its message, no pair object.
     """
 
     #: last WAL sequence applied (dedup line for replay)
     applied_seq: int = 0
-    #: in-flight: accepted, not yet flushed/abandoned, in accept order.
-    #: The second element is the ``SyslogMessage`` for synthetic events
-    #: and None for trace events (rematerialized from the trace on resume).
-    buffer: list = field(default_factory=list)  # [(event, msg|None), ...]
+    #: in-flight: accepted, not yet flushed/abandoned, in accept order
+    buffer_events: list = field(default_factory=list)
+    buffer_messages: list = field(default_factory=list)
     #: delivered to the store, in doc-id order
-    indexed: list = field(default_factory=list)  # [(event, msg|None), ...]
+    indexed_events: list = field(default_factory=list)
+    indexed_messages: list = field(default_factory=list)
     #: dead-lettered: {"event", "msg", "site", "error"}
     dead: list = field(default_factory=list)
     #: refused at the relay: a brownout shed or a stalled partition
@@ -188,20 +192,26 @@ class JournalState:
         if kind == "accept":
             # group-committed batch: {"events": [...], "msgs": {str(e):
             # dict}} with bodies only for synthetic (negative) events
-            msgs = data.get("msgs") or {}
-            for event in data["events"]:
-                self.buffer.append((event, _message(msgs.get(str(event)))))
-                self.seen.add(event)
+            events = data["events"]
+            msgs = data.get("msgs")
+            self.buffer_events.extend(events)
+            if msgs:
+                self.buffer_messages.extend([_message(msgs.get(str(e))) for e in events])
+            else:
+                self.buffer_messages.extend([None] * len(events))
+            self.seen.update(events)
         elif kind == "reject":
             self.rejected.append(data["event"])
             self.seen.add(data["event"])
         elif kind == "flush":
-            self.indexed.extend(self._retire_head(data["events"]))
+            self.indexed_messages.extend(self._retire_head(data["events"]))
+            self.indexed_events.extend(data["events"])
             self._merge_offsets(data)
         elif kind == "abandon":
+            events = data["events"]
             self.dead.extend(
                 {"event": event, "msg": msg, "site": data["site"], "error": data["error"]}
-                for event, msg in self._retire_head(data["events"])
+                for event, msg in zip(events, self._retire_head(events))
             )
             self._merge_offsets(data)
         elif kind == "requeue":
@@ -224,25 +234,28 @@ class JournalState:
                 self.offsets[partition] = int(next_offset)
 
     def _retire_head(self, events: list) -> list:
-        """Remove and return the buffer's head entries, which must be
-        ``events``: the journal retires a batch from the front, in the
-        order it accepted it, so one slice does it."""
+        """Remove the buffer's head, which must be ``events``, and return
+        its messages: the journal retires a batch from the front, in the
+        order it accepted it, so one slice of each column does it."""
         n = len(events)
-        head = self.buffer[:n]
-        if [e for e, _m in head] != events:
+        if self.buffer_events[:n] != events:
             raise ValueError(
                 f"WAL record names events {events[:5]}… that are not the "
                 f"head of the journal buffer"
             )
-        del self.buffer[:n]
-        return head
+        messages = self.buffer_messages[:n]
+        del self.buffer_events[:n]
+        del self.buffer_messages[:n]
+        return messages
 
     def to_payload(self) -> dict:
         """JSON-ready form for embedding in a checkpoint."""
         return {
             "applied_seq": self.applied_seq,
-            "buffer": [[e, _body(m)] for e, m in self.buffer],
-            "indexed": [[e, _body(m)] for e, m in self.indexed],
+            "buffer": [[e, _body(m)] for e, m in zip(self.buffer_events, self.buffer_messages)],
+            "indexed": [
+                [e, _body(m)] for e, m in zip(self.indexed_events, self.indexed_messages)
+            ],
             "dead": [{**d, "msg": _body(d["msg"])} for d in self.dead],
             "rejected": list(self.rejected),
             "offsets": dict(self.offsets),
@@ -253,8 +266,10 @@ class JournalState:
     def from_payload(cls, payload: dict) -> "JournalState":
         state = cls(
             applied_seq=int(payload["applied_seq"]),
-            buffer=[(int(e), _message(m)) for e, m in payload["buffer"]],
-            indexed=[(int(e), _message(m)) for e, m in payload["indexed"]],
+            buffer_events=[int(e) for e, _m in payload["buffer"]],
+            buffer_messages=[_message(m) for _e, m in payload["buffer"]],
+            indexed_events=[int(e) for e, _m in payload["indexed"]],
+            indexed_messages=[_message(m) for _e, m in payload["indexed"]],
             dead=[{**d, "msg": _message(d["msg"])} for d in payload["dead"]],
             rejected=[int(e) for e in payload["rejected"]],
             # absent in pre-broker checkpoints
@@ -266,8 +281,8 @@ class JournalState:
             control=payload.get("control"),
         )
         state.seen = (
-            {e for e, _m in state.buffer}
-            | {e for e, _m in state.indexed}
+            set(state.buffer_events)
+            | set(state.indexed_events)
             | {d["event"] for d in state.dead}
             | set(state.rejected)
         )
@@ -306,7 +321,10 @@ class StreamJournal:
         self.state = state if state is not None else JournalState()
         # synthetic identities for messages published outside the trace
         self._auto = min((e for e in self.state.seen if e < 0), default=0)
-        self._pending: list = []  # accepts awaiting group commit
+        # accepts awaiting group commit: events, and the message kept
+        # for each synthetic one (None for a trace event)
+        self._pending_events: list = []
+        self._pending_messages: list = []
 
     @property
     def seen(self) -> set:
@@ -324,18 +342,32 @@ class StreamJournal:
         outside the trace (it draws a synthetic one).  Trace events
         (``event >= 0``) journal only the index; the body is regenerable
         from the trace.  Synthetic events keep the message itself; its
-        body is serialised when the accept record is written.  Each
-        accept is one ``durability.crash`` arming check, in order.
+        body is serialised when the accept record is written.  A call
+        whose events are all ``None`` (the live listener's) draws its
+        synthetic identities as one range.  ``events`` and ``messages``
+        of different lengths raise ``ValueError`` before anything is
+        journaled.  Each accept is one ``durability.crash`` arming
+        check, in order.
         """
-        entries = []
-        for event, message in zip(events, messages):
-            event = self._resolve(event)
-            entries.append((event, message if event < 0 else None))
-        self._pending.extend(entries)
-        self.state.buffer.extend(entries)
-        self.state.seen.update([event for event, _m in entries])
+        n = len(messages)
+        if len(events) != n:
+            raise ValueError(f"accept_many: {len(events)} events for {n} messages")
+        if events.count(None) == n:
+            first = self._auto - 1
+            self._auto -= n
+            events = range(first, self._auto - 1, -1)
+            kept = messages
+        else:
+            events = [self._resolve(e) for e in events]
+            kept = [m if e < 0 else None for e, m in zip(events, messages)]
+        state = self.state
+        state.buffer_events.extend(events)
+        state.buffer_messages.extend(kept)
+        state.seen.update(events)
+        self._pending_events.extend(events)
+        self._pending_messages.extend(kept)
         if self.injector is not None:
-            for _ in entries:
+            for _ in range(n):
                 self._crash_check()
 
     def reject(self, event: int | None) -> None:
@@ -350,7 +382,7 @@ class StreamJournal:
         flush record *is* the durable offset commit; the broker's
         in-memory commit happens after and may be lost without harm.
         """
-        data: dict = {"events": [e for e, _m in self.state.buffer[:n]]}
+        data: dict = {"events": self.state.buffer_events[:n]}
         if offsets:
             data["offsets"] = dict(offsets)
         self._barrier_commit("flush", data)
@@ -360,7 +392,7 @@ class StreamJournal:
     ) -> None:
         """The head batch of ``n`` is about to be dead-lettered."""
         data: dict = {
-            "events": [e for e, _m in self.state.buffer[:n]],
+            "events": self.state.buffer_events[:n],
             "site": site, "error": error,
         }
         if offsets:
@@ -378,7 +410,7 @@ class StreamJournal:
         batch returns to the log on consumer death.  Returns the number
         of events requeued.
         """
-        events = [e for e, _m in self.state.buffer]
+        events = list(self.state.buffer_events)
         if not events:
             return 0
         self._barrier_commit("requeue", {"events": events})
@@ -403,13 +435,15 @@ class StreamJournal:
         Checkpoints call this before syncing so their ``last_wal_seq``
         covers every event in the snapshotted state.
         """
-        if not self._pending:
+        events = self._pending_events
+        if not events:
             return
-        data: dict = {"events": [e for e, _m in self._pending]}
-        bodies = [(e, m) for e, m in self._pending if m is not None]
+        data: dict = {"events": events}
+        bodies = {str(e): m for e, m in zip(events, self._pending_messages) if m is not None}
         if bodies:
             data["msgs"] = _encode_bodies(bodies)
-        self._pending = []
+        self._pending_events = []
+        self._pending_messages = []
         # the events are already applied to the in-memory state; only
         # the dedup line moves (replay applies this record instead)
         self.state.applied_seq = self.wal.append("accept", data)
@@ -425,7 +459,7 @@ class StreamJournal:
         # the pending accepts and the record that moves them go out in
         # one write — unless a kill may be scheduled between the two,
         # which must still find only the first on disk
-        if self._pending and not (
+        if self._pending_events and not (
             self.injector is not None and self.injector.armed(SITE_CRASH)
         ):
             self.wal.hold()
@@ -794,7 +828,7 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
     categories = (
         checkpoint["cluster"].get("categories", {}) if checkpoint else {}
     )
-    for doc_id, (event, msg) in enumerate(state.indexed):
+    for doc_id, (event, msg) in enumerate(zip(state.indexed_events, state.indexed_messages)):
         cat = categories.get(str(doc_id))
         cluster.store.index(
             materialize(event, msg),
@@ -819,10 +853,10 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
 
     # conservation counters come from the journal, not the checkpoint:
     # replay may have moved messages since the snapshot was taken
-    stats.accepted = len(state.indexed) + len(state.buffer) + len(state.dead)
-    stats.flushed_messages = len(state.indexed)
+    stats.accepted = len(state.indexed_events) + len(state.buffer_events) + len(state.dead)
+    stats.flushed_messages = len(state.indexed_events)
     stats.abandoned_messages = len(state.dead)
-    stats.max_buffer_seen = max(stats.max_buffer_seen, len(state.buffer))
+    stats.max_buffer_seen = max(stats.max_buffer_seen, len(state.buffer_events))
     cluster.n_received = stats.accepted + len(state.rejected)
     cluster.n_dropped = len(state.rejected)
 
@@ -873,11 +907,8 @@ class ConservationReport:
 
 def reconcile(state: JournalState, produced: int) -> ConservationReport:
     """Check the conservation invariant over a journal's final state."""
-    counts: Counter = Counter()
-    for e, _m in state.indexed:
-        counts[e] += 1
-    for e, _m in state.buffer:
-        counts[e] += 1
+    counts: Counter = Counter(state.indexed_events)
+    counts.update(state.buffer_events)
     for d in state.dead:
         counts[d["event"]] += 1
     for e in state.rejected:
@@ -885,10 +916,10 @@ def reconcile(state: JournalState, produced: int) -> ConservationReport:
     trace = {e: n for e, n in counts.items() if 0 <= e < produced}
     return ConservationReport(
         produced=produced,
-        indexed=sum(1 for e, _m in state.indexed if 0 <= e < produced),
+        indexed=sum(1 for e in state.indexed_events if 0 <= e < produced),
         dead_lettered=sum(1 for d in state.dead if 0 <= d["event"] < produced),
         rejected=sum(1 for e in state.rejected if 0 <= e < produced),
-        in_buffer=sum(1 for e, _m in state.buffer if 0 <= e < produced),
+        in_buffer=sum(1 for e in state.buffer_events if 0 <= e < produced),
         duplicated=sum(n - 1 for n in trace.values() if n > 1),
         lost=produced - len(trace),
     )

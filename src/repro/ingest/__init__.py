@@ -23,6 +23,7 @@ from repro.ingest.broker import (
     ConsumerGroup,
     LogBroker,
     Partition,
+    RecordBatch,
 )
 from repro.ingest.listener import ListenerStats, SyslogListener
 from repro.ingest.quota import DeficitRoundRobin
@@ -35,5 +36,6 @@ __all__ = [
     "ListenerStats",
     "LogBroker",
     "Partition",
+    "RecordBatch",
     "SyslogListener",
 ]

@@ -16,10 +16,16 @@ Design
   layer, a partition's contents are a pure function of the trace (a
   host's messages in trace order), which makes offsets stable
   identities across crash and resume.
-- **Segments**: each partition stores records in fixed-size segments;
-  a full segment is sealed (tuple, immutable) and a fresh one opened.
-  This mirrors on-disk log brokers and bounds the cost of any future
-  retention work to whole segments.
+- **Segments**: each partition stores its records as parallel columns
+  (offsets, messages, idents, trace contexts, publish times) in
+  fixed-size segments; a full segment is sealed (a tuple of column
+  tuples, immutable) and a fresh one opened, and the partition keeps
+  each sealed segment's last offset for bisection.  A stored record is
+  therefore its message and nothing else on the heap: a
+  :class:`BrokerRecord` is built only when a reader iterates or
+  indexes the :class:`RecordBatch` a read returns.  This mirrors
+  on-disk log brokers and bounds the cost of any future retention work
+  to whole segments.
 - **Consumer groups** own a committed offset per partition.
   Partition assignment is round-robin over the sorted partition keys
   among the sorted member names, recomputed on the fly so partitions
@@ -42,15 +48,18 @@ an *uncommitted* set and a running lag, all maintained under the one
 lock by the operations that change them:
 
 - ``publish_many`` is O(messages + touched partitions × groups): one
-  lock and one clock read per call, and the ready/lag bookkeeping
-  once per partition the call appended to — so O(groups) per call,
-  not per message.  ``publish`` is its one-message call.
+  lock and one clock read per call, five column appends per message
+  and no object built for it, and the ready/lag bookkeeping once per
+  partition the call appended to — so O(groups) per call, not per
+  message.  It returns the offset each message landed at.
+  ``publish`` is its one-message call.
 - ``poll`` is O(ready partitions of the group + records returned): a
   caught-up consumer touches no partition, and a read finds its cursor
-  by bisection (records are offset-ordered), never by walking the
-  segment.  Delivery order is the round-robin scan over the member's
-  sorted assignment — the ready set only skips the visits that would
-  have read nothing.
+  by bisection over the offset column (records are offset-ordered),
+  never by walking the segment.  What it returns is column slices —
+  a :class:`RecordBatch`, one partition key per row.  Delivery order
+  is the round-robin scan over the member's sorted assignment — the
+  ready set only skips the visits that would have read nothing.
 - ``commit_many`` takes the lock once for a flush's offsets, however
   many partitions they span; ``commit`` is its one-partition call.
 - ``lag`` is O(1); ``lag_age`` is O(partitions with uncommitted
@@ -72,9 +81,8 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from repro.core.message import SyslogMessage
 from repro.faults.plan import (
@@ -92,6 +100,7 @@ __all__ = [
     "ConsumerGroup",
     "LogBroker",
     "Partition",
+    "RecordBatch",
 ]
 
 DEFAULT_SEGMENT_RECORDS = 4096
@@ -103,8 +112,11 @@ _PUBLISH_SYNC_EVERY = 1024
 
 @dataclass(frozen=True, slots=True)
 class BrokerRecord:
-    """One record in a partition.
+    """One record in a partition, as a reader sees it: built on read.
 
+    A partition stores its records as columns (:class:`Partition`) and
+    a read hands them back as a :class:`RecordBatch`; this is one row of
+    either, built only when a caller iterates or indexes the batch.
     ``ident`` carries the durable identity of the message (its trace
     position) when the publisher is journal-backed; consumers hand it
     to the journal so accept records survive the broker hop.
@@ -122,65 +134,158 @@ class BrokerRecord:
     pub_s: float | None = None
 
 
-_record_offset = attrgetter("offset")
+class RecordBatch:
+    """Records read off the broker, as parallel columns.
+
+    ``partitions`` names each row's partition; ``offsets``, ``messages``,
+    ``idents``, ``ctxs`` and ``pub_s`` are the partition's own columns,
+    sliced.  ``len()`` counts rows; iterating or indexing builds a
+    :class:`BrokerRecord` per row read, and nothing is built otherwise.
+    """
+
+    __slots__ = ("partitions", "offsets", "messages", "idents", "ctxs", "pub_s")
+
+    def __init__(self) -> None:
+        self.partitions: list[str] = []
+        self.offsets: list[int] = []
+        self.messages: list[SyslogMessage] = []
+        self.idents: list[int | None] = []
+        self.ctxs: list[TraceContext | None] = []
+        self.pub_s: list[float | None] = []
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __iter__(self) -> Iterator[BrokerRecord]:
+        return map(
+            BrokerRecord, self.partitions, self.offsets, self.messages,
+            self.idents, self.ctxs, self.pub_s,
+        )
+
+    def __getitem__(self, row: int) -> BrokerRecord:
+        return BrokerRecord(
+            self.partitions[row], self.offsets[row], self.messages[row],
+            self.idents[row], self.ctxs[row], self.pub_s[row],
+        )
 
 
-def _segment_end(segment: tuple[BrokerRecord, ...]) -> int:
-    return segment[-1].offset
+#: the columns of a segment, in order: offsets, messages, idents, ctxs, pub_s
+_OFFSETS, _PUB_S = 0, 4
 
 
 class Partition:
-    """An append-only sequence of records, stored in sealed segments."""
+    """An append-only sequence of records, stored as columns in segments.
 
-    __slots__ = ("key", "segment_records", "_sealed", "_active", "next_offset")
+    The active segment is five lists — offsets, messages, idents, ctxs
+    and publish times; a full one is sealed into a tuple of five tuples
+    and a fresh one opened.  ``_ends`` keeps each sealed segment's last
+    offset, so a read finds its segment by bisection.
+    """
+
+    __slots__ = ("key", "segment_records", "_sealed", "_ends", "_active", "next_offset")
 
     def __init__(self, key: str, *, segment_records: int = DEFAULT_SEGMENT_RECORDS) -> None:
         self.key = key
         self.segment_records = segment_records
-        self._sealed: list[tuple[BrokerRecord, ...]] = []
-        self._active: list[BrokerRecord] = []
+        self._sealed: list[tuple[tuple, ...]] = []
+        self._ends: list[int] = []
+        self._active: tuple[list, ...] = ([], [], [], [], [])
         #: the offset the next blind append receives (last offset + 1;
         #: sparse replays can leave gaps below it)
         self.next_offset = 0
 
-    def append(self, record: BrokerRecord) -> None:
+    def append(
+        self,
+        offset: int,
+        message: SyslogMessage,
+        ident: int | None = None,
+        ctx: TraceContext | None = None,
+        pub_s: float | None = None,
+    ) -> None:
         """Append one record; offsets must be monotonic (gaps allowed)."""
-        if record.offset < self.next_offset:
+        if offset < self.next_offset:
             raise ValueError(
                 f"partition {self.key!r}: non-monotonic append at offset "
-                f"{record.offset} (next is {self.next_offset})"
+                f"{offset} (next is {self.next_offset})"
             )
-        self._active.append(record)
-        self.next_offset = record.offset + 1
-        if len(self._active) >= self.segment_records:
-            self._sealed.append(tuple(self._active))
-            self._active.clear()
+        offsets, messages, idents, ctxs, pubs = self._active
+        offsets.append(offset)
+        messages.append(message)
+        idents.append(ident)
+        ctxs.append(ctx)
+        pubs.append(pub_s)
+        self.next_offset = offset + 1
+        if len(offsets) >= self.segment_records:
+            self._seal()
 
-    def read_from(self, offset: int, max_records: int) -> list[BrokerRecord]:
-        """Records with ``offset >= offset``, oldest first, up to the cap.
+    def _seal(self) -> None:
+        """Seal the full active segment and open a fresh one."""
+        active = self._active
+        self._sealed.append(tuple(map(tuple, active)))
+        self._ends.append(active[_OFFSETS][-1])
+        self._active = ([], [], [], [], [])
+
+    def _seek(self, offset: int) -> tuple[int, int]:
+        """(segment, row) of the first record at or past ``offset``; a
+        segment index of ``len(_sealed)`` is the active segment, found
+        without a bisection when it holds the offset (the usual read)."""
+        ends = self._ends
+        if not ends or offset > ends[-1]:
+            return len(ends), bisect_left(self._active[_OFFSETS], offset)
+        segment = bisect_left(ends, offset)
+        return segment, bisect_left(self._sealed[segment][_OFFSETS], offset)
+
+    def read_into(self, batch: RecordBatch, offset: int, max_records: int) -> int:
+        """Extend ``batch`` with the records at ``offset`` or past it,
+        oldest first, up to the cap; returns how many.
 
         Records are offset-ordered (``append`` enforces it), so the
         cursor is found by bisection: first the sealed segment that
-        holds it, then the record inside.  A cap of zero or less reads
+        holds it, then the row inside.  A cap of zero or less reads
         nothing.
         """
         if max_records <= 0 or offset >= self.next_offset:
-            return []
-        out: list[BrokerRecord] = []
-        first = bisect_left(self._sealed, offset, key=_segment_end)
-        for segment in (*self._sealed[first:], self._active):
-            start = bisect_left(segment, offset, key=_record_offset)
-            out.extend(segment[start:start + max_records - len(out)])
-            if len(out) >= max_records:
-                break
-        return out
+            return 0
+        segment, row = self._seek(offset)
+        sealed = self._sealed
+        taken = 0
+        while True:
+            columns = sealed[segment] if segment < len(sealed) else self._active
+            offsets, messages, idents, ctxs, pubs = columns
+            stop = min(len(offsets), row + max_records - taken)
+            if stop > row:
+                batch.partitions.extend([self.key] * (stop - row))
+                batch.offsets.extend(offsets[row:stop])
+                batch.messages.extend(messages[row:stop])
+                batch.idents.extend(idents[row:stop])
+                batch.ctxs.extend(ctxs[row:stop])
+                batch.pub_s.extend(pubs[row:stop])
+                taken += stop - row
+            if taken >= max_records or segment >= len(sealed):
+                return taken
+            segment, row = segment + 1, 0
+
+    def read_from(self, offset: int, max_records: int) -> RecordBatch:
+        """The records at ``offset`` or past it, up to the cap, as a batch."""
+        batch = RecordBatch()
+        self.read_into(batch, offset, max_records)
+        return batch
+
+    def pub_s_at(self, offset: int) -> float | None:
+        """Publish time of the first record at or past ``offset``
+        (``None`` when there is none)."""
+        if offset >= self.next_offset:
+            return None
+        segment, row = self._seek(offset)
+        columns = self._sealed[segment] if segment < len(self._sealed) else self._active
+        return columns[_PUB_S][row]
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sealed) + len(self._active)
+        return sum(len(s[_OFFSETS]) for s in self._sealed) + len(self._active[_OFFSETS])
 
     @property
     def n_segments(self) -> int:
-        return len(self._sealed) + (1 if self._active or not self._sealed else 0)
+        return len(self._sealed) + (1 if self._active[_OFFSETS] or not self._sealed else 0)
 
 
 @dataclass
@@ -277,11 +382,11 @@ class LogBroker:
         ident: int | None = None,
         offset: int | None = None,
         ctx: TraceContext | None = None,
-    ) -> BrokerRecord | None:
+    ) -> int | None:
         """Append ``message`` to its partition: :meth:`publish_many` of one.
 
-        Returns the stored record, or ``None`` when the partition is
-        stalled (the caller must count the refusal — nothing here is
+        Returns the offset it landed at, or ``None`` when the partition
+        is stalled (the caller must count the refusal — nothing here is
         silent).
         """
         return self.publish_many(
@@ -296,30 +401,39 @@ class LogBroker:
         idents: Sequence[int | None] | None = None,
         offsets: Sequence[int | None] | None = None,
         ctxs: Sequence[TraceContext | None] | None = None,
-    ) -> list[BrokerRecord | None]:
+    ) -> list[int | None]:
         """Append ``messages`` in order; returns one entry per message.
 
-        An entry is the stored record, or ``None`` where the message's
-        partition is stalled (the caller must count the refusal —
+        An entry is the offset the message landed at, or ``None`` where
+        its partition is stalled (the caller must count the refusal —
         nothing here is silent).  The keyword arguments are columns
         parallel to ``messages``; an omitted column, or a ``None`` in
-        it, means the default for that message.  A message is keyed by
-        its hostname unless ``keys`` names its partition.  ``offsets``
-        pins explicit (sparse) offsets for durable replay; otherwise the
-        partition's next dense offset is used.  ``ctxs`` attaches
-        sampled trace contexts: the publish hop is recorded and the
-        stored record carries the chained context for the consumer side.
+        it, means the default for that message, and a column of another
+        length raises ``ValueError`` before anything is appended.  A
+        message is keyed by its hostname unless ``keys`` names its
+        partition.  ``offsets`` pins explicit (sparse) offsets for
+        durable replay; otherwise the partition's next dense offset is
+        used.  ``ctxs`` attaches sampled trace contexts: the publish hop
+        is recorded and the stored record carries the chained context
+        for the consumer side.
 
         One lock and one clock read for the whole call; every message
         is one ``broker.partition_stall`` arming check, in order; the
         consumer groups' ready/lag bookkeeping runs once per partition
         the call appended to.
         """
+        n = len(messages)
+        for name, column in (("keys", keys), ("idents", idents),
+                             ("offsets", offsets), ("ctxs", ctxs)):
+            if column is not None and len(column) != n:
+                raise ValueError(
+                    f"publish_many: {len(column)} {name} for {n} messages"
+                )
         if keys is None:
             keys = [m.hostname for m in messages]
         else:
             keys = [m.hostname if k is None else k for k, m in zip(keys, messages)]
-        out: list[BrokerRecord | None] = [None] * len(messages)
+        out: list[int | None] = [None] * n
         injector = self.injector
         partitions = self.partitions
         #: each partition appended to → its next offset before this call
@@ -346,15 +460,15 @@ class LogBroker:
                     ctx = ctxs[i] if ctxs is not None else None
                     if ctx is not None:
                         ctx = record_hop(ctx, "broker.publish", pub_s, partition=key)
-                    offset = offsets[i] if offsets is not None else None
                     end = part.next_offset
-                    record = BrokerRecord(
-                        key, end if offset is None else offset, message,
-                        idents[i] if idents is not None else None, ctx, pub_s,
+                    offset = offsets[i] if offsets is not None else None
+                    if offset is None:
+                        offset = end
+                    part.append(
+                        offset, message, idents[i] if idents is not None else None, ctx, pub_s
                     )
-                    part.append(record)
                     ends.setdefault(key, end)
-                    out[i] = record
+                    out[i] = offset
                     published += 1
             finally:
                 # a non-monotonic offset raises mid-batch: what landed
@@ -456,14 +570,16 @@ class LogBroker:
 
     def poll(
         self, group: str, member: str = "member-0", *, max_records: int = 256
-    ) -> list[BrokerRecord]:
+    ) -> RecordBatch:
         """Fetch up to ``max_records`` from the member's partitions.
 
         Starts each partition at the group's live position (initially
         the committed offset) and advances it past what is returned.
         Stalled partitions are skipped — their lag simply grows.  A
         budget of zero or less returns nothing and moves no cursor.
+        The records come back as one :class:`RecordBatch` of columns.
         """
+        out = RecordBatch()
         with self._lock:
             g = self._group(group)
             if member not in g.members:
@@ -473,13 +589,13 @@ class LogBroker:
                 self._m_published.inc(self._pub_unsynced)
                 self._pub_unsynced = 0
             if max_records <= 0:
-                return []
+                return out
             n_members = len(g.members)
             slot = g.members.index(member)
             n_assigned = len(range(slot, len(self._keys), n_members))
             if not n_assigned:
-                return []
-            out: list[BrokerRecord] = []
+                return out
+            taken = 0
             if g.ready:
                 # the scan order of the full assignment (rank // n_members
                 # is a key's index in it), restricted to the ready keys
@@ -495,26 +611,24 @@ class LogBroker:
                     pos = g.positions.get(key)
                     if pos is None:
                         pos = g.positions[key] = g.committed.get(key, 0)
-                    recs = part.read_from(pos, max_records - len(out))
-                    if recs:
-                        out.extend(recs)
-                        pos = g.positions[key] = recs[-1].offset + 1
+                    if part.read_into(out, pos, max_records - taken):
+                        taken = len(out.offsets)
+                        pos = g.positions[key] = out.offsets[-1] + 1
                     if pos >= part.next_offset:
                         g.ready.discard(key)
-                    if len(out) >= max_records:
+                    if taken >= max_records:
                         break
             g.rr_cursor = (g.rr_cursor + 1) % n_assigned
-            if out:
-                self.stats.polled += len(out)
-                g.m_polled.inc(len(out))
+            if taken:
+                self.stats.polled += taken
+                g.m_polled.inc(taken)
                 # queue-age dwell: sampled (traced) records only, so the
                 # histogram costs nothing on the untraced hot path
-                now: float | None = None
-                for rec in out:
-                    if rec.ctx is not None and rec.pub_s is not None:
-                        if now is None:
-                            now = self._clock()
-                        self._m_queue_age.observe(now - rec.pub_s)
+                if out.ctxs.count(None) != taken:
+                    now = self._clock()
+                    for ctx, pub_s in zip(out.ctxs, out.pub_s):
+                        if ctx is not None and pub_s is not None:
+                            self._m_queue_age.observe(now - pub_s)
             # the lag gauges refresh once per poll — not on each
             # per-partition commit — and only when a live registry
             # will actually keep the value
@@ -598,10 +712,9 @@ class LogBroker:
         now = self._clock()
         oldest: float | None = None
         for key in g.uncommitted:
-            head = self.partitions[key].read_from(g.committed.get(key, 0), 1)
-            if head and head[0].pub_s is not None:
-                if oldest is None or head[0].pub_s < oldest:
-                    oldest = head[0].pub_s
+            pub_s = self.partitions[key].pub_s_at(g.committed.get(key, 0))
+            if pub_s is not None and (oldest is None or pub_s < oldest):
+                oldest = pub_s
         return 0.0 if oldest is None else max(0.0, now - oldest)
 
     def lag_age(self, group: str) -> float:

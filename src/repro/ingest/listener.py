@@ -336,16 +336,16 @@ class SyslogListener:
         line the broker refuses is quarantined; the rest are accepted."""
         accepted = messages
         if self.broker is not None:
-            records = self.broker.publish_many(messages, ctxs=ctxs)
-            refused = [m for m, r in zip(messages, records) if r is None]
-            if refused:
+            offsets = self.broker.publish_many(messages, ctxs=ctxs)
+            if None in offsets:
+                refused = [m for m, o in zip(messages, offsets) if o is None]
                 self.stats.publish_refused += len(refused)
                 for message in refused:
                     self.dead_letters.push(
                         SITE_INGEST_PUBLISH, message, "broker partition stalled",
                         transport=transport,
                     )
-                accepted = [m for m, r in zip(messages, records) if r is not None]
+                accepted = [m for m, o in zip(messages, offsets) if o is not None]
         self.stats.accepted += len(accepted)
         if self.on_message is not None:
             for message in accepted:

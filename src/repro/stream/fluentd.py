@@ -158,8 +158,9 @@ class FluentdForwarder:
         default_factory=DeadLetterQueue, init=False, repr=False
     )
     _buffer: list[SyslogMessage] = field(default_factory=list, init=False, repr=False)
-    #: (partition, offset) per buffered message
-    _offsets: list = field(default_factory=list, init=False, repr=False)
+    #: partition and offset per buffered message, as two columns
+    _partitions: list[str] = field(default_factory=list, init=False, repr=False)
+    _offsets: list[int] = field(default_factory=list, init=False, repr=False)
     #: per buffered message: (TraceContext, entered_s) for sampled
     #: messages, None otherwise — mirrors every _buffer mutation
     _ctxs: list = field(default_factory=list, init=False, repr=False)
@@ -207,8 +208,10 @@ class FluentdForwarder:
         Polls at most the buffer's free room, so a slow consumer shows
         up as broker *lag*, never as buffer overflow.  The whole poll is
         journaled in one call, each record as an accept under its
-        durable identity (``record.ident``), before it enters the buffer
-        (write-ahead).  Returns the number of records taken.
+        durable identity (its ``ident``), before it enters the buffer
+        (write-ahead).  The poll's columns are taken as they are: no
+        record is built, only the hop of each traced context.  Returns
+        the number of records taken.
         """
         room = self.buffer_limit - len(self._buffer)
         if room <= 0:
@@ -218,33 +221,32 @@ class FluentdForwarder:
         records = self.broker.poll(
             self.consumer_group, self.consumer_member, max_records=room
         )
-        if not records:
+        n = len(records)
+        if not n:
             return 0
-        messages = [rec.message for rec in records]
+        messages = records.messages
         if self.journal is not None:
-            self.journal.accept_many([rec.ident for rec in records], messages)
+            self.journal.accept_many(records.idents, messages)
         self._buffer.extend(messages)
-        self._offsets.extend([(rec.partition, rec.offset) for rec in records])
-        now: float | None = None
-        for rec in records:
-            traced = None
-            if rec.ctx is not None:
-                if now is None:
-                    now = self.clock()
-                traced = (
-                    record_hop(
-                        rec.ctx, "broker.poll", now,
-                        group=self.consumer_group, member=self.consumer_member,
-                    ),
-                    now,
-                )
-            self._ctxs.append(traced)
-        self.stats.accepted += len(records)
+        self._partitions.extend(records.partitions)
+        self._offsets.extend(records.offsets)
+        ctxs = records.ctxs
+        if ctxs.count(None) == n:
+            self._ctxs.extend(ctxs)
+        else:
+            now = self.clock()
+            group, member = self.consumer_group, self.consumer_member
+            self._ctxs.extend([
+                None if ctx is None
+                else (record_hop(ctx, "broker.poll", now, group=group, member=member), now)
+                for ctx in ctxs
+            ])
+        self.stats.accepted += n
         depth = len(self._buffer)
         if depth > self.stats.max_buffer_seen:
             self.stats.max_buffer_seen = depth
         self._m_buffer_depth.set(depth)
-        return len(records)
+        return n
 
     def consume(self) -> int:
         """One consumer turn: poll the broker once, then drain the buffer.
@@ -259,7 +261,7 @@ class FluentdForwarder:
     def _batch_offsets(self, n: int) -> dict:
         """Commit offsets for the head batch: partition → next offset."""
         out: dict = {}
-        for partition, offset in self._offsets[:n]:
+        for partition, offset in zip(self._partitions[:n], self._offsets[:n]):
             if offset + 1 > out.get(partition, 0):
                 out[partition] = offset + 1
         return out
@@ -404,6 +406,7 @@ class FluentdForwarder:
             wal_ms = (time.perf_counter() - wal_t0) * 1e3
         self.broker.commit_many(self.consumer_group, offsets)
         del self._buffer[:n]
+        del self._partitions[:n]
         del self._offsets[:n]
         del self._ctxs[:n]
         self._m_buffer_depth.set(len(self._buffer))

@@ -487,7 +487,7 @@ class TivanCluster:
         """
         self.n_received += 1
         self._m_received.inc()
-        record = None
+        offset = None
         self._shed_acc += self._shed_fraction
         if self._shed_acc >= 1.0:
             self._shed_acc -= 1.0
@@ -500,13 +500,13 @@ class TivanCluster:
             if self.sampler is not None and self.sampler.sample_ordinal(idx):
                 ctx = self.sampler.begin(idx, host=message.hostname)
             if self.journal is None:
-                record = self.broker.publish(message, ctx=ctx)
+                offset = self.broker.publish(message, ctx=ctx)
             else:
-                record = self.broker.publish(
+                offset = self.broker.publish(
                     message, key=message.hostname, ident=idx,
                     offset=self._event_offset[idx], ctx=ctx,
                 )
-        if record is None:
+        if offset is None:
             self.n_dropped += 1
             self._m_dropped.inc()
             if self.journal is not None:

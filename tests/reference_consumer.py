@@ -94,6 +94,15 @@ class ReferenceForwarder(FluentdForwarder):
             self._m_buffer_depth.set(len(self._buffer))
         return len(records)
 
+    def _batch_offsets(self, n: int) -> dict:
+        """Commit offsets for the head batch: partition → next offset
+        (the forwarder's own, from when it kept a pair per message)."""
+        out: dict = {}
+        for partition, offset in self._offsets[:n]:
+            if offset + 1 > out.get(partition, 0):
+                out[partition] = offset + 1
+        return out
+
     def _flush_tick(self) -> None:
         if self.broker is not None:
             self.poll_broker()

@@ -278,24 +278,26 @@ class TestJournal:
         for rec in replay_wal(tmp_path)[0]:
             replayed.apply(rec)
         assert replayed.applied_seq == j.state.applied_seq
-        assert replayed.buffer == j.state.buffer
-        assert replayed.indexed == j.state.indexed
+        assert replayed.buffer_events == j.state.buffer_events
+        assert replayed.buffer_messages == j.state.buffer_messages
+        assert replayed.indexed_events == j.state.indexed_events
+        assert replayed.indexed_messages == j.state.indexed_messages
         assert replayed.dead == j.state.dead
         assert replayed.rejected == j.state.rejected
         assert replayed.seen == j.state.seen
         # disposition check: 0 indexed, 1 abandoned, 2 still buffered,
         # 3 rejected
-        assert [e for e, _ in replayed.indexed] == [0]
+        assert replayed.indexed_events == [0]
         assert {d["event"] for d in replayed.dead} == {1}
         assert replayed.rejected == [3]
-        assert [e for e, _ in replayed.buffer] == [2]
+        assert replayed.buffer_events == [2]
 
     def test_apply_is_idempotent_by_seq(self):
         state = JournalState()
         rec = WalRecord(seq=1, kind="accept", data={"events": [0]})
         state.apply(rec)
         state.apply(rec)  # duplicate delivery must be a no-op
-        assert len(state.buffer) == 1
+        assert state.buffer_events == [0] and state.buffer_messages == [None]
 
     def test_payload_roundtrip(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
@@ -306,8 +308,10 @@ class TestJournal:
         wal.close()
         restored = JournalState.from_payload(j.state.to_payload())
         assert restored.seen == {0, 1}
-        assert restored.buffer == j.state.buffer
-        assert restored.indexed == j.state.indexed
+        assert restored.buffer_events == j.state.buffer_events
+        assert restored.buffer_messages == j.state.buffer_messages
+        assert restored.indexed_events == j.state.indexed_events
+        assert restored.indexed_messages == j.state.indexed_messages
 
     def test_auto_identity_for_untracked_messages(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
@@ -316,22 +320,23 @@ class TestJournal:
         j.accept(None, _msg(1))
         j.flush_pending()
         wal.close()
-        events = [e for e, _ in j.state.buffer]
+        events = j.state.buffer_events
         assert events == [-1, -2]
         # synthetic bodies are embedded (no trace to regenerate from)
         replayed = JournalState()
         for rec in replay_wal(tmp_path)[0]:
             replayed.apply(rec)
         # and come back from the WAL as the messages the journal was handed
-        assert replayed.buffer == j.state.buffer
-        assert replayed.buffer[0][1] == _msg(0)
+        assert replayed.buffer_events == j.state.buffer_events
+        assert replayed.buffer_messages == j.state.buffer_messages
+        assert replayed.buffer_messages[0] == _msg(0)
         # synthetic identities survive a restart without colliding
         j2 = StreamJournal(
             WriteAheadLog(tmp_path),
             state=recover_state(tmp_path).state,
         )
         j2.accept(None, _msg(2))
-        assert [e for e, _ in j2.state.buffer] == [-1, -2, -3]
+        assert j2.state.buffer_events == [-1, -2, -3]
         j2.wal.close()
 
     def test_crash_site_fires_at_exact_ordinal(self, tmp_path):
@@ -353,6 +358,38 @@ class TestJournal:
         wal.close()
         assert fired == [False, False, True, False, False]
 
+    @pytest.mark.parametrize("n_events", [1, 5])
+    def test_accept_many_refuses_columns_of_different_lengths(self, tmp_path, n_events):
+        """One identity for three messages used to journal one accept and
+        drop two without a word while the forwarder buffered all three:
+        the write-ahead invariant broken.  Refused before anything is
+        journaled, like ``LogStore.index_many``."""
+        wal = WriteAheadLog(tmp_path)
+        j = StreamJournal(wal)
+        with pytest.raises(ValueError, match=f"{n_events} events for 3 messages"):
+            j.accept_many([None] * n_events, [_msg(i) for i in range(3)])
+        j.flush_pending()
+        wal.close()
+        assert j.state.buffer_events == [] and j.state.seen == set()
+        assert list(replay_wal(tmp_path)[0]) == []
+
+    def test_all_synthetic_accepts_draw_one_range(self, tmp_path):
+        """The live listener's poll: every identity synthetic, drawn in
+        order below the last one, the message kept beside each."""
+        wal = WriteAheadLog(tmp_path)
+        j = StreamJournal(wal)
+        j.accept_many([None, None], [_msg(0), _msg(1)])
+        j.accept_many((None, None, None), [_msg(i) for i in range(2, 5)])
+        j.accept_many([], [])
+        j.flush_pending()
+        wal.close()
+        assert j.state.buffer_events == [-1, -2, -3, -4, -5]
+        assert j.state.buffer_messages == [_msg(i) for i in range(5)]
+        assert j.state.seen == {-1, -2, -3, -4, -5}
+        replayed = recover_state(tmp_path).state
+        assert replayed.buffer_events == j.state.buffer_events
+        assert replayed.buffer_messages == j.state.buffer_messages
+
     def test_accept_many_is_one_crash_check_per_accept(self, tmp_path):
         checks = []
 
@@ -366,7 +403,7 @@ class TestJournal:
         j.accept_many([0, 1, None, 3, None], [_msg(i) for i in range(5)])
         wal.close()
         assert checks == [SITE_CRASH] * 5
-        assert [e for e, _m in j.state.buffer] == [0, 1, -1, 3, -2]
+        assert j.state.buffer_events == [0, 1, -1, 3, -2]
 
 
 _HOSTILE = "\"\\\x00\x1f\x7f\n\t é€ \ud83d\U0001f600"
@@ -405,7 +442,7 @@ class TestAcceptRecordBytes:
             (segment,) = Path(d).glob("wal-*.jsonl")
             got = segment.read_bytes()
             records, info = replay_wal(d)
-        events = [e for e, _m in journal.state.buffer]
+        events = journal.state.buffer_events
         data = {"events": events}
         msgs = {str(e): m.to_dict() for e, m in zip(events, messages) if e < 0}
         if msgs:
@@ -421,7 +458,7 @@ class TestAcceptRecordBytes:
 class TestReconcile:
     def test_clean_ledger_is_ok(self):
         state = JournalState()
-        state.indexed = [(0, {}), (1, {})]
+        state.indexed_events = [0, 1]
         state.rejected = [2]
         state.seen = {0, 1, 2}
         rep = reconcile(state, produced=3)
@@ -429,7 +466,7 @@ class TestReconcile:
 
     def test_lost_and_duplicated_detected(self):
         state = JournalState()
-        state.indexed = [(0, {}), (0, {})]  # 0 doubled, 1 missing
+        state.indexed_events = [0, 0]  # 0 doubled, 1 missing
         rep = reconcile(state, produced=2)
         assert not rep.ok
         assert rep.duplicated == 1
@@ -438,7 +475,7 @@ class TestReconcile:
 
     def test_synthetic_identities_ignored(self):
         state = JournalState()
-        state.indexed = [(0, {}), (-1, {})]
+        state.indexed_events = [0, -1]
         rep = reconcile(state, produced=1)
         assert rep.ok and rep.indexed == 1
 

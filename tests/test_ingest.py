@@ -35,6 +35,7 @@ from repro.ingest import (
     DeficitRoundRobin,
     LogBroker,
     Partition,
+    RecordBatch,
     SyslogListener,
 )
 from repro.obs import MetricsRegistry, TraceSampler, Tracer, use_registry, wellknown
@@ -142,7 +143,7 @@ class TestPartition:
     def test_segments_seal_at_capacity(self):
         p = Partition("cn001", segment_records=4)
         for i in range(10):
-            p.append(BrokerRecord("cn001", i, _msg(i)))
+            p.append(i, _msg(i))
         assert len(p) == 10
         assert p.n_segments == 3  # two sealed + one active
         got = p.read_from(0, 100)
@@ -151,12 +152,28 @@ class TestPartition:
 
     def test_sparse_offsets_allowed_rewinds_rejected(self):
         p = Partition("cn001")
-        p.append(BrokerRecord("cn001", 0, _msg(0)))
-        p.append(BrokerRecord("cn001", 5, _msg(5)))  # gap: settled events
+        p.append(0, _msg(0))
+        p.append(5, _msg(5))  # gap: settled events
         assert p.next_offset == 6
         with pytest.raises(ValueError, match="non-monotonic"):
-            p.append(BrokerRecord("cn001", 3, _msg(3)))
+            p.append(3, _msg(3))
         assert [r.offset for r in p.read_from(1, 10)] == [5]
+
+
+    def test_a_batch_is_columns_and_builds_records_on_read(self):
+        """A read crosses sealed segments into the active one and hands
+        back column slices; a record exists only when one is read."""
+        p = Partition("cn001", segment_records=3)
+        for i in range(7):
+            p.append(2 * i, _msg(i), ident=i, pub_s=float(i))
+        batch = p.read_from(3, 4)
+        assert len(batch) == 4
+        assert batch.offsets == [4, 6, 8, 10] and batch.partitions == ["cn001"] * 4
+        assert batch.idents == [2, 3, 4, 5] and batch.pub_s == [2.0, 3.0, 4.0, 5.0]
+        assert batch[0] == BrokerRecord("cn001", 4, _msg(2), 2, None, 2.0)
+        assert batch[-1] == list(batch)[-1] == BrokerRecord("cn001", 10, _msg(5), 5, None, 5.0)
+        assert p.pub_s_at(5) == 3.0 and p.pub_s_at(13) is None
+        assert len(p.read_from(13, 4)) == 0 and len(p.read_from(0, 0)) == 0
 
 
 class TestLogBroker:
@@ -247,6 +264,25 @@ class TestLogBroker:
         assert broker.stats.published == 2 and broker.lag("g") == 2
         assert [r.offset for r in broker.poll("g", "m0")] == [0, 1]
 
+    @pytest.mark.parametrize("length", [1, 5])
+    @pytest.mark.parametrize("column", ["keys", "idents", "offsets", "ctxs"])
+    def test_a_column_of_the_wrong_length_is_refused_up_front(self, column, length):
+        """Three messages and a column of one or five: nothing lands,
+        nothing is counted — not one record and then an ``IndexError``,
+        and not a long column silently cut short."""
+        broker = LogBroker(registry=MetricsRegistry())
+        broker.subscribe("g", "m0")
+        with pytest.raises(ValueError, match=f"{length} {column} for 3 messages"):
+            broker.publish_many([_msg(i) for i in range(3)], **{column: [None] * length})
+        assert broker.partitions == {} and broker.stats.published == 0
+        assert broker.lag("g") == 0 and len(broker.poll("g", "m0")) == 0
+
+    def test_publish_returns_the_offset_it_landed_at(self):
+        broker = LogBroker(registry=MetricsRegistry())
+        assert broker.publish_many([_msg(0), _msg(1), _msg(2, host="b")]) == [0, 1, 0]
+        assert broker.publish(_msg(3), offset=7) == 7
+        assert broker.publish(_msg(4)) == 8
+
     def test_restore_offsets_reseeds_and_resets_cursor(self):
         broker = LogBroker()
         for i in range(4):
@@ -271,7 +307,7 @@ class TestLogBroker:
         broker = LogBroker()
         for i in range(3):
             broker.publish(_msg(i, host="a"))
-        assert broker.partitions["a"].read_from(0, budget) == []
+        assert len(broker.partitions["a"].read_from(0, budget)) == 0
         taken = []
         fwd = FluentdForwarder(
             engine=EventEngine(), sink=lambda batch: taken.extend(batch) or True,
@@ -291,6 +327,51 @@ class TestLogBroker:
 # differential: the ready-set broker against the scan-everything one
 
 
+class RecordPartition:
+    """The partition as it was before it kept columns: a ``BrokerRecord``
+    per row, in sealed segments of records.  ``ScanAllBroker`` stores
+    into it, so the oracle keeps a record object per message."""
+
+    def __init__(self, key, *, segment_records=4096):
+        self.key = key
+        self.segment_records = segment_records
+        self._sealed = []
+        self._active = []
+        self.next_offset = 0
+
+    def append(self, record):
+        if record.offset < self.next_offset:
+            raise ValueError(
+                f"partition {self.key!r}: non-monotonic append at offset "
+                f"{record.offset} (next is {self.next_offset})"
+            )
+        self._active.append(record)
+        self.next_offset = record.offset + 1
+        if len(self._active) >= self.segment_records:
+            self._sealed.append(tuple(self._active))
+            self._active.clear()
+
+    def __len__(self):
+        return sum(len(s) for s in self._sealed) + len(self._active)
+
+    @property
+    def n_segments(self):
+        return len(self._sealed) + (1 if self._active or not self._sealed else 0)
+
+
+def _as_batch(records) -> RecordBatch:
+    """The oracle's records in the shape a poll hands back."""
+    batch = RecordBatch()
+    for rec in records:
+        batch.partitions.append(rec.partition)
+        batch.offsets.append(rec.offset)
+        batch.messages.append(rec.message)
+        batch.idents.append(rec.ident)
+        batch.ctxs.append(rec.ctx)
+        batch.pub_s.append(rec.pub_s)
+    return batch
+
+
 class ScanAllBroker(LogBroker):
     """The brute-force oracle: every poll walks every assigned partition
     record by record, and lag is recomputed from scratch on each read.
@@ -300,8 +381,19 @@ class ScanAllBroker(LogBroker):
     ``publish`` and ``commit`` are the one-message, one-partition bodies
     it had before they became one-item calls of ``publish_many`` and
     ``commit_many``: a lock, a clock read and the group bookkeeping per
-    message.
+    message; its ``publish_many`` is a loop of them.  Records live in a
+    :class:`RecordPartition`, one object each; ``publish`` hands back
+    the record's offset and ``poll`` its records as a ``RecordBatch``,
+    the shapes ``LogBroker`` returns.
     """
+
+    def publish_many(self, messages, *, keys=None, idents=None, offsets=None, ctxs=None):
+        n = len(messages)
+        columns = [c if c is not None else [None] * n for c in (keys, idents, offsets, ctxs)]
+        return [
+            self.publish(m, key=k, ident=i, offset=o, ctx=c)
+            for m, k, i, o, c in zip(messages, *columns)
+        ]
 
     def publish(self, message, *, key=None, ident=None, offset=None, ctx=None):
         key = key if key is not None else message.hostname
@@ -321,7 +413,7 @@ class ScanAllBroker(LogBroker):
                 return None
             part = self.partitions.get(key)
             if part is None:
-                part = self.partitions[key] = Partition(
+                part = self.partitions[key] = RecordPartition(
                     key, segment_records=self.segment_records
                 )
                 keys = self._keys
@@ -358,7 +450,7 @@ class ScanAllBroker(LogBroker):
             if self._pub_unsynced >= 1024:
                 self._m_published.inc(self._pub_unsynced)
                 self._pub_unsynced = 0
-            return record
+            return record.offset
 
     def commit(self, group, partition, offset):
         with self._lock:
@@ -399,10 +491,10 @@ class ScanAllBroker(LogBroker):
                 g.members.append(member)
                 g.members.sort()
             if max_records <= 0:
-                return []
+                return RecordBatch()
             assigned = self._assignment(group, member)
             if not assigned:
-                return []
+                return RecordBatch()
             out = []
             n = len(assigned)
             for i in range(n):
@@ -423,7 +515,7 @@ class ScanAllBroker(LogBroker):
             g.m_polled.inc(len(out))
             g.m_lag.set(self._lag(g))
             g.m_lag_age.set(self._lag_age(g))
-            return out
+            return _as_batch(out)
 
     def _lag(self, g):
         return sum(
@@ -507,11 +599,7 @@ class BrokerEquivalence(RuleBasedStateMachine):
         part = self.real.partitions.get(host)
         offset = None if gap is None else gap + (part.next_offset if part else 0)
 
-        def call(broker):
-            rec = broker.publish(_msg(self.n, host=host), offset=offset)
-            return rec and (rec.partition, rec.offset, rec.pub_s)
-
-        self.both(call)
+        self.both(lambda b: b.publish(_msg(self.n, host=host), offset=offset))
 
     @rule(batch=st.lists(
         st.tuples(_hosts, st.sampled_from([None, None, 0, 2])), min_size=0, max_size=9
@@ -533,13 +621,11 @@ class BrokerEquivalence(RuleBasedStateMachine):
 
         def call(broker):
             if broker is self.real:
-                records = broker.publish_many(messages, idents=idents, offsets=offsets)
-            else:
-                records = [
-                    broker.publish(m, ident=i, offset=o)
-                    for m, i, o in zip(messages, idents, offsets)
-                ]
-            return [r and (r.partition, r.offset, r.ident, r.pub_s) for r in records]
+                return broker.publish_many(messages, idents=idents, offsets=offsets)
+            return [
+                broker.publish(m, ident=i, offset=o)
+                for m, i, o in zip(messages, idents, offsets)
+            ]
 
         self.both(call)
 
@@ -559,7 +645,7 @@ class BrokerEquivalence(RuleBasedStateMachine):
     def poll(self, group, member, budget):
         group = self.group(group)
         self.both(lambda b: [
-            (r.partition, r.offset, r.message.timestamp)
+            (r.partition, r.offset, r.message.timestamp, r.ident, r.pub_s)
             for r in b.poll(group, member, max_records=budget)
         ])
 

@@ -57,10 +57,6 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
         "paper", "§4.4 / Figure 3: the fit/predict contract the eight compared classifiers "
         "implement — a Protocol is read, not called",
     ),
-    "levenshtein": (
-        "paper", "§3's legacy bucketing distance (threshold 7), exact form; the bucketer runs its "
-        "banded `levenshtein_within`",
-    ),
 }
 
 

@@ -1,4 +1,4 @@
-"""SCALING SMOKE — the two wall-clock budgets tier-1 used to hold.
+"""SCALING SMOKE — the five wall-clock budgets tier-1 used to hold.
 
 ``tests/test_perf_smoke.py::TestScalingSmoke`` now counts the work these
 timed:
@@ -6,13 +6,20 @@ timed:
 - the banded Levenshtein reads at most ``(2k+1)·len(a)`` characters of
   ``b`` where the full table reads ``len(a)·len(b)``;
 - a shuffled 20,000-document bulk load sorts the store's time index
-  once, at the first ranged query, never per insert.
+  once, at the first ranged query, never per insert;
+- Drain visits at most ``depth + 1`` routing nodes a line and calls
+  ``_similarity`` under 1.8 times a line over the corpus;
+- a TF-IDF ``fit_transform`` builds one ``csr_matrix`` and analyses
+  each text at most twice;
+- the event engine makes one ``heappush`` and one ``heappop`` an event
+  and at most 2·log2(n) + 2 ``Event`` comparisons.
 
 The bodies below are the wall-clock versions, kept as they were: a
-generous budget on a shuffled bulk index and its two range queries, and
-the banded distance against the full table on two far strings.  Each
-reading is a ledger row in ``BENCH_scaling_smoke.json`` whether or not
-its bound held.
+generous budget on a shuffled bulk index and its two range queries, the
+banded distance against the full table on two far strings, Drain over
+the corpus (5 s), TF-IDF ``fit_transform`` over it (15 s) and 50k
+event-engine events (8 s).  Each reading is a ledger row in
+``BENCH_scaling_smoke.json`` whether or not its bound held.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ import pytest
 from conftest import emit, write_artifact
 
 from repro.core.message import Severity, SyslogMessage
+from repro.datagen.generator import CorpusGenerator
 from repro.experiments.common import format_table
 from repro.stream.opensearch import LogStore
+from repro.textproc.drain import DrainTemplateMiner
+from repro.textproc.tfidf import TfidfVectorizer
 
 #: label → seconds, every reading of this module
 _ROWS: dict[str, float] = {}
@@ -40,6 +50,12 @@ def _ledger_row():
             format_table(["reading", "seconds"], [[k, f"{v:.4f}"] for k, v in _ROWS.items()]),
         )
         write_artifact("scaling_smoke", {"seconds": _ROWS})
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The corpus tier-1's ``corpus`` fixture builds (~1000 messages)."""
+    return CorpusGenerator(scale=0.005, seed=42).generate()
 
 
 def _clocked(fn, budget_s: float, label: str):
@@ -84,3 +100,29 @@ def test_banded_levenshtein_faster_than_full():
     _ROWS["levenshtein_within x200 (banded)"] = banded
     _ROWS["levenshtein x200 (full)"] = full
     assert banded < full
+
+
+def test_drain_scales_to_thousands(corpus):
+    miner = DrainTemplateMiner()
+    _clocked(lambda: miner.fit(corpus.texts), 5.0, "drain over corpus")
+
+
+def test_tfidf_vectorize_thousands(corpus):
+    vec = TfidfVectorizer(max_features=2000)
+    _clocked(lambda: vec.fit_transform(corpus.texts), 15.0,
+             "tfidf fit_transform")
+
+
+def test_event_engine_throughput():
+    from repro.stream.events import EventEngine
+
+    eng = EventEngine()
+    counter = [0]
+
+    def bump():
+        counter[0] += 1
+
+    for i in range(50_000):
+        eng.schedule(float(i % 100), bump)
+    _clocked(lambda: eng.run(), 8.0, "50k events")
+    assert counter[0] == 50_000

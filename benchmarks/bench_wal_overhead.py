@@ -19,7 +19,17 @@ The barrier lane (``test_barrier_cost``) times the journal's unit of
 work directly — k accepts and the flush record that moves them, at
 1/3/500 accepts — with the barrier's two records going out in one
 write and, ``WriteAheadLog.hold`` disabled, one by one as they did
-before.  Both tests write their rows to ``BENCH_wal_overhead.json``.
+before.
+
+The replay lane (``test_replay_cost``) prices reading the log back on a
+hot-shaped WAL at 1×, 2× and 4× history (the spine's ``hot_templates``
+lines, journaled like the live listener's: the paced 12k in 3-line
+flushes, then each 11k burst in 500-line flushes).  For opening a
+``WriteAheadLog``, iterating ``replay_wal`` and ``recover_state`` it
+reports µs per record and the ``tracemalloc`` peak, beside the
+list-building scan they replaced (``tests/reference_wal.py``).  A
+streaming read's peak is one record; the list's is the history.  All
+three tests write their rows to ``BENCH_wal_overhead.json``.
 
 Environment knobs: ``REPRO_BENCH_WAL_DURATION`` (simulated seconds of
 the short run, default 60), ``REPRO_BENCH_WAL_RATE`` (messages/s,
@@ -30,8 +40,10 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro.core.message import SyslogMessage
@@ -39,17 +51,27 @@ from repro.core.pipeline import ClassificationPipeline
 from repro.core.serialize import save_pipeline
 from repro.datagen.generator import CorpusGenerator
 from repro.durability import (
+    JournalState,
     SimConfig,
     StreamJournal,
     WriteAheadLog,
+    recover_state,
+    replay_wal,
     resume_simulation,
     run_to_completion,
 )
 from repro.experiments.common import format_table
 from repro.ml import ComplementNB
 from repro.obs import MetricsRegistry, use_registry
+from repro.stream.rfc import safe_parse_line
 
 from conftest import BENCH_SEED, emit, write_artifact
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "spine"))
+
+import reference_wal  # noqa: E402
+import workloads as spine_workloads  # noqa: E402
 
 DURATION_S = float(os.environ.get("REPRO_BENCH_WAL_DURATION", "60"))
 RATE = float(os.environ.get("REPRO_BENCH_WAL_RATE", "50"))
@@ -238,3 +260,128 @@ def test_barrier_cost(benchmark):
     for accepts in BARRIER_ACCEPTS[:2]:
         row = lane[str(accepts)]
         assert row["us_per_barrier"] <= 1.1 * row["us_per_barrier_two_writes"], table
+
+
+#: lines a journal record moves in the paced phase and in a burst
+REPLAY_FLUSH_PACED, REPLAY_FLUSH_BURST = 3, 500
+
+
+def _hot_wal(directory: Path, bursts: int) -> int:
+    """Journal the spine's ``hot_templates`` lines like the live listener
+    does — every identity synthetic, bodies in the accept record — the
+    paced phase then ``bursts`` bursts; returns the lines journaled."""
+    inputs = spine_workloads.build("hot_templates", BENCH_SEED, spine_workloads.REFERENCE_SECONDS)
+    phases = [(inputs.paced, REPLAY_FLUSH_PACED)]
+    phases += [(burst, REPLAY_FLUSH_BURST) for burst in inputs.bursts[:bursts]]
+    wal = WriteAheadLog(directory, fsync="off", registry=MetricsRegistry())
+    journal = StreamJournal(wal)
+    lines = 0
+    for phase, flush in phases:
+        messages = [safe_parse_line(line)[0] for line in phase.lines]
+        for i in range(0, len(messages), flush):
+            batch = messages[i:i + flush]
+            journal.accept_many([None] * len(batch), batch)
+            journal.flushed(len(batch))
+        lines += len(messages)
+    wal.close()
+    return lines
+
+
+def _reference_recover(directory: Path) -> JournalState:
+    """``recover_state`` as it was, on a log with no checkpoint: the
+    list, then every record applied."""
+    state = JournalState()
+    for record in reference_wal.reference_replay_wal(directory)[0]:
+        state.apply(record)
+    return state
+
+
+def _replay_ops(directory: Path, registry) -> dict:
+    """label → (list-building reference, streaming change) thunks."""
+
+    def drain(records):
+        for _record in records:
+            pass
+
+    return {
+        "open": (
+            lambda: reference_wal._scan(directory, repair=True),
+            lambda: WriteAheadLog(directory, fsync="off", registry=registry).close(),
+        ),
+        "replay_wal": (
+            lambda: drain(reference_wal.reference_replay_wal(directory)[0]),
+            lambda: drain(replay_wal(directory)[0]),
+        ),
+        "recover_state": (
+            lambda: _reference_recover(directory),
+            lambda: recover_state(directory),
+        ),
+    }
+
+
+def _timed_pair(reference, change) -> tuple[float, float]:
+    """Min-of-rounds seconds of each, the two alternating round by round."""
+    best = [float("inf"), float("inf")]
+    for _ in range(N_ROUNDS):
+        for k, fn in enumerate((reference, change)):
+            t0 = time.perf_counter()
+            fn()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return best[0], best[1]
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2**20
+
+
+def test_replay_cost(benchmark):
+    registry = MetricsRegistry()
+    lane: dict = {}
+    rows = []
+    root = Path(tempfile.mkdtemp(prefix="bench-wal-replay-"))
+    try:
+        for history, bursts in (("1x", 0), ("2x", 1), ("4x", 3)):
+            directory = root / history
+            lines = _hot_wal(directory, bursts)
+            records = len(replay_wal(directory)[0])
+            assert records == len(reference_wal.reference_replay_wal(directory)[0])
+            assert recover_state(directory).state.to_payload() == (
+                _reference_recover(directory).to_payload()
+            )
+            lane[history] = {"lines": lines, "records": records}
+            for label, (reference, change) in _replay_ops(directory, registry).items():
+                reference_s, change_s = _timed_pair(reference, change)
+                row = lane[history][label] = {
+                    "reference_us_per_record": reference_s / records * 1e6,
+                    "us_per_record": change_s / records * 1e6,
+                    "reference_peak_mib": _peak_mib(reference),
+                    "peak_mib": _peak_mib(change),
+                }
+                rows.append([
+                    history, f"{lines:,}", f"{records:,}", label,
+                    f"{row['reference_us_per_record']:.2f}", f"{row['us_per_record']:.2f}",
+                    f"{row['reference_peak_mib']:.1f}", f"{row['peak_mib']:.1f}",
+                ])
+        benchmark.pedantic(
+            lambda: recover_state(root / "1x"), rounds=1, iterations=1
+        )
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    table = format_table(
+        ["history", "lines", "records", "read", "list µs/rec", "µs/rec",
+         "list peak MiB", "peak MiB"],
+        rows,
+    )
+    emit(f"Reading the WAL back — hot-shaped history, min of {N_ROUNDS}", table)
+    _ARTIFACT["replay"] = lane
+    write_artifact("wal_overhead", _ARTIFACT)
+    # what a streaming read holds does not grow with the history
+    for label in ("open", "replay_wal"):
+        assert lane["4x"][label]["peak_mib"] <= 1.25 * lane["2x"][label]["peak_mib"], table

@@ -7,7 +7,8 @@ effectively-exactly-once guarantee:
 
 - :mod:`repro.durability.wal` — segmented append-only write-ahead log
   (JSONL + CRC32 + monotonic sequence numbers, torn-tail-truncating
-  recovery, ``always|batch|off`` fsync policies),
+  recovery, ``always|batch|off`` fsync policies; reads stream a record
+  at a time through a :class:`WalRecords` view),
 - :mod:`repro.durability.checkpoint` — atomic temp-then-rename
   snapshots that bound WAL replay,
 - :mod:`repro.durability.recovery` — the :class:`StreamJournal` that
@@ -46,16 +47,20 @@ from repro.durability.recovery import (
 from repro.durability.wal import (
     FSYNC_POLICIES,
     WalRecord,
+    WalRecords,
     WalScanInfo,
     WriteAheadLog,
+    iter_wal,
     replay_wal,
 )
 
 __all__ = [
     "FSYNC_POLICIES",
     "WalRecord",
+    "WalRecords",
     "WalScanInfo",
     "WriteAheadLog",
+    "iter_wal",
     "replay_wal",
     "checkpoint_paths",
     "load_checkpoint",

@@ -53,7 +53,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from repro.durability.checkpoint import load_latest_checkpoint, write_checkpoint
-from repro.durability.wal import JsonText, WalRecord, WriteAheadLog, replay_wal
+from repro.durability.wal import JsonText, WalRecord, WriteAheadLog, iter_wal
 from repro.faults.plan import SITE_CRASH
 
 __all__ = [
@@ -652,6 +652,12 @@ def recover_state(wal_dir: str | Path, *, wal: WriteAheadLog | None = None) -> R
     replay then applies only records with ``seq`` greater than the
     checkpoint's ``applied_seq`` (records the checkpoint already
     covers are skipped by :meth:`JournalState.apply`).
+
+    Records are applied as they stream, one held at a time: through
+    ``wal.records()`` when an open log is given, else through one
+    read-only validating pass of ``wal_dir`` (:func:`iter_wal`, which
+    repairs nothing).
+    What recovery holds is the state it rebuilds, not the log.
     """
     from repro.obs import wellknown
 
@@ -661,7 +667,7 @@ def recover_state(wal_dir: str | Path, *, wal: WriteAheadLog | None = None) -> R
         state = JournalState.from_payload(payload["journal"])
     else:
         state = JournalState()
-    records = wal.records() if wal is not None else replay_wal(wal_dir)[0]
+    records = wal.records() if wal is not None else iter_wal(wal_dir)
     replayed = 0
     for record in records:
         if record.seq > state.applied_seq:

@@ -21,15 +21,26 @@ Recovery is total: scanning stops at the first record that fails to
 parse, fails its CRC, or breaks the sequence chain, and everything from
 that byte on is truncated (torn writes are expected; corruption never
 propagates).  A valid prefix is always recovered, never an exception.
+
+A read holds one record, not the history.  The validating scan reads a
+segment a line at a time and keeps no record: :func:`iter_wal` yields
+each one as it passes, and :func:`replay_wal` and
+:meth:`WriteAheadLog.records` hand back a :class:`WalRecords` view
+that makes that same pass, CRC and all, each time it is iterated.
+Memory while reading the log back is therefore one record, however
+long the log is.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import functools
+import itertools
 import json
 import os
 import time
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +50,10 @@ __all__ = [
     "FSYNC_POLICIES",
     "JsonText",
     "WalRecord",
+    "WalRecords",
     "WalScanInfo",
     "WriteAheadLog",
+    "iter_wal",
     "replay_wal",
 ]
 
@@ -51,7 +64,7 @@ _SEGMENT_GLOB = "wal-*.jsonl"
 _RECORD_KEYS = {"seq", "kind", "data", "crc"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     """One committed log record."""
 
@@ -134,25 +147,36 @@ def _decode_line(line: bytes) -> WalRecord | None:
     return WalRecord(seq=obj["seq"], kind=str(obj["kind"]), data=obj["data"])
 
 
-def _segment_path(directory: Path, first_seq: int) -> Path:
-    return directory / f"wal-{first_seq:010d}.jsonl"
+def _segment_name(first_seq: int) -> str:
+    return f"wal-{first_seq:010d}.jsonl"
 
 
-def _scan(
-    directory: Path, *, repair: bool
-) -> tuple[list[WalRecord], WalScanInfo]:
-    """Read every committed record; optionally truncate the torn tail.
+def _segment_names(directory: Path) -> list[str]:
+    """The segment files in ``directory``, oldest first.
 
-    The first record that fails validation (or breaks the ``seq``
-    chain) marks the end of history: with ``repair`` the segment is
-    truncated there and any later segments are deleted, without it the
-    damage is only measured.  Never raises on torn/corrupt content.
+    Names, not paths: a ``Path`` each would cost a long log's listing
+    several times what its strings do.
     """
-    info = WalScanInfo()
-    records: list[WalRecord] = []
+    try:
+        return sorted(fnmatch.filter(os.listdir(directory), _SEGMENT_GLOB))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+def _committed(directory: Path, info: WalScanInfo, *, repair: bool) -> Iterator[WalRecord]:
+    """Yield each committed record as the scan validates it.
+
+    Reads every segment a line at a time.  The first record that fails
+    validation (or breaks the ``seq`` chain) marks the end of history:
+    with ``repair`` the segment is truncated there and any later
+    segments are deleted, without it the damage is only measured.
+    ``info`` is complete once the generator is exhausted.  Never raises
+    on torn/corrupt content.
+    """
     expected = 1
     broken = False
-    for seg in sorted(directory.glob(_SEGMENT_GLOB)):
+    for name in _segment_names(directory):
+        seg = directory / name
         if broken:
             info.dropped_segments += 1
             info.truncated_bytes += seg.stat().st_size
@@ -160,43 +184,98 @@ def _scan(
                 seg.unlink()
             continue
         info.segments += 1
-        raw = seg.read_bytes()
-        pos = 0
         valid_end = 0
-        while pos < len(raw):
-            nl = raw.find(b"\n", pos)
-            if nl == -1:
-                broken = True  # torn tail: no newline
-                break
-            rec = _decode_line(raw[pos:nl])
-            if rec is None or rec.seq != expected:
-                broken = True
-                break
-            records.append(rec)
-            expected += 1
-            pos = nl + 1
-            valid_end = pos
-        if broken:
-            info.truncated_bytes += len(raw) - valid_end
-            if repair:
-                if valid_end == 0:
-                    seg.unlink()
-                else:
-                    with seg.open("r+b") as fh:
-                        fh.truncate(valid_end)
-    info.records = len(records)
-    info.last_seq = records[-1].seq if records else 0
-    return records, info
+        with seg.open("rb") as fh:
+            for line in fh:
+                # a last line without its newline is a torn tail
+                rec = _decode_line(line[:-1]) if line[-1:] == b"\n" else None
+                if rec is None or rec.seq != expected:
+                    broken = True
+                    break
+                expected += 1
+                valid_end += len(line)
+                # the chain starts at 1, so the count is the last seq
+                info.records = info.last_seq = rec.seq
+                yield rec
+            if broken:
+                info.truncated_bytes += os.fstat(fh.fileno()).st_size - valid_end
+        if broken and repair:
+            if valid_end == 0:
+                seg.unlink()
+            else:
+                with seg.open("r+b") as fh:
+                    fh.truncate(valid_end)
 
 
-def replay_wal(directory: str | Path) -> tuple[list[WalRecord], WalScanInfo]:
-    """Read-only recovery scan: every committed record, in order.
+def _scan(directory: Path, *, repair: bool) -> WalScanInfo:
+    """One validating pass that keeps no record: only its outcome."""
+    info = WalScanInfo()
+    for _record in _committed(directory, info, repair=repair):
+        pass
+    return info
 
-    Torn tails and unreachable segments are reported in the
-    :class:`WalScanInfo`, never raised, and the files are left
-    untouched (opening a :class:`WriteAheadLog` is what repairs).
+
+def iter_wal(directory: str | Path) -> Iterator[WalRecord]:
+    """Yield the committed records of ``directory`` one at a time.
+
+    One read-only validating pass, the same one :func:`replay_wal`
+    makes: every record passes its CRC and the ``seq`` chain before it
+    is yielded, and the stream ends, without raising, at the first that
+    does not.  Nothing is repaired.
     """
-    return _scan(Path(directory), repair=False)
+    return _committed(Path(directory), WalScanInfo(), repair=False)
+
+
+class WalRecords:
+    """The first ``len()`` committed records of a WAL directory, read
+    back one at a time.
+
+    Each iteration is a fresh :func:`iter_wal` pass — the same CRC'd
+    decode and ``seq`` chain the scan applies — stopped after ``len()``
+    records, so it holds one record, never the history, and the view
+    can be iterated more than once.  There is no indexing: take
+    ``list()`` for that.  It reads the files when it is iterated, so it
+    is valid only while the directory exists: a directory that no
+    longer holds ``len()`` valid records (a segment changed, cut or
+    gone since the scan) raises ``ValueError`` once the records it
+    still holds are yielded.  Records appended after the view was made
+    are not part of it.
+    """
+
+    __slots__ = ("_directory", "_count")
+
+    def __init__(self, directory: Path, count: int) -> None:
+        self._directory = directory
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[WalRecord]:
+        n = 0
+        for record in itertools.islice(iter_wal(self._directory), self._count):
+            n += 1
+            yield record
+        if n != self._count:
+            raise ValueError(
+                f"{self._directory} holds {n} of the {self._count} records its scan found"
+            )
+
+
+def replay_wal(directory: str | Path) -> tuple[WalRecords, WalScanInfo]:
+    """Read-only recovery scan: the committed records, in order.
+
+    The scan validates every record before this returns, so the
+    :class:`WalScanInfo` is complete; the records come back as a
+    :class:`WalRecords` view that validates and decodes them again, one
+    at a time, when iterated — no list of the history is built.  Torn
+    tails and unreachable segments are reported in the info, never
+    raised, and the files are left untouched (opening a
+    :class:`WriteAheadLog` is what repairs).
+    """
+    directory = Path(directory)
+    info = _scan(directory, repair=False)
+    return WalRecords(directory, info.records), info
 
 
 class WriteAheadLog:
@@ -204,7 +283,7 @@ class WriteAheadLog:
 
     Opening scans (and repairs) existing segments, so appends always
     continue the committed sequence — a torn tail from a previous crash
-    is truncated, not extended.
+    is truncated, not extended.  The scan keeps no record.
 
     Parameters
     ----------
@@ -255,7 +334,7 @@ class WriteAheadLog:
         self._m_last_seq = wellknown.wal_last_seq(registry).labels()
         self._m_fsync_seconds = wellknown.wal_fsync_seconds(registry).labels()
 
-        _records, self.recovery = _scan(self.directory, repair=True)
+        self.recovery = _scan(self.directory, repair=True)
         if self.recovery.truncated_bytes:
             self._m_truncated.inc(self.recovery.truncated_bytes)
         self._last_seq = self.recovery.last_seq
@@ -263,10 +342,13 @@ class WriteAheadLog:
         self._hold = False
         self._fh = None
         self._segment_size = 0
-        segments = sorted(self.directory.glob(_SEGMENT_GLOB))
-        if segments and segments[-1].stat().st_size < self.segment_bytes:
-            self._fh = segments[-1].open("ab")
-            self._segment_size = segments[-1].stat().st_size
+        segments = _segment_names(self.directory)
+        if segments:
+            last = self.directory / segments[-1]
+            size = last.stat().st_size
+            if size < self.segment_bytes:
+                self._fh = last.open("ab")
+                self._segment_size = size
 
     @property
     def last_seq(self) -> int:
@@ -341,12 +423,16 @@ class WriteAheadLog:
             self._fh.close()
             self._fh = None
 
-    def records(self) -> list[WalRecord]:
-        """Every committed record, re-read from disk."""
+    def records(self) -> WalRecords:
+        """Every record committed so far, as a :class:`WalRecords` view.
+
+        Builds no list: the view makes one validating pass over the
+        directory, a record at a time, each time it is iterated.
+        Records appended after this call are not in it.
+        """
         if self._fh is not None:
             self._fh.flush()
-        records, _info = _scan(self.directory, repair=False)
-        return records
+        return WalRecords(self.directory, self._last_seq)
 
     # -- internals ---------------------------------------------------------
 
@@ -361,7 +447,7 @@ class WriteAheadLog:
         if self._fh is not None:
             self.close()
             self._m_rotations.inc()
-        self._fh = _segment_path(self.directory, first_seq).open("ab")
+        self._fh = (self.directory / _segment_name(first_seq)).open("ab")
         self._segment_size = 0
 
     def __enter__(self) -> "WriteAheadLog":

@@ -55,7 +55,7 @@ def _analyze(text: str) -> tuple[str, ...]:
     return index_tokens(normalize_message(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogDocument:
     """One indexed log record, built when it is read: a store keeps a
     message column and a category column, not a document per line."""

@@ -10,14 +10,19 @@ Like the chaos suite, the kill schedule honours ``REPRO_CHAOS_SEED``
 so CI can shift every scenario without touching the code.
 """
 
+import functools
+import gc
 import json
 import os
+import pickle
 import signal
 import tempfile
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import pytest
+import reference_wal
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
@@ -68,6 +73,7 @@ class TestWal:
         wal.close()
         assert (s1, s2) == (1, 2)
         records, info = replay_wal(tmp_path)
+        records = list(records)
         assert [r.seq for r in records] == [1, 2]
         assert records[0].kind == "accept"
         assert records[0].data == {"event": 0, "msg": {"t": "a"}}
@@ -146,6 +152,14 @@ class TestWal:
         assert sorted(tmp_path.glob("wal-*.jsonl")) == [segments[0]]
         wal.close()
 
+    def test_a_record_is_slotted_and_still_pickles(self):
+        record = WalRecord(seq=3, kind="flush", data={"events": [1, 2]})
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert replace(record, seq=4) == WalRecord(seq=4, kind="flush", data={"events": [1, 2]})
+        with pytest.raises(FrozenInstanceError):
+            record.seq = 5
+
     def test_records_are_flushed_before_fsync(self, tmp_path):
         # batch policy with a huge sync_every: a reader sees every
         # append immediately (user-space flush per record is what makes
@@ -203,6 +217,259 @@ class TestTornTailFuzz:
             (d / seg.name).write_bytes(raw[:cut])
             records, _ = replay_wal(d)
             assert [r.seq for r in records] == list(range(1, len(records) + 1))
+
+
+def _journaled_wal(directory: Path, lines: int, batch: int = 16) -> None:
+    """The live listener's journal: every identity synthetic, each poll
+    one ``accept_many`` with its bodies, each flush moving it out."""
+    wal = WriteAheadLog(directory, fsync="off", segment_bytes=16_384, registry=MetricsRegistry())
+    journal = StreamJournal(wal)
+    for start in range(0, lines, batch):
+        k = min(batch, lines - start)
+        journal.accept_many([None] * k, [
+            SyslogMessage(
+                timestamp=float(start + i), hostname=f"cn{(start + i) % 50:03d}", app="kernel",
+                text=f"event {start + i} on link eth{i} code {start * 7 + i}",
+            )
+            for i in range(k)
+        ])
+        journal.flushed(k)
+    wal.close()
+
+
+def _traced(fn) -> tuple[int, int]:
+    """``tracemalloc`` bytes while ``fn`` ran: the peak, and what its
+    result still holds, both above the level it started at."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - start, held - start
+
+
+def _drain(records) -> int:
+    n = 0
+    for _record in records:
+        n += 1
+    return n
+
+
+def _tree(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _rows(records) -> list:
+    return [(r.seq, r.kind, r.data) for r in records]
+
+
+@functools.cache
+def _equivalence_wal() -> dict:
+    """Segment name → bytes of a small journal over several segments:
+    accepts with synthetic bodies, flushes, a reject and an abandon."""
+    with tempfile.TemporaryDirectory() as d:
+        wal = WriteAheadLog(d, segment_bytes=700, registry=MetricsRegistry())
+        journal = StreamJournal(wal)
+        for start in range(0, 12, 3):
+            journal.accept_many([None, start, None], [_msg(start + i) for i in range(3)])
+            journal.flushed(2, offsets={"cn000": start + 2})
+            journal.reject(100 + start)
+            journal.abandoned(1, "fluentd.flush_abandoned", "gave up")
+        wal.close()
+        segments = _tree(Path(d))
+    assert len(segments) >= 4
+    return segments
+
+
+class TestReplayMemory:
+    """Reading the WAL back holds one record, not the history.
+
+    Counted, not timed: ``tracemalloc`` peaks at H journaled lines and
+    at 4H.  A streaming read pays a few bytes per segment on top of one
+    record (reads 0.95× for the open, 1.05× for a replay and 1.04× for
+    ``recover_state`` net of the state it returns); the list-building
+    scan it replaced, ``tests/reference_wal.py``, reads 3.7× and is the
+    contrast that keeps the floor from passing blind."""
+
+    H = 512
+    FLOOR = 1.25
+
+    @pytest.fixture(scope="class")
+    def wals(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("replay-memory")
+        dirs = {}
+        for n in (self.H // 4, self.H, 4 * self.H):
+            dirs[n] = root / f"lines{n}"
+            _journaled_wal(dirs[n], n)
+        # first sights (imports, enum members, encoder caches) land here
+        warm = dirs.pop(self.H // 4)
+        WriteAheadLog(warm, fsync="off", registry=MetricsRegistry()).close()
+        _drain(replay_wal(warm)[0])
+        recover_state(warm)
+        reference_wal._scan(warm, repair=False)
+        return dirs[self.H], dirs[4 * self.H]
+
+    def _ratio(self, wals, fn) -> float:
+        small, large = (fn(d) for d in wals)
+        return large / small
+
+    def test_opening_the_log_keeps_no_record(self, wals):
+        registry = MetricsRegistry()
+        ratio = self._ratio(wals, lambda d: _traced(
+            lambda: WriteAheadLog(d, fsync="off", registry=registry).close())[0])
+        assert ratio <= self.FLOOR, ratio
+
+    def test_a_replay_holds_one_record(self, wals):
+        ratio = self._ratio(wals, lambda d: _traced(lambda: _drain(replay_wal(d)[0]))[0])
+        assert ratio <= self.FLOOR, ratio
+
+    def test_recovery_holds_its_state_not_the_log(self, wals):
+        def transient(d):
+            peak, held = _traced(lambda: recover_state(d))
+            return peak - held
+
+        ratio = self._ratio(wals, transient)
+        assert ratio <= self.FLOOR, ratio
+
+    def test_the_list_building_scan_is_seen(self, wals):
+        ratio = self._ratio(wals, lambda d: _traced(
+            lambda: reference_wal._scan(d, repair=False))[0])
+        assert ratio >= 3.0, ratio
+
+    def test_a_view_counts_and_rereads(self, wals):
+        small, _large = wals
+        records, info = replay_wal(small)
+        expected, ref_info = reference_wal.reference_replay_wal(small)
+        assert len(records) == info.records == len(expected) == 2 * self.H // 16
+        assert _rows(records) == _rows(records) == _rows(expected)
+        assert asdict(info) == asdict(ref_info)
+        with pytest.raises(TypeError):
+            records[0]
+
+    def test_no_read_decodes_a_record_more_often_than_before(self, wals, monkeypatch):
+        """Records decoded (``WalRecord``s built) per read, as before the
+        reads streamed: one validating pass to open a log and one to
+        recover a directory, the open plus one to resume through an open
+        log; ``replay_wal`` alone decodes twice — its info is complete
+        before the first record is handed out."""
+        from repro.durability import wal as wal_mod
+
+        built = [0]
+
+        def counting(*args, **kwargs):
+            built[0] += 1
+            return WalRecord(*args, **kwargs)
+
+        monkeypatch.setattr(wal_mod, "WalRecord", counting)
+
+        def decodes(read) -> int:
+            built[0] = 0
+            read()
+            return built[0]
+
+        small, _large = wals
+        n = len(replay_wal(small)[0])
+        registry = MetricsRegistry()
+        wal = WriteAheadLog(small, fsync="off", registry=registry)
+        assert decodes(lambda: WriteAheadLog(small, fsync="off", registry=registry).close()) == n
+        assert decodes(lambda: recover_state(small)) == n
+        assert decodes(lambda: recover_state(small, wal=wal)) == n
+        assert decodes(lambda: _drain(replay_wal(small)[0])) == 2 * n
+        wal.close()
+
+    @pytest.mark.parametrize("change", ["flip", "cut"])
+    def test_a_view_of_a_changed_log_raises(self, tmp_path, change):
+        """A view re-validates what it reads: a data byte flipped or a
+        segment cut after ``replay_wal`` returned is not handed out as
+        history."""
+        for name, data in _equivalence_wal().items():
+            (tmp_path / name).write_bytes(data)
+        records, info = replay_wal(tmp_path)
+        first = sorted(tmp_path.glob("wal-*.jsonl"))[0]
+        body = bytearray(first.read_bytes())
+        if change == "flip":
+            at = body.index(b'"event":') + len(b'"event":')
+            body[at] = ord("9") if body[at] != ord("9") else ord("8")
+        else:
+            del body[body.index(b"\n") + 1:]
+        first.write_bytes(bytes(body))
+        with pytest.raises(ValueError, match=f"of the {info.records} records"):
+            _drain(records)
+
+    def test_a_live_log_reads_back_what_a_scan_finds(self, tmp_path):
+        """``records()`` reads back what a scan finds through rotations,
+        a held record, a close and a reopen."""
+        wal = WriteAheadLog(tmp_path, segment_bytes=300, registry=MetricsRegistry())
+        for i in range(25):
+            if i % 7 == 3:
+                wal.hold()
+            wal.append("accept", {"events": [i], "note": "x" * (i % 5)})
+            if i % 4 == 0:
+                view = wal.records()
+                assert _rows(view) == _rows(reference_wal._scan(tmp_path, repair=False)[0])
+                assert len(view) == wal.last_seq == i + 1
+        wal.close()
+        assert _rows(wal.records()) == _rows(reference_wal._scan(tmp_path, repair=False)[0])
+        reopened = WriteAheadLog(tmp_path, segment_bytes=300, registry=MetricsRegistry())
+        reopened.append("flush", {"events": [0]})
+        assert [r.seq for r in reopened.records()] == list(range(1, 27))
+        reopened.close()
+
+    @seed(SEED_SHIFT)
+    @settings(max_examples=150, deadline=None)
+    @example(damage="clean", segment=0, at=0, bit=0)
+    @example(damage="drop", segment=1, at=0, bit=0)
+    @example(damage="cut", segment=0, at=10**6, bit=0)
+    @given(
+        damage=st.sampled_from(["clean", "cut", "flip", "drop"]),
+        segment=st.integers(0, 10**6),
+        at=st.integers(0, 10**6),
+        bit=st.integers(0, 7),
+    )
+    def test_the_stream_equals_the_list(self, damage, segment, at, bit):
+        """Clean, torn, bit-flipped and missing-segment logs: the same
+        records, the same :class:`WalScanInfo`, the same recovered
+        journal, and a repairing open leaves the directory byte for byte
+        as the list-building scan's repair does."""
+        raw = _equivalence_wal()
+        names = sorted(raw)
+        victim = names[segment % len(names)]
+        files = dict(raw)
+        body = bytearray(files[victim])
+        if damage == "cut":
+            files[victim] = bytes(body[: at % (len(body) + 1)])
+        elif damage == "flip":
+            body[at % len(body)] ^= 1 << bit
+            files[victim] = bytes(body)
+        elif damage == "drop":
+            del files[victim]
+        with tempfile.TemporaryDirectory() as root:
+            new, ref = Path(root) / "new", Path(root) / "ref"
+            for d in (new, ref):
+                d.mkdir()
+                for name, data in files.items():
+                    (d / name).write_bytes(data)
+            records, info = replay_wal(new)
+            expected, ref_info = reference_wal.reference_replay_wal(ref)
+            assert _rows(records) == _rows(expected)
+            assert len(records) == len(expected)
+            assert asdict(info) == asdict(ref_info)
+            replayed = JournalState()
+            for record in expected:
+                replayed.apply(record)
+            assert recover_state(new).state.to_payload() == replayed.to_payload()
+            assert _tree(new) == _tree(ref)  # reading repairs nothing
+
+            wal = WriteAheadLog(new, registry=MetricsRegistry())
+            _repaired, repair_info = reference_wal._scan(ref, repair=True)
+            assert asdict(wal.recovery) == asdict(repair_info)
+            assert _tree(new) == _tree(ref)
+            assert _rows(wal.records()) == _rows(expected)
+            wal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +709,7 @@ class TestAcceptRecordBytes:
             (segment,) = Path(d).glob("wal-*.jsonl")
             got = segment.read_bytes()
             records, info = replay_wal(d)
+            records = list(records)
         events = journal.state.buffer_events
         data = {"events": events}
         msgs = {str(e): m.to_dict() for e, m in zip(events, messages) if e < 0}

@@ -1,12 +1,15 @@
 """Unit tests for the inverted-index log store."""
 
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
 from repro.replication import ReplicatedLogStore
 from repro.stream import opensearch as store_mod
-from repro.stream.opensearch import LogStore
+from repro.stream.opensearch import LogDocument, LogStore
 from repro.textproc.normalize import MaskingNormalizer
 from repro.textproc.tfidf import TfidfVectorizer
 from repro.textproc.tokenize import Tokenizer
@@ -43,6 +46,18 @@ class TestIndexing:
         s = LogStore()
         assert s.bulk_index([msg(1), msg(2)])
         assert len(s) == 2
+
+    def test_a_document_is_slotted_and_still_pickles(self, store):
+        """A document is built on every read: no ``__dict__`` a document,
+        and the names, fields, equality and pickling DESIGN.md promises."""
+        doc = store.get(1)
+        assert not hasattr(doc, "__dict__")
+        assert pickle.loads(pickle.dumps(doc)) == doc == store.get(1)
+        assert replace(doc, category=Category.SSH) == LogDocument(
+            doc_id=1, message=doc.message, category=Category.SSH
+        )
+        with pytest.raises(FrozenInstanceError):
+            doc.doc_id = 2
 
     def test_index_stats(self, store):
         stats = store.index_stats()

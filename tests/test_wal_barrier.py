@@ -155,7 +155,7 @@ class TestOneWritePerBarrier:
 
         class Watching(FaultInjector):
             def should_fire(self, site):
-                records, _info = replay_wal(tmp_path)
+                records = list(replay_wal(tmp_path)[0])
                 seen.append((len(records), [r.kind for r in records[-2:]]))
                 return super().should_fire(site)
 

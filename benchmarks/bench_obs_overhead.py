@@ -31,6 +31,12 @@ Environment knobs: ``REPRO_BENCH_OBS_N`` / ``REPRO_BENCH_OBS_ROUNDS``
 (broker lane, default 4000 × 15).  Both lanes' rows land in
 ``BENCH_obs_overhead.json``.
 
+The counted form of the 3% budget is a tier-1 floor:
+``tests/test_perf_smoke.py::TestFlushToll`` bounds the share of a
+one-line publish → poll → sink → journal → commit round's ``src/repro``
+bytecodes that run in telemetry frames (``repro/obs/``,
+``repro/runtime/timing.py``), every metric still exact at every read.
+
 The well-known accessor floor (``TestWellknownAccessorFloor``) is the
 wall-clock ratio tier-1 once held: a catalogue accessor call against a
 direct ``registry.counter`` get-or-create (≤ 1.5×).  Tier-1 now counts

@@ -21,6 +21,8 @@ from repro.core.taxonomy import Category
 from repro.core.template_cache import TemplateCache
 from repro.faults.dlq import DeadLetterQueue
 from repro.faults.plan import SITE_POISON, InjectedFault
+from repro.obs import wellknown
+from repro.obs.metrics import default_registry
 from repro.runtime.batch import MessageBatch
 from repro.runtime.timing import StageReport, StageTimer
 from repro.textproc.tfidf import TfidfVectorizer
@@ -29,6 +31,8 @@ __all__ = ["ClassificationPipeline", "PipelineResult"]
 
 #: dead-letter site for messages condemned by the salvage path
 QUARANTINE_SITE = "pipeline.quarantine"
+#: what ``_poisoned_indices`` returns when no injector is armed
+_NONE_POISONED: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,11 @@ class ClassificationPipeline:
     #: model-stage label → Category, resolved from the classifier's
     #: ``classes_`` once per ``fit`` generation
     _label_categories: dict | None = field(default=None, init=False, repr=False)
-    #: the batch-level metric children and the template-cache mirror,
-    #: bound on first use (``wellknown.Bound``)
-    _batch_metrics: tuple | None = field(default=None, init=False, repr=False)
+    #: the batch-level metric children, resolved once per registry:
+    #: [families map, batches, messages, batch seconds, filtered] (the
+    #: last at the first filtered batch); never pickled
+    _batch_metrics: list | None = field(default=None, init=False, repr=False)
+    #: the template-cache mirror (``wellknown.TemplateCacheMirror``)
     _cache_mirror: object = field(default=None, init=False, repr=False)
 
     def fit(self, texts: Sequence[str], labels: Sequence[Category]) -> "ClassificationPipeline":
@@ -232,9 +238,9 @@ class ClassificationPipeline:
                     else:
                         to_model.append(i)
         else:
-            to_model = list(range(len(texts)))
+            to_model = range(len(texts))
         if to_model:
-            model_texts = [texts[i] for i in to_model]
+            model_texts = [texts[i] for i in to_model] if self.blacklist is not None else texts
             poisoned = self._poisoned_indices(len(model_texts))
             if self.template_cache is not None:
                 cats, confs, condemned = self._model_stage_cached(
@@ -250,7 +256,8 @@ class ClassificationPipeline:
                     cats, confs, condemned = self._model_salvage(
                         model_texts, poisoned
                     )
-            with self.timer.stage("route", len(to_model)):
+            route_t0 = time.perf_counter()
+            try:
                 for j, i in enumerate(to_model):
                     if j in condemned:
                         results[i] = PipelineResult(
@@ -258,26 +265,25 @@ class ClassificationPipeline:
                             quarantined=True,
                         )
                     else:
+                        conf = confs[j] if confs is not None else None
                         results[i] = PipelineResult(
                             text=texts[i],
                             category=self._category(cats[j]),
-                            confidence=(
-                                float(confs[j])
-                                if confs is not None and confs[j] is not None
-                                else None
-                            ),
+                            confidence=float(conf) if conf is not None else None,
                         )
+            finally:
+                self.timer.add("route", time.perf_counter() - route_t0, len(to_model))
         elapsed = time.perf_counter() - t0
         self.service_seconds += elapsed
         self.n_classified += len(texts)
         self._record_batch_metrics(len(texts), len(texts) - len(to_model), elapsed)
         return results  # type: ignore[return-value]
 
-    def _poisoned_indices(self, n: int) -> set[int]:
+    def _poisoned_indices(self, n: int) -> set[int] | frozenset[int]:
         """Indices condemned by an armed ``pipeline.poison`` injector."""
         inj = self.fault_injector
         if inj is None or not inj.armed(SITE_POISON):
-            return set()
+            return _NONE_POISONED
         return {j for j in range(n) if inj.should_fire(SITE_POISON)}
 
     def _model_stage(self, model_texts, keys=None):
@@ -325,19 +331,22 @@ class ClassificationPipeline:
         stored.
         """
         n = len(model_texts)
-        before = cache.counters()
+        before = (cache.hits, cache.misses, cache.evictions, cache.invalidations)
         cache.sync_generation(self._generation)
-        with self.timer.stage("fingerprint", n):
+        fingerprint_t0 = time.perf_counter()
+        try:
             keys = self._template_keys(model_texts)
+        finally:
+            self.timer.add("fingerprint", time.perf_counter() - fingerprint_t0, n)
         cats: list = [None] * n
         confs: list = [None] * n
         condemned: dict[int, Exception] = {}
         miss_j: list[int] = []
-        for j in range(n):
+        for j, key in enumerate(keys):
             if j in poisoned:
                 miss_j.append(j)
                 continue
-            entry = cache.get(keys[j])
+            entry = cache.get(key)
             if entry is None:
                 miss_j.append(j)
             else:
@@ -389,18 +398,18 @@ class ClassificationPipeline:
         category = table.get(label)
         return category if category is not None else Category.from_name(str(label))
 
-    def _record_cache_metrics(self, cache, before: dict) -> None:
-        """Mirror one batch's cache counter deltas into the registry."""
-        after = cache.counters()
-        stats = {name: after[name] - before[name] for name in after}
-        stats["size"] = len(cache)
+    def _record_cache_metrics(self, cache, before: tuple[int, int, int, int]) -> None:
+        """Mirror one batch's cache counter deltas into the registry;
+        ``before`` is (hits, misses, evictions, invalidations) at its start."""
         pid = os.getpid()
         mirror = self._cache_mirror
         if mirror is None or mirror.worker != pid:  # first batch, or a fork's child
-            from repro.obs import wellknown
-
             mirror = self._cache_mirror = wellknown.TemplateCacheMirror(pid)
-        mirror.publish(stats, self.timer.registry)
+        mirror.publish(
+            cache.hits - before[0], cache.misses - before[1],
+            cache.evictions - before[2], cache.invalidations - before[3],
+            len(cache), self.timer.registry,
+        )
 
     def _model_salvage(self, model_texts, poisoned: set[int]):
         """Per-message fallback when the columnar path cannot run.
@@ -411,8 +420,6 @@ class ClassificationPipeline:
         prediction the columnar path would have produced (same
         vectorizer, same model, one row at a time).
         """
-        from repro.obs import wellknown
-
         n = len(model_texts)
         cats: list = [None] * n
         confs: list = [None] * n
@@ -443,24 +450,36 @@ class ClassificationPipeline:
     def _record_batch_metrics(
         self, n_messages: int, n_filtered: int, elapsed: float
     ) -> None:
-        """Mirror one batch into the metrics registry (once per batch)."""
-        bound = self._batch_metrics
-        if bound is None:
-            from repro.obs import wellknown
-
-            bound = self._batch_metrics = tuple(
-                wellknown.Bound(family) for family in (
-                    wellknown.pipeline_batches, wellknown.pipeline_messages,
-                    wellknown.pipeline_filtered, wellknown.pipeline_batch_seconds,
-                )
-            )
-        batches, messages, filtered, batch_seconds = bound
+        """Mirror one batch into the metrics registry (once per batch,
+        under one acquisition of its write lock)."""
         registry = self.timer.registry
-        batches(registry).inc()
-        messages(registry).inc(n_messages)
-        if n_filtered:
-            filtered(registry).inc(n_filtered)
-        batch_seconds(registry).observe(elapsed)
+        if registry is None:
+            registry = default_registry()
+        bound = self._batch_metrics
+        if bound is None or bound[0] is not registry._families:
+            # resolved in exposition order: batches, messages, [filtered], seconds
+            batches = wellknown.pipeline_batches(registry).labels()
+            messages = wellknown.pipeline_messages(registry).labels()
+            filtered = wellknown.pipeline_filtered(registry).labels() if n_filtered else None
+            bound = self._batch_metrics = [
+                registry._families, batches, messages,
+                wellknown.pipeline_batch_seconds(registry).labels(), filtered,
+            ]
+        _families, batches, messages, batch_seconds, filtered = bound
+        if n_filtered and filtered is None:
+            filtered = bound[4] = wellknown.pipeline_filtered(registry).labels()
+        with batches.lock:
+            batches.inc_held()
+            messages.inc_held(n_messages)
+            if n_filtered:
+                filtered.inc_held(n_filtered)
+            batch_seconds.observe_held(elapsed)
+
+    def __getstate__(self) -> dict:
+        # resolved children stay in the process that resolved them
+        state = self.__dict__.copy()
+        state["_batch_metrics"] = None
+        return state
 
     def timing_report(self) -> StageReport:
         """Per-stage breakdown of time spent classifying so far."""

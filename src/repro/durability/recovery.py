@@ -53,7 +53,13 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from repro.durability.checkpoint import load_latest_checkpoint, write_checkpoint
-from repro.durability.wal import JsonText, WalRecord, WriteAheadLog, iter_wal
+from repro.durability.wal import (
+    JsonText,
+    WalRecord,
+    WriteAheadLog,
+    _encode_json,
+    iter_wal,
+)
 from repro.faults.plan import SITE_CRASH
 
 __all__ = [
@@ -107,21 +113,17 @@ def _json_number(value) -> str:
 def _encode_body(message) -> str:
     """``message.to_dict()`` as the WAL encodes it — sorted keys, compact
     separators, ASCII — formatted in one pass, no dict built."""
+    pid, ts = message.pid, message.timestamp
     try:
         return '{"app":%s,"fac":%d,"host":%s,"pid":%s,"sev":%d,"text":%s,"ts":%s}' % (
             _json_str(message.app), message.facility, _json_str(message.hostname),
-            _json_number(message.pid), message.severity, _json_str(message.text),
-            _json_number(message.timestamp),
+            int.__repr__(pid) if type(pid) is int else _json_number(pid),
+            message.severity, _json_str(message.text),
+            # a finite float as repr() writes it; anything else decides itself
+            float.__repr__(ts) if type(ts) is float and ts - ts == 0.0 else _json_number(ts),
         )
     except TypeError:  # a field of an unexpected type: the generic encoder decides
         return json.dumps(message.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _encode_bodies(bodies: dict) -> JsonText:
-    """The ``msgs`` object of an accept record from ``str(event)`` → message."""
-    return JsonText("{%s}" % ",".join(
-        '"%s":%s' % (key, _encode_body(bodies[key])) for key in sorted(bodies)
-    ))
 
 
 def _message(body: dict | None):
@@ -171,8 +173,12 @@ class JournalState:
     dead: list = field(default_factory=list)
     #: refused at the relay: a brownout shed or a stalled partition
     rejected: list = field(default_factory=list)  # [event, ...]
-    #: every trace identity ever published (resume skips these)
+    #: every trace identity ever published (resume skips these); a
+    #: synthetic one is never in it
     seen: set = field(default_factory=set)
+    #: the lowest synthetic identity held anywhere above (0 when none):
+    #: a journal opened on this state draws its next one below it
+    lowest_synthetic: int = 0
     #: committed consumer offsets (partition → next offset),
     #: carried by flush/abandon records — the durable commit log that
     #: outlives the broker's in-memory committed offsets
@@ -199,39 +205,70 @@ class JournalState:
                 self.buffer_messages.extend([_message(msgs.get(str(e))) for e in events])
             else:
                 self.buffer_messages.extend([None] * len(events))
-            self.seen.update(events)
+            self._saw(events)
         elif kind == "reject":
             self.rejected.append(data["event"])
-            self.seen.add(data["event"])
+            self._saw((data["event"],))
         elif kind == "flush":
-            self.indexed_messages.extend(self._retire_head(data["events"]))
-            self.indexed_events.extend(data["events"])
-            self._merge_offsets(data)
+            self.flushed(data["events"], data.get("offsets"))
         elif kind == "abandon":
             events = data["events"]
             self.dead.extend(
                 {"event": event, "msg": msg, "site": data["site"], "error": data["error"]}
                 for event, msg in zip(events, self._retire_head(events))
             )
-            self._merge_offsets(data)
+            self._merge_offsets(data.get("offsets"))
         elif kind == "requeue":
             # recovery: the events leave the buffer AND the seen set, so
             # the regenerated trace republishes them at their stable
             # offsets and the consumer re-polls them past the committed
             # offsets (at-least-once re-delivery)
-            self.seen.difference_update(data["events"])
-            self._retire_head(data["events"])
+            events = data["events"]
+            self.seen.difference_update(events)
+            self._retire_head(events)
+            if events and min(events) <= self.lowest_synthetic:
+                self.lowest_synthetic = self._lowest_held()
         elif kind == "control":
             # full post-tick snapshot, so newest-wins is the whole story
             self.control = data["state"]
         else:
             raise ValueError(f"unknown WAL record kind {kind!r}")
 
-    def _merge_offsets(self, data: dict) -> None:
+    def flushed(self, events: list, offsets: dict | None) -> None:
+        """A ``flush`` record's move: ``events``, the buffer's head, are
+        indexed, and ``offsets`` committed.  :meth:`apply` calls it for a
+        replayed record, the journal for the record it just wrote."""
+        self.indexed_messages.extend(self._retire_head(events))
+        self.indexed_events.extend(events)
+        self._merge_offsets(offsets)
+
+    def _saw(self, events) -> None:
+        """Note newly published ``events``: a trace identity joins
+        :attr:`seen`, a synthetic one may lower :attr:`lowest_synthetic`."""
+        low = min(events, default=0)
+        if low >= 0:
+            self.seen.update(events)
+            return
+        if low < self.lowest_synthetic:
+            self.lowest_synthetic = low
+        if max(events) >= 0:
+            self.seen.update([e for e in events if e >= 0])
+
+    def _lowest_held(self) -> int:
+        """The lowest synthetic identity in the buffer, the indexed set,
+        the dead letters or the rejects (0 when none)."""
+        return min(
+            0, min(self.buffer_events, default=0), min(self.indexed_events, default=0),
+            min(self.rejected, default=0), min((d["event"] for d in self.dead), default=0),
+        )
+
+    def _merge_offsets(self, offsets: dict | None) -> None:
         """Max-wins merge of a record's committed-offset payload."""
-        for partition, next_offset in (data.get("offsets") or {}).items():
-            if next_offset > self.offsets.get(partition, 0):
-                self.offsets[partition] = int(next_offset)
+        if offsets:
+            mine = self.offsets
+            for partition, next_offset in offsets.items():
+                if next_offset > mine.get(partition, 0):
+                    mine[partition] = int(next_offset)
 
     def _retire_head(self, events: list) -> list:
         """Remove the buffer's head, which must be ``events``, and return
@@ -280,12 +317,10 @@ class JournalState:
             # absent in pre-control checkpoints
             control=payload.get("control"),
         )
-        state.seen = (
-            set(state.buffer_events)
-            | set(state.indexed_events)
-            | {d["event"] for d in state.dead}
-            | set(state.rejected)
-        )
+        state._saw(state.buffer_events)
+        state._saw(state.indexed_events)
+        state._saw([d["event"] for d in state.dead])
+        state._saw(state.rejected)
         return state
 
 
@@ -320,11 +355,10 @@ class StreamJournal:
         self.injector = injector
         self.state = state if state is not None else JournalState()
         # synthetic identities for messages published outside the trace
-        self._auto = min((e for e in self.state.seen if e < 0), default=0)
-        # accepts awaiting group commit: events, and the message kept
-        # for each synthetic one (None for a trace event)
-        self._pending_events: list = []
-        self._pending_messages: list = []
+        self._auto = self.state.lowest_synthetic
+        # accepts awaiting group commit: the last this many of the
+        # state's buffer (a barrier writes them before anything retires)
+        self._pending = 0
 
     @property
     def seen(self) -> set:
@@ -352,20 +386,21 @@ class StreamJournal:
         n = len(messages)
         if len(events) != n:
             raise ValueError(f"accept_many: {len(events)} events for {n} messages")
+        state = self.state
         if events.count(None) == n:
-            first = self._auto - 1
-            self._auto -= n
-            events = range(first, self._auto - 1, -1)
+            if n:
+                first = self._auto - 1
+                self._auto -= n
+                events = range(first, self._auto - 1, -1)
+                state.lowest_synthetic = self._auto
             kept = messages
         else:
             events = [self._resolve(e) for e in events]
             kept = [m if e < 0 else None for e, m in zip(events, messages)]
-        state = self.state
+            state._saw(events)
         state.buffer_events.extend(events)
         state.buffer_messages.extend(kept)
-        state.seen.update(events)
-        self._pending_events.extend(events)
-        self._pending_messages.extend(kept)
+        self._pending += n
         if self.injector is not None:
             for _ in range(n):
                 self._crash_check()
@@ -382,10 +417,16 @@ class StreamJournal:
         flush record *is* the durable offset commit; the broker's
         in-memory commit happens after and may be lost without harm.
         """
-        data: dict = {"events": self.state.buffer_events[:n]}
+        events = self.state.buffer_events[:n]
+        # the record's data, formatted as the WAL's encoder would
         if offsets:
-            data["offsets"] = dict(offsets)
-        self._barrier_commit("flush", data)
+            data = JsonText('{"events":%s,"offsets":%s}' % (
+                _encode_json(events), _encode_json(offsets)))
+        else:
+            data = JsonText('{"events":%s}' % _encode_json(events))
+        self.state.applied_seq = self._barrier_write("flush", data)
+        self.state.flushed(events, offsets)
+        self._crash_check()
 
     def abandoned(
         self, n: int, site: str, error: str, *, offsets: dict | None = None
@@ -435,19 +476,30 @@ class StreamJournal:
         Checkpoints call this before syncing so their ``last_wal_seq``
         covers every event in the snapshotted state.
         """
-        events = self._pending_events
-        if not events:
-            return
-        data: dict = {"events": events}
-        bodies = {str(e): m for e, m in zip(events, self._pending_messages) if m is not None}
-        if bodies:
-            data["msgs"] = _encode_bodies(bodies)
-        self._pending_events = []
-        self._pending_messages = []
-        # the events are already applied to the in-memory state; only
-        # the dedup line moves (replay applies this record instead)
-        self.state.applied_seq = self.wal.append("accept", data)
-        self._crash_check()
+        record = self._take_pending()
+        if record is not None:
+            # the events are already applied to the in-memory state; only
+            # the dedup line moves (replay applies this record instead)
+            self.state.applied_seq = self.wal.append(*record)
+            self._crash_check()
+
+    def _take_pending(self) -> tuple[str, JsonText] | None:
+        """The pending accepts as one ``accept`` record, and none pending."""
+        k = self._pending
+        if not k:
+            return None
+        self._pending = 0
+        events = self.state.buffer_events[-k:]
+        messages = self.state.buffer_messages[-k:]
+        if messages.count(None) == k:
+            data = '{"events":%s}' % _encode_json(events)
+        else:
+            # "msgs" keys are str(event), in the encoder's (string) order
+            bodies = sorted(dict(zip(map(str, events), messages)).items())
+            data = '{"events":%s,"msgs":{%s}}' % (_encode_json(events), ",".join(
+                ['"%s":%s' % (key, _encode_body(m)) for key, m in bodies if m is not None]
+            ))
+        return "accept", JsonText(data)
 
     def _resolve(self, event: int | None) -> int:
         if event is not None:
@@ -455,16 +507,20 @@ class StreamJournal:
         self._auto -= 1
         return self._auto
 
-    def _barrier_commit(self, kind: str, data: dict) -> None:
-        # the pending accepts and the record that moves them go out in
-        # one write — unless a kill may be scheduled between the two,
-        # which must still find only the first on disk
-        if self._pending_events and not (
+    def _barrier_write(self, kind: str, data) -> int:
+        """Write the pending accepts, then the record that moves them;
+        returns the second's sequence number."""
+        # the two go out in one write — unless a kill may be scheduled
+        # between them, which must still find only the first on disk
+        if self._pending and not (
             self.injector is not None and self.injector.armed(SITE_CRASH)
         ):
             self.wal.hold()
         self.flush_pending()
-        seq = self.wal.append(kind, data)
+        return self.wal.append(kind, data)
+
+    def _barrier_commit(self, kind: str, data: dict) -> None:
+        seq = self._barrier_write(kind, data)
         self.state.apply(WalRecord(seq=seq, kind=kind, data=data))
         self._crash_check()
 

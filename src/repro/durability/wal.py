@@ -41,6 +41,7 @@ import os
 import time
 import zlib
 from collections.abc import Iterator
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,16 +91,28 @@ class WalScanInfo:
 
 
 #: ``json.dumps(data, sort_keys=True, separators=(",", ":"))`` builds an
-#: encoder like this one on every call; a record is on the per-flush
-#: hot path, so it is built once
-_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: encoder on every call, and so does ``JSONEncoder.encode``; a record is
+#: on the per-flush hot path, so the C encoder under them is built once
+#: (no circular-reference check: a record's data is a tree)
+_json_chunks = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True,
+) if c_make_encoder is not None else None
+
+
+def _encode_json(value) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` writes it."""
+    if _json_chunks is None:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return "".join(_json_chunks(value, 0))
+
 #: the JSON form of a record kind — a handful of strings, each encoded once
 _encode_kind = functools.lru_cache(maxsize=64)(json.dumps)
 
 
 class JsonText(str):
-    """A record value already in the encoder's JSON form (sorted keys,
-    compact separators, ASCII), spliced into the line verbatim.
+    """A record's data, or a value in it, already in the encoder's JSON
+    form (sorted keys, compact separators, ASCII), spliced into the line
+    verbatim.
 
     Lets a caller that formats its payload in one pass hand it to
     :meth:`WriteAheadLog.append` and get the bytes the equivalent plain
@@ -110,7 +123,7 @@ class JsonText(str):
 
 
 def _encode_data(data: dict) -> str:
-    if not any(type(v) is JsonText for v in data.values()):
+    if JsonText not in map(type, data.values()):
         return _encode_json(data)
     return "{%s}" % ",".join(
         "%s:%s" % (_encode_json(key), value if type(value) is JsonText else _encode_json(value))
@@ -118,11 +131,12 @@ def _encode_data(data: dict) -> str:
     )
 
 
-def _encode_record(seq: int, kind: str, data: dict) -> bytes:
+def _encode_record(seq: int, kind: str, data: dict | JsonText) -> bytes:
     # the canonical body is built by hand (keys in sorted order, compact
     # separators) so one encoding covers both the CRC input and the
     # emitted line
-    canon = '{"data":%s,"kind":%s,"seq":%d}' % (_encode_data(data), _encode_kind(kind), seq)
+    body = data if type(data) is JsonText else _encode_data(data)
+    canon = '{"data":%s,"kind":%s,"seq":%d}' % (body, _encode_kind(kind), seq)
     crc = zlib.crc32(canon.encode("utf-8"))
     return ('%s,"crc":%d}\n' % (canon[:-1], crc)).encode("utf-8")
 
@@ -333,6 +347,8 @@ class WriteAheadLog:
         self._m_bytes = wellknown.wal_bytes(registry).labels()
         self._m_last_seq = wellknown.wal_last_seq(registry).labels()
         self._m_fsync_seconds = wellknown.wal_fsync_seconds(registry).labels()
+        #: an append's three writes take the registry's write lock once
+        self._m_lock = self._m_bytes.lock
 
         self.recovery = _scan(self.directory, repair=True)
         if self.recovery.truncated_bytes:
@@ -355,11 +371,12 @@ class WriteAheadLog:
         """Sequence number of the last committed record."""
         return self._last_seq
 
-    def append(self, kind: str, data: dict) -> int:
+    def append(self, kind: str, data: dict | JsonText) -> int:
         """Append one record; returns its sequence number.
 
-        ``data`` is JSON-encodable; a :class:`JsonText` value in it is
-        written as is.  The line is flushed to the OS before returning under every
+        ``data`` is a JSON-encodable dict, or a :class:`JsonText` of one;
+        a :class:`JsonText` value in the dict is written as is.  The line
+        is flushed to the OS before returning under every
         policy, so a SIGKILL after :meth:`append` cannot lose the
         record — only a power failure can, bounded by the fsync policy.
         The one exception is a record appended right after
@@ -368,25 +385,28 @@ class WriteAheadLog:
         held, self._hold = self._hold, False
         seq = self._last_seq + 1
         encoded = _encode_record(seq, kind, data)
-        if (
-            self._fh is None
-            or self._segment_size + len(encoded) > self.segment_bytes
-        ):
+        size = len(encoded)
+        if self._fh is None or self._segment_size + size > self.segment_bytes:
             self._rotate(seq)
-        self._fh.write(encoded)
-        if not held or self.fsync == "always":
-            self._fh.flush()
-        self._segment_size += len(encoded)
+        fh = self._fh
+        fh.write(encoded)
+        self._segment_size += size
         self._last_seq = seq
         child = self._m_append_kind.get(kind)
         if child is None:
             child = self._m_append_kind[kind] = self._m_appends.labels(kind=kind)
-        child.inc()
-        self._m_bytes.inc(len(encoded))
-        self._m_last_seq.set(seq)
-        if self.fsync == "always":
+        with self._m_lock:
+            child.inc_held()
+            self._m_bytes.inc_held(size)
+            self._m_last_seq.set_held(seq)
+        fsync = self.fsync
+        if fsync == "always":
+            fh.flush()
             self._fsync()
-        elif self.fsync == "batch":
+            return seq
+        if not held:
+            fh.flush()
+        if fsync == "batch":
             self._appends_since_sync += 1
             if self._appends_since_sync >= self.sync_every:
                 self.sync()

@@ -169,8 +169,22 @@ class RecordBatch:
         )
 
 
+#: what an empty poll returns: no columns to extend
+_NO_RECORDS = RecordBatch.__new__(RecordBatch)
+for _column in RecordBatch.__slots__:
+    setattr(_NO_RECORDS, _column, ())
+del _column
+
+
 #: the columns of a segment, in order: offsets, messages, idents, ctxs, pub_s
 _OFFSETS, _PUB_S = 0, 4
+
+
+def _length_error(n: int, **columns) -> str:
+    name, column = next(
+        (name, c) for name, c in columns.items() if c is not None and len(c) != n
+    )
+    return f"publish_many: {len(column)} {name} for {n} messages"
 
 
 class Partition:
@@ -352,6 +366,10 @@ class LogBroker:
         self._keys: list[str] = []
         self._rank: dict[str, int] = {}
         self.groups: dict[str, ConsumerGroup] = {}
+        #: (group, member) → (group, the member's index in its sorted
+        #: members, partitions assigned to it): what a poll needs to find
+        #: its share, emptied whenever a member joins or a partition opens
+        self._cursors: dict[tuple[str, str], tuple[ConsumerGroup, int, int]] = {}
         self.stats = BrokerStats()
         self._stalled: str | None = None
         self._lock = threading.Lock()
@@ -423,16 +441,11 @@ class LogBroker:
         the call appended to.
         """
         n = len(messages)
-        for name, column in (("keys", keys), ("idents", idents),
-                             ("offsets", offsets), ("ctxs", ctxs)):
-            if column is not None and len(column) != n:
-                raise ValueError(
-                    f"publish_many: {len(column)} {name} for {n} messages"
-                )
-        if keys is None:
-            keys = [m.hostname for m in messages]
-        else:
-            keys = [m.hostname if k is None else k for k, m in zip(keys, messages)]
+        if (
+            keys is not None and len(keys) != n or idents is not None and len(idents) != n
+            or offsets is not None and len(offsets) != n or ctxs is not None and len(ctxs) != n
+        ):
+            raise ValueError(_length_error(n, keys=keys, idents=idents, offsets=offsets, ctxs=ctxs))
         out: list[int | None] = [None] * n
         injector = self.injector
         partitions = self.partitions
@@ -443,7 +456,9 @@ class LogBroker:
             pub_s = self._clock()
             try:
                 for i, message in enumerate(messages):
-                    key = keys[i]
+                    key = None if keys is None else keys[i]
+                    if key is None:
+                        key = message.hostname
                     if injector is not None and injector.should_fire(SITE_PARTITION_STALL):
                         if self._stalled is None:
                             self._stalled = key
@@ -457,17 +472,16 @@ class LogBroker:
                     part = partitions.get(key)
                     if part is None:
                         part = self._open_partition(key)
-                    ctx = ctxs[i] if ctxs is not None else None
+                    ctx = None if ctxs is None else ctxs[i]
                     if ctx is not None:
                         ctx = record_hop(ctx, "broker.publish", pub_s, partition=key)
                     end = part.next_offset
-                    offset = offsets[i] if offsets is not None else None
+                    offset = None if offsets is None else offsets[i]
                     if offset is None:
                         offset = end
-                    part.append(
-                        offset, message, idents[i] if idents is not None else None, ctx, pub_s
-                    )
-                    ends.setdefault(key, end)
+                    part.append(offset, message, None if idents is None else idents[i], ctx, pub_s)
+                    if key not in ends:
+                        ends[key] = end
                     out[i] = offset
                     published += 1
             finally:
@@ -483,27 +497,30 @@ class LogBroker:
         keys.insert(born, key)
         for i in range(born, len(keys)):
             self._rank[keys[i]] = i
+        self._cursors.clear()  # every member's share of the keys moves
         self._m_partitions.set(len(self.partitions))
         return part
 
     def _account_publish(self, ends: dict[str, int], published: int, refused: int) -> None:
         """Groups, stats and counters after a publish (lock held)."""
+        groups = self.groups.values()
         for key, end in ends.items():
             grown = self.partitions[key].next_offset - end
-            for g in self.groups.values():
+            for g in groups:
                 g.ready.add(key)
                 # lag grows by what lands past the committed offset
                 ahead = g.committed.get(key, 0) - end
                 if ahead < grown:
                     g.lag += grown - ahead if ahead > 0 else grown
                     g.uncommitted.add(key)
+        stats = self.stats
         if refused:
-            self.stats.publish_refused += refused
+            stats.publish_refused += refused
             self._m_refused.inc(refused)
-        self.stats.published += published
-        self._pub_unsynced += published
-        if self._pub_unsynced >= _PUBLISH_SYNC_EVERY:
-            self._m_published.inc(self._pub_unsynced)
+        stats.published += published
+        unsynced = self._pub_unsynced = self._pub_unsynced + published
+        if unsynced >= _PUBLISH_SYNC_EVERY:
+            self._m_published.inc(unsynced)
             self._pub_unsynced = 0
 
     # -- consumer groups -----------------------------------------------
@@ -548,10 +565,13 @@ class LogBroker:
     def subscribe(self, group: str, member: str) -> None:
         """Add ``member`` to ``group`` (idempotent)."""
         with self._lock:
-            g = self._group(group)
-            if member not in g.members:
-                g.members.append(member)
-                g.members.sort()
+            self._join(self._group(group), member)
+
+    def _join(self, g: ConsumerGroup, member: str) -> None:
+        if member not in g.members:
+            g.members.append(member)
+            g.members.sort()
+            self._cursors.clear()
 
     def assignment(self, group: str, member: str) -> list[str]:
         """Partitions ``member`` currently owns (round-robin layout).
@@ -568,6 +588,16 @@ class LogBroker:
             raise ValueError(f"member {member!r} is not subscribed to {group!r}")
         return self._keys[g.members.index(member)::len(g.members)]
 
+    def _cursor(self, group: str, member: str) -> tuple[ConsumerGroup, int, int]:
+        """``member``'s entry in :attr:`_cursors`; joins it to ``group`` first."""
+        g = self._group(group)
+        self._join(g, member)
+        slot = g.members.index(member)
+        cursor = self._cursors[group, member] = (
+            g, slot, len(range(slot, len(self._keys), len(g.members)))
+        )
+        return cursor
+
     def poll(
         self, group: str, member: str = "member-0", *, max_records: int = 256
     ) -> RecordBatch:
@@ -577,65 +607,82 @@ class LogBroker:
         the committed offset) and advances it past what is returned.
         Stalled partitions are skipped — their lag simply grows.  A
         budget of zero or less returns nothing and moves no cursor.
-        The records come back as one :class:`RecordBatch` of columns.
+        The records come back as one :class:`RecordBatch` of columns
+        (an empty poll's is a shared, read-only one).
         """
-        out = RecordBatch()
+        out = _NO_RECORDS
         with self._lock:
-            g = self._group(group)
-            if member not in g.members:
-                g.members.append(member)
-                g.members.sort()
-            if self._pub_unsynced:
+            g, slot, n_assigned = self._cursors.get((group, member)) or self._cursor(group, member)
+            if g.ready and max_records > 0 and n_assigned:
+                out = RecordBatch()
+                self._read_ready(g, out, slot, n_assigned, max_records)
+            elif self._pub_unsynced:
                 self._m_published.inc(self._pub_unsynced)
                 self._pub_unsynced = 0
-            if max_records <= 0:
-                return out
-            n_members = len(g.members)
-            slot = g.members.index(member)
-            n_assigned = len(range(slot, len(self._keys), n_members))
-            if not n_assigned:
-                return out
-            taken = 0
-            if g.ready:
-                # the scan order of the full assignment (rank // n_members
-                # is a key's index in it), restricted to the ready keys
-                rank, cursor = self._rank, g.rr_cursor
-                mine = sorted(
-                    (key for key in g.ready if rank[key] % n_members == slot),
-                    key=lambda key: (rank[key] // n_members - cursor) % n_assigned,
-                )
-                for key in mine:
-                    if key == self._stalled:
-                        continue
-                    part = self.partitions[key]
-                    pos = g.positions.get(key)
-                    if pos is None:
-                        pos = g.positions[key] = g.committed.get(key, 0)
-                    if part.read_into(out, pos, max_records - taken):
-                        taken = len(out.offsets)
-                        pos = g.positions[key] = out.offsets[-1] + 1
-                    if pos >= part.next_offset:
-                        g.ready.discard(key)
-                    if taken >= max_records:
-                        break
-            g.rr_cursor = (g.rr_cursor + 1) % n_assigned
-            if taken:
-                self.stats.polled += taken
-                g.m_polled.inc(taken)
-                # queue-age dwell: sampled (traced) records only, so the
-                # histogram costs nothing on the untraced hot path
-                if out.ctxs.count(None) != taken:
-                    now = self._clock()
-                    for ctx, pub_s in zip(out.ctxs, out.pub_s):
-                        if ctx is not None and pub_s is not None:
-                            self._m_queue_age.observe(now - pub_s)
-            # the lag gauges refresh once per poll — not on each
-            # per-partition commit — and only when a live registry
-            # will actually keep the value
-            if g.m_lag.live:
-                g.m_lag.set(g.lag)
-                g.m_lag_age.set(self._lag_age(g))
+            if max_records > 0 and n_assigned:
+                g.rr_cursor = (g.rr_cursor + 1) % n_assigned
+                # the lag gauges refresh once per poll — not on each
+                # per-partition commit — and a child is written only when
+                # its value moves: a caught-up group's poll writes nothing
+                if g.uncommitted or g.m_lag.value or g.m_lag_age.value:
+                    self._refresh_lag(g)
             return out
+
+    def _refresh_lag(self, g: ConsumerGroup) -> None:
+        lag = g.m_lag
+        if not lag.live:
+            return  # nothing would keep the values: skip computing them
+        age = self._lag_age(g) if g.uncommitted else 0.0
+        with lag.lock:
+            if lag.value != g.lag:
+                lag.set_held(g.lag)
+            g.m_lag_age.set_held(age)
+
+    def _read_ready(
+        self, g: ConsumerGroup, out: RecordBatch, slot: int, n_assigned: int, max_records: int
+    ) -> None:
+        """A poll's reads (lock held): the member's ready partitions in
+        the round-robin order of its full assignment, into ``out``."""
+        n_members = len(g.members)
+        # the scan order of the full assignment (rank // n_members is a
+        # key's index in it), restricted to the ready keys
+        rank, cursor = self._rank, g.rr_cursor
+        mine = sorted(
+            (key for key in g.ready if rank[key] % n_members == slot),
+            key=lambda key: (rank[key] // n_members - cursor) % n_assigned,
+        )
+        taken = 0
+        positions, stalled = g.positions, self._stalled
+        for key in mine:
+            if key == stalled:
+                continue
+            part = self.partitions[key]
+            pos = positions.get(key)
+            if pos is None:
+                pos = positions[key] = g.committed.get(key, 0)
+            if part.read_into(out, pos, max_records - taken):
+                taken = len(out.offsets)
+                pos = positions[key] = out.offsets[-1] + 1
+            if pos >= part.next_offset:
+                g.ready.discard(key)
+            if taken >= max_records:
+                break
+        self.stats.polled += taken
+        # the polled count and the publish remainder (any poll syncs it)
+        with g.m_polled.lock:
+            if taken:
+                g.m_polled.inc_held(taken)
+            if self._pub_unsynced:
+                self._m_published.inc_held(self._pub_unsynced)
+                self._pub_unsynced = 0
+        if taken:
+            # queue-age dwell: sampled (traced) records only, so the
+            # histogram costs nothing on the untraced hot path
+            if out.ctxs.count(None) != taken:
+                now = self._clock()
+                for ctx, pub_s in zip(out.ctxs, out.pub_s):
+                    if ctx is not None and pub_s is not None:
+                        self._m_queue_age.observe(now - pub_s)
 
     def commit(self, group: str, partition: str, offset: int) -> bool:
         """Commit ``offset`` for one partition: :meth:`commit_many` of one.

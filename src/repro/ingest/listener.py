@@ -2,8 +2,9 @@
 
 The real Tivan front door (§4.2) is a syslog relay accepting RFC 3164
 and RFC 5424 wire lines from every node on the cluster.  This listener
-is that front door: an :mod:`asyncio` UDP endpoint plus a TCP server,
-parsing each line through :func:`repro.stream.rfc.safe_parse_line`
+is that front door: an :mod:`asyncio` UDP endpoint plus a TCP server
+whose per-connection protocol handles each chunk in the callback that
+delivers it, parsing each line through :func:`repro.stream.rfc.safe_parse_line`
 (total — hostile input is quarantined, never raised) and publishing
 accepted messages into a :class:`~repro.ingest.broker.LogBroker`.
 
@@ -22,7 +23,7 @@ The accept path, in order, is:
    (syslog's fire-and-forget contract).  The key needs a parsed
    message, which is why this gate sits after parse;
 5. **publish** — per chunk, not per line: the lines of one TCP
-   ``data_received`` chunk that passed steps 1–4 go to
+   chunk that passed steps 1–4 go to
    :meth:`~repro.ingest.broker.LogBroker.publish_many` in one call (a
    UDP datagram is a chunk of one).  A line the broker refuses (a
    stalled partition) is quarantined; only a published line counts as
@@ -98,6 +99,40 @@ class _UdpProtocol(asyncio.DatagramProtocol):
         self._listener._handle_line(data, udp=True)
 
 
+class _TcpProtocol(asyncio.Protocol):
+    """One TCP peer: each chunk is framed, admitted and published in the
+    callback that delivers it — no reader, no task, no wake-up per chunk.
+
+    ``buf`` is the peer's unterminated tail; ``skipping`` is set while
+    the bytes of a line that outgrew the cap (quarantined once) are
+    dropped until its newline.  A peer that ends its stream (EOF) has
+    its tail taken as a last line; a connection lost without EOF (a
+    reset, the listener stopping) drops it.
+    """
+
+    def __init__(self, listener: "SyslogListener") -> None:
+        self._listener = listener
+        self.transport = None
+        self.buf = b""
+        self.skipping = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._listener._tcp_peers.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._listener._receive_tcp(self, data)
+
+    def eof_received(self) -> None:
+        if self.buf and not self.skipping:
+            self._listener._handle_line(self.buf, udp=False)
+        self.buf = b""
+        # returning None closes the transport
+
+    def connection_lost(self, exc) -> None:
+        self._listener._tcp_peers.discard(self)
+
+
 class SyslogListener:
     """UDP + TCP syslog intake feeding a partitioned log broker.
 
@@ -163,7 +198,7 @@ class SyslogListener:
         self.tcp_address: tuple[str, int] | None = None
         self._udp_transport = None
         self._tcp_server: asyncio.Server | None = None
-        self._tcp_tasks: set[asyncio.Task] = set()
+        self._tcp_peers: set[_TcpProtocol] = set()
         self._since_sync = 0
         self._synced = ListenerStats()
         self._m_received = wellknown.ingest_received(registry)
@@ -195,8 +230,8 @@ class SyslogListener:
             sock = self._udp_transport.get_extra_info("sockname")
             self.udp_address = (sock[0], sock[1])
         if self.tcp_port is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._serve_tcp, self.host, self.tcp_port
+            self._tcp_server = await loop.create_server(
+                lambda: _TcpProtocol(self), self.host, self.tcp_port
             )
             sock = self._tcp_server.sockets[0].getsockname()
             self.tcp_address = (sock[0], sock[1])
@@ -208,57 +243,41 @@ class SyslogListener:
             self._udp_transport = None
         if self._tcp_server is not None:
             self._tcp_server.close()
+            for peer in list(self._tcp_peers):
+                peer.transport.close()  # an open peer's tail is dropped
             await self._tcp_server.wait_closed()
             self._tcp_server = None
-        for task in list(self._tcp_tasks):
-            task.cancel()
-        if self._tcp_tasks:
-            await asyncio.gather(*self._tcp_tasks, return_exceptions=True)
         self._sync_metrics()
 
     # -- transports ----------------------------------------------------
 
-    async def _serve_tcp(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        task = asyncio.current_task()
-        if task is not None:
-            self._tcp_tasks.add(task)
-            task.add_done_callback(self._tcp_tasks.discard)
-        buf = b""
-        # a line that outgrows the cap is quarantined once, then bytes
-        # are discarded until its newline finally arrives
-        skipping = False
-        try:
-            while True:
-                chunk = await reader.read(1 << 16)
-                if not chunk:
-                    break
-                # one split per chunk: slicing the buffer once per line
-                # would copy its remainder once per line
-                lines = chunk.split(b"\n")
-                lines[0] = buf + lines[0]
-                buf = lines.pop()  # unterminated tail, b"" after a newline
-                # the chunk's admitted lines go to the broker in one call
-                messages: list = []
-                ctxs: list = []
-                for line in lines:
-                    if skipping:
-                        skipping = False  # the oversize line's newline
-                    elif line:
-                        self._admit(line, "tcp", messages, ctxs)
-                if messages:
-                    self._publish(messages, ctxs, "tcp")
-                if skipping:
-                    buf = b""
-                elif len(buf) > self.max_line_bytes:
-                    self._handle_line(buf, udp=False)  # counted oversize
-                    buf = b""
-                    skipping = True
-            if buf and not skipping:
-                self._handle_line(buf, udp=False)
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            writer.close()
+    def _receive_tcp(self, peer: _TcpProtocol, chunk: bytes) -> None:
+        """Steps 1–5 for one chunk of a peer's stream."""
+        # one split per chunk: slicing the buffer once per line would
+        # copy its remainder once per line
+        lines = chunk.split(b"\n")
+        lines[0] = peer.buf + lines[0]
+        buf = lines.pop()  # unterminated tail, b"" after a newline
+        skipping = peer.skipping
+        # the chunk's admitted lines go to the broker in one call
+        messages: list = []
+        ctxs: list = []
+        for line in lines:
+            if skipping:
+                skipping = False  # the oversize line's newline
+            elif line:
+                self._admit(line, "tcp", messages, ctxs)
+        if messages:
+            self._publish(messages, ctxs, "tcp")
+        if skipping:
+            buf = b""
+        elif len(buf) > self.max_line_bytes:
+            # a line that outgrows the cap is quarantined once, then its
+            # bytes are dropped until its newline finally arrives
+            self._handle_line(buf, udp=False)  # counted oversize
+            buf = b""
+            skipping = True
+        peer.buf, peer.skipping = buf, skipping
 
     # -- the accept path -----------------------------------------------
 

@@ -16,8 +16,12 @@ Design notes
   combination.  Unlabeled families materialize their single child at
   construction, so declared metrics expose a zero sample before the
   first event — standard Prometheus client behaviour.
-- Updates take the family lock.  The hot path observes once per
-  *batch*, not per message, so lock cost is irrelevant there.
+- Updates take the family's lock, and every family one registry
+  creates shares the registry's one write lock.  The hot path writes
+  once per *batch*, not per message, but in the paced regime a batch
+  is a line or two, so a layer that writes several children at one
+  point takes the lock once and writes them with the ``*_held``
+  methods (``with child.lock: a.inc_held(n); b.set_held(v)``).
 - Everything pickles: locks are dropped on ``__getstate__`` and
   recreated on ``__setstate__`` (pipelines holding metric references
   cross process boundaries under the sharded executor).
@@ -25,12 +29,13 @@ Design notes
 
 from __future__ import annotations
 
-import bisect
 import json
 import re
 import threading
 import time
+from bisect import bisect_left
 from collections.abc import Sequence
+from contextlib import nullcontext
 from pathlib import Path
 
 __all__ = [
@@ -76,7 +81,7 @@ def _validate_labels(label_names: Sequence[str]) -> tuple[str, ...]:
 class _Child:
     """One label-value combination of a family; holds the value(s)."""
 
-    __slots__ = ("_family",)
+    __slots__ = ("_family", "lock")
 
     #: real metrics record what they are given; instrumented code may
     #: check this before *computing* an expensive value (a gauge that
@@ -86,6 +91,21 @@ class _Child:
 
     def __init__(self, family: "_Family") -> None:
         self._family = family
+        #: the lock every write of this child takes (its family's).
+        #: Every family a :class:`MetricsRegistry` creates shares the
+        #: registry's one write lock, so a caller that writes several of
+        #: its children at one point takes the lock once and writes them
+        #: with the ``*_held`` methods inside it
+        self.lock = family._lock
+
+    # locks do not pickle: the family re-links its children on load
+    def __getstate__(self):
+        return {name: getattr(self, name) for cls in type(self).__mro__
+                for name in getattr(cls, "__slots__", ()) if name != "lock"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 class _CounterChild(_Child):
@@ -98,8 +118,13 @@ class _CounterChild(_Child):
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
-        with self._family._lock:
+        with self.lock:
             self.value += amount
+
+    def inc_held(self, amount: float = 1.0) -> None:
+        """:meth:`inc` for a caller holding :attr:`lock`, with an
+        ``amount`` it knows is not negative (a count)."""
+        self.value += amount
 
 
 class _GaugeChild(_Child):
@@ -110,11 +135,15 @@ class _GaugeChild(_Child):
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        with self._family._lock:
+        with self.lock:
             self.value = float(value)
 
+    def set_held(self, value: float) -> None:
+        """:meth:`set` for a caller holding :attr:`lock`."""
+        self.value = float(value)
+
     def inc(self, amount: float = 1.0) -> None:
-        with self._family._lock:
+        with self.lock:
             self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
@@ -122,7 +151,7 @@ class _GaugeChild(_Child):
 
 
 class _HistogramChild(_Child):
-    __slots__ = ("bucket_counts", "sum", "count")
+    __slots__ = ("bucket_counts", "sum", "count", "_buckets")
 
     def __init__(self, family: "Histogram") -> None:
         super().__init__(family)
@@ -130,15 +159,21 @@ class _HistogramChild(_Child):
         self.bucket_counts = [0] * (len(family.buckets) + 1)
         self.sum = 0.0
         self.count = 0
+        self._buckets = family.buckets
 
     def observe(self, value: float) -> None:
-        fam = self._family
-        with fam._lock:
+        with self.lock:
             # Prometheus buckets are "le": a value on an edge counts in
             # that edge's bucket, so the first edge >= value wins
-            self.bucket_counts[bisect.bisect_left(fam.buckets, value)] += 1
+            self.bucket_counts[bisect_left(self._buckets, value)] += 1
             self.sum += value
             self.count += 1
+
+    def observe_held(self, value: float) -> None:
+        """:meth:`observe` for a caller holding :attr:`lock`."""
+        self.bucket_counts[bisect_left(self._buckets, value)] += 1
+        self.sum += value
+        self.count += 1
 
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper-edge, cumulative-count) pairs; the last edge is +Inf."""
@@ -158,13 +193,17 @@ class _Family:
     #: see :attr:`_Child.live`
     live = True
 
-    def __init__(self, name: str, help: str = "", labels: Sequence[str] = ()) -> None:
+    def __init__(
+        self, name: str, help: str = "", labels: Sequence[str] = (), *, lock=None
+    ) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
         self.label_names = _validate_labels(labels)
-        self._lock = threading.Lock()
+        #: guards the children map and every child write; a registry
+        #: hands all its families one (see :attr:`_Child.lock`)
+        self._lock = lock if lock is not None else threading.Lock()
         self._children: dict[tuple[str, ...], _Child] = {}
         if not self.label_names:
             self._child(())
@@ -199,7 +238,13 @@ class _Family:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._relink(threading.Lock())
+
+    def _relink(self, lock) -> None:
+        """Make ``lock`` the one this family and its children write under."""
+        self._lock = lock
+        for child in self._children.values():
+            child.lock = lock
 
 
 class Counter(_Family):
@@ -252,6 +297,8 @@ class Histogram(_Family):
         help: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] | None = None,
+        *,
+        lock=None,
     ) -> None:
         edges = tuple(buckets) if buckets is not None else default_latency_buckets()
         if not edges:
@@ -259,7 +306,7 @@ class Histogram(_Family):
         if list(edges) != sorted(edges):
             raise ValueError(f"bucket edges must be sorted, got {edges}")
         self.buckets = edges
-        super().__init__(name, help, labels)
+        super().__init__(name, help, labels, lock=lock)
 
     def observe(self, value: float, **labels: str) -> None:
         """Record one observation into the child for ``labels``."""
@@ -280,6 +327,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        #: the one lock every family created here writes under
+        self._write_lock = threading.Lock()
         self._families: dict[str, _Family] = {}
         self.created_at = time.time()
 
@@ -289,7 +338,9 @@ class MetricsRegistry:
         with self._lock:
             fam = self._families.get(name)
             if fam is None:
-                fam = self._families[name] = cls(name, help, labels, **kwargs)
+                fam = self._families[name] = cls(
+                    name, help, labels, lock=self._write_lock, **kwargs
+                )
                 return fam
         if not isinstance(fam, cls):
             raise ValueError(
@@ -344,12 +395,15 @@ class MetricsRegistry:
     # registries ride along when a pipeline crosses a process boundary
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_lock"]
+        del state["_lock"], state["_write_lock"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        self._write_lock = threading.Lock()
+        for fam in self._families.values():
+            fam._relink(self._write_lock)
 
     # -- exposition ----------------------------------------------------
 
@@ -402,11 +456,21 @@ class _NullMetric:
 
     #: lets callers skip computing values that would be thrown away
     live = False
+    lock = nullcontext()
 
     def labels(self, **labels: str) -> "_NullMetric":
         return self
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
+        pass
+
+    def inc_held(self, amount: float = 1.0) -> None:
+        pass
+
+    def set_held(self, value: float) -> None:
+        pass
+
+    def observe_held(self, value: float) -> None:
         pass
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:

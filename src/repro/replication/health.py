@@ -103,7 +103,8 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """A request succeeded: close the circuit, reset the count."""
         self.consecutive_failures = 0
-        self._move(BREAKER_CLOSED)
+        if self.state != BREAKER_CLOSED:
+            self._move(BREAKER_CLOSED)
 
     def record_failure(self) -> None:
         """A request failed (or timed out): count it, maybe trip open."""

@@ -119,7 +119,8 @@ class StoreNode:
         acting primary for.  Refreshing a copy the node may already hold
         is :meth:`put`'s job.
         """
-        self.ping()
+        if self.down:  # ping()
+            raise NodeDownError(self.node_id)
         n_shards, columns, primary = self.n_shards, self._columns, self.primary_shards
         # a batch's ids are consecutive, so its run walks the node's shards
         # in a cycle: rows k, k + period, ... are of one shard
@@ -144,14 +145,15 @@ class StoreNode:
                 versions.append(1)
             if shard in primary:
                 picked.append(k)
+        if not picked:
+            return
         rows = doc_ids, messages, tokens
         if len(picked) < period and sliced:
             keep = [k in picked for k in range(period)]
             rows = [list(compress(column, cycle(keep))) for column in rows]
         elif len(picked) < period:
             rows = [[column[k] for k in picked] for column in rows]
-        if picked:
-            self._index_rows(*rows)
+        self._index_rows(*rows)
 
     def _rows(self, shard: int, n_rows: int):
         """The shard's columns, at least ``n_rows`` long: the rows a
@@ -195,7 +197,8 @@ class StoreNode:
 
     def apply_category(self, doc_id: int, category: Category, version: int) -> bool:
         """Attach a later-version category; False when unknown/stale."""
-        self.ping()
+        if self.down:  # ping()
+            raise NodeDownError(self.node_id)
         row, shard = divmod(doc_id, self.n_shards)
         _, categories, versions = self._columns[shard]
         if row >= len(versions) or not 0 < versions[row] < version:

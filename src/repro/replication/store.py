@@ -63,6 +63,10 @@ from repro.stream.opensearch import LogDocument, _analyze, _Queries
 __all__ = ["QuorumError", "ReplicatedLogStore"]
 
 
+#: the slow-node set of a batch no fault site touches
+_NO_NODES: frozenset[int] = frozenset()
+
+
 class QuorumError(RuntimeError):
     """Too few reachable owner nodes to satisfy a quorum.
 
@@ -179,8 +183,16 @@ class ReplicatedLogStore(_Queries):
         self._rotation = 0  # deterministic victim choice for fault sites
         self._primary: dict[int, int | None] = {}
         self._last_live: frozenset[int] = frozenset()
+        #: the last probe found every node live, every breaker closed with
+        #: no failure counted and no hint queued: until a node goes down,
+        #: a partition or a hint changes that, a probe would change nothing
+        self._settled = False
+        #: (first shard, shards) → the batch's shards with their owners,
+        #: sorted, and per owner the rows it keeps (None: every row) —
+        #: placement is static, so each shape is laid out once
+        self._write_plans: dict[tuple[int, int], tuple] = {}
         self._m_node_up = wellknown.store_node_up(registry)
-        self._m_write_seconds = wellknown.store_quorum_write_seconds(registry)
+        self._m_write_seconds = wellknown.store_quorum_write_seconds(registry).labels()
         self._m_read_seconds = wellknown.store_quorum_read_seconds(registry)
         self._m_quorum_failures = wellknown.store_quorum_failures(registry)
         self._m_hints_queued = wellknown.store_hints_queued(registry)
@@ -236,30 +248,42 @@ class ReplicatedLogStore(_Queries):
         acting primary throughout, so until then it serves reads short
         of the documents it was hinted.
         """
+        nodes = self.nodes
+        if self._settled and not slow:
+            for node in nodes:
+                if node.down:  # downed behind the coordinator's back
+                    break
+            else:
+                return self._last_live
         live: set[int] = set()
         rejoined: list[int] = []
-        for nid in range(len(self.nodes)):
-            breaker = self.breakers[nid]
+        partitioned = self._partitioned
+        settled = not slow
+        for nid, breaker in enumerate(self.breakers):
             if not breaker.allow():
+                settled = False
                 continue
-            was = breaker.state
             if nid in slow:
                 self._m_timeouts.inc(node=str(nid))
                 breaker.record_failure()
-            elif self._reachable(nid):
-                breaker.record_success()
-                if was != BREAKER_CLOSED:
+            elif not nodes[nid].down and nid not in partitioned:  # _reachable
+                if breaker.state != BREAKER_CLOSED:
                     rejoined.append(nid)
+                breaker.record_success()
                 live.add(nid)
             else:
                 breaker.record_failure()
+                settled = False
         for nid in rejoined:
             self._rejoin(nid)
+        hints = self._hints
         for nid in sorted(live):
-            self._replay_hints(nid)
+            if hints[nid]:
+                self._replay_hints(nid)
         if live != self._last_live:
             self._last_live = frozenset(live)
             self._rebalance()
+        self._settled = settled and not any(hints)
         return live
 
     def quiesce_node(self, node_id: int) -> None:
@@ -370,16 +394,19 @@ class ReplicatedLogStore(_Queries):
         """
         t0 = time.perf_counter()
         self._ops += 1
-        slow = self._check_fault_sites()
+        slow = self._check_fault_sites() if self.fault_injector is not None else _NO_NODES
         live = self._available_nodes(slow=slow)
         # settle write availability per shard before touching any node;
         # documents route by doc_id % n_shards, so the shards of the
         # first n_shards rows are the batch's, and they repeat in order
         n, first, n_shards = len(messages), len(self._versions), self.n_shards
-        row_shards = [(first + i) % n_shards for i in range(min(n, n_shards))]
-        owners = {s: self.placement.owners(s) for s in sorted(row_shards)}
-        for shard, nodes in owners.items():
-            n_live = len(live.intersection(nodes))
+        shape = (first % n_shards, n if n < n_shards else n_shards)
+        plan = self._write_plans.get(shape)
+        if plan is None:
+            plan = self._write_plans[shape] = self._write_plan(*shape)
+        shard_owners, owner_rows = plan
+        for shard, owners in shard_owners:
+            n_live = len(live.intersection(owners))
             if n_live < self.write_quorum:
                 self._m_quorum_failures.inc(op="write")
                 raise QuorumError("write", shard, self.write_quorum, n_live)
@@ -389,18 +416,16 @@ class ReplicatedLogStore(_Queries):
         # one int object per document, shared by every owner's maps
         doc_ids = list(range(first, first + n))
         self._versions.extend(repeat(1, n))
-        for owner, node in enumerate(self.nodes):
-            keep = [owner in owners[shard] for shard in row_shards]
-            if not any(keep):
-                continue  # owns no shard of this batch
+        nodes, columns = self.nodes, (doc_ids, messages, analyzed)
+        for owner, keep in owner_rows:
             # an owner of every shard of the batch is handed the batch's
             # own columns: cutting copies there costs a 3-document batch
             # 10% (bench_replication_overhead.py::TestStoreWriteFloors times both)
-            run = (doc_ids, messages, analyzed)
-            if not all(keep):
-                run = [list(compress(column, cycle(keep))) for column in run]
+            run = columns
+            if keep is not None:
+                run = [list(compress(column, cycle(keep))) for column in columns]
             if owner in live:
-                node.put_many(*run)
+                nodes[owner].put_many(*run)
             else:
                 for doc_id in run[0]:
                     self._hint(owner, doc_id)
@@ -416,6 +441,20 @@ class ReplicatedLogStore(_Queries):
                     wall_ms=round(wall * 1e3, 3),
                 )
         return True
+
+    def _write_plan(self, start: int, count: int) -> tuple:
+        """Lay out a batch shape: ``count`` rows from shard ``start`` on."""
+        row_shards = [(start + i) % self.n_shards for i in range(count)]
+        table = self.placement.owner_table
+        shard_owners = tuple((shard, table[shard]) for shard in sorted(row_shards))
+        owner_rows = []
+        for owner in range(len(self.nodes)):
+            mine = frozenset(self.placement.shards_owned_by(owner))
+            if mine.isdisjoint(row_shards):
+                continue  # owns no shard of this batch
+            keep = None if mine.issuperset(row_shards) else [s in mine for s in row_shards]
+            owner_rows.append((owner, keep))
+        return shard_owners, tuple(owner_rows)
 
     def index(self, message: SyslogMessage, category: Category | None = None) -> int:
         """Quorum-write one document; returns its global doc id."""
@@ -436,21 +475,23 @@ class ReplicatedLogStore(_Queries):
         IndexError
             Unknown doc id (matching :meth:`get`); nothing is touched.
         """
-        if not 0 <= doc_id < len(self._versions):
+        versions = self._versions
+        if not 0 <= doc_id < len(versions):
             raise IndexError(f"doc id {doc_id} out of range")
-        version = self._versions[doc_id] + 1
-        self._versions[doc_id] = version
+        version = versions[doc_id] + 1
+        versions[doc_id] = version
+        nodes, partitioned = self.nodes, self._partitioned
         for owner in self.placement.owner_table[doc_id % self.n_shards]:
-            node = self.nodes[owner]
-            if not self._reachable(owner):
+            node = nodes[owner]
+            if node.down or owner in partitioned:  # not _reachable
                 self._hint(owner, doc_id)
-                continue
-            if not node.apply_category(doc_id, category, version):
+            elif not node.apply_category(doc_id, category, version):
                 if node.copy_of(doc_id) is None:
                     # the owner missed the original write too
                     self._hint(owner, doc_id)
 
     def _hint(self, node_id: int, doc_id: int) -> None:
+        self._settled = False
         hints = self._hints[node_id]
         if doc_id in hints:
             return
@@ -524,12 +565,14 @@ class ReplicatedLogStore(_Queries):
 
     def kill_node(self, node_id: int, *, wipe: bool = True) -> None:
         """Take a node down (``wipe`` loses its state, SIGKILL-style)."""
+        self._settled = False
         self.nodes[node_id].kill(wipe=wipe)
         self._m_node_up.set(0, node=str(node_id))
         self._rebalance()
 
     def restart_node(self, node_id: int) -> None:
         """Bring a node back: replay hints, anti-entropy, re-promote."""
+        self._settled = False
         self.nodes[node_id].restart()
         self.breakers[node_id].reset()
         self._injected_down.discard(node_id)
@@ -619,6 +662,7 @@ class ReplicatedLogStore(_Queries):
         reachable side holds are refused (:class:`QuorumError`) — the
         split-brain refusal the partition tests assert.
         """
+        self._settled = False
         reachable = set(reachable)
         unknown = reachable - set(range(len(self.nodes)))
         if unknown:
@@ -632,6 +676,7 @@ class ReplicatedLogStore(_Queries):
 
     def heal_partition(self) -> None:
         """Remove the partition; isolated nodes rejoin via sync."""
+        self._settled = False
         was_partitioned = sorted(self._partitioned)
         self._partitioned = set()
         for nid in was_partitioned:

@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from repro.obs import wellknown
+from repro.obs.metrics import default_registry
+
 __all__ = ["StageTimer", "StageStat", "StageReport"]
+
+#: a stage not bound yet
+_UNBOUND = (None, None, None)
 
 
 @dataclass
@@ -151,7 +157,8 @@ class StageTimer:
     _stats: dict[str, StageStat] = field(default_factory=dict, repr=False)
     #: metrics registry to mirror into; ``None`` = process default
     registry: object = field(default=None, repr=False)
-    #: stage name → its (seconds, items) metric children, bound once
+    #: stage name → (the families map they were resolved against, the
+    #: seconds child, the items child or None before the first items)
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stage(self, name: str, items: int = 0) -> "_Stage":
@@ -165,21 +172,39 @@ class StageTimer:
         stat = self._stats.get(name)
         if stat is None:
             stat = self._stats[name] = StageStat()
-        stat.add(seconds, items)
+        stat.seconds += seconds
+        stat.calls += 1
+        stat.items += items
         self._mirror(name, seconds, items)
 
     def _mirror(self, name: str, seconds: float, items: int) -> None:
-        bound = self._bound.get(name)
-        if bound is None:
-            from repro.obs import wellknown
+        registry = self.registry if self.registry is not None else default_registry()
+        families, seconds_child, items_child = self._bound.get(name) or _UNBOUND
+        if families is not registry._families or (items and items_child is None):
+            families, seconds_child, items_child = self._bind(name, registry, items)
+        with seconds_child.lock:
+            seconds_child.observe_held(seconds)
+            if items:
+                items_child.inc_held(items)
 
-            bound = self._bound[name] = (
-                wellknown.Bound(wellknown.stage_seconds, stage=name),
-                wellknown.Bound(wellknown.stage_items, stage=name),
-            )
-        bound[0](self.registry).observe(seconds)
-        if items:
-            bound[1](self.registry).inc(items)
+    def _bind(self, name: str, registry, items: int) -> tuple:
+        """Resolve ``name``'s children in ``registry``: the seconds child
+        now, the items child at the stage's first items (a family never
+        used shows no zero sample)."""
+        families, seconds_child, items_child = self._bound.get(name) or _UNBOUND
+        if families is not registry._families:
+            seconds_child = wellknown.stage_seconds(registry).labels(stage=name)
+            items_child = None
+        if items and items_child is None:
+            items_child = wellknown.stage_items(registry).labels(stage=name)
+        bound = self._bound[name] = (registry._families, seconds_child, items_child)
+        return bound
+
+    def __getstate__(self) -> dict:
+        # resolved children stay in the process that resolved them
+        state = self.__dict__.copy()
+        state["_bound"] = {}
+        return state
 
     def merge(self, report: StageReport) -> None:
         """Fold another timer's report in (used to absorb shard timings).

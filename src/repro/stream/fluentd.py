@@ -183,15 +183,17 @@ class FluentdForwarder:
             self.dead_letters = DeadLetterQueue(
                 max_entries=self.dlq_max_entries
             )
-        # resolved once — a poll admits per message, so the registry
-        # lookup must not sit on that path
+        # the children, resolved once: a poll or a flush writes them
+        # directly, with no family or label lookup on the way
         from repro.obs import wellknown
 
-        self._m_buffer_depth = wellknown.fluentd_buffer_depth()
-        self._m_flush_size = wellknown.fluentd_flush_size()
-        self._m_flushed = wellknown.fluentd_flushed_messages()
+        self._m_buffer_depth = wellknown.fluentd_buffer_depth().labels()
+        self._m_flush_size = wellknown.fluentd_flush_size().labels()
+        self._m_flushed = wellknown.fluentd_flushed_messages().labels()
         self._m_poll_to_flush = wellknown.poll_to_flush_seconds().labels()
         self._m_e2e = wellknown.e2e_latency_seconds().labels()
+        #: a flush's three writes take the registry's write lock once
+        self._m_lock = self._m_flushed.lock
         if self.clock is None:
             self.clock = lambda: self.engine.now
         self.broker.subscribe(self.consumer_group, self.consumer_member)
@@ -216,12 +218,12 @@ class FluentdForwarder:
         room = self.buffer_limit - len(self._buffer)
         if room <= 0:
             return 0
-        if max_records is not None:
-            room = min(room, max_records)
+        if max_records is not None and max_records < room:
+            room = max_records
         records = self.broker.poll(
             self.consumer_group, self.consumer_member, max_records=room
         )
-        n = len(records)
+        n = len(records.offsets)
         if not n:
             return 0
         messages = records.messages
@@ -241,10 +243,11 @@ class FluentdForwarder:
                 else (record_hop(ctx, "broker.poll", now, group=group, member=member), now)
                 for ctx in ctxs
             ])
-        self.stats.accepted += n
+        stats = self.stats
+        stats.accepted += n
         depth = len(self._buffer)
-        if depth > self.stats.max_buffer_seen:
-            self.stats.max_buffer_seen = depth
+        if depth > stats.max_buffer_seen:
+            stats.max_buffer_seen = depth
         self._m_buffer_depth.set(depth)
         return n
 
@@ -261,8 +264,9 @@ class FluentdForwarder:
     def _batch_offsets(self, n: int) -> dict:
         """Commit offsets for the head batch: partition → next offset."""
         out: dict = {}
+        get = out.get
         for partition, offset in zip(self._partitions[:n], self._offsets[:n]):
-            if offset + 1 > out.get(partition, 0):
+            if offset >= get(partition, 0):
                 out[partition] = offset + 1
         return out
 
@@ -327,37 +331,41 @@ class FluentdForwarder:
             self._consecutive_failures = 0
             return 0
         batch = self._buffer[: self.batch_size]
-        traced = [e for e in self._ctxs[: len(batch)] if e is not None]
-        if traced:
+        n = len(batch)
+        ctxs = self._ctxs[:n]
+        if ctxs.count(None) != n:
+            traced = [e for e in ctxs if e is not None]
             # the store picks the contexts up via carried() and records
             # its own hop against the same clock
             sink_start = self.clock()
             with carrying([c for c, _ in traced], self.clock):
                 ok = self._attempt_sink(batch)
         else:
-            sink_start = 0.0
+            traced = None
             ok = self._attempt_sink(batch)
         if ok:
-            wal_ms = self._retire(len(batch))
-            self.stats.flushed_batches += 1
-            self.stats.flushed_messages += len(batch)
+            wal_ms = self._retire(n)
+            stats = self.stats
+            stats.flushed_batches += 1
+            stats.flushed_messages += n
             self._retry_delay = 0.0
             self._consecutive_failures = 0
-            self._m_flush_size.set(len(batch))
-            self._m_flushed.inc(len(batch))
+            with self._m_lock:
+                self._m_buffer_depth.set_held(len(self._buffer))
+                if self._m_flush_size.value != n:
+                    self._m_flush_size.set_held(n)
+                self._m_flushed.inc_held(n)
             if traced:
                 now = self.clock()
                 for ctx, entered_s in traced:
                     self._m_poll_to_flush.observe(now - entered_s)
-                    hop = record_hop(
-                        ctx, "fluentd.flush", sink_start, now, batch=len(batch)
-                    )
+                    hop = record_hop(ctx, "fluentd.flush", sink_start, now, batch=n)
                     if self.journal is not None:
                         record_hop(
                             hop, "wal.append", now, wall_ms=round(wal_ms, 3)
                         )
                     self._m_e2e.observe(now - ctx.origin_s)
-            return len(batch)
+            return n
         self.stats.failed_flushes += 1
         self._consecutive_failures += 1
         if (
@@ -380,6 +388,7 @@ class FluentdForwarder:
         """
         error = f"flush failed {self._consecutive_failures} times"
         self._retire(len(batch), abandoned=error)
+        self._m_buffer_depth.set(len(self._buffer))
         self.stats.abandoned_flushes += 1
         self.stats.abandoned_messages += len(batch)
         for pos, message in enumerate(batch):
@@ -405,11 +414,7 @@ class FluentdForwarder:
                 self.journal.abandoned(n, ABANDON_SITE, abandoned, offsets=offsets)
             wal_ms = (time.perf_counter() - wal_t0) * 1e3
         self.broker.commit_many(self.consumer_group, offsets)
-        del self._buffer[:n]
-        del self._partitions[:n]
-        del self._offsets[:n]
-        del self._ctxs[:n]
-        self._m_buffer_depth.set(len(self._buffer))
+        del self._buffer[:n], self._partitions[:n], self._offsets[:n], self._ctxs[:n]
         return wal_ms
 
     def drain(

@@ -20,8 +20,10 @@ below passes through the engine.  ``all_terms_query``, ``phrase_query``
 and ``time_range`` did not exist on the replicated store; here they are
 inherited, and the bodies the first two had on the bare store are kept
 on ``PerDocLogStore`` (what the engine's cost is read against).
-Liveness, hints, ``get`` and repair are inherited — they are not what
-changed.
+Hints, ``get`` and repair are inherited — they are not what changed.
+The liveness probe (``_available_nodes``: every breaker probed on every
+batch, no memo of a settled cluster) and the coordinator's
+``set_category`` (``_reachable`` per owner) are the bodies they had.
 
 It stores the way both stores did before their documents went columnar:
 a ``VersionedDoc`` per copy in each node's ``_docs`` dict with the
@@ -55,6 +57,7 @@ from repro.core.taxonomy import Category
 from repro.obs.propagation import carried, record_hop
 from repro.replication import ReplicatedLogStore, StoreNode
 from repro.replication import store as store_mod
+from repro.replication.health import BREAKER_CLOSED
 from repro.replication.node import VersionedDoc
 from repro.replication.store import QuorumError
 from repro.stream import opensearch
@@ -473,6 +476,70 @@ class PerDocStore(ReplicatedLogStore):
         for old, new in zip(self.nodes, members):
             new.primary_shards |= old.primary_shards
         self.nodes = members
+
+    def _available_nodes(self, *, slow: set[int] = frozenset()) -> set[int]:
+        """Breaker-gated reachability probe of every node.
+
+        One probe per node per call: an open breaker skips the node
+        without touching it (fail-fast); a closed or half-open breaker
+        attempts the probe and records the outcome.  A probe success on
+        a non-closed breaker is a *rejoin* — the node was written off
+        and is back — which replays its hints and anti-entropy-syncs it
+        before it serves again.  A live node whose breaker never opened
+        (one timed-out probe) only has its hints replayed: it stayed an
+        acting primary throughout, so until then it serves reads short
+        of the documents it was hinted.
+        """
+        live: set[int] = set()
+        rejoined: list[int] = []
+        for nid in range(len(self.nodes)):
+            breaker = self.breakers[nid]
+            if not breaker.allow():
+                continue
+            was = breaker.state
+            if nid in slow:
+                self._m_timeouts.inc(node=str(nid))
+                breaker.record_failure()
+            elif self._reachable(nid):
+                breaker.record_success()
+                if was != BREAKER_CLOSED:
+                    rejoined.append(nid)
+                live.add(nid)
+            else:
+                breaker.record_failure()
+        for nid in rejoined:
+            self._rejoin(nid)
+        for nid in sorted(live):
+            self._replay_hints(nid)
+        if live != self._last_live:
+            self._last_live = frozenset(live)
+            self._rebalance()
+        return live
+
+    def set_category(self, doc_id: int, category: Category) -> None:
+        """Attach a classifier verdict, version-bumped, to all owners.
+
+        Unreachable owners are hinted; a rejoined owner converges via
+        hint replay (which re-reads the latest copy) or anti-entropy.
+
+        Raises
+        ------
+        IndexError
+            Unknown doc id (matching :meth:`get`); nothing is touched.
+        """
+        if not 0 <= doc_id < len(self._versions):
+            raise IndexError(f"doc id {doc_id} out of range")
+        version = self._versions[doc_id] + 1
+        self._versions[doc_id] = version
+        for owner in self.placement.owner_table[doc_id % self.n_shards]:
+            node = self.nodes[owner]
+            if not self._reachable(owner):
+                self._hint(owner, doc_id)
+                continue
+            if not node.apply_category(doc_id, category, version):
+                if node.copy_of(doc_id) is None:
+                    # the owner missed the original write too
+                    self._hint(owner, doc_id)
 
     def _owners(self, shard):
         """``ShardPlacement.owners`` as it was: derived on every call."""

@@ -18,7 +18,12 @@ beside the new code:
   ``match``, every field read through a named group, no memo;
 * :class:`ReferenceDeadLetterQueue` — ``DeadLetterQueue`` with the
   ``_append`` that evicted with ``del entries[0]`` and the ``_count``
-  that imported the catalogue and resolved family and child per push.
+  that imported the catalogue and resolved family and child per push;
+* :class:`ReferenceTcpListener` — ``SyslogListener`` with the TCP door
+  it had before the per-connection protocol (commit 112b942):
+  ``_serve_tcp``, a task per connection reading a ``StreamReader``, one
+  wake-up per chunk (``tests/test_ingest.py`` drives it with
+  ``_ChunkedReader`` beside the protocol fed the same chunks).
 
 The second half is the instrumented doubles
 ``tests/test_perf_smoke.py::TestFrontDoorFloors`` states its floors in:
@@ -33,6 +38,7 @@ imports it.
 
 from __future__ import annotations
 
+import asyncio
 import re
 from contextlib import contextmanager
 
@@ -40,6 +46,7 @@ import pytest
 
 from repro.core.message import Facility, Severity, SyslogMessage
 from repro.faults.dlq import DeadLetter, DeadLetterQueue
+from repro.ingest.listener import SyslogListener
 from repro.ingest.quota import DeficitRoundRobin
 from repro.obs.metrics import MetricsRegistry, _Family
 from repro.stream import rfc as rfc_mod
@@ -295,6 +302,59 @@ class ReferenceDeadLetterQueue(DeadLetterQueue):
 
 
 # -- counting doubles ----------------------------------------------------------
+
+
+# -- the TCP door -------------------------------------------------------------
+
+
+class ReferenceTcpListener(SyslogListener):
+    """The listener with the parent's task-per-connection TCP door."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._tcp_tasks: set[asyncio.Task] = set()
+
+    async def _serve_tcp(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        task = asyncio.current_task()
+        if task is not None:
+            self._tcp_tasks.add(task)
+            task.add_done_callback(self._tcp_tasks.discard)
+        buf = b""
+        # a line that outgrows the cap is quarantined once, then bytes
+        # are discarded until its newline finally arrives
+        skipping = False
+        try:
+            while True:
+                chunk = await reader.read(1 << 16)
+                if not chunk:
+                    break
+                # one split per chunk: slicing the buffer once per line
+                # would copy its remainder once per line
+                lines = chunk.split(b"\n")
+                lines[0] = buf + lines[0]
+                buf = lines.pop()  # unterminated tail, b"" after a newline
+                # the chunk's admitted lines go to the broker in one call
+                messages: list = []
+                ctxs: list = []
+                for line in lines:
+                    if skipping:
+                        skipping = False  # the oversize line's newline
+                    elif line:
+                        self._admit(line, "tcp", messages, ctxs)
+                if messages:
+                    self._publish(messages, ctxs, "tcp")
+                if skipping:
+                    buf = b""
+                elif len(buf) > self.max_line_bytes:
+                    self._handle_line(buf, udp=False)  # counted oversize
+                    buf = b""
+                    skipping = True
+            if buf and not skipping:
+                self._handle_line(buf, udp=False)
+        except (asyncio.CancelledError, ConnectionError):
+            pass
+        finally:
+            writer.close()
 
 
 class _CountingTable(dict):

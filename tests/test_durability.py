@@ -606,6 +606,98 @@ class TestJournal:
         assert j2.state.buffer_events == [-1, -2, -3]
         j2.wal.close()
 
+    @staticmethod
+    def _held_lowest(state: JournalState) -> int:
+        """The next-identity rule a journal used to open with: the lowest
+        synthetic identity of a ``seen`` set that held every published
+        one — the buffer, the indexed set, the dead letters and the
+        rejects (``JournalState.from_payload`` built it so)."""
+        held = {*state.buffer_events, *state.indexed_events, *state.rejected,
+                *(d["event"] for d in state.dead)}
+        return min((e for e in held if e < 0), default=0)
+
+    def _live_journal(self, wal_dir, *, checkpoint_at=None):
+        """A listener-shaped journal: synthetic accepts, flushes, a
+        reject, an abandon, a requeue of the tail, and trace events
+        beside them; optionally the payload a checkpoint would take."""
+        wal = WriteAheadLog(wal_dir, registry=MetricsRegistry())
+        j = StreamJournal(wal)
+        payload = None
+        steps = [
+            lambda: j.accept_many([None] * 3, [_msg(i) for i in range(3)]),
+            lambda: j.flushed(2),
+            lambda: j.accept_many([5, None, 6], [_msg(5), _msg(7), _msg(6)]),
+            lambda: j.reject(None),
+            lambda: j.abandoned(2, "fluentd.flush_abandoned", "gave up"),
+            lambda: j.accept_many([None] * 2, [_msg(8), _msg(9)]),
+            lambda: j.requeue_buffer(),
+            lambda: j.accept_many([None], [_msg(10)]),
+            lambda: j.flushed(1),
+        ]
+        for k, step in enumerate(steps):
+            step()
+            if k == checkpoint_at:
+                j.flush_pending()
+                payload = j.state.to_payload()
+        j.flush_pending()
+        wal.close()
+        return j, payload
+
+    def test_an_all_synthetic_run_leaves_seen_empty(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, registry=MetricsRegistry())
+        j = StreamJournal(wal)
+        for i in range(0, 60, 3):
+            j.accept_many([None] * 3, [_msg(i + k) for k in range(3)])
+            j.flushed(3)
+        j.reject(None)
+        wal.close()
+        assert j.state.seen == set() and j.state.lowest_synthetic == -61
+        replayed = recover_state(tmp_path).state
+        assert replayed.seen == set() and replayed.lowest_synthetic == -61
+        restored = JournalState.from_payload(j.state.to_payload())
+        assert restored.seen == set() and restored.lowest_synthetic == -61
+
+    @pytest.mark.parametrize("checkpoint_at", [None, 1, 4, 6])
+    def test_a_reopened_journal_draws_the_next_identity_it_did(self, tmp_path, checkpoint_at):
+        """After a replay, or a checkpoint plus the replay past it, the
+        reopened journal draws below the lowest synthetic identity still
+        held — what a ``seen`` set of every identity gave — and keeps
+        only trace identities in ``seen``."""
+        j, payload = self._live_journal(tmp_path / "wal", checkpoint_at=checkpoint_at)
+        if payload is not None:
+            state = JournalState.from_payload(payload)
+            for record in replay_wal(tmp_path / "wal")[0]:
+                if record.seq > state.applied_seq:
+                    state.apply(record)
+        else:
+            state = recover_state(tmp_path / "wal").state
+        assert state.seen == j.state.seen == {5}  # 6 went back with the requeue
+        want = self._held_lowest(state)
+        assert state.lowest_synthetic == j.state.lowest_synthetic == want < 0
+        wal = WriteAheadLog(tmp_path / "wal", registry=MetricsRegistry())
+        reopened = StreamJournal(wal, state=state)
+        reopened.accept_many([None], [_msg(11)])
+        assert reopened.state.buffer_events[-1] == want - 1
+        wal.close()
+
+    def test_a_checkpoint_payload_keeps_its_bytes(self, tmp_path):
+        """``seen`` and the lowest synthetic identity are derived, never
+        written: the payload is the one it was."""
+        j, _payload = self._live_journal(tmp_path)
+        body = lambda m: m and m.to_dict()  # noqa: E731
+        assert json.dumps(j.state.to_payload(), sort_keys=True) == json.dumps({
+            "applied_seq": j.state.applied_seq,
+            "buffer": [],
+            "indexed": [[e, body(m)] for e, m in zip(j.state.indexed_events,
+                                                    j.state.indexed_messages)],
+            "dead": [{**d, "msg": body(d["msg"])} for d in j.state.dead],
+            "rejected": [-5],
+            "offsets": {},
+            "control": None,
+        }, sort_keys=True)
+        assert j.state.indexed_events == [-1, -2, -8]
+        assert [d["event"] for d in j.state.dead] == [-3, 5]
+
     def test_crash_site_fires_at_exact_ordinal(self, tmp_path):
         # verify at_calls fires at the exact arming-check ordinal (one
         # check per accept and per commit), the contract run_child's
@@ -652,7 +744,8 @@ class TestJournal:
         wal.close()
         assert j.state.buffer_events == [-1, -2, -3, -4, -5]
         assert j.state.buffer_messages == [_msg(i) for i in range(5)]
-        assert j.state.seen == {-1, -2, -3, -4, -5}
+        # a synthetic identity is never in ``seen``: only the lowest drawn is kept
+        assert j.state.seen == set() and j.state.lowest_synthetic == -5
         replayed = recover_state(tmp_path).state
         assert replayed.buffer_events == j.state.buffer_events
         assert replayed.buffer_messages == j.state.buffer_messages

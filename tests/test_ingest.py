@@ -16,6 +16,7 @@ from bisect import bisect_left
 from pathlib import Path
 
 import pytest
+import reference_door
 from hypothesis import given, seed, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -38,6 +39,7 @@ from repro.ingest import (
     RecordBatch,
     SyslogListener,
 )
+from repro.ingest.listener import _TcpProtocol
 from repro.obs import MetricsRegistry, TraceSampler, Tracer, use_registry, wellknown
 from repro.obs.propagation import record_hop
 from repro.stream import rfc
@@ -843,7 +845,7 @@ class TestSyslogListener:
                 listener._handle_line(line, udp=True)
         else:
             stream = b"\n".join(lines) + b"\n"
-            _run(listener._serve_tcp(_ChunkedReader(stream, len(stream)), _NullWriter()))
+            feed_tcp(listener, stream, len(stream))
         listener.sync_metrics()
         s = listener.stats
         assert (s.received, s.accepted, s.publish_refused) == (3, 0, 3)
@@ -913,6 +915,33 @@ class SlicePerLineListener(SyslogListener):
             writer.close()
 
 
+class _NullTransport:
+    def close(self):
+        pass
+
+
+def feed_tcp(listener, stream: bytes, size: int, *, eof: bool = True) -> None:
+    """Hand ``stream`` to one TCP peer's protocol of ``listener``
+    ``size`` bytes at a time, as the event loop would, then end it
+    (``eof``: the peer closes its side; else the connection is lost)."""
+    peer = _TcpProtocol(listener)
+    peer.connection_made(_NullTransport())
+    for i in range(0, len(stream), size):
+        peer.data_received(stream[i:i + size])
+    if eof:
+        peer.eof_received()
+    peer.connection_lost(None)
+
+
+def serve_chunks(listener, stream: bytes, size: int) -> None:
+    """``stream`` through ``listener``'s TCP door ``size`` bytes at a
+    time: fed to the protocol, or read by a ``_serve_tcp`` oracle."""
+    if hasattr(listener, "_serve_tcp"):
+        _run(listener._serve_tcp(_ChunkedReader(stream, size), _NullWriter()))
+    else:
+        feed_tcp(listener, stream, size)
+
+
 class _ChunkedReader:
     """``StreamReader.read`` that hands out ``size`` bytes at a time."""
 
@@ -948,7 +977,7 @@ class TestTcpFraming:
     def _serve(self, cls, stream: bytes, chunk: int):
         broker = LogBroker(registry=MetricsRegistry())
         listener = cls(broker, udp_port=None, tcp_port=None, max_line_bytes=self.CAP)
-        _run(listener._serve_tcp(_ChunkedReader(stream, chunk), _NullWriter()))
+        serve_chunks(listener, stream, chunk)
         broker.subscribe("g", "m0")
         published = [
             (r.partition, r.offset, r.message)
@@ -987,7 +1016,7 @@ class TestTcpFraming:
                 broker, udp_port=None, tcp_port=None, max_line_bytes=self.CAP,
                 trace_sampler=sampler,
             )
-            _run(listener._serve_tcp(_ChunkedReader(stream, 4096), _NullWriter()))
+            serve_chunks(listener, stream, 4096)
             broker.subscribe("g", "m0")
             traced.append({
                 r.message.timestamp: r.ctx and r.ctx.trace_id
@@ -1012,6 +1041,86 @@ class TestTcpFraming:
         assert len(by_byte) == len(at_once)
         assert f"oversize: {self.CAP + 1} bytes" in by_byte[1][2]
         assert f"oversize: {5 * self.CAP + 4} bytes" in at_once[1][2]
+
+
+class TestTcpProtocol:
+    """The per-connection protocol against the task-per-connection door
+    it replaced (``reference_door.ReferenceTcpListener``), fed the same
+    chunks: the same counts, dead letters, published records and traces."""
+
+    CAP = 300
+
+    def _door(self, cls, stream: bytes, chunk: int):
+        broker = LogBroker(registry=MetricsRegistry())
+        sampler = TraceSampler(
+            0.25, seed=SEED_SHIFT, tracer=Tracer(), registry=MetricsRegistry()
+        )
+        listener = cls(
+            broker, udp_port=None, tcp_port=None, max_line_bytes=self.CAP,
+            trace_sampler=sampler,
+        )
+        serve_chunks(listener, stream, chunk)
+        broker.subscribe("g", "m0")
+        published = [
+            (r.partition, r.offset, r.message, r.ctx and r.ctx.trace_id)
+            for r in broker.poll("g", "m0", max_records=1000)
+        ]
+        dead = [(d.seq, d.site, d.payload, d.error, d.context) for d in listener.dead_letters]
+        return listener.stats, dead, published
+
+    @pytest.mark.parametrize("unterminated", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, None])  # None: the whole stream at once
+    def test_the_protocol_equals_the_reader_task(self, chunk, unterminated):
+        """The stream holds an oversize line that small chunks split
+        long before its newline, and (``unterminated``) a last line the
+        EOF ends."""
+        stream = _framing_stream(self.CAP, unterminated=unterminated)
+        size = chunk or len(stream)
+        got = self._door(SyslogListener, stream, size)
+        assert got == self._door(reference_door.ReferenceTcpListener, stream, size)
+        stats, dead, published = got
+        assert stats.accounted() and stats.accepted == len(published) == 40
+        assert stats.oversize == 3 and stats.parse_errors == 2
+        assert any(trace for *_rest, trace in published)
+
+    def test_a_lost_connection_drops_the_tail_an_eof_takes(self):
+        """A peer that ends its stream has its unterminated tail taken as
+        a line; a connection lost without that (a reset) drops it, as the
+        reader task's ``ConnectionError`` did."""
+        line = _msg(7).to_rfc5424().encode()
+        for eof, want in ((True, 2), (False, 1)):
+            listener = SyslogListener(LogBroker(registry=MetricsRegistry()),
+                                      udp_port=None, tcp_port=None)
+            feed_tcp(listener, line + b"\n" + line, 5, eof=eof)
+            assert (listener.stats.received, listener.stats.accepted) == (want, want)
+
+    def test_a_peer_that_closes_mid_line_over_loopback(self):
+        """Three lines over a real socket, the last without its newline,
+        then the peer closes: all three are accepted, and ``stop`` finds
+        no connection left open."""
+        lines = [_msg(i, host=f"cn{i:02d}").to_rfc5424().encode() for i in range(3)]
+
+        async def scenario():
+            broker = LogBroker(registry=MetricsRegistry())
+            listener = SyslogListener(broker, udp_port=None, tcp_port=0)
+            await listener.start()
+            _reader, writer = await asyncio.open_connection(*listener.tcp_address)
+            writer.write(b"\n".join(lines))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(400):
+                if listener.stats.received == 3 and not listener._tcp_peers:
+                    break
+                await asyncio.sleep(0.005)
+            await listener.stop()
+            broker.subscribe("g", "m0")
+            return listener, [r.message for r in broker.poll("g", "m0")]
+
+        listener, messages = _run(scenario())
+        assert listener.stats.accepted == 3 and listener.stats.accounted()
+        assert sorted(m.hostname for m in messages) == ["cn00", "cn01", "cn02"]
+        assert not listener._tcp_peers
 
 
 # ---------------------------------------------------------------------------

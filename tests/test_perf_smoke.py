@@ -9,16 +9,18 @@ gate does not move with the machine.  The wall-clock versions these
 replaced are ledger rows under ``benchmarks/``, named in each test.
 """
 
-import asyncio
 import gc
 import math
 import re
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import flush_toll
 import numpy as np
+import pytest
 import reference_door
 from reference_door import (
     CountedQuota,
@@ -31,7 +33,7 @@ from reference_door import (
     reference_safe_parse_line,
 )
 from reference_textproc import counted
-from test_ingest import ScanAllBroker, _ChunkedReader, _NullWriter
+from test_ingest import ScanAllBroker, feed_tcp
 
 from repro.core.message import Severity, SyslogMessage
 from repro.core.taxonomy import Category
@@ -566,7 +568,7 @@ class TestHandOffFloors:
         broker._lock = lock = _CountingLock()
         calls = _Calls(broker)
         listener = SyslogListener(calls, udp_port=None, tcp_port=None)
-        asyncio.run(listener._serve_tcp(_ChunkedReader(stream, 1024), _NullWriter()))
+        feed_tcp(listener, stream, 1024)
         chunks = sum(1 for i in range(0, len(stream), 1024) if b"\n" in stream[i:i + 1024])
         assert listener.stats.accepted == broker.stats.published == 200
         assert calls.calls == {"publish_many": chunks}
@@ -918,7 +920,7 @@ class TestStoreHeapFloors:
 
 def _handed_off_per_line(broker_cls, wal_dir, n: int = 2_000) -> tuple[float, object]:
     """Collector-tracked objects left behind per line by ``n`` lines
-    through the hand-off — ``SyslogListener._serve_tcp`` in 4 KiB reads,
+    through the hand-off — the listener's TCP protocol fed 4 KiB chunks,
     a ``broker_cls`` broker, ``FluentdForwarder.poll_broker``/``flush``
     journaling into a ``StreamJournal`` on an ``fsync="off"`` WAL, into a
     sink that keeps nothing — the lines themselves included, one
@@ -941,7 +943,7 @@ def _handed_off_per_line(broker_cls, wal_dir, n: int = 2_000) -> tuple[float, ob
         )
 
         def hand_off(data: bytes) -> None:
-            asyncio.run(listener._serve_tcp(_ChunkedReader(data, 4096), _NullWriter()))
+            feed_tcp(listener, data, 4096)
             settle([fwd])
 
         warm, lines = stream(0, 100), stream(100, n)
@@ -1284,3 +1286,69 @@ class TestTemplateCacheSpeedup:
         assert pipe.classify_batch(msgs) == base
         assert rows == [], f"a warm batch reached the model stage: {cache.stats()}"
         assert cache.stats()["hits"] >= len(msgs)
+
+
+class TestFlushToll:
+    """A paced line stops paying a flush's toll.  One publish → poll →
+    sink → journal → commit round, assembled as the spine assembles it
+    (``flush_toll.Spine``: ``classifying_sink``, an ``fsync="off"`` WAL,
+    a live registry) and warmed on hot-shaped lines, counted in bytecodes
+    executed in ``src/repro`` frames — no clock.  Its µs per round at 1,
+    3, 100 and 500 lines is ``benchmarks/bench_flush_toll.py``
+    (``BENCH_flush_toll.json``)."""
+
+    #: a one-line round against a line of a 100-line round over the same
+    #: lines (reads 3.31; 4.16 when every layer paid its per-call toll);
+    #: telemetry's share of the one-line round (reads 12.6%; 21%); an idle
+    #: poll on a caught-up group, forwarder and broker (reads 96; 229).
+    #: CPython 3.11 counts; 3.10 and 3.12 execute fewer bytecodes a call
+    TOLL_RATIO, TELEMETRY_SHARE, IDLE_POLL = 3.5, 0.135, 100
+
+    @pytest.fixture(scope="class")
+    def toll(self, tmp_path_factory):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            spine = flush_toll.Spine(tmp_path_factory.mktemp("toll") / "wal", registry)
+            warm = flush_toll.hot_messages(600, seed=1)
+            spine.rounds(warm[:300], 1)
+            spine.rounds(warm[300:], 100)
+            lines = flush_toll.hot_messages(100, seed=2)
+            spine.rounds(lines, 100)  # the lines' own first sight
+            one = flush_toll.count_opcodes(lambda: spine.rounds(lines, 1))
+            hundred = flush_toll.count_opcodes(lambda: spine.rounds(lines, 100))
+            spine.forwarder.poll_broker()  # the first idle poll settles the lag gauges
+            idle = flush_toll.count_opcodes(spine.forwarder.poll_broker)
+            spine.close()
+        return one, hundred, idle
+
+    def test_a_one_line_round_costs_a_bounded_number_of_lines(self, toll):
+        """100 one-line rounds against one 100-line round over the same
+        lines: the per-round toll is at most this many lines' work."""
+        one, hundred, _idle = toll
+        ratio = one["total"] / hundred["total"]
+        assert ratio <= self.TOLL_RATIO, (round(ratio, 2), dict(one), dict(hundred))
+
+    def test_telemetry_is_a_bounded_share_of_a_one_line_round(self, toll):
+        """The counted form of ``bench_obs_overhead.py``'s 3% wall-clock
+        budget: ``repro/obs/`` and ``repro/runtime/timing.py`` frames,
+        every metric still exact at every read."""
+        one, _hundred, _idle = toll
+        share = one["telemetry"] / one["total"]
+        assert share <= self.TELEMETRY_SHARE, (round(share, 3), dict(one))
+
+    def test_an_idle_poll_on_a_caught_up_group(self, toll):
+        _one, _hundred, idle = toll
+        assert idle["total"] <= self.IDLE_POLL, dict(idle)
+
+    def test_the_count_restores_the_tracer_it_found(self):
+        def tracer(frame, event, arg):
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            counts = flush_toll.count_opcodes(lambda: LogBroker(registry=NullRegistry()))
+            assert sys.gettrace() is tracer
+        finally:
+            sys.settrace(previous)
+        assert counts["broker"] > 0 and counts["total"] >= counts["broker"]

@@ -32,6 +32,42 @@ Subpackages
     Runners reproducing each table/figure of the paper.
 """
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """``(__all__, __getattr__, __dir__)`` for a subpackage whose exports load on first use.
+
+    ``exports`` maps each submodule (named relative to ``package``) to the
+    names the package re-exports from it.  Nothing is imported up front
+    (PEP 562): the first read of an exported name imports its submodule and
+    binds the value in the package's globals, so later reads never come back
+    here.  Reading a submodule's own name imports it (``repro.core.pipeline``
+    after ``import repro.core``); any other name raises
+    :class:`AttributeError`.  A process that wires the spine therefore loads
+    the modules it uses, not every sibling a package ``__init__`` names.
+    """
+    source = {name: f"{package}.{sub}" for sub, names in exports.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name):
+        if name in source:
+            value = namespace[name] = getattr(importlib.import_module(source[name]), name)
+            return value
+        if not name.startswith("__"):
+            try:
+                return importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted(namespace.keys() | source.keys())
+
+    return list(source), __getattr__, __dir__

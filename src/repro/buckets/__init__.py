@@ -12,20 +12,10 @@ low-threshold edit-distance pre-filter that drops known-"Unimportant"
 messages before the ML classifier runs.
 """
 
-from repro.buckets.bucketer import (
-    Bucket,
-    BucketStore,
-    LevenshteinBucketClassifier,
-    UNCLASSIFIED,
-)
-from repro.buckets.blacklist import BlacklistFilter
-from repro.buckets.drain_classifier import DrainTemplateClassifier
+from repro import _lazy_exports
 
-__all__ = [
-    "Bucket",
-    "BucketStore",
-    "LevenshteinBucketClassifier",
-    "UNCLASSIFIED",
-    "BlacklistFilter",
-    "DrainTemplateClassifier",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "bucketer": ("Bucket", "BucketStore", "LevenshteinBucketClassifier", "UNCLASSIFIED"),
+    "blacklist": ("BlacklistFilter",),
+    "drain_classifier": ("DrainTemplateClassifier",),
+})

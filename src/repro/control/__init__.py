@@ -12,49 +12,17 @@ README "Control plane" section for the policy JSON schema and the
 determinism guarantees.
 """
 
-from repro.control.actuators import (
-    Actuator,
-    CallableActuator,
-    FluentdBatchActuator,
-    ListenerRateActuator,
-    StageWorkersActuator,
-    StoreActiveNodesActuator,
-)
-from repro.control.controller import (
-    BrownoutLadder,
-    Controller,
-    Lever,
-    controller_for_cluster,
-)
-from repro.control.policy import (
-    BrownoutPolicy,
-    ControlPolicy,
-    FeedforwardPolicy,
-    LeverPolicy,
-    default_listen_policy,
-    default_policy,
-    load_policy_file,
-)
-from repro.control.signals import SIGNALS, SignalReader
+from repro import _lazy_exports
 
-__all__ = [
-    "Actuator",
-    "CallableActuator",
-    "FluentdBatchActuator",
-    "ListenerRateActuator",
-    "StageWorkersActuator",
-    "StoreActiveNodesActuator",
-    "BrownoutLadder",
-    "Controller",
-    "Lever",
-    "controller_for_cluster",
-    "BrownoutPolicy",
-    "ControlPolicy",
-    "FeedforwardPolicy",
-    "LeverPolicy",
-    "default_listen_policy",
-    "default_policy",
-    "load_policy_file",
-    "SIGNALS",
-    "SignalReader",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "actuators": (
+        "Actuator", "CallableActuator", "FluentdBatchActuator", "ListenerRateActuator",
+        "StageWorkersActuator", "StoreActiveNodesActuator",
+    ),
+    "controller": ("BrownoutLadder", "Controller", "Lever", "controller_for_cluster"),
+    "policy": (
+        "BrownoutPolicy", "ControlPolicy", "FeedforwardPolicy", "LeverPolicy",
+        "default_listen_policy", "default_policy", "load_policy_file",
+    ),
+    "signals": ("SIGNALS", "SignalReader"),
+})

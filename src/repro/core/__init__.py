@@ -8,39 +8,16 @@ distribution shifts (the failure mode that forced continuous retraining
 of the legacy bucketing approach, §3).
 """
 
-from repro.core.taxonomy import Category, CATEGORIES, TAXONOMY, CategorySpec
-from repro.core.message import SyslogMessage, Severity, Facility
-from repro.core.pipeline import ClassificationPipeline, PipelineResult
-from repro.core.template_cache import TemplateCache
-from repro.core.alerts import AlertRule, AlertRouter, Alert, EmailSink
-from repro.core.drift import DriftMonitor, DriftReport
-from repro.core.registry import ModelRegistry, ModelRecord
-from repro.core.retrain import RetrainController, RetrainEvent
-from repro.core.serialize import save_pipeline, load_pipeline, save_classifier, load_classifier
+from repro import _lazy_exports
 
-__all__ = [
-    "Category",
-    "CATEGORIES",
-    "TAXONOMY",
-    "CategorySpec",
-    "SyslogMessage",
-    "Severity",
-    "Facility",
-    "ClassificationPipeline",
-    "PipelineResult",
-    "TemplateCache",
-    "AlertRule",
-    "AlertRouter",
-    "Alert",
-    "EmailSink",
-    "DriftMonitor",
-    "DriftReport",
-    "ModelRegistry",
-    "ModelRecord",
-    "RetrainController",
-    "RetrainEvent",
-    "save_pipeline",
-    "load_pipeline",
-    "save_classifier",
-    "load_classifier",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "taxonomy": ("Category", "CATEGORIES", "TAXONOMY", "CategorySpec"),
+    "message": ("SyslogMessage", "Severity", "Facility"),
+    "pipeline": ("ClassificationPipeline", "PipelineResult"),
+    "template_cache": ("TemplateCache",),
+    "alerts": ("AlertRule", "AlertRouter", "Alert", "EmailSink"),
+    "drift": ("DriftMonitor", "DriftReport"),
+    "registry": ("ModelRegistry", "ModelRecord"),
+    "retrain": ("RetrainController", "RetrainEvent"),
+    "serialize": ("save_pipeline", "load_pipeline", "save_classifier", "load_classifier"),
+})

@@ -16,59 +16,21 @@ cannot ship.  This package generates a behaviourally equivalent corpus:
   for the streaming / monitoring experiments.
 """
 
-from repro.datagen.vendors import VendorProfile, VENDORS
-from repro.datagen.templates import MessageTemplate, TEMPLATES, templates_for
-from repro.datagen.generator import CorpusGenerator, LabeledCorpus, TABLE2_COUNTS
-from repro.datagen.firmware import FirmwareDrift, DriftedTemplateSet
-from repro.datagen.sessions import SessionGenerator, LabeledSession, SessionKind
-from repro.datagen.newcomer import NEWCOMER_VENDOR, NEWCOMER_TEMPLATES, generate_newcomer_messages
-from repro.datagen.telemetry import (
-    TelemetrySample,
-    TelemetryGenerator,
-    FaultySensor,
-    RackHeat,
-    FamilyQuirk,
-)
-from repro.datagen.workload import (
-    ArrivalProcess,
-    PoissonArrivals,
-    BurstArrivals,
-    Incident,
-    StreamEvent,
-    generate_stream,
-)
-from repro.datagen.sender import render_event, wire_lines, send_udp, send_tcp
+from repro import _lazy_exports
 
-__all__ = [
-    "VendorProfile",
-    "VENDORS",
-    "MessageTemplate",
-    "TEMPLATES",
-    "templates_for",
-    "CorpusGenerator",
-    "LabeledCorpus",
-    "TABLE2_COUNTS",
-    "FirmwareDrift",
-    "DriftedTemplateSet",
-    "SessionGenerator",
-    "LabeledSession",
-    "SessionKind",
-    "NEWCOMER_VENDOR",
-    "NEWCOMER_TEMPLATES",
-    "generate_newcomer_messages",
-    "TelemetrySample",
-    "TelemetryGenerator",
-    "FaultySensor",
-    "RackHeat",
-    "FamilyQuirk",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "BurstArrivals",
-    "Incident",
-    "StreamEvent",
-    "generate_stream",
-    "render_event",
-    "wire_lines",
-    "send_udp",
-    "send_tcp",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "vendors": ("VendorProfile", "VENDORS"),
+    "templates": ("MessageTemplate", "TEMPLATES", "templates_for"),
+    "generator": ("CorpusGenerator", "LabeledCorpus", "TABLE2_COUNTS"),
+    "firmware": ("FirmwareDrift", "DriftedTemplateSet"),
+    "sessions": ("SessionGenerator", "LabeledSession", "SessionKind"),
+    "newcomer": ("NEWCOMER_VENDOR", "NEWCOMER_TEMPLATES", "generate_newcomer_messages"),
+    "telemetry": (
+        "TelemetrySample", "TelemetryGenerator", "FaultySensor", "RackHeat", "FamilyQuirk",
+    ),
+    "workload": (
+        "ArrivalProcess", "PoissonArrivals", "BurstArrivals", "Incident", "StreamEvent",
+        "generate_stream",
+    ),
+    "sender": ("render_event", "wire_lines", "send_udp", "send_tcp"),
+})

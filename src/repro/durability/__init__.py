@@ -20,64 +20,20 @@ effectively-exactly-once guarantee:
   proving no message is ever lost or duplicated across crashes.
 """
 
-from repro.durability.checkpoint import (
-    checkpoint_paths,
-    load_checkpoint,
-    load_latest_checkpoint,
-    write_checkpoint,
-)
-from repro.durability.harness import (
-    child_main,
-    crash_recovery_scenario,
-    run_child,
-)
-from repro.durability.recovery import (
-    ConservationReport,
-    JournalState,
-    SimConfig,
-    StreamJournal,
-    build_checkpoint_payload,
-    build_cluster,
-    checkpoint_cluster,
-    reconcile,
-    recover_state,
-    resume_simulation,
-    run_to_completion,
-)
-from repro.durability.wal import (
-    FSYNC_POLICIES,
-    WalRecord,
-    WalRecords,
-    WalScanInfo,
-    WriteAheadLog,
-    iter_wal,
-    replay_wal,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FSYNC_POLICIES",
-    "WalRecord",
-    "WalRecords",
-    "WalScanInfo",
-    "WriteAheadLog",
-    "iter_wal",
-    "replay_wal",
-    "checkpoint_paths",
-    "load_checkpoint",
-    "load_latest_checkpoint",
-    "write_checkpoint",
-    "ConservationReport",
-    "JournalState",
-    "SimConfig",
-    "StreamJournal",
-    "build_checkpoint_payload",
-    "build_cluster",
-    "checkpoint_cluster",
-    "reconcile",
-    "recover_state",
-    "resume_simulation",
-    "run_to_completion",
-    "child_main",
-    "crash_recovery_scenario",
-    "run_child",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "checkpoint": (
+        "checkpoint_paths", "load_checkpoint", "load_latest_checkpoint", "write_checkpoint",
+    ),
+    "harness": ("child_main", "crash_recovery_scenario", "run_child"),
+    "recovery": (
+        "ConservationReport", "JournalState", "SimConfig", "StreamJournal",
+        "build_checkpoint_payload", "build_cluster", "checkpoint_cluster", "reconcile",
+        "recover_state", "resume_simulation", "run_to_completion",
+    ),
+    "wal": (
+        "FSYNC_POLICIES", "WalRecord", "WalRecords", "WalScanInfo", "WriteAheadLog", "iter_wal",
+        "replay_wal",
+    ),
+})

@@ -6,41 +6,20 @@ on.  The experiment ↔ module map lives in DESIGN.md; paper-vs-measured
 numbers are recorded in EXPERIMENTS.md.
 """
 
-from repro.experiments.common import ExperimentData, format_table
-from repro.experiments.classifiers import (
-    ClassifierRow,
-    run_classifier_comparison,
-    linear_svc_confusion,
-    CLASSIFIER_FACTORIES,
-)
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3, Table3Row
-from repro.experiments.prompt_ablation import run_prompt_ablation, PromptAblationRow
-from repro.experiments.throughput import run_throughput_sweep, ThroughputRow
-from repro.experiments.driftexp import run_drift_experiment, DriftRow
-from repro.experiments.blacklistexp import run_blacklist_experiment, BlacklistResult
-from repro.experiments.monitoringexp import run_monitoring_experiment, MonitoringResult
+from repro import _lazy_exports
 
-__all__ = [
-    "ExperimentData",
-    "format_table",
-    "ClassifierRow",
-    "run_classifier_comparison",
-    "linear_svc_confusion",
-    "CLASSIFIER_FACTORIES",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "Table3Row",
-    "run_prompt_ablation",
-    "PromptAblationRow",
-    "run_throughput_sweep",
-    "ThroughputRow",
-    "run_drift_experiment",
-    "DriftRow",
-    "run_blacklist_experiment",
-    "BlacklistResult",
-    "run_monitoring_experiment",
-    "MonitoringResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "common": ("ExperimentData", "format_table"),
+    "classifiers": (
+        "ClassifierRow", "run_classifier_comparison", "linear_svc_confusion",
+        "CLASSIFIER_FACTORIES",
+    ),
+    "table1": ("run_table1",),
+    "table2": ("run_table2",),
+    "table3": ("run_table3", "Table3Row"),
+    "prompt_ablation": ("run_prompt_ablation", "PromptAblationRow"),
+    "throughput": ("run_throughput_sweep", "ThroughputRow"),
+    "driftexp": ("run_drift_experiment", "DriftRow"),
+    "blacklistexp": ("run_blacklist_experiment", "BlacklistResult"),
+    "monitoringexp": ("run_monitoring_experiment", "MonitoringResult"),
+})

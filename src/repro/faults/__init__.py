@@ -22,45 +22,14 @@ classifier backlog crosses a threshold.  Everything is counted through
 :mod:`repro.obs` (``repro_faults_*`` families).
 """
 
-from repro.faults.dlq import DeadLetter, DeadLetterQueue
-from repro.faults.plan import (
-    KNOWN_SITES,
-    SITE_ACCEPT_DROP,
-    SITE_CHUNK_TIMEOUT,
-    SITE_COMMIT_LOST,
-    SITE_CRASH,
-    SITE_FLUSH_FAIL,
-    SITE_NODE_DOWN,
-    SITE_NODE_SLOW,
-    SITE_PARTITION,
-    SITE_PARTITION_STALL,
-    SITE_POISON,
-    SITE_WORKER_CRASH,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    FireRecord,
-    InjectedFault,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DeadLetter",
-    "DeadLetterQueue",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FireRecord",
-    "InjectedFault",
-    "KNOWN_SITES",
-    "SITE_ACCEPT_DROP",
-    "SITE_CHUNK_TIMEOUT",
-    "SITE_COMMIT_LOST",
-    "SITE_CRASH",
-    "SITE_FLUSH_FAIL",
-    "SITE_NODE_DOWN",
-    "SITE_NODE_SLOW",
-    "SITE_PARTITION",
-    "SITE_PARTITION_STALL",
-    "SITE_POISON",
-    "SITE_WORKER_CRASH",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "dlq": ("DeadLetter", "DeadLetterQueue"),
+    "plan": (
+        "KNOWN_SITES", "SITE_ACCEPT_DROP", "SITE_CHUNK_TIMEOUT", "SITE_COMMIT_LOST", "SITE_CRASH",
+        "SITE_FLUSH_FAIL", "SITE_NODE_DOWN", "SITE_NODE_SLOW", "SITE_PARTITION",
+        "SITE_PARTITION_STALL", "SITE_POISON", "SITE_WORKER_CRASH", "FaultInjector", "FaultPlan",
+        "FaultSpec", "FireRecord", "InjectedFault",
+    ),
+})

@@ -17,25 +17,12 @@ failure modes; everything is counted through ``repro_ingest_*`` /
 ``repro_broker_*`` metric families.
 """
 
-from repro.ingest.broker import (
-    BrokerRecord,
-    BrokerStats,
-    ConsumerGroup,
-    LogBroker,
-    Partition,
-    RecordBatch,
-)
-from repro.ingest.listener import ListenerStats, SyslogListener
-from repro.ingest.quota import DeficitRoundRobin
+from repro import _lazy_exports
 
-__all__ = [
-    "BrokerRecord",
-    "BrokerStats",
-    "ConsumerGroup",
-    "DeficitRoundRobin",
-    "ListenerStats",
-    "LogBroker",
-    "Partition",
-    "RecordBatch",
-    "SyslogListener",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "broker": (
+        "BrokerRecord", "BrokerStats", "ConsumerGroup", "LogBroker", "Partition", "RecordBatch",
+    ),
+    "listener": ("ListenerStats", "SyslogListener"),
+    "quota": ("DeficitRoundRobin",),
+})

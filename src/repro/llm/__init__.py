@@ -24,39 +24,17 @@ principles:
 - :mod:`repro.llm.parse` — response parsing / category alignment.
 """
 
-from repro.llm.hardware import GPUSpec, InferenceNode, PAPER_NODE, A100_SXM4_40GB
-from repro.llm.costmodel import ModelSpec, InferenceCostModel, GenerationTiming
-from repro.llm.models import MODEL_CATALOG, model_spec
-from repro.llm.tokenizer import count_tokens, tokenize_subwords
-from repro.llm.embeddings import CorpusEmbeddings
-from repro.llm.zeroshot import ZeroShotClassifier, ZeroShotResult
-from repro.llm.prompts import PromptConfig, build_prompt, ONE_SHOT_EXAMPLE
-from repro.llm.generative import SimulatedGenerativeLLM, GenerationResult
-from repro.llm.parse import parse_classification, ParseOutcome
-from repro.llm.assistant import AdminAssistant, AssistantReply
+from repro import _lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "InferenceNode",
-    "PAPER_NODE",
-    "A100_SXM4_40GB",
-    "ModelSpec",
-    "InferenceCostModel",
-    "GenerationTiming",
-    "MODEL_CATALOG",
-    "model_spec",
-    "count_tokens",
-    "tokenize_subwords",
-    "CorpusEmbeddings",
-    "ZeroShotClassifier",
-    "ZeroShotResult",
-    "PromptConfig",
-    "build_prompt",
-    "ONE_SHOT_EXAMPLE",
-    "SimulatedGenerativeLLM",
-    "GenerationResult",
-    "parse_classification",
-    "ParseOutcome",
-    "AdminAssistant",
-    "AssistantReply",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "hardware": ("GPUSpec", "InferenceNode", "PAPER_NODE", "A100_SXM4_40GB"),
+    "costmodel": ("ModelSpec", "InferenceCostModel", "GenerationTiming"),
+    "models": ("MODEL_CATALOG", "model_spec"),
+    "tokenizer": ("count_tokens", "tokenize_subwords"),
+    "embeddings": ("CorpusEmbeddings",),
+    "zeroshot": ("ZeroShotClassifier", "ZeroShotResult"),
+    "prompts": ("PromptConfig", "build_prompt", "ONE_SHOT_EXAMPLE"),
+    "generative": ("SimulatedGenerativeLLM", "GenerationResult"),
+    "parse": ("parse_classification", "ParseOutcome"),
+    "assistant": ("AdminAssistant", "AssistantReply"),
+})

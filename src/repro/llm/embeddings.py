@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from repro.textproc.tfidf import TfidfVectorizer
 
@@ -98,7 +97,9 @@ class CorpusEmbeddings:
         ).tocsr()
         k = min(self.dim, min(P.shape) - 1)
         rng = np.random.default_rng(self.seed)
-        u, s, _vt = scipy.sparse.linalg.svds(P, k=k, v0=rng.random(n))
+        from scipy.sparse.linalg import svds  # loads scipy.linalg: only training needs it
+
+        u, s, _vt = svds(P, k=k, v0=rng.random(n))
         # svds returns ascending singular values; order is irrelevant
         # for the dot products we use, but weight by sqrt(s) as usual.
         vecs = u * np.sqrt(np.maximum(s, 0.0))[np.newaxis, :]

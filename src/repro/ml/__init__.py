@@ -18,53 +18,23 @@ Classifier → module map (paper's Figure 3 order):
 - Complement Naïve Bayes → :class:`repro.ml.bayes.ComplementNB`
 """
 
-from repro.ml.base import Classifier, check_Xy
-from repro.ml.linear import LogisticRegression, RidgeClassifier
-from repro.ml.sgd import SGDClassifier
-from repro.ml.svm import LinearSVC
-from repro.ml.knn import KNeighborsClassifier
-from repro.ml.centroid import NearestCentroid
-from repro.ml.bayes import ComplementNB, MultinomialNB
-from repro.ml.forest import DecisionTreeClassifier, RandomForestClassifier
-from repro.ml.metrics import (
-    accuracy_score,
-    roc_auc_score,
-    confusion_matrix,
-    precision_recall_f1,
-    weighted_f1_score,
-    classification_report,
-)
-from repro.ml.anomaly import PCAAnomalyDetector, IsolationForest, DeepLogDetector
-from repro.ml.model_selection import train_test_split, stratified_kfold
-from repro.ml.preprocessing import LabelEncoder
-from repro.ml.resample import random_oversample, random_undersample, adasyn_like_oversample
+from repro import _lazy_exports
 
-__all__ = [
-    "Classifier",
-    "check_Xy",
-    "LogisticRegression",
-    "RidgeClassifier",
-    "SGDClassifier",
-    "LinearSVC",
-    "KNeighborsClassifier",
-    "NearestCentroid",
-    "ComplementNB",
-    "MultinomialNB",
-    "DecisionTreeClassifier",
-    "RandomForestClassifier",
-    "accuracy_score",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "weighted_f1_score",
-    "classification_report",
-    "roc_auc_score",
-    "PCAAnomalyDetector",
-    "IsolationForest",
-    "DeepLogDetector",
-    "train_test_split",
-    "stratified_kfold",
-    "LabelEncoder",
-    "random_oversample",
-    "random_undersample",
-    "adasyn_like_oversample",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "base": ("Classifier", "check_Xy"),
+    "linear": ("LogisticRegression", "RidgeClassifier"),
+    "sgd": ("SGDClassifier",),
+    "svm": ("LinearSVC",),
+    "knn": ("KNeighborsClassifier",),
+    "centroid": ("NearestCentroid",),
+    "bayes": ("ComplementNB", "MultinomialNB"),
+    "forest": ("DecisionTreeClassifier", "RandomForestClassifier"),
+    "metrics": (
+        "accuracy_score", "roc_auc_score", "confusion_matrix", "precision_recall_f1",
+        "weighted_f1_score", "classification_report",
+    ),
+    "anomaly": ("PCAAnomalyDetector", "IsolationForest", "DeepLogDetector"),
+    "model_selection": ("train_test_split", "stratified_kfold"),
+    "preprocessing": ("LabelEncoder",),
+    "resample": ("random_oversample", "random_undersample", "adasyn_like_oversample"),
+})

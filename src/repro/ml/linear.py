@@ -17,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from repro.ml.base import check_X, check_Xy, safe_dot
 from repro.ml.preprocessing import LabelEncoder
@@ -92,8 +89,11 @@ class LogisticRegression:
                 grad = gcoef
             return nll + reg, grad.ravel()
 
+        # imported here, not with the module: ``scipy.optimize`` weighs ~27 MiB
+        from scipy.optimize import minimize
+
         w0 = np.zeros(dim * k)
-        res = scipy.optimize.minimize(
+        res = minimize(
             objective,
             w0,
             jac=True,
@@ -153,6 +153,8 @@ class RidgeClassifier:
         self.classes_ = enc.classes_
         n, d = X.shape
         k = len(self.classes_)
+        from scipy.sparse.linalg import lsqr  # loads scipy.linalg: only fit needs it
+
         # Center targets per class via an intercept computed from class
         # priors; LSQR solves the damped system for the coefficients.
         self.coef_ = np.zeros((d, k))
@@ -161,7 +163,7 @@ class RidgeClassifier:
         for j in range(k):
             t = np.where(yi == j, 1.0, -1.0)
             t_mean = t.mean()
-            sol = scipy.sparse.linalg.lsqr(
+            sol = lsqr(
                 X, t - t_mean, damp=damp, iter_lim=self.max_iter
             )
             self.coef_[:, j] = sol[0]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
 from repro.ml.base import check_X, check_Xy, safe_dot
@@ -95,7 +94,10 @@ class LinearSVC:
             gw = np.asarray(X.T @ gz).ravel() + w
             return obj, np.concatenate([gw, [gz.sum()]])
 
-        res = scipy.optimize.minimize(
+        # imported here, not with the module: ``scipy.optimize`` weighs ~27 MiB
+        from scipy.optimize import minimize
+
+        res = minimize(
             objective,
             np.zeros(d + 1),
             jac=True,

@@ -17,36 +17,16 @@ LogStore`:
   Grafana front-end.
 """
 
-from repro.monitor.frequency import BurstDetector, Burst, message_rate_series
-from repro.monitor.positional import RackTopology, RackIncident, localize_bursts
-from repro.monitor.perarch import ArchPeerComparator, PeerVerdict
-from repro.monitor.sensors import SensorSweepAnalyzer, SensorFinding
-from repro.monitor.correlate import EventCorrelator, CorrelationResult, CorrelatedPair
-from repro.monitor.dashboard import (
-    render_rate_panel,
-    render_top_panel,
-    render_overview,
-    render_confusion,
-    render_metrics_panel,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BurstDetector",
-    "Burst",
-    "message_rate_series",
-    "RackTopology",
-    "RackIncident",
-    "localize_bursts",
-    "ArchPeerComparator",
-    "PeerVerdict",
-    "SensorSweepAnalyzer",
-    "SensorFinding",
-    "EventCorrelator",
-    "CorrelationResult",
-    "CorrelatedPair",
-    "render_rate_panel",
-    "render_top_panel",
-    "render_overview",
-    "render_confusion",
-    "render_metrics_panel",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "frequency": ("BurstDetector", "Burst", "message_rate_series"),
+    "positional": ("RackTopology", "RackIncident", "localize_bursts"),
+    "perarch": ("ArchPeerComparator", "PeerVerdict"),
+    "sensors": ("SensorSweepAnalyzer", "SensorFinding"),
+    "correlate": ("EventCorrelator", "CorrelationResult", "CorrelatedPair"),
+    "dashboard": (
+        "render_rate_panel", "render_top_panel", "render_overview", "render_confusion",
+        "render_metrics_panel",
+    ),
+})

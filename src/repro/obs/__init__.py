@@ -29,82 +29,23 @@ write time, so swapping them (:func:`use_registry`,
 :func:`set_default_tracer`) redirects all telemetry without re-wiring.
 """
 
-from repro.obs.httpd import OpsServer
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    default_latency_buckets,
-    default_registry,
-    histogram_quantile,
-    load_snapshot,
-    parse_prometheus,
-    restore_snapshot,
-    set_default_registry,
-    use_registry,
-    write_snapshot,
-)
-from repro.obs.propagation import (
-    TraceContext,
-    TraceSampler,
-    carried,
-    carrying,
-    derive_trace_id,
-    record_hop,
-    render_waterfall,
-    trace_is_complete,
-)
-from repro.obs.slo import (
-    SloStatus,
-    SloTarget,
-    SloTracker,
-    default_slos,
-    load_slo_file,
-    quantile_slo,
-    ratio_slo,
-)
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    default_tracer,
-    set_default_tracer,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "default_latency_buckets",
-    "default_registry",
-    "set_default_registry",
-    "use_registry",
-    "histogram_quantile",
-    "parse_prometheus",
-    "write_snapshot",
-    "load_snapshot",
-    "restore_snapshot",
-    "Span",
-    "Tracer",
-    "default_tracer",
-    "set_default_tracer",
-    "TraceContext",
-    "TraceSampler",
-    "derive_trace_id",
-    "record_hop",
-    "carrying",
-    "carried",
-    "render_waterfall",
-    "trace_is_complete",
-    "SloTarget",
-    "SloStatus",
-    "SloTracker",
-    "quantile_slo",
-    "ratio_slo",
-    "default_slos",
-    "load_slo_file",
-    "OpsServer",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "httpd": ("OpsServer",),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
+        "default_latency_buckets", "default_registry", "histogram_quantile", "load_snapshot",
+        "parse_prometheus", "restore_snapshot", "set_default_registry", "use_registry",
+        "write_snapshot",
+    ),
+    "propagation": (
+        "TraceContext", "TraceSampler", "carried", "carrying", "derive_trace_id", "record_hop",
+        "render_waterfall", "trace_is_complete",
+    ),
+    "slo": (
+        "SloStatus", "SloTarget", "SloTracker", "default_slos", "load_slo_file", "quantile_slo",
+        "ratio_slo",
+    ),
+    "trace": ("Span", "Tracer", "default_tracer", "set_default_tracer"),
+})

@@ -7,25 +7,11 @@ placement, quorum writes/reads with read repair, per-node circuit
 breakers, hinted handoff, and seq-digest anti-entropy sync.
 """
 
-from repro.replication.health import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-)
-from repro.replication.node import NodeDownError, StoreNode, VersionedDoc
-from repro.replication.placement import ShardPlacement
-from repro.replication.store import QuorumError, ReplicatedLogStore
+from repro import _lazy_exports
 
-__all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "CircuitBreaker",
-    "NodeDownError",
-    "QuorumError",
-    "ReplicatedLogStore",
-    "ShardPlacement",
-    "StoreNode",
-    "VersionedDoc",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "health": ("BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN", "CircuitBreaker"),
+    "node": ("NodeDownError", "StoreNode", "VersionedDoc"),
+    "placement": ("ShardPlacement",),
+    "store": ("QuorumError", "ReplicatedLogStore"),
+})

@@ -16,14 +16,10 @@ repo there:
   :meth:`ClassificationPipeline.timing_report`.
 """
 
-from repro.runtime.batch import MessageBatch
-from repro.runtime.executor import ShardedExecutor
-from repro.runtime.timing import StageReport, StageStat, StageTimer
+from repro import _lazy_exports
 
-__all__ = [
-    "MessageBatch",
-    "ShardedExecutor",
-    "StageTimer",
-    "StageStat",
-    "StageReport",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "batch": ("MessageBatch",),
+    "executor": ("ShardedExecutor",),
+    "timing": ("StageReport", "StageStat", "StageTimer"),
+})

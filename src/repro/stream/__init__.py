@@ -18,31 +18,12 @@ simulation with real data structures:
   messages/hour? §5) run end-to-end.
 """
 
-from repro.stream.events import EventEngine, Event
-from repro.stream.fluentd import FluentdForwarder, ForwarderStats
-from repro.stream.opensearch import (
-    LogStore,
-    LogDocument,
-    QueryResult,
-    DateHistogramBucket,
-)
-from repro.stream.tivan import TivanCluster, IngestReport, ClassifierStage
-from repro.stream.capacity import CapacityPlanner, CapacityPlan, ClusterSpec, PAPER_CLUSTER
+from repro import _lazy_exports
 
-__all__ = [
-    "EventEngine",
-    "Event",
-    "FluentdForwarder",
-    "ForwarderStats",
-    "LogStore",
-    "LogDocument",
-    "QueryResult",
-    "DateHistogramBucket",
-    "TivanCluster",
-    "IngestReport",
-    "ClassifierStage",
-    "CapacityPlanner",
-    "CapacityPlan",
-    "ClusterSpec",
-    "PAPER_CLUSTER",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "events": ("EventEngine", "Event"),
+    "fluentd": ("FluentdForwarder", "ForwarderStats"),
+    "opensearch": ("LogStore", "LogDocument", "QueryResult", "DateHistogramBucket"),
+    "tivan": ("TivanCluster", "IngestReport", "ClassifierStage"),
+    "capacity": ("CapacityPlanner", "CapacityPlan", "ClusterSpec", "PAPER_CLUSTER"),
+})

@@ -19,36 +19,18 @@ described in §4.3 of the paper:
   classifier (§3).
 """
 
-from repro.textproc.tokenize import tokenize, Tokenizer
-from repro.textproc.normalize import normalize_message, MaskingNormalizer
-from repro.textproc.lemmatize import Lemmatizer
-from repro.textproc.vocab import Vocabulary, build_vocabulary
-from repro.textproc.tfidf import (
-    TfidfVectorizer,
-    HashingVectorizer,
-    category_top_tokens,
-)
-from repro.textproc.drain import DrainTemplateMiner, LogTemplate
-from repro.textproc.distance import (
-    levenshtein,
-    levenshtein_within,
-    hamming,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "tokenize",
-    "Tokenizer",
-    "normalize_message",
-    "MaskingNormalizer",
-    "Lemmatizer",
-    "Vocabulary",
-    "build_vocabulary",
-    "TfidfVectorizer",
-    "HashingVectorizer",
-    "category_top_tokens",
-    "DrainTemplateMiner",
-    "LogTemplate",
-    "levenshtein",
-    "levenshtein_within",
-    "hamming",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "tokenize": ("tokenize", "Tokenizer"),
+    "normalize": ("normalize_message", "MaskingNormalizer"),
+    "lemmatize": ("Lemmatizer",),
+    "vocab": ("Vocabulary", "build_vocabulary"),
+    "tfidf": ("TfidfVectorizer", "HashingVectorizer", "category_top_tokens"),
+    "drain": ("DrainTemplateMiner", "LogTemplate"),
+    "distance": ("levenshtein", "levenshtein_within", "hamming"),
+})
+
+# The function shares its submodule's name: bound now, since the first import
+# of ``repro.textproc.tokenize`` would otherwise leave the module in its place.
+from repro.textproc.tokenize import tokenize  # noqa: E402, F401

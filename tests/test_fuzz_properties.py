@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from reference_door import (
     ReferenceDeadLetterQueue,
     ReferenceQuota,
+    reference_parse_line,
     reference_safe_parse_line,
 )
 from reference_textproc import (
@@ -896,6 +897,85 @@ class TestParserExactness:
             assert error is None and message.timestamp == 86400.0 * 30 + s
             assert message.pid == i
         assert 0 < len(rfc_mod._STAMPS) <= rfc_mod.STAMP_MEMO_MAX_ENTRIES
+
+
+def _same_strict_parse(line):
+    """``parse_line`` against the reference: the same message or the same error."""
+    try:
+        want = reference_parse_line(line)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            rfc_mod.parse_line(line)
+        assert str(got.value) == str(exc)
+        return None
+    got = rfc_mod.parse_line(line)
+    assert got == want, line
+    return got
+
+
+class TestNameMemo:
+    """Host and app names come out of one bounded memo: a host's lines
+    share one string, the memo never outgrows its cap or keeps a long
+    name, and no verdict, field or error string moves."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        rfc_mod._NAMES.clear()
+        yield
+        rfc_mod._NAMES.clear()
+
+    def test_a_hosts_lines_share_one_name_string(self):
+        lines = [
+            "<13>1 2023-02-01T00:00:07Z cn042 sshd 7 - - one",
+            "<13>1 2023-02-01T00:00:08Z cn042 sshd 8 - - two",
+            "<13>Feb  1 00:00:09 cn042 sshd[9]: three",
+            "<13>Feb  1 00:00:10 cn042  sshd [10]: four",
+        ]
+        parsed = [_same_strict_parse(line) for line in lines]
+        assert all(m.hostname is parsed[0].hostname for m in parsed)
+        assert all(m.app is parsed[0].app for m in parsed)
+        assert [m.text for m in parsed] == ["one", "two", "three", "four"]
+
+    def test_distinct_hostnames_leave_the_memo_at_its_cap(self):
+        for i in range(10_000):
+            stamp = i % 60
+            line = (f"<13>1 2023-02-01T00:00:{stamp:02d}Z host{i:05d} app{i % 3} {i} - - x"
+                    if i % 2 else f"<13>Feb  1 00:00:{stamp:02d} host{i:05d} app{i % 3}[{i}]: x")
+            if i % 97 == 0:
+                assert _same_strict_parse(line).hostname == f"host{i:05d}"
+                assert _same_parse(line.encode())[0].hostname == f"host{i:05d}"
+            else:
+                rfc_mod.parse_line(line)
+            assert len(rfc_mod._NAMES) <= rfc_mod.NAME_MEMO_MAX_ENTRIES
+        assert rfc_mod._NAMES
+
+    def test_an_over_long_name_is_not_kept(self):
+        host, app = "h" * (rfc_mod._NAME_CHARS + 1), "a" * 4000
+        for line in (f"<13>1 2023-02-01T00:00:07Z {host} {app} 7 - - x",
+                     f"<13>Feb  1 00:00:07 {host} {app}: x"):
+            message = _same_strict_parse(line)
+            assert (message.hostname, message.app) == (host, app)
+        assert not rfc_mod._NAMES
+        _same_strict_parse("<13>Feb  1 00:00:07 " + "h" * rfc_mod._NAME_CHARS + " app: x")
+        assert set(rfc_mod._NAMES) == {"h" * rfc_mod._NAME_CHARS, "app"}
+
+    @seed(SEED_SHIFT)
+    @given(st.lists(st.one_of(_wire_line, _rendered), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_lines_under_a_two_entry_memo(self, run):
+        """The door corpus again with the memo capped at two names, so
+        hits, misses and clears interleave inside one line."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rfc_mod, "NAME_MEMO_MAX_ENTRIES", 2)
+            for line in run:
+                for raw in (line, line.encode("utf-8", errors="replace")):
+                    _same_parse(raw)
+                    _same_parse(raw, max_bytes=None)
+                stripped = line.strip("\r\n\x00 \t")
+                if stripped:
+                    _same_strict_parse(stripped)
+                assert len(rfc_mod._NAMES) <= 2
+                assert all(len(name) <= rfc_mod._NAME_CHARS for name in rfc_mod._NAMES)
 
 
 def test_decimal_digits_are_the_digits_the_pattern_took():

@@ -16,12 +16,23 @@ asserted *shape* is the paper's: every model ≥0.95 except Nearest
 Centroid lowest; kNN trains fastest and pays at test time; Linear SVC
 (dual coordinate descent, the liblinear algorithm) trains slowest by a
 wide margin; Complement NB tests fastest.
+
+``TestClassifierComparison::test_timing_shape`` makes the same three
+wall-clock rankings on the small split the experiment tests use; it
+lives here, beside the timed figure, because a ranking of wall times
+is not a tier-1 gate.
 """
 
+import pytest
 from conftest import emit
 
 from repro.experiments.classifiers import fig3_layout, run_classifier_comparison
-from repro.experiments.common import format_table
+from repro.experiments.common import ExperimentData, format_table
+
+
+@pytest.fixture(scope="module")
+def data():
+    return ExperimentData(scale=0.008, seed=0, max_features=1200).prepare()
 
 
 def test_fig3_classifier_comparison(benchmark, bench_data):
@@ -52,3 +63,15 @@ def test_fig3_classifier_comparison(benchmark, bench_data):
         r.test_s for r in rows
     ) * 3  # among the fastest testers
     assert by["kNN"].test_s > 10 * by["Complement Naive Bayes"].test_s
+
+
+class TestClassifierComparison:
+    def test_timing_shape(self, data):
+        rows = {r.name: r for r in run_classifier_comparison(data)}
+        # kNN: trivial train, among the slowest testers (Figure 3; at
+        # this tiny scale Random Forest's per-tree traversal can edge it)
+        assert rows["kNN"].train_s == min(r.train_s for r in rows.values())
+        test_ranking = sorted(rows.values(), key=lambda r: -r.test_s)
+        assert rows["kNN"] in test_ranking[:2]
+        # Linear SVC (dual CD): slowest train
+        assert rows["Linear SVC"].train_s == max(r.train_s for r in rows.values())

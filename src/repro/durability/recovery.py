@@ -25,7 +25,8 @@ copy; bodies are serialised once, when their accept record is written,
 and converted to dicts only at the checkpoint boundary.
 
 Accepts are also *group-committed*: they accumulate in memory and are
-written as one batch record at the next write barrier — any other
+written at the next write barrier, in ``accept`` records of at most
+:data:`ACCEPT_RECORD_EVENTS` events each — any other
 record kind (flush, reject, abandon, requeue, control) and every
 checkpoint — so the WAL stays ordered (an event's accept always
 precedes any record that moves it) while the hot path costs a list
@@ -46,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -84,6 +86,11 @@ __all__ = [
 RECORD_KINDS = ("accept", "reject", "flush", "abandon", "requeue", "control")
 
 META_FILENAME = "meta.json"
+
+#: the most events one ``accept`` record carries: a write barrier splits
+#: its pending accepts into consecutive records of at most this many, so
+#: a replay decodes one such batch at a time, however large the poll
+ACCEPT_RECORD_EVENTS = 512
 
 _INF = float("inf")
 
@@ -135,6 +142,18 @@ def _message(body: dict | None):
     return SyslogMessage.from_dict(body)
 
 
+def _accept_data(events: list, messages: list) -> JsonText:
+    """One ``accept`` record's data: ``events``, and the body of each
+    one whose message is kept (a synthetic event's)."""
+    if messages.count(None) == len(messages):
+        return JsonText('{"events":%s}' % _encode_json(events))
+    # "msgs" keys are str(event), in the encoder's (string) order
+    bodies = sorted(dict(zip(map(str, events), messages)).items())
+    return JsonText('{"events":%s,"msgs":{%s}}' % (_encode_json(events), ",".join(
+        ['"%s":%s' % (key, _encode_body(m)) for key, m in bodies if m is not None]
+    )))
+
+
 def _body(message) -> dict | None:
     return None if message is None else message.to_dict()
 
@@ -158,7 +177,9 @@ class JournalState:
     The buffer and the indexed set are each two parallel columns: the
     events, and beside each its ``SyslogMessage`` for a synthetic event
     or None for a trace event (rematerialized from the trace on resume).
-    A journaled line is its event and its message, no pair object.
+    A journaled line is its event and its message, no pair object; an
+    indexed line's event is a machine word (``array('q')``), not an
+    ``int`` object.
     """
 
     #: last WAL sequence applied (dedup line for replay)
@@ -167,7 +188,7 @@ class JournalState:
     buffer_events: list = field(default_factory=list)
     buffer_messages: list = field(default_factory=list)
     #: delivered to the store, in doc-id order
-    indexed_events: list = field(default_factory=list)
+    indexed_events: array = field(default_factory=lambda: array("q"))
     indexed_messages: list = field(default_factory=list)
     #: dead-lettered: {"event", "msg", "site", "error"}
     dead: list = field(default_factory=list)
@@ -305,7 +326,7 @@ class JournalState:
             applied_seq=int(payload["applied_seq"]),
             buffer_events=[int(e) for e, _m in payload["buffer"]],
             buffer_messages=[_message(m) for _e, m in payload["buffer"]],
-            indexed_events=[int(e) for e, _m in payload["indexed"]],
+            indexed_events=array("q", (int(e) for e, _m in payload["indexed"])),
             indexed_messages=[_message(m) for _e, m in payload["indexed"]],
             dead=[{**d, "msg": _message(d["msg"])} for d in payload["dead"]],
             rejected=[int(e) for e in payload["rejected"]],
@@ -329,8 +350,9 @@ class StreamJournal:
 
     Accepts are group-committed: :meth:`accept_many` (one call per
     forwarder poll) updates the in-memory :class:`JournalState` and
-    queues the events; the pending batch is
-    written as one WAL record at the next *write barrier* — any other
+    queues the events; the pending batch is written at the next *write
+    barrier*, as consecutive ``accept`` records of at most
+    :data:`ACCEPT_RECORD_EVENTS` events, with one arming check — any other
     record kind, or an explicit :meth:`flush_pending` (which every
     checkpoint takes first).  Barriers keep the WAL causally ordered:
     an event's accept record always precedes any record that moves it.
@@ -476,30 +498,29 @@ class StreamJournal:
         Checkpoints call this before syncing so their ``last_wal_seq``
         covers every event in the snapshotted state.
         """
-        record = self._take_pending()
-        if record is not None:
-            # the events are already applied to the in-memory state; only
-            # the dedup line moves (replay applies this record instead)
-            self.state.applied_seq = self.wal.append(*record)
-            self._crash_check()
+        self._write_pending(hold=False)
 
-    def _take_pending(self) -> tuple[str, JsonText] | None:
-        """The pending accepts as one ``accept`` record, and none pending."""
+    def _write_pending(self, *, hold: bool) -> None:
+        """Write the pending accepts as consecutive ``accept`` records of
+        at most :data:`ACCEPT_RECORD_EVENTS` events, then make the one
+        ``durability.crash`` check of the barrier; ``hold`` lets every one
+        of them ride with the record appended after them."""
         k = self._pending
         if not k:
-            return None
+            return
         self._pending = 0
-        events = self.state.buffer_events[-k:]
-        messages = self.state.buffer_messages[-k:]
-        if messages.count(None) == k:
-            data = '{"events":%s}' % _encode_json(events)
-        else:
-            # "msgs" keys are str(event), in the encoder's (string) order
-            bodies = sorted(dict(zip(map(str, events), messages)).items())
-            data = '{"events":%s,"msgs":{%s}}' % (_encode_json(events), ",".join(
-                ['"%s":%s' % (key, _encode_body(m)) for key, m in bodies if m is not None]
+        state, wal = self.state, self.wal
+        events = state.buffer_events[-k:]
+        messages = state.buffer_messages[-k:]
+        for i in range(0, k, ACCEPT_RECORD_EVENTS):
+            if hold:
+                wal.hold()
+            # the events are already applied to the in-memory state; only
+            # the dedup line moves (replay applies these records instead)
+            state.applied_seq = wal.append("accept", _accept_data(
+                events[i:i + ACCEPT_RECORD_EVENTS], messages[i:i + ACCEPT_RECORD_EVENTS]
             ))
-        return "accept", JsonText(data)
+        self._crash_check()
 
     def _resolve(self, event: int | None) -> int:
         if event is not None:
@@ -510,13 +531,11 @@ class StreamJournal:
     def _barrier_write(self, kind: str, data) -> int:
         """Write the pending accepts, then the record that moves them;
         returns the second's sequence number."""
-        # the two go out in one write — unless a kill may be scheduled
-        # between them, which must still find only the first on disk
-        if self._pending and not (
-            self.injector is not None and self.injector.armed(SITE_CRASH)
-        ):
-            self.wal.hold()
-        self.flush_pending()
+        # they go out in one write — unless a kill may be scheduled
+        # between them, which must still find only the accepts on disk
+        self._write_pending(
+            hold=not (self.injector is not None and self.injector.armed(SITE_CRASH))
+        )
         return self.wal.append(kind, data)
 
     def _barrier_commit(self, kind: str, data: dict) -> None:

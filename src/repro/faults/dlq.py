@@ -73,9 +73,10 @@ def entry_from_dict(data: dict) -> "DeadLetter":
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeadLetter:
-    """One captured message.
+    """One captured message (slotted: a full queue carries no
+    ``__dict__`` per entry).
 
     Attributes
     ----------

@@ -24,6 +24,7 @@ a remote store would produce timeouts.
 from __future__ import annotations
 
 import zlib
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -78,8 +79,10 @@ class StoreNode:
         self._columns = [([], [], []) for _ in range(self.n_shards)]
         # acting-primary search index over primary shards only
         self.search_index = LogStore(n_shards=1)
-        self._local_gids: list[int] = []  # local doc id -> global doc id
-        self._local_of: dict[int, int] = {}  # global doc id -> local
+        # the local <-> global id maps, as machine words: local doc id ->
+        # global doc id, and global doc id -> local (-1: not indexed here)
+        self._local_gids = array("Q")
+        self._local_of = array("q")
         self.primary_shards.clear()
 
     # -- liveness ----------------------------------------------------------
@@ -184,8 +187,8 @@ class StoreNode:
         if versions[row] >= version:
             return False
         messages[row], categories[row], versions[row] = message, category, version
-        local = self._local_of.get(doc_id)
-        if local is not None:
+        local = self._local(doc_id)
+        if local >= 0:
             # a resident of the index follows its copy whether or not the
             # node acts for the shard right now: promote re-indexes only
             # what is missing, so a label skipped here would stay stale
@@ -204,17 +207,30 @@ class StoreNode:
         if row >= len(versions) or not 0 < versions[row] < version:
             return False
         categories[row], versions[row] = category, version
-        local = self._local_of.get(doc_id)
-        if local is not None:
+        local_of = self._local_of  # _local(doc_id), inlined: this runs per copy per label
+        local = local_of[doc_id] if 0 <= doc_id < len(local_of) else -1
+        if local >= 0:
             self.search_index.set_category(local, category)
         return True
 
+    def _local(self, doc_id: int) -> int:
+        """The document's id in the search index; -1 when not indexed here."""
+        local_of = self._local_of
+        return local_of[doc_id] if 0 <= doc_id < len(local_of) else -1
+
     def _index_rows(self, doc_ids, messages, tokens, categories=None) -> None:
-        """Add not-yet-indexed documents to the search index, keeping
-        the local <-> global id maps in step."""
+        """Add not-yet-indexed documents, in doc-id order, to the search
+        index, keeping the local <-> global id maps in step."""
         local_ids = self.search_index.index_many(messages, tokens, categories)
+        if not local_ids:
+            return
         self._local_gids.extend(doc_ids)
-        self._local_of.update(zip(doc_ids, local_ids))
+        local_of = self._local_of
+        short = doc_ids[-1] + 1 - len(local_of)
+        if short > 0:
+            local_of.extend(repeat(-1, short))
+        for doc_id, local in zip(doc_ids, local_ids):
+            local_of[doc_id] = local
 
     # -- reads -------------------------------------------------------------
 
@@ -260,7 +276,7 @@ class StoreNode:
         self.primary_shards.add(shard)
         missing = [
             doc_id for doc_id, _version in self._held_rows(shard)
-            if doc_id not in self._local_of
+            if self._local(doc_id) < 0
         ]
         messages, categories, _ = self._columns[shard]
         rows = [doc_id // self.n_shards for doc_id in missing]

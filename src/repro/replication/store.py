@@ -413,8 +413,7 @@ class ReplicatedLogStore(_Queries):
         # one analysis per document, on the coordinator: the acting
         # primary indexes with these tokens, replicas store the document
         analyzed = [_analyze(m.text) for m in messages]
-        # one int object per document, shared by every owner's maps
-        doc_ids = list(range(first, first + n))
+        doc_ids = range(first, first + n)
         self._versions.extend(repeat(1, n))
         nodes, columns = self.nodes, (doc_ids, messages, analyzed)
         for owner, keep in owner_rows:

@@ -9,15 +9,19 @@ a call executes in ``src/repro`` frames (``sys.settrace`` with
 ``f_trace_opcodes``), split by layer: deterministic, so a floor on it
 does not move with the machine.  ``tests/test_perf_smoke.py::TestFlushToll``
 gates on it and ``benchmarks/bench_flush_toll.py`` reports it beside
-µs per round.
+µs per round.  :func:`retained` is the same split for memory: the bytes
+rounds leave behind, by the layer that allocated them
+(``TestLineBytes`` and ``benchmarks/bench_line_bytes.py``).
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import os
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -103,6 +107,31 @@ def count_opcodes(call) -> Counter:
         sys.settrace(previous)
     counts["total"] = sum(counts[name] for name in LAYER_NAMES)
     return counts
+
+
+def retained(call) -> tuple[Counter, Counter]:
+    """Run ``call()`` under ``tracemalloc``; returns what it left on the
+    heap (after a collection), allocated in ``src/repro`` frames: bytes
+    per layer, and objects per allocation site (``path:line`` under
+    ``src/repro``).  Memory allocated before the call is not counted."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        call()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    by_layer: Counter = Counter()
+    by_site: Counter = Counter()
+    for stat in after.compare_to(before, "lineno"):
+        frame = stat.traceback[0]
+        layer = _layer(frame.filename)
+        if layer is not None:
+            by_layer[layer] += stat.size_diff
+            by_site[f"{frame.filename[len(_SRC):]}:{frame.lineno}"] += stat.count_diff
+    return by_layer, by_site
 
 
 @functools.lru_cache(maxsize=1)

@@ -375,6 +375,12 @@ class PerDocNode(StoreNode):
         if to_index:
             self._index_rows(*zip(*to_index))
 
+    def _index_rows(self, doc_ids, messages, tokens, categories=None):
+        # the id maps as they were: a list and a dict of int objects
+        local_ids = self.search_index.index_many(messages, tokens, categories)
+        self._local_gids.extend(doc_ids)
+        self._local_of.update(zip(doc_ids, local_ids))
+
     def put(self, doc_id, message, category, version, *, tokens=None):
         self.ping()
         shard = doc_id % self.n_shards

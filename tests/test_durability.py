@@ -160,6 +160,18 @@ class TestWal:
         with pytest.raises(FrozenInstanceError):
             record.seq = 5
 
+    def test_a_dead_letter_is_slotted_and_still_pickles(self):
+        from repro.faults.dlq import DeadLetter
+
+        entry = DeadLetter(seq=3, site="ingest.parse", payload=_msg(1), error="bad header")
+        assert not hasattr(entry, "__dict__")
+        assert pickle.loads(pickle.dumps(entry)) == entry
+        assert replace(entry, seq=4) == DeadLetter(4, "ingest.parse", _msg(1), "bad header")
+        with pytest.raises(FrozenInstanceError):
+            entry.seq = 5
+        other = DeadLetter(seq=4, site="ingest.parse", payload="x", error="e")
+        assert entry.context == {} and entry.context is not other.context
+
     def test_records_are_flushed_before_fsync(self, tmp_path):
         # batch policy with a huge sync_every: a reader sees every
         # append immediately (user-space flush per record is what makes
@@ -554,7 +566,7 @@ class TestJournal:
         assert replayed.seen == j.state.seen
         # disposition check: 0 indexed, 1 abandoned, 2 still buffered,
         # 3 rejected
-        assert replayed.indexed_events == [0]
+        assert list(replayed.indexed_events) == [0]
         assert {d["event"] for d in replayed.dead} == {1}
         assert replayed.rejected == [3]
         assert replayed.buffer_events == [2]
@@ -695,7 +707,7 @@ class TestJournal:
             "offsets": {},
             "control": None,
         }, sort_keys=True)
-        assert j.state.indexed_events == [-1, -2, -8]
+        assert list(j.state.indexed_events) == [-1, -2, -8]
         assert [d["event"] for d in j.state.dead] == [-3, 5]
 
     def test_crash_site_fires_at_exact_ordinal(self, tmp_path):
@@ -810,6 +822,71 @@ class TestAcceptRecordBytes:
             data["msgs"] = msgs
         assert got == _encode_record(1, "accept", data)
         assert info.truncated_bytes == 0 and [r.kind for r in records] == ["accept"]
+
+
+class TestAcceptRecordCap:
+    """A replay decodes one batch of accepts at a time, however large the
+    poll: the barrier after one 5,000-line poll of the live listener's
+    shape (every identity synthetic, its body embedded) writes accept
+    records of at most ``ACCEPT_RECORD_EVENTS``, and reading them back
+    peaks at one such record.  The same poll as one record is the
+    contrast that keeps the bound from passing blind."""
+
+    POLL, FLUSH = 5_000, 500
+    #: tracemalloc peak of a ``replay_wal`` pass (reads 1.37 MiB capped,
+    #: 1.03 for a 500-line poll; one 5,000-event record reads 7.9 MiB)
+    PEAK_MIB = 2.0
+
+    @staticmethod
+    def _poll(n: int) -> list[SyslogMessage]:
+        return [
+            SyslogMessage(timestamp=float(i), hostname=f"cn{i % 50:03d}", app="kernel",
+                          text=f"event {i} on link eth{i % 8} code {i * 7}")
+            for i in range(n)
+        ]
+
+    @pytest.fixture(scope="class")
+    def journaled(self, tmp_path_factory):
+        """The capped log after one poll and its flushes, the journal that
+        wrote it, and the same poll written as one record."""
+        root = tmp_path_factory.mktemp("accept-cap")
+        wal = WriteAheadLog(root / "capped", fsync="off", registry=MetricsRegistry())
+        journal = StreamJournal(wal)
+        journal.accept_many([None] * self.POLL, self._poll(self.POLL))
+        for _ in range(self.POLL // self.FLUSH):
+            journal.flushed(self.FLUSH)
+        wal.close()
+        whole = WriteAheadLog(root / "whole", fsync="off", registry=MetricsRegistry())
+        whole.append("accept", {
+            "events": list(range(-1, -self.POLL - 1, -1)),
+            "msgs": {str(-1 - i): m.to_dict() for i, m in enumerate(self._poll(self.POLL))},
+        })
+        whole.close()
+        # first sights (imports, enum members, encoder caches) land here
+        _drain(replay_wal(root / "capped")[0])
+        return root / "capped", journal, root / "whole"
+
+    def test_no_accept_record_exceeds_the_cap(self, journaled):
+        capped, _journal, _whole = journaled
+        sizes = [len(r.data["events"]) for r in replay_wal(capped)[0] if r.kind == "accept"]
+        assert sum(sizes) == self.POLL and max(sizes) <= 512, sizes
+        assert sizes == [512] * 9 + [392]  # consecutive, each full but the last
+
+    def test_a_replay_rebuilds_the_journal_state(self, journaled):
+        capped, journal, _whole = journaled
+        replayed = JournalState()
+        for record in replay_wal(capped)[0]:
+            replayed.apply(record)
+        assert replayed == journal.state
+        assert replayed.to_payload() == journal.state.to_payload()
+        assert recover_state(capped).state == journal.state
+
+    def test_a_replay_peaks_at_one_batch(self, journaled):
+        capped, _journal, whole = journaled
+        peak = _traced(lambda: _drain(replay_wal(capped)[0]))[0] / 2**20
+        assert peak <= self.PEAK_MIB, f"a capped replay peaks at {peak:.2f} MiB"
+        was = _traced(lambda: _drain(replay_wal(whole)[0]))[0] / 2**20
+        assert was > self.PEAK_MIB, f"one 5,000-event record reads {was:.2f} MiB: a blind bound"
 
 
 # ---------------------------------------------------------------------------

@@ -109,16 +109,6 @@ class TestClassifierComparison:
             r.weighted_f1 for r in rows.values()
         )
 
-    def test_timing_shape(self, data):
-        rows = {r.name: r for r in run_classifier_comparison(data)}
-        # kNN: trivial train, among the slowest testers (Figure 3; at
-        # this tiny scale Random Forest's per-tree traversal can edge it)
-        assert rows["kNN"].train_s == min(r.train_s for r in rows.values())
-        test_ranking = sorted(rows.values(), key=lambda r: -r.test_s)
-        assert rows["kNN"] in test_ranking[:2]
-        # Linear SVC (dual CD): slowest train
-        assert rows["Linear SVC"].train_s == max(r.train_s for r in rows.values())
-
     def test_confusion_matrix_square(self, data):
         cm, labels = linear_svc_confusion(data)
         assert cm.shape == (len(labels), len(labels))

@@ -1352,3 +1352,45 @@ class TestFlushToll:
         finally:
             sys.settrace(previous)
         assert counts["broker"] > 0 and counts["total"] >= counts["broker"]
+
+
+class TestLineBytes:
+    """A stored line is machine words: what 20,000 hot lines leave on the
+    heap, through the spine's round (``flush_toll.Spine``) in 100-line
+    rounds, counted with ``tracemalloc`` by the layer that allocated it —
+    no clock.  The lines are built before the count starts, so a line's
+    ``SyslogMessage``, its text and its pid are not in it; what is, is
+    what the layers keep for it.  ``benchmarks/bench_line_bytes.py``
+    (``BENCH_line_bytes.json``) reports the same split at 10k and 50k."""
+
+    N = 20_000
+    #: retained bytes a line by layer: reads 296.7 store, 17.2 journal,
+    #: 46.9 broker; 381.8, 49.6 and 46.9 when each line's doc ids, local
+    #: ids and journal event were ``int`` objects (CPython 3.11)
+    FLOORS = {"store": 310.0, "journal": 18.5, "broker": 49.0}
+
+    @pytest.fixture(scope="class")
+    def kept(self, tmp_path_factory):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            spine = flush_toll.Spine(tmp_path_factory.mktemp("bytes") / "wal", registry)
+            # first sights (posting lists, plans, memos, partitions) land here
+            spine.rounds(flush_toll.hot_messages(1_000, seed=1), 100)
+            lines = flush_toll.hot_messages(self.N, seed=2)
+            by_layer, by_site = flush_toll.retained(lambda: spine.rounds(lines, 100))
+            spine.close()
+        return by_layer, by_site
+
+    def test_a_line_costs_at_most_its_floor_in_each_layer(self, kept):
+        by_layer, _by_site = kept
+        per_line = {layer: round(by_layer[layer] / self.N, 1) for layer in self.FLOORS}
+        over = {layer: b for layer, b in per_line.items() if b > self.FLOORS[layer]}
+        assert not over, f"bytes a line {per_line} against floors {self.FLOORS}"
+
+    def test_no_site_keeps_an_object_a_line(self, kept):
+        """An ``int`` per doc id, local id or event is one object a line
+        at the site that numbered it; what a line may leave is bounded
+        memo entries (plans, masks), well under one."""
+        _by_layer, by_site = kept
+        per_line = {site: n / self.N for site, n in by_site.items() if n >= 0.9 * self.N}
+        assert not per_line, f"objects a line by allocation site: {per_line}"

@@ -100,10 +100,20 @@ def _rows(docs):
 def _index_state(ix: LogStore):
     return (
         _rows(map(ix.get, range(len(ix)))), _rows(ix.iter_documents()),
-        list(ix._postings.items()),
-        ix._times, ix._time_order, ix._time_sorted, ix._time_dirty, ix._shard_counts,
+        [(term, list(ids)) for term, ids in ix._postings.items()],
+        ix._times, list(ix._time_order), ix._time_sorted, ix._time_dirty, ix._shard_counts,
         ix.shard_counts(), ix.index_stats(),
     )
+
+
+def _local_map(node: StoreNode) -> list[tuple[int, int]]:
+    """The node's global -> local id map as ascending pairs: a dict on
+    the per-document oracle, on ``StoreNode`` an array indexed by global
+    id with -1 where a document is not in the search index."""
+    of = node._local_of
+    if isinstance(of, dict):
+        return sorted(of.items())
+    return [(doc_id, local) for doc_id, local in enumerate(of) if local >= 0]
 
 
 def _node_state(node: StoreNode, n_docs: int):
@@ -115,7 +125,7 @@ def _node_state(node: StoreNode, n_docs: int):
         [node.shard_doc_ids(shard) for shard in range(node.n_shards)],
         [node.seq_digest(shard) for shard in range(node.n_shards)],
         _index_state(node.search_index),
-        node._local_gids, list(node._local_of.items()),
+        list(node._local_gids), _local_map(node),
         node.primary_shards, node.down, len(node),
     )
 
@@ -846,7 +856,7 @@ class TestTemplatePlans:
         seen, appends = store._plans[tokens]
         assert list(seen) == list(dict.fromkeys(tokens)) and len(appends) == len(seen)
         store.index(third)
-        assert all(store._postings[tok] == [0, 1, 2] for tok in seen)
+        assert all(list(store._postings[tok]) == [0, 1, 2] for tok in seen)
 
     def test_never_repeating_text_builds_no_plan(self):
         store = LogStore()

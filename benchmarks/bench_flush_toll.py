@@ -15,6 +15,10 @@ per round:
   telemetry, broker, journal, forwarder and pipeline.  Deterministic;
   ``tests/test_perf_smoke.py::TestFlushToll`` gates the one-line round
   against the 100-line one on these counts;
+* **metric writes per round** — calls of a metric child's ``inc``,
+  ``set``, ``observe`` or ``observe_held`` (``count_metric_writes``):
+  counters and gauges are views of what their layers own, so a round
+  writes only its histograms;
 * **µs per round** — wall time, the fastest of
   ``REPRO_BENCH_TOLL_ROUNDS`` (default 5) repetitions, each over fresh
   lines of the same shape.
@@ -67,6 +71,8 @@ def _row(spine: flush_toll.Spine, shape: str, size: int) -> dict:
     opcodes = flush_toll.count_opcodes(lambda: spine.rounds(counted, size))
     n_rounds = len(counted) // size
     opcodes = {name: round(opcodes[name] / n_rounds) for name in opcodes}
+    again = _lines(shape, len(counted), 1)
+    writes = flush_toll.count_metric_writes(lambda: spine.rounds(again, size)) / n_rounds
     best = float("inf")
     for k in range(N_ROUNDS):
         lines = _lines(shape, count, 2 + k)
@@ -76,6 +82,7 @@ def _row(spine: flush_toll.Spine, shape: str, size: int) -> dict:
     return {
         "opcodes_per_round": {name: opcodes[name] for name in (*flush_toll.LAYER_NAMES, "total")},
         "opcodes_per_line": opcodes["total"] / size,
+        "metric_writes_per_round": writes,
         "us_per_round": best / (count // size) * 1e6,
         "us_per_line": best / count * 1e6,
     }
@@ -95,14 +102,18 @@ def test_flush_toll():
                 spine.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    header = ["round", *flush_toll.LAYER_NAMES, "opcodes", "opcodes/line", "µs/round", "µs/line"]
+    header = [
+        "round", *flush_toll.LAYER_NAMES, "opcodes", "opcodes/line", "writes", "µs/round",
+        "µs/line",
+    ]
     table = [
         [name, *(r["opcodes_per_round"][layer] for layer in flush_toll.LAYER_NAMES),
          r["opcodes_per_round"]["total"], f"{r['opcodes_per_line']:.0f}",
-         f"{r['us_per_round']:.1f}", f"{r['us_per_line']:.1f}"]
+         f"{r['metric_writes_per_round']:.1f}", f"{r['us_per_round']:.1f}",
+         f"{r['us_per_line']:.1f}"]
         for name, r in rows.items()
     ]
-    emit(f"Flush toll — src opcodes and µs per round (min of {N_ROUNDS})",
+    emit(f"Flush toll — src opcodes, metric writes and µs per round (min of {N_ROUNDS})",
          format_table(header, table))
     for shape in ("hot", "cold"):
         rows[f"{shape}_toll_ratio"] = (

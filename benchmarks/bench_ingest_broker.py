@@ -386,7 +386,6 @@ def _door(lines, quota_cls, dlq_cls):
     )
     for line in lines:
         listener._handle_line(line, udp=False)
-    listener.sync_metrics()
     return listener, registry
 
 

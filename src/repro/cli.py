@@ -499,26 +499,10 @@ def _cmd_classify(args) -> int:
     if args.timing:
         print(pipe.timing_report().render(), file=sys.stderr)
         if pipe.template_cache is not None:
-            if args.workers > 1:
-                # the workers hold the caches; their counter deltas are
-                # mirrored into the parent registry under worker=<pid>,
-                # so sum across every worker label
-                from repro.obs import wellknown
-
-                def _total(family) -> int:
-                    return int(sum(c.value for _, c in family().samples()))
-
-                hits = _total(wellknown.template_cache_hits)
-                misses = _total(wellknown.template_cache_misses)
-                st = {
-                    "hits": hits,
-                    "misses": misses,
-                    "hit_rate": hits / max(1, hits + misses),
-                    "size": _total(wellknown.template_cache_size),
-                    "evictions": _total(wellknown.template_cache_evictions),
-                }
-            else:
-                st = pipe.template_cache.stats()
+            # sharded workers hold caches of their own; the executor keeps their totals
+            caches = [pipe.template_cache.stats(), *getattr(runner, "cache_totals", {}).values()]
+            st = {k: sum(c[k] for c in caches) for k in ("hits", "misses", "size", "evictions")}
+            st["hit_rate"] = st["hits"] / max(1, st["hits"] + st["misses"])
             print(
                 f"template cache: hits={st['hits']} misses={st['misses']} "
                 f"hit_rate={st['hit_rate']:.3f} size={st['size']} "
@@ -959,9 +943,6 @@ def _cmd_listen(args) -> int:
         deadline = (
             loop.time() + args.duration if args.duration is not None else None
         )
-        # batched listener counters flush on a timer too, so /metrics
-        # scrapes see trickle traffic, not just every-1024th-line syncs
-        next_sync = loop.time() + 1.0
         next_control = (
             loop.time() + controller.policy.tick_every_s
             if controller is not None else None
@@ -970,12 +951,7 @@ def _cmd_listen(args) -> int:
             while True:
                 await asyncio.sleep(0.05)
                 forwarder.consume()
-                if loop.time() >= next_sync:
-                    listener.sync_metrics()
-                    next_sync = loop.time() + 1.0
                 if next_control is not None and loop.time() >= next_control:
-                    # counters must be registry-fresh before the read
-                    listener.sync_metrics()
                     controller.tick(loop.time())
                     next_control = (
                         loop.time() + controller.policy.tick_every_s

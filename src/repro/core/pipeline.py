@@ -22,9 +22,9 @@ from repro.core.template_cache import TemplateCache
 from repro.faults.dlq import DeadLetterQueue
 from repro.faults.plan import SITE_POISON, InjectedFault
 from repro.obs import wellknown
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Views, default_registry
 from repro.runtime.batch import MessageBatch
-from repro.runtime.timing import StageReport, StageTimer
+from repro.runtime.timing import StageReport, StageStat, StageTimer
 from repro.textproc.tfidf import TfidfVectorizer
 
 __all__ = ["ClassificationPipeline", "PipelineResult"]
@@ -61,6 +61,14 @@ class PipelineResult:
     confidence: float | None = None
     filtered: bool = False
     quarantined: bool = False
+
+
+#: the template cache's views, in exposition order: (accessor, read)
+_CACHE_VIEWS = (
+    (wellknown.template_cache_hits, "hits"), (wellknown.template_cache_misses, "misses"),
+    (wellknown.template_cache_evictions, "evictions"),
+    (wellknown.template_cache_invalidations, "invalidations"), (wellknown.template_cache_size, len),
+)
 
 
 @dataclass
@@ -114,9 +122,9 @@ class ClassificationPipeline:
         default_factory=DeadLetterQueue, init=False, repr=False
     )
     _fitted: bool = field(default=False, init=False, repr=False)
-    #: cumulative wall-clock seconds spent classifying (excl. fit)
-    service_seconds: float = field(default=0.0, init=False)
-    n_classified: int = field(default=0, init=False)
+    #: what the pipeline classified: batches (``calls``), messages
+    #: (``items``) and seconds, what the batch and message counters read
+    classified: StageStat = field(default_factory=StageStat, init=False, repr=False)
     #: per-stage (filter/normalize/vectorize/predict/route) accounting
     timer: StageTimer = field(default_factory=StageTimer, init=False, repr=False)
     #: bumped by every successful ``fit``; stamps the template cache so
@@ -125,12 +133,26 @@ class ClassificationPipeline:
     #: model-stage label → Category, resolved from the classifier's
     #: ``classes_`` once per ``fit`` generation
     _label_categories: dict | None = field(default=None, init=False, repr=False)
-    #: the batch-level metric children, resolved once per registry:
-    #: [families map, batches, messages, batch seconds, filtered] (the
-    #: last at the first filtered batch); never pickled
+    #: the batches and messages views, and the [batch seconds, filtered
+    #: (at the first filtered batch)] children, bound once per registry;
+    #: never pickled
+    _batch_views: Views = field(default_factory=Views, init=False, repr=False)
     _batch_metrics: list | None = field(default=None, init=False, repr=False)
-    #: the template-cache mirror (``wellknown.TemplateCacheMirror``)
-    _cache_mirror: object = field(default=None, init=False, repr=False)
+    #: the template cache's views, moved with the registry, process and
+    #: cache a batch reports from, and the ``_CACHE_VIEWS`` rows not
+    #: attached there yet
+    _cache_views: Views = field(default_factory=Views, init=False, repr=False)
+    _cache_pending: tuple = field(default=(), init=False, repr=False)
+
+    @property
+    def n_classified(self) -> int:
+        """Messages classified so far."""
+        return self.classified.items
+
+    @property
+    def service_seconds(self) -> float:
+        """Cumulative wall-clock seconds spent classifying (excl. fit)."""
+        return self.classified.seconds
 
     def fit(self, texts: Sequence[str], labels: Sequence[Category]) -> "ClassificationPipeline":
         """Fit vectorizer and classifier on a labelled corpus.
@@ -274,8 +296,6 @@ class ClassificationPipeline:
             finally:
                 self.timer.add("route", time.perf_counter() - route_t0, len(to_model))
         elapsed = time.perf_counter() - t0
-        self.service_seconds += elapsed
-        self.n_classified += len(texts)
         self._record_batch_metrics(len(texts), len(texts) - len(to_model), elapsed)
         return results  # type: ignore[return-value]
 
@@ -379,7 +399,7 @@ class ClassificationPipeline:
                 confs[j] = float(conf) if conf is not None else None
                 if j not in poisoned:
                     cache.put(keys[j], (cats[j], confs[j]))
-        self._record_cache_metrics(cache, before)
+        self._view_cache(cache, before)
         return cats, confs, condemned
 
     def _category(self, label) -> Category:
@@ -398,18 +418,27 @@ class ClassificationPipeline:
         category = table.get(label)
         return category if category is not None else Category.from_name(str(label))
 
-    def _record_cache_metrics(self, cache, before: tuple[int, int, int, int]) -> None:
-        """Mirror one batch's cache counter deltas into the registry;
-        ``before`` is (hits, misses, evictions, invalidations) at its start."""
+    def _view_cache(self, cache, before: tuple[int, int, int, int]) -> None:
+        """Attach the cache's views in the registry this batch reports to,
+        each counter at its first move there (counting from ``before``,
+        the counters at the batch's start), then the size.  A forked
+        child reports under its own pid."""
+        registry = self.timer.registry
+        if registry is None:
+            registry = default_registry()
         pid = os.getpid()
-        mirror = self._cache_mirror
-        if mirror is None or mirror.worker != pid:  # first batch, or a fork's child
-            mirror = self._cache_mirror = wellknown.TemplateCacheMirror(pid)
-        mirror.publish(
-            cache.hits - before[0], cache.misses - before[1],
-            cache.evictions - before[2], cache.invalidations - before[3],
-            len(cache), self.timer.registry,
-        )
+        if self._cache_views.follow(registry, pid, cache):
+            self._cache_pending = tuple(range(len(_CACHE_VIEWS)))
+        if self._cache_pending:
+            now = (cache.hits, cache.misses, cache.evictions, cache.invalidations, len)
+            was = (*before, None)
+            for i in self._cache_pending:
+                if now[i] != was[i]:
+                    accessor, read = _CACHE_VIEWS[i]
+                    self._cache_views.attach(
+                        accessor(registry), cache, read, base=was[i], worker=str(pid)
+                    )
+            self._cache_pending = tuple(i for i in self._cache_pending if now[i] == was[i])
 
     def _model_salvage(self, model_texts, poisoned: set[int]):
         """Per-message fallback when the columnar path cannot run.
@@ -450,30 +479,31 @@ class ClassificationPipeline:
     def _record_batch_metrics(
         self, n_messages: int, n_filtered: int, elapsed: float
     ) -> None:
-        """Mirror one batch into the metrics registry (once per batch,
-        under one acquisition of its write lock)."""
+        """Count one classified batch: its seconds (and filtered messages)
+        are written, batches and messages are views of :attr:`classified`
+        attached when a batch first reports into a registry."""
         registry = self.timer.registry
         if registry is None:
             registry = default_registry()
-        bound = self._batch_metrics
-        if bound is None or bound[0] is not registry._families:
-            # resolved in exposition order: batches, messages, [filtered], seconds
-            batches = wellknown.pipeline_batches(registry).labels()
-            messages = wellknown.pipeline_messages(registry).labels()
+        classified = self.classified
+        if self._batch_views.follow(registry):
+            for family, read in (
+                (wellknown.pipeline_batches(registry), "calls"),
+                (wellknown.pipeline_messages(registry), "items"),
+            ):
+                self._batch_views.attach(family, classified, read, base=getattr(classified, read))
+            # resolved in exposition order: [filtered], seconds
             filtered = wellknown.pipeline_filtered(registry).labels() if n_filtered else None
-            bound = self._batch_metrics = [
-                registry._families, batches, messages,
-                wellknown.pipeline_batch_seconds(registry).labels(), filtered,
-            ]
-        _families, batches, messages, batch_seconds, filtered = bound
-        if n_filtered and filtered is None:
-            filtered = bound[4] = wellknown.pipeline_filtered(registry).labels()
-        with batches.lock:
-            batches.inc_held()
-            messages.inc_held(n_messages)
-            if n_filtered:
-                filtered.inc_held(n_filtered)
-            batch_seconds.observe_held(elapsed)
+            self._batch_metrics = [wellknown.pipeline_batch_seconds(registry).labels(), filtered]
+        bound = self._batch_metrics
+        classified.calls += 1
+        classified.items += n_messages
+        classified.seconds += elapsed
+        if n_filtered:
+            if bound[1] is None:
+                bound[1] = wellknown.pipeline_filtered(registry).labels()
+            bound[1].inc(n_filtered)
+        bound[0].observe(elapsed)
 
     def __getstate__(self) -> dict:
         # resolved children stay in the process that resolved them

@@ -44,8 +44,8 @@ class TemplateCache:
     ----------
     hits, misses, evictions, invalidations:
         Monotonic counters: served lookups, failed lookups, LRU
-        evictions, and generation-change clears.  Mirrored into the
-        ``repro_template_cache_*`` metric families by the pipeline.
+        evictions, and generation-change clears.  What the pipeline's
+        ``repro_template_cache_*`` views read.
     generation:
         The pipeline generation the current entries were computed
         under.

@@ -848,7 +848,8 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
     tail), the journal state is rebuilt (checkpoint + replay), the
     checkpoint's metrics and spans are restored *before*
     :func:`build_cluster` binds the controller (so its setpoint/ladder
-    gauges are not clobbered), the store/forwarder/stats are
+    gauges are not clobbered; a view reads its owner, not the checkpoint),
+    the store/forwarder/stats are
     reconstructed *from the journal* — the single source of truth for
     dispositions; checkpoint counters only seed the cosmetic fields
     replay cannot see (batch counts, peak buffer) — the in-flight

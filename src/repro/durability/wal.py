@@ -42,7 +42,7 @@ import time
 import zlib
 from collections.abc import Iterator
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import wellknown
@@ -53,6 +53,7 @@ __all__ = [
     "WalRecord",
     "WalRecords",
     "WalScanInfo",
+    "WalStats",
     "WriteAheadLog",
     "iter_wal",
     "replay_wal",
@@ -292,6 +293,17 @@ def replay_wal(directory: str | Path) -> tuple[WalRecords, WalScanInfo]:
     return WalRecords(directory, info.records), info
 
 
+@dataclass
+class WalStats:
+    """A log's last sequence number, and what it appended since it opened
+    (what the ``repro_wal_last_seq``, ``_bytes_total`` and ``_appends_total`` views read)."""
+
+    last_seq: int = 0
+    bytes: int = 0
+    #: records appended per record kind
+    appends: dict[str, int] = field(default_factory=dict)
+
+
 class WriteAheadLog:
     """Append-only durable record log over a directory of segments.
 
@@ -337,23 +349,20 @@ class WriteAheadLog:
         self.fsync = fsync
         self.segment_bytes = segment_bytes
         self.sync_every = sync_every
-        self._m_appends = wellknown.wal_appends(registry)
+        self.stats = stats = WalStats()
+        # views and writes in registration (exposition) order
+        wellknown.wal_appends(registry).view(stats, "appends")
         self._m_fsyncs = wellknown.wal_fsyncs(registry)
         self._m_rotations = wellknown.wal_rotations(registry)
         self._m_truncated = wellknown.wal_truncated_bytes(registry)
-        # append() runs per message: bind the label-resolved children
-        # once instead of resolving them on every record
-        self._m_append_kind: dict = {}
-        self._m_bytes = wellknown.wal_bytes(registry).labels()
-        self._m_last_seq = wellknown.wal_last_seq(registry).labels()
+        wellknown.wal_bytes(registry).view(stats, "bytes")
+        wellknown.wal_last_seq(registry).view(stats, "last_seq")
         self._m_fsync_seconds = wellknown.wal_fsync_seconds(registry).labels()
-        #: an append's three writes take the registry's write lock once
-        self._m_lock = self._m_bytes.lock
 
         self.recovery = _scan(self.directory, repair=True)
         if self.recovery.truncated_bytes:
             self._m_truncated.inc(self.recovery.truncated_bytes)
-        self._last_seq = self.recovery.last_seq
+        stats.last_seq = self.recovery.last_seq
         self._appends_since_sync = 0
         self._hold = False
         self._fh = None
@@ -369,7 +378,7 @@ class WriteAheadLog:
     @property
     def last_seq(self) -> int:
         """Sequence number of the last committed record."""
-        return self._last_seq
+        return self.stats.last_seq
 
     def append(self, kind: str, data: dict | JsonText) -> int:
         """Append one record; returns its sequence number.
@@ -383,7 +392,8 @@ class WriteAheadLog:
         :meth:`hold`, which is flushed together with its successor.
         """
         held, self._hold = self._hold, False
-        seq = self._last_seq + 1
+        stats = self.stats
+        seq = stats.last_seq + 1
         encoded = _encode_record(seq, kind, data)
         size = len(encoded)
         if self._fh is None or self._segment_size + size > self.segment_bytes:
@@ -391,14 +401,10 @@ class WriteAheadLog:
         fh = self._fh
         fh.write(encoded)
         self._segment_size += size
-        self._last_seq = seq
-        child = self._m_append_kind.get(kind)
-        if child is None:
-            child = self._m_append_kind[kind] = self._m_appends.labels(kind=kind)
-        with self._m_lock:
-            child.inc_held()
-            self._m_bytes.inc_held(size)
-            self._m_last_seq.set_held(seq)
+        stats.last_seq = seq
+        stats.bytes += size
+        appends = stats.appends
+        appends[kind] = appends.get(kind, 0) + 1
         fsync = self.fsync
         if fsync == "always":
             fh.flush()
@@ -452,7 +458,7 @@ class WriteAheadLog:
         """
         if self._fh is not None:
             self._fh.flush()
-        return WalRecords(self.directory, self._last_seq)
+        return WalRecords(self.directory, self.stats.last_seq)
 
     # -- internals ---------------------------------------------------------
 
@@ -479,5 +485,5 @@ class WriteAheadLog:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"WriteAheadLog(dir={str(self.directory)!r}, "
-            f"last_seq={self._last_seq}, fsync={self.fsync!r})"
+            f"last_seq={self.stats.last_seq}, fsync={self.fsync!r})"
         )

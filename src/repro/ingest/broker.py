@@ -105,10 +105,6 @@ __all__ = [
 
 DEFAULT_SEGMENT_RECORDS = 4096
 
-#: publish-side registry syncs are batched; any poll flushes the
-#: remainder, so scrapes lag a publish burst by at most one poll cycle
-_PUBLISH_SYNC_EVERY = 1024
-
 
 @dataclass(frozen=True, slots=True)
 class BrokerRecord:
@@ -323,11 +319,14 @@ class ConsumerGroup:
     uncommitted: set[str] = field(init=False, default_factory=set)
     #: sum over partitions of ``max(0, next_offset - committed)``
     lag: int = field(init=False, default=0)
-    # the group's metric children, bound once by the broker
-    m_polled: object = field(init=False, default=None, repr=False)
-    m_commits: object = field(init=False, default=None, repr=False)
-    m_lag: object = field(init=False, default=None, repr=False)
-    m_lag_age: object = field(init=False, default=None, repr=False)
+    #: what the group's ``repro_broker_*{group=…}`` families read:
+    #: records delivered to its members, and commits applied
+    polled: int = field(init=False, default=0)
+    commits: int = field(init=False, default=0)
+    #: ``lag`` and the age in seconds of the oldest uncommitted record,
+    #: as of the group's last poll
+    lag_seen: int = field(init=False, default=0)
+    lag_age: float = field(init=False, default=0.0)
 
 
 @dataclass
@@ -374,20 +373,16 @@ class LogBroker:
         self._stalled: str | None = None
         self._lock = threading.Lock()
         self._clock = clock
-        # publish runs per chunk, or per line on UDP: bind the unlabeled
-        # children once, and batch the published counter (listener-style)
-        # — a registry increment per record would dominate the telemetry
-        # budget
-        self._pub_unsynced = 0
-        #: pinned here, so every child below and each group's four are
-        #: resolved once and kept
+        #: pinned here: each group's views are attached where the
+        #: broker's are, whatever the default registry is by then
         self._registry = registry if registry is not None else default_registry()
         registry = self._registry
-        self._m_published = wellknown.broker_published(registry).labels()
-        self._m_refused = wellknown.broker_publish_refused(registry).labels()
-        self._m_commits_lost = wellknown.broker_commits_lost(registry).labels()
-        self._m_partitions = wellknown.broker_partitions(registry).labels()
-        self._m_stalls = wellknown.broker_partition_stalls(registry).labels()
+        stats = self.stats
+        wellknown.broker_published(registry).view(stats, "published")
+        wellknown.broker_publish_refused(registry).view(stats, "publish_refused")
+        wellknown.broker_commits_lost(registry).view(stats, "commits_lost")
+        wellknown.broker_partitions(registry).view(self._keys, len)
+        wellknown.broker_partition_stalls(registry).view(stats, "stall_events")
         self._m_queue_age = wellknown.broker_queue_age_seconds(registry).labels()
 
     # -- publishing ----------------------------------------------------
@@ -463,7 +458,6 @@ class LogBroker:
                         if self._stalled is None:
                             self._stalled = key
                             self.stats.stall_events += 1
-                            self._m_stalls.inc()
                         else:
                             self._stalled = None
                     if self._stalled == key:
@@ -498,7 +492,6 @@ class LogBroker:
         for i in range(born, len(keys)):
             self._rank[keys[i]] = i
         self._cursors.clear()  # every member's share of the keys moves
-        self._m_partitions.set(len(self.partitions))
         return part
 
     def _account_publish(self, ends: dict[str, int], published: int, refused: int) -> None:
@@ -514,14 +507,8 @@ class LogBroker:
                     g.lag += grown - ahead if ahead > 0 else grown
                     g.uncommitted.add(key)
         stats = self.stats
-        if refused:
-            stats.publish_refused += refused
-            self._m_refused.inc(refused)
+        stats.publish_refused += refused
         stats.published += published
-        unsynced = self._pub_unsynced = self._pub_unsynced + published
-        if unsynced >= _PUBLISH_SYNC_EVERY:
-            self._m_published.inc(unsynced)
-            self._pub_unsynced = 0
 
     # -- consumer groups -----------------------------------------------
 
@@ -537,12 +524,11 @@ class LogBroker:
                     group.lag += part.next_offset
                     group.uncommitted.add(key)
             registry = self._registry
-            group.m_polled = wellknown.Bound(wellknown.broker_polled, group=name)(registry)
-            group.m_commits = wellknown.Bound(wellknown.broker_commits, group=name)(registry)
-            group.m_lag = wellknown.Bound(wellknown.broker_lag, group=name)(registry)
-            group.m_lag_age = wellknown.Bound(
-                wellknown.broker_lag_age_seconds, group=name
-            )(registry)
+            for family, read in (
+                (wellknown.broker_polled, "polled"), (wellknown.broker_commits, "commits"),
+                (wellknown.broker_lag, "lag_seen"), (wellknown.broker_lag_age_seconds, "lag_age"),
+            ):
+                family(registry).view(group, read, group=name)
         return group
 
     def _advance_committed(self, g: ConsumerGroup, key: str, offset: int) -> None:
@@ -616,27 +602,13 @@ class LogBroker:
             if g.ready and max_records > 0 and n_assigned:
                 out = RecordBatch()
                 self._read_ready(g, out, slot, n_assigned, max_records)
-            elif self._pub_unsynced:
-                self._m_published.inc(self._pub_unsynced)
-                self._pub_unsynced = 0
             if max_records > 0 and n_assigned:
                 g.rr_cursor = (g.rr_cursor + 1) % n_assigned
-                # the lag gauges refresh once per poll — not on each
-                # per-partition commit — and a child is written only when
-                # its value moves: a caught-up group's poll writes nothing
-                if g.uncommitted or g.m_lag.value or g.m_lag_age.value:
-                    self._refresh_lag(g)
+                # what the lag gauges read is taken once per poll, not
+                # on each per-partition commit
+                g.lag_seen = g.lag
+                g.lag_age = self._lag_age(g) if g.uncommitted else 0.0
             return out
-
-    def _refresh_lag(self, g: ConsumerGroup) -> None:
-        lag = g.m_lag
-        if not lag.live:
-            return  # nothing would keep the values: skip computing them
-        age = self._lag_age(g) if g.uncommitted else 0.0
-        with lag.lock:
-            if lag.value != g.lag:
-                lag.set_held(g.lag)
-            g.m_lag_age.set_held(age)
 
     def _read_ready(
         self, g: ConsumerGroup, out: RecordBatch, slot: int, n_assigned: int, max_records: int
@@ -668,13 +640,7 @@ class LogBroker:
             if taken >= max_records:
                 break
         self.stats.polled += taken
-        # the polled count and the publish remainder (any poll syncs it)
-        with g.m_polled.lock:
-            if taken:
-                g.m_polled.inc_held(taken)
-            if self._pub_unsynced:
-                self._m_published.inc_held(self._pub_unsynced)
-                self._pub_unsynced = 0
+        g.polled += taken
         if taken:
             # queue-age dwell: sampled (traced) records only, so the
             # histogram costs nothing on the untraced hot path
@@ -709,7 +675,6 @@ class LogBroker:
             for partition, offset in offsets.items():
                 if injector is not None and injector.should_fire(SITE_COMMIT_LOST):
                     self.stats.commits_lost += 1
-                    self._m_commits_lost.inc()
                     continue
                 if g is None:
                     g = self._group(group)
@@ -717,7 +682,7 @@ class LogBroker:
                 landed += 1
             if landed:
                 self.stats.commits += landed
-                g.m_commits.inc(landed)
+                g.commits += landed
         return landed
 
     def committed(self, group: str, partition: str) -> int:

@@ -36,16 +36,15 @@ No branch is silent: every received line ends in exactly one of
 ordinal of lines past step 4, which equals ``accepted`` on a run with
 no refusals.
 
-Metrics are synchronised to the registry in batches (every
-``_SYNC_EVERY`` lines and on ``stop``): at the ≥50k msgs/s rates the
-benchmark holds this path to, per-line registry increments would be
-the bottleneck.
+The ``repro_ingest_*`` counters are views of :class:`ListenerStats`
+and of the per-tenant counts: a scrape reads them as they stand, and
+the accept path writes no metric.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.faults.dlq import DeadLetterQueue
 from repro.faults.plan import SITE_ACCEPT_DROP, FaultInjector
@@ -59,8 +58,6 @@ __all__ = ["ListenerStats", "SyslogListener"]
 #: where parse/oversize/publish quarantines land in the DLQ
 SITE_INGEST_PARSE = "ingest.parse"
 SITE_INGEST_PUBLISH = "ingest.publish"
-
-_SYNC_EVERY = 1024
 
 
 @dataclass
@@ -89,6 +86,15 @@ class ListenerStats:
             self.accepted + self.shed + self.accept_dropped + self.oversize
             + self.parse_errors + self.publish_refused
         )
+
+
+def _by_proto(stats: ListenerStats) -> dict:
+    return {"udp": stats.received_udp, "tcp": stats.received_tcp}
+
+
+def _per_tenant(column: int, *labels: str):
+    """A reader of one column of :attr:`SyslogListener.tenants`."""
+    return lambda tenants: {(t, *labels): n[column] for t, n in list(tenants.items())}
 
 
 class _UdpProtocol(asyncio.DatagramProtocol):
@@ -199,23 +205,24 @@ class SyslogListener:
         self._udp_transport = None
         self._tcp_server: asyncio.Server | None = None
         self._tcp_peers: set[_TcpProtocol] = set()
-        self._since_sync = 0
-        self._synced = ListenerStats()
-        self._m_received = wellknown.ingest_received(registry)
-        self._m_accepted = wellknown.ingest_accepted(registry)
-        self._m_shed = wellknown.ingest_shed(registry)
-        self._m_accept_dropped = wellknown.ingest_accept_dropped(registry)
-        self._m_parse_errors = wellknown.ingest_parse_errors(registry)
-        self._m_oversize = wellknown.ingest_oversize(registry)
-        self._m_publish_refused = wellknown.ingest_publish_refused(registry)
-        self._m_tenant_received = wellknown.ingest_tenant_received(registry)
-        self._m_tenant_accepted = wellknown.ingest_tenant_accepted(registry)
-        self._m_tenant_shed = wellknown.ingest_tenant_shed(registry)
-        self._m_tenants_active = wellknown.ingest_tenants_active(registry)
-        # per-tenant [received, accepted, shed] deltas, flushed with the
-        # batched sync — per-line labelled increments would be the
-        # hot-path bottleneck the batching exists to avoid
-        self._tenant_pending: dict[str, list[int]] = {}
+        #: per tenant (host/app) behind the quota: [received, accepted, shed]
+        self.tenants: dict[str, list[int]] = {}
+        stats, tenants = self.stats, self.tenants
+        wellknown.ingest_received(registry).view(stats, _by_proto)
+        for family, field in (
+            (wellknown.ingest_accepted, "accepted"), (wellknown.ingest_shed, "shed"),
+            (wellknown.ingest_accept_dropped, "accept_dropped"),
+            (wellknown.ingest_parse_errors, "parse_errors"),
+            (wellknown.ingest_oversize, "oversize"),
+            (wellknown.ingest_publish_refused, "publish_refused"),
+        ):
+            family(registry).view(stats, field)
+        wellknown.ingest_tenant_received(registry).view(tenants, _per_tenant(0))
+        wellknown.ingest_tenant_accepted(registry).view(tenants, _per_tenant(1))
+        wellknown.ingest_tenant_shed(registry).view(tenants, _per_tenant(2, "fair_share"))
+        active = wellknown.ingest_tenants_active(registry)
+        if tenant_quota is not None:
+            active.view(tenant_quota, len)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -237,7 +244,7 @@ class SyslogListener:
             self.tcp_address = (sock[0], sock[1])
 
     async def stop(self) -> None:
-        """Close transports, drain TCP connections, flush metrics."""
+        """Close transports and drain TCP connections."""
         if self._udp_transport is not None:
             self._udp_transport.close()
             self._udp_transport = None
@@ -247,7 +254,6 @@ class SyslogListener:
                 peer.transport.close()  # an open peer's tail is dropped
             await self._tcp_server.wait_closed()
             self._tcp_server = None
-        self._sync_metrics()
 
     # -- transports ----------------------------------------------------
 
@@ -298,9 +304,6 @@ class SyslogListener:
             stats.received_udp += 1
         else:
             stats.received_tcp += 1
-        self._since_sync += 1
-        if self._since_sync >= _SYNC_EVERY:
-            self._sync_metrics()
         if self.injector is not None and self.injector.should_fire(SITE_ACCEPT_DROP):
             stats.accept_dropped += 1
             return
@@ -326,15 +329,15 @@ class SyslogListener:
             return
         if self.quota is not None:
             tenant = f"{message.hostname}/{message.app}"
-            pending = self._tenant_pending.get(tenant)
-            if pending is None:
-                pending = self._tenant_pending[tenant] = [0, 0, 0]
-            pending[0] += 1
+            counts = self.tenants.get(tenant)
+            if counts is None:
+                counts = self.tenants[tenant] = [0, 0, 0]
+            counts[0] += 1
             if not self.quota.allow(tenant):
                 stats.shed += 1
-                pending[2] += 1
+                counts[2] += 1
                 return
-            pending[1] += 1
+            counts[1] += 1
         self._admitted += 1
         ctx = None
         # keyed by the admit ordinal: deterministic under a fixed
@@ -369,48 +372,3 @@ class SyslogListener:
         if self.on_message is not None:
             for message in accepted:
                 self.on_message(message)
-
-    # -- metrics -------------------------------------------------------
-
-    def sync_metrics(self) -> None:
-        """Flush pending stat deltas to the registry now.
-
-        The accept path batches registry writes every ``_SYNC_EVERY``
-        lines; a serving loop with a live ``/metrics`` endpoint calls
-        this periodically so scrapes see trickle traffic too.
-        """
-        self._sync_metrics()
-
-    def _sync_metrics(self) -> None:
-        """Publish the delta since the last sync into the registry."""
-        s, prev = self.stats, self._synced
-        if s.received_udp > prev.received_udp:
-            self._m_received.inc(s.received_udp - prev.received_udp, proto="udp")
-        if s.received_tcp > prev.received_tcp:
-            self._m_received.inc(s.received_tcp - prev.received_tcp, proto="tcp")
-        for attr, metric in (
-            ("accepted", self._m_accepted),
-            ("shed", self._m_shed),
-            ("accept_dropped", self._m_accept_dropped),
-            ("oversize", self._m_oversize),
-            ("parse_errors", self._m_parse_errors),
-            ("publish_refused", self._m_publish_refused),
-        ):
-            delta = getattr(s, attr) - getattr(prev, attr)
-            if delta:
-                metric.inc(delta)
-        if self._tenant_pending:
-            for tenant, (received, accepted, shed) in self._tenant_pending.items():
-                if received:
-                    self._m_tenant_received.inc(received, tenant=tenant)
-                if accepted:
-                    self._m_tenant_accepted.inc(accepted, tenant=tenant)
-                if shed:
-                    self._m_tenant_shed.inc(
-                        shed, tenant=tenant, reason="fair_share"
-                    )
-            self._tenant_pending.clear()
-        if self.quota is not None:
-            self._m_tenants_active.set(len(self.quota))
-        self._synced = replace(s)
-        self._since_sync = 0

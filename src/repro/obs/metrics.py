@@ -16,15 +16,18 @@ Design notes
   combination.  Unlabeled families materialize their single child at
   construction, so declared metrics expose a zero sample before the
   first event — standard Prometheus client behaviour.
-- Updates take the family's lock, and every family one registry
-  creates shares the registry's one write lock.  The hot path writes
-  once per *batch*, not per message, but in the paced regime a batch
-  is a line or two, so a layer that writes several children at one
-  point takes the lock once and writes them with the ``*_held``
-  methods (``with child.lock: a.inc_held(n); b.set_held(v)``).
+- A count is kept once: a counter or gauge whose number a layer owns
+  is a *view* of it (Prometheus's custom-collector pattern, see
+  :meth:`_Viewable.view`), read at every read — the hot path writes
+  nothing.  A view holds a small state object, never the layer, so a
+  registry keeps no store or buffer alive.
+- Writes take the family's lock, and every family one registry
+  creates shares the registry's one write lock, so a layer observing
+  several histograms at one point takes it once (``observe_held``).
 - Everything pickles: locks are dropped on ``__getstate__`` and
   recreated on ``__setstate__`` (pipelines holding metric references
-  cross process boundaries under the sharded executor).
+  cross process boundaries under the sharded executor), and a view is
+  stored as the plain value it reads.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Sequence
 from contextlib import nullcontext
+from operator import attrgetter
 from pathlib import Path
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
+    "Views",
     "default_latency_buckets",
     "default_registry",
     "set_default_registry",
@@ -83,12 +88,6 @@ class _Child:
 
     __slots__ = ("_family", "lock")
 
-    #: real metrics record what they are given; instrumented code may
-    #: check this before *computing* an expensive value (a gauge that
-    #: scans a data structure, say) so a :class:`NullRegistry` skips
-    #: the computation too, not just the write
-    live = True
-
     def __init__(self, family: "_Family") -> None:
         self._family = family
         #: the lock every write of this child takes (its family's).
@@ -121,11 +120,6 @@ class _CounterChild(_Child):
         with self.lock:
             self.value += amount
 
-    def inc_held(self, amount: float = 1.0) -> None:
-        """:meth:`inc` for a caller holding :attr:`lock`, with an
-        ``amount`` it knows is not negative (a count)."""
-        self.value += amount
-
 
 class _GaugeChild(_Child):
     __slots__ = ("value",)
@@ -137,10 +131,6 @@ class _GaugeChild(_Child):
     def set(self, value: float) -> None:
         with self.lock:
             self.value = float(value)
-
-    def set_held(self, value: float) -> None:
-        """:meth:`set` for a caller holding :attr:`lock`."""
-        self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         with self.lock:
@@ -190,8 +180,6 @@ class _Family:
 
     kind = "untyped"
     _child_cls: type = _Child
-    #: see :attr:`_Child.live`
-    live = True
 
     def __init__(
         self, name: str, help: str = "", labels: Sequence[str] = (), *, lock=None
@@ -227,8 +215,12 @@ class _Family:
     def samples(self) -> list[tuple[dict[str, str], _Child]]:
         """(label-dict, child) pairs in insertion order."""
         with self._lock:
+            self._refresh()
             items = list(self._children.items())
         return [(dict(zip(self.label_names, key)), c) for key, c in items]
+
+    def _refresh(self) -> None:
+        """Bring the children up to date before a read (lock held)."""
 
     # locks do not pickle; recreate them on load
     def __getstate__(self):
@@ -247,7 +239,104 @@ class _Family:
             child.lock = lock
 
 
-class Counter(_Family):
+class _Source:
+    """One owner's share of a view family (see :meth:`_Viewable.view`)."""
+
+    __slots__ = ("owner", "read", "key", "base")
+
+    def __init__(self, owner, read, key, base) -> None:
+        self.owner, self.read, self.key, self.base = owner, read, key, base
+
+    def items(self) -> list:
+        """(label values, number) pairs as the owner holds them now, less the base."""
+        got = self.read(self.owner)
+        if self.key is not None:
+            got = {self.key: got}
+        base = self.base or {}
+        return [
+            (key if type(key) is tuple else (key,), n - base.get(key, 0))
+            for key, n in list(got.items())
+        ]
+
+
+class _Viewable(_Family):
+    """A counter or gauge family: written, or read from its owners."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._sources: list[_Source] = []
+
+    def view(self, owner, read, *, base=None, **labels: str) -> _Source:
+        """Read samples from ``owner`` at every read from now on; returns
+        the handle :meth:`unview` takes.
+
+        ``read`` (an attribute name, or a function of ``owner``) gives
+        the child for ``labels`` its number — that child exists from now
+        on — or, with no labels on a labelled family, a dict of label
+        values (a tuple, or the one value) to numbers, a child appearing
+        once its number is nonzero.  ``base`` (a number, or a dict keyed
+        as ``read``'s) is subtracted.  Owners are summed per label
+        set, and a counter never reads lower than it did.  A view added
+        to a family with none drops the values it held.
+        """
+        key = None
+        if labels or not self.label_names:
+            self.labels(**labels)  # checks them; the child exists from now on
+            key = tuple(str(labels[n]) for n in self.label_names)
+        if base is not None and key is not None:
+            base = {key: base}
+        source = _Source(owner, attrgetter(read) if isinstance(read, str) else read, key, base)
+        with self._lock:
+            if not self._sources:
+                for child in self._children.values():
+                    child.value = 0.0
+            self._sources.append(source)
+        return source
+
+    def unview(self, source: _Source) -> None:
+        """Stop reading ``source``'s owner; a counter keeps what it counted."""
+        with self._lock:
+            if self.kind == "counter":  # the source reads what it counted, for good
+                source.owner, source.read, source.key, source.base = (
+                    dict(source.items()), dict.copy, None, None
+                )
+            else:
+                self._refresh()
+                self._sources.remove(source)
+
+    def _refresh(self) -> None:
+        if not self._sources:
+            return
+        totals: dict = {}
+        for source in self._sources:
+            for key, n in source.items():
+                totals[key] = totals.get(key, 0) + n
+        children, gauge = self._children, self.kind == "gauge"
+        for key, n in totals.items():
+            child = children.get(key)
+            if child is None:
+                if not n:
+                    continue
+                child = children[key] = self._child_cls(self)
+            if gauge or n > child.value:
+                child.value = float(n)
+
+    def value(self, **labels: str) -> float:
+        """Current value of the child for ``labels``."""
+        with self._lock:
+            self._refresh()
+        return (self.labels(**labels) if labels else self._child(())).value
+
+    # a view pickles as the value it reads
+    def __getstate__(self):
+        with self._lock:
+            self._refresh()
+        state = super().__getstate__()
+        state["_sources"] = []
+        return state
+
+
+class Counter(_Viewable):
     """Monotonically increasing count (messages, drops, batches)."""
 
     kind = "counter"
@@ -257,12 +346,8 @@ class Counter(_Family):
         """Add ``amount`` (>= 0) to the child for ``labels``."""
         (self.labels(**labels) if labels else self._child(())).inc(amount)
 
-    def value(self, **labels: str) -> float:
-        """Current value of the child for ``labels``."""
-        return (self.labels(**labels) if labels else self._child(())).value
 
-
-class Gauge(_Family):
+class Gauge(_Viewable):
     """Point-in-time level (buffer depth, backlog)."""
 
     kind = "gauge"
@@ -279,10 +364,6 @@ class Gauge(_Family):
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         """Subtract ``amount`` from the child for ``labels``."""
         (self.labels(**labels) if labels else self._child(())).dec(amount)
-
-    def value(self, **labels: str) -> float:
-        """Current value of the child for ``labels``."""
-        return (self.labels(**labels) if labels else self._child(())).value
 
 
 class Histogram(_Family):
@@ -314,6 +395,45 @@ class Histogram(_Family):
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
+class Views:
+    """The views one owner keeps in the registry it reports to.
+
+    :meth:`follow` is true when the registry (and ``key``: the owner's
+    process, say) is not where the views were attached: they are let go
+    there — a counter keeps what it counted — and the owner attaches
+    afresh with :meth:`attach`.  A pickled copy holds none.
+    """
+
+    __slots__ = ("_families", "_key", "views")
+
+    def __init__(self) -> None:
+        self._families = self._key = None
+        #: the (family, source) pairs attached
+        self.views: list = []
+
+    def follow(self, registry: "MetricsRegistry", *key) -> bool:
+        """True, with the views let go, when ``registry`` and ``key`` are
+        not where they were attached."""
+        if registry._families is self._families and key == self._key:
+            return False
+        self.clear()
+        self._families, self._key = registry._families, key
+        return True
+
+    def attach(self, family: "_Viewable", owner, read, **kwargs) -> None:
+        """``family.view(owner, read, **kwargs)``, let go at the next move."""
+        self.views.append((family, family.view(owner, read, **kwargs)))
+
+    def clear(self) -> None:
+        """Let every view go; the next :meth:`follow` is true."""
+        for family, source in self.views:
+            family.unview(source)
+        self._families, self.views = None, []
+
+    def __reduce__(self):
+        return Views, ()
 
 
 class MetricsRegistry:
@@ -454,8 +574,6 @@ class MetricsRegistry:
 class _NullMetric:
     """A metric that forgets everything; answers every family API."""
 
-    #: lets callers skip computing values that would be thrown away
-    live = False
     lock = nullcontext()
 
     def labels(self, **labels: str) -> "_NullMetric":
@@ -464,10 +582,10 @@ class _NullMetric:
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         pass
 
-    def inc_held(self, amount: float = 1.0) -> None:
+    def view(self, owner, read, *, base=None, **labels: str) -> None:
         pass
 
-    def set_held(self, value: float) -> None:
+    def unview(self, source) -> None:
         pass
 
     def observe_held(self, value: float) -> None:
@@ -784,7 +902,8 @@ def restore_snapshot(
     sample's value (or histogram bucket counts, reconstructed from the
     cumulative form) is written over the child's current state.  This
     is how checkpoint recovery resumes counting where the crashed
-    process left off instead of resetting every panel to zero.
+    process left off instead of resetting every panel to zero (a family
+    with views is not written over: its owners say what it reads).
 
     Raises
     ------
@@ -810,6 +929,8 @@ def restore_snapshot(
             fam = registry.histogram(name, help_text, labels,
                                      buckets=edges or None)
         else:  # untyped (e.g. parsed from foreign text): nothing to restore
+            continue
+        if getattr(fam, "_sources", None):
             continue
         for sample in metric["samples"]:
             key = tuple(str(sample["labels"][n]) for n in labels)

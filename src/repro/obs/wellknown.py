@@ -5,7 +5,8 @@ Each family is one module-level statement::
     broker_lag = _gauge("broker", "repro_broker_lag", "Records published but …", ("group",))
 
 The assignment target is the accessor instrumented modules call
-(``wellknown.broker_lag(registry).set(n, group=g)``); the arguments are
+(``wellknown.broker_lag(registry).view(group, "lag_seen", group=name)``,
+``wellknown.faults_injected(registry).inc(site=s)``); the arguments are
 the dashboard section, the metric name, the help text and the label
 names.  Every other listing of the families is derived from these
 statements: ``__all__``, :func:`declare_all`, the accessor docstrings,
@@ -36,7 +37,7 @@ the output of::
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from functools import partial
 from typing import NamedTuple
 
@@ -377,8 +378,7 @@ def _named_accessors(namespace: dict) -> list[str]:
 
 __all__ = [
     *_named_accessors(globals()),
-    "Bound", "CATALOGUE", "Family", "SECTIONS", "TemplateCacheMirror", "declare_all",
-    "mirror_template_cache", "render_reference",
+    "Bound", "CATALOGUE", "Family", "SECTIONS", "declare_all", "render_reference",
 ]
 
 
@@ -432,94 +432,6 @@ class Bound:
 
     def __reduce__(self):
         return partial(Bound, **self._labels), (self._accessor,)
-
-
-class TemplateCacheMirror:
-    """Publishes one process's template-cache counter deltas and size.
-
-    The five ``worker``-labelled children are resolved once per registry
-    and written under one acquisition of its write lock, so the serial
-    pipeline's per-batch report costs no family or label resolution.
-    The serial pipeline reports its own cache under its pid; sharded
-    workers' registries are invisible to the parent, so chunk results
-    carry ``stats`` by value and the parent republishes them under the
-    worker's pid (:func:`mirror_template_cache`) — one implementation,
-    so both paths emit the same families.  Only the worker pickles: a
-    copy in another process resolves against that process's registry.
-    """
-
-    __slots__ = ("worker", "_label", "_resolved")
-
-    #: the cache counters a report carries, in exposition order
-    STATS = ("hits", "misses", "evictions", "invalidations")
-    _COUNTERS = (
-        template_cache_hits, template_cache_misses,
-        template_cache_evictions, template_cache_invalidations,
-    )
-
-    def __init__(self, worker: int | str) -> None:
-        #: as given (the pipeline compares it with ``os.getpid()`` to
-        #: notice it now runs in a fork's child)
-        self.worker = worker
-        self._label = str(worker)
-        #: [families map resolved against, size child, *counter children]
-        #: — a counter's child is resolved at its first nonzero delta
-        self._resolved: list | None = None
-
-    def publish(
-        self, hits: int, misses: int, evictions: int, invalidations: int, size: int,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        """The ``TemplateCache`` counter deltas since the last report, and
-        the cache's current ``size``."""
-        if registry is None:
-            registry = default_registry()
-        resolved = self._resolved
-        if (
-            resolved is None or resolved[0] is not registry._families
-            or hits and resolved[2] is None or misses and resolved[3] is None
-            or evictions and resolved[4] is None or invalidations and resolved[5] is None
-        ):
-            resolved = self._resolve(registry, (hits, misses, evictions, invalidations))
-        size_child = resolved[1]
-        with size_child.lock:
-            if hits:
-                resolved[2].inc_held(hits)
-            if misses:
-                resolved[3].inc_held(misses)
-            if evictions:
-                resolved[4].inc_held(evictions)
-            if invalidations:
-                resolved[5].inc_held(invalidations)
-            if size_child.value != size:
-                size_child.set_held(size)
-
-    def _resolve(self, registry: MetricsRegistry, deltas: tuple) -> list:
-        """The children a report with these ``deltas`` writes, in exposition
-        order: a counter's at its first nonzero delta, then the size's."""
-        resolved = self._resolved
-        if resolved is None or resolved[0] is not registry._families:
-            resolved = self._resolved = [registry._families, None, None, None, None, None]
-        for i, delta in enumerate(deltas, 2):
-            if delta and resolved[i] is None:
-                resolved[i] = self._COUNTERS[i - 2](registry).labels(worker=self._label)
-        if resolved[1] is None:
-            resolved[1] = template_cache_size(registry).labels(worker=self._label)
-        return resolved
-
-    def __reduce__(self):
-        return TemplateCacheMirror, (self.worker,)
-
-
-def mirror_template_cache(
-    stats: Mapping[str, int], worker: int | str, registry: MetricsRegistry | None = None
-) -> None:
-    """One-off :meth:`TemplateCacheMirror.publish` for ``worker``:
-    ``stats`` holds the ``TemplateCache.counters()`` deltas and the size."""
-    TemplateCacheMirror(worker).publish(
-        *(stats.get(stat, 0) for stat in TemplateCacheMirror.STATS), stats.get("size", 0),
-        registry,
-    )
 
 
 def render_reference() -> str:

@@ -37,6 +37,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.faults.plan import SITE_CHUNK_TIMEOUT, SITE_WORKER_CRASH
+from repro.obs.metrics import Views, default_registry
 from repro.runtime.batch import MessageBatch
 from repro.runtime.timing import StageReport
 
@@ -60,6 +61,10 @@ def _init_worker(pipeline, model_dir) -> None:
     # scheduling cannot perturb the fire sequence); a worker-side
     # injector copy would draw from its own stream nondeterministically
     _WORKER_PIPELINE.fault_injector = None
+    # the cache's totals count from this worker's start, not its parent's
+    cache = _WORKER_PIPELINE.template_cache
+    if cache is not None:
+        cache.hits = cache.misses = cache.evictions = cache.invalidations = 0
 
 
 def _classify_chunk(texts: tuple[str, ...], span_ctx: dict | None = None,
@@ -92,7 +97,6 @@ def _classify_chunk(texts: tuple[str, ...], span_ctx: dict | None = None,
     _WORKER_PIPELINE.reset_timing()
     dlq_mark = len(_WORKER_PIPELINE.dead_letters)
     cache = _WORKER_PIPELINE.template_cache
-    cache_mark = cache.counters() if cache is not None else None
     t0 = perf_counter()
     with tracer.span(
         "shard.worker_chunk", parent=span_ctx,
@@ -102,9 +106,7 @@ def _classify_chunk(texts: tuple[str, ...], span_ctx: dict | None = None,
     busy_s = perf_counter() - t0
     cache_stats = None
     if cache is not None:
-        after = cache.counters()
-        cache_stats = {k: after[k] - cache_mark[k] for k in after}
-        cache_stats["size"] = len(cache)
+        cache_stats = {**cache.counters(), "size": len(cache)}
     return (
         results,
         _WORKER_PIPELINE.timing_report().as_dict(),
@@ -114,6 +116,11 @@ def _classify_chunk(texts: tuple[str, ...], span_ctx: dict | None = None,
         _WORKER_PIPELINE.dead_letters.since(dlq_mark),
         cache_stats,
     )
+
+
+def _per_worker(stat: str):
+    """A reader of one total in :attr:`ShardedExecutor.cache_totals`."""
+    return lambda totals: {pid: stats[stat] for pid, stats in list(totals.items())}
 
 
 class ShardedExecutor:
@@ -221,6 +228,10 @@ class ShardedExecutor:
         self.n_worker_respawns = 0
         self.n_chunk_retries = 0
         self.n_serial_fallback_chunks = 0
+        #: each worker's latest template-cache totals (``counters()`` and
+        #: ``size``) by pid: what the ``repro_template_cache_*`` views read
+        self.cache_totals: dict[str, dict[str, int]] = {}
+        self._cache_views = Views()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -278,6 +289,16 @@ class ShardedExecutor:
             return {"delay_s": stall}
         return None
 
+    def _view_cache_totals(self, registry) -> None:
+        """Attach the views of :attr:`cache_totals` in ``registry`` (once there)."""
+        from repro.obs import wellknown
+
+        registry = registry if registry is not None else default_registry()
+        if self._cache_views.follow(registry):
+            for stat in ("hits", "misses", "evictions", "invalidations", "size"):
+                family = getattr(wellknown, f"template_cache_{stat}")(registry)
+                self._cache_views.attach(family, self.cache_totals, _per_worker(stat))
+
     def _backoff_delay(self, round_no: int) -> float:
         base = min(self.retry_base_s * 2 ** (round_no - 1), self.retry_max_s)
         return base * (1.0 + 0.25 * self._retry_rng.random())
@@ -333,8 +354,6 @@ class ShardedExecutor:
         n_gathered = len(batch) - n_fallback
         gathered_s = max(0.0, perf_counter() - t0 - fallback_s)
         if n_gathered:
-            pipe.service_seconds += gathered_s
-            pipe.n_classified += n_gathered
             pipe.timer.add("shard", gathered_s, n_gathered)
             fallback = set(fallback_idx)
             n_filtered = sum(
@@ -422,9 +441,10 @@ class ShardedExecutor:
                     pipe.dead_letters.extend(dlq_entries)
                     wellknown.faults_quarantined(registry).inc(len(dlq_entries))
                 if cache_stats is not None:
-                    # the worker's registry is invisible here: republish
-                    # its deltas under its pid, as the serial path does
-                    wellknown.mirror_template_cache(cache_stats, pid, registry)
+                    # the worker's registry is invisible here: keep its
+                    # totals, read under its pid as the serial path's are
+                    self.cache_totals[str(pid)] = cache_stats
+                    self._view_cache_totals(registry)
                 by_chunk[idx] = chunk_results
             if pool_broken:
                 self._respawn_pool(registry)

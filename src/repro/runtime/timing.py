@@ -13,10 +13,11 @@ show a breakdown without any measurable overhead on the hot path
 Since the :mod:`repro.obs` metrics registry landed, ``StageTimer`` is a
 thin adapter over it: every :meth:`StageTimer.add` both updates the
 local accumulators (so ``timing_report()`` keeps its historical
-behaviour) and mirrors the interval into the well-known
-``repro_pipeline_stage_seconds`` histogram and
-``repro_pipeline_stage_items_total`` counter, so live exposition
-(``--metrics-out``) and the one-shot report always agree.
+behaviour) and observes the interval in the well-known
+``repro_pipeline_stage_seconds`` histogram, and the
+``repro_pipeline_stage_items_total`` counter reads the accumulators'
+items, so live exposition (``--metrics-out``) and the one-shot report
+always agree.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.obs import wellknown
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Views, default_registry
 
 __all__ = ["StageTimer", "StageStat", "StageReport"]
 
-#: a stage not bound yet
-_UNBOUND = (None, None, None)
+def _items_by_stage(stats: dict) -> dict:
+    return {(stage,): stat.items for stage, stat in list(stats.items())}
 
 
 @dataclass
@@ -147,19 +148,21 @@ class StageTimer:
     Timers are cheap enough to leave permanently attached (two
     ``perf_counter`` calls per stage per *batch*).
 
-    Every recorded interval is also mirrored into the metrics registry
-    (``registry``, or the process default when ``None``) as a
-    ``repro_pipeline_stage_seconds`` observation and a
-    ``repro_pipeline_stage_items_total`` increment, making this class
-    the adapter between the historical report API and live exposition.
+    Every recorded interval is also a ``repro_pipeline_stage_seconds``
+    observation in the metrics registry (``registry``, or the process
+    default when ``None``), and ``repro_pipeline_stage_items_total`` is
+    a view of the stats' items, making this class the adapter between
+    the historical report API and live exposition.
     """
 
     _stats: dict[str, StageStat] = field(default_factory=dict, repr=False)
-    #: metrics registry to mirror into; ``None`` = process default
+    #: metrics registry to report into; ``None`` = process default
     registry: object = field(default=None, repr=False)
-    #: stage name → (the families map they were resolved against, the
-    #: seconds child, the items child or None before the first items)
+    #: stage name → (the families map it was resolved against, its
+    #: seconds child)
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: the items view, attached at the first items a registry sees
+    _items: Views = field(default_factory=Views, init=False, repr=False, compare=False)
 
     def stage(self, name: str, items: int = 0) -> "_Stage":
         """Time one stage execution covering ``items`` messages (a
@@ -169,36 +172,32 @@ class StageTimer:
 
     def add(self, name: str, seconds: float, items: int = 0) -> None:
         """Record an externally-timed interval (e.g. from a worker)."""
+        self._mirror(name, seconds, items)
         stat = self._stats.get(name)
         if stat is None:
             stat = self._stats[name] = StageStat()
         stat.seconds += seconds
         stat.calls += 1
         stat.items += items
-        self._mirror(name, seconds, items)
 
     def _mirror(self, name: str, seconds: float, items: int) -> None:
+        """Observe ``seconds``, before the interval is added to the stats:
+        the first items a registry sees attach the items view there, and
+        it counts from the items as they stand."""
         registry = self.registry if self.registry is not None else default_registry()
-        families, seconds_child, items_child = self._bound.get(name) or _UNBOUND
-        if families is not registry._families or (items and items_child is None):
-            families, seconds_child, items_child = self._bind(name, registry, items)
-        with seconds_child.lock:
-            seconds_child.observe_held(seconds)
-            if items:
-                items_child.inc_held(items)
-
-    def _bind(self, name: str, registry, items: int) -> tuple:
-        """Resolve ``name``'s children in ``registry``: the seconds child
-        now, the items child at the stage's first items (a family never
-        used shows no zero sample)."""
-        families, seconds_child, items_child = self._bound.get(name) or _UNBOUND
-        if families is not registry._families:
+        families = registry._families
+        bound = self._bound.get(name)
+        if bound is None or bound[0] is not families:
+            self._items.follow(registry)  # a stage's first interval there
             seconds_child = wellknown.stage_seconds(registry).labels(stage=name)
-            items_child = None
-        if items and items_child is None:
-            items_child = wellknown.stage_items(registry).labels(stage=name)
-        bound = self._bound[name] = (registry._families, seconds_child, items_child)
-        return bound
+            bound = self._bound[name] = (families, seconds_child)
+        bound[1].observe(seconds)
+        if items and not self._items.views:
+            stats = self._stats
+            self._items.attach(
+                wellknown.stage_items(registry), stats, _items_by_stage,
+                base=_items_by_stage(stats),
+            )
 
     def __getstate__(self) -> dict:
         # resolved children stay in the process that resolved them
@@ -215,14 +214,15 @@ class StageTimer:
         stay exactly equivalent to having run the stages locally.
         """
         for name, s in report.stages.items():
+            self._mirror(name, s.seconds, s.items)
             stat = self._stats.setdefault(name, StageStat())
             stat.seconds += s.seconds
             stat.calls += s.calls
             stat.items += s.items
-            self._mirror(name, s.seconds, s.items)
 
     def reset(self) -> None:
-        """Drop all accumulated stats."""
+        """Drop all accumulated stats (the registry keeps what it counted)."""
+        self._items.clear()
         self._stats.clear()
 
     def report(self) -> StageReport:

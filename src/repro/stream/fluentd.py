@@ -47,6 +47,9 @@ class ForwarderStats:
     Conservation invariant (checked by the chaos suite)::
 
         accepted == flushed_messages + buffered + abandoned_messages
+
+    The ``repro_stream_fluentd_*`` counter and gauges are views of
+    these fields: the buffer depth is ``buffered`` by that law.
     """
 
     accepted: int = 0
@@ -57,6 +60,13 @@ class ForwarderStats:
     #: flush batches given up on after ``flush_retry_limit`` failures
     abandoned_flushes: int = 0
     abandoned_messages: int = 0
+    #: messages written by the most recent successful flush
+    last_flush_size: int = 0
+
+    @property
+    def buffered(self) -> int:
+        """Messages polled and not yet flushed or abandoned."""
+        return self.accepted - self.flushed_messages - self.abandoned_messages
 
 
 def classifying_sink(store, pipeline=None) -> Callable[[Sequence[SyslogMessage]], bool]:
@@ -183,17 +193,14 @@ class FluentdForwarder:
             self.dead_letters = DeadLetterQueue(
                 max_entries=self.dlq_max_entries
             )
-        # the children, resolved once: a poll or a flush writes them
-        # directly, with no family or label lookup on the way
         from repro.obs import wellknown
 
-        self._m_buffer_depth = wellknown.fluentd_buffer_depth().labels()
-        self._m_flush_size = wellknown.fluentd_flush_size().labels()
-        self._m_flushed = wellknown.fluentd_flushed_messages().labels()
+        stats = self.stats
+        wellknown.fluentd_buffer_depth().view(stats, "buffered")
+        wellknown.fluentd_flush_size().view(stats, "last_flush_size")
+        wellknown.fluentd_flushed_messages().view(stats, "flushed_messages")
         self._m_poll_to_flush = wellknown.poll_to_flush_seconds().labels()
         self._m_e2e = wellknown.e2e_latency_seconds().labels()
-        #: a flush's three writes take the registry's write lock once
-        self._m_lock = self._m_flushed.lock
         if self.clock is None:
             self.clock = lambda: self.engine.now
         self.broker.subscribe(self.consumer_group, self.consumer_member)
@@ -248,7 +255,6 @@ class FluentdForwarder:
         depth = len(self._buffer)
         if depth > stats.max_buffer_seen:
             stats.max_buffer_seen = depth
-        self._m_buffer_depth.set(depth)
         return n
 
     def consume(self) -> int:
@@ -348,13 +354,9 @@ class FluentdForwarder:
             stats = self.stats
             stats.flushed_batches += 1
             stats.flushed_messages += n
+            stats.last_flush_size = n
             self._retry_delay = 0.0
             self._consecutive_failures = 0
-            with self._m_lock:
-                self._m_buffer_depth.set_held(len(self._buffer))
-                if self._m_flush_size.value != n:
-                    self._m_flush_size.set_held(n)
-                self._m_flushed.inc_held(n)
             if traced:
                 now = self.clock()
                 for ctx, entered_s in traced:
@@ -388,7 +390,6 @@ class FluentdForwarder:
         """
         error = f"flush failed {self._consecutive_failures} times"
         self._retire(len(batch), abandoned=error)
-        self._m_buffer_depth.set(len(self._buffer))
         self.stats.abandoned_flushes += 1
         self.stats.abandoned_messages += len(batch)
         for pos, message in enumerate(batch):

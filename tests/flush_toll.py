@@ -7,8 +7,9 @@ One round is what the spine does for every flush it makes:
 barrier and ``commit_many``.  :func:`count_opcodes` counts the bytecodes
 a call executes in ``src/repro`` frames (``sys.settrace`` with
 ``f_trace_opcodes``), split by layer: deterministic, so a floor on it
-does not move with the machine.  ``tests/test_perf_smoke.py::TestFlushToll``
-gates on it and ``benchmarks/bench_flush_toll.py`` reports it beside
+does not move with the machine; :func:`count_metric_writes` counts the
+metric writes a call makes.  ``tests/test_perf_smoke.py::TestFlushToll``
+gates on both and ``benchmarks/bench_flush_toll.py`` reports them beside
 µs per round.  :func:`retained` is the same split for memory: the bytes
 rounds leave behind, by the layer that allocated them
 (``TestLineBytes`` and ``benchmarks/bench_line_bytes.py``).
@@ -36,7 +37,7 @@ from repro.datagen.templates import TEMPLATES, fill_slots
 from repro.durability import StreamJournal, WriteAheadLog
 from repro.ingest import LogBroker
 from repro.ml.bayes import ComplementNB
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, metrics
 from repro.replication import ReplicatedLogStore
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder, classifying_sink
@@ -107,6 +108,33 @@ def count_opcodes(call) -> Counter:
         sys.settrace(previous)
     counts["total"] = sum(counts[name] for name in LAYER_NAMES)
     return counts
+
+
+#: the child methods that write a metric: a call of one is one write
+_WRITES = frozenset(method.__code__ for method in (
+    metrics._CounterChild.inc, metrics._GaugeChild.set, metrics._GaugeChild.inc,
+    metrics._HistogramChild.observe, metrics._HistogramChild.observe_held,
+))
+
+
+def count_metric_writes(call) -> int:
+    """Run ``call()``; returns the metric writes it made: calls of a
+    child's ``inc``, ``set``, ``observe`` or ``observe_held``, however
+    reached.  The tracer in place before the call is put back."""
+    writes = 0
+
+    def tracer(frame, event, arg):
+        nonlocal writes
+        if frame.f_code in _WRITES:
+            writes += 1
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return writes
 
 
 def retained(call) -> tuple[Counter, Counter]:

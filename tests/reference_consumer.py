@@ -3,7 +3,9 @@
 Everything here is the parent commit's code (596aa60), kept verbatim so
 ``tests/test_consumer.py`` and ``tests/test_run_tail.py`` can drive it
 beside what replaced it (house style of ``tests/perdoc_store.py`` and
-``tests/reference_tfidf.py``):
+``tests/reference_tfidf.py``) — all but the forwarder's three metric
+writes: its counter and gauges are views of ``ForwarderStats`` now, so
+the reference sets ``last_flush_size`` where it wrote them:
 
 * :class:`ReferenceForwarder` — ``FluentdForwarder`` with the three
   methods that each trimmed or grew the three parallel lists themselves:
@@ -91,7 +93,6 @@ class ReferenceForwarder(FluentdForwarder):
             self.stats.max_buffer_seen = max(
                 self.stats.max_buffer_seen, len(self._buffer)
             )
-            self._m_buffer_depth.set(len(self._buffer))
         return len(records)
 
     def _batch_offsets(self, n: int) -> dict:
@@ -161,9 +162,7 @@ class ReferenceForwarder(FluentdForwarder):
             self.stats.flushed_messages += len(batch)
             self._retry_delay = 0.0
             self._consecutive_failures = 0
-            self._m_buffer_depth.set(len(self._buffer))
-            self._m_flush_size.set(len(batch))
-            self._m_flushed.inc(len(batch))
+            self.stats.last_flush_size = len(batch)
             if traced:
                 now = self.clock()
                 for ctx, entered_s in traced:
@@ -222,7 +221,6 @@ class ReferenceForwarder(FluentdForwarder):
                 batch_position=pos,
             )
         self._consecutive_failures = 0
-        self._m_buffer_depth.set(len(self._buffer))
 
 
 def _settle_broker(self) -> int:

@@ -49,7 +49,7 @@ from repro.durability import (
 from repro.durability.wal import _encode_record
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import SITE_CRASH
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry, wellknown
 
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 CHAOS_SEEDS = [SEED_SHIFT, SEED_SHIFT + 1, SEED_SHIFT + 2]
@@ -1181,6 +1181,26 @@ class TestCrashRecovery:
         )
         c = report["conservation"]
         assert c["lost"] == 0 and c["duplicated"] == 0, c
+
+    def test_counts_survive_a_sigkill_and_resume(self, tmp_path, _fresh_registry):
+        """``simulate --duration 120 --rate 4 --incident --checkpoint-every
+        10`` SIGKILLed at crash call 420, resumed and run out: the
+        registry reads what the WAL and the forwarder hold, not the last
+        checkpoint's copy (at seed 0 that copy read last seq 94 and 682
+        flushed)."""
+        SimConfig(
+            duration_s=120.0, rate=4.0, seed=SEED_SHIFT, incident=True, checkpoint_every_s=10.0,
+        ).save(tmp_path)
+        assert run_child(tmp_path, crash_at=420, timeout=120).returncode == -signal.SIGKILL
+        cluster, config, journal = resume_simulation(tmp_path)
+        last_seq = wellknown.wal_last_seq(_fresh_registry).value()
+        assert last_seq == journal.wal.last_seq
+        _report, conservation = run_to_completion(cluster, config)
+        flushed = wellknown.fluentd_flushed_messages(_fresh_registry).value()
+        assert flushed == cluster.forwarder.stats.flushed_messages == len(cluster.store)
+        assert conservation.ok, conservation.render()
+        if SEED_SHIFT == 0:
+            assert (last_seq, flushed) == (110, 788)
 
     def test_child_actually_dies_by_sigkill(self, tmp_path):
         _quick_config(seed=5).save(tmp_path)

@@ -94,13 +94,19 @@ class TestTable3:
         assert uncapped["tiiuae/falcon-40b"] > capped["tiiuae/falcon-40b"] * 3
 
 
+@pytest.fixture(scope="module")
+def comparison(data):
+    """The eight Figure 3 fits, made once for the tests that read them."""
+    return run_classifier_comparison(data)
+
+
 class TestClassifierComparison:
-    def test_all_eight_rows(self, data):
-        rows = run_classifier_comparison(data)
+    def test_all_eight_rows(self, comparison):
+        rows = comparison
         assert len(rows) == len(CLASSIFIER_FACTORIES) == 8
 
-    def test_accuracy_shape(self, data):
-        rows = {r.name: r for r in run_classifier_comparison(data)}
+    def test_accuracy_shape(self, comparison):
+        rows = {r.name: r for r in comparison}
         # everything well above 0.9 except Nearest Centroid (paper shape)
         for name, row in rows.items():
             floor = 0.70 if name == "Nearest Centroid" else 0.9

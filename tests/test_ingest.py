@@ -406,12 +406,10 @@ class ScanAllBroker(LogBroker):
                 if self._stalled is None:
                     self._stalled = key
                     self.stats.stall_events += 1
-                    self._m_stalls.inc()
                 else:
                     self._stalled = None
             if self._stalled == key:
                 self.stats.publish_refused += 1
-                self._m_refused.inc()
                 return None
             part = self.partitions.get(key)
             if part is None:
@@ -423,7 +421,6 @@ class ScanAllBroker(LogBroker):
                 keys.insert(born, key)
                 for i in range(born, len(keys)):
                     self._rank[keys[i]] = i
-                self._m_partitions.set(len(self.partitions))
             pub_s = self._clock()
             if ctx is not None:
                 ctx = record_hop(
@@ -448,10 +445,6 @@ class ScanAllBroker(LogBroker):
                     g.lag += grown - ahead if ahead > 0 else grown
                     g.uncommitted.add(key)
             self.stats.published += 1
-            self._pub_unsynced += 1
-            if self._pub_unsynced >= 1024:
-                self._m_published.inc(self._pub_unsynced)
-                self._pub_unsynced = 0
             return record.offset
 
     def commit(self, group, partition, offset):
@@ -460,12 +453,11 @@ class ScanAllBroker(LogBroker):
                 SITE_COMMIT_LOST
             ):
                 self.stats.commits_lost += 1
-                self._m_commits_lost.inc()
                 return False
             g = self._group(group)
             self._advance_committed(g, partition, offset)
             self.stats.commits += 1
-            g.m_commits.inc()
+            g.commits += 1
             return True
 
     @staticmethod
@@ -514,9 +506,9 @@ class ScanAllBroker(LogBroker):
                     break
             g.rr_cursor = (g.rr_cursor + 1) % max(n, 1)
             self.stats.polled += len(out)
-            g.m_polled.inc(len(out))
-            g.m_lag.set(self._lag(g))
-            g.m_lag_age.set(self._lag_age(g))
+            g.polled += len(out)
+            g.lag_seen = self._lag(g)
+            g.lag_age = self._lag_age(g)
             return _as_batch(out)
 
     def _lag(self, g):
@@ -846,13 +838,22 @@ class TestSyslogListener:
         else:
             stream = b"\n".join(lines) + b"\n"
             feed_tcp(listener, stream, len(stream))
-        listener.sync_metrics()
         s = listener.stats
         assert (s.received, s.accepted, s.publish_refused) == (3, 0, 3)
         assert s.accounted()
         assert wellknown.ingest_accepted(_fresh_registry).value() == 0
         assert wellknown.ingest_publish_refused(_fresh_registry).value() == 3
         assert [d.error for d in listener.dead_letters] == ["broker partition stalled"] * 3
+
+    def test_a_trickle_reads_exact_without_a_sync(self, _fresh_registry):
+        """Three lines, far below any batch: the registry reads them as
+        the listener counted them, with nothing called in between."""
+        listener = SyslogListener(None, udp_port=None, tcp_port=None)
+        for i in range(3):
+            listener._handle_line(_msg(i).to_rfc5424().encode(), udp=True)
+        received = wellknown.ingest_received(_fresh_registry)
+        assert received.value(proto="udp") == 3
+        assert wellknown.ingest_accepted(_fresh_registry).value() == 3
 
     def test_metrics_synced_to_registry(self, _fresh_registry):
         async def scenario():

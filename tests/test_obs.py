@@ -10,6 +10,7 @@ guarantees.
 import json
 import pickle
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.obs import (
     load_snapshot,
     parse_prometheus,
     render_waterfall,
+    restore_snapshot,
     set_default_tracer,
     use_registry,
     wellknown,
@@ -162,13 +164,13 @@ class TestRegistry:
     def test_grouped_and_single_writes_lose_no_update(self):
         """Threads writing the same children, half one write at a time,
         half several under one acquisition of the registry's write lock
-        (``inc_held``/``observe_held``), with the interpreter switching
-        threads as often as it can: every count is exact."""
+        (``observe_held``), with the interpreter switching threads as
+        often as it can: every count is exact."""
         import sys
 
         reg = MetricsRegistry()
         a, b = reg.counter("a_total").labels(), reg.counter("b_total", labels=("k",)).labels(k="x")
-        h, g = reg.histogram("h_seconds").labels(), reg.gauge("g").labels()
+        h, g = reg.histogram("h_seconds").labels(), reg.histogram("g_seconds").labels()
         assert a.lock is b.lock is h.lock is g.lock  # one write lock a registry
 
         def single():
@@ -176,14 +178,13 @@ class TestRegistry:
                 a.inc()
                 b.inc(2)
                 h.observe(0.002)
+                g.observe(0.002)
 
         def grouped():
             for _ in range(3000):
                 with a.lock:
-                    a.inc_held()
-                    b.inc_held(2)
                     h.observe_held(0.001)
-                    g.set_held(1.0)
+                    g.observe_held(0.001)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -196,7 +197,8 @@ class TestRegistry:
         finally:
             sys.setswitchinterval(previous)
         assert not any(t.is_alive() for t in threads)
-        assert (a.value, b.value, h.count, sum(h.bucket_counts)) == (18000, 36000, 18000, 18000)
+        assert (a.value, b.value, h.count, sum(h.bucket_counts)) == (9000, 18000, 18000, 18000)
+        assert (g.count, sum(g.bucket_counts)) == (18000, 18000)
 
     def test_pickle_roundtrip(self):
         reg = MetricsRegistry()
@@ -233,6 +235,102 @@ class TestRegistry:
 
 
 # -- exposition -------------------------------------------------------------
+
+
+class TestViews:
+    """A counter or gauge read from the state object that owns its number."""
+
+    def test_a_view_reads_its_owner_at_every_read(self):
+        reg = MetricsRegistry()
+        owner = SimpleNamespace(n=0)
+        counter = reg.counter("c_total")
+        counter.view(owner, "n")
+        owner.n = 3
+        assert counter.value() == 3
+        assert "c_total 3" in reg.to_prometheus().splitlines()
+        assert reg.snapshot()["metrics"][0]["samples"] == [{"labels": {}, "value": 3.0}]
+
+    def test_owners_are_summed_and_a_counter_never_reads_lower(self):
+        reg = MetricsRegistry()
+        a, b = SimpleNamespace(n=2), SimpleNamespace(n=5)
+        counter, gauge = reg.counter("c_total"), reg.gauge("g")
+        for family in (counter, gauge):
+            family.view(a, "n")
+            family.view(b, "n")
+        assert (counter.value(), gauge.value()) == (7, 7)
+        b.n = 0  # an owner that starts over
+        assert (counter.value(), gauge.value()) == (7, 2)
+
+    def test_a_labelled_view_shows_a_child_once_it_is_nonzero(self):
+        reg = MetricsRegistry()
+        counts = {"x": 0}
+        family = reg.counter("c_total", labels=("k",))
+        family.view(counts, dict.copy)
+        assert family.samples() == []
+        counts.update(x=1, y=0)
+        assert [(labels, child.value) for labels, child in family.samples()] == [({"k": "x"}, 1)]
+
+    def test_an_unviewed_counter_keeps_what_it_counted(self):
+        reg = MetricsRegistry()
+        owner = SimpleNamespace(n=4)
+        counter = reg.counter("c_total")
+        source = counter.view(owner, "n", base=1)
+        assert counter.value() == 3
+        counter.unview(source)
+        owner.n = 100
+        assert counter.value() == 3
+
+    def test_the_first_view_drops_the_values_the_family_held(self):
+        reg = MetricsRegistry()
+        reg.counter("c_total").inc(682)
+        reg.counter("c_total").view(SimpleNamespace(n=5), "n")
+        assert reg.counter("c_total").value() == 5
+
+    def test_a_scrape_beside_a_writer_never_fails_and_never_reads_back(self):
+        """The owner's thread counts and adds label sets while another
+        scrapes, switching as often as the interpreter can: every scrape
+        renders, no counter reads lower than the one before, and the
+        last read is exact."""
+        import sys
+
+        reg = MetricsRegistry()
+        stats, per_key = SimpleNamespace(n=0), {}
+        reg.counter("n_total").view(stats, "n")
+        reg.counter("k_total", labels=("k",)).view(per_key, dict.copy)
+
+        def write():
+            for i in range(20_000):
+                stats.n += 1
+                per_key[f"k{i % 500}"] = per_key.get(f"k{i % 500}", 0) + 1
+
+        seen: list[float] = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=write)
+        try:
+            writer.start()
+            while writer.is_alive():
+                reg.to_prometheus()
+                seen.append(reg.counter("n_total").value())
+            writer.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not writer.is_alive()
+        assert seen == sorted(seen)
+        assert reg.counter("n_total").value() == 20_000
+        keyed = reg.counter("k_total", labels=("k",)).samples()
+        assert len(keyed) == 500 and sum(child.value for _labels, child in keyed) == 20_000
+
+    def test_a_pickle_keeps_the_value_and_a_restore_leaves_a_view_alone(self):
+        reg = MetricsRegistry()
+        owner = SimpleNamespace(n=4)
+        reg.counter("c_total").view(owner, "n")
+        clone = pickle.loads(pickle.dumps(reg))
+        owner.n = 9
+        assert clone.counter("c_total").value() == 4  # a plain value, no owner
+        clone.counter("c_total").inc()
+        restore_snapshot(clone.snapshot(), reg)
+        assert reg.counter("c_total").value() == 9
 
 
 class TestExposition:
@@ -610,7 +708,7 @@ class _CallByCallPipeline(ClassificationPipeline):
             wellknown.pipeline_filtered(registry).inc(n_filtered)
         wellknown.pipeline_batch_seconds(registry).observe(elapsed)
 
-    def _record_cache_metrics(self, cache, before):
+    def _view_cache(self, cache, before):
         import os
 
         # ``before`` is the seam's (hits, misses, evictions, invalidations)
@@ -644,7 +742,7 @@ def _shape_of(registry) -> list:
 
 
 def _child_pid_and_cache_workers(conn, pipe, texts):
-    """Runs in a forked child: classify, report who the cache mirror says it is."""
+    """Runs in a forked child: classify, report whom the cache views say it is."""
     import os
 
     with use_registry(MetricsRegistry()) as registry:
@@ -767,7 +865,8 @@ class TestBindOnce:
         bound = wellknown.Bound(wellknown.pipeline_filtered)
         assert registry.collect() == []  # constructing registers nothing
         assert bound(registry) is bound(registry) is wellknown.pipeline_filtered(registry).labels()
-        assert not wellknown.Bound(wellknown.stage_seconds, stage="x")(NullRegistry()).live
+        null = NullRegistry()
+        assert wellknown.Bound(wellknown.stage_seconds, stage="x")(null) is null.histogram("x")
 
     def test_only_the_recipe_pickles(self, corpus, tmp_path):
         """A pipeline that crosses a process boundary — pickled for a
@@ -778,11 +877,14 @@ class TestBindOnce:
         pipe = _cached_pipeline(corpus)
         with use_registry(MetricsRegistry()) as home:
             pipe.classify_batch(corpus.texts[:5])
-        assert pipe._batch_metrics[1] is wellknown.pipeline_batches(home).labels()
-        assert len(pipe.timer._bound) == 5 and pipe._cache_mirror._resolved is not None
+        assert pipe._batch_metrics is not None and len(pipe.timer._bound) == 5
+        held = (pipe._batch_views, pipe._cache_views, pipe.timer._items)
+        assert all(views.views for views in held)
         clone = pickle.loads(pickle.dumps(pipe))
         assert clone._batch_metrics is None and clone.timer._bound == {}
-        assert clone._cache_mirror._resolved is None
+        assert not any(views.views for views in (
+            clone._batch_views, clone._cache_views, clone.timer._items
+        ))
         with use_registry(MetricsRegistry()) as away:
             clone.classify_batch(corpus.texts[:5])
         assert wellknown.pipeline_messages(away).value() == 5
@@ -793,14 +895,14 @@ class TestBindOnce:
 
     def test_a_forked_worker_reports_under_its_own_pid(self, corpus):
         """Shard workers forked after the parent classified inherit its
-        cache mirror, bound to the parent's pid."""
+        cache views, bound to the parent's pid."""
         import multiprocessing
         import os
 
         pipe = _cached_pipeline(corpus)
         with use_registry(MetricsRegistry()):
             pipe.classify_batch(corpus.texts[:5])
-        assert pipe._cache_mirror.worker == os.getpid()
+        assert pipe._cache_views._key[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
         ours, theirs = ctx.Pipe(duplex=False)
         child = ctx.Process(

@@ -309,7 +309,6 @@ class TestListenerIntegration:
         assert s.accounted()
         assert (s.shed, s.tenant_shed) == (40, 0)
         assert s.accepted == 11
-        listener.sync_metrics()
         assert wellknown.ingest_shed(reg).value() == 40
         shed = wellknown.ingest_tenant_shed(reg)
         assert shed.value(tenant="host1/app1", reason="fair_share") == 40
@@ -327,7 +326,6 @@ class TestListenerIntegration:
         listener = self._listener(reg, DeficitRoundRobin(10.0, 10.0, clock=_Clock()))
         for i in range(100):
             listener._handle_line(_line("host1", "app1", i), udp=True)
-        listener.sync_metrics()
         s = listener.stats
         assert (s.accepted, s.shed) == (10, 90)
         assert s.accounted()

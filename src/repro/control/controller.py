@@ -115,6 +115,10 @@ class BrownoutLadder:
             self.on_change(old, new)
 
 
+def _lever_flips(controller: "Controller") -> dict[str, int]:
+    return {name: lever.n_flips for name, lever in controller.levers.items()}
+
+
 class Controller:
     """Registry-driven AIMD control loop over bound levers.
 
@@ -167,10 +171,12 @@ class Controller:
         self._ff_window: deque[tuple[float, float]] | None = None
         if policy.feedforward is not None:
             self._ff_window = deque(maxlen=policy.feedforward.window_ticks)
-        self._m_ticks = wellknown.control_ticks(registry)
-        self._m_actuations = wellknown.control_actuations(registry)
+        # ticks, flips and setpoints are views of the counts this
+        # controller keeps (and restores from the journal)
+        wellknown.control_ticks(registry).view(self, "n_ticks")
+        wellknown.control_flips(registry).view(self, _lever_flips)
         self._m_setpoint = wellknown.control_setpoint(registry)
-        self._m_flips = wellknown.control_flips(registry)
+        self._m_actuations = wellknown.control_actuations(registry)
         self._m_ff_rate = wellknown.control_feedforward_rate(registry)
         self._m_ff_moves = wellknown.control_feedforward_moves(registry)
 
@@ -182,7 +188,7 @@ class Controller:
             if lever_policy.name == name:
                 lever = Lever(lever_policy, actuator)
                 self.levers[name] = lever
-                self._m_setpoint.set(lever.value, lever=name)
+                self._m_setpoint.view(lever, "value", lever=name)
                 return lever
         raise ValueError(f"policy has no lever named {name!r}")
 
@@ -208,7 +214,6 @@ class Controller:
         # has no baseline, sees 0.0 demand, and waves the shrink through
         arrival = SIGNALS["arrival_rate"](reader)
         self.n_ticks += 1
-        self._m_ticks.inc()
         if self._last_tick_s is not None:
             dt = max(0.0, now - self._last_tick_s)
             for lever in self.levers.values():
@@ -313,10 +318,8 @@ class Controller:
         lever.n_actuations += 1
         if lever.last_direction is not None and lever.last_direction != direction:
             lever.n_flips += 1
-            self._m_flips.inc(lever=pol.name)
         lever.last_direction = direction
         self._m_actuations.inc(lever=pol.name, direction=direction)
-        self._m_setpoint.set(candidate, lever=pol.name)
 
     def _overloaded(self, reader: SignalReader) -> bool:
         """The brownout predicate: backlog blown or SLO budget burning."""
@@ -436,7 +439,6 @@ class Controller:
             lever.last_direction = lever_state.get("last_direction")
             lever.n_actuations = int(lever_state.get("n_actuations", 0))
             lever.n_flips = int(lever_state.get("n_flips", 0))
-            self._m_setpoint.set(value, lever=name)
         brownout_state = state.get("brownout")
         if brownout_state is not None and self.brownout is not None:
             ladder = self.brownout

@@ -15,22 +15,16 @@ saved as one directory.
 
 from __future__ import annotations
 
+import importlib
 import json
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.pipeline import ClassificationPipeline
-from repro.ml.bayes import ComplementNB, MultinomialNB
-from repro.ml.centroid import NearestCentroid
-from repro.ml.forest import RandomForestClassifier, _Tree
-from repro.ml.knn import KNeighborsClassifier
-from repro.ml.linear import LogisticRegression, RidgeClassifier
-from repro.ml.sgd import SGDClassifier
-from repro.ml.svm import LinearSVC
+from repro.ml.base import issparse
 from repro.textproc.tfidf import HashingVectorizer, TfidfVectorizer
 from repro.textproc.vocab import Vocabulary
 
@@ -84,11 +78,19 @@ def _loading(path: Path, what: str):
         raise PipelineLoadError(path, f"cannot load {what}: {e}") from e
 
 # estimators whose state is (classes_, coef_, intercept_) + init params
-_LINEAR_FAMILY = {
-    "LogisticRegression": LogisticRegression,
-    "RidgeClassifier": RidgeClassifier,
-    "LinearSVC": LinearSVC,
-    "SGDClassifier": SGDClassifier,
+_LINEAR_FAMILY = frozenset({"LogisticRegression", "RidgeClassifier", "LinearSVC", "SGDClassifier"})
+#: estimator type → its defining module, imported once a manifest names it:
+#: loading a naive-Bayes model imports neither the solvers nor scipy
+_MODULES = {
+    "LogisticRegression": "repro.ml.linear",
+    "RidgeClassifier": "repro.ml.linear",
+    "LinearSVC": "repro.ml.svm",
+    "SGDClassifier": "repro.ml.sgd",
+    "ComplementNB": "repro.ml.bayes",
+    "MultinomialNB": "repro.ml.bayes",
+    "NearestCentroid": "repro.ml.centroid",
+    "KNeighborsClassifier": "repro.ml.knn",
+    "RandomForestClassifier": "repro.ml.forest",
 }
 _INIT_PARAMS: dict[str, tuple[str, ...]] = {
     "LogisticRegression": ("C", "max_iter", "tol", "fit_intercept"),
@@ -104,6 +106,11 @@ _INIT_PARAMS: dict[str, tuple[str, ...]] = {
         "min_samples_leaf", "max_features", "bootstrap", "seed",
     ),
 }
+
+
+def _estimator(name: str):
+    """The class named ``name``, from its module in :data:`_MODULES`."""
+    return getattr(importlib.import_module(_MODULES[name]), name)
 
 
 def _params_of(clf) -> dict:
@@ -145,8 +152,10 @@ def save_classifier(clf, directory: str | Path) -> None:
     elif name == "KNeighborsClassifier":
         arrays["yi"] = clf._yi
         arrays["sq"] = clf._sq
-        manifest["sparse_X"] = sp.issparse(clf._X)
-        if sp.issparse(clf._X):
+        manifest["sparse_X"] = issparse(clf._X)
+        if manifest["sparse_X"]:
+            import scipy.sparse as sp
+
             sp.save_npz(directory / "knn_X.npz", clf._X.tocsr())
         else:
             arrays["X"] = np.asarray(clf._X)
@@ -189,52 +198,46 @@ def load_classifier(directory: str | Path):
 
 
 def _rebuild_classifier(name, manifest, arrays, classes, directory):
+    if name not in _MODULES:
+        raise ValueError(f"unknown estimator type {name!r} in manifest")
+    clf = _estimator(name)(**manifest["params"])
+    clf.classes_ = classes
     if name in _LINEAR_FAMILY:
-        clf = _LINEAR_FAMILY[name](**manifest["params"])
-        clf.classes_ = classes
         clf.coef_ = arrays["coef"]
         clf.intercept_ = arrays["intercept"]
         return clf
     if name in ("ComplementNB", "MultinomialNB"):
-        cls = ComplementNB if name == "ComplementNB" else MultinomialNB
-        clf = cls(**manifest["params"])
-        clf.classes_ = classes
         clf.feature_log_prob_ = arrays["feature_log_prob"]
         clf.class_log_prior_ = arrays["class_log_prior"]
         return clf
     if name == "NearestCentroid":
-        clf = NearestCentroid(**manifest["params"])
-        clf.classes_ = classes
         clf.centroids_ = arrays["centroids"]
         return clf
     if name == "KNeighborsClassifier":
-        clf = KNeighborsClassifier(**manifest["params"])
-        clf.classes_ = classes
         clf._yi = arrays["yi"]
         clf._sq = arrays["sq"]
-        clf._X = (
-            sp.load_npz(directory / "knn_X.npz")
-            if manifest["sparse_X"]
-            else arrays["X"]
+        if manifest["sparse_X"]:
+            import scipy.sparse as sp
+
+            clf._X = sp.load_npz(directory / "knn_X.npz")
+        else:
+            clf._X = arrays["X"]
+        return clf
+    # the one left in _MODULES: RandomForestClassifier
+    from repro.ml.forest import _Tree
+
+    clf._n_features = manifest["n_features"]
+    clf.trees_ = [
+        _Tree(
+            feature=arrays[f"t{t}_feature"],
+            threshold=arrays[f"t{t}_threshold"],
+            left=arrays[f"t{t}_left"],
+            right=arrays[f"t{t}_right"],
+            value=arrays[f"t{t}_value"],
         )
-        return clf
-    if name == "RandomForestClassifier":
-        params = dict(manifest["params"])
-        clf = RandomForestClassifier(**params)
-        clf.classes_ = classes
-        clf._n_features = manifest["n_features"]
-        clf.trees_ = [
-            _Tree(
-                feature=arrays[f"t{t}_feature"],
-                threshold=arrays[f"t{t}_threshold"],
-                left=arrays[f"t{t}_left"],
-                right=arrays[f"t{t}_right"],
-                value=arrays[f"t{t}_value"],
-            )
-            for t in range(manifest["n_trees"])
-        ]
-        return clf
-    raise ValueError(f"unknown estimator type {name!r} in manifest")
+        for t in range(manifest["n_trees"])
+    ]
+    return clf
 
 
 def _save_vectorizer(vec: TfidfVectorizer, directory: Path) -> None:

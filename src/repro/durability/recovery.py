@@ -939,8 +939,8 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
     stats.flushed_messages = len(state.indexed_events)
     stats.abandoned_messages = len(state.dead)
     stats.max_buffer_seen = max(stats.max_buffer_seen, len(state.buffer_events))
-    cluster.n_received = stats.accepted + len(state.rejected)
-    cluster.n_dropped = len(state.rejected)
+    cluster.relay.received = stats.accepted + len(state.rejected)
+    cluster.relay.dropped = len(state.rejected)
 
     if cluster.controller is not None and state.control is not None:
         cluster.controller.restore_state(state.control)

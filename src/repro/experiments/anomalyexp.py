@@ -26,6 +26,7 @@ from repro.core.taxonomy import Category
 from repro.datagen.generator import CorpusGenerator
 from repro.datagen.sessions import SessionGenerator
 from repro.ml.anomaly import DeepLogDetector, IsolationForest, PCAAnomalyDetector
+from repro.ml.base import as_float_matrix
 from repro.ml.linear import LogisticRegression
 from repro.ml.metrics import roc_auc_score
 from repro.textproc.tfidf import TfidfVectorizer
@@ -56,8 +57,8 @@ def run_message_level(
     tr, te = order[:split], order[split:]
 
     vec = TfidfVectorizer(max_features=max_features)
-    X_tr = vec.fit_transform([texts[i] for i in tr])
-    X_te = vec.transform([texts[i] for i in te])
+    X_tr = as_float_matrix(vec.fit_transform([texts[i] for i in tr]))
+    X_te = as_float_matrix(vec.transform([texts[i] for i in te]))
     y_tr, y_te = is_issue[tr], is_issue[te]
 
     rows: list[AnomalyRow] = []

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.taxonomy import Category
 from repro.datagen.generator import CorpusGenerator, LabeledCorpus
+from repro.ml.base import CsrRows
 from repro.ml.model_selection import train_test_split
 from repro.textproc.tfidf import TfidfVectorizer
 
@@ -44,8 +44,8 @@ class ExperimentData:
 
     corpus: LabeledCorpus = field(default=None, init=False, repr=False)
     vectorizer: TfidfVectorizer = field(default=None, init=False, repr=False)
-    X_train: sp.csr_matrix = field(default=None, init=False, repr=False)
-    X_test: sp.csr_matrix = field(default=None, init=False, repr=False)
+    X_train: CsrRows = field(default=None, init=False, repr=False)
+    X_test: CsrRows = field(default=None, init=False, repr=False)
     y_train: np.ndarray = field(default=None, init=False, repr=False)
     y_test: np.ndarray = field(default=None, init=False, repr=False)
     train_texts: list = field(default=None, init=False, repr=False)

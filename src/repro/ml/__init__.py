@@ -2,9 +2,11 @@
 
 Implements the eight traditional classifiers the paper evaluates
 (Figure 3) over TF-IDF features, plus the metrics, model selection, and
-resampling utilities the evaluation needs.  Everything operates on
-``scipy.sparse`` CSR matrices (TF-IDF output) or dense ndarrays, and
-all randomness is routed through explicit seeds.
+resampling utilities the evaluation needs.  Everything takes the
+vectorizers' :class:`~repro.ml.base.CsrRows`, ``scipy.sparse`` matrices
+or dense ndarrays, and all randomness is routed through explicit seeds.
+Naive Bayes runs on ``CsrRows`` with numpy alone; the other estimators
+see scipy matrices.
 
 Classifier → module map (paper's Figure 3 order):
 
@@ -21,7 +23,7 @@ Classifier → module map (paper's Figure 3 order):
 from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    "base": ("Classifier", "check_Xy"),
+    "base": ("Classifier", "CsrRows", "check_Xy"),
     "linear": ("LogisticRegression", "RidgeClassifier"),
     "sgd": ("SGDClassifier",),
     "svm": ("LinearSVC",),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.ml.base import check_Xy
+from repro.ml.base import CsrRows, as_float_matrix, check_Xy
 from repro.ml.preprocessing import LabelEncoder
 
 __all__ = ["DecisionTreeClassifier", "RandomForestClassifier"]
@@ -32,6 +32,8 @@ _LEAF = -1
 
 
 def _to_dense32(X) -> np.ndarray:
+    if isinstance(X, CsrRows):
+        X = as_float_matrix(X)
     if sp.issparse(X):
         return np.asarray(X.todense(), dtype=np.float32)
     return np.asarray(X, dtype=np.float32)

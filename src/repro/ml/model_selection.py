@@ -10,10 +10,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.ml.base import CsrRows, as_float_matrix
+
 __all__ = ["train_test_split", "stratified_kfold"]
 
 
 def _index_rows(X, idx: np.ndarray):
+    if isinstance(X, CsrRows):
+        X = as_float_matrix(X)
     if sp.issparse(X):
         return X[idx]
     return np.asarray(X)[idx] if isinstance(X, np.ndarray) else [X[i] for i in idx]

@@ -10,7 +10,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.ml.base import CsrRows, as_float_matrix
+
 __all__ = ["random_oversample", "random_undersample", "adasyn_like_oversample"]
+
+
+def _rows_of(X):
+    """``X`` in a form that takes row indexing: vectorizer rows as scipy."""
+    return as_float_matrix(X) if isinstance(X, CsrRows) else X
 
 
 def _vstack(blocks):
@@ -24,7 +31,7 @@ def random_oversample(X, y, *, seed: int = 0):
 
     Returns (X_res, y_res) shuffled.
     """
-    y = np.asarray(y)
+    X, y = _rows_of(X), np.asarray(y)
     rng = np.random.default_rng(seed)
     classes, counts = np.unique(y, return_counts=True)
     target = counts.max()
@@ -42,7 +49,7 @@ def random_oversample(X, y, *, seed: int = 0):
 
 def random_undersample(X, y, *, seed: int = 0):
     """Drop majority-class rows until all classes match the minority."""
-    y = np.asarray(y)
+    X, y = _rows_of(X), np.asarray(y)
     rng = np.random.default_rng(seed)
     classes, counts = np.unique(y, return_counts=True)
     target = counts.min()
@@ -65,7 +72,7 @@ def adasyn_like_oversample(X, y, *, k: int = 5, seed: int = 0):
     criterion, simplified to same-class neighbour distance rank).
     Works on dense or sparse ``X`` (sparse rows are combined sparsely).
     """
-    y = np.asarray(y)
+    X, y = _rows_of(X), np.asarray(y)
     rng = np.random.default_rng(seed)
     classes, counts = np.unique(y, return_counts=True)
     target = counts.max()

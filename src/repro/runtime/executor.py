@@ -33,6 +33,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -116,6 +117,26 @@ def _classify_chunk(texts: tuple[str, ...], span_ctx: dict | None = None,
         _WORKER_PIPELINE.dead_letters.since(dlq_mark),
         cache_stats,
     )
+
+
+@dataclass
+class ShardFaults:
+    """The sharded path's resilience counts: pool respawns, chunk
+    re-dispatches, and chunks classified by the serial fallback.  The
+    ``repro_faults_worker_respawns_total`` / ``_chunk_retries_total`` /
+    ``_serial_fallbacks_total`` families are views of it."""
+
+    worker_respawns: int = 0
+    chunk_retries: int = 0
+    serial_fallback_chunks: int = 0
+
+
+#: (family, :class:`ShardFaults` field) pairs
+_FAULT_VIEWS = (
+    ("faults_worker_respawns", "worker_respawns"),
+    ("faults_chunk_retries", "chunk_retries"),
+    ("faults_serial_fallbacks", "serial_fallback_chunks"),
+)
 
 
 def _per_worker(stat: str):
@@ -224,10 +245,8 @@ class ShardedExecutor:
         #: batches that went through the pool vs the serial path
         self.n_sharded_batches = 0
         self.n_serial_batches = 0
-        #: resilience counters (mirrored into repro_faults_* metrics)
-        self.n_worker_respawns = 0
-        self.n_chunk_retries = 0
-        self.n_serial_fallback_chunks = 0
+        self.faults = ShardFaults()
+        self._fault_views = Views()
         #: each worker's latest template-cache totals (``counters()`` and
         #: ``size``) by pid: what the ``repro_template_cache_*`` views read
         self.cache_totals: dict[str, dict[str, int]] = {}
@@ -265,15 +284,12 @@ class ShardedExecutor:
             )
         return self._pool
 
-    def _respawn_pool(self, registry) -> None:
+    def _respawn_pool(self) -> None:
         """Replace a broken pool; the next dispatch gets fresh workers."""
-        from repro.obs import wellknown
-
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
-        self.n_worker_respawns += 1
-        wellknown.faults_worker_respawns(registry).inc()
+        self.faults.worker_respawns += 1
 
     # -- fault arming --------------------------------------------------
 
@@ -288,6 +304,20 @@ class ShardedExecutor:
             stall = (self.chunk_timeout_s or 1.0) * 1.5 + 0.1
             return {"delay_s": stall}
         return None
+
+    def _view_faults(self, registry) -> None:
+        """Attach the views of :attr:`faults` in ``registry`` (once there):
+        a registry counts the faults met while it is the executor's."""
+        from repro.obs import wellknown
+
+        registry = registry if registry is not None else default_registry()
+        if self._fault_views.follow(registry):
+            faults = self.faults
+            for family, field in _FAULT_VIEWS:
+                self._fault_views.attach(
+                    getattr(wellknown, family)(registry), faults, field,
+                    base=getattr(faults, field),
+                )
 
     def _view_cache_totals(self, registry) -> None:
         """Attach the views of :attr:`cache_totals` in ``registry`` (once there)."""
@@ -386,7 +416,7 @@ class ShardedExecutor:
         wait_hist = wellknown.shard_queue_wait_seconds(registry)
         msg_counter = wellknown.shard_messages(registry)
         chunk_counter = wellknown.shard_chunks(registry)
-        retry_counter = wellknown.faults_chunk_retries(registry)
+        self._view_faults(registry)
 
         by_chunk: list = [None] * len(chunks)
         attempts = [0] * len(chunks)
@@ -447,7 +477,7 @@ class ShardedExecutor:
                     self._view_cache_totals(registry)
                 by_chunk[idx] = chunk_results
             if pool_broken:
-                self._respawn_pool(registry)
+                self._respawn_pool()
             still: list[int] = []
             for idx in failed:
                 attempts[idx] += 1
@@ -455,20 +485,17 @@ class ShardedExecutor:
                     fallback_idx.append(idx)
                 else:
                     still.append(idx)
-                    self.n_chunk_retries += 1
-                    retry_counter.inc()
+                    self.faults.chunk_retries += 1
             pending = still
             if pending:
                 time.sleep(self._backoff_delay(round_no))
         fallback_s = 0.0
         if fallback_idx:
-            fallback_counter = wellknown.faults_serial_fallbacks(registry)
             for idx in sorted(fallback_idx):
                 t0 = perf_counter()
                 by_chunk[idx] = pipe.classify_batch(
                     MessageBatch(texts=chunks[idx])
                 )
                 fallback_s += perf_counter() - t0
-                self.n_serial_fallback_chunks += 1
-                fallback_counter.inc()
+                self.faults.serial_fallback_chunks += 1
         return by_chunk, fallback_idx, fallback_s

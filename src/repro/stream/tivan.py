@@ -99,6 +99,20 @@ class ClassifierStage:
 
 
 @dataclass
+class RelayStats:
+    """The primary syslog relay's counts: lines it took, and lines it
+    dropped (a brownout shed or a publish a stalled partition refused).
+
+    ``repro_stream_relay_received_total`` and ``_dropped_total`` are
+    views of it, so a resumed run's families read what
+    :func:`~repro.durability.resume_simulation` seeds from the journal.
+    """
+
+    received: int = 0
+    dropped: int = 0
+
+
+@dataclass
 class IngestReport:
     """Outcome of one simulated run.
 
@@ -281,12 +295,9 @@ class TivanCluster:
         )
         from repro.obs import wellknown
 
-        #: the primary syslog relay's counts: lines it took, and lines it
-        #: dropped (a brownout shed or a publish a stalled partition refused)
-        self.n_received = 0
-        self.n_dropped = 0
-        self._m_received = wellknown.relay_received()
-        self._m_dropped = wellknown.relay_dropped()
+        self.relay = RelayStats()
+        wellknown.relay_received().view(self.relay, "received")
+        wellknown.relay_dropped().view(self.relay, "dropped")
         self._n_produced = 0
         #: durable runs: trace position → stable per-host offset, computed
         #: over the *full* trace in load_events
@@ -437,8 +448,8 @@ class TivanCluster:
         report = IngestReport(
             duration_s=duration_s,
             produced=self._n_produced,
-            relay_received=self.n_received,
-            relay_dropped=self.n_dropped,
+            relay_received=self.relay.received,
+            relay_dropped=self.relay.dropped,
             indexed=indexed_at_horizon,
             classified=classified,
             final_backlog=indexed_at_horizon - classified,
@@ -485,8 +496,8 @@ class TivanCluster:
         publish a stalled partition refuses is a drop, journaled as a
         ``reject`` — a recorded disposition, never republished on resume.
         """
-        self.n_received += 1
-        self._m_received.inc()
+        relay = self.relay
+        relay.received += 1
         offset = None
         self._shed_acc += self._shed_fraction
         if self._shed_acc >= 1.0:
@@ -507,8 +518,7 @@ class TivanCluster:
                     offset=self._event_offset[idx], ctx=ctx,
                 )
         if offset is None:
-            self.n_dropped += 1
-            self._m_dropped.inc()
+            relay.dropped += 1
             if self.journal is not None:
                 self.journal.reject(idx)
 

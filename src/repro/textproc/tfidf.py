@@ -24,8 +24,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.ml.base import CsrRows
 from repro.textproc.lemmatize import Lemmatizer
 from repro.textproc.normalize import MaskingNormalizer
 from repro.textproc.tokenize import Tokenizer
@@ -142,12 +142,12 @@ class TfidfVectorizer:
         self.idf_ = np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
         return self
 
-    def fit_transform(self, messages: Sequence[str]) -> sp.csr_matrix:
+    def fit_transform(self, messages: Sequence[str]) -> CsrRows:
         """Fit on ``messages`` and return their TF-IDF matrix."""
         self.fit(messages)
         return self.transform(messages)
 
-    def transform(self, messages: Sequence[str]) -> sp.csr_matrix:
+    def transform(self, messages: Sequence[str]) -> CsrRows:
         """Vectorize ``messages`` with the fitted vocabulary/IDF.
 
         Raises
@@ -157,7 +157,7 @@ class TfidfVectorizer:
         """
         return self.transform_analyzed(self.analyze_batch(messages))
 
-    def transform_analyzed(self, docs: Sequence[Sequence[str]]) -> sp.csr_matrix:
+    def transform_analyzed(self, docs: Sequence[Sequence[str]]) -> CsrRows:
         """Vectorize pre-analyzed token documents (the weighting half of
         :meth:`transform`, split out so the batch-first pipeline can
         time normalization and vectorization as separate stages).
@@ -198,12 +198,12 @@ class TfidfVectorizer:
         indptr: list[int],
         n_columns: int,
         idf: np.ndarray | None = None,
-    ) -> sp.csr_matrix:
-        """Weight flat CSR term counts and build the one matrix.
+    ) -> CsrRows:
+        """Weight flat CSR term counts into the batch's rows.
 
         Sublinear tf, IDF and the L2 row scale are all applied to the
-        flat ``data`` array, so a batch costs one ``csr_matrix``
-        construction whatever its size — a one-line flush pays for its
+        flat ``data`` array, so a batch costs one :class:`CsrRows`
+        whatever its size — a one-line flush pays for its
         dozen numbers, not for seven intermediate matrices.
         """
         data = np.asarray(counts, dtype=np.float64)
@@ -222,7 +222,7 @@ class TfidfVectorizer:
                 norms = np.sqrt(np.add.reduceat(data * data, indptr[rows]))
                 norms[norms == 0.0] = 1.0
                 data *= np.repeat(1.0 / norms, lengths[rows])
-        return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_columns))
+        return CsrRows(data, indices, indptr, (len(indptr) - 1, n_columns))
 
     # -- introspection ---------------------------------------------------
 
@@ -275,7 +275,7 @@ class HashingVectorizer(TfidfVectorizer):
         """No-op (hashing needs no vocabulary); returns ``self``."""
         return self
 
-    def transform_analyzed(self, docs: Sequence[Sequence[str]]) -> sp.csr_matrix:
+    def transform_analyzed(self, docs: Sequence[Sequence[str]]) -> CsrRows:
         """Vectorize pre-analyzed token documents via hashed columns."""
         memo = self._hash_memo
         n_features = self.n_features

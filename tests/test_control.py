@@ -620,7 +620,7 @@ class TestClusterBrownout:
             # exactly the fraction, every second arrival
             published = cluster.broker.partitions["cn001"].read_from(0, 10)
             assert [r.message.timestamp for r in published] == [0.0, 2.0, 4.0, 6.0, 8.0]
-            assert cluster.n_shed == cluster.n_dropped == 5
+            assert cluster.n_shed == cluster.relay.dropped == 5
             assert wellknown.control_shed(reg).value(reason="brownout") == 5
 
     def test_partial_descent_keeps_lower_rungs_off(self):

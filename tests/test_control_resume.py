@@ -37,6 +37,7 @@ from repro.durability import (
     recover_state,
     resume_simulation,
     run_child,
+    run_to_completion,
 )
 from repro.obs import MetricsRegistry, use_registry, wellknown
 
@@ -260,3 +261,27 @@ class TestCrashResume:
         assert report["control"]["ticks"] > expected["n_ticks"]
         c = report["conservation"]
         assert c["lost"] == 0 and c["duplicated"] == 0, c
+
+    def test_control_families_read_the_resumed_controller(self, tmp_path, _fresh_registry):
+        """Ticks, flips and setpoints are views of the controller: right
+        after an in-process resume of the SIGKILLed surge they read the
+        counts the journal restored, not the last checkpoint's copy, and
+        they still read the controller when the run is out."""
+        seed = SEED_SHIFT
+        _surge_config(seed=seed).save(tmp_path)
+        proc = run_child(tmp_path, crash_at=_kill_point(seed), crash_seed=seed, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        cluster, config, _journal = resume_simulation(tmp_path)
+        controller = cluster.controller
+
+        def assert_views():
+            reg = _fresh_registry
+            assert wellknown.control_ticks(reg).value() == controller.n_ticks
+            for name, lever in controller.levers.items():
+                assert wellknown.control_setpoint(reg).value(lever=name) == lever.value
+                assert wellknown.control_flips(reg).value(lever=name) == lever.n_flips
+
+        assert controller.n_ticks > 0
+        assert_views()
+        run_to_completion(cluster, config)
+        assert_views()

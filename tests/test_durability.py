@@ -1202,6 +1202,31 @@ class TestCrashRecovery:
         if SEED_SHIFT == 0:
             assert (last_seq, flushed) == (110, 788)
 
+    def test_relay_counts_survive_a_sigkill_and_resume(self, tmp_path, _fresh_registry):
+        """The same SIGKILL at crash call 420: the relay families read the
+        relay's counts, which the resume seeds from the journal, not the
+        checkpoint's copy (at seed 0 that copy read 216 right after the
+        resume and 699 at the end)."""
+        SimConfig(
+            duration_s=120.0, rate=4.0, seed=SEED_SHIFT, incident=True, checkpoint_every_s=10.0,
+        ).save(tmp_path)
+        assert run_child(tmp_path, crash_at=420, timeout=120).returncode == -signal.SIGKILL
+        cluster, config, _journal = resume_simulation(tmp_path)
+
+        def families():
+            return (
+                wellknown.relay_received(_fresh_registry).value(),
+                wellknown.relay_dropped(_fresh_registry).value(),
+            )
+
+        resumed = families()
+        assert resumed == (cluster.relay.received, cluster.relay.dropped)
+        report, conservation = run_to_completion(cluster, config)
+        assert families() == (report.relay_received, report.relay_dropped)
+        assert conservation.ok, conservation.render()
+        if SEED_SHIFT == 0:
+            assert (resumed[0], report.relay_received) == (305, 788)
+
     def test_child_actually_dies_by_sigkill(self, tmp_path):
         _quick_config(seed=5).save(tmp_path)
         proc = run_child(tmp_path, crash_at=10, timeout=120)

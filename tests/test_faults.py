@@ -375,9 +375,9 @@ class TestShardedChaos:
             before = fitted.n_classified
             with _sharded(fitted, inj) as ex:
                 results = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.n_worker_respawns >= 1
-                assert ex.n_chunk_retries >= 1
-                assert ex.n_serial_fallback_chunks == 0
+                assert ex.faults.worker_respawns >= 1
+                assert ex.faults.chunk_retries >= 1
+                assert ex.faults.serial_fallback_chunks == 0
             # conservation + parity: every message classified, same labels
             assert len(results) == 100
             assert [r.category for r in results] == serial
@@ -388,10 +388,11 @@ class TestShardedChaos:
                 == inj.fire_counts()[SITE_WORKER_CRASH]
                 == 1
             )
-            assert wellknown.faults_worker_respawns(reg).value() >= 1
+            # each family is a view of the executor's count
+            assert wellknown.faults_worker_respawns(reg).value() == ex.faults.worker_respawns >= 1
             assert (
                 wellknown.faults_chunk_retries(reg).value()
-                == ex.n_chunk_retries
+                == ex.faults.chunk_retries
             )
 
     def test_chunk_timeout_recovered(self, fitted, corpus):
@@ -405,7 +406,7 @@ class TestShardedChaos:
             t0 = time.monotonic()
             with _sharded(fitted, inj, chunk_timeout_s=2.0) as ex:
                 results = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.n_chunk_retries >= 1
+                assert ex.faults.chunk_retries >= 1
             assert time.monotonic() - t0 < 60.0  # bounded, no indefinite hang
             assert [r.category for r in results] == serial
 
@@ -420,12 +421,12 @@ class TestShardedChaos:
             before = fitted.n_classified
             with _sharded(fitted, inj, max_chunk_retries=1) as ex:
                 results = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.n_serial_fallback_chunks == 2  # both chunks
+                assert ex.faults.serial_fallback_chunks == 2  # both chunks
             assert [r.category for r in results] == serial
             assert fitted.n_classified == before + 50  # no double counting
             assert (
                 wellknown.faults_serial_fallbacks(reg).value()
-                == ex.n_serial_fallback_chunks
+                == ex.faults.serial_fallback_chunks
             )
 
     def test_externally_sigkilled_worker_regression(self, fitted, corpus):
@@ -449,17 +450,17 @@ class TestShardedChaos:
                 while True:
                     results = ex.classify_batch(MessageBatch.of_texts(probe))
                     assert [r.category for r in results] == serial
-                    if ex.n_worker_respawns or time.monotonic() > deadline:
+                    if ex.faults.worker_respawns or time.monotonic() > deadline:
                         break
-                assert ex.n_worker_respawns >= 1
+                assert ex.faults.worker_respawns >= 1
 
     def test_no_faults_no_resilience_counters(self, fitted, corpus):
         with use_registry(MetricsRegistry()):
             with _sharded(fitted, None) as ex:
                 ex.classify_batch(corpus.texts[:60])
-                assert ex.n_worker_respawns == 0
-                assert ex.n_chunk_retries == 0
-                assert ex.n_serial_fallback_chunks == 0
+                assert ex.faults.worker_respawns == 0
+                assert ex.faults.chunk_retries == 0
+                assert ex.faults.serial_fallback_chunks == 0
 
 
 # -- degraded mode ---------------------------------------------------------
@@ -545,7 +546,7 @@ class TestEndToEndChaos:
             # relay-level conservation: what the relay took and did not
             # drop is what it forwarded
             forwarded = report.relay_received - report.relay_dropped
-            assert report.relay_received == cluster.n_received == len(events)
+            assert report.relay_received == cluster.relay.received == len(events)
             # forwarder-level conservation: everything the relay forwarded
             # was published and polled, then flushed, still buffered, or
             # dead-lettered with a reason
@@ -557,7 +558,7 @@ class TestEndToEndChaos:
             # the store holds exactly what was flushed
             assert len(cluster.store) == s.flushed_messages
             # a full buffer is broker lag, never a relay drop
-            assert cluster.n_dropped == report.relay_dropped == 0
+            assert cluster.relay.dropped == report.relay_dropped == 0
             assert report.broker_published == s.accepted + report.broker_lag
             # reconciliation with the injector
             fired = inj.fire_counts().get(SITE_FLUSH_FAIL, 0)

@@ -1,12 +1,15 @@
 """The spine loads only the code it runs, and every package ``__init__`` is lazy.
 
-Three counted guards, each in a fresh interpreter (the suite's own process
+Counted guards, each in a fresh interpreter (the suite's own process
 has imported half the package by the time a test runs):
 
 - importing the constructors ``benchmarks/spine/spine.py`` wires loads
-  none of the heavy modules the spine never calls — ``scipy.optimize``
-  and the linear algebra it drags in, the HTTP and mail stacks, networkx,
-  the classifiers the spine does not run, the Tivan simulation;
+  none of the heavy modules the spine never calls — scipy (naive Bayes
+  runs on numpy arrays), the HTTP and mail stacks, networkx, the
+  classifiers the spine does not run, the Tivan simulation;
+- the spine's own work — fit, then classify hot and cold lines — and
+  ``load_pipeline`` of a saved naive-Bayes model, then classify, run with
+  scipy blocked;
 - ``import repro.core.message`` loads neither numpy nor the pipeline;
 - the classifiers that fit with ``scipy.optimize`` or solve with
   ``scipy.sparse.linalg`` import it in ``fit``, not with their module.
@@ -56,6 +59,7 @@ SPINE_WIRING = textwrap.dedent(
 
 #: modules the spine never calls into
 NOT_IN_THE_SPINE = (
+    "scipy.sparse",
     "scipy.optimize",
     "scipy.linalg",
     "scipy.sparse.linalg",
@@ -98,10 +102,78 @@ def _loaded_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+#: run first: any later ``import scipy`` raises ``ImportError``
+BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
+
+#: the spine's work on the wiring: fit, then 1,000 hot lines (64 templates
+#: through the template cache) and 1,000 cold ones (a fresh word each)
+SPINE_WORK = SPINE_WIRING + textwrap.dedent(
+    """
+    import numpy as np
+    from repro.datagen.templates import TEMPLATES, fill_slots
+
+    corpus = CorpusGenerator(scale=0.01, seed=0).generate()
+    pipe = ClassificationPipeline(
+        vectorizer=TfidfVectorizer(), classifier=ComplementNB(),
+        template_cache=TemplateCache(4096),
+    )
+    pipe.fit(corpus.texts, corpus.labels)
+    rng = np.random.default_rng(0)
+    hot = [fill_slots(TEMPLATES[i], rng) for i in rng.integers(0, 64, size=1000)]
+    words = sorted({w for t in TEMPLATES for w in t.text.split() if w.isalpha()})
+    cold = [
+        " ".join([*rng.choice(words, size=8), "".join(rng.choice(list("abcdefghij"), size=9))])
+        for _ in range(1000)
+    ]
+    for lines in (hot, cold):
+        for start in range(0, len(lines), 100):
+            results = pipe.classify_batch(lines[start:start + 100])
+            assert all(r.category is not None for r in results)
+    assert pipe.template_cache.hits > 0
+    """
+)
+
+
+def _scipy_modules(loaded: set[str]) -> list[str]:
+    return sorted(name for name in loaded if name.split(".")[0] == "scipy")
+
+
 def test_the_spine_wiring_loads_nothing_it_does_not_run():
     loaded = _loaded_after(SPINE_WIRING)
-    assert {"numpy", "scipy.sparse", "repro.ml.bayes", "repro.obs.wellknown"} <= loaded
+    assert {"numpy", "repro.ml.bayes", "repro.obs.wellknown"} <= loaded
     assert sorted(loaded.intersection(NOT_IN_THE_SPINE)) == []
+    assert _scipy_modules(loaded) == []
+
+
+def test_the_spine_fits_and_classifies_with_scipy_blocked():
+    loaded = _loaded_after(BLOCK_SCIPY + SPINE_WORK)
+    assert _scipy_modules(loaded) == ["scipy"]  # the blocking ``None``
+
+
+def test_a_loaded_naive_bayes_model_classifies_with_scipy_blocked(tmp_path, corpus):
+    """The path of ``listen --model-dir``, ``recover`` and each
+    ``ShardedExecutor`` worker: ``load_pipeline``, then ``classify_batch``."""
+    from repro.core.pipeline import ClassificationPipeline
+    from repro.core.serialize import save_pipeline
+    from repro.ml.bayes import ComplementNB
+    from repro.textproc.tfidf import TfidfVectorizer
+
+    pipe = ClassificationPipeline(vectorizer=TfidfVectorizer(), classifier=ComplementNB())
+    pipe.fit(corpus.texts, corpus.labels)
+    save_pipeline(pipe, tmp_path)
+    texts = corpus.texts[:200]
+    want = [r.category.value for r in pipe.classify_batch(texts)]
+    code = BLOCK_SCIPY + textwrap.dedent(
+        f"""
+        from repro.core.serialize import load_pipeline
+        got = [r.category.value for r in load_pipeline({str(tmp_path)!r}).classify_batch({texts!r})]
+        assert got == {want!r}, got
+        """
+    )
+    loaded = _loaded_after(code)
+    assert "repro.ml.bayes" in loaded
+    assert sorted(loaded & {"repro.ml.linear", "repro.ml.knn", "repro.ml.forest"}) == []
+    assert _scipy_modules(loaded) == ["scipy"]
 
 
 def test_the_message_model_loads_neither_numpy_nor_the_pipeline():

@@ -150,14 +150,14 @@ class TestScalingSmoke:
         assert compared[0] <= 1.8 * len(corpus.texts), compared[0] / len(corpus.texts)
 
     def test_tfidf_vectorize_thousands(self, corpus, monkeypatch):
-        """``fit_transform`` over the corpus builds one ``csr_matrix`` and
+        """``fit_transform`` over the corpus builds one ``CsrRows`` and
         analyses each text twice (fit, then transform), however many
         rows there are.  The wall-clock budget this was is
         ``benchmarks/bench_scaling_smoke.py``."""
-        import scipy.sparse as sp
+        from repro.ml.base import CsrRows
 
         built, analysed = [], []
-        init, analyze_batch = sp.csr_matrix.__init__, TfidfVectorizer.analyze_batch
+        init, analyze_batch = CsrRows.__init__, TfidfVectorizer.analyze_batch
 
         def counting_init(matrix, *args, **kwargs):
             built.append(1)
@@ -168,7 +168,7 @@ class TestScalingSmoke:
             analysed.append(len(messages))
             return analyze_batch(vectorizer, messages)
 
-        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+        monkeypatch.setattr(CsrRows, "__init__", counting_init)
         monkeypatch.setattr(TfidfVectorizer, "analyze_batch", counting_analyze_batch)
         matrix = TfidfVectorizer(max_features=2000).fit_transform(corpus.texts)
         assert matrix.shape[0] == len(corpus.texts)
@@ -1209,32 +1209,41 @@ class TestSmallBatchFloors:
 
     def test_a_one_row_transform_builds_one_csr_matrix(self, split, corpus, monkeypatch):
         """Weighting at array level against the implementation it
-        replaced, kept in ``reference_tfidf.py``: one ``csr_matrix`` a
-        row against seven."""
+        replaced, kept in ``reference_tfidf.py``: one ``CsrRows`` a row
+        and no ``csr_matrix``, against seven ``csr_matrix``."""
         import scipy.sparse as sp
         from reference_tfidf import reference_transform_analyzed
+
+        from repro.ml.base import CsrRows
 
         vec = split[4]
         rows = [[doc] for doc in vec.analyze_batch(corpus.texts[:60])]
         built: list[int] = []
-        init = sp.csr_matrix.__init__
+        matrices: list[int] = []
 
-        def counting_init(matrix, *args, **kwargs):
-            built.append(1)
-            init(matrix, *args, **kwargs)
+        def counting(cls, into):
+            init = cls.__init__
 
-        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+            def counting_init(matrix, *args, **kwargs):
+                into.append(1)
+                init(matrix, *args, **kwargs)
 
-        def per_row(transform) -> list[int]:
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        counting(CsrRows, built)
+        counting(sp.csr_matrix, matrices)
+
+        def per_row(transform, counted) -> list[int]:
             counts = []
             for row in rows:
-                built.clear()
+                counted.clear()
                 transform(row)
-                counts.append(len(built))
+                counts.append(len(counted))
             return counts
 
-        assert per_row(vec.transform_analyzed) == [1] * len(rows)
-        assert min(per_row(lambda row: reference_transform_analyzed(vec, row))) > 1
+        assert per_row(vec.transform_analyzed, built) == [1] * len(rows)
+        assert per_row(vec.transform_analyzed, matrices) == [0] * len(rows)
+        assert min(per_row(lambda row: reference_transform_analyzed(vec, row), matrices)) > 1
 
 
 class TestTemplateCacheSpeedup:

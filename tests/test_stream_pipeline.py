@@ -27,18 +27,18 @@ def relayed(*messages, **kw):
 class TestRelay:
     def test_forwards_to_downstream(self):
         tc = relayed(msg())
-        assert (tc.n_received, tc.n_dropped) == (1, 0)
+        assert (tc.relay.received, tc.relay.dropped) == (1, 0)
         assert tc.broker.stats.published == 1
 
     def test_counts_drops(self):
         stall = FaultPlan(sites={SITE_PARTITION_STALL: FaultSpec(at_calls=(1,))})
         tc = relayed(msg(), fault_injector=FaultInjector(stall))
-        assert (tc.n_received, tc.n_dropped) == (1, 1)
+        assert (tc.relay.received, tc.relay.dropped) == (1, 1)
         assert tc.broker.stats.published == 0
 
     def test_each_host_publishes_to_its_own_partition(self):
         tc = relayed(msg(1.0, "cn001"), msg(2.0, "cn999"), msg(3.0, "cn001"))
-        assert tc.n_received == 3
+        assert tc.relay.received == 3
         assert {h: len(p) for h, p in tc.broker.partitions.items()} == {
             "cn001": 2, "cn999": 1,
         }

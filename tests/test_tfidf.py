@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from reference_tfidf import reference_idf, reference_transform_analyzed
 from repro.core.taxonomy import Category
 from repro.ml import ComplementNB
+from repro.ml.base import CsrRows
 from repro.textproc.tfidf import (
     HashingVectorizer,
     TfidfVectorizer,
@@ -33,16 +34,18 @@ class TestVectorizer:
         assert X.shape[1] == len(v.feature_names())
 
     def test_sparse_csr_output(self):
-        X = TfidfVectorizer().fit_transform(DOCS)
+        rows = TfidfVectorizer().fit_transform(DOCS)
+        assert isinstance(rows, CsrRows)
+        X = rows.to_scipy()
         assert sp.issparse(X) and X.format == "csr"
 
     def test_rows_l2_normalized(self):
-        X = TfidfVectorizer().fit_transform(DOCS)
+        X = TfidfVectorizer().fit_transform(DOCS).to_scipy()
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         assert np.allclose(norms[norms > 0], 1.0)
 
     def test_no_l2_option(self):
-        X = TfidfVectorizer(l2_normalize=False).fit_transform(DOCS)
+        X = TfidfVectorizer(l2_normalize=False).fit_transform(DOCS).to_scipy()
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         assert not np.allclose(norms, 1.0)
 
@@ -104,7 +107,7 @@ class TestHashingMemo:
             doc = [f"garbage{i}x{j}y" for j in range(10)]
             got = vec.transform_analyzed([doc])
             want = HashingVectorizer(n_features=1 << 10).transform_analyzed([doc])
-            assert (got != want).nnz == 0
+            assert (got.to_scipy() != want.to_scipy()).nnz == 0
             assert len(memo) <= 64
         # a vocabulary that arrives after the cap was hit is still memoized
         vec.transform_analyzed([["thermal", "throttle"]])
@@ -241,7 +244,8 @@ class TestEqualsReplacedImplementation:
     @settings(max_examples=120, deadline=None)
     def test_tfidf_matrix_and_scores_bit_for_bit(self, docs, sublinear_tf, l2_normalize):
         vec = _fitted(TfidfVectorizer, sublinear_tf=sublinear_tf, l2_normalize=l2_normalize)
-        got, want = vec.transform_analyzed(docs), reference_transform_analyzed(vec, docs)
+        got = vec.transform_analyzed(docs).to_scipy()
+        want = reference_transform_analyzed(vec, docs)
         _assert_identical(got, want)
         clf = _scorer(vec)
         assert np.array_equal(clf.decision_function(got), clf.decision_function(want))
@@ -258,7 +262,8 @@ class TestEqualsReplacedImplementation:
             HashingVectorizer, n_features=1 << 7,
             sublinear_tf=sublinear_tf, l2_normalize=l2_normalize,
         )
-        got, want = vec.transform_analyzed(docs), reference_transform_analyzed(vec, docs)
+        got = vec.transform_analyzed(docs).to_scipy()
+        want = reference_transform_analyzed(vec, docs)
         clf = _scorer(vec)
         if sublinear_tf and l2_normalize and not want.has_canonical_format:
             _assert_same_structure(got, want)
@@ -278,11 +283,13 @@ class TestEqualsReplacedImplementation:
             "mixed"])
     def test_named_edge_cases(self, cls, docs):
         vec = _fitted(cls)
-        _assert_identical(vec.transform_analyzed(docs), reference_transform_analyzed(vec, docs))
+        _assert_identical(
+            vec.transform_analyzed(docs).to_scipy(), reference_transform_analyzed(vec, docs)
+        )
 
     def test_tfidf_columns_ascend_within_a_row_and_hashed_ones_do_not_move(self):
         doc = ["usb", "cpu", "hub", "above"]  # first sight is not column order
-        tfidf = _fitted(TfidfVectorizer).transform_analyzed([doc])
+        tfidf = _fitted(TfidfVectorizer).transform_analyzed([doc]).to_scipy()
         assert list(tfidf.indices) == sorted(tfidf.indices) and tfidf.has_sorted_indices
         hashing = _fitted(HashingVectorizer)
         columns = [zlib.crc32(t.encode()) % hashing.n_features for t in doc]
@@ -293,7 +300,7 @@ class TestEqualsReplacedImplementation:
         vec = _fitted(TfidfVectorizer)
         vec.idf_ = np.zeros_like(vec.idf_)
         docs = [["cpu", "usb"], ["fan"]]
-        got = vec.transform_analyzed(docs)
+        got = vec.transform_analyzed(docs).to_scipy()
         _assert_identical(got, reference_transform_analyzed(vec, docs))
         assert got.nnz == 3 and not got.data.any()
 
@@ -308,5 +315,6 @@ class TestEqualsReplacedImplementation:
             for start in range(0, 192, size):
                 chunk = docs[start:start + size]
                 _assert_identical(
-                    vec.transform_analyzed(chunk), reference_transform_analyzed(vec, chunk)
+                    vec.transform_analyzed(chunk).to_scipy(),
+                    reference_transform_analyzed(vec, chunk),
                 )

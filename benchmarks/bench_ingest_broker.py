@@ -175,13 +175,13 @@ def _listener_rate(lines: list[bytes], *, proto: str) -> float:
 
 def _broker_rate(messages) -> float:
     broker = LogBroker()
-    broker.subscribe("bench", "b0")
+    broker.subscribe("bench")
     start = time.perf_counter()
     for m in messages:
         broker.publish(m)
     n = 0
     while n < len(messages):
-        records = broker.poll("bench", "b0", max_records=4096)
+        records = broker.poll("bench", max_records=4096)
         if not records:
             break
         n += len(records)

@@ -227,8 +227,7 @@ def _broker_round(lines: list[bytes], *, registry, trace_sample: float) -> float
             fwd = FluentdForwarder(
                 engine=EventEngine(), sink=store.bulk_index,
                 batch_size=1000, buffer_limit=len(lines) + 1,
-                broker=broker, consumer_group="bench",
-                consumer_member="b0", clock=time.perf_counter,
+                broker=broker, consumer_group="bench", clock=time.perf_counter,
             )
             gc.collect()  # see _time_round: rounds run GC-paused
             gc.disable()

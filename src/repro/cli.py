@@ -893,7 +893,7 @@ def _cmd_listen(args) -> int:
     store = LogStore()
     forwarder = FluentdForwarder(
         engine=EventEngine(), sink=classifying_sink(store, pipe), broker=broker,
-        consumer_group="cli", consumer_member="cli-0", clock=time.time,
+        consumer_group="cli", clock=time.time,
     )
     listener = SyslogListener(
         broker,

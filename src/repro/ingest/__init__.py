@@ -1,14 +1,14 @@
 """Network ingest: syslog listener + partitioned log broker.
 
-The spine between noisy senders and the elastic consumer fleet:
+The spine between noisy senders and the consumers that drain them:
 
 - :mod:`repro.ingest.listener` — :class:`SyslogListener`, an asyncio
   UDP/TCP front door parsing RFC 3164/5424 wire lines, with DLQ
   quarantine for hostile input and per-tenant fair-share admission
   (:mod:`repro.ingest.quota`) as its one load-shedding valve;
 - :mod:`repro.ingest.broker` — :class:`LogBroker`, per-host
-  partitions of append-only segments with consumer groups and
-  committed offsets.  Offsets ride the :mod:`repro.durability`
+  partitions of append-only segments with one-consumer groups
+  and committed offsets.  Offsets ride the :mod:`repro.durability`
   journal, so a crashed consumer resumes with zero acked-message loss.
 
 Fault sites ``ingest.accept_drop``, ``broker.partition_stall`` and

@@ -5,8 +5,8 @@ ingest to classification — the forwarder hands messages straight to
 the classifier stage, so neither side can scale or fail independently.
 This module decouples them the way production log pipelines do
 (IBM 2025 makes the same move): noisy senders publish into an
-append-only, partitioned log; an elastic consumer fleet polls at its
-own pace; progress is an *offset*, not an ack per message.
+append-only, partitioned log; a consumer polls at its own pace;
+progress is an *offset*, not an ack per message.
 
 Design
 ------
@@ -26,14 +26,11 @@ Design
   indexes the :class:`RecordBatch` a read returns.  This mirrors
   on-disk log brokers and bounds the cost of any future retention work
   to whole segments.
-- **Consumer groups** own a committed offset per partition.
-  Partition assignment is round-robin over the sorted partition keys
-  among the sorted member names, recomputed on the fly so partitions
-  created after subscription are picked up without a rebalance
-  protocol.  ``poll`` advances a member's *position*; ``commit``
-  advances the group's *committed* offset.  Positions reset to the
-  committed offset on :meth:`reset_to_committed` — exactly what a
-  restarted consumer does — giving at-least-once delivery.
+- **Consumer groups** have one consumer each, which reads every
+  partition, a new one from the next poll on.  ``poll`` advances the
+  group's *position* in a partition; ``commit`` its *committed* offset.
+  :meth:`reset_to_committed` drops the positions — what a restarted
+  consumer does — giving at-least-once delivery.
 - **Sparse offsets**: ``publish`` accepts an explicit offset so the
   durable path can replay a *subset* of a trace (only not-yet-settled
   events) while keeping every record's offset identical to its first
@@ -58,8 +55,9 @@ lock by the operations that change them:
   by bisection over the offset column (records are offset-ordered),
   never by walking the segment.  What it returns is column slices —
   a :class:`RecordBatch`, one partition key per row.  Delivery order
-  is the round-robin scan over the member's sorted assignment — the
-  ready set only skips the visits that would have read nothing.
+  is a round-robin scan over the sorted partition keys, starting one
+  key further on each poll — the ready set only skips the visits that
+  would have read nothing.
 - ``commit_many`` takes the lock once for a flush's offsets, however
   many partitions they span; ``commit`` is its one-partition call.
 - ``lag`` is O(1); ``lag_age`` is O(partitions with uncommitted
@@ -307,10 +305,9 @@ class ConsumerGroup:
     """
 
     name: str
-    members: list[str] = field(default_factory=list)
     committed: dict[str, int] = field(default_factory=dict)
     positions: dict[str, int] = field(default_factory=dict)
-    #: round-robin cursor so poll spreads fairly over assigned partitions
+    #: round-robin cursor so poll spreads fairly over the partitions
     rr_cursor: int = 0
     #: partitions a poll still has work on: no live cursor yet (the
     #: next visit seeds it from ``committed``) or records past it
@@ -320,7 +317,7 @@ class ConsumerGroup:
     #: sum over partitions of ``max(0, next_offset - committed)``
     lag: int = field(init=False, default=0)
     #: what the group's ``repro_broker_*{group=…}`` families read:
-    #: records delivered to its members, and commits applied
+    #: records delivered to its consumer, and commits applied
     polled: int = field(init=False, default=0)
     commits: int = field(init=False, default=0)
     #: ``lag`` and the age in seconds of the oldest uncommitted record,
@@ -361,14 +358,10 @@ class LogBroker:
         self.injector = fault_injector
         self.partitions: dict[str, Partition] = {}
         #: partition keys in sorted order and each key's index in that
-        #: order — the round-robin assignment is arithmetic on the rank
+        #: order — a poll's round-robin scan is arithmetic on the rank
         self._keys: list[str] = []
         self._rank: dict[str, int] = {}
         self.groups: dict[str, ConsumerGroup] = {}
-        #: (group, member) → (group, the member's index in its sorted
-        #: members, partitions assigned to it): what a poll needs to find
-        #: its share, emptied whenever a member joins or a partition opens
-        self._cursors: dict[tuple[str, str], tuple[ConsumerGroup, int, int]] = {}
         self.stats = BrokerStats()
         self._stalled: str | None = None
         self._lock = threading.Lock()
@@ -491,7 +484,6 @@ class LogBroker:
         keys.insert(born, key)
         for i in range(born, len(keys)):
             self._rank[keys[i]] = i
-        self._cursors.clear()  # every member's share of the keys moves
         return part
 
     def _account_publish(self, ends: dict[str, int], published: int, refused: int) -> None:
@@ -548,107 +540,59 @@ class LogBroker:
             if offset >= end:
                 g.uncommitted.discard(key)
 
-    def subscribe(self, group: str, member: str) -> None:
-        """Add ``member`` to ``group`` (idempotent)."""
+    def subscribe(self, group: str) -> None:
+        """Open ``group`` (idempotent): its metric series exist before a poll."""
         with self._lock:
-            self._join(self._group(group), member)
+            self._group(group)
 
-    def _join(self, g: ConsumerGroup, member: str) -> None:
-        if member not in g.members:
-            g.members.append(member)
-            g.members.sort()
-            self._cursors.clear()
-
-    def assignment(self, group: str, member: str) -> list[str]:
-        """Partitions ``member`` currently owns (round-robin layout).
-
-        Recomputed against the live partition set, so partitions that
-        appear after subscription are owned without a rebalance.
-        """
-        with self._lock:
-            return self._assignment(group, member)
-
-    def _assignment(self, group: str, member: str) -> list[str]:
-        g = self._group(group)
-        if member not in g.members:
-            raise ValueError(f"member {member!r} is not subscribed to {group!r}")
-        return self._keys[g.members.index(member)::len(g.members)]
-
-    def _cursor(self, group: str, member: str) -> tuple[ConsumerGroup, int, int]:
-        """``member``'s entry in :attr:`_cursors`; joins it to ``group`` first."""
-        g = self._group(group)
-        self._join(g, member)
-        slot = g.members.index(member)
-        cursor = self._cursors[group, member] = (
-            g, slot, len(range(slot, len(self._keys), len(g.members)))
-        )
-        return cursor
-
-    def poll(
-        self, group: str, member: str = "member-0", *, max_records: int = 256
-    ) -> RecordBatch:
-        """Fetch up to ``max_records`` from the member's partitions.
+    def poll(self, group: str, member: str | None = None, *, max_records: int = 256) -> RecordBatch:
+        """Fetch up to ``max_records`` from the group's partitions
+        (``member`` is ignored: a group has one consumer).
 
         Starts each partition at the group's live position (initially
-        the committed offset) and advances it past what is returned.
-        Stalled partitions are skipped — their lag simply grows.  A
-        budget of zero or less returns nothing and moves no cursor.
-        The records come back as one :class:`RecordBatch` of columns
-        (an empty poll's is a shared, read-only one).
+        the committed offset) and advances it past what is returned,
+        visiting the ready ones in round-robin order.  Stalled
+        partitions are skipped — their lag simply grows.  A budget of
+        zero or less returns nothing and moves no cursor.  The records
+        come back as one :class:`RecordBatch` of columns (an empty
+        poll's is a shared, read-only one).
         """
         out = _NO_RECORDS
         with self._lock:
-            g, slot, n_assigned = self._cursors.get((group, member)) or self._cursor(group, member)
-            if g.ready and max_records > 0 and n_assigned:
+            g = self.groups.get(group) or self._group(group)
+            if g.ready and max_records > 0:
                 out = RecordBatch()
-                self._read_ready(g, out, slot, n_assigned, max_records)
-            if max_records > 0 and n_assigned:
-                g.rr_cursor = (g.rr_cursor + 1) % n_assigned
-                # what the lag gauges read is taken once per poll, not
-                # on each per-partition commit
+                rank, cursor, n = self._rank, g.rr_cursor, len(self._keys)
+                taken = 0
+                positions, stalled = g.positions, self._stalled
+                for key in sorted(g.ready, key=lambda key: (rank[key] - cursor) % n):
+                    if key == stalled:
+                        continue
+                    part = self.partitions[key]
+                    pos = positions.get(key)
+                    if pos is None:
+                        pos = positions[key] = g.committed.get(key, 0)
+                    if part.read_into(out, pos, max_records - taken):
+                        taken = len(out.offsets)
+                        pos = positions[key] = out.offsets[-1] + 1
+                    if pos >= part.next_offset:
+                        g.ready.discard(key)
+                    if taken >= max_records:
+                        break
+                self.stats.polled += taken
+                g.polled += taken
+                # queue-age dwell: traced records only, free when untraced
+                if taken and out.ctxs.count(None) != taken:
+                    now = self._clock()
+                    for ctx, pub_s in zip(out.ctxs, out.pub_s):
+                        if ctx is not None and pub_s is not None:
+                            self._m_queue_age.observe(now - pub_s)
+            if max_records > 0 and self._keys:
+                g.rr_cursor = (g.rr_cursor + 1) % len(self._keys)
+                # what the lag gauges read: taken per poll, not per commit
                 g.lag_seen = g.lag
                 g.lag_age = self._lag_age(g) if g.uncommitted else 0.0
             return out
-
-    def _read_ready(
-        self, g: ConsumerGroup, out: RecordBatch, slot: int, n_assigned: int, max_records: int
-    ) -> None:
-        """A poll's reads (lock held): the member's ready partitions in
-        the round-robin order of its full assignment, into ``out``."""
-        n_members = len(g.members)
-        # the scan order of the full assignment (rank // n_members is a
-        # key's index in it), restricted to the ready keys
-        rank, cursor = self._rank, g.rr_cursor
-        mine = sorted(
-            (key for key in g.ready if rank[key] % n_members == slot),
-            key=lambda key: (rank[key] // n_members - cursor) % n_assigned,
-        )
-        taken = 0
-        positions, stalled = g.positions, self._stalled
-        for key in mine:
-            if key == stalled:
-                continue
-            part = self.partitions[key]
-            pos = positions.get(key)
-            if pos is None:
-                pos = positions[key] = g.committed.get(key, 0)
-            if part.read_into(out, pos, max_records - taken):
-                taken = len(out.offsets)
-                pos = positions[key] = out.offsets[-1] + 1
-            if pos >= part.next_offset:
-                g.ready.discard(key)
-            if taken >= max_records:
-                break
-        self.stats.polled += taken
-        g.polled += taken
-        if taken:
-            # queue-age dwell: sampled (traced) records only, so the
-            # histogram costs nothing on the untraced hot path
-            if out.ctxs.count(None) != taken:
-                now = self._clock()
-                for ctx, pub_s in zip(out.ctxs, out.pub_s):
-                    if ctx is not None and pub_s is not None:
-                        self._m_queue_age.observe(now - pub_s)
 
     def commit(self, group: str, partition: str, offset: int) -> bool:
         """Commit ``offset`` for one partition: :meth:`commit_many` of one.
@@ -762,8 +706,7 @@ class LogBroker:
                     for key, p in sorted(self.partitions.items())
                 },
                 "groups": {
-                    name: {"members": list(g.members),
-                           "committed": dict(sorted(g.committed.items())),
+                    name: {"committed": dict(sorted(g.committed.items())),
                            "lag": g.lag}
                     for name, g in sorted(self.groups.items())
                 },

@@ -1,17 +1,17 @@
-"""The Fluentd forwarder: a consumer-group member draining the broker.
+"""The Fluentd forwarder: the one consumer of a group, draining the broker.
 
 §4.2.2: "Data collection, filtering, and translation is implemented
 using Fluentd running on a dedicated server."  The forwarder models
 Fluentd's buffered output plugin fed from a
 :class:`~repro.ingest.broker.LogBroker`: each flush tick it polls its
-assigned partitions into a bounded buffer (at most the buffer's free
+group's partitions into a bounded buffer (at most the buffer's free
 room — backpressure is expressed as broker lag, never as a buffer
 overflow), writes a batch to the store, and commits the batch's
 high-water offsets back to the broker on success.  Failed flushes
 retry with exponential backoff under an optional bounded budget; an
 abandoned batch commits too — the poison batch is dead-lettered and
 the group moves past it rather than re-polling it forever.  A crashed
-member that re-polls from its committed offsets re-delivers only
+consumer that re-polls from its committed offsets re-delivers only
 uncommitted messages (at-least-once).
 
 Flushes are all-or-nothing per batch: the buffer is mutated only after
@@ -103,7 +103,7 @@ class FluentdForwarder:
         :func:`classifying_sink` to label what it indexes.)  A sink
         that raises is treated as a failed flush, not a crash.
     broker:
-        The :class:`~repro.ingest.broker.LogBroker` this member polls
+        The :class:`~repro.ingest.broker.LogBroker` the forwarder polls
         into its buffer each flush tick, committing batch offsets on
         flush success (and on abandon).
     flush_interval_s:
@@ -140,8 +140,8 @@ class FluentdForwarder:
         in-memory mutation (write-ahead), so recovery can rebuild the
         delivered set, the dead letters and the committed offsets after
         a crash.
-    consumer_group, consumer_member:
-        Group and member names on the broker.
+    consumer_group:
+        The group's name on the broker; the forwarder is its one consumer.
     """
 
     engine: EventEngine
@@ -158,7 +158,6 @@ class FluentdForwarder:
     fault_injector: object = None
     journal: object = None
     consumer_group: str = "fluentd"
-    consumer_member: str = "member-0"
     #: trace/dwell clock; ``None`` means the engine's simulated now
     clock: Callable[[], float] | None = None
 
@@ -203,7 +202,7 @@ class FluentdForwarder:
         self._m_e2e = wellknown.e2e_latency_seconds().labels()
         if self.clock is None:
             self.clock = lambda: self.engine.now
-        self.broker.subscribe(self.consumer_group, self.consumer_member)
+        self.broker.subscribe(self.consumer_group)
 
     def start(self) -> None:
         """Begin the periodic flush cycle."""
@@ -212,7 +211,7 @@ class FluentdForwarder:
             self.engine.schedule(self.flush_interval_s, self._flush_tick)
 
     def poll_broker(self, *, max_records: int | None = None) -> int:
-        """Consumer-group intake: poll assigned partitions into the buffer.
+        """Consumer-group intake: poll the group's partitions into the buffer.
 
         Polls at most the buffer's free room, so a slow consumer shows
         up as broker *lag*, never as buffer overflow.  The whole poll is
@@ -227,9 +226,7 @@ class FluentdForwarder:
             return 0
         if max_records is not None and max_records < room:
             room = max_records
-        records = self.broker.poll(
-            self.consumer_group, self.consumer_member, max_records=room
-        )
+        records = self.broker.poll(self.consumer_group, max_records=room)
         n = len(records.offsets)
         if not n:
             return 0
@@ -244,10 +241,9 @@ class FluentdForwarder:
             self._ctxs.extend(ctxs)
         else:
             now = self.clock()
-            group, member = self.consumer_group, self.consumer_member
+            group = self.consumer_group
             self._ctxs.extend([
-                None if ctx is None
-                else (record_hop(ctx, "broker.poll", now, group=group, member=member), now)
+                None if ctx is None else (record_hop(ctx, "broker.poll", now, group=group), now)
                 for ctx in ctxs
             ])
         stats = self.stats

@@ -291,7 +291,6 @@ class TivanCluster:
             flush_retry_limit=flush_retry_limit,
             fault_injector=fault_injector,
             journal=journal,
-            consumer_member="fluentd-00",
         )
         from repro.obs import wellknown
 

@@ -3,9 +3,11 @@
 Everything here is the parent commit's code (596aa60), kept verbatim so
 ``tests/test_consumer.py`` and ``tests/test_run_tail.py`` can drive it
 beside what replaced it (house style of ``tests/perdoc_store.py`` and
-``tests/reference_tfidf.py``) — all but the forwarder's three metric
-writes: its counter and gauges are views of ``ForwarderStats`` now, so
-the reference sets ``last_flush_size`` where it wrote them:
+``tests/reference_tfidf.py``) — all but two things.  The forwarder's
+three metric writes: its counter and gauges are views of
+``ForwarderStats`` now, so the reference sets ``last_flush_size`` where
+it wrote them.  And the group member its poll named, on the broker call
+and on the ``broker.poll`` hop: a group has one consumer now.  It holds:
 
 * :class:`ReferenceForwarder` — ``FluentdForwarder`` with the three
   methods that each trimmed or grew the three parallel lists themselves:
@@ -67,9 +69,7 @@ class ReferenceForwarder(FluentdForwarder):
             return 0
         if max_records is not None:
             room = min(room, max_records)
-        records = self.broker.poll(
-            self.consumer_group, self.consumer_member, max_records=room
-        )
+        records = self.broker.poll(self.consumer_group, max_records=room)
         now: float | None = None
         for rec in records:
             if self.journal is not None:
@@ -80,10 +80,7 @@ class ReferenceForwarder(FluentdForwarder):
                 if now is None:
                     now = self.clock()
                 self._ctxs.append((
-                    record_hop(
-                        rec.ctx, "broker.poll", now,
-                        group=self.consumer_group, member=self.consumer_member,
-                    ),
+                    record_hop(rec.ctx, "broker.poll", now, group=self.consumer_group),
                     now,
                 ))
             else:

@@ -111,10 +111,10 @@ BROKER_CALLS = ("poll", "commit", "commit_many")
 
 
 class World:
-    """A broker, a store and ``n`` consumers of one forwarder class."""
+    """A broker, a store and the group's one consumer, of one forwarder class."""
 
     def __init__(
-        self, forwarder_cls, n: int, plan: FaultPlan, *, retry_limit, batch_size: int,
+        self, forwarder_cls, plan: FaultPlan, *, retry_limit, batch_size: int,
         buffer_limit: int, sample: float = 0.0, journal=None,
     ) -> None:
         self.registry = MetricsRegistry()
@@ -133,20 +133,17 @@ class World:
                              registry=self.registry)
                 if sample else None
             )
-            self.consumers = [
-                forwarder_cls(
-                    engine=EventEngine(), sink=self.store.bulk_index,
-                    batch_size=batch_size, buffer_limit=buffer_limit,
-                    flush_retry_limit=retry_limit, fault_injector=self.injector,
-                    journal=_Recorder(
-                        journal if journal is not None and i == 0 else _NullJournal(),
-                        self.log, f"journal-{i}", JOURNAL_CALLS,
-                    ),
-                    broker=_Recorder(self.broker, self.log, f"broker-{i}", BROKER_CALLS),
-                    consumer_member=f"m{i}", clock=self.clock,
-                )
-                for i in range(n)
-            ]
+            self.consumer = forwarder_cls(
+                engine=EventEngine(), sink=self.store.bulk_index,
+                batch_size=batch_size, buffer_limit=buffer_limit,
+                flush_retry_limit=retry_limit, fault_injector=self.injector,
+                journal=_Recorder(
+                    journal if journal is not None else _NullJournal(),
+                    self.log, "journal", JOURNAL_CALLS,
+                ),
+                broker=_Recorder(self.broker, self.log, "broker", BROKER_CALLS),
+                clock=self.clock,
+            )
 
     def clock(self) -> float:
         self.ticks += 1
@@ -173,20 +170,21 @@ class World:
 
     def snapshot(self) -> dict:
         group = self.broker.groups["fluentd"]
+        c = self.consumer
         spans = self.tracer.finished
         index = {s.span_id: k for k, s in enumerate(spans)}
         return {
             "store": [(d.doc_id, d.message) for d in self.store.iter_documents()],
-            "stats": [asdict(c.stats) for c in self.consumers],
+            "stats": asdict(c.stats),
             "broker": asdict(self.broker.stats),
             "committed": dict(group.committed),
             "positions": dict(group.positions),
             "lag": self.broker.lag("fluentd"),
-            "dead": [[entry_to_dict(e) for e in c.dead_letters] for c in self.consumers],
-            "buffers": [list(c._buffer) for c in self.consumers],
-            "offsets": [_offset_pairs(c) for c in self.consumers],
-            "traced": [[e is not None and e[1] for e in c._ctxs] for c in self.consumers],
-            "retry": [(c._retry_delay, c._consecutive_failures) for c in self.consumers],
+            "dead": [entry_to_dict(e) for e in c.dead_letters],
+            "buffer": list(c._buffer),
+            "offsets": _offset_pairs(c),
+            "traced": [e is not None and e[1] for e in c._ctxs],
+            "retry": (c._retry_delay, c._consecutive_failures),
             "fires": list(self.injector.fire_log),
             "checks": dict(self.injector.call_counts()),
             "calls": list(self.log),
@@ -211,16 +209,13 @@ def _offset_pairs(c) -> list:
 def _apply(world: World, op: tuple, *, reference: bool) -> str | None:
     """One operation; the reference world takes the parent's loops."""
     kind = op[0]
-    consumers = world.consumers
+    c = world.consumer
     if kind == "publish":
         return world.run(lambda: world.publish(HOSTS[op[1]], op[2]))
-    c = consumers[op[1] % len(consumers)] if len(op) > 1 else None
     if kind == "consume":
         return world.run(listen_consume(c) if reference else c.consume)
     if kind == "settle":
-        return world.run(
-            (lambda: settle_broker(consumers)) if reference else (lambda: settle(consumers))
-        )
+        return world.run((lambda: settle_broker([c])) if reference else (lambda: settle([c])))
     if kind == "listen_settle":
         return world.run(
             (lambda: listen_settle(c)) if reference else (lambda: settle([c]))
@@ -233,27 +228,22 @@ def _apply(world: World, op: tuple, *, reference: bool) -> str | None:
 
 
 def _settles_a_full_buffer(world: World, op: tuple) -> bool:
-    """Whether ``op`` is a settle over a consumer whose buffer is full."""
-    if op[0] == "settle":
-        settled = world.consumers
-    elif op[0] == "listen_settle":
-        settled = [world.consumers[op[1] % len(world.consumers)]]
-    else:
-        return False
-    return any(c.buffered >= c.buffer_limit for c in settled)
+    """Whether ``op`` is a settle that starts with the buffer full."""
+    c = world.consumer
+    return op[0] in ("settle", "listen_settle") and c.buffered >= c.buffer_limit
 
 
-def _both(ops, n: int, plan: FaultPlan, **knobs) -> tuple[World, World]:
+def _both(ops, plan: FaultPlan, **knobs) -> tuple[World, World]:
     """Drive both worlds through ``ops``, comparing after every step.
 
-    The worlds may part in one case only: a settle that starts with a
+    The worlds may part in one case only: a settle that starts with the
     consumer's buffer full.  The old loops stop once a round polls
     nothing, and a full buffer polls nothing, so they can leave lag
     behind; ``settle`` runs on from where they stopped.  Past that step
     nothing is comparable, so the drive ends there.
     """
-    new = World(FluentdForwarder, n, plan, **knobs)
-    old = World(ReferenceForwarder, n, plan, **knobs)
+    new = World(FluentdForwarder, plan, **knobs)
+    old = World(ReferenceForwarder, plan, **knobs)
     for step, op in enumerate(ops):
         full = _settles_a_full_buffer(new, op)
         raised_new = _apply(new, op, reference=False)
@@ -267,9 +257,9 @@ def _both(ops, n: int, plan: FaultPlan, **knobs) -> tuple[World, World]:
         assert raised_new == raised_old, (step, op)
         for key in want:
             assert got[key] == want[key], (step, op, key)
-        for c in new.consumers:
-            assert len(c._ctxs) == len(c._buffer)
-            assert len(c._offsets) == len(c._buffer)
+        c = new.consumer
+        assert len(c._ctxs) == len(c._buffer)
+        assert len(c._offsets) == len(c._buffer)
     return new, old
 
 
@@ -287,17 +277,16 @@ _plans = st.builds(
     ),
     _probability, _probability, _probability, st.integers(0, 5),
 )
-_index = st.integers(0, 2)
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("publish"), st.integers(0, len(HOSTS) - 1), st.integers(1, 9)),
         st.tuples(st.just("publish"), st.integers(0, len(HOSTS) - 1), st.integers(1, 9)),
-        st.tuples(st.just("consume"), _index),
-        st.tuples(st.just("consume"), _index),
-        st.tuples(st.just("settle")),
-        st.tuples(st.just("listen_settle"), _index),
-        st.tuples(st.just("tick"), _index),
-        st.tuples(st.just("flush"), _index),
+        st.just(("consume",)),
+        st.just(("consume",)),
+        st.just(("settle",)),
+        st.just(("listen_settle",)),
+        st.just(("tick",)),
+        st.just(("flush",)),
     ),
     min_size=1, max_size=24,
 )
@@ -306,24 +295,20 @@ _ops = st.lists(
 class TestEqualsReplacedLoops:
     @settings(max_examples=300, deadline=None)
     @given(
-        ops=_ops, n=st.integers(1, 3), plan=_plans,
+        ops=_ops, plan=_plans,
         retry_limit=st.sampled_from([None, 1, 2]),
         batch_size=st.sampled_from([1, 3, 500]),
         buffer_limit=st.sampled_from([4, 7, 50_000]),
     )
-    def test_any_interleaving_any_faults(
-        self, ops, n, plan, retry_limit, batch_size, buffer_limit
-    ):
+    def test_any_interleaving_any_faults(self, ops, plan, retry_limit, batch_size, buffer_limit):
         _both(
-            ops + [("settle",)], n, plan, retry_limit=retry_limit,
+            ops + [("settle",)], plan, retry_limit=retry_limit,
             batch_size=batch_size, buffer_limit=buffer_limit,
         )
 
     def test_a_poll_takes_only_the_free_room_so_settle_takes_rounds(self):
         ops = [("publish", 0, 9), ("publish", 1, 9), ("settle",)]
-        new, _old = _both(
-            ops, 1, FaultPlan.never(), retry_limit=None, batch_size=3, buffer_limit=4
-        )
+        new, _old = _both(ops, FaultPlan.never(), retry_limit=None, batch_size=3, buffer_limit=4)
         polls = [call for call in new.log if call[1] == "poll"]
         assert len(polls) == 6  # 18 records, 4 at a time, and the empty poll that ends it
         assert len(new.store) == 18 and new.broker.lag("fluentd") == 0
@@ -332,7 +317,7 @@ class TestEqualsReplacedLoops:
         # the stall site is checked per publish: the tenth stalls cn002
         plan = FaultPlan(sites={SITE_PARTITION_STALL: FaultSpec(at_calls=(10,))})
         ops = [("publish", 0, 5), ("publish", 1, 5), ("settle",)]
-        new, _old = _both(ops, 2, plan, retry_limit=None, batch_size=3, buffer_limit=50)
+        new, _old = _both(ops, plan, retry_limit=None, batch_size=3, buffer_limit=50)
         assert new.broker.stats.stall_events == 1
         assert new.broker.stats.publish_refused == 1
         assert new.broker.lag("fluentd") == 4 and len(new.store) == 5
@@ -340,20 +325,20 @@ class TestEqualsReplacedLoops:
     def test_an_abandoned_batch_commits_and_the_group_moves_past_it(self):
         plan = FaultPlan(sites={SITE_FLUSH_FAIL: FaultSpec(at_calls=(1, 2))})
         ops = [("publish", 0, 3), ("publish", 1, 4), ("settle",)]
-        new, _old = _both(ops, 1, plan, retry_limit=2, batch_size=3, buffer_limit=50)
-        (c,) = new.consumers
+        new, _old = _both(ops, plan, retry_limit=2, batch_size=3, buffer_limit=50)
+        c = new.consumer
         assert c.stats.abandoned_messages == 3 and len(c.dead_letters) == 3
         assert len(new.store) == 4 and new.broker.lag("fluentd") == 0
         # journal first, then the broker, for the abandon as for the flush
         retired = [call[:2] for call in new.log if call[1] in ("abandoned", "flushed", "commit")]
-        assert retired[0] == ("journal-0", "abandoned")
+        assert retired[0] == ("journal", "abandoned")
         assert retired[1][1] == "commit"
-        assert ("journal-0", "flushed") in retired[2:]
+        assert ("journal", "flushed") in retired[2:]
 
     def test_a_lost_commit_is_counted_and_nothing_is_delivered_twice(self):
         plan = FaultPlan(sites={SITE_COMMIT_LOST: FaultSpec(probability=1.0)})
-        ops = [("publish", 0, 6), ("consume", 0), ("publish", 0, 2), ("settle",)]
-        new, _old = _both(ops, 1, plan, retry_limit=None, batch_size=4, buffer_limit=50)
+        ops = [("publish", 0, 6), ("consume",), ("publish", 0, 2), ("settle",)]
+        new, _old = _both(ops, plan, retry_limit=None, batch_size=4, buffer_limit=50)
         assert new.broker.stats.commits_lost >= 2
         assert [d.message.text for d in new.store.iter_documents()] == [
             f"event {i} on cn001" for i in range(8)
@@ -361,11 +346,10 @@ class TestEqualsReplacedLoops:
 
     def test_traced_messages_keep_their_hops_and_dwell(self):
         ops = [
-            ("publish", 0, 40), ("consume", 0), ("publish", 1, 40), ("tick", 1), ("settle",),
+            ("publish", 0, 40), ("consume",), ("publish", 1, 40), ("tick",), ("settle",),
         ]
         new, _old = _both(
-            ops, 2, FaultPlan.never(), retry_limit=None, batch_size=16, buffer_limit=32,
-            sample=0.5,
+            ops, FaultPlan.never(), retry_limit=None, batch_size=16, buffer_limit=32, sample=0.5,
         )
         names = {s.name for s in new.tracer.finished}
         assert {"ingest.accept", "broker.publish", "broker.poll", "fluentd.flush"} <= names
@@ -388,13 +372,13 @@ class TestSettleFromAFullBuffer:
             outcomes.append((run([fwd]), fwd.broker.lag(fwd.consumer_group), len(store)))
         assert outcomes == [(25, 0, 25), (10, 15, 10)]
 
-    @pytest.mark.parametrize("op", [("settle",), ("listen_settle", 0)])
+    @pytest.mark.parametrize("op", [("settle",), ("listen_settle",)])
     def test_the_worlds_part_there_and_only_there(self, op):
         """A failed flush leaves the polled buffer full; the settle that
         follows is where the differential drive stops comparing."""
         plan = FaultPlan(sites={SITE_FLUSH_FAIL: FaultSpec(at_calls=(1,))})
-        ops = [("publish", 0, 9), ("tick", 0), op]
-        new, old = _both(ops, 1, plan, retry_limit=None, batch_size=3, buffer_limit=4)
+        ops = [("publish", 0, 9), ("tick",), op]
+        new, old = _both(ops, plan, retry_limit=None, batch_size=3, buffer_limit=4)
         assert new.broker.lag("fluentd") == 0 and len(new.store) == 9
         assert old.broker.lag("fluentd") == 5 and len(old.store) == 4
 
@@ -413,16 +397,16 @@ class TestJournalRecords:
         )
         ops = []
         for round_no in range(12):
-            ops += [("publish", round_no % 4, 7), ("consume", 0)]
+            ops += [("publish", round_no % 4, 7), ("consume",)]
             if round_no % 3 == 2:
-                ops += [("publish", 0, 1), ("tick", 0)]
+                ops += [("publish", 0, 1), ("tick",)]
         ops.append(("settle",))
         worlds = []
         for name, cls in (("new", FluentdForwarder), ("old", ReferenceForwarder)):
             registry = MetricsRegistry()
             wal = WriteAheadLog(tmp_path / name, fsync="batch", registry=registry)
             worlds.append((
-                World(cls, 1, plan, retry_limit=retry_limit, batch_size=5, buffer_limit=12,
+                World(cls, plan, retry_limit=retry_limit, batch_size=5, buffer_limit=12,
                       journal=StreamJournal(wal)),
                 wal,
             ))
@@ -436,11 +420,11 @@ class TestJournalRecords:
         assert segments == sorted(p.name for p in (tmp_path / "old").iterdir())
         for name in segments:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
-        state = new.consumers[0].journal.state
-        assert state.to_payload() == old.consumers[0].journal.state.to_payload()
+        state = new.consumer.journal.state
+        assert state.to_payload() == old.consumer.journal.state.to_payload()
         assert len(state.indexed_events) == len(new.store)
         if retry_limit is not None:
-            assert new.consumers[0].stats.abandoned_messages > 0
+            assert new.consumer.stats.abandoned_messages > 0
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +446,44 @@ def _spine_sink(store, pipe):
         sys.path.remove(str(SPINE))
     me = SimpleNamespace(store=store, pipe=pipe, rec=spans.NullRecorder())
     return lambda batch: spine.Spine.sink(me, batch)
+
+
+class TestTheFrozenHarnessBroker:
+    """``benchmarks/spine/spans.py::TimedBroker`` still hands a member to
+    ``LogBroker.poll``, which ignores it: a forwarder on the timed broker
+    settles to the offsets and records of one on the broker itself."""
+
+    def test_a_forwarder_on_the_timed_broker_equals_one_on_the_broker(self):
+        sys.path.insert(0, str(SPINE))
+        try:
+            import spans
+        finally:
+            sys.path.remove(str(SPINE))
+        messages = [_message(i, HOSTS[i % len(HOSTS)]) for i in range(50)]
+        outcomes = []
+        for timed in (False, True):
+            with use_registry(MetricsRegistry()):
+                broker, rec = LogBroker(registry=MetricsRegistry()), spans.Recorder()
+                consumer = spans.TimedBroker(broker, rec) if timed else broker
+                store = LogStore()
+                fwd = FluentdForwarder(
+                    engine=EventEngine(), sink=store.bulk_index, broker=consumer,
+                    batch_size=7, buffer_limit=16,
+                )
+                for i, message in enumerate(messages):
+                    assert consumer.publish(message, ident=i) == i // len(HOSTS)
+                assert settle([fwd]) == len(messages)
+            outcomes.append({
+                "committed": dict(broker.groups[fwd.consumer_group].committed),
+                "docs": [(d.doc_id, d.message) for d in store.iter_documents()],
+                "broker": asdict(broker.stats),
+                "forwarder": asdict(fwd.stats),
+            })
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1]["committed"] == {"cn001": 13, "cn002": 13, "cn003": 12, "gpu01": 12}
+        assert sorted(m.timestamp for _, m in outcomes[1]["docs"]) == list(range(50))
+        polls = [s for s in rec.spans if s.name == "ingest.broker.poll"]
+        assert polls and sum(s.n for s in polls) == len(messages)
 
 
 def _store(kind: str):

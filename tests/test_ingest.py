@@ -184,34 +184,29 @@ class TestLogBroker:
         for i, host in enumerate(["a", "b", "a", "a", "b"]):
             broker.publish(_msg(i, host=host))
         assert set(broker.partitions) == {"a", "b"}
-        broker.subscribe("g", "m0")
-        records = broker.poll("g", "m0", max_records=10)
+        broker.subscribe("g")
+        records = broker.poll("g", max_records=10)
         per_host = {}
         for r in records:
             per_host.setdefault(r.partition, []).append(r.message.timestamp)
         for times in per_host.values():
             assert times == sorted(times)
 
-    def test_assignment_round_robin_over_members(self):
+    def test_a_partition_born_after_the_first_poll_is_read_by_the_next(self):
         broker = LogBroker()
         for host in "abcde":
             broker.publish(_msg(host=host))
-        broker.subscribe("g", "m0")
-        broker.subscribe("g", "m1")
-        a0 = broker.assignment("g", "m0")
-        a1 = broker.assignment("g", "m1")
-        assert sorted(a0 + a1) == list("abcde")
-        assert not set(a0) & set(a1)
-        # a partition created after subscription is owned without rebalance
+        broker.subscribe("g")
+        assert sorted(r.partition for r in broker.poll("g")) == list("abcde")
+        # no rebalance: the group's one consumer reads every partition
         broker.publish(_msg(host="f"))
-        assert sorted(broker.assignment("g", "m0") + broker.assignment("g", "m1")) \
-            == list("abcdef")
+        assert [r.partition for r in broker.poll("g")] == ["f"]
 
     def test_commit_is_max_wins_and_drives_lag(self):
         broker = LogBroker()
         for i in range(6):
             broker.publish(_msg(i, host="a"))
-        broker.subscribe("g", "m0")
+        broker.subscribe("g")
         assert broker.lag("g") == 6
         assert broker.commit("g", "a", 4)
         assert broker.lag("g") == 2
@@ -222,12 +217,12 @@ class TestLogBroker:
         broker = LogBroker()
         for i in range(5):
             broker.publish(_msg(i, host="a"))
-        broker.subscribe("g", "m0")
-        first = broker.poll("g", "m0", max_records=10)
+        broker.subscribe("g")
+        first = broker.poll("g", max_records=10)
         assert len(first) == 5
         broker.commit("g", "a", 3)
         broker.reset_to_committed("g")  # what a restarted consumer does
-        again = broker.poll("g", "m0", max_records=10)
+        again = broker.poll("g", max_records=10)
         assert [r.offset for r in again] == [3, 4]  # at-least-once, not lost
 
     def test_partition_stall_refuses_then_heals(self):
@@ -251,8 +246,8 @@ class TestLogBroker:
         })
         broker = LogBroker(fault_injector=FaultInjector(plan))
         broker.publish(_msg(0, host="a"))
-        broker.subscribe("g", "m0")
-        broker.poll("g", "m0")
+        broker.subscribe("g")
+        broker.poll("g")
         assert broker.commit("g", "a", 1) is False  # eaten
         assert broker.committed("g", "a") == 0
         assert broker.stats.commits_lost == 1
@@ -260,11 +255,11 @@ class TestLogBroker:
 
     def test_a_rewinding_offset_mid_batch_keeps_what_landed_before_it(self):
         broker = LogBroker(registry=MetricsRegistry())
-        broker.subscribe("g", "m0")
+        broker.subscribe("g")
         with pytest.raises(ValueError, match="non-monotonic"):
             broker.publish_many([_msg(i) for i in range(3)], offsets=[None, None, 0])
         assert broker.stats.published == 2 and broker.lag("g") == 2
-        assert [r.offset for r in broker.poll("g", "m0")] == [0, 1]
+        assert [r.offset for r in broker.poll("g")] == [0, 1]
 
     @pytest.mark.parametrize("length", [1, 5])
     @pytest.mark.parametrize("column", ["keys", "idents", "offsets", "ctxs"])
@@ -273,11 +268,11 @@ class TestLogBroker:
         nothing is counted — not one record and then an ``IndexError``,
         and not a long column silently cut short."""
         broker = LogBroker(registry=MetricsRegistry())
-        broker.subscribe("g", "m0")
+        broker.subscribe("g")
         with pytest.raises(ValueError, match=f"{length} {column} for 3 messages"):
             broker.publish_many([_msg(i) for i in range(3)], **{column: [None] * length})
         assert broker.partitions == {} and broker.stats.published == 0
-        assert broker.lag("g") == 0 and len(broker.poll("g", "m0")) == 0
+        assert broker.lag("g") == 0 and len(broker.poll("g")) == 0
 
     def test_publish_returns_the_offset_it_landed_at(self):
         broker = LogBroker(registry=MetricsRegistry())
@@ -289,19 +284,19 @@ class TestLogBroker:
         broker = LogBroker()
         for i in range(4):
             broker.publish(_msg(i, host="a"))
-        broker.subscribe("g", "m0")
-        broker.poll("g", "m0", max_records=10)
+        broker.subscribe("g")
+        broker.poll("g", max_records=10)
         broker.restore_offsets("g", {"a": 2})
         assert broker.committed("g", "a") == 2
-        assert [r.offset for r in broker.poll("g", "m0", max_records=10)] == [2, 3]
+        assert [r.offset for r in broker.poll("g", max_records=10)] == [2, 3]
 
     def test_describe_snapshot(self):
         broker = LogBroker()
         broker.publish(_msg(0, host="a"))
-        broker.subscribe("g", "m0")
+        broker.subscribe("g")
         snap = broker.describe()
         assert snap["partitions"]["a"]["records"] == 1
-        assert snap["groups"]["g"]["members"] == ["m0"]
+        assert snap["groups"]["g"] == {"committed": {}, "lag": 1}
         assert snap["stats"]["published"] == 1
 
     @pytest.mark.parametrize("budget", [0, -1])
@@ -375,7 +370,7 @@ def _as_batch(records) -> RecordBatch:
 
 
 class ScanAllBroker(LogBroker):
-    """The brute-force oracle: every poll walks every assigned partition
+    """The brute-force oracle: every poll walks every partition
     record by record, and lag is recomputed from scratch on each read.
 
     These are the bodies ``LogBroker`` had before it kept a ready set;
@@ -473,26 +468,18 @@ class ScanAllBroker(LogBroker):
                         return out
         return out
 
-    def _assignment(self, group, member):
-        g = self._group(group)
-        rank, n = g.members.index(member), len(g.members)
-        return [k for i, k in enumerate(sorted(self.partitions)) if i % n == rank]
-
-    def poll(self, group, member="member-0", *, max_records=256):
+    def poll(self, group, *, max_records=256):
         with self._lock:
             g = self._group(group)
-            if member not in g.members:
-                g.members.append(member)
-                g.members.sort()
             if max_records <= 0:
                 return RecordBatch()
-            assigned = self._assignment(group, member)
-            if not assigned:
+            keys = sorted(self.partitions)
+            if not keys:
                 return RecordBatch()
             out = []
-            n = len(assigned)
+            n = len(keys)
             for i in range(n):
-                key = assigned[(g.rr_cursor + i) % n]
+                key = keys[(g.rr_cursor + i) % n]
                 if key == self._stalled:
                     continue
                 pos = g.positions.get(key)
@@ -542,7 +529,6 @@ class ScanAllBroker(LogBroker):
 _HOSTS = ["cn01", "cn02", "cn03", "cn04", "cn05", "gpu1", "gpu2"]
 _hosts = st.sampled_from(_HOSTS)
 _groups = st.sampled_from(["early", "late"])  # see BrokerEquivalence.group
-_members = st.sampled_from(["m0", "m1", "m2"])
 
 
 @seed(SEED_SHIFT)
@@ -572,7 +558,7 @@ class BrokerEquivalence(RuleBasedStateMachine):
             )
             for cls, registry in zip((LogBroker, ScanAllBroker), self.registries)
         )
-        self.both(lambda b: b.subscribe("early", "m0"))
+        self.both(lambda b: b.subscribe("early"))
         self.n = 0
 
     def group(self, name):
@@ -635,12 +621,12 @@ class BrokerEquivalence(RuleBasedStateMachine):
 
         self.both(call)
 
-    @rule(group=_groups, member=_members, budget=st.sampled_from([0, 1, 3, 256]))
-    def poll(self, group, member, budget):
+    @rule(group=_groups, budget=st.sampled_from([0, 1, 3, 256]))
+    def poll(self, group, budget):
         group = self.group(group)
         self.both(lambda b: [
             (r.partition, r.offset, r.message.timestamp, r.ident, r.pub_s)
-            for r in b.poll(group, member, max_records=budget)
+            for r in b.poll(group, max_records=budget)
         ])
 
     @rule(group=_groups, host=_hosts, offset=st.integers(0, 30))
@@ -679,8 +665,8 @@ class BrokerEquivalence(RuleBasedStateMachine):
         assert list(real.groups) == list(oracle.groups)
         for name, g in real.groups.items():
             o = oracle.groups[name]
-            assert (g.positions, g.committed, g.members, g.rr_cursor) == (
-                o.positions, o.committed, o.members, o.rr_cursor)
+            assert (g.positions, g.committed, g.rr_cursor) == (
+                o.positions, o.committed, o.rr_cursor)
             assert real.lag(name) == oracle.lag(name)
             # the derived sets themselves: exact, and never missing work
             parts = real.partitions
@@ -692,8 +678,6 @@ class BrokerEquivalence(RuleBasedStateMachine):
                 if p.next_offset > g.positions.get(k, -1)
             }
             assert real.lag_age(name) == oracle.lag_age(name)
-            for member in g.members:
-                assert real.assignment(name, member) == oracle.assignment(name, member)
             for family in (
                 wellknown.broker_lag, wellknown.broker_lag_age_seconds,
                 wellknown.broker_polled, wellknown.broker_commits,
@@ -744,8 +728,8 @@ class TestSyslogListener:
         assert listener.stats.accepted == n
         assert listener.stats.accounted()
         assert broker.stats.published == n
-        broker.subscribe("g", "m0")
-        polled = broker.poll("g", "m0", max_records=n + 1)
+        broker.subscribe("g")
+        polled = broker.poll("g", max_records=n + 1)
         assert len(polled) == n
 
     def test_hostile_lines_quarantined_not_raised(self):
@@ -979,10 +963,10 @@ class TestTcpFraming:
         broker = LogBroker(registry=MetricsRegistry())
         listener = cls(broker, udp_port=None, tcp_port=None, max_line_bytes=self.CAP)
         serve_chunks(listener, stream, chunk)
-        broker.subscribe("g", "m0")
+        broker.subscribe("g")
         published = [
             (r.partition, r.offset, r.message)
-            for r in broker.poll("g", "m0", max_records=1000)
+            for r in broker.poll("g", max_records=1000)
         ]
         dead = [(d.site, d.payload, d.error) for d in listener.dead_letters]
         return listener.stats, dead, published
@@ -1018,10 +1002,10 @@ class TestTcpFraming:
                 trace_sampler=sampler,
             )
             serve_chunks(listener, stream, 4096)
-            broker.subscribe("g", "m0")
+            broker.subscribe("g")
             traced.append({
                 r.message.timestamp: r.ctx and r.ctx.trace_id
-                for r in broker.poll("g", "m0", max_records=1000)
+                for r in broker.poll("g", max_records=1000)
             })
         # the k-th valid line of the stream is _msg(k - 1)
         want = {
@@ -1061,10 +1045,10 @@ class TestTcpProtocol:
             trace_sampler=sampler,
         )
         serve_chunks(listener, stream, chunk)
-        broker.subscribe("g", "m0")
+        broker.subscribe("g")
         published = [
             (r.partition, r.offset, r.message, r.ctx and r.ctx.trace_id)
-            for r in broker.poll("g", "m0", max_records=1000)
+            for r in broker.poll("g", max_records=1000)
         ]
         dead = [(d.seq, d.site, d.payload, d.error, d.context) for d in listener.dead_letters]
         return listener.stats, dead, published
@@ -1115,8 +1099,8 @@ class TestTcpProtocol:
                     break
                 await asyncio.sleep(0.005)
             await listener.stop()
-            broker.subscribe("g", "m0")
-            return listener, [r.message for r in broker.poll("g", "m0")]
+            broker.subscribe("g")
+            return listener, [r.message for r in broker.poll("g")]
 
         listener, messages = _run(scenario())
         assert listener.stats.accepted == 3 and listener.stats.accounted()

@@ -935,7 +935,7 @@ class TestBindOnce:
         registry = MetricsRegistry()
         broker = LogBroker(registry=registry)
         with use_registry(MetricsRegistry()) as other:
-            broker.subscribe("g", "m")
+            broker.subscribe("g")
         for family in (wellknown.broker_polled, wellknown.broker_commits,
                        wellknown.broker_lag, wellknown.broker_lag_age_seconds):
             (labels, child), = family(registry).samples()

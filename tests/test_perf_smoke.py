@@ -1310,10 +1310,10 @@ class TestFlushToll:
     #: lines (reads 3.04; 4.16 when every layer paid its per-call toll);
     #: telemetry's share of the one-line round (reads 8.4%; 12.6% when a
     #: round copied its counts into the registry, 21% before that); an
-    #: idle poll on a caught-up group, forwarder and broker (reads 92;
-    #: 229); the metric writes of a one-line round (reads 4; 22 with the
-    #: copies).  CPython 3.11 counts; 3.10 and 3.12 execute fewer
-    #: bytecodes a call
+    #: idle poll on a caught-up group, forwarder and broker (reads 90;
+    #: 92 with multi-member groups, 229 before that); the
+    #: metric writes of a one-line round (reads 4; 22 with the copies).
+    #: CPython 3.11 counts; 3.10 and 3.12 execute fewer bytecodes a call
     TOLL_RATIO, TELEMETRY_SHARE, IDLE_POLL, METRIC_WRITES = 3.5, 0.085, 100, 6
 
     @pytest.fixture(scope="class")

@@ -69,7 +69,6 @@ from repro.obs import (
     use_registry,
     wellknown,
 )
-from repro.runtime import MessageBatch
 from repro.stream.events import EventEngine
 from repro.stream.fluentd import FluentdForwarder, settle
 from repro.stream.opensearch import LogStore
@@ -118,7 +117,7 @@ def _record(path: str, n: int, rounds: int, null_s: float, live_s: float,
     write_artifact("obs_overhead", _ARTIFACT)
 
 
-def _time_round(pipe: ClassificationPipeline, batch: MessageBatch) -> float:
+def _time_round(pipe: ClassificationPipeline, batch: tuple[str, ...]) -> float:
     # cyclic-GC pauses are scheduling noise: at ~20k allocations per
     # round a collection landing in one lane but not the other swamps
     # a 3% budget, so rounds run with the collector paused
@@ -137,7 +136,7 @@ def test_obs_overhead(benchmark):
     pipe = ClassificationPipeline(classifier=ComplementNB())
     pipe.fit(corpus.texts, corpus.labels)
     texts = (corpus.texts * (N_MESSAGES // len(corpus.texts) + 1))[:N_MESSAGES]
-    batch = MessageBatch.of_texts(texts)
+    batch = tuple(texts)
 
     # warm both paths (imports, registry family creation, caches)
     with use_registry(NullRegistry()):

@@ -1,12 +1,11 @@
-"""RUNTIME — serial vs sharded classify_batch throughput.
+"""RUNTIME — per-message vs batch classify throughput.
 
 The ROADMAP's north star ("as fast as the hardware allows") and §5's
 feasibility bar (>1M messages/hour) both hinge on the batch-first
-runtime layer: per-message calls pay Python overhead 50k times, the
-batch path pays it once per batch, and the sharded executor spreads the
-batches across cores.  This bench measures all three strategies on the
-same ≥50k-message corpus and prints the per-stage breakdown for the
-serial batch path.
+hot path: per-message calls pay Python overhead 50k times, the batch
+path pays it once per batch.  This bench measures both strategies on
+the same ≥50k-message corpus and prints the per-stage breakdown for
+the batch path.
 
 The template-dedup matrix (``test_template_cache_matrix``) measures
 the memoized fast path across target hit rates, writes the rows to
@@ -38,10 +37,8 @@ in lines of a 500-line one (≤ 18).  Tier-1 now counts what they timed
 (one CSR built a row; no metric resolved per steady batch); here each
 ratio is a ledger row in ``BENCH_small_batch_floors.json``.
 
-Environment knobs: ``REPRO_BENCH_SCALING_N`` (corpus size, default
-50000), ``REPRO_BENCH_SCALING_WORKERS`` (shard count, default 4).  The
-sharded ≥2× speedup assertion needs real cores and is skipped on
-machines with fewer than 4.
+Environment knob: ``REPRO_BENCH_SCALING_N`` (corpus size, default
+50000).
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from repro.experiments.common import format_table
 from repro.ml import ComplementNB
 from repro.ml.model_selection import train_test_split
 from repro.obs import MetricsRegistry, use_registry
-from repro.runtime import MessageBatch, ShardedExecutor
 from repro.stream.rfc import safe_parse_line
 from repro.textproc import Lemmatizer, MaskingNormalizer, Tokenizer
 from repro.textproc.tfidf import TfidfVectorizer
@@ -82,7 +78,6 @@ from reference_textproc import (  # noqa: E402
 from reference_tfidf import reference_transform_analyzed  # noqa: E402
 
 N_MESSAGES = int(os.environ.get("REPRO_BENCH_SCALING_N", "50000"))
-N_WORKERS = int(os.environ.get("REPRO_BENCH_SCALING_WORKERS", "4"))
 # the per-message path is extrapolated from a subsample — timing the
 # seed-style loop over all 50k messages would dominate the bench
 PER_MESSAGE_PROBE = 2000
@@ -109,7 +104,7 @@ def test_runtime_scaling(benchmark):
     pipe = ClassificationPipeline(classifier=ComplementNB())
     pipe.fit(corpus.texts, corpus.labels)
     texts = (corpus.texts * (N_MESSAGES // len(corpus.texts) + 1))[:N_MESSAGES]
-    batch = MessageBatch.of_texts(texts)
+    batch = tuple(texts)
     assert len(batch) >= 50_000 or N_MESSAGES < 50_000
 
     # (a) the seed's per-message path: one classify() call per message
@@ -126,24 +121,11 @@ def test_runtime_scaling(benchmark):
     serial_s = (pipe.service_seconds - svc_before) / len(batch)
     stage_report = pipe.timing_report()
 
-    # (c) sharded batch path across N_WORKERS processes
-    with ShardedExecutor(
-        pipe,
-        n_workers=N_WORKERS,
-        chunk_size=max(1, len(batch) // (N_WORKERS * 4)),
-        min_parallel=0,
-    ) as executor:
-        t0 = time.perf_counter()
-        executor.classify_batch(batch)
-        sharded_s = (time.perf_counter() - t0) / len(batch)
-
     rows = [
         ["per-message (seed path)", f"{per_message_s * 1e6:.1f}",
          f"{1.0 / per_message_s:,.0f}", f"{3600.0 / per_message_s:,.0f}"],
         ["serial batch", f"{serial_s * 1e6:.1f}",
          f"{1.0 / serial_s:,.0f}", f"{3600.0 / serial_s:,.0f}"],
-        [f"sharded x{N_WORKERS}", f"{sharded_s * 1e6:.1f}",
-         f"{1.0 / sharded_s:,.0f}", f"{3600.0 / sharded_s:,.0f}"],
     ]
     emit(
         f"Runtime scaling — {len(batch):,} messages",
@@ -159,19 +141,6 @@ def test_runtime_scaling(benchmark):
     )
     # §5 feasibility: even one serial process clears 1M messages/hour
     assert 3600.0 / serial_s > 1_000_000
-
-    cores = os.cpu_count() or 1
-    if cores >= 4 and N_WORKERS >= 4:
-        assert sharded_s * 2.0 <= serial_s, (
-            f"sharded x{N_WORKERS} expected >= 2x serial on {cores} cores: "
-            f"{sharded_s:.2e}s vs {serial_s:.2e}s per message"
-        )
-    else:
-        emit(
-            "Runtime scaling — note",
-            f"only {cores} core(s) visible; sharded >= 2x serial "
-            f"assertion skipped (needs >= 4 cores)",
-        )
 
 
 def _letters(n: int) -> str:
@@ -229,7 +198,7 @@ def test_template_cache_matrix(benchmark):
         # misses and the observed hit rate tracks the target
         warm = _matrix_workload(pool, target, MATRIX_N, salt="w")
         timed = _matrix_workload(pool, target, MATRIX_N, salt="t")
-        timed_batch = MessageBatch.of_texts(timed)
+        timed_batch = tuple(timed)
 
         pipe.template_cache = None
         t0 = time.perf_counter()
@@ -239,7 +208,7 @@ def test_template_cache_matrix(benchmark):
         cache = TemplateCache(max_entries=4096)
         pipe.template_cache = cache
         try:
-            pipe.classify_batch(MessageBatch.of_texts(warm))
+            pipe.classify_batch(warm)
             mark = cache.counters()
 
             def cached_run():

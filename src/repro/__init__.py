@@ -11,8 +11,7 @@ Subpackages
 ``repro.core``
     Taxonomy, message model, classification pipeline, alerting, drift.
 ``repro.runtime``
-    Batch-first hot path: columnar message batches, sharded parallel
-    classification, per-stage timing.
+    Per-stage timing of the batch-first classification hot path.
 ``repro.textproc``
     Tokenization, masking normalization, lemmatization, TF-IDF,
     edit distances.

@@ -169,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=500,
                    help="messages classified per batch (input is "
                         "streamed, never fully buffered)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="shard batches across this many worker processes")
     p.add_argument("--jsonl", action="store_true",
                    help="emit one JSON object per message instead of "
                         "the human-readable line format")
@@ -472,37 +470,40 @@ def _attach_cache(pipe, args) -> None:
         pipe.template_cache = TemplateCache(max_entries=args.cache_size)
 
 
+def _read_batches(stream, batch_size: int):
+    """Yield the non-blank lines of ``stream`` in tuples of
+    ``batch_size`` (the last may be short), holding one batch at a time:
+    ``classify`` never buffers its whole input."""
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    pending: list[str] = []
+    for line in stream:
+        text = line.rstrip("\n")
+        if not text:
+            continue
+        pending.append(text)
+        if len(pending) == batch_size:
+            yield tuple(pending)
+            pending = []
+    if pending:
+        yield tuple(pending)
+
+
 def _cmd_classify(args) -> int:
-    from contextlib import ExitStack, nullcontext
+    from contextlib import nullcontext
 
     from repro.core.serialize import load_pipeline
-    from repro.runtime import MessageBatch, ShardedExecutor
 
     pipe = load_pipeline(args.model_dir)
-    # attached before the executor exists, so sharded workers each
-    # inherit their own per-worker copy of the cache
     _attach_cache(pipe, args)
-    with ExitStack() as stack:
-        runner = pipe
-        if args.workers > 1:
-            runner = stack.enter_context(
-                ShardedExecutor(pipe, n_workers=args.workers,
-                                chunk_size=max(1, args.batch_size // args.workers),
-                                min_parallel=args.batch_size)
-            )
-        stream = stack.enter_context(
-            args.input.open() if args.input else nullcontext(sys.stdin)
-        )
-        for batch in MessageBatch.read_lines(stream, args.batch_size):
-            for result in runner.classify_batch(batch):
+    with args.input.open() if args.input else nullcontext(sys.stdin) as stream:
+        for batch in _read_batches(stream, args.batch_size):
+            for result in pipe.classify_batch(batch):
                 _emit_result(result, jsonl=args.jsonl)
     if args.timing:
         print(pipe.timing_report().render(), file=sys.stderr)
         if pipe.template_cache is not None:
-            # sharded workers hold caches of their own; the executor keeps their totals
-            caches = [pipe.template_cache.stats(), *getattr(runner, "cache_totals", {}).values()]
-            st = {k: sum(c[k] for c in caches) for k in ("hits", "misses", "size", "evictions")}
-            st["hit_rate"] = st["hits"] / max(1, st["hits"] + st["misses"])
+            st = pipe.template_cache.stats()
             print(
                 f"template cache: hits={st['hits']} misses={st['misses']} "
                 f"hit_rate={st['hit_rate']:.3f} size={st['size']} "
@@ -519,7 +520,6 @@ def _cmd_evaluate(args) -> int:
 
     from repro.core.pipeline import ClassificationPipeline
     from repro.ml import classification_report, train_test_split, weighted_f1_score
-    from repro.runtime import MessageBatch
     from repro.textproc.tfidf import TfidfVectorizer
 
     texts, labels = _read_corpus(args.corpus)
@@ -534,8 +534,8 @@ def _cmd_evaluate(args) -> int:
     pipe.fit(list(tr_txt), list(y_tr))
     pred = np.asarray([
         r.category.value
-        for chunk in MessageBatch.of_texts(te_txt).chunks(args.batch_size)
-        for r in pipe.classify_batch(chunk)
+        for start in range(0, len(te_txt), args.batch_size)
+        for r in pipe.classify_batch(te_txt[start:start + args.batch_size])
     ])
     print(classification_report(y_te, pred))
     print(f"\nweighted F1: {weighted_f1_score(y_te, pred):.4f}")

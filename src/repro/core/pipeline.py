@@ -23,7 +23,6 @@ from repro.faults.dlq import DeadLetterQueue
 from repro.faults.plan import SITE_POISON, InjectedFault
 from repro.obs import wellknown
 from repro.obs.metrics import Views, default_registry
-from repro.runtime.batch import MessageBatch
 from repro.runtime.timing import StageReport, StageStat, StageTimer
 from repro.textproc.tfidf import TfidfVectorizer
 
@@ -207,20 +206,16 @@ class ClassificationPipeline:
 
     def classify(self, text: str) -> PipelineResult:
         """Classify one message (a batch of one on the batch-first path)."""
-        return self.classify_batch(MessageBatch.of_texts((text,)))[0]
+        return self.classify_batch((text,))[0]
 
-    def classify_batch(
-        self, batch: MessageBatch | Sequence[str]
-    ) -> list[PipelineResult]:
+    def classify_batch(self, batch: Sequence[str]) -> list[PipelineResult]:
         """Classify a batch, tracking service time for throughput math.
 
         This is the runtime primitive: the batch flows through each
         stage — blacklist filter, normalize/tokenize, vectorize,
         predict, route — as one columnar unit, with per-stage
         wall-clock accounting in :attr:`timer` (see
-        :meth:`timing_report`).  Accepts a
-        :class:`~repro.runtime.batch.MessageBatch` or any sequence of
-        message texts.
+        :meth:`timing_report`).  Accepts any sequence of message texts.
 
         Poison messages do not abort the batch: when the columnar model
         path raises (undecodable input, a predict failure, or an
@@ -239,9 +234,8 @@ class ClassificationPipeline:
         """
         if not self._fitted:
             raise RuntimeError("ClassificationPipeline used before fit")
-        batch = MessageBatch.coerce(batch)
+        texts = tuple(batch)
         t0 = time.perf_counter()
-        texts = batch.texts
         results: list[PipelineResult | None] = [None] * len(texts)
         to_model: list[int] = []
         if self.blacklist is not None:

@@ -17,8 +17,7 @@ TF-IDF+ML pipeline survives drift that defeats bucketing (EXP-DRIFT).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,7 +19,6 @@ from repro.datagen.generator import CorpusGenerator
 from repro.datagen.workload import generate_stream
 from repro.experiments.table3 import run_table3
 from repro.ml import ComplementNB
-from repro.runtime import MessageBatch, ShardedExecutor
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
 __all__ = [
@@ -48,30 +47,13 @@ def measured_pipeline_service_time(
     scale: float = 0.01,
     seed: int = 0,
     n_probe: int = 500,
-    n_workers: int = 1,
 ) -> float:
-    """Train the traditional pipeline and measure its per-message time.
-
-    The probe runs through the batch-first path; with ``n_workers > 1``
-    it is sharded across a :class:`ShardedExecutor` so the figure
-    reflects the parallel deployment rather than a single process.
-    """
+    """Train the traditional pipeline and measure its per-message time
+    through the batch-first path (one ``classify_batch`` of the probe)."""
     corpus = CorpusGenerator(scale=scale, seed=seed).generate()
     pipe = ClassificationPipeline(classifier=ComplementNB())
     pipe.fit(corpus.texts, corpus.labels)
-    probe = MessageBatch.of_texts(
-        (corpus.texts * ((n_probe // len(corpus.texts)) + 1))[:n_probe]
-    )
-    if n_workers > 1:
-        with ShardedExecutor(
-            pipe,
-            n_workers=n_workers,
-            chunk_size=max(1, len(probe) // n_workers),
-            min_parallel=0,
-        ) as executor:
-            t0 = time.perf_counter()
-            executor.classify_batch(probe)
-            return (time.perf_counter() - t0) / len(probe)
+    probe = (corpus.texts * ((n_probe // len(corpus.texts)) + 1))[:n_probe]
     t0 = time.perf_counter()
     pipe.classify_batch(probe)
     return (time.perf_counter() - t0) / len(probe)
@@ -120,25 +102,21 @@ def run_throughput_sweep(
     duration_s: float = 120.0,
     seed: int = 0,
     include_traditional: bool = True,
-    n_workers: int = 1,
     stage_batch_size: int = 1,
 ) -> list[ThroughputRow]:
     """Sweep arrival rates against LLM-speed and pipeline-speed stages.
 
     Service times: the three Table 3 models (regenerated from the cost
-    model) and, optionally, the measured traditional pipeline
-    (``n_workers`` shards the measurement probe).  ``stage_batch_size``
-    sets how many queued documents each simulated service tick drains.
+    model) and, optionally, the measured traditional pipeline.
+    ``stage_batch_size`` sets how many queued documents each simulated
+    service tick drains.
     """
     stages: list[tuple[str, float]] = [
         (row.model, row.inference_time_s) for row in run_table3()
     ]
     if include_traditional:
-        label = "tfidf+complement-nb (measured)"
-        if n_workers > 1:
-            label = f"tfidf+complement-nb (sharded x{n_workers})"
         stages.append(
-            (label, measured_pipeline_service_time(seed=seed, n_workers=n_workers))
+            ("tfidf+complement-nb (measured)", measured_pipeline_service_time(seed=seed))
         )
     rows: list[ThroughputRow] = []
     for rate in rates_hz:

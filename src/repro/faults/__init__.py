@@ -5,15 +5,14 @@ pipeline must survive faults, not just benchmarks.  This package is
 the reproduction's failure-as-common-case layer:
 
 - :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultInjector`,
-  deterministic seedable fault injection at named sites (worker crash,
-  chunk timeout, flush failure, poison message),
+  deterministic seedable fault injection at named sites (flush
+  failure, poison message, process crash, store and broker faults),
 - :mod:`repro.faults.dlq` — :class:`DeadLetterQueue`, the no-silent-loss
   backstop: condemned messages are parked with their exception context
   instead of vanishing.
 
 The resilience these exercise lives in the layers themselves: the
-sharded executor respawns dead workers and retries lost chunks with
-backoff (then falls back to serial), the Fluentd forwarder retries
+Fluentd forwarder retries
 flushes under a bounded budget and dead-letters a batch that exhausts
 it (a slow consumer is broker lag, not an overflow), the
 classification pipeline quarantines poison messages per-message, and
@@ -27,9 +26,9 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "dlq": ("DeadLetter", "DeadLetterQueue"),
     "plan": (
-        "KNOWN_SITES", "SITE_ACCEPT_DROP", "SITE_CHUNK_TIMEOUT", "SITE_COMMIT_LOST", "SITE_CRASH",
+        "KNOWN_SITES", "SITE_ACCEPT_DROP", "SITE_COMMIT_LOST", "SITE_CRASH",
         "SITE_FLUSH_FAIL", "SITE_NODE_DOWN", "SITE_NODE_SLOW", "SITE_PARTITION",
-        "SITE_PARTITION_STALL", "SITE_POISON", "SITE_WORKER_CRASH", "FaultInjector", "FaultPlan",
+        "SITE_PARTITION_STALL", "SITE_POISON", "FaultInjector", "FaultPlan",
         "FaultSpec", "FireRecord", "InjectedFault",
     ),
 })

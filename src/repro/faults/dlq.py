@@ -106,13 +106,12 @@ class DeadLetterQueue:
     """Bounded capture of condemned messages (oldest evicted at cap).
 
     Every capture increments ``repro_faults_dead_letters_total{site=}``
-    in this process's registry — :meth:`extend` too, which is how
-    worker-side captures (whose registries are invisible to the parent)
-    get counted exactly once, in the parent.  The per-site child and the
-    eviction counter are bound once per registry
+    in this process's registry — :meth:`extend` too, so captures adopted
+    from another queue are counted once, where they land.  The per-site
+    child and the eviction counter are bound once per registry
     (:class:`~repro.obs.wellknown.Bound`): a capture is one append and
     one increment, and only the recipes travel when the queue is
-    pickled with a spawned pipeline.
+    pickled.
 
     ``max_entries`` caps the queue: sustained faults cannot grow the
     no-silent-loss backstop without bound.  Beyond the cap the *oldest*
@@ -184,7 +183,7 @@ class DeadLetterQueue:
         return [e for e in snapshot if e.site == site]
 
     def since(self, n: int) -> list[DeadLetter]:
-        """Entries with sequence number past ``n`` (worker delta export)."""
+        """Entries with sequence number past ``n`` (the delta since a cursor)."""
         return [e for e in self.entries() if e.seq > n]
 
     def restore(self, entries) -> int:

@@ -3,9 +3,9 @@
 Production log pipelines treat failure as the common case: workers die,
 flushes time out, and malformed messages arrive that no blacklist ever
 saw.  This module is the *control plane* for exercising those paths: a
-:class:`FaultPlan` names the sites to arm (worker crash, chunk timeout,
-flush failure, poison message) and how each fires — per-arming-check
-probability, scheduled call indices, or both — and a
+:class:`FaultPlan` names the sites to arm (flush failure, poison
+message, process crash, store and broker faults) and how each fires —
+per-arming-check probability, scheduled call indices, or both — and a
 :class:`FaultInjector` executes the plan reproducibly.
 
 Determinism guarantees
@@ -18,11 +18,8 @@ the same plan, seed, and per-site check sequence, the injector fires at
 exactly the same checks every run; the chaos suite reconciles its
 metrics against :attr:`FaultInjector.fire_log` on that basis.
 
-The guarantee holds per process: sites consulted by the parent (worker
-crash, chunk timeout, flush failure) are always deterministic, while
-the poison site is deterministic on the serial path — shard workers
-have their injector disarmed on initialization precisely so that chunk
-scheduling cannot smuggle nondeterminism in.
+A plan file (:meth:`FaultPlan.from_file`) may only name sites in
+:data:`KNOWN_SITES`: a misspelt site would arm nothing, silently.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
-    "SITE_WORKER_CRASH",
-    "SITE_CHUNK_TIMEOUT",
     "SITE_FLUSH_FAIL",
     "SITE_POISON",
     "SITE_CRASH",
@@ -52,10 +47,6 @@ __all__ = [
     "InjectedFault",
 ]
 
-#: a shard worker dies (SIGKILL) after receiving its chunk
-SITE_WORKER_CRASH = "shard.worker_crash"
-#: a shard worker stalls past the parent's chunk deadline
-SITE_CHUNK_TIMEOUT = "shard.chunk_timeout"
 #: a Fluentd forwarder flush fails before reaching the sink
 SITE_FLUSH_FAIL = "fluentd.flush"
 #: one message poisons the classify path (undecodable / predict error)
@@ -86,9 +77,8 @@ SITE_PARTITION_STALL = "broker.partition_stall"
 SITE_COMMIT_LOST = "broker.commit_lost"
 
 KNOWN_SITES = (
-    SITE_WORKER_CRASH, SITE_CHUNK_TIMEOUT, SITE_FLUSH_FAIL, SITE_POISON,
-    SITE_CRASH, SITE_NODE_DOWN, SITE_NODE_SLOW, SITE_PARTITION,
-    SITE_ACCEPT_DROP, SITE_PARTITION_STALL, SITE_COMMIT_LOST,
+    SITE_FLUSH_FAIL, SITE_POISON, SITE_CRASH, SITE_NODE_DOWN, SITE_NODE_SLOW,
+    SITE_PARTITION, SITE_ACCEPT_DROP, SITE_PARTITION_STALL, SITE_COMMIT_LOST,
 )
 
 
@@ -111,7 +101,7 @@ class FaultSpec:
         the site's own seeded stream).
     at_calls:
         1-based arming-check ordinals that fire unconditionally — the
-        scheduled-trigger form ("crash the worker on the 3rd chunk").
+        scheduled-trigger form ("fail the 3rd flush").
     limit:
         Cap on total fires for the site; ``None`` is unbounded.
     """
@@ -174,9 +164,14 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        """Parse the ``--fault-plan`` format; a site outside
+        :data:`KNOWN_SITES` is refused, since it would arm nothing."""
         unknown = set(data) - {"seed", "sites"}
         if unknown:
             raise ValueError(f"unknown FaultPlan keys: {sorted(unknown)}")
+        unknown = set(data.get("sites", {})) - set(KNOWN_SITES)
+        if unknown:
+            raise ValueError(f"unknown fault sites: {sorted(unknown)}")
         return cls(
             sites={
                 str(site): FaultSpec.from_dict(spec)
@@ -190,7 +185,7 @@ class FaultPlan:
         """Load a JSON plan file (the CLI's ``--fault-plan`` format)::
 
             {"seed": 7, "sites": {"fluentd.flush": {"probability": 0.2},
-                                  "shard.worker_crash": {"at_calls": [2]}}}
+                                  "store.node_down": {"at_calls": [2]}}}
         """
         path = Path(path)
         try:

@@ -11,8 +11,8 @@ writes into:
   :class:`MetricsRegistry`; Prometheus text and JSON snapshot
   exposition; :class:`NullRegistry` to zero out instrumentation cost,
 - :mod:`repro.obs.trace` — :class:`Span` / :class:`Tracer` with
-  parent links and cross-process propagation (the sharded executor
-  stitches worker spans into one trace),
+  parent links, exported and adopted by value across process
+  boundaries,
 - :mod:`repro.obs.wellknown` — the metric catalogue: every family the
   repo emits is one statement there, and the accessors, ``declare_all``,
   the dashboard sections and the ``docs/API.md`` reference derive from it,

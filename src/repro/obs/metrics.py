@@ -25,9 +25,9 @@ Design notes
   creates shares the registry's one write lock, so a layer observing
   several histograms at one point takes it once (``observe_held``).
 - Everything pickles: locks are dropped on ``__getstate__`` and
-  recreated on ``__setstate__`` (pipelines holding metric references
-  cross process boundaries under the sharded executor), and a view is
-  stored as the plain value it reads.
+  recreated on ``__setstate__`` (a pipeline holding metric references
+  can be copied to another process), and a view is stored as the plain
+  value it reads.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def default_latency_buckets() -> tuple[float, ...]:
     """Fixed log-scale latency buckets: 1µs to 50s, 1-2.5-5 per decade.
 
     Wide enough to hold both a single vectorize stage on a small batch
-    (tens of µs) and a full sharded dispatch (seconds) in one scheme,
+    (tens of µs) and a long end-to-end request (seconds) in one scheme,
     so every latency histogram in the repo shares bucket edges and
     panels are directly comparable.
     """

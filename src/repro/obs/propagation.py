@@ -1,8 +1,7 @@
 """Cross-hop trace propagation: one trace from accept to fsync.
 
-The PR 2 tracer (:mod:`repro.obs.trace`) explains a single *batch*
-inside one process — it ends at the ShardedExecutor boundary.  The
-ingest spine is longer: listener accept → broker publish → consumer
+The tracer (:mod:`repro.obs.trace`) explains a single *batch*
+inside one process.  The ingest spine is longer: listener accept → broker publish → consumer
 poll → forwarder flush → quorum write → WAL append, possibly with a
 SIGKILL and a resume in the middle.  This module carries a compact
 :class:`TraceContext` along that whole path:

@@ -6,12 +6,12 @@ by every span in the same logical request, a span ID of its own, and a
 parent link.  :class:`Tracer` hands out spans through a context-manager
 API and keeps the finished ones for export.
 
-Spans cross the :class:`~repro.runtime.executor.ShardedExecutor`'s
-process boundary by value: the parent passes a ``span.context()`` dict
-to each worker, the worker parents its spans on it and returns them
-serialized (:meth:`Tracer.export`), and the parent stitches them back
-into one trace with :meth:`Tracer.adopt` — one tree spanning dispatch,
-every shard's classify, and the gather.
+Spans cross process boundaries by value: one process parents its
+spans on another's ``span.context()`` dict and returns them serialized
+(:meth:`Tracer.export`), and the receiver stitches them back into one
+trace with :meth:`Tracer.adopt`.  The cross-hop spine
+(:mod:`repro.obs.propagation`) chains its hop spans the same way, so a
+trace survives a SIGKILL and a resume.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class Span:
     Attributes
     ----------
     name:
-        Operation label (``"shard.classify_batch"``).
+        Operation label (``"broker.publish"``).
     trace_id:
         32-hex-char ID shared by every span of one logical request.
     span_id:
@@ -51,7 +51,7 @@ class Span:
     start_s / end_s:
         Wall-clock epoch seconds; ``end_s`` is ``None`` while open.
     attributes:
-        Free-form string/number annotations (batch size, worker pid).
+        Free-form string/number annotations (batch size, pid).
     """
 
     name: str
@@ -167,7 +167,7 @@ class Tracer:
     # -- cross-process stitching --------------------------------------
 
     def export(self, clear: bool = True) -> list[dict]:
-        """Finished spans as dicts (what a worker returns to the parent)."""
+        """Finished spans as dicts (what another tracer adopts)."""
         with self._lock:
             out = [s.to_dict() for s in self.finished]
             if clear:

@@ -104,18 +104,6 @@ pipeline_filtered = _counter(
 pipeline_batch_seconds = _histogram(
     "pipeline", "repro_pipeline_batch_seconds", "End-to-end classify_batch wall-clock seconds")
 
-# -- sharded executor --------------------------------------------------
-shard_dispatch_seconds = _histogram(
-    "pipeline", "repro_shard_dispatch_seconds",
-    "Submit-to-result round-trip seconds per scattered chunk")
-shard_queue_wait_seconds = _histogram(
-    "pipeline", "repro_shard_queue_wait_seconds",
-    "Round-trip minus worker busy time per chunk (queueing + pickling)")
-shard_messages = _counter(
-    "pipeline", "repro_shard_messages_total", "Messages classified per worker process", ("worker",))
-shard_chunks = _counter(
-    "pipeline", "repro_shard_chunks_total", "Chunks scattered per worker process", ("worker",))
-
 # -- template-dedup cache ----------------------------------------------
 template_cache_hits = _counter(
     "pipeline", "repro_template_cache_hits_total",
@@ -169,15 +157,6 @@ faults_dead_letters = _counter(
 faults_quarantined = _counter(
     "faults", "repro_faults_quarantined_total",
     "Messages quarantined by classify_batch instead of aborting the batch")
-faults_worker_respawns = _counter(
-    "faults", "repro_faults_worker_respawns_total",
-    "Shard worker pools respawned after a dead worker was detected")
-faults_chunk_retries = _counter(
-    "faults", "repro_faults_chunk_retries_total",
-    "Chunks re-dispatched to the pool after a failed attempt")
-faults_serial_fallbacks = _counter(
-    "faults", "repro_faults_serial_fallbacks_total",
-    "Chunks classified serially after the retry budget was exhausted")
 faults_dlq_evicted = _counter(
     "faults", "repro_faults_dlq_evicted_total",
     "Oldest dead letters evicted by a bounded dead-letter queue")

@@ -1,7 +1,7 @@
 """Replicated log store: quorum reads/writes, failover, anti-entropy.
 
-The storage-tier counterpart to the executor resilience (PR 3) and
-ingest durability (PR 4) layers: :class:`ReplicatedLogStore`
+The storage-tier counterpart to the ingest durability layer
+(:mod:`repro.durability`): :class:`ReplicatedLogStore`
 coordinates N :class:`StoreNode` members with primary+replica shard
 placement, quorum writes/reads with read repair, per-node circuit
 breakers, hinted handoff, and seq-digest anti-entropy sync.

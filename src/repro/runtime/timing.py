@@ -80,35 +80,6 @@ class StageReport:
     stages: dict[str, StageStat]
     total_seconds: float
 
-    def as_dict(self) -> dict:
-        """JSON-serializable form (for ``--timing`` machine output)."""
-        return {
-            "total_seconds": self.total_seconds,
-            "stages": {
-                name: {
-                    "seconds": s.seconds,
-                    "calls": s.calls,
-                    "items": s.items,
-                }
-                for name, s in self.stages.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageReport":
-        """Rebuild a report serialized with :meth:`as_dict`.
-
-        This is how shard workers return their per-chunk stage
-        accounting to the parent process.
-        """
-        return cls(
-            stages={
-                name: StageStat(d["seconds"], d["calls"], d["items"])
-                for name, d in data["stages"].items()
-            },
-            total_seconds=data["total_seconds"],
-        )
-
     def render(self) -> str:
         """Human-readable table of the per-stage breakdown.
 
@@ -141,8 +112,8 @@ class StageTimer:
     batch path::
 
         timer = StageTimer()
-        with timer.stage("vectorize", items=len(batch)):
-            X = vec.transform(batch.texts)
+        with timer.stage("vectorize", items=len(texts)):
+            X = vec.transform(texts)
         print(timer.report().render())
 
     Timers are cheap enough to leave permanently attached (two
@@ -171,7 +142,7 @@ class StageTimer:
         return _Stage(self, name, items)
 
     def add(self, name: str, seconds: float, items: int = 0) -> None:
-        """Record an externally-timed interval (e.g. from a worker)."""
+        """Record an externally-timed interval."""
         self._mirror(name, seconds, items)
         stat = self._stats.get(name)
         if stat is None:
@@ -204,21 +175,6 @@ class StageTimer:
         state = self.__dict__.copy()
         state["_bound"] = {}
         return state
-
-    def merge(self, report: StageReport) -> None:
-        """Fold another timer's report in (used to absorb shard timings).
-
-        Each merged stage lands in the registry as one histogram
-        observation of its summed seconds — coarser than the per-batch
-        observations the originating process made, but item counters
-        stay exactly equivalent to having run the stages locally.
-        """
-        for name, s in report.stages.items():
-            self._mirror(name, s.seconds, s.items)
-            stat = self._stats.setdefault(name, StageStat())
-            stat.seconds += s.seconds
-            stat.calls += s.calls
-            stat.items += s.items
 
     def reset(self) -> None:
         """Drop all accumulated stats (the registry keeps what it counted)."""

@@ -42,9 +42,7 @@ class ClassifierStage:
     classify_batch:
         Maps a sequence of texts to a parallel sequence of
         :class:`Category`; this is how a
-        :class:`~repro.core.pipeline.ClassificationPipeline` (or a
-        :class:`~repro.runtime.executor.ShardedExecutor` wrapping one)
-        attaches.  ``None`` records progress without real predictions
+        :class:`~repro.core.pipeline.ClassificationPipeline` attaches.  ``None`` records progress without real predictions
         (pure queueing study).
     batch_size:
         Documents drained per simulated service tick.  The simulated

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _read_batches, main
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,19 @@ class TestGenerate:
         main(["generate", "--scale", "0.005", "--out", str(tmp_path / "c.jsonl")])
         out = capsys.readouterr().out
         assert "wrote" in out and "THERMAL" in out
+
+
+class TestReadBatches:
+    def test_batches_and_skips_blanks(self):
+        """Blank lines are skipped and the last batch may be short."""
+        lines = ["one\n", "\n", "two\n", "three\n", "four\n", "five"]
+        assert list(_read_batches(iter(lines), 2)) == [
+            ("one", "two"), ("three", "four"), ("five",)
+        ]
+
+    def test_invalid_batch_size(self):
+        with pytest.raises(ValueError, match="positive"):
+            list(_read_batches(iter(["a"]), 0))
 
 
 class TestTrainClassify:
@@ -104,6 +117,29 @@ class TestTrainClassify:
         assert main(["classify", "--model-dir", str(model_dir),
                      "--input", str(inp), "--batch-size", "500"]) == 0
         assert capsys.readouterr().out == chunked
+
+    def test_classify_streams_stdin(self, model_dir, capsys, monkeypatch):
+        """A batch is classified and printed before the next one is read:
+        a stdin that breaks past its third line still gets the first
+        batch's results out."""
+
+        class BrokenPipe(Exception):
+            pass
+
+        def lines():
+            yield "Warning: Socket 2 - CPU 23 throttling\n"
+            yield "usb 1-2: new USB device number 9\n"
+            yield "Connection closed by 9.9.9.9 port 1234 [preauth]\n"
+            raise BrokenPipe("read past the third line")
+
+        monkeypatch.setattr("sys.stdin", lines())
+        with pytest.raises(BrokenPipe):
+            main(["classify", "--model-dir", str(model_dir), "--batch-size", "2"])
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in out] == [
+            "Warning: Socket 2 - CPU 23 throttling",
+            "usb 1-2: new USB device number 9",
+        ]
 
     def test_train_with_blacklist(self, corpus_file, tmp_path, capsys):
         d = tmp_path / "bl-model"

@@ -6,13 +6,13 @@ Four layers of coverage, mirroring the control loop's promises:
    (a policy file must be reviewable and replayable).
 2. **Mechanics** — signal windows, deadbands, cooldowns, hold ticks,
    capacity-guarded shrink, flip accounting, and each actuator's
-   contract (admission quota retune, executor resize, store quiesce).
+   contract (admission quota retune, stage resize, store quiesce).
 3. **Anti-oscillation** — the hypothesis property: constant offered
    load within capacity means *zero* actuations after convergence.
 4. **Chaos** — the controlled cluster runs under injected
-   ``store.node_down`` / ``broker.partition_stall`` faults (and the
-   executor lever under ``shard.worker_crash``) without the flip count
-   escaping a small fixed bound, green across the CI seed matrix.
+   ``store.node_down`` / ``broker.partition_stall`` faults without the
+   flip count escaping a small fixed bound, green across the CI seed
+   matrix.
 """
 
 import json

@@ -11,9 +11,9 @@ Every scenario runs under a fixed seed (shiftable with
    with the injector's own fire log and the layers' stats objects.
 """
 
+import json
 import os
-import signal
-import time
+import re
 
 import pytest
 from broker_feed import feed, fed_forwarder
@@ -22,10 +22,10 @@ from repro.core.pipeline import ClassificationPipeline
 from repro.core.message import SyslogMessage
 from repro.core.taxonomy import Category
 from repro.faults import (
-    SITE_CHUNK_TIMEOUT,
+    KNOWN_SITES,
     SITE_FLUSH_FAIL,
+    SITE_NODE_DOWN,
     SITE_POISON,
-    SITE_WORKER_CRASH,
     DeadLetterQueue,
     FaultInjector,
     FaultPlan,
@@ -34,7 +34,6 @@ from repro.faults import (
 )
 from repro.ml import ComplementNB
 from repro.obs import MetricsRegistry, use_registry, wellknown
-from repro.runtime import MessageBatch, ShardedExecutor
 from repro.stream.opensearch import LogStore
 from repro.stream.tivan import ClassifierStage, TivanCluster
 
@@ -75,14 +74,12 @@ class TestFaultPlan:
         plan = FaultPlan(
             sites={
                 SITE_FLUSH_FAIL: FaultSpec(probability=0.25, limit=3),
-                SITE_WORKER_CRASH: FaultSpec(at_calls=(2, 5)),
+                SITE_NODE_DOWN: FaultSpec(at_calls=(2, 5)),
             },
             seed=7,
         )
         assert FaultPlan.from_dict(plan.to_dict()) == plan
         p = tmp_path / "plan.json"
-        import json
-
         p.write_text(json.dumps(plan.to_dict()))
         assert FaultPlan.from_file(p) == plan
 
@@ -91,6 +88,22 @@ class TestFaultPlan:
             FaultPlan.from_dict({"seed": 1, "sites": {}, "bogus": True})
         with pytest.raises(ValueError, match="unknown"):
             FaultSpec.from_dict({"chance": 0.1})
+
+    @pytest.mark.parametrize("site", ["shard.worker_crash", "fluentd.flsh"])
+    def test_unknown_site_refused(self, site, tmp_path):
+        """A plan file naming a site nothing consults (a removed one, a
+        typo) is refused by name instead of silently arming nothing."""
+        assert site not in KNOWN_SITES
+        data = {"seed": 0, "sites": {site: {"at_calls": [1]}, SITE_FLUSH_FAIL: {}}}
+        with pytest.raises(ValueError, match=re.escape(site)) as exc:
+            FaultPlan.from_dict(data)
+        assert SITE_FLUSH_FAIL not in str(exc.value)
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown fault sites"):
+            FaultPlan.from_file(p)
+        # built in code, a plan may still name any site
+        assert site in FaultPlan(sites={site: FaultSpec()}).sites
 
     def test_never_plan_never_fires(self):
         inj = FaultInjector(FaultPlan.never())
@@ -133,13 +146,13 @@ class TestInjectorDeterminism:
 
     def test_at_calls_and_limit(self):
         plan = FaultPlan(
-            sites={SITE_WORKER_CRASH: FaultSpec(at_calls=(2, 4, 6), limit=2)}
+            sites={SITE_FLUSH_FAIL: FaultSpec(at_calls=(2, 4, 6), limit=2)}
         )
         inj = FaultInjector(plan)
-        fires = [inj.should_fire(SITE_WORKER_CRASH) for _ in range(8)]
+        fires = [inj.should_fire(SITE_FLUSH_FAIL) for _ in range(8)]
         assert fires == [False, True, False, True, False, False, False, False]
-        assert inj.fire_counts() == {SITE_WORKER_CRASH: 2}
-        assert inj.call_counts() == {SITE_WORKER_CRASH: 8}
+        assert inj.fire_counts() == {SITE_FLUSH_FAIL: 2}
+        assert inj.call_counts() == {SITE_FLUSH_FAIL: 8}
 
     def test_reset_replays_identically(self):
         plan = FaultPlan(sites={SITE_POISON: FaultSpec(probability=0.4)}, seed=3)
@@ -346,121 +359,6 @@ class TestForwarderChaos:
             fail[0] = True
             fwd.flush()
             assert fwd._retry_delay == first_delay  # schedule restarted
-
-
-# -- sharded executor chaos ------------------------------------------------
-
-
-def _sharded(fitted, injector=None, **kw):
-    kw.setdefault("n_workers", 2)
-    kw.setdefault("chunk_size", 25)
-    kw.setdefault("min_parallel", 0)
-    kw.setdefault("chunk_timeout_s", 30.0)
-    kw.setdefault("retry_base_s", 0.01)
-    kw.setdefault("retry_max_s", 0.05)
-    return ShardedExecutor(fitted, fault_injector=injector, **kw)
-
-
-class TestShardedChaos:
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_worker_crash_recovered(self, fitted, corpus, seed):
-        """A SIGKILLed worker is respawned and its chunk recovered."""
-        probe = list(corpus.texts[:100])
-        serial = [r.category for r in fitted.classify_batch(probe)]
-        with use_registry(MetricsRegistry()) as reg:
-            inj = FaultInjector(FaultPlan(
-                sites={SITE_WORKER_CRASH: FaultSpec(at_calls=(2,))},
-                seed=seed,
-            ))
-            before = fitted.n_classified
-            with _sharded(fitted, inj) as ex:
-                results = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.faults.worker_respawns >= 1
-                assert ex.faults.chunk_retries >= 1
-                assert ex.faults.serial_fallback_chunks == 0
-            # conservation + parity: every message classified, same labels
-            assert len(results) == 100
-            assert [r.category for r in results] == serial
-            assert fitted.n_classified == before + 100
-            # reconciliation
-            assert (
-                wellknown.faults_injected(reg).value(site=SITE_WORKER_CRASH)
-                == inj.fire_counts()[SITE_WORKER_CRASH]
-                == 1
-            )
-            # each family is a view of the executor's count
-            assert wellknown.faults_worker_respawns(reg).value() == ex.faults.worker_respawns >= 1
-            assert (
-                wellknown.faults_chunk_retries(reg).value()
-                == ex.faults.chunk_retries
-            )
-
-    def test_chunk_timeout_recovered(self, fitted, corpus):
-        """A chunk stalling past the deadline is retried, not hung."""
-        probe = list(corpus.texts[:75])
-        serial = [r.category for r in fitted.classify_batch(probe)]
-        with use_registry(MetricsRegistry()):
-            inj = FaultInjector(FaultPlan(
-                sites={SITE_CHUNK_TIMEOUT: FaultSpec(at_calls=(1,))}
-            ))
-            t0 = time.monotonic()
-            with _sharded(fitted, inj, chunk_timeout_s=2.0) as ex:
-                results = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.faults.chunk_retries >= 1
-            assert time.monotonic() - t0 < 60.0  # bounded, no indefinite hang
-            assert [r.category for r in results] == serial
-
-    def test_retry_budget_exhaustion_falls_back_serial(self, fitted, corpus):
-        """Crashing every dispatch must route chunks through serial."""
-        probe = list(corpus.texts[:50])
-        serial = [r.category for r in fitted.classify_batch(probe)]
-        with use_registry(MetricsRegistry()) as reg:
-            inj = FaultInjector(FaultPlan(
-                sites={SITE_WORKER_CRASH: FaultSpec(probability=1.0)}
-            ))
-            before = fitted.n_classified
-            with _sharded(fitted, inj, max_chunk_retries=1) as ex:
-                results = ex.classify_batch(MessageBatch.of_texts(probe))
-                assert ex.faults.serial_fallback_chunks == 2  # both chunks
-            assert [r.category for r in results] == serial
-            assert fitted.n_classified == before + 50  # no double counting
-            assert (
-                wellknown.faults_serial_fallbacks(reg).value()
-                == ex.faults.serial_fallback_chunks
-            )
-
-    def test_externally_sigkilled_worker_regression(self, fitted, corpus):
-        """Regression: a worker killed from outside used to hang the
-        gather forever; now the pool is respawned and the batch completes."""
-        probe = list(corpus.texts[:60])
-        serial = [r.category for r in fitted.classify_batch(probe)]
-        with use_registry(MetricsRegistry()):
-            with _sharded(fitted, None, chunk_size=20,
-                          chunk_timeout_s=20.0) as ex:
-                # warm the pool so worker processes exist
-                ex.classify_batch(MessageBatch.of_texts(probe))
-                victim = next(iter(ex._pool._processes))
-                os.kill(victim, signal.SIGKILL)
-                # SIGKILL is asynchronous: the survivor can answer all
-                # three chunks before the pool notices the death, and no
-                # respawn is due yet.  Submit right away, as ever — the
-                # death lands before, at or during a gather — and keep
-                # submitting until it has been noticed.
-                deadline = time.monotonic() + 10.0
-                while True:
-                    results = ex.classify_batch(MessageBatch.of_texts(probe))
-                    assert [r.category for r in results] == serial
-                    if ex.faults.worker_respawns or time.monotonic() > deadline:
-                        break
-                assert ex.faults.worker_respawns >= 1
-
-    def test_no_faults_no_resilience_counters(self, fitted, corpus):
-        with use_registry(MetricsRegistry()):
-            with _sharded(fitted, None) as ex:
-                ex.classify_batch(corpus.texts[:60])
-                assert ex.faults.worker_respawns == 0
-                assert ex.faults.chunk_retries == 0
-                assert ex.faults.serial_fallback_chunks == 0
 
 
 # -- degraded mode ---------------------------------------------------------

@@ -151,8 +151,8 @@ def test_the_spine_fits_and_classifies_with_scipy_blocked():
 
 
 def test_a_loaded_naive_bayes_model_classifies_with_scipy_blocked(tmp_path, corpus):
-    """The path of ``listen --model-dir``, ``recover`` and each
-    ``ShardedExecutor`` worker: ``load_pipeline``, then ``classify_batch``."""
+    """The path of ``listen --model-dir``, ``recover`` and ``classify``:
+    ``load_pipeline``, then ``classify_batch``."""
     from repro.core.pipeline import ClassificationPipeline
     from repro.core.serialize import save_pipeline
     from repro.ml.bayes import ComplementNB

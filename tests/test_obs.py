@@ -2,9 +2,7 @@
 
 Covers the metrics registry (bucket semantics, exposition formats,
 thread safety, pickling), trace spans (nesting, cross-process
-export/adopt, propagation through the ShardedExecutor), the StageTimer
-adapter, and the serial-vs-sharded metric equivalence the executor
-guarantees.
+export/adopt), the StageTimer adapter, and the pipeline's metrics.
 """
 
 import json
@@ -17,8 +15,6 @@ import pytest
 from repro.core.pipeline import ClassificationPipeline
 from repro.ml import ComplementNB
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -36,7 +32,7 @@ from repro.obs import (
     wellknown,
     write_snapshot,
 )
-from repro.runtime import ShardedExecutor, StageTimer
+from repro.runtime import StageTimer
 from repro.runtime.timing import StageReport, StageStat
 
 
@@ -510,24 +506,6 @@ class TestStageTimerAdapter:
         assert rep.stages["vectorize"].items == 150
         assert rep.stages["vectorize"].seconds == pytest.approx(0.6)
 
-    def test_merge_mirrors_equivalent_items(self):
-        worker_reg = MetricsRegistry()
-        worker = StageTimer(registry=worker_reg)
-        worker.add("predict", 0.1, items=40)
-        worker.add("predict", 0.2, items=60)
-
-        parent_reg = MetricsRegistry()
-        parent = StageTimer(registry=parent_reg)
-        parent.merge(worker.report())
-
-        assert (wellknown.stage_items(parent_reg).value(stage="predict")
-                == wellknown.stage_items(worker_reg).value(stage="predict")
-                == 100)
-        # merge folds the summed seconds in as one observation
-        assert wellknown.stage_seconds(parent_reg).labels(
-            stage="predict"
-        ).sum == pytest.approx(0.3)
-
     def test_default_registry_used_when_none(self):
         with use_registry(MetricsRegistry()) as reg:
             StageTimer().add("route", 0.01, items=5)
@@ -567,7 +545,7 @@ class TestStageReportRender:
         )
 
 
-# -- pipeline / executor integration ---------------------------------------
+# -- pipeline integration --------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -586,50 +564,6 @@ class TestPipelineMetrics:
         assert wellknown.pipeline_batch_seconds(reg)._child(()).count == 1
         for stage in ("normalize", "vectorize", "predict", "route"):
             assert wellknown.stage_items(reg).value(stage=stage) == 80
-
-    def test_serial_and_sharded_counts_equivalent(self, obs_pipeline, corpus):
-        probe = corpus.texts[:120]
-        with use_registry(MetricsRegistry()) as serial_reg:
-            obs_pipeline.classify_batch(probe)
-        with use_registry(MetricsRegistry()) as shard_reg:
-            with ShardedExecutor(
-                obs_pipeline, n_workers=2, chunk_size=40, min_parallel=0
-            ) as ex:
-                ex.classify_batch(probe)
-        serial_items = wellknown.stage_items(serial_reg)
-        shard_items = wellknown.stage_items(shard_reg)
-        for stage in ("normalize", "vectorize", "predict", "route"):
-            assert (shard_items.value(stage=stage)
-                    == serial_items.value(stage=stage) == 120)
-        assert (wellknown.pipeline_messages(shard_reg).value()
-                == wellknown.pipeline_messages(serial_reg).value() == 120)
-        # per-worker counters account for every message exactly once
-        per_worker = [
-            child.value
-            for _labels, child in wellknown.shard_messages(shard_reg).samples()
-        ]
-        assert sum(per_worker) == 120
-        assert wellknown.shard_dispatch_seconds(shard_reg)._child(()).count == 3
-
-    def test_span_propagation_across_workers(self, obs_pipeline, corpus):
-        tracer = Tracer()
-        with ShardedExecutor(
-            obs_pipeline, n_workers=2, chunk_size=40, min_parallel=0,
-            tracer=tracer,
-        ) as ex:
-            ex.classify_batch(corpus.texts[:120])
-        spans = tracer.finished
-        roots = [s for s in spans if s.name == "shard.classify_batch"]
-        workers = [s for s in spans if s.name == "shard.worker_chunk"]
-        assert len(roots) == 1
-        assert len(workers) == 3
-        root = roots[0]
-        assert {s.trace_id for s in spans} == {root.trace_id}
-        assert all(s.parent_id == root.span_id for s in workers)
-        assert all(s.end_s is not None for s in spans)
-        assert sum(s.attributes["n_messages"] for s in workers) == 120
-        hops = render_waterfall(spans).splitlines()[1:]
-        assert hops[0].split()[0] == "shard.classify_batch"
 
 
 # -- bind-once: a steady-state batch resolves nothing ------------------------
@@ -869,9 +803,9 @@ class TestBindOnce:
         assert wellknown.Bound(wellknown.stage_seconds, stage="x")(null) is null.histogram("x")
 
     def test_only_the_recipe_pickles(self, corpus, tmp_path):
-        """A pipeline that crosses a process boundary — pickled for a
-        spawned shard worker, or saved and loaded — carries no resolved
-        child: it binds in the registry of the process it lands in."""
+        """A pipeline that crosses a process boundary — pickled, or
+        saved and loaded — carries no resolved child: it binds in the
+        registry of the process it lands in."""
         from repro.core.serialize import load_pipeline, save_pipeline
 
         pipe = _cached_pipeline(corpus)
@@ -976,8 +910,7 @@ class TestMetricsPanel:
         assert "(no metrics)" in render_metrics_panel(MetricsRegistry())
 
 
-# keep the process-default tracer clean for other test modules: the
-# sharded tests above leave adopted spans in it otherwise
+# keep the process-default tracer clean for other test modules
 @pytest.fixture(autouse=True, scope="module")
 def _fresh_default_tracer():
     previous = set_default_tracer(Tracer())

@@ -5,9 +5,9 @@ the key is the exact masked text, and everything downstream of masking
 is a deterministic per-row function of it.  These tests pin that
 equivalence the adversarial way — arbitrary message mixes, cache sizes
 including 0 and 1, refits mid-sequence, poison fault injection (under
-the ``REPRO_CHAOS_SEED`` matrix), blacklist filtering, and the sharded
-executor — plus the LRU/eviction/invalidations unit behavior and the
-load-bearing identity: a key is ``MaskingNormalizer``'s masked line.
+the ``REPRO_CHAOS_SEED`` matrix) and blacklist filtering — plus the
+LRU/eviction/invalidations unit behavior and the load-bearing
+identity: a key is ``MaskingNormalizer``'s masked line.
 """
 
 from __future__ import annotations
@@ -296,22 +296,8 @@ class TestFingerprintExactness:
         assert _template_keys(texts, normalize=False) == list(texts)
 
 
-class TestSerialShardedParity:
-    """Per-worker caches must not change what the executor returns."""
-
-    def test_sharded_equals_serial(self, corpus, pool):
-        from repro.runtime import ShardedExecutor
-
-        msgs = [pool[i % 10] for i in range(1200)]
-        pipe = ClassificationPipeline(classifier=ComplementNB())
-        pipe.fit(corpus.texts, corpus.labels)
-        serial = pipe.classify_batch(msgs)
-        pipe.template_cache = TemplateCache(256)
-        with ShardedExecutor(
-            pipe, n_workers=2, chunk_size=300, min_parallel=0,
-        ) as ex:
-            sharded = ex.classify_batch(msgs)
-        assert sharded == serial
+class TestCacheMetrics:
+    """The cache's counters reach the registry."""
 
     def test_cache_metric_families_emitted(self, corpus, pool):
         from repro.obs import default_registry

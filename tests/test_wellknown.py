@@ -28,7 +28,7 @@ _FAMILY_NAME = re.compile(r"repro_[a-z0-9_]*[a-z0-9]")
 class TestCatalogue:
     def test_every_family_is_a_distinct_module_level_accessor(self):
         names = [family.name for family in wellknown.CATALOGUE]
-        assert len(set(names)) == len(names) == 90
+        assert len(set(names)) == len(names) == 83
         for family in wellknown.CATALOGUE:
             assert getattr(wellknown, family.accessor.__name__) is family.accessor
             assert family.accessor.__name__ in wellknown.__all__
@@ -68,19 +68,19 @@ class TestPanelSections:
         headers = re.findall(r"^-- (.+) --$", panel, flags=re.MULTILINE)
         assert headers == list(wellknown.SECTIONS)
 
-    def test_template_cache_and_executor_families_have_a_section(self):
+    def test_template_cache_and_faults_families_have_a_section(self):
         """The template-cache families the prefix table never knew about,
-        and the pool respawns the sharded executor counts."""
+        and the quarantines classify_batch counts."""
         registry = MetricsRegistry()
         wellknown.template_cache_size(registry).set(3, worker="7")
-        wellknown.faults_worker_respawns(registry).inc()
+        wellknown.faults_quarantined(registry).inc()
         registry.counter("jobs_total", "jobs").inc()
         sections = render_metrics_panel(registry).split("-- other --")
         assert len(sections) == 2, "an undeclared name still lands in 'other'"
         declared, other = sections
         assert "-- pipeline --" in declared and "-- faults --" in declared
         assert "repro_template_cache_size{worker=7}" in declared
-        assert "repro_faults_worker_respawns_total" in declared
+        assert "repro_faults_quarantined_total" in declared
         assert "jobs_total" in other and "repro_" not in other
 
 

@@ -21,13 +21,20 @@ wide margin; Complement NB tests fastest.
 wall-clock rankings on the small split the experiment tests use; it
 lives here, beside the timed figure, because a ranking of wall times
 is not a tier-1 gate.
+
+The figure's numbers are written to ``BENCH_fig3_classifiers.json``:
+per classifier ``weighted_f1``, ``train_s`` and ``test_s``, and beside
+them the TF-IDF ``fit_transform`` wall on the training split
+(``vectorize_train_s``) with the training rows and the distinct masked
+texts among them, the units that fit analyses.
 """
 
 import pytest
-from conftest import emit
+from conftest import emit, write_artifact
 
 from repro.experiments.classifiers import fig3_layout, run_classifier_comparison
 from repro.experiments.common import ExperimentData, format_table
+from repro.textproc.normalize import MaskingNormalizer
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +51,17 @@ def test_fig3_classifier_comparison(benchmark, bench_data):
         "Figure 3 — traditional classifiers (measured vs paper weighted F1)",
         format_table(*fig3_layout(rows)),
     )
+    write_artifact("fig3_classifiers", {
+        "classifiers": {
+            r.name: {"weighted_f1": r.weighted_f1, "train_s": r.train_s, "test_s": r.test_s}
+            for r in rows
+        },
+        "vectorize_train_s": bench_data.vectorize_train_s,
+        "train_rows": len(bench_data.train_texts),
+        "distinct_masked_train_texts": len(
+            set(MaskingNormalizer().normalize_many(bench_data.train_texts))
+        ),
+    })
 
     by = {r.name: r for r in rows}
     # accuracy shape

@@ -8,10 +8,9 @@ of :class:`DeadLetter` records, the oldest dropped (and counted) at an
 optional cap — because it must keep working while everything around it
 is failing.
 
-Queues travel across process boundaries (shard workers return their
-new entries by value so the parent can adopt them), so entries hold
-only picklable data: the payload, a string error, and a flat context
-dict.
+Entries hold only picklable data — the payload, a string error, and a
+flat context dict — so a queue pickles whole and persists as JSON
+lines.
 """
 
 from __future__ import annotations
@@ -106,9 +105,8 @@ class DeadLetterQueue:
     """Bounded capture of condemned messages (oldest evicted at cap).
 
     Every capture increments ``repro_faults_dead_letters_total{site=}``
-    in this process's registry — :meth:`extend` too, so captures adopted
-    from another queue are counted once, where they land.  The per-site
-    child and the eviction counter are bound once per registry
+    in this process's registry.  The per-site child and the eviction
+    counter are bound once per registry
     (:class:`~repro.obs.wellknown.Bound`): a capture is one append and
     one increment, and only the recipes travel when the queue is
     pickled.
@@ -121,8 +119,8 @@ class DeadLetterQueue:
     ``None`` (the default) keeps the queue unbounded.
 
     Sequence numbers are monotone over the queue's lifetime (they are
-    assigned at capture and never reused), so :meth:`since` keeps
-    returning exactly the post-cursor entries even after evictions.
+    assigned at capture and never reused), so the entries past a cursor
+    are exactly those whose ``seq`` exceeds it, evictions or not.
     """
 
     def __init__(self, *, max_entries: int | None = None, registry=None) -> None:
@@ -153,15 +151,6 @@ class DeadLetterQueue:
         self._count(site)
         return entry
 
-    def extend(self, entries) -> int:
-        """Adopt entries captured elsewhere (renumbered); returns count."""
-        n = 0
-        for e in entries:
-            self._append(e.site, e.payload, e.error, dict(e.context))
-            self._count(e.site)
-            n += 1
-        return n
-
     def _count(self, site: str) -> None:
         captured = self._m_captured.get(site)
         if captured is None:
@@ -182,17 +171,13 @@ class DeadLetterQueue:
             return snapshot
         return [e for e in snapshot if e.site == site]
 
-    def since(self, n: int) -> list[DeadLetter]:
-        """Entries with sequence number past ``n`` (the delta since a cursor)."""
-        return [e for e in self.entries() if e.seq > n]
-
     def restore(self, entries) -> int:
         """Adopt entries *without* counting them (checkpoint/file restore).
 
-        Unlike :meth:`extend`, the ``repro_faults_dead_letters_total``
-        counters are not incremented: these captures were already
-        counted when they happened, and the metrics snapshot travels
-        separately in the checkpoint.  Entries are renumbered to stay
+        The ``repro_faults_dead_letters_total`` counters are not
+        incremented: these captures were already counted when they
+        happened, and the metrics snapshot travels separately in the
+        checkpoint.  Entries are renumbered to stay
         consistent with any existing contents.
         """
         n = 0

@@ -25,7 +25,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "tokenize": ("tokenize", "Tokenizer"),
     "normalize": ("normalize_message", "MaskingNormalizer"),
     "lemmatize": ("Lemmatizer",),
-    "vocab": ("Vocabulary", "build_vocabulary"),
+    "vocab": ("Vocabulary", "vocabulary_from_df"),
     "tfidf": ("TfidfVectorizer", "HashingVectorizer", "category_top_tokens"),
     "drain": ("DrainTemplateMiner", "LogTemplate"),
     "distance": ("levenshtein", "levenshtein_within", "hamming"),

@@ -29,7 +29,7 @@ from repro.ml.base import CsrRows
 from repro.textproc.lemmatize import Lemmatizer
 from repro.textproc.normalize import MaskingNormalizer
 from repro.textproc.tokenize import Tokenizer
-from repro.textproc.vocab import Vocabulary, build_vocabulary
+from repro.textproc.vocab import Vocabulary, vocabulary_from_df
 
 __all__ = ["HashingVectorizer", "TfidfVectorizer", "category_top_tokens"]
 
@@ -49,7 +49,7 @@ class TfidfVectorizer:
     sublinear_tf:
         Use ``1 + log(tf)`` instead of raw counts.
     min_df, max_df_ratio, max_features:
-        Vocabulary pruning (see :func:`repro.textproc.vocab.build_vocabulary`).
+        Vocabulary pruning (see :func:`repro.textproc.vocab.vocabulary_from_df`).
     l2_normalize:
         L2-normalize rows of the output matrix.
     """
@@ -124,38 +124,68 @@ class TfidfVectorizer:
                 )
         return out
 
+    def _analyze_distinct(self, messages: Sequence[str]) -> tuple[list[list[str]], list[int]]:
+        """Mask ``messages``, then run the rest of the chain once per
+        distinct masked text: the token documents in first-seen order,
+        and for each message the index of its document."""
+        texts = list(messages)
+        if self._normalizer is not None:
+            texts = self._normalizer.normalize_many(texts)
+        first: dict[str, int] = {}
+        inverse = [first.setdefault(text, len(first)) for text in texts]
+        return self.analyze_masked(list(first)), inverse
+
     # -- fitting -------------------------------------------------------
 
     def fit(self, messages: Sequence[str]) -> "TfidfVectorizer":
-        """Learn vocabulary and IDF weights from ``messages``."""
-        docs = self.analyze_batch(messages)
-        self.vocabulary = build_vocabulary(
-            docs,
+        """Learn vocabulary and IDF weights from ``messages``.
+
+        Each distinct masked text is analyzed once and counts in the
+        document frequencies as many times as it occurs, so a corpus of
+        repeated templates fits the model its rows one by one would."""
+        self._fit_distinct(*self._analyze_distinct(messages))
+        return self
+
+    def _fit_distinct(self, docs: Sequence[Sequence[str]], inverse: Sequence[int]) -> None:
+        """Vocabulary and IDF of the corpus whose row ``i`` is
+        ``docs[inverse[i]]``: document frequencies are summed once, in
+        exact integers, from each distinct document times its count."""
+        repeats = Counter(inverse)
+        df: Counter[str] = Counter()
+        for i, doc in enumerate(docs):
+            repeat = repeats[i]
+            for token in set(doc):
+                df[token] += repeat
+        self.vocabulary = vocabulary_from_df(
+            df,
+            len(inverse),
             min_df=self.min_df,
             max_df_ratio=self.max_df_ratio,
             max_size=self.max_features,
         )
-        # a row lists each of its columns once, so a column's document
-        # frequency is the number of times it is listed
-        _counts, indices, _indptr = self._count_rows(docs)
-        df = np.bincount(np.asarray(indices, dtype=np.intp), minlength=len(self.vocabulary))
-        self.idf_ = np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
-        return self
+        df_columns = np.array([df[t] for t in self.vocabulary.tokens], dtype=np.int64)
+        self.idf_ = np.log((1.0 + len(inverse)) / (1.0 + df_columns)) + 1.0
 
     def fit_transform(self, messages: Sequence[str]) -> CsrRows:
-        """Fit on ``messages`` and return their TF-IDF matrix."""
-        self.fit(messages)
-        return self.transform(messages)
+        """Fit on ``messages`` and return their TF-IDF matrix, analyzing,
+        counting and weighting each distinct masked text once."""
+        docs, inverse = self._analyze_distinct(messages)
+        self._fit_distinct(docs, inverse)
+        return _scatter(self.transform_analyzed(docs), inverse)
 
     def transform(self, messages: Sequence[str]) -> CsrRows:
         """Vectorize ``messages`` with the fitted vocabulary/IDF.
+
+        Each distinct masked text is analyzed, counted and weighted once;
+        its row is then copied to every message that masks to it.
 
         Raises
         ------
         RuntimeError
             If called before :meth:`fit`.
         """
-        return self.transform_analyzed(self.analyze_batch(messages))
+        docs, inverse = self._analyze_distinct(messages)
+        return _scatter(self.transform_analyzed(docs), inverse)
 
     def transform_analyzed(self, docs: Sequence[Sequence[str]]) -> CsrRows:
         """Vectorize pre-analyzed token documents (the weighting half of
@@ -233,6 +263,23 @@ class TfidfVectorizer:
         return self.vocabulary.tokens
 
 
+def _scatter(rows: CsrRows, inverse: Sequence[int]) -> CsrRows:
+    """Lay ``rows`` out again, in place, so that row ``i`` is the old
+    row ``inverse[i]``: every copy of a row holds its arrays' very
+    values, so the batch still costs one :class:`CsrRows`.  An
+    ``inverse`` with no repeat is first-seen order, the identity."""
+    if len(inverse) == rows.shape[0]:
+        return rows
+    source = np.asarray(inverse, dtype=np.intp)
+    lengths = np.diff(rows.indptr)[source]
+    indptr = np.zeros(len(source) + 1, dtype=rows.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(rows.indptr[source] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    rows.data, rows.indices, rows.indptr = rows.data[take], rows.indices[take], indptr
+    rows.shape = (len(source), rows.shape[1])
+    return rows
+
+
 #: bound the token→column memo so adversarial streams (unbounded
 #: distinct slot values) cannot grow it without limit; a full memo is
 #: cleared, never closed to new entries, so a vocabulary shift cannot
@@ -274,6 +321,9 @@ class HashingVectorizer(TfidfVectorizer):
     def fit(self, messages: Sequence[str]) -> "HashingVectorizer":
         """No-op (hashing needs no vocabulary); returns ``self``."""
         return self
+
+    def _fit_distinct(self, docs: Sequence[Sequence[str]], inverse: Sequence[int]) -> None:
+        """Nothing to learn."""
 
     def transform_analyzed(self, docs: Sequence[Sequence[str]]) -> CsrRows:
         """Vectorize pre-analyzed token documents via hashed columns."""

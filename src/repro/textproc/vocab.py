@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-__all__ = ["Vocabulary", "build_vocabulary"]
+__all__ = ["Vocabulary", "vocabulary_from_df"]
 
 
 @dataclass
 class Vocabulary:
     """An immutable token → column-index mapping.
 
-    Built by :func:`build_vocabulary` or from an explicit token list.
+    Built by :func:`vocabulary_from_df` or from an explicit token list.
     Iteration order is the index order.
     """
 
@@ -44,19 +44,22 @@ class Vocabulary:
         return self.tokens[idx]
 
 
-def build_vocabulary(
-    documents: Iterable[Sequence[str]],
+def vocabulary_from_df(
+    df: Mapping[str, int],
+    n_docs: int,
     *,
     min_df: int = 1,
     max_df_ratio: float = 1.0,
     max_size: int | None = None,
 ) -> Vocabulary:
-    """Build a vocabulary from tokenized documents.
+    """Build a vocabulary from document frequencies.
 
     Parameters
     ----------
-    documents:
-        Iterable of token sequences.
+    df:
+        Token → number of documents holding it.
+    n_docs:
+        Documents in the corpus ``df`` was counted over.
     min_df:
         Keep tokens appearing in at least this many documents.
     max_df_ratio:
@@ -70,11 +73,6 @@ def build_vocabulary(
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     if not 0.0 < max_df_ratio <= 1.0:
         raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
-    df: Counter[str] = Counter()
-    n_docs = 0
-    for doc in documents:
-        n_docs += 1
-        df.update(set(doc))
     max_df = max_df_ratio * n_docs
     kept = [(t, c) for t, c in df.items() if c >= min_df and c <= max_df]
     kept.sort(key=lambda tc: (-tc[1], tc[0]))

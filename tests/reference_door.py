@@ -286,15 +286,6 @@ class ReferenceDeadLetterQueue(DeadLetterQueue):
         self._count(site, 1)
         return entry
 
-    def extend(self, entries) -> int:
-        """Adopt entries captured elsewhere (renumbered); returns count."""
-        n = 0
-        for e in entries:
-            self._append(e.site, e.payload, e.error, dict(e.context))
-            self._count(e.site, 1)
-            n += 1
-        return n
-
     def _count(self, site: str, n: int) -> None:
         from repro.obs import wellknown
 

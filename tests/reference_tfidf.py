@@ -15,18 +15,84 @@ Used by ``test_tfidf.py`` (every array of the new matrix equal to the
 old one's, ``decision_function`` bit for bit), by
 ``test_perf_smoke.py::TestSmallBatchFloors`` and by
 ``benchmarks/bench_runtime_scaling.py`` (the cost beside it).
+
+``reference_fit``, ``reference_transform`` and ``reference_fit_transform``
+are the per-row ``fit``/``transform``/``fit_transform`` that analysed,
+counted and weighted every message, repeats included, and computed each
+token's document frequency twice (``build_vocabulary``, kept here whole,
+then a ``bincount`` over the counted rows): the oracle for the
+vectorizer that analyses each distinct masked text once.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.textproc.tfidf import HashingVectorizer, TfidfVectorizer
+from repro.textproc.vocab import Vocabulary
+
+
+def build_vocabulary(
+    documents: Iterable[Sequence[str]],
+    *,
+    min_df: int = 1,
+    max_df_ratio: float = 1.0,
+    max_size: int | None = None,
+) -> Vocabulary:
+    """The vocabulary ``fit`` built from every analysed row, counting
+    each token's document frequency itself."""
+    if min_df < 1:
+        raise ValueError(f"min_df must be >= 1, got {min_df}")
+    if not 0.0 < max_df_ratio <= 1.0:
+        raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
+    df: Counter[str] = Counter()
+    n_docs = 0
+    for doc in documents:
+        n_docs += 1
+        df.update(set(doc))
+    max_df = max_df_ratio * n_docs
+    kept = [(t, c) for t, c in df.items() if c >= min_df and c <= max_df]
+    kept.sort(key=lambda tc: (-tc[1], tc[0]))
+    if max_size is not None:
+        kept = kept[:max_size]
+    # Final ordering alphabetical for stable column layout.
+    tokens = tuple(sorted(t for t, _ in kept))
+    return Vocabulary(tokens)
+
+
+def reference_fit(vec: TfidfVectorizer, messages: Sequence[str]) -> TfidfVectorizer:
+    """``vec.fit(messages)`` by the per-row implementation."""
+    if isinstance(vec, HashingVectorizer):
+        return vec  # hashing learns nothing
+    docs = vec.analyze_batch(messages)
+    vec.vocabulary = build_vocabulary(
+        docs,
+        min_df=vec.min_df,
+        max_df_ratio=vec.max_df_ratio,
+        max_size=vec.max_features,
+    )
+    # a row lists each of its columns once, so a column's document
+    # frequency is the number of times it is listed
+    _counts, indices, _indptr = vec._count_rows(docs)
+    df = np.bincount(np.asarray(indices, dtype=np.intp), minlength=len(vec.vocabulary))
+    vec.idf_ = np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
+    return vec
+
+
+def reference_fit_transform(vec: TfidfVectorizer, messages: Sequence[str]):
+    """``vec.fit_transform(messages)`` by the per-row implementation."""
+    reference_fit(vec, messages)
+    return reference_transform(vec, messages)
+
+
+def reference_transform(vec: TfidfVectorizer, messages: Sequence[str]):
+    """``vec.transform(messages)`` by the per-row implementation."""
+    return vec.transform_analyzed(vec.analyze_batch(messages))
 
 
 def reference_transform_analyzed(

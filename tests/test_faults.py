@@ -189,18 +189,20 @@ class TestDeadLetterQueue:
         assert dlq.entries("a.site")[0].context == {"batch_index": 3}
         assert dlq.counts_by_site() == {"a.site": 1, "b.site": 1}
 
-    def test_extend_renumbers_and_counts(self):
+    def test_restore_renumbers_without_counting(self):
         with use_registry(MetricsRegistry()) as reg:
-            # src plays the shard worker: its registry is invisible to
-            # the parent, so only extend() counts into ours
+            # src counts its captures into its own registry; adopting
+            # them renumbers them here and counts nothing twice
             src = DeadLetterQueue(registry=MetricsRegistry())
             dst = DeadLetterQueue()
             dst.push("x", "p0", "e0")
             src.push("y", "p1", "e1")
             src.push("y", "p2", "e2")
-            assert dst.extend(src.since(0)) == 2
+            assert dst.restore(src.entries()) == 2
             assert [e.seq for e in dst] == [1, 2, 3]
-            assert wellknown.faults_dead_letters(reg).value(site="y") == 2
+            assert [e.payload for e in dst.entries("y")] == ["p1", "p2"]
+            assert wellknown.faults_dead_letters(reg).value(site="x") == 1
+            assert wellknown.faults_dead_letters(reg).value(site="y") == 0
 
 
 # -- pipeline poison quarantine --------------------------------------------

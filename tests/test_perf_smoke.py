@@ -151,29 +151,30 @@ class TestScalingSmoke:
 
     def test_tfidf_vectorize_thousands(self, corpus, monkeypatch):
         """``fit_transform`` over the corpus builds one ``CsrRows`` and
-        analyses each text twice (fit, then transform), however many
-        rows there are.  The wall-clock budget this was is
+        analyses each distinct masked text once, however many rows
+        there are.  The wall-clock budget this was is
         ``benchmarks/bench_scaling_smoke.py``."""
         from repro.ml.base import CsrRows
 
         built, analysed = [], []
-        init, analyze_batch = CsrRows.__init__, TfidfVectorizer.analyze_batch
+        init, analyze_masked = CsrRows.__init__, TfidfVectorizer.analyze_masked
 
         def counting_init(matrix, *args, **kwargs):
             built.append(1)
             init(matrix, *args, **kwargs)
 
-        def counting_analyze_batch(vectorizer, messages):
-            messages = list(messages)
-            analysed.append(len(messages))
-            return analyze_batch(vectorizer, messages)
+        def counting_analyze_masked(vectorizer, masked):
+            masked = list(masked)
+            analysed.append(len(masked))
+            return analyze_masked(vectorizer, masked)
 
         monkeypatch.setattr(CsrRows, "__init__", counting_init)
-        monkeypatch.setattr(TfidfVectorizer, "analyze_batch", counting_analyze_batch)
+        monkeypatch.setattr(TfidfVectorizer, "analyze_masked", counting_analyze_masked)
         matrix = TfidfVectorizer(max_features=2000).fit_transform(corpus.texts)
         assert matrix.shape[0] == len(corpus.texts)
         assert len(built) == 1
-        assert sum(analysed) <= 2 * len(corpus.texts), analysed
+        distinct = len(set(MaskingNormalizer().normalize_many(corpus.texts)))
+        assert analysed == [distinct] and distinct < len(corpus.texts), analysed
 
     def test_event_engine_throughput(self, monkeypatch):
         """50,000 events on 100 distinct times: one ``heappush`` and one
@@ -1112,7 +1113,8 @@ class TestFrontDoorFloors:
                 assert warm == ((3, 3) if cap else (2, 2))
                 for i in range(50):
                     queue.push("ingest.parse" if i % 2 else "ingest.publish", i, "e", k=i)
-                queue.extend(queue.entries()[-2:])
+                for entry in queue.entries()[-2:]:  # a re-capture of a captured entry
+                    queue.push(entry.site, entry.payload, entry.error, **entry.context)
                 assert (calls.get_or_creates, calls.labels) == warm
                 assert queue.n_evicted == (54 if cap else 0)
                 old = ReferenceDeadLetterQueue(max_entries=cap, registry=MetricsRegistry())
@@ -1415,3 +1417,37 @@ class TestLineBytes:
         _by_layer, by_site = kept
         per_line = {site: n / self.N for site, n in by_site.items() if n >= 0.9 * self.N}
         assert not per_line, f"objects a line by allocation site: {per_line}"
+
+
+class TestFitPerTemplate:
+    def test_pipeline_fit_analyses_and_counts_each_masked_text_once(self, monkeypatch):
+        """A pipeline fit lemmatizes and counts each distinct masked
+        training text once: 1,066 documents each on the 9,826-line
+        corpus, where analysing every row for the vocabulary and again
+        for the matrix read 19,652 each.  The wall-clock twin is the
+        spine's ``setup_s`` on ``cold_templates`` (EXPERIMENTS.md, "Fit
+        per template")."""
+        from repro.core.pipeline import ClassificationPipeline
+        from repro.datagen.generator import CorpusGenerator
+        from repro.ml import ComplementNB
+
+        corpus = CorpusGenerator(scale=0.05, seed=0).generate()
+        lemmatized, counted_rows = [], []
+        lemmatize_docs, count_rows = Lemmatizer.lemmatize_docs, TfidfVectorizer._count_rows
+
+        def counting_lemmatize_docs(lemmatizer, docs):
+            out = lemmatize_docs(lemmatizer, docs)
+            lemmatized.append(len(out))
+            return out
+
+        def counting_count_rows(vectorizer, docs):
+            counted_rows.append(len(docs))
+            return count_rows(vectorizer, docs)
+
+        monkeypatch.setattr(Lemmatizer, "lemmatize_docs", counting_lemmatize_docs)
+        monkeypatch.setattr(TfidfVectorizer, "_count_rows", counting_count_rows)
+        pipe = ClassificationPipeline(vectorizer=TfidfVectorizer(), classifier=ComplementNB())
+        pipe.fit(corpus.texts, corpus.labels)
+        assert len(corpus.texts) == 9_826
+        assert sum(lemmatized) == 1_066, lemmatized
+        assert sum(counted_rows) == 1_066, counted_rows

@@ -7,7 +7,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from reference_tfidf import reference_idf, reference_transform_analyzed
+from reference_tfidf import (
+    reference_fit,
+    reference_fit_transform,
+    reference_idf,
+    reference_transform,
+    reference_transform_analyzed,
+)
 from repro.core.taxonomy import Category
 from repro.ml import ComplementNB
 from repro.ml.base import CsrRows
@@ -318,3 +324,123 @@ class TestEqualsReplacedImplementation:
                     vec.transform_analyzed(chunk).to_scipy(),
                     reference_transform_analyzed(vec, chunk),
                 )
+
+
+# -- one analysis per distinct masked text -----------------------------------
+#
+# ``fit``, ``transform`` and ``fit_transform`` analyse, count and weight each
+# distinct masked text once and copy its row to every repeat; the per-row
+# bodies they replaced live on in ``reference_tfidf.py``.
+
+#: message shapes whose numbers the masker replaces, so two lines that
+#: differ only in those digits are one masked text
+_TEMPLATES = [
+    "CPU{0} temperature above threshold, cpu clock throttled",
+    "Connection closed by 10.0.{0}.{1} port {2} [preauth]",
+    "Out of memory: Killed process {0} (java) total-vm:{1}kB",
+    "usb 1-{0}: new high-speed USB device number {1} using xhci_hcd",
+    "fan {0} error on cpu socket {1}",
+    "session opened for user root by (uid={0})",
+    "mounted filesystems: the disks are mounting",
+    "",
+    "   ",
+]
+_line = st.builds(
+    lambda template, numbers: template.format(*numbers),
+    st.sampled_from(_TEMPLATES),
+    st.lists(st.integers(0, 99_999), min_size=3, max_size=3),
+)
+
+
+@st.composite
+def _corpus(draw):
+    """A few lines drawn, then repeated verbatim or beside digit twins."""
+    pool = draw(st.lists(_line, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool) | _line, max_size=40))
+
+
+_OPTIONS = {
+    "defaults": {},
+    "bigrams": {"ngram_range": (1, 2)},
+    "no-masking": {"normalize": False},
+    "no-lemmas": {"lemmatize": False},
+    "sublinear": {"sublinear_tf": True},
+    "min-df-2": {"min_df": 2},
+    "max-df-ratio": {"max_df_ratio": 0.6},
+    "max-features": {"max_features": 5},
+    "hashing": {"n_features": 1 << 7},
+}
+
+
+def _pair(name):
+    options = _OPTIONS[name]
+    cls = HashingVectorizer if "n_features" in options else TfidfVectorizer
+    return cls(**options), cls(**options)
+
+
+def _assert_same_rows(got: CsrRows, want: CsrRows):
+    # the CsrRows arrays themselves: scipy may recast index dtypes
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+def _assert_same_model(got, want):
+    if isinstance(want, HashingVectorizer):
+        assert got.vocabulary is want.vocabulary is None
+        return
+    assert got.vocabulary.tokens == want.vocabulary.tokens
+    assert got.idf_.dtype == want.idf_.dtype
+    assert np.array_equal(got.idf_, want.idf_)
+
+
+class TestEqualsPerRowFit:
+    @pytest.mark.parametrize("name", list(_OPTIONS))
+    @given(train=_corpus(), batch=_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_model_and_rows_bit_for_bit(self, name, train, batch):
+        vec, ref = _pair(name)
+        got = vec.fit_transform(train)
+        want = reference_fit_transform(ref, train)
+        _assert_same_model(vec, ref)
+        _assert_same_rows(got, want)
+        _assert_same_rows(vec.transform(batch), reference_transform(ref, batch))
+        if got.shape[0] >= 2 and got.shape[1]:  # two classes and a column to fit
+            y = np.arange(got.shape[0]) % 3
+            assert np.array_equal(
+                ComplementNB().fit(got, y).feature_log_prob_,
+                ComplementNB().fit(want, y).feature_log_prob_,
+            )
+
+    @pytest.mark.parametrize("name", list(_OPTIONS))
+    @given(train=_corpus())
+    @settings(max_examples=10, deadline=None)
+    def test_fit_alone_learns_the_same_model(self, name, train):
+        vec, ref = _pair(name)
+        assert vec.fit(train) is vec
+        _assert_same_model(vec, reference_fit(ref, train))
+
+    @pytest.mark.parametrize("name", ["defaults", "hashing"])
+    @pytest.mark.parametrize("texts", [[], ["", "  ", "\t"]], ids=["empty-list", "all-blank"])
+    def test_named_edge_cases(self, name, texts):
+        vec, ref = _pair(name)
+        _assert_same_rows(vec.fit_transform(texts), reference_fit_transform(ref, texts))
+        _assert_same_model(vec, ref)
+        _assert_same_rows(vec.transform(texts), reference_transform(ref, texts))
+
+    def test_transform_before_fit_raises_the_same_error(self):
+        vec, ref = _pair("defaults")
+        with pytest.raises(RuntimeError) as got:
+            vec.transform(DOCS)
+        with pytest.raises(RuntimeError) as want:
+            reference_transform(ref, DOCS)
+        assert str(got.value) == str(want.value)
+
+    def test_corpus_model_and_rows(self, corpus):
+        vec, ref = _pair("defaults")
+        _assert_same_rows(
+            vec.fit_transform(corpus.texts), reference_fit_transform(ref, corpus.texts)
+        )
+        _assert_same_model(vec, ref)

@@ -1,9 +1,17 @@
 """Unit tests for vocabulary construction."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.textproc.vocab import Vocabulary, build_vocabulary
+from repro.textproc.vocab import Vocabulary, vocabulary_from_df
+
+
+def build_vocabulary(docs, **options):
+    """``vocabulary_from_df`` over the document frequencies of ``docs``."""
+    df = Counter(token for doc in docs for token in set(doc))
+    return vocabulary_from_df(df, len(docs), **options)
 
 
 class TestVocabulary:

@@ -15,7 +15,7 @@ Subcommands
 ``simulate``   run the Tivan stream simulation (``--wal-dir`` = durable)
 ``listen``     bind a real UDP/TCP syslog listener feeding the broker
 ``recover``    resume a killed durable simulation from its WAL directory
-``trace``      render cross-hop trace waterfalls (checkpoint or live server)
+``trace``      render cross-hop trace waterfalls (durable run or live server)
 
 Example
 -------
@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("snapshot",
                    help="snapshot file (.prom/.txt Prometheus text, "
                         "or the JSON form), a durable-run WAL "
-                        "directory (renders the newest checkpoint's "
-                        "embedded metrics), or the http://host:port "
+                        "directory (renders its telemetry.json, "
+                        "rewritten at each checkpoint), or the http://host:port "
                         "URL of a --metrics-port ops server")
     p.add_argument("--watch", type=_positive_int, default=None, metavar="N",
                    help="re-read the source and re-render every N "
@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="32-hex trace id to render (default: list the "
                         "traces the source holds)")
     p.add_argument("--wal-dir", type=Path, default=None,
-                   help="durable-run WAL directory; spans come from the "
-                        "newest checkpoint (run with --trace-sample > 0)")
+                   help="durable-run WAL directory; spans come from its "
+                        "telemetry.json (run with --trace-sample > 0)")
     p.add_argument("--url", default=None,
                    help="http://host:port of a running --metrics-port "
                         "ops server (fetches /trace endpoints)")
@@ -556,6 +556,17 @@ def _http_get(url: str) -> str:
         raise SystemExit(f"{url}: {e}")
 
 
+def _load_telemetry(wal_dir: Path) -> tuple[dict, Path]:
+    """The telemetry a durable run writes beside each checkpoint, and its path."""
+    from repro.durability.checkpoint import TELEMETRY_FILENAME, load_telemetry
+
+    path = wal_dir / TELEMETRY_FILENAME
+    telemetry = load_telemetry(wal_dir)
+    if telemetry is None:
+        raise SystemExit(f"{path}: missing or unreadable (written at each checkpoint)")
+    return telemetry, path
+
+
 def _render_metrics_source(source: str) -> str:
     """One metrics render from a file, WAL directory, or ops URL."""
     from repro.monitor.dashboard import render_metrics_panel
@@ -570,14 +581,8 @@ def _render_metrics_source(source: str) -> str:
     if not path.exists():
         raise SystemExit(f"{path}: no such snapshot file")
     if path.is_dir():
-        # a durable-run WAL directory: render the metrics snapshot the
-        # newest valid checkpoint carries
-        from repro.durability import load_latest_checkpoint
-
-        payload, ckpt = load_latest_checkpoint(path)
-        if payload is None:
-            raise SystemExit(f"{path}: no valid checkpoint in directory")
-        return render_metrics_panel(payload["metrics"], title=str(ckpt))
+        telemetry, path = _load_telemetry(path)
+        return render_metrics_panel(telemetry["metrics"], title=str(path))
     try:
         snapshot = load_snapshot(path)
     except ValueError as e:
@@ -1025,7 +1030,7 @@ def _print_trace_index(index: list, *, limit: int) -> None:
 
 
 def _cmd_trace(args) -> int:
-    """Render trace waterfalls from a checkpoint or a live ops server."""
+    """Render trace waterfalls from a durable run or a live ops server."""
     from repro.obs import Tracer, render_waterfall
 
     if (args.wal_dir is None) == (args.url is None):
@@ -1041,17 +1046,10 @@ def _cmd_trace(args) -> int:
                                limit=args.limit)
         return 0
 
-    from repro.durability import load_latest_checkpoint
-
-    payload, path = load_latest_checkpoint(args.wal_dir)
-    if payload is None:
-        raise SystemExit(f"{args.wal_dir}: no valid checkpoint in directory")
-    spans = payload.get("spans") or []
+    telemetry, path = _load_telemetry(args.wal_dir)
+    spans = telemetry.get("spans") or []
     if not spans:
-        raise SystemExit(
-            f"{path}: checkpoint carries no trace spans "
-            f"(simulate with --trace-sample > 0)"
-        )
+        raise SystemExit(f"{path}: no trace spans (simulate with --trace-sample > 0)")
     tracer = Tracer()
     tracer.adopt(spans)
     traces = tracer.traces()

@@ -10,7 +10,8 @@ effectively-exactly-once guarantee:
   recovery, ``always|batch|off`` fsync policies; reads stream a record
   at a time through a :class:`WalRecords` view),
 - :mod:`repro.durability.checkpoint` — atomic temp-then-rename
-  snapshots that bound WAL replay,
+  snapshots of state that bound WAL replay, and the ``telemetry.json``
+  written beside them,
 - :mod:`repro.durability.recovery` — the :class:`StreamJournal` that
   logs every message transition write-ahead, checkpoint
   payloads, :class:`SimConfig` → :func:`build_cluster` (the one cluster
@@ -24,7 +25,8 @@ from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "checkpoint": (
-        "checkpoint_paths", "load_checkpoint", "load_latest_checkpoint", "write_checkpoint",
+        "checkpoint_paths", "load_checkpoint", "load_latest_checkpoint", "load_telemetry",
+        "write_checkpoint", "write_telemetry",
     ),
     "harness": ("child_main", "crash_recovery_scenario", "run_child"),
     "recovery": (

@@ -7,6 +7,14 @@ things worse, so writes are atomic (write temp, fsync, rename — a
 crash mid-checkpoint leaves the previous one untouched) and loads are
 defensive (corrupt or torn snapshots are skipped, falling back to the
 next-newest, then to pure WAL replay).
+
+A checkpoint holds state only, so one run's checkpoints are the same
+bytes every time it is run.  The process's telemetry — the metrics
+registry and the finished trace spans — goes to one sibling file,
+``telemetry.json``, rewritten after each checkpoint for
+``repro-syslog metrics``/``trace`` and for the trace hops a resumed
+process adopts.  Recovery never reads it: a lost or torn one costs
+trace hops only, so it is neither fsynced nor checksummed.
 """
 
 from __future__ import annotations
@@ -21,12 +29,16 @@ __all__ = [
     "checkpoint_paths",
     "load_checkpoint",
     "load_latest_checkpoint",
+    "load_telemetry",
     "write_checkpoint",
+    "write_telemetry",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 _CHECKPOINT_GLOB = "checkpoint-*.json"
+
+TELEMETRY_FILENAME = "telemetry.json"
 
 
 def _canonical(payload: dict) -> str:
@@ -119,3 +131,28 @@ def load_latest_checkpoint(
         if payload is not None:
             return payload, path
     return None, None
+
+
+def write_telemetry(directory: str | Path) -> None:
+    """Replace ``directory``'s ``telemetry.json`` with the process's
+    registry (every declared family) and finished spans."""
+    from repro.obs import default_tracer
+    from repro.obs.wellknown import declare_all
+
+    directory = Path(directory)
+    tmp = directory / f".{TELEMETRY_FILENAME}.tmp"
+    tmp.write_text(json.dumps({
+        "metrics": declare_all().snapshot(),
+        "spans": default_tracer().export(clear=False),
+    }))
+    os.replace(tmp, directory / TELEMETRY_FILENAME)
+
+
+def load_telemetry(directory: str | Path) -> dict | None:
+    """``directory``'s ``telemetry.json`` (``metrics``, ``spans``), or
+    None if it is missing or unparsable."""
+    try:
+        doc = json.loads((Path(directory) / TELEMETRY_FILENAME).read_text())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None

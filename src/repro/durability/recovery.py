@@ -54,7 +54,9 @@ from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
-from repro.durability.checkpoint import load_latest_checkpoint, write_checkpoint
+from repro.durability.checkpoint import (
+    load_latest_checkpoint, load_telemetry, write_checkpoint, write_telemetry,
+)
 from repro.durability.wal import (
     JsonText,
     WalRecord,
@@ -653,10 +655,8 @@ class SimConfig:
 
 
 def build_checkpoint_payload(cluster) -> dict:
-    """Snapshot a running durable cluster as a JSON-ready payload."""
+    """Snapshot a running durable cluster's state as a JSON-ready payload."""
     from repro.faults.dlq import entry_to_dict
-    from repro.obs import default_registry, default_tracer
-    from repro.obs.wellknown import declare_all
 
     journal = cluster.journal
     stage = cluster._stage
@@ -664,7 +664,6 @@ def build_checkpoint_payload(cluster) -> dict:
     for doc in cluster.store.iter_documents():
         if doc.category is not None:
             categories[str(doc.doc_id)] = doc.category.value
-    declare_all()
     return {
         "sim_time": cluster.engine.now,
         "last_wal_seq": journal.wal.last_seq,
@@ -681,10 +680,6 @@ def build_checkpoint_payload(cluster) -> dict:
             "categories": categories,
             "dlq": [entry_to_dict(e) for e in cluster.forwarder.dead_letters],
         },
-        "metrics": default_registry().snapshot(),
-        # hop spans accumulate across generations: each resumed child
-        # re-adopts them, so one trace survives any number of SIGKILLs
-        "spans": default_tracer().export(clear=False),
     }
 
 
@@ -693,17 +688,19 @@ def checkpoint_cluster(cluster, *, crash_hook=None) -> Path:
 
     Pending accepts are group-committed and the WAL fsynced first, so
     the checkpoint never claims a ``last_wal_seq`` the log might lose
-    and never snapshots state the log has not yet seen.
+    and never snapshots state the log has not yet seen.  The telemetry
+    file follows it; its spans accumulate across generations, so one
+    trace survives any number of SIGKILLs.
     """
     journal = cluster.journal
     journal.flush_pending()
-    journal.wal.sync()
-    return write_checkpoint(
-        journal.wal.directory,
-        build_checkpoint_payload(cluster),
-        seq=journal.wal.last_seq,
-        crash_hook=crash_hook,
+    wal = journal.wal
+    wal.sync()
+    path = write_checkpoint(
+        wal.directory, build_checkpoint_payload(cluster), seq=wal.last_seq, crash_hook=crash_hook,
     )
+    write_telemetry(wal.directory)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -846,20 +843,20 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
 
     Restore order matters: the WAL opens first (repairing any torn
     tail), the journal state is rebuilt (checkpoint + replay), the
-    checkpoint's metrics and spans are restored *before*
-    :func:`build_cluster` binds the controller (so its setpoint/ladder
-    gauges are not clobbered; a view reads its owner, not the checkpoint),
-    the store/forwarder/stats are
+    store/forwarder/stats are
     reconstructed *from the journal* — the single source of truth for
     dispositions; checkpoint counters only seed the cosmetic fields
     replay cannot see (batch counts, peak buffer) — the in-flight
     buffer is requeued to the broker, and finally the trace is
-    regenerated and republished minus the identities seen.
+    regenerated and republished minus the identities seen.  Metrics
+    restart with the process (a counter reads the owner this rebuilds);
+    the earlier generations' hop spans are adopted from
+    ``telemetry.json``, so one trace spans every pid that carried it.
     """
     from repro.core.message import SyslogMessage
     from repro.core.taxonomy import Category
     from repro.faults.dlq import DeadLetter, entry_from_dict
-    from repro.obs import default_tracer, restore_snapshot
+    from repro.obs import default_tracer
 
     wal_dir = Path(wal_dir)
     saved = config is None
@@ -877,11 +874,9 @@ def resume_simulation(wal_dir: str | Path, *, injector=None, config=None):
         # the regenerated trace (same config, same seed, same message)
         return msg if msg is not None else events[event].message
 
-    if checkpoint is not None:
-        restore_snapshot(checkpoint["metrics"])
-        # re-adopt the previous generations' hop spans so this
-        # process's tracer holds the full cross-crash traces
-        default_tracer().adopt(checkpoint.get("spans") or [])
+    telemetry = load_telemetry(wal_dir)
+    if telemetry is not None:
+        default_tracer().adopt(telemetry.get("spans") or [])
     journal = StreamJournal(wal, injector=injector, state=state)
     cluster = build_cluster(config, injector=injector, journal=journal)
     if not saved:

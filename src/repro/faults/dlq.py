@@ -8,17 +8,15 @@ of :class:`DeadLetter` records, the oldest dropped (and counted) at an
 optional cap — because it must keep working while everything around it
 is failing.
 
-Entries hold only picklable data — the payload, a string error, and a
-flat context dict — so a queue pickles whole and persists as JSON
-lines.
+Entries hold only plain data — the payload, a string error, and a
+flat context dict — so a checkpoint carries them as JSON
+(:func:`entry_to_dict`).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.obs import wellknown
 
@@ -104,19 +102,19 @@ class DeadLetter:
 class DeadLetterQueue:
     """Bounded capture of condemned messages (oldest evicted at cap).
 
-    Every capture increments ``repro_faults_dead_letters_total{site=}``
-    in this process's registry.  The per-site child and the eviction
-    counter are bound once per registry
-    (:class:`~repro.obs.wellknown.Bound`): a capture is one append and
-    one increment, and only the recipes travel when the queue is
-    pickled.
+    The queue counts its own captures per site in :attr:`captured`;
+    ``repro_faults_dead_letters_total{site=}`` is a view of that dict,
+    bound in ``registry`` (default: the process registry) when the
+    queue is constructed, so a capture is one append and one dict
+    increment.  That registry holds the queue from then on, as it holds
+    every view's owner.
 
     ``max_entries`` caps the queue: sustained faults cannot grow the
     no-silent-loss backstop without bound.  Beyond the cap the *oldest*
-    entry is dropped and counted into
-    ``repro_faults_dlq_evicted_total`` (and :attr:`n_evicted`) — the
-    loss is still never silent, it just moves from entry to counter.
-    ``None`` (the default) keeps the queue unbounded.
+    entry is dropped and counted in :attr:`n_evicted`, which
+    ``repro_faults_dlq_evicted_total`` views — the loss is still never
+    silent, it just moves from entry to counter.  ``None`` (the
+    default) keeps the queue unbounded.
 
     Sequence numbers are monotone over the queue's lifetime (they are
     assigned at capture and never reused), so the entries past a cursor
@@ -127,37 +125,29 @@ class DeadLetterQueue:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.registry = registry
         self._entries: deque[DeadLetter] = deque()
         self._next_seq = 0
+        #: captures per site: every push, and every entry a restore adopted
+        self.captured: dict[str, int] = {}
         #: oldest entries dropped by the ``max_entries`` cap
         self.n_evicted = 0
-        self._m_evicted = wellknown.Bound(wellknown.faults_dlq_evicted)
-        self._m_captured: dict[str, wellknown.Bound] = {}
+        wellknown.faults_dead_letters(registry).view(self.captured, dict.copy)
+        wellknown.faults_dlq_evicted(registry).view(self, "n_evicted")
 
     def _append(self, site: str, payload, error: str, context: dict) -> DeadLetter:
         self._next_seq += 1
         entry = DeadLetter(self._next_seq, site, payload, error, context)
         self._entries.append(entry)
+        captured = self.captured
+        captured[site] = captured.get(site, 0) + 1
         if self.max_entries is not None and len(self._entries) > self.max_entries:
             self._entries.popleft()
             self.n_evicted += 1
-            self._m_evicted(self.registry).inc()
         return entry
 
     def push(self, site: str, payload, error: str, **context) -> DeadLetter:
         """Capture one message; returns its record."""
-        entry = self._append(site, payload, error, context)
-        self._count(site)
-        return entry
-
-    def _count(self, site: str) -> None:
-        captured = self._m_captured.get(site)
-        if captured is None:
-            captured = self._m_captured[site] = wellknown.Bound(
-                wellknown.faults_dead_letters, site=site
-            )
-        captured(self.registry).inc()
+        return self._append(site, payload, error, context)
 
     def entries(self, site: str | None = None) -> list[DeadLetter]:
         """All entries, optionally filtered to one site.
@@ -172,13 +162,12 @@ class DeadLetterQueue:
         return [e for e in snapshot if e.site == site]
 
     def restore(self, entries) -> int:
-        """Adopt entries *without* counting them (checkpoint/file restore).
+        """Adopt entries an earlier life of the queue captured (a
+        checkpoint's, or the journal's), renumbered after any existing
+        contents.
 
-        The ``repro_faults_dead_letters_total`` counters are not
-        incremented: these captures were already counted when they
-        happened, and the metrics snapshot travels separately in the
-        checkpoint.  Entries are renumbered to stay
-        consistent with any existing contents.
+        Each adopted entry is counted in :attr:`captured`: the process
+        that made the capture is gone, and its count with it.
         """
         n = 0
         for e in entries:
@@ -186,56 +175,12 @@ class DeadLetterQueue:
             n += 1
         return n
 
-    def to_jsonl(self, path: str | Path) -> Path:
-        """Persist every entry as one JSON object per line.
-
-        Dead letters are the no-silent-loss backstop, so they must
-        survive restarts even outside the checkpoint path.
-        """
-        path = Path(path)
-        with path.open("w") as fh:
-            for e in self.entries():
-                fh.write(json.dumps(entry_to_dict(e), sort_keys=True) + "\n")
-        return path
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path, *, registry=None) -> "DeadLetterQueue":
-        """Load a queue written by :meth:`to_jsonl`.
-
-        Entries are restored without re-counting (see :meth:`restore`).
-
-        Raises
-        ------
-        ValueError
-            A line is not valid JSON or lacks the entry fields.
-        """
-        path = Path(path)
-        queue = cls(registry=registry)
-        entries = []
-        with path.open() as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(entry_from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad dead-letter record: {e}"
-                    ) from e
-        queue.restore(entries)
-        return queue
-
     def counts_by_site(self) -> dict[str, int]:
         """Entry counts per site (the stats-reconciliation view)."""
         out: dict[str, int] = {}
         for e in self.entries():
             out[e.site] = out.get(e.site, 0) + 1
         return out
-
-    def clear(self) -> None:
-        """Drop all entries (metric counters are cumulative and stay)."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

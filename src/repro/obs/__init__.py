@@ -36,7 +36,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
         "default_latency_buckets", "default_registry", "histogram_quantile", "load_snapshot",
-        "parse_prometheus", "restore_snapshot", "set_default_registry", "use_registry",
+        "parse_prometheus", "set_default_registry", "use_registry",
         "write_snapshot",
     ),
     "propagation": (

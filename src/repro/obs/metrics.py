@@ -57,7 +57,6 @@ __all__ = [
     "parse_prometheus",
     "write_snapshot",
     "load_snapshot",
-    "restore_snapshot",
 ]
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -507,8 +506,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every family (tests and benchmark isolation)."""
         with self._lock:
-            # a fresh dict, not clear(): children bound once
-            # (``wellknown.Bound``) notice by its identity
+            # a fresh dict, not clear(): ``Views.follow`` notices by its identity
             self._families = {}
         self.created_at = time.time()
 
@@ -890,59 +888,3 @@ def load_snapshot(path: str | Path) -> dict:
     if text.lstrip().startswith("{"):
         return json.loads(text)
     return parse_prometheus(text)
-
-
-def restore_snapshot(
-    snapshot: dict, registry: MetricsRegistry | None = None
-) -> MetricsRegistry:
-    """Load a snapshot's values back into a live registry.
-
-    The inverse of :meth:`MetricsRegistry.snapshot`: families are
-    get-or-created with the snapshot's kind and label set, and each
-    sample's value (or histogram bucket counts, reconstructed from the
-    cumulative form) is written over the child's current state.  This
-    is how checkpoint recovery resumes counting where the crashed
-    process left off instead of resetting every panel to zero (a family
-    with views is not written over: its owners say what it reads).
-
-    Raises
-    ------
-    ValueError
-        A family already exists in ``registry`` with a conflicting
-        kind or label set.
-    """
-    registry = registry if registry is not None else default_registry()
-    for metric in snapshot.get("metrics", ()):
-        name, kind = metric["name"], metric["type"]
-        labels = tuple(metric.get("label_names", ()))
-        help_text = metric.get("help", "")
-        if kind == "counter":
-            fam: _Family = registry.counter(name, help_text, labels)
-        elif kind == "gauge":
-            fam = registry.gauge(name, help_text, labels)
-        elif kind == "histogram":
-            edges = [
-                float(edge)
-                for edge, _n in metric["samples"][0]["buckets"]
-                if edge not in ("+Inf", float("inf"))
-            ] if metric.get("samples") else None
-            fam = registry.histogram(name, help_text, labels,
-                                     buckets=edges or None)
-        else:  # untyped (e.g. parsed from foreign text): nothing to restore
-            continue
-        if getattr(fam, "_sources", None):
-            continue
-        for sample in metric["samples"]:
-            key = tuple(str(sample["labels"][n]) for n in labels)
-            child = fam._child(key)
-            if kind == "histogram":
-                counts, prev = [], 0
-                for _edge, cum in sample["buckets"]:
-                    counts.append(int(cum) - prev)
-                    prev = int(cum)
-                child.bucket_counts = counts
-                child.sum = float(sample["sum"])
-                child.count = int(sample["count"])
-            else:
-                child.value = float(sample["value"])
-    return registry

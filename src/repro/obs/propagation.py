@@ -24,7 +24,8 @@ SIGKILL and a resume in the middle.  This module carries a compact
   ``repro-syslog trace`` subcommand prints.
 
 Contexts are plain frozen dataclasses and spans are plain dicts, so
-both cross checkpoint files and process boundaries untouched.
+both cross the telemetry file beside a checkpoint and process
+boundaries untouched.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ class TraceContext:
     ``trace_id`` names the trace, ``span_id`` is the most recent hop
     (the parent of the next one), ``origin_s`` is the accept timestamp
     the e2e latency histogram measures from.  Frozen and tiny: brokers
-    store it on records, checkpoints serialize it implicitly through
-    the exported spans.
+    store it on records, the telemetry file serializes it implicitly
+    through the exported spans.
     """
 
     trace_id: str

@@ -21,9 +21,7 @@ process-wide one) through the registry's public ``counter`` / ``gauge``
 still hands back its shared no-op metric.  :func:`declare_all`
 registers the full schema at once so a snapshot carries zero-valued
 samples for subsystems that have not run yet — a scrape of a freshly
-started process already shows every panel.  A path that reports per
-batch binds instead — :class:`Bound` resolves an accessor and its label
-values to the child once per registry.
+started process already shows every panel.
 
 To add a family, add one statement where its samples belong in the
 exposition (statement order is registration order), then replace the
@@ -357,7 +355,7 @@ def _named_accessors(namespace: dict) -> list[str]:
 
 __all__ = [
     *_named_accessors(globals()),
-    "Bound", "CATALOGUE", "Family", "SECTIONS", "declare_all", "render_reference",
+    "CATALOGUE", "Family", "SECTIONS", "declare_all", "render_reference",
 ]
 
 
@@ -372,45 +370,6 @@ def declare_all(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     for family in CATALOGUE:
         family.accessor(registry)
     return registry
-
-
-class Bound:
-    """One family's child for fixed label values, resolved once per registry.
-
-    ``Bound(stage_seconds, stage="route")`` is called like the accessor
-    it wraps — ``bound(registry)``, default the process-wide registry —
-    and returns the labelled child, so a hot path observes without the
-    family get-or-create and the ``labels()`` resolution an accessor
-    call plus ``inc(..., stage=...)`` costs per event.  Nothing is
-    registered until the first call (a family or child that is never
-    used never shows a zero sample), and the resolution is redone when
-    the call meets another registry — an explicit one, the default
-    after ``set_default_registry``/``use_registry``, or the same one
-    after ``reset()`` — so a long-lived holder keeps reporting where an
-    accessor call would.  Only the recipe pickles: a copy in another
-    process resolves against that process's registry.
-    """
-
-    __slots__ = ("_accessor", "_labels", "_resolved")
-
-    def __init__(self, accessor: Callable[..., Counter | Gauge | Histogram], **labels: str) -> None:
-        self._accessor = accessor
-        self._labels = labels
-        #: (the families dict resolved against, the child) — one tuple so
-        #: a racing thread never pairs a child with the wrong registry
-        self._resolved: tuple = (None, None)
-
-    def __call__(self, registry: MetricsRegistry | None = None):
-        if registry is None:
-            registry = default_registry()
-        families, child = self._resolved
-        if registry._families is not families:
-            child = self._accessor(registry).labels(**self._labels)
-            self._resolved = (registry._families, child)
-        return child
-
-    def __reduce__(self):
-        return partial(Bound, **self._labels), (self._accessor,)
 
 
 def render_reference() -> str:

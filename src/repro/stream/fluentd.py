@@ -163,9 +163,7 @@ class FluentdForwarder:
 
     stats: ForwarderStats = field(default_factory=ForwarderStats)
     #: abandoned batches land here with their reason
-    dead_letters: DeadLetterQueue = field(
-        default_factory=DeadLetterQueue, init=False, repr=False
-    )
+    dead_letters: DeadLetterQueue = field(init=False, repr=False)
     _buffer: list[SyslogMessage] = field(default_factory=list, init=False, repr=False)
     #: partition and offset per buffered message, as two columns
     _partitions: list[str] = field(default_factory=list, init=False, repr=False)
@@ -188,10 +186,7 @@ class FluentdForwarder:
                 f"sink_timeout_s must be positive or None, "
                 f"got {self.sink_timeout_s}"
             )
-        if self.dlq_max_entries is not None:
-            self.dead_letters = DeadLetterQueue(
-                max_entries=self.dlq_max_entries
-            )
+        self.dead_letters = DeadLetterQueue(max_entries=self.dlq_max_entries)
         from repro.obs import wellknown
 
         stats = self.stats

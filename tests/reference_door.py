@@ -259,11 +259,19 @@ def reference_safe_parse_line(
 
 class ReferenceDeadLetterQueue(DeadLetterQueue):
     """The queue with the parent's own append and count (a ``list`` of
-    entries, so ``del entries[0]`` means what it meant)."""
+    entries, so ``del entries[0]`` means what it meant): an accessor
+    call and a ``labels()`` resolution per count, at a push and at each
+    restored entry.  It keeps no views; it declares both families when
+    constructed, as the views do."""
 
     def __init__(self, *, max_entries: int | None = None, registry=None) -> None:
-        super().__init__(max_entries=max_entries, registry=registry)
+        from repro.obs import wellknown
+
+        self.max_entries, self.registry = max_entries, registry
         self._entries: list[DeadLetter] = []
+        self._next_seq = self.n_evicted = 0
+        wellknown.faults_dead_letters(registry)
+        wellknown.faults_dlq_evicted(registry)
 
     def _append(self, site: str, payload, error: str, context: dict) -> DeadLetter:
         self._next_seq += 1
@@ -285,6 +293,14 @@ class ReferenceDeadLetterQueue(DeadLetterQueue):
         entry = self._append(site, payload, error, dict(context))
         self._count(site, 1)
         return entry
+
+    def restore(self, entries) -> int:
+        n = 0
+        for e in entries:
+            self._append(e.site, e.payload, e.error, dict(e.context))
+            self._count(e.site, 1)
+            n += 1
+        return n
 
     def _count(self, site: str, n: int) -> None:
         from repro.obs import wellknown

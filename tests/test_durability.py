@@ -16,6 +16,8 @@ import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, replace
@@ -26,6 +28,7 @@ import reference_wal
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.message import Facility, Severity, SyslogMessage
 from repro.durability import (
     FSYNC_POLICIES,
@@ -48,8 +51,9 @@ from repro.durability import (
 )
 from repro.durability.wal import _encode_record
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.plan import SITE_CRASH
-from repro.obs import MetricsRegistry, use_registry, wellknown
+from repro.faults.plan import SITE_CRASH, SITE_FLUSH_FAIL
+from repro.obs import MetricsRegistry, default_tracer, use_registry, wellknown
+from repro.stream.fluentd import ABANDON_SITE
 
 SEED_SHIFT = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 CHAOS_SEEDS = [SEED_SHIFT, SEED_SHIFT + 1, SEED_SHIFT + 2]
@@ -1127,6 +1131,28 @@ class TestResume:
         assert "conservation OK" in capsys.readouterr().out
         assert (tmp_path / "meta.json").read_bytes() == meta
 
+    def test_a_checkpoint_that_carries_telemetry_still_resumes(self, tmp_path):
+        """A directory from when a checkpoint embedded the registry and
+        the spans, and no ``telemetry.json`` was written: the keys are
+        left unread and the run resumes to the same dispositions."""
+        _quick_config().save(tmp_path)
+        cluster, config, journal = resume_simulation(tmp_path)
+        first = reconcile(journal.state, cluster.run(config.duration_s + 30.0).produced)
+        journal.wal.close()
+        payload, path = load_latest_checkpoint(tmp_path)
+        payload.update(
+            metrics=wellknown.declare_all(MetricsRegistry()).snapshot(),
+            spans=default_tracer().export(clear=False),
+        )
+        path.unlink()
+        write_checkpoint(tmp_path, payload, seq=payload["last_wal_seq"])
+        (tmp_path / "telemetry.json").unlink()
+
+        again, config, _journal = resume_simulation(tmp_path)
+        _report, after = run_to_completion(again, config)
+        assert after.ok, after.render()
+        assert (after.indexed, after.produced) == (first.indexed, first.produced)
+
     def test_rejected_recover_override_changes_nothing(self, tmp_path, capsys):
         """`recover --replicas 9` on a 3-node run is refused *before*
         the override is persisted: meta.json stays byte-identical and
@@ -1226,6 +1252,74 @@ class TestCrashRecovery:
         assert conservation.ok, conservation.render()
         if SEED_SHIFT == 0:
             assert (resumed[0], report.relay_received) == (305, 788)
+
+    @pytest.mark.parametrize("trace_sample", [0.0, 0.5])
+    def test_a_checkpoint_is_the_same_bytes_in_every_run(self, tmp_path, trace_sample):
+        """One config run twice — SIGKILLed at crash call 420, then
+        recovered — writes the same checkpoint bytes at both points,
+        traced or not: a checkpoint holds state only, and the wall-clock
+        histograms and the spans go to ``telemetry.json``."""
+        config = SimConfig(
+            duration_s=120.0, rate=4.0, seed=SEED_SHIFT, incident=True, checkpoint_every_s=10.0,
+            trace_sample=trace_sample,
+        )
+        runs = [tmp_path / "a", tmp_path / "b"]
+
+        def checkpoints(run):
+            return {p.name: p.read_bytes() for p in run.glob("checkpoint-*.json")}
+
+        for run in runs:
+            config.save(run)
+            assert run_child(run, crash_at=420, timeout=120).returncode == -signal.SIGKILL
+        killed = [checkpoints(run) for run in runs]
+        for run in runs:
+            proc = run_child(run, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        recovered = [checkpoints(run) for run in runs]
+        assert killed[0] and killed[0] == killed[1]
+        assert recovered[0] and recovered[0] == recovered[1] != killed[0]
+        assert all((run / "telemetry.json").exists() for run in runs)
+
+    def test_the_dead_letter_count_survives_a_sigkill_and_resume(
+        self, tmp_path, _fresh_registry
+    ):
+        """Flushes fail at p=0.3 with one try each and the child is
+        SIGKILLed at crash call 420: after the resume the dead-letter
+        family reads the forwarder's queue, which holds what the journal
+        does (at seed 0 the checkpoint's copy of the count read 81 of
+        107)."""
+        SimConfig(
+            duration_s=60.0, rate=6.0, seed=SEED_SHIFT, incident=True, checkpoint_every_s=10.0,
+            flush_retry_limit=1,
+        ).save(tmp_path)
+        plan = tmp_path / "flush-crash-plan.json"
+        plan.write_text(json.dumps({"seed": SEED_SHIFT + 3, "sites": {
+            SITE_FLUSH_FAIL: {"probability": 0.3}, SITE_CRASH: {"at_calls": [420]},
+        }}))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.durability.harness", str(tmp_path),
+             "--crash-plan", str(plan)],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        cluster, config, journal = resume_simulation(tmp_path)
+
+        def counts():
+            return (
+                wellknown.faults_dead_letters(_fresh_registry).value(site=ABANDON_SITE),
+                len(cluster.forwarder.dead_letters.entries(ABANDON_SITE)),
+                sum(1 for d in journal.state.dead if d["site"] == ABANDON_SITE),
+            )
+
+        resumed = counts()
+        assert resumed[0] == resumed[1] == resumed[2] > 0
+        _report, conservation = run_to_completion(cluster, config)
+        assert conservation.ok, conservation.render()
+        assert counts() == resumed  # the resumed run injects no fault
+        if SEED_SHIFT == 0:
+            assert resumed[0] == 107
 
     def test_child_actually_dies_by_sigkill(self, tmp_path):
         _quick_config(seed=5).save(tmp_path)

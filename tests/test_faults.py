@@ -189,10 +189,11 @@ class TestDeadLetterQueue:
         assert dlq.entries("a.site")[0].context == {"batch_index": 3}
         assert dlq.counts_by_site() == {"a.site": 1, "b.site": 1}
 
-    def test_restore_renumbers_without_counting(self):
+    def test_restore_renumbers_and_counts(self):
         with use_registry(MetricsRegistry()) as reg:
             # src counts its captures into its own registry; adopting
-            # them renumbers them here and counts nothing twice
+            # them renumbers them here and counts them here: an adopted
+            # entry is a capture an earlier life of this queue made
             src = DeadLetterQueue(registry=MetricsRegistry())
             dst = DeadLetterQueue()
             dst.push("x", "p0", "e0")
@@ -201,8 +202,9 @@ class TestDeadLetterQueue:
             assert dst.restore(src.entries()) == 2
             assert [e.seq for e in dst] == [1, 2, 3]
             assert [e.payload for e in dst.entries("y")] == ["p1", "p2"]
+            assert dst.captured == {"x": 1, "y": 2}
             assert wellknown.faults_dead_letters(reg).value(site="x") == 1
-            assert wellknown.faults_dead_letters(reg).value(site="y") == 0
+            assert wellknown.faults_dead_letters(reg).value(site="y") == 2
 
 
 # -- pipeline poison quarantine --------------------------------------------

@@ -26,7 +26,6 @@ from repro.obs import (
     load_snapshot,
     parse_prometheus,
     render_waterfall,
-    restore_snapshot,
     set_default_tracer,
     use_registry,
     wellknown,
@@ -317,7 +316,7 @@ class TestViews:
         keyed = reg.counter("k_total", labels=("k",)).samples()
         assert len(keyed) == 500 and sum(child.value for _labels, child in keyed) == 20_000
 
-    def test_a_pickle_keeps_the_value_and_a_restore_leaves_a_view_alone(self):
+    def test_a_pickle_keeps_the_value_a_view_read(self):
         reg = MetricsRegistry()
         owner = SimpleNamespace(n=4)
         reg.counter("c_total").view(owner, "n")
@@ -325,8 +324,7 @@ class TestViews:
         owner.n = 9
         assert clone.counter("c_total").value() == 4  # a plain value, no owner
         clone.counter("c_total").inc()
-        restore_snapshot(clone.snapshot(), reg)
-        assert reg.counter("c_total").value() == 9
+        assert (clone.counter("c_total").value(), reg.counter("c_total").value()) == (5, 9)
 
 
 class TestExposition:
@@ -785,22 +783,6 @@ class TestBindOnce:
             assert wellknown.stage_items(registry).value(stage="route") == messages
             (_labels, size), = wellknown.template_cache_size(registry).samples()
             assert size.value == len(pipe.template_cache)
-
-    def test_a_reset_registry_is_bound_afresh(self):
-        registry = MetricsRegistry()
-        bound = wellknown.Bound(wellknown.stage_items, stage="route")
-        bound(registry).inc(2)
-        registry.reset()
-        bound(registry).inc(3)
-        assert wellknown.stage_items(registry).value(stage="route") == 3
-
-    def test_bound_is_lazy_and_null_safe(self):
-        registry = MetricsRegistry()
-        bound = wellknown.Bound(wellknown.pipeline_filtered)
-        assert registry.collect() == []  # constructing registers nothing
-        assert bound(registry) is bound(registry) is wellknown.pipeline_filtered(registry).labels()
-        null = NullRegistry()
-        assert wellknown.Bound(wellknown.stage_seconds, stage="x")(null) is null.histogram("x")
 
     def test_only_the_recipe_pickles(self, corpus, tmp_path):
         """A pipeline that crosses a process boundary — pickled, or

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import urllib.error
 import urllib.request
 
@@ -545,6 +546,34 @@ class TestMetricsWatchCli:
             ops.stop()
         out = capsys.readouterr().out
         assert out.count("repro_broker_published_total") >= 2
+
+
+class TestMetricsDirectoryCli:
+    def test_a_durable_run_renders_its_telemetry(self, tmp_path, capsys):
+        """``metrics <wal dir>`` renders the ``telemetry.json`` written
+        beside the last checkpoint: the spine's panel sections, and the
+        checkpoint count this process wrote."""
+        config = _traced_sim_config(duration_s=15.0)
+        config.save(tmp_path)
+        cluster, _, journal = resume_simulation(tmp_path)
+        cluster.run(30.0)
+        journal.wal.close()
+        assert cli_main(["metrics", str(tmp_path)]) == 0
+        panel = capsys.readouterr().out
+        assert str(tmp_path / "telemetry.json") in panel
+        for section in ("-- broker --", "-- store --", "-- e2e + slo --", "-- durability --"):
+            assert section in panel
+        writes = wellknown.checkpoint_writes(None).value()
+        assert writes > 0
+        assert re.search(rf"^repro_checkpoint_writes_total +{writes:g} ", panel, re.M)
+
+    def test_a_directory_without_telemetry_exits_in_one_line(self, tmp_path):
+        _traced_sim_config().save(tmp_path)
+        with pytest.raises(SystemExit) as refused:
+            cli_main(["metrics", str(tmp_path)])
+        message = str(refused.value)
+        assert str(tmp_path) in message and "telemetry.json" in message
+        assert "\n" not in message
 
 
 # -- dashboard sections -------------------------------------------------
